@@ -9,6 +9,7 @@ file crash-safe and merge-friendly across runs and seeds.
 
 from __future__ import annotations
 
+import os
 import struct
 import threading
 from dataclasses import dataclass
@@ -62,7 +63,9 @@ class RewardCache:
                 )
             while True:
                 chunk = fh.read(self._record.size)
-                if len(chunk) < self._record.size:  # tolerate a torn tail write
+                if len(chunk) < self._record.size:
+                    if chunk:  # torn tail write: cut back to the last whole record
+                        os.truncate(self.path, fh.tell() - len(chunk))
                     break
                 fields = self._record.unpack(chunk)
                 kb = fields[0]

@@ -12,13 +12,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import yaml
 
-from .simulator import DEFAULT_TRUTH_KEY
+from .simulator import DEFAULT_TRUTH_KEY, N_CONTEXTS
 
 DEFAULTS: dict = {
     "space": {
@@ -181,3 +182,11 @@ def _validate(cfg: ExperimentConfig) -> None:
     cyc = v["space"]["cycles"]
     if cyc is not None and cyc < 1:
         raise ConfigError("cycles must be >= 1")
+    for dotted, lo, hi in (
+        ("train.steps", 1, math.inf),
+        ("train.batch", 1, math.inf),
+        ("reward.k_tail", 1, N_CONTEXTS),
+    ):
+        value = cfg[dotted]
+        if not isinstance(value, int) or not lo <= value <= hi:
+            raise ConfigError(f"{dotted} must be an integer in [{lo}, {hi}], got {value!r}")

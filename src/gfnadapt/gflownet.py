@@ -3,8 +3,9 @@
 Because the construction graph is a tree, every terminal state has a unique
 trajectory and the backward policy is deterministic (log P_B = 0), so the
 squared residual is (log_z + log P_F(tau) - log R(x))^2. The policy is a
-shared MLP trunk with one logit head per decision slot; gradients are
-computed in-module (see nn.py).
+shared MLP trunk with one logit head per decision slot. The rollout is the
+policy's only forward path: training backpropagates (see nn.py) through the
+per-slot passes the rollout recorded while sampling.
 """
 
 from __future__ import annotations
@@ -12,22 +13,15 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .nn import Adam, Gradients, PolicyNet
+from .nn import Adam, Gradients, PolicyNet, log_softmax
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey, enumerate_terminals
+from .space import SpaceSpec, StateKey
 
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    key: StateKey
-    step_logps: np.ndarray  # chosen-action log-probs under the pure policy
-    log_reward: float
-    tb_residual: float
 
 
 @dataclass(frozen=True)
@@ -39,22 +33,15 @@ class TrainConfig:
     hidden: tuple[int, ...] = (256, 256, 256)
     explore_eps: float = 0.05  # decayed linearly to 0 over the first half
     budget: int | None = None  # unique-simulation cap; None = unlimited
-    distribution_cap: int = 100_000
 
 
 def feature_dim(space: SpaceSpec) -> int:
     return sum(r + 1 for r in space.slot_radices) + space.slots
 
 
-def encode_state(space: SpaceSpec, key: StateKey) -> np.ndarray:
-    """One-hot of each slot's choice (with an undecided category) plus a
-    one-hot of the current decision slot."""
-    if len(key) >= space.slots:
-        raise ValueError("terminal key has no action to choose")
-    return encode_batch(space, [key])[0]
-
-
 def encode_batch(space: SpaceSpec, keys: list[StateKey]) -> np.ndarray:
+    """One-hot of each slot's choice (with an undecided category) plus a
+    one-hot of the current decision slot, one row per non-terminal key."""
     radices = space.slot_radices
     offsets = np.cumsum([0] + [r + 1 for r in radices])
     slot_base = offsets[-1]
@@ -75,17 +62,21 @@ def new_policy(space: SpaceSpec, cfg: TrainConfig, rng: np.random.Generator) -> 
     )
 
 
-def forward_policy(net: PolicyNet, features: np.ndarray, slot: int) -> np.ndarray:
-    """Action log-probabilities for one slot; accepts a vector or a batch."""
-    single = features.ndim == 1
-    x = features[None, :] if single else features
-    logp = net.log_probs(x, slot)
-    return logp[0] if single else logp
+class SlotPass(NamedTuple):
+    """One decision slot of a rollout, as tb_loss_and_grads consumes it."""
+
+    acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL]
+    logp: np.ndarray        # pure-policy action log-probs, (n, radix)
+    chosen: np.ndarray      # sampled action per trajectory
 
 
-def _log_softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+def slot_forward(
+    net: PolicyNet, space: SpaceSpec, prefixes: list[StateKey], slot: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Trunk activations and action log-probs at `slot` for length-`slot`
+    prefixes."""
+    acts = net.trunk_forward(encode_batch(space, prefixes))
+    return acts, log_softmax(net.logits(acts[-1], slot))
 
 
 def _rollout(
@@ -95,103 +86,43 @@ def _rollout(
     rng: np.random.Generator,
     explore_eps: float,
     keep_caches: bool = False,
-):
+) -> tuple[list[StateKey], list[SlotPass]]:
     """Sample n trajectories in lockstep; actions drawn from the eps-mixed
-    policy, log-probs recorded under the pure policy."""
+    policy. With keep_caches, each slot's pass is returned for the TB
+    gradient; otherwise the list is empty, which bounds memory for large n."""
     keys: list[StateKey] = [() for _ in range(n)]
-    step_logps = np.zeros((n, space.slots))
-    caches = []
+    passes = []
     for t in range(space.slots):
-        feats = encode_batch(space, keys)
-        acts = net.trunk_forward(feats)
-        logits = net.logits(acts[-1], t)
-        logp = _log_softmax(logits)
+        acts, logp = slot_forward(net, space, keys, t)
         probs = np.exp(logp)
         n_actions = probs.shape[1]
         mixed = (1.0 - explore_eps) * probs + explore_eps / n_actions
         u = rng.random((n, 1))
         chosen = (mixed.cumsum(axis=1) < u).sum(axis=1).clip(max=n_actions - 1)
-        step_logps[:, t] = logp[np.arange(n), chosen]
         keys = [k + (int(a),) for k, a in zip(keys, chosen)]
         if keep_caches:
-            caches.append((acts, probs, chosen))
-    return keys, step_logps, caches
-
-
-def sample_trajectory(
-    net: PolicyNet,
-    space: SpaceSpec,
-    scorer: TerminalScorer,
-    rng: np.random.Generator,
-    explore_eps: float = 0.0,
-) -> TrajectoryRecord:
-    return sample_trajectories(net, space, scorer, rng, 1, explore_eps)[0]
-
-
-def sample_trajectories(
-    net: PolicyNet,
-    space: SpaceSpec,
-    scorer: TerminalScorer,
-    rng: np.random.Generator,
-    n: int,
-    explore_eps: float = 0.0,
-) -> list[TrajectoryRecord]:
-    if not 0.0 <= explore_eps < 1.0:
-        raise ValueError("explore_eps must be in [0, 1)")
-    keys, step_logps, _ = _rollout(net, space, n, rng, explore_eps)
-    records = []
-    for i, key in enumerate(keys):
-        log_r = float(np.log(scorer.score(key).reward))
-        logps = step_logps[i].copy()
-        records.append(
-            TrajectoryRecord(
-                key=key,
-                step_logps=logps,
-                log_reward=log_r,
-                tb_residual=float(net.log_z + logps.sum() - log_r),
-            )
-        )
-    return records
-
-
-def tb_loss(net: PolicyNet, batch: list[TrajectoryRecord]) -> float:
-    if not batch:
-        raise ValueError("empty batch")
-    res = np.array(
-        [net.log_z + rec.step_logps.sum() - rec.log_reward for rec in batch]
-    )
-    if not np.all(np.isfinite(res)):
-        raise ValueError("non-finite log_reward in batch")
-    return float(np.mean(res**2))
+            passes.append(SlotPass(acts, logp, chosen))
+    return keys, passes
 
 
 def tb_loss_and_grads(
-    net: PolicyNet,
-    space: SpaceSpec,
-    keys: list[StateKey],
-    log_rewards: np.ndarray,
+    net: PolicyNet, passes: list[SlotPass], log_rewards: np.ndarray
 ) -> tuple[float, Gradients]:
-    """Recompute the TB objective on given terminal keys and backpropagate."""
-    n = len(keys)
+    """TB objective of the trajectories whose slot passes are given, and its
+    gradient by backpropagation through those passes."""
+    n = len(log_rewards)
+    rows = np.arange(n)
     sum_logp = np.zeros(n)
-    slot_caches = []
-    for t in range(space.slots):
-        prefixes = [k[:t] for k in keys]
-        feats = encode_batch(space, prefixes)
-        acts = net.trunk_forward(feats)
-        logits = net.logits(acts[-1], t)
-        logp = _log_softmax(logits)
-        chosen = np.array([k[t] for k in keys])
-        sum_logp += logp[np.arange(n), chosen]
-        slot_caches.append((acts, np.exp(logp), chosen))
+    for p in passes:
+        sum_logp += p.logp[rows, p.chosen]
     residual = net.log_z + sum_logp - log_rewards
     loss = float(np.mean(residual**2))
     grads = Gradients.zeros_like(net)
     dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
-    for t, (acts, probs, chosen) in enumerate(slot_caches):
-        dlogits = -probs * dlogp[:, None]
-        dlogits[np.arange(n), chosen] += dlogp
-        net.backward_slot(acts, t, dlogits, grads)
+    for t, p in enumerate(passes):
+        dlogits = -np.exp(p.logp) * dlogp[:, None]
+        dlogits[rows, p.chosen] += dlogp
+        net.backward_slot(p.acts, t, dlogits, grads)
     grads.log_z = float(np.mean(2.0 * residual))
     return loss, grads
 
@@ -221,12 +152,12 @@ def train(
     half = max(1, cfg.steps // 2)
     for step in range(1, cfg.steps + 1):
         eps = cfg.explore_eps * max(0.0, 1.0 - (step - 1) / half)
-        keys, _, _ = _rollout(net, space, cfg.batch, rng, eps)
+        keys, passes = _rollout(net, space, cfg.batch, rng, eps, keep_caches=True)
         records = [scorer.score(k) for k in keys]
         log_rewards = np.log([rec.reward for rec in records])
         evaluated.extend((k, rec.aggregate) for k, rec in zip(keys, records))
         seen.update(keys)
-        loss, grads = tb_loss_and_grads(net, space, keys, log_rewards)
+        loss, grads = tb_loss_and_grads(net, passes, log_rewards)
         if not np.isfinite(loss):
             raise RuntimeError(f"trajectory balance loss diverged at step {step}")
         opt.step(net, grads)
@@ -262,7 +193,7 @@ def sample_terminals(
         raise ValueError("n must be >= 0")
     if n == 0:
         return []
-    keys, _, _ = _rollout(net, space, n, rng, explore_eps=0.0)
+    keys, _ = _rollout(net, space, n, rng, explore_eps=0.0)
     return keys
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey, enumerate_terminals
+from .space import SpaceSpec, StateKey, enumerate_terminals, place_values
 
 
 @dataclass(frozen=True)
@@ -26,12 +26,11 @@ class LandscapeTable:
     target_prob: np.ndarray
 
     def index_of(self, key: StateKey) -> int:
-        # mixed-radix decode; radices recoverable from the key list shape
-        return self._index[key]
-
-    @property
-    def _index(self) -> dict[StateKey, int]:
-        return {k: i for i, k in enumerate(self.keys)}
+        # mixed-radix decode; the last key holds each slot's largest action
+        radices = [a + 1 for a in self.keys[-1]]
+        if len(key) != len(radices) or not all(0 <= a < r for a, r in zip(key, radices)):
+            raise KeyError(key)
+        return sum(a * p for a, p in zip(key, place_values(radices)))
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,6 @@ def build_landscape(
     return LandscapeTable(keys, aggregates, rewards, z, rewards / z)
 
 
-def _place_values(radices: tuple[int, ...]) -> list[int]:
-    pv = [1] * len(radices)
-    for i in range(len(radices) - 2, -1, -1):
-        pv[i] = pv[i + 1] * radices[i + 1]
-    return pv
-
-
 def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
     """Assign each terminal to the local mode reached by probability ascent.
 
@@ -75,7 +67,7 @@ def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
     points.
     """
     radices = space.slot_radices
-    pv = _place_values(radices)
+    pv = place_values(radices)
     probs = landscape.target_prob
     n = len(probs)
     keys = landscape.keys

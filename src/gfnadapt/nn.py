@@ -17,6 +17,11 @@ def _fan_in_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarr
     return rng.uniform(-bound, bound, size=(n_in, n_out))
 
 
+def log_softmax(z: np.ndarray) -> np.ndarray:
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
 @dataclass
 class PolicyNet:
     """Trunk weights/biases plus per-slot head weights/biases and log_z."""
@@ -51,11 +56,6 @@ class PolicyNet:
     def params(self) -> list[np.ndarray]:
         return [*self.trunk_w, *self.trunk_b, *self.head_w, *self.head_b]
 
-    def check_finite(self) -> bool:
-        return all(np.all(np.isfinite(p)) for p in self.params()) and np.isfinite(
-            self.log_z
-        )
-
     # -- forward / backward -------------------------------------------------
 
     def trunk_forward(self, x: np.ndarray) -> list[np.ndarray]:
@@ -72,9 +72,7 @@ class PolicyNet:
 
     def log_probs(self, x: np.ndarray, slot: int) -> np.ndarray:
         """Log-softmax over the slot's actions for a batch of features."""
-        z = self.logits(self.trunk_forward(x)[-1], slot)
-        z = z - z.max(axis=-1, keepdims=True)
-        return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+        return log_softmax(self.logits(self.trunk_forward(x)[-1], slot))
 
     def backward_slot(
         self,

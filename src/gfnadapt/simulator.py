@@ -140,6 +140,7 @@ _REGIMES = (
     (22.0, 2.0, 5.5, 26.0, 9.0, 1000.0),
     (18.0, 3.0, 3.5, 32.0, 11.0, 600.0),
 )
+N_CONTEXTS = len(_REGIMES)  # contexts built by generate_contexts
 
 
 def generate_contexts(seed: int, days: int = 180) -> list[ContextDataset]:

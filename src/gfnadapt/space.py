@@ -91,9 +91,6 @@ class SpaceSpec:
             n *= len(g.actions)
         return n**self.cycles
 
-    def param(self, name: str) -> ParameterSpec:
-        return self._param_index[name]
-
     @property
     def _param_index(self) -> dict[str, ParameterSpec]:
         return {p.name: p for p in self.parameters}
@@ -175,6 +172,19 @@ def enumerate_terminals(space: SpaceSpec) -> Iterator[StateKey]:
     """All terminal keys exactly once, in lexicographic action order."""
     ranges = [range(r) for r in space.slot_radices]
     return iter(itertools.product(*ranges))
+
+
+def place_values(radices: Sequence[int]) -> list[int]:
+    """Mixed-radix place value of each slot: the index of a terminal key in
+    enumerate_terminals order is sum(key[t] * pv[t]).
+
+    project_grid's row-major reshape and exact_terminal_distribution's
+    slot-by-slot outer products rely on this same lexicographic order.
+    """
+    pv = [1] * len(radices)
+    for i in range(len(radices) - 2, -1, -1):
+        pv[i] = pv[i + 1] * radices[i + 1]
+    return pv
 
 
 def neighbors(space: SpaceSpec, key: StateKey) -> list[StateKey]:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gfnadapt import gflownet as gf
 from gfnadapt.rewards import RewardConfig, TerminalScorer
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
@@ -39,6 +40,18 @@ def make_mini_sim_space():
 
     sp = builtin_space()
     return dataclasses.replace(sp, groups=sp.groups[:2])
+
+
+def fixed_passes(net, space, keys):
+    """Slot passes over the prefixes of given terminal keys, built with the
+    per-slot forward code the rollout runs."""
+    return [
+        gf.SlotPass(
+            *gf.slot_forward(net, space, [k[:t] for k in keys], t),
+            np.array([k[t] for k in keys]),
+        )
+        for t in range(space.slots)
+    ]
 
 
 class StubScorer:

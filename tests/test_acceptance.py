@@ -24,7 +24,7 @@ from gfnadapt.simulator import (
 )
 from gfnadapt.space import decode_state, enumerate_terminals, neighbors
 
-from conftest import StubScorer, make_tiny_space
+from conftest import StubScorer, fixed_passes, make_tiny_space
 
 
 def _ok(line):
@@ -133,7 +133,7 @@ def test_gradients_match_finite_differences():
         head += rng.normal(0, 0.3, head.shape)
     keys = [(0, 0), (1, 2), (0, 1), (1, 0)]
     log_r = np.array([0.0, 0.7, -0.5, 1.1])
-    _, grads = gf.tb_loss_and_grads(net, sp, keys, log_r)
+    _, grads = gf.tb_loss_and_grads(net, fixed_passes(net, sp, keys), log_r)
     h = 1e-4
     worst = 0.0
     idx_rng = np.random.default_rng(4)
@@ -142,9 +142,9 @@ def test_gradients_match_finite_differences():
         for idx in idx_rng.choice(flat.size, size=min(15, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            up, _ = gf.tb_loss_and_grads(net, sp, keys, log_r)
+            up, _ = gf.tb_loss_and_grads(net, fixed_passes(net, sp, keys), log_r)
             flat[idx] = orig - h
-            down, _ = gf.tb_loss_and_grads(net, sp, keys, log_r)
+            down, _ = gf.tb_loss_and_grads(net, fixed_passes(net, sp, keys), log_r)
             flat[idx] = orig
             fd = (up - down) / (2 * h)
             rel = abs(fd - gflat[idx]) / max(abs(fd), abs(gflat[idx]), 1e-8)

@@ -54,6 +54,24 @@ def test_torn_tail_write_tolerated(tmp_path):
     assert reopened.get((1, 1)).aggregate == 0.25
 
 
+def test_append_after_torn_tail_reloads_exactly(tmp_path):
+    path = tmp_path / "c.bin"
+    cache = RewardCache(path, key_len=2, n_contexts=3)
+    cache.put(record((1, 2), 0.25))
+    with open(path, "ab") as fh:
+        fh.write(b"\x00\x01\x02")  # simulated crash mid-record
+    appended = record((1, 1), 0.75)
+    RewardCache(path, key_len=2, n_contexts=3).put(appended)
+    reloaded = RewardCache(path, key_len=2, n_contexts=3)
+    assert len(reloaded) == 2
+    got = reloaded.get((1, 1))
+    assert got is not None and got.key == (1, 1)
+    assert np.array_equal(got.raw, appended.raw)
+    assert np.array_equal(got.normalized, appended.normalized)
+    assert got.aggregate == appended.aggregate
+    assert got.reward == appended.reward
+
+
 def test_concurrent_puts_commit_once(tmp_path):
     cache = RewardCache(tmp_path / "c.bin", key_len=2, n_contexts=3)
     results = []

@@ -102,6 +102,13 @@ class TestExitCodes:
     def test_report_without_traces(self, workspace):
         assert run(workspace, "report") == 2
 
+    @pytest.mark.parametrize(
+        "override", ["train.steps=0", "train.batch=0", "reward.k_tail=9"]
+    )
+    def test_out_of_range_rejected_before_work(self, workspace, override):
+        assert run(workspace, "train", override) == 1
+        assert not (workspace.parent / "runs").exists()  # no scoring, no done
+
 
 class TestEnumerate:
     def test_artifacts(self, workspace):

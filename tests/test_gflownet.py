@@ -5,7 +5,7 @@ from gfnadapt import gflownet as gf
 from gfnadapt.nn import Adam, PolicyNet
 from gfnadapt.space import enumerate_terminals
 
-from conftest import StubScorer, make_tiny_space
+from conftest import StubScorer, fixed_passes, make_tiny_space
 
 TINY_REWARDS = {
     (0, 0): 1.0,
@@ -28,12 +28,21 @@ def delta_net(space, key):
     return net
 
 
+def chosen_logp_sum(passes):
+    """Per-trajectory sum of the recorded chosen-action log-probs."""
+    n = len(passes[0].chosen)
+    total = np.zeros(n)
+    for p in passes:
+        total += p.logp[np.arange(n), p.chosen]
+    return total
+
+
 class TestEncoding:
     def test_dimension_builtin(self, space):
         assert gf.feature_dim(space) == (4 + 6 + 6 + 6 + 8) + 5 == 35
 
     def test_empty_key(self, space):
-        feat = gf.encode_state(space, ())
+        feat = gf.encode_batch(space, [()])[0]
         radices = space.slot_radices
         offsets = np.cumsum([0] + [r + 1 for r in radices])
         for t in range(space.slots):
@@ -42,21 +51,17 @@ class TestEncoding:
         assert feat.sum() == space.slots + 1
 
     def test_equal_prefixes_encode_identically(self, space):
-        a = gf.encode_state(space, (1, 2))
-        b = gf.encode_state(space, (1, 2))
+        a, b = gf.encode_batch(space, [(1, 2), (1, 2)])
         assert np.array_equal(a, b)
-
-    def test_terminal_key_rejected(self, tiny_space):
-        with pytest.raises(ValueError, match="terminal"):
-            gf.encode_state(tiny_space, (0, 0))
+        assert np.array_equal(a, gf.encode_batch(space, [(1, 2)])[0])
 
 
 class TestForwardPolicy:
     def test_fresh_model_is_uniform(self, tiny_space):
         net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(1))
         for t, r in enumerate(tiny_space.slot_radices):
-            logp = gf.forward_policy(net, gf.encode_state(tiny_space, (0,) * t), t)
-            assert np.allclose(np.exp(logp), 1.0 / r, atol=1e-12)
+            _, logp = gf.slot_forward(net, tiny_space, [(0,) * t], t)
+            assert np.allclose(np.exp(logp[0]), 1.0 / r, atol=1e-12)
 
     def test_normalization_random_weights(self, tiny_space):
         rng = np.random.default_rng(2)
@@ -64,87 +69,121 @@ class TestForwardPolicy:
         for head in net.head_w:
             head += rng.normal(0, 1, head.shape)
         for t in range(tiny_space.slots):
-            logp = gf.forward_policy(net, gf.encode_state(tiny_space, (1,) * t), t)
-            assert abs(np.exp(logp).sum() - 1.0) < 1e-6
+            _, logp = gf.slot_forward(net, tiny_space, [(1,) * t], t)
+            assert abs(np.exp(logp[0]).sum() - 1.0) < 1e-6
 
     def test_deterministic(self, tiny_space):
         net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(3))
-        feat = gf.encode_state(tiny_space, ())
-        assert np.array_equal(
-            gf.forward_policy(net, feat, 0), gf.forward_policy(net, feat, 0)
-        )
+        _, a = gf.slot_forward(net, tiny_space, [()], 0)
+        _, b = gf.slot_forward(net, tiny_space, [()], 0)
+        assert np.array_equal(a, b)
 
 
 class TestSampling:
     def test_near_uniform_under_full_exploration(self, tiny_space):
         # delta policy, but eps ~ 1 forces near-uniform action marginals
         net = delta_net(tiny_space, (0, 0))
-        scorer = tiny_stub()
         rng = np.random.default_rng(4)
         n = 10_000
-        records = gf.sample_trajectories(net, tiny_space, scorer, rng, n, explore_eps=0.999)
+        keys, _ = gf._rollout(net, tiny_space, n, rng, explore_eps=0.999)
         for t, r in enumerate(tiny_space.slot_radices):
-            counts = np.bincount([rec.key[t] for rec in records], minlength=r)
+            counts = np.bincount([key[t] for key in keys], minlength=r)
             p = 1.0 / r
             sigma = np.sqrt(n * p * (1 - p))
             assert np.all(np.abs(counts - n * p) <= 3.5 * sigma + n * 0.001)
 
     def test_delta_policy_without_exploration(self, tiny_space):
         net = delta_net(tiny_space, (1, 2))
-        scorer = tiny_stub()
         rng = np.random.default_rng(5)
-        records = gf.sample_trajectories(net, tiny_space, scorer, rng, 50, explore_eps=0.0)
-        assert all(rec.key == (1, 2) for rec in records)
+        keys, _ = gf._rollout(net, tiny_space, 50, rng, explore_eps=0.0)
+        assert keys == [(1, 2)] * 50
 
     def test_logp_bookkeeping(self, tiny_space):
+        # actions come from the eps-mixed policy, log-probs from the pure one
         rng = np.random.default_rng(6)
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8, 8)), rng)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
-        scorer = tiny_stub()
-        for rec in gf.sample_trajectories(net, tiny_space, scorer, rng, 20, 0.3):
+        keys, passes = gf._rollout(net, tiny_space, 20, rng, 0.3, keep_caches=True)
+        assert len(passes) == tiny_space.slots
+        recorded = chosen_logp_sum(passes)
+        for i, key in enumerate(keys):
             recomputed = sum(
-                gf.forward_policy(net, gf.encode_state(tiny_space, rec.key[:t]), t)[
-                    rec.key[t]
-                ]
+                net.log_probs(gf.encode_batch(tiny_space, [key[:t]]), t)[0][key[t]]
                 for t in range(tiny_space.slots)
             )
-            assert rec.step_logps.sum() == pytest.approx(recomputed, abs=1e-10)
-            assert np.all(rec.step_logps <= 0.0)
-            assert rec.tb_residual == pytest.approx(
-                net.log_z + rec.step_logps.sum() - rec.log_reward, abs=1e-12
-            )
+            assert recorded[i] == pytest.approx(recomputed, abs=1e-10)
+        for t, p in enumerate(passes):
+            assert np.array_equal(p.chosen, [key[t] for key in keys])
+            assert np.all(p.logp <= 0.0)
+            assert np.allclose(np.exp(p.logp).sum(axis=1), 1.0, atol=1e-12)
+
+    def test_recorded_passes_match_fresh_forward(self, space):
+        # train's gradient reuses the rollout's passes; they must equal a
+        # fresh forward pass over the sampled prefixes bit for bit
+        rng = np.random.default_rng(14)
+        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        for head in net.head_w:
+            head += rng.normal(0, 0.05, head.shape)
+        keys, passes = gf._rollout(
+            net, space, 16, np.random.default_rng(15), 0.2, keep_caches=True
+        )
+        fresh = fixed_passes(net, space, keys)
+        assert len(passes) == len(fresh) == space.slots
+        for rec, new in zip(passes, fresh):
+            assert len(rec.acts) == len(new.acts)
+            for a, b in zip(rec.acts, new.acts):
+                assert np.array_equal(a, b)
+            assert np.array_equal(rec.logp, new.logp)
+            assert np.array_equal(rec.chosen, new.chosen)
+
+    def test_passes_dropped_without_keep_caches(self, tiny_space):
+        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(0))
+        _, passes = gf._rollout(net, tiny_space, 5, np.random.default_rng(1), 0.0)
+        assert passes == []
+
+
+def random_net(space, seed, hidden=(8, 8)):
+    rng = np.random.default_rng(seed)
+    net = gf.new_policy(space, gf.TrainConfig(hidden=hidden), rng)
+    for head in net.head_w:
+        head += rng.normal(0, 0.5, head.shape)
+    return net
 
 
 class TestTBLoss:
     def test_matched_model_zero(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(0))
-        rec = gf.TrajectoryRecord(
-            key=(0, 0),
-            step_logps=np.array([-0.5, -0.5]),
-            log_reward=net.log_z - 1.0,
-            tb_residual=0.0,
-        )
-        assert gf.tb_loss(net, [rec]) == pytest.approx(0.0, abs=1e-12)
+        net = random_net(tiny_space, 0)
+        keys = [(0, 0), (1, 2), (0, 1)]
+        passes = fixed_passes(net, tiny_space, keys)
+        log_r = net.log_z + chosen_logp_sum(passes)
+        loss, grads = gf.tb_loss_and_grads(net, passes, log_r)
+        assert loss == pytest.approx(0.0, abs=1e-12)
+        assert grads.log_z == 0.0
+        assert all(not g.any() for g in grads.params())
 
     def test_batch_order_invariant(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(0))
-        recs = [
-            gf.TrajectoryRecord((0, 0), np.array([-0.1, -0.2]), -1.0, 0.0),
-            gf.TrajectoryRecord((1, 1), np.array([-0.3, -0.4]), -2.0, 0.0),
-        ]
-        assert gf.tb_loss(net, recs) == gf.tb_loss(net, recs[::-1])
+        net = random_net(tiny_space, 0)
+        keys = [(0, 0), (1, 1), (0, 2), (1, 0)]
+        log_r = np.array([-1.0, -2.0, 0.5, 0.0])
+        perm = [2, 0, 3, 1]
+        loss_a, grads_a = gf.tb_loss_and_grads(
+            net, fixed_passes(net, tiny_space, keys), log_r
+        )
+        loss_b, grads_b = gf.tb_loss_and_grads(
+            net, fixed_passes(net, tiny_space, [keys[i] for i in perm]), log_r[perm]
+        )
+        assert loss_a == pytest.approx(loss_b, rel=1e-12)
+        assert grads_a.log_z == pytest.approx(grads_b.log_z, rel=1e-12)
+        for a, b in zip(grads_a.params(), grads_b.params()):
+            assert np.allclose(a, b, rtol=1e-10, atol=1e-15)
 
     def test_non_finite_rejected(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(0))
-        rec = gf.TrajectoryRecord((0, 0), np.array([-0.1, -0.2]), -np.inf, 0.0)
-        with pytest.raises(ValueError, match="non-finite"):
-            gf.tb_loss(net, [rec])
-
-    def test_empty_batch_rejected(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="empty"):
-            gf.tb_loss(net, [])
+        # a zero reward gives log R = -inf, which train reports as divergence
+        scorer = StubScorer({**TINY_REWARDS, (1, 2): 0.0})
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(RuntimeError, match="diverged"):
+                gf.train(tiny_space, scorer, gf.TrainConfig(steps=50, hidden=(8,)), seed=0)
 
 
 class TestGradients:
@@ -156,7 +195,11 @@ class TestGradients:
             head += rng.normal(0, 0.3, head.shape)
         keys = [(0, 0), (1, 2), (0, 1), (1, 0)]
         log_r = np.array([0.0, 0.7, -0.5, 1.1])
-        _, grads = gf.tb_loss_and_grads(net, sp, keys, log_r)
+
+        def loss_and_grads():
+            return gf.tb_loss_and_grads(net, fixed_passes(net, sp, keys), log_r)
+
+        _, grads = loss_and_grads()
         h = 1e-4
         params = net.params()
         gparams = grads.params()
@@ -167,9 +210,9 @@ class TestGradients:
             for idx in rng_idx.choice(flat.size, size=min(25, flat.size), replace=False):
                 orig = flat[idx]
                 flat[idx] = orig + h
-                up, _ = gf.tb_loss_and_grads(net, sp, keys, log_r)
+                up, _ = loss_and_grads()
                 flat[idx] = orig - h
-                down, _ = gf.tb_loss_and_grads(net, sp, keys, log_r)
+                down, _ = loss_and_grads()
                 flat[idx] = orig
                 fd = (up - down) / (2 * h)
                 denom = max(abs(fd), abs(gflat[idx]), 1e-8)
@@ -180,12 +223,16 @@ class TestGradients:
         net = gf.new_policy(sp, gf.TrainConfig(hidden=(8,)), np.random.default_rng(9))
         keys = [(0, 0), (1, 1)]
         log_r = np.array([0.2, -0.3])
-        _, grads = gf.tb_loss_and_grads(net, sp, keys, log_r)
+
+        def loss_and_grads():
+            return gf.tb_loss_and_grads(net, fixed_passes(net, sp, keys), log_r)
+
+        _, grads = loss_and_grads()
         h = 1e-5
         net.log_z += h
-        up, _ = gf.tb_loss_and_grads(net, sp, keys, log_r)
+        up, _ = loss_and_grads()
         net.log_z -= 2 * h
-        down, _ = gf.tb_loss_and_grads(net, sp, keys, log_r)
+        down, _ = loss_and_grads()
         net.log_z += h
         fd = (up - down) / (2 * h)
         assert grads.log_z == pytest.approx(fd, rel=1e-6)
