@@ -22,9 +22,6 @@ class SearchTrace:
     seed: int
     evaluated: list[tuple[StateKey, float]] = field(default_factory=list)
 
-    def best_so_far_losses(self) -> np.ndarray:
-        return np.minimum.accumulate([loss for _, loss in self.evaluated])
-
     def export_csv(self, path, config_hash: str = "") -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

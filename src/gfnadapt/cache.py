@@ -1,10 +1,11 @@
 """Persistent terminal-reward cache.
 
-Append-only binary record log with an in-memory index. Each record is the
-canonical key bytes followed by the per-context raw losses, per-context
-normalized losses, the aggregate loss, and the reward as little-endian
-float64. Duplicate keys resolve to the first-written record, which makes the
-file crash-safe and merge-friendly across runs and seeds.
+Append-only binary log of what the simulator produced: each record is the
+canonical key bytes, the per-context raw losses as little-endian float64, and
+a CRC32 of both. The normalized losses, aggregate and reward are derived from
+the raw losses by the cache's `derive` function, in one pass over all records
+on load and once per new record. Duplicate keys resolve to the first-written
+record, which makes the file crash-safe and merge-friendly across runs.
 """
 
 from __future__ import annotations
@@ -12,15 +13,17 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .space import StateKey, key_bytes, key_from_bytes
 
 _MAGIC = b"GFRC"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 _HEADER = struct.Struct("<4sBBBx")  # magic, schema, key_len, n_contexts, pad
 
 
@@ -34,13 +37,18 @@ class LossRecord:
 
 
 class RewardCache:
-    """Thread-safe first-write-wins record log keyed by canonical key bytes."""
+    """Thread-safe first-write-wins raw-loss log keyed by canonical key bytes.
 
-    def __init__(self, path, key_len: int, n_contexts: int):
+    `derive` maps (n, C) raw losses to the (n, C) normalized losses, (n,)
+    aggregates and (n,) rewards of the records."""
+
+    def __init__(self, path, key_len: int, n_contexts: int, derive: Callable):
         self.path = Path(path)
         self.key_len = key_len
         self.n_contexts = n_contexts
-        self._record = struct.Struct(f"<{key_len}s{2 * n_contexts + 2}d")
+        self.derive = derive
+        self._record = np.dtype([("key", f"V{key_len}"), ("raw", "<f8", n_contexts),
+                                 ("crc", "<u4")])
         self._index: dict[bytes, LossRecord] = {}
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -52,60 +60,55 @@ class RewardCache:
 
     def _load(self) -> None:
         with open(self.path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            magic, version, key_len, n_contexts = _HEADER.unpack(head)
-            if magic != _MAGIC or version != SCHEMA_VERSION:
-                raise ValueError(f"unrecognized cache file {self.path}")
-            if key_len != self.key_len or n_contexts != self.n_contexts:
-                raise ValueError(
-                    f"cache {self.path} has key_len={key_len}, C={n_contexts}; "
-                    f"expected key_len={self.key_len}, C={self.n_contexts}"
-                )
-            while True:
-                chunk = fh.read(self._record.size)
-                if len(chunk) < self._record.size:
-                    if chunk:  # torn tail write: cut back to the last whole record
-                        os.truncate(self.path, fh.tell() - len(chunk))
-                    break
-                fields = self._record.unpack(chunk)
-                kb = fields[0]
-                if kb in self._index:
-                    continue
-                vals = fields[1:]
-                c = self.n_contexts
-                self._index[kb] = LossRecord(
-                    key=key_from_bytes(kb),
-                    raw=np.array(vals[:c]),
-                    normalized=np.array(vals[c : 2 * c]),
-                    aggregate=vals[2 * c],
-                    reward=vals[2 * c + 1],
-                )
+            head, data = fh.read(_HEADER.size), fh.read()
+        if len(head) < _HEADER.size or not head.startswith(_MAGIC):
+            raise ValueError(f"unrecognized cache file {self.path}; delete it to rebuild")
+        _, version, key_len, n_contexts = _HEADER.unpack(head)
+        if version != SCHEMA_VERSION:
+            raise ValueError(f"cache {self.path} has schema {version}, expected "
+                             f"{SCHEMA_VERSION}; delete it to rebuild")
+        if key_len != self.key_len or n_contexts != self.n_contexts:
+            raise ValueError(
+                f"cache {self.path} has key_len={key_len}, C={n_contexts}; "
+                f"expected key_len={self.key_len}, C={self.n_contexts}"
+            )
+        size = self._record.itemsize
+        whole = len(data) - len(data) % size
+        if whole < len(data):  # torn tail write: cut back to the last whole record
+            os.truncate(self.path, _HEADER.size + whole)
+        records = np.frombuffer(data, self._record, whole // size)
+        view, first = memoryview(data), {}  # key bytes -> index of its first record
+        for i, at in enumerate(range(0, whole, size)):
+            if zlib.crc32(view[at : at + size - 4]) != records["crc"][i]:
+                raise ValueError(f"cache {self.path}: record at byte "
+                                 f"{_HEADER.size + at} fails its CRC32 check")
+            first.setdefault(bytes(view[at : at + self.key_len]), i)
+        keys = [key_from_bytes(kb) for kb in first]
+        self._index = dict(zip(first, self._records(keys, records["raw"][list(first.values())])))
+
+    def _records(self, keys: list[StateKey], raw: np.ndarray) -> list[LossRecord]:
+        norm, agg, rew = self.derive(raw)
+        # row copies: a view would keep its whole batch array alive
+        return [LossRecord(key, raw[i].copy(), norm[i].copy(), float(agg[i]), float(rew[i]))
+                for i, key in enumerate(keys)]
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def __contains__(self, key: StateKey) -> bool:
-        return key_bytes(key) in self._index
-
     def get(self, key: StateKey) -> LossRecord | None:
         return self._index.get(key_bytes(key))
 
-    def put(self, record: LossRecord) -> LossRecord:
-        """Commit a record; returns the winning (possibly pre-existing) one."""
-        kb = key_bytes(record.key)
+    def put(self, key: StateKey, raw: np.ndarray) -> LossRecord:
+        """Commit a key's raw losses; returns the winning (maybe pre-existing) record."""
+        kb = key_bytes(key)
         with self._lock:
             existing = self._index.get(kb)
             if existing is not None:
                 return existing
-            packed = self._record.pack(
-                kb,
-                *record.raw,
-                *record.normalized,
-                record.aggregate,
-                record.reward,
-            )
+            record = self._records([key], np.array([raw], dtype=float))[0]
+            body = kb + record.raw.astype("<f8").tobytes()
             with open(self.path, "ab") as fh:
-                fh.write(packed)
+                fh.write(body + zlib.crc32(body).to_bytes(4, "little"))
                 fh.flush()
             self._index[kb] = record
             return record

@@ -21,7 +21,6 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, gflownet, landscape as lsc, metrics
-from .cache import RewardCache
 from .config import ConfigError, ExperimentConfig, load_config
 from .rewards import QuantileTable, RewardConfig, TerminalScorer
 from .simulator import builtin_space, generate_contexts, synthesize_observations
@@ -43,60 +42,56 @@ class Workspace:
         else:
             space = load_space_file(space_file)
         if cfg["space.cycles"] is not None:
-            space = dataclasses.replace(space, cycles=int(cfg["space.cycles"]))
+            space = dataclasses.replace(space, cycles=cfg["space.cycles"])
         if cfg["space.step_fraction"] is not None:
-            space = dataclasses.replace(
-                space, step_fraction=float(cfg["space.step_fraction"])
-            )
+            space = dataclasses.replace(space, step_fraction=cfg["space.step_fraction"])
         self.space = space
+        truth, radices = cfg["data.truth_key"], space.slot_radices
+        if len(truth) % len(space.groups) or len(truth) > len(radices) or any(
+            a >= r for a, r in zip(truth, radices)
+        ):
+            raise ConfigError(
+                f"data.truth_key {truth} must fill whole cycles of the space's "
+                f"slots, whose action counts are {radices}"
+            )
 
     @property
     def enumerable(self) -> bool:
-        return self.space.terminal_count() <= int(self.cfg["run.enum_cap"])
+        return self.space.terminal_count() <= self.cfg["run.enum_cap"]
 
     def contexts(self):
         cfg = self.cfg
-        contexts = generate_contexts(
-            int(cfg["data.contexts_seed"]), days=int(cfg["data.days"])
-        )
+        contexts = generate_contexts(cfg["data.contexts_seed"], days=cfg["data.days"])
         truth = decode_state(self.space, tuple(cfg["data.truth_key"]))
         return synthesize_observations(
-            contexts,
-            truth,
-            float(cfg["data.noise_rel"]),
-            seed=int(cfg["data.contexts_seed"]) + 1,
+            contexts, truth, cfg["data.noise_rel"], seed=cfg["data.contexts_seed"] + 1
         )
 
     def scorer(self) -> TerminalScorer:
         """Fresh scorer (zeroed counters) backed by the shared reward cache."""
         cfg = self.cfg
         reward_cfg = RewardConfig(
-            beta=float(cfg["reward.beta"]),
-            lam=float(cfg["reward.lambda"]),
-            k_tail=int(cfg["reward.k_tail"]),
-            lo_level=float(cfg["reward.lo_level"]),
-            hi_level=float(cfg["reward.hi_level"]),
-            warmup=int(cfg["reward.warmup"]),
+            beta=cfg["reward.beta"],
+            lam=cfg["reward.lambda"],
+            k_tail=cfg["reward.k_tail"],
+            lo_level=cfg["reward.lo_level"],
+            hi_level=cfg["reward.hi_level"],
+            warmup=cfg["reward.warmup"],
         )
         cache_dir = cfg.cache_dir()
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        contexts = self.contexts()
-        cache = RewardCache(
-            cache_dir / "rewards.bin",
-            key_len=self.space.slots,
-            n_contexts=len(contexts),
-        )
-        scorer = TerminalScorer(self.space, contexts, reward_cfg, cache=cache)
         qpath = cache_dir / "quantiles.json"
-        if qpath.exists():
-            scorer.quantiles = QuantileTable.from_json(qpath)
-        else:
+        scorer = TerminalScorer(
+            self.space,
+            self.contexts(),
+            reward_cfg,
+            cache_path=cache_dir / "rewards.bin",
+            quantiles=QuantileTable.from_json(qpath) if qpath.exists() else None,
+        )
+        if scorer.quantiles is None:
             if self.enumerable:
                 scorer.fit_on_enumeration()
             else:
-                scorer.fit_on_warmup(
-                    np.random.default_rng(int(cfg["data.contexts_seed"]) + 2)
-                )
+                scorer.fit_on_warmup(np.random.default_rng(cfg["data.contexts_seed"] + 2))
             scorer.quantiles.to_json(qpath)
         return scorer
 
@@ -127,7 +122,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> None:
         return
     out.mkdir(parents=True, exist_ok=True)
     scorer = ws.scorer()
-    table = lsc.build_landscape(ws.space, scorer, cap=int(cfg["run.enum_cap"]))
+    table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
     basins = lsc.basin_map(table, ws.space)
     run_hash = cfg.run_hash()
     lsc.export_landscape_csv(out / "landscape.csv", table, basins, run_hash)
@@ -161,13 +156,13 @@ def cmd_train(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
     train_cfg = gflownet.TrainConfig(
-        steps=int(cfg["train.steps"]),
-        batch=int(cfg["train.batch"]),
-        lr=float(cfg["train.lr"]),
-        log_z_lr=float(cfg["train.log_z_lr"]),
-        explore_eps=float(cfg["train.explore_eps"]),
+        steps=cfg["train.steps"],
+        batch=cfg["train.batch"],
+        lr=cfg["train.lr"],
+        log_z_lr=cfg["train.log_z_lr"],
+        explore_eps=cfg["train.explore_eps"],
         hidden=tuple(cfg["train.hidden"]),
-        budget=(None if cfg["train.budget"] is None else int(cfg["train.budget"])),
+        budget=cfg["train.budget"],
     )
     for seed in cfg["run.seeds"]:
         out = cfg.out_root() / "train" / str(seed)
@@ -204,7 +199,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
 def cmd_sample(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
-    n = int(cfg["train.n_samples"])
+    n = cfg["train.n_samples"]
     for seed in cfg["run.seeds"]:
         ckpt = cfg.out_root() / "train" / str(seed) / "checkpoint.bin"
         if not ckpt.exists():
@@ -240,7 +235,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
     if method not in ("random", "tpe"):
         raise ConfigError("baseline requires run.method to be 'random' or 'tpe'")
     run_hash = cfg.run_hash()
-    budget = int(cfg["baseline.budget"])
+    budget = cfg["baseline.budget"]
     for seed in cfg["run.seeds"]:
         out = cfg.out_root() / f"baseline-{method}" / str(seed)
         if _done(out):
@@ -253,13 +248,8 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
             trace = baselines.random_search(ws.space, scorer, budget, seed)
         else:
             trace = baselines.tpe_search(
-                ws.space,
-                scorer,
-                budget,
-                seed,
-                gamma=float(cfg["baseline.gamma"]),
-                n_candidates=int(cfg["baseline.n_candidates"]),
-                startup=int(cfg["baseline.startup"]),
+                ws.space, scorer, budget, seed, gamma=cfg["baseline.gamma"],
+                n_candidates=cfg["baseline.n_candidates"], startup=cfg["baseline.startup"],
             )
         trace.export_csv(out / "trace.csv", run_hash)
         _write_meta(
@@ -296,7 +286,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     table = None
     if (root / "enumerate" / "landscape.csv").exists():
         scorer = ws.scorer()
-        table = lsc.build_landscape(ws.space, scorer, cap=int(cfg["run.enum_cap"]))
+        table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
 
     sources = [("gflownet", root / "train")]
     for method in ("random", "tpe"):
@@ -317,7 +307,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     if not found:
         raise MissingArtifact(f"no traces found under {root}")
 
-    beta = float(cfg["reward.beta"])
+    beta = cfg["reward.beta"]
     all_losses = []
     traces = {}
     for method, seed, trace_path, meta_path in found:
@@ -363,9 +353,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             ckpt = root / "train" / str(seed) / "checkpoint.bin"
             if ckpt.exists():
                 net, _ = gflownet.load_checkpoint(ckpt)
-                learned = gflownet.exact_terminal_distribution(
-                    net, ws.space, cap=int(cfg["run.enum_cap"])
-                )
+                learned = gflownet.exact_terminal_distribution(net, ws.space, cfg["run.enum_cap"])
                 l1_per_seed[str(seed)] = lsc.l1_distance(table.target_prob, learned)
     manifest = {
         "config_hash": run_hash,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -85,9 +84,6 @@ class ExperimentConfig:
         for part in dotted.split("."):
             node = node[part]
         return node
-
-    def section(self, name: str) -> dict:
-        return self.values[name]
 
     # -- hashes -------------------------------------------------------------
 
@@ -167,26 +163,49 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
     return cfg
 
 
+# (kind, accepted interval, settings). None is accepted where it is the
+# default; a list must be a non-empty list of integers in the interval.
+_RULES = (
+    (int, "[1, inf)", "space.cycles reward.warmup train.steps train.batch train.n_samples"
+                      " train.budget baseline.budget baseline.n_candidates baseline.startup"),
+    (int, "[0, inf)", "data.contexts_seed run.enum_cap"),
+    (int, f"[1, {N_CONTEXTS}]", "reward.k_tail"),
+    (int, "[14, inf)", "data.days"),  # at least one biweekly observation
+    (float, "(0, inf)", "reward.beta train.lr train.log_z_lr"),
+    (float, "(0, 1)", "reward.lo_level reward.hi_level baseline.gamma"),
+    (float, "(0, 1]", "space.step_fraction"),
+    (float, "[0, 1]", "reward.lambda train.explore_eps"),
+    (float, "[0, inf)", "data.noise_rel"),
+    (list, "[1, inf)", "train.hidden"),
+    (list, "[0, inf)", "run.seeds data.truth_key"),  # truth key: see cli.Workspace
+)
+_KINDS = {int: "an integer", float: "a number", list: "a non-empty list of integers"}
+
+
+def _fits(value, kind: type, interval: str) -> bool:
+    if kind is list:
+        return isinstance(value, list) and value != [] and all(
+            _fits(x, int, interval) for x in value
+        )
+    if isinstance(value, bool) or not isinstance(value, (int, kind)):
+        return False
+    lo, hi = (float(x) for x in interval[1:-1].split(","))
+    above = lo < value if interval[0] == "(" else lo <= value
+    return above and (value < hi if interval[-1] == ")" else value <= hi)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    v = cfg.values
-    method = v["run"]["method"]
-    if method not in ("gflownet", "random", "tpe"):
-        raise ConfigError(f"unknown method: {method}")
-    if not v["run"]["seeds"]:
-        raise ConfigError("seeds list must be non-empty")
-    if v["data"]["noise_rel"] < 0:
-        raise ConfigError("noise_rel must be >= 0")
-    sf = v["space"]["step_fraction"]
-    if sf is not None and not 0 < sf <= 1:
-        raise ConfigError("step_fraction must be in (0, 1]")
-    cyc = v["space"]["cycles"]
-    if cyc is not None and cyc < 1:
-        raise ConfigError("cycles must be >= 1")
-    for dotted, lo, hi in (
-        ("train.steps", 1, math.inf),
-        ("train.batch", 1, math.inf),
-        ("reward.k_tail", 1, N_CONTEXTS),
-    ):
-        value = cfg[dotted]
-        if not isinstance(value, int) or not lo <= value <= hi:
-            raise ConfigError(f"{dotted} must be an integer in [{lo}, {hi}], got {value!r}")
+    if cfg["run.method"] not in ("gflownet", "random", "tpe"):
+        raise ConfigError(f"unknown method: {cfg['run.method']}")
+    for dotted in ("space.file", "run.out_dir"):
+        if not isinstance(cfg[dotted], str):
+            raise ConfigError(f"{dotted} must be a string, got {cfg[dotted]!r}")
+    for kind, interval, names in _RULES:
+        for dotted in names.split():
+            value = cfg[dotted]
+            if value is None and ExperimentConfig(DEFAULTS)[dotted] is None:
+                continue
+            if not _fits(value, kind, interval):
+                raise ConfigError(f"{dotted} must be {_KINDS[kind]} in {interval}, got {value!r}")
+    if cfg["reward.lo_level"] >= cfg["reward.hi_level"]:
+        raise ConfigError("reward.lo_level must be below reward.hi_level")

@@ -45,8 +45,6 @@ def build_landscape(
     count = space.terminal_count()
     if count > cap:
         raise ValueError(f"space has {count} terminals, exceeding cap {cap}")
-    if scorer.quantiles is None:
-        scorer.fit_on_enumeration()
     keys = list(enumerate_terminals(space))
     aggregates = np.empty(count)
     rewards = np.empty(count)

@@ -2,15 +2,17 @@
 
 The scoring path for one terminal state is: decode -> simulate each context
 -> normalized-residual loss per context -> quantile normalization -> blend
-of mean and worst-K tail -> Boltzmann reward exp(-beta * loss). Results are
-memoized in the persistent reward cache.
+of mean and worst-K tail -> Boltzmann reward exp(-beta * loss). The reward
+cache stores raw losses only; `derive` computes the rest along the last axis,
+for one row or a whole cache file alike.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -31,14 +33,6 @@ class RewardConfig:
     lo_level: float = 0.05
     hi_level: float = 0.95
     warmup: int = 256  # quantile-fitting sample size in non-enumerable mode
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be > 0")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must be in [0, 1]")
-        if not 0.0 < self.lo_level < self.hi_level < 1.0:
-            raise ValueError("quantile levels must satisfy 0 < lo < hi < 1")
 
 
 @dataclass(frozen=True)
@@ -110,24 +104,31 @@ def normalize(raw: np.ndarray, q: QuantileTable) -> np.ndarray:
     return (np.asarray(raw, dtype=float) - q.q_lo) / (q.q_hi - q.q_lo + q.eps)
 
 
-def aggregate(normalized: np.ndarray, lam: float, k: int) -> float:
-    """Blend of the mean loss and the mean over the K worst contexts."""
+def aggregate(normalized: np.ndarray, lam: float, k: int) -> np.ndarray:
+    """Blend of the mean loss and the mean over the K worst contexts (last axis)."""
     normalized = np.asarray(normalized, dtype=float)
-    c = len(normalized)
+    c = normalized.shape[-1]
     if not 1 <= k <= c:
         raise ValueError(f"K={k} out of range [1, {c}]")
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must be in [0, 1]")
     # summing in sorted order keeps the result exactly permutation invariant
-    ordered = np.sort(normalized)[::-1]
-    tail = float(np.mean(ordered[:k]))
-    return float((1.0 - lam) * np.mean(ordered) + lam * tail)
+    ordered = np.sort(normalized, axis=-1)[..., ::-1]
+    tail = np.mean(ordered[..., :k], axis=-1)
+    return (1.0 - lam) * np.mean(ordered, axis=-1) + lam * tail
 
 
-def reward(aggregate_loss: float, beta: float) -> float:
+def reward(aggregate_loss, beta: float) -> np.ndarray:
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    return float(np.exp(-beta * aggregate_loss))
+    return np.exp(-beta * np.asarray(aggregate_loss, dtype=float))
+
+
+def derive(raw: np.ndarray, q: QuantileTable, config: RewardConfig):
+    """Normalized losses, aggregate and reward of (..., C) raw losses."""
+    norm = normalize(raw, q)
+    agg = aggregate(norm, config.lam, config.k_tail)
+    return norm, agg, reward(agg, config.beta)
 
 
 class SimulatorError(RuntimeError):
@@ -139,9 +140,9 @@ class SimulatorError(RuntimeError):
 class TerminalScorer:
     """Cache-backed scoring of terminal states against all contexts.
 
-    Quantiles must be fitted (fit_on_enumeration / fit_on_warmup, or an
-    externally supplied table) before score() is called. Raw context losses
-    are memoized separately so the quantile-fitting pass is not repeated.
+    The reward cache at `cache_path` opens once the quantile table is
+    frozen: passed in, or fitted by fit_on_enumeration / fit_on_warmup.
+    Only keys the cache does not hold are simulated.
     """
 
     def __init__(
@@ -149,78 +150,71 @@ class TerminalScorer:
         space: SpaceSpec,
         contexts: Sequence[ContextDataset],
         config: RewardConfig = RewardConfig(),
-        cache: RewardCache | None = None,
+        *,
+        cache_path,
         quantiles: QuantileTable | None = None,
     ):
         self.space = space
         self.contexts = list(contexts)
         self.config = config
-        self.cache = cache
-        self.quantiles = quantiles
+        self.cache_path = Path(cache_path)
         self.sim_evals = 0          # simulator invocations (one per context)
-        self.unique_scored = 0      # distinct keys that required simulation
-        self._raw_memo: dict[StateKey, np.ndarray] = {}
-        self._lock = threading.Lock()
+        self.unique_scored = 0      # keys simulated (raw_losses calls)
+        self.quantiles: QuantileTable | None = None
+        self.cache: RewardCache | None = None
+        if quantiles is not None:
+            self._freeze(quantiles)
 
-    @property
-    def n_contexts(self) -> int:
-        return len(self.contexts)
+    def _freeze(self, quantiles: QuantileTable) -> None:
+        """Fix the quantile table and open the cache derived under it."""
+        self.quantiles = quantiles
+        self.cache = RewardCache(
+            self.cache_path, self.space.slots, len(self.contexts),
+            functools.partial(derive, q=quantiles, config=self.config),
+        )
 
     def raw_losses(self, key: StateKey) -> np.ndarray:
-        with self._lock:
-            hit = self._raw_memo.get(key)
-        if hit is not None:
-            return hit
+        """Simulate every context for one key; no cache lookup."""
         params = decode_state(self.space, key)
-        raw = np.empty(self.n_contexts)
+        raw = np.empty(len(self.contexts))
         for i, ctx in enumerate(self.contexts):
             try:
                 sim = simulate(params, ctx)
             except Exception as exc:
                 raise SimulatorError(ctx.context_id, exc) from exc
             raw[i] = context_loss(sim, ctx.obs_values)
-        with self._lock:
-            if key not in self._raw_memo:
-                self._raw_memo[key] = raw
-                self.sim_evals += self.n_contexts
-                self.unique_scored += 1
+        self.sim_evals += len(self.contexts)
+        self.unique_scored += 1
         return raw
 
     def fit_on_enumeration(self) -> QuantileTable:
-        """Fit quantiles on the raw losses of every terminal state."""
-        table = np.array([self.raw_losses(k) for k in enumerate_terminals(self.space)])
-        self.quantiles = fit_quantiles(
-            list(table.T), self.config.lo_level, self.config.hi_level
-        )
+        """Fit quantiles on the raw losses of every terminal state, then
+        commit those losses to the cache."""
+        keys = list(enumerate_terminals(self.space))
+        table = np.array([self.raw_losses(k) for k in keys])
+        cfg = self.config
+        self._freeze(fit_quantiles(list(table.T), cfg.lo_level, cfg.hi_level))
+        for key, raw in zip(keys, table):
+            self.cache.put(key, raw)
         return self.quantiles
 
     def fit_on_warmup(self, rng: np.random.Generator) -> QuantileTable:
-        """Fit quantiles on uniformly random terminals, then freeze."""
+        """Fit quantiles on uniformly random terminals, then freeze. The
+        warm-up losses are not cached."""
         radices = self.space.slot_radices
         keys = {
             tuple(int(rng.integers(r)) for r in radices)
             for _ in range(self.config.warmup)
         }
         table = np.array([self.raw_losses(k) for k in sorted(keys)])
-        self.quantiles = fit_quantiles(
-            list(table.T), self.config.lo_level, self.config.hi_level
-        )
+        cfg = self.config
+        self._freeze(fit_quantiles(list(table.T), cfg.lo_level, cfg.hi_level))
         return self.quantiles
 
     def score(self, key: StateKey) -> LossRecord:
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                return hit
         if self.quantiles is None:
             raise RuntimeError("quantile table not fitted")
-        raw = self.raw_losses(key)
-        norm = normalize(raw, self.quantiles)
-        agg = aggregate(norm, self.config.lam, self.config.k_tail)
-        record = LossRecord(
-            key=key, raw=raw, normalized=norm, aggregate=agg,
-            reward=reward(agg, self.config.beta),
-        )
-        if self.cache is not None:
-            record = self.cache.put(record)
-        return record
+        hit = self.cache.get(key)
+        if hit is not None:
+            return hit
+        return self.cache.put(key, self.raw_losses(key))

@@ -95,8 +95,11 @@ def obs_contexts(space):
 
 
 @pytest.fixture(scope="session")
-def fitted_scorer(space, obs_contexts):
-    scorer = TerminalScorer(space, obs_contexts, RewardConfig())
+def fitted_scorer(space, obs_contexts, tmp_path_factory):
+    scorer = TerminalScorer(
+        space, obs_contexts, RewardConfig(),
+        cache_path=tmp_path_factory.mktemp("cache") / "rewards.bin",
+    )
     scorer.fit_on_enumeration()
     return scorer
 

@@ -335,11 +335,11 @@ def test_cache_reuse_and_byte_identical_outputs(pipeline):
     _ok("cache semantics: re-runs hit the cache only and outputs are byte-identical")
 
 
-def test_truth_state_is_optimal_without_noise(space):
+def test_truth_state_is_optimal_without_noise(space, tmp_path):
     contexts = generate_contexts(7)
     truth = decode_state(space, DEFAULT_TRUTH_KEY)
     obs = synthesize_observations(contexts, truth, 0.0, seed=8)
-    scorer = TerminalScorer(space, obs, RewardConfig())
+    scorer = TerminalScorer(space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin")
     scorer.fit_on_enumeration()
     raw = scorer.raw_losses(DEFAULT_TRUTH_KEY)
     assert np.all(np.abs(raw) <= 1e-12)

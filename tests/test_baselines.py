@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gfnadapt.baselines import SearchTrace, random_search, tpe_search
+from gfnadapt.metrics import best_so_far
 from gfnadapt.space import enumerate_terminals
 
 from conftest import make_tiny_space
@@ -123,9 +124,13 @@ class TestTPE:
 class TestSearchTrace:
     def test_best_so_far_monotone(self, tiny_space):
         trace = random_search(tiny_space, AggScorer(separable_loss), 100, seed=7)
-        best = trace.best_so_far_losses()
-        assert np.all(np.diff(best) <= 0)
-        assert best[-1] == min(l for _, l in trace.evaluated)
+        losses = [l for _, l in trace.evaluated]
+        series = best_so_far(losses, l_star=0.0, beta=4.0)
+        gaps = [gap for _, gap, _ in series]
+        assert [n for n, _, _ in series] == list(range(1, 101))
+        assert np.all(np.diff(gaps) <= 0)
+        assert gaps[-1] == min(losses)
+        assert np.all(np.diff([r for _, _, r in series]) >= 0)
 
     def test_csv_roundtrip(self, tiny_space, tmp_path):
         trace = tpe_search(tiny_space, AggScorer(separable_loss), 25, seed=8)

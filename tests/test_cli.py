@@ -103,11 +103,37 @@ class TestExitCodes:
         assert run(workspace, "report") == 2
 
     @pytest.mark.parametrize(
-        "override", ["train.steps=0", "train.batch=0", "reward.k_tail=9"]
+        "override",
+        [
+            "train.steps=0",
+            "train.batch=0",
+            "reward.k_tail=9",
+            "train.hidden=5",
+            "run.seeds=5",
+            "train.hidden=[0]",
+            "data.truth_key=[1]",  # the workspace space has 2 slots
+            "data.truth_key=[1,3]",  # slot 1 has 3 actions
+            "reward.beta=abc",
+            "train.lr=abc",
+            "run.enum_cap=abc",
+            "data.days=abc",
+            "reward.lo_level=0.99",
+            "baseline.gamma=2",
+        ],
     )
     def test_out_of_range_rejected_before_work(self, workspace, override):
         assert run(workspace, "train", override) == 1
         assert not (workspace.parent / "runs").exists()  # no scoring, no done
+
+    def test_corrupt_cache_record_exits_2(self, workspace, capsys):
+        assert run(workspace, "enumerate") == 0
+        path = load_config(workspace).cache_dir() / "rewards.bin"
+        blob = bytearray(path.read_bytes())
+        size = (len(blob) - 8) // 6  # header, then one record per terminal
+        blob[8 + 2 * size + 3] ^= 0x01  # inside the third record
+        path.write_bytes(bytes(blob))
+        assert run(workspace, "train") == 2
+        assert f"record at byte {8 + 2 * size} fails its CRC32" in capsys.readouterr().err
 
 
 class TestEnumerate:

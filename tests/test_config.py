@@ -17,7 +17,9 @@ class TestDefaults:
 
     def test_dotted_lookup(self):
         cfg = load_config()
-        assert cfg["baseline.gamma"] == cfg.section("baseline")["gamma"]
+        assert cfg["baseline.gamma"] == cfg.values["baseline"]["gamma"] == 0.25
+        with pytest.raises(KeyError):
+            cfg["baseline.nope"]
 
 
 class TestHashes:

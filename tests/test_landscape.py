@@ -24,8 +24,6 @@ from conftest import make_tiny_space
 class FixedRewardScorer:
     """Scorer stand-in with a preset reward per terminal key."""
 
-    quantiles = object()  # pretend fitted
-
     def __init__(self, rewards):
         self.rewards = rewards
 

@@ -1,9 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfnadapt.cache import RewardCache
 from gfnadapt.rewards import (
     QuantileTable,
     RewardConfig,
@@ -15,7 +16,7 @@ from gfnadapt.rewards import (
     reward,
 )
 from gfnadapt.simulator import DEFAULT_TRUTH_KEY, generate_contexts, synthesize_observations
-from gfnadapt.space import decode_state
+from gfnadapt.space import decode_state, enumerate_terminals
 
 
 class TestContextLoss:
@@ -149,12 +150,16 @@ class TestTerminalScorer:
         return make_mini_sim_space()
 
     @pytest.fixture()
-    def scorer(self, mini_space, tmp_path):
+    def obs(self, mini_space):
         contexts = generate_contexts(3, days=60)
         truth = decode_state(mini_space, (1, 2))
-        obs = synthesize_observations(contexts, truth, 0.05, seed=4)
-        cache = RewardCache(tmp_path / "rewards.bin", mini_space.slots, len(obs))
-        scorer = TerminalScorer(mini_space, obs, RewardConfig(), cache=cache)
+        return synthesize_observations(contexts, truth, 0.05, seed=4)
+
+    @pytest.fixture()
+    def scorer(self, mini_space, obs, tmp_path):
+        scorer = TerminalScorer(
+            mini_space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin"
+        )
         scorer.fit_on_enumeration()
         return scorer
 
@@ -166,54 +171,103 @@ class TestTerminalScorer:
         assert rec1.aggregate == rec2.aggregate
         assert np.array_equal(rec1.raw, rec2.raw)
 
-    def test_reward_positive_everywhere(self, scorer, mini_space):
-        from gfnadapt.space import enumerate_terminals
+    def test_enumeration_fit_fills_the_cache(self, scorer, mini_space):
+        keys = list(enumerate_terminals(mini_space))
+        assert len(scorer.cache) == len(keys) == scorer.unique_scored
+        assert scorer.sim_evals == len(keys) * len(scorer.contexts)
+        for key in keys:
+            scorer.score(key)
+        assert scorer.unique_scored == len(keys)  # every score was a cache hit
 
+    def test_reward_positive_everywhere(self, scorer, mini_space):
         for key in enumerate_terminals(mini_space):
             assert scorer.score(key).reward > 0.0
 
     def test_record_consistency(self, scorer):
         rec = scorer.score((0, 2))
-        assert rec.reward == pytest.approx(
-            np.exp(-scorer.config.beta * rec.aggregate), rel=1e-12
-        )
-        expected = aggregate(rec.normalized, scorer.config.lam, scorer.config.k_tail)
-        assert rec.aggregate == pytest.approx(expected, rel=1e-12)
+        cfg = scorer.config
+        assert np.array_equal(rec.normalized, normalize(rec.raw, scorer.quantiles))
+        assert rec.aggregate == aggregate(rec.normalized, cfg.lam, cfg.k_tail)
+        assert rec.reward == reward(rec.aggregate, cfg.beta)
 
-    def test_persistence_roundtrip(self, scorer, mini_space, tmp_path):
+    def test_persistence_roundtrip(self, scorer, mini_space, obs, tmp_path):
         rec = scorer.score((1, 0))
-        reopened = RewardCache(
-            tmp_path / "rewards.bin", mini_space.slots, scorer.n_contexts
+        reopened = TerminalScorer(
+            mini_space, obs, scorer.config,
+            cache_path=tmp_path / "rewards.bin", quantiles=scorer.quantiles,
         )
-        stored = reopened.get((1, 0))
+        stored = reopened.cache.get((1, 0))
         assert stored is not None
         assert stored.aggregate == rec.aggregate
         assert stored.reward == rec.reward
         assert np.array_equal(stored.raw, rec.raw)
         assert np.array_equal(stored.normalized, rec.normalized)
 
-    def test_unfitted_scorer_rejected(self, mini_space):
+    def test_records_follow_the_current_quantile_table(self, scorer, mini_space, obs,
+                                                        tmp_path):
+        a = scorer.quantiles
+        b = QuantileTable(a.q_lo * 0.5, a.q_hi * 2.0, a.lo_level, a.hi_level)
+        reopened = TerminalScorer(
+            mini_space, obs, scorer.config,
+            cache_path=tmp_path / "rewards.bin", quantiles=b,
+        )
+        lam, k = scorer.config.lam, scorer.config.k_tail
+        for key in enumerate_terminals(mini_space):
+            rec = reopened.score(key)
+            assert rec.aggregate == aggregate(normalize(rec.raw, b), lam, k)
+            assert rec.aggregate != scorer.score(key).aggregate
+        assert reopened.sim_evals == 0
+
+    def test_cache_freed_with_its_scorer(self, mini_space, obs, tmp_path):
+        # no reference cycle: a stage's records go as soon as its scorer does
+        scorer = TerminalScorer(
+            mini_space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin",
+            quantiles=QuantileTable(np.zeros(len(obs)), np.ones(len(obs)), 0.05, 0.95),
+        )
+        cache = weakref.ref(scorer.cache)
+        del scorer
+        assert cache() is None
+
+    def test_unfitted_scorer_rejected(self, mini_space, tmp_path):
         contexts = generate_contexts(3, days=60)
-        scorer = TerminalScorer(mini_space, contexts, RewardConfig())
+        scorer = TerminalScorer(
+            mini_space, contexts, RewardConfig(), cache_path=tmp_path / "rewards.bin"
+        )
         with pytest.raises(RuntimeError, match="quantile"):
             scorer.score((0, 0))
 
-    def test_warmup_fit_freezes_quantiles(self, mini_space):
-        contexts = generate_contexts(3, days=60)
-        truth = decode_state(mini_space, (1, 2))
-        obs = synthesize_observations(contexts, truth, 0.05, seed=4)
-        scorer = TerminalScorer(mini_space, obs, RewardConfig(warmup=4))
+    def test_warmup_fit_freezes_quantiles(self, mini_space, obs, tmp_path):
+        scorer = TerminalScorer(
+            mini_space, obs, RewardConfig(warmup=4), cache_path=tmp_path / "rewards.bin"
+        )
         q = scorer.fit_on_warmup(np.random.default_rng(0))
         assert np.all(q.q_lo <= q.q_hi)
+        assert len(scorer.cache) == 0  # warm-up losses stay out of the cache
         frozen = scorer.quantiles
         scorer.score((0, 0))
         assert scorer.quantiles is frozen
 
 
-def test_truth_key_scores_zero_without_noise(space):
+def test_loaded_records_equal_their_own_row(space, obs_contexts, fitted_scorer):
+    # the one-pass derivation over all records of a file is bit-identical to
+    # deriving each record's row on its own
+    reopened = TerminalScorer(
+        space, obs_contexts, fitted_scorer.config,
+        cache_path=fitted_scorer.cache_path, quantiles=fitted_scorer.quantiles,
+    )
+    assert len(reopened.cache) == 2625
+    q, cfg = fitted_scorer.quantiles, fitted_scorer.config
+    for key in enumerate_terminals(space):
+        rec = reopened.cache.get(key)
+        agg = aggregate(normalize(rec.raw, q), cfg.lam, cfg.k_tail)
+        assert rec.aggregate == agg
+        assert rec.reward == reward(agg, cfg.beta)
+
+
+def test_truth_key_scores_zero_without_noise(space, tmp_path):
     contexts = generate_contexts(7)
     truth = decode_state(space, DEFAULT_TRUTH_KEY)
     obs = synthesize_observations(contexts, truth, 0.0, seed=9)
-    scorer = TerminalScorer(space, obs, RewardConfig())
+    scorer = TerminalScorer(space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin")
     raw = scorer.raw_losses(DEFAULT_TRUTH_KEY)
     assert np.allclose(raw, 0.0, atol=1e-12)
