@@ -8,6 +8,7 @@ from .simulator import (
     builtin_space,
     generate_contexts,
     simulate,
+    simulate_batch,
     synthesize_observations,
 )
 from .space import (
@@ -16,6 +17,7 @@ from .space import (
     ParameterSpec,
     SpaceSpec,
     build_space,
+    decode_batch,
     decode_state,
     enumerate_terminals,
     hamming,

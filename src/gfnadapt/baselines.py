@@ -60,11 +60,10 @@ def random_search(
         raise ValueError("budget must be >= 0")
     rng = np.random.default_rng(seed)
     radices = space.slot_radices
-    trace = SearchTrace(method="random", budget=budget, seed=seed)
-    for _ in range(budget):
-        key = _uniform_key(radices, rng)
-        trace.evaluated.append((key, scorer.score(key).aggregate))
-    return trace
+    keys = [_uniform_key(radices, rng) for _ in range(budget)]
+    records = scorer.score(keys)
+    evaluated = [(key, rec.aggregate) for key, rec in zip(keys, records)]
+    return SearchTrace(method="random", budget=budget, seed=seed, evaluated=evaluated)
 
 
 def tpe_search(
@@ -118,5 +117,5 @@ def tpe_search(
                 for k in candidates
             ]
             key = candidates[int(np.argmax(scores))]
-        trace.evaluated.append((key, scorer.score(key).aggregate))
+        trace.evaluated.append((key, scorer.score([key])[0].aggregate))
     return trace

@@ -4,8 +4,9 @@ Append-only binary log of what the simulator produced: each record is the
 canonical key bytes, the per-context raw losses as little-endian float64, and
 a CRC32 of both. The normalized losses, aggregate and reward are derived from
 the raw losses by the cache's `derive` function, in one pass over all records
-on load and once per new record. Duplicate keys resolve to the first-written
-record, which makes the file crash-safe and merge-friendly across runs.
+on load and one pass per committed batch. Duplicate keys resolve to the
+first-written record, which makes the file crash-safe and merge-friendly
+across runs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -98,17 +99,26 @@ class RewardCache:
     def get(self, key: StateKey) -> LossRecord | None:
         return self._index.get(key_bytes(key))
 
-    def put(self, key: StateKey, raw: np.ndarray) -> LossRecord:
-        """Commit a key's raw losses; returns the winning (maybe pre-existing) record."""
-        kb = key_bytes(key)
+    def put(self, keys: Sequence[StateKey], raw: np.ndarray) -> list[LossRecord]:
+        """Commit the (n, C) raw losses of n keys: the keys not yet held are
+        derived in one pass and appended in one write. Returns each key's
+        winning (maybe pre-existing) record."""
         with self._lock:
-            existing = self._index.get(kb)
-            if existing is not None:
-                return existing
-            record = self._records([key], np.array([raw], dtype=float))[0]
-            body = kb + record.raw.astype("<f8").tobytes()
-            with open(self.path, "ab") as fh:
-                fh.write(body + zlib.crc32(body).to_bytes(4, "little"))
-                fh.flush()
-            self._index[kb] = record
-            return record
+            fresh: dict[bytes, int] = {}  # key bytes -> row of its first occurrence
+            for i, key in enumerate(keys):
+                kb = key_bytes(key)
+                if kb not in self._index:
+                    fresh.setdefault(kb, i)
+            if fresh:
+                rows = list(fresh.values())
+                records = self._records([keys[i] for i in rows],
+                                        np.asarray(raw, dtype=float)[rows])
+                blob = bytearray()
+                for kb, record in zip(fresh, records):
+                    body = kb + record.raw.astype("<f8").tobytes()
+                    blob += body + zlib.crc32(body).to_bytes(4, "little")
+                with open(self.path, "ab") as fh:
+                    fh.write(blob)
+                    fh.flush()
+                self._index.update(zip(fresh, records))
+            return [self._index[key_bytes(key)] for key in keys]

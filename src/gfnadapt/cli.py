@@ -39,6 +39,8 @@ class Workspace:
         space_file = cfg["space.file"]
         if space_file == "builtin":
             space = builtin_space()
+        elif not Path(space_file).is_file():
+            raise ConfigError(f"space.file {space_file} does not exist")
         else:
             space = load_space_file(space_file)
         if cfg["space.cycles"] is not None:
@@ -104,9 +106,13 @@ def _mark_done(path: Path) -> None:
     (path / "done").write_text("ok\n")
 
 
-def _write_meta(path: Path, **fields) -> None:
+def _write_meta(path: Path, scorer: TerminalScorer, **fields) -> None:
+    """meta.json of a stage, with the scorer's evaluation counts: keys
+    requested, served by the cache, and simulated (quantile fit included)."""
+    counts = {name: getattr(scorer, name)
+              for name in ("requested", "cache_hits", "simulated", "sim_evals")}
     with open(path / "meta.json", "w") as fh:
-        json.dump(fields, fh, indent=2, sort_keys=True)
+        json.dump({**fields, **counts}, fh, indent=2, sort_keys=True)
 
 
 def cmd_enumerate(cfg: ExperimentConfig) -> None:
@@ -135,13 +141,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> None:
     with open(out / "basins.json", "w") as fh:
         json.dump({"config_hash": run_hash, "basin_mass": masses}, fh, indent=2)
     scorer.quantiles.to_json(out / "quantiles.json")
-    _write_meta(
-        out,
-        config_hash=run_hash,
-        reward_hash=cfg.reward_hash(),
-        sim_evals=scorer.sim_evals,
-        unique_scored=scorer.unique_scored,
-    )
+    _write_meta(out, scorer, config_hash=run_hash, reward_hash=cfg.reward_hash())
     _mark_done(out)
     print(f"enumerate: wrote {len(table.keys)} states to {out}")
 
@@ -171,7 +171,6 @@ def cmd_train(cfg: ExperimentConfig) -> None:
             continue
         out.mkdir(parents=True, exist_ok=True)
         scorer = ws.scorer()
-        evals_before = scorer.sim_evals
         start = time.monotonic()
         result = gflownet.train(ws.space, scorer, train_cfg, seed)
         wall = time.monotonic() - start
@@ -185,11 +184,11 @@ def cmd_train(cfg: ExperimentConfig) -> None:
         _write_trace_csv(out / "trace.csv", result.evaluated, run_hash)
         _write_meta(
             out,
+            scorer,
             config_hash=run_hash,
             reward_hash=cfg.reward_hash(),
             seed=seed,
             wall_clock=wall,
-            sim_evals=scorer.sim_evals - evals_before,
             stopped_early=result.stopped_early,
         )
         _mark_done(out)
@@ -215,15 +214,15 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
         )
-        evaluated = [(k, scorer.score(k).aggregate) for k in keys]
+        evaluated = [(k, rec.aggregate) for k, rec in zip(keys, scorer.score(keys))]
         _write_trace_csv(out / "samples.csv", evaluated, run_hash)
         _write_meta(
             out,
+            scorer,
             config_hash=run_hash,
             seed=seed,
             wall_clock=time.monotonic() - start,
             n_samples=n,
-            sim_evals=scorer.sim_evals,
         )
         _mark_done(out)
         print(f"sample[{seed}]: wrote {n} samples")
@@ -254,12 +253,12 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
         trace.export_csv(out / "trace.csv", run_hash)
         _write_meta(
             out,
+            scorer,
             config_hash=run_hash,
             reward_hash=cfg.reward_hash(),
             seed=seed,
             wall_clock=time.monotonic() - start,
             budget=budget,
-            sim_evals=scorer.sim_evals,
         )
         _mark_done(out)
         print(f"baseline-{method}[{seed}]: best loss "

@@ -48,7 +48,7 @@ DEFAULTS: dict = {
         "explore_eps": 0.05,
         "hidden": [256, 256, 256],
         "n_samples": 5000,
-        "budget": None,          # unique-simulation cap; None = unlimited
+        "budget": None,          # cap on distinct keys requested; None = unlimited
     },
     "baseline": {
         "budget": 2000,

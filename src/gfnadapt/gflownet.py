@@ -32,7 +32,7 @@ class TrainConfig:
     log_z_lr: float = 0.1
     hidden: tuple[int, ...] = (256, 256, 256)
     explore_eps: float = 0.05  # decayed linearly to 0 over the first half
-    budget: int | None = None  # unique-simulation cap; None = unlimited
+    budget: int | None = None  # cap on distinct keys requested; None = unlimited
 
 
 def feature_dim(space: SpaceSpec) -> int:
@@ -153,7 +153,7 @@ def train(
     for step in range(1, cfg.steps + 1):
         eps = cfg.explore_eps * max(0.0, 1.0 - (step - 1) / half)
         keys, passes = _rollout(net, space, cfg.batch, rng, eps, keep_caches=True)
-        records = [scorer.score(k) for k in keys]
+        records = scorer.score(keys)
         log_rewards = np.log([rec.reward for rec in records])
         evaluated.extend((k, rec.aggregate) for k, rec in zip(keys, records))
         seen.update(keys)
@@ -162,7 +162,9 @@ def train(
             raise RuntimeError(f"trajectory balance loss diverged at step {step}")
         opt.step(net, grads)
         rows.append((step, loss, net.log_z, len(seen)))
-        if cfg.budget is not None and scorer.unique_scored >= cfg.budget:
+        # the run's own distinct keys, so the stop does not depend on what
+        # the cache already held
+        if cfg.budget is not None and len(seen) >= cfg.budget:
             stopped = True
             break
     return TrainResult(net=net, log_rows=rows, evaluated=evaluated, stopped_early=stopped)

@@ -46,12 +46,9 @@ def build_landscape(
     if count > cap:
         raise ValueError(f"space has {count} terminals, exceeding cap {cap}")
     keys = list(enumerate_terminals(space))
-    aggregates = np.empty(count)
-    rewards = np.empty(count)
-    for i, key in enumerate(keys):
-        rec = scorer.score(key)
-        aggregates[i] = rec.aggregate
-        rewards[i] = rec.reward
+    records = scorer.score(keys)
+    aggregates = np.array([rec.aggregate for rec in records])
+    rewards = np.array([rec.reward for rec in records])
     z = float(rewards.sum())
     return LandscapeTable(keys, aggregates, rewards, z, rewards / z)
 

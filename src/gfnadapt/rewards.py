@@ -1,10 +1,12 @@
 """Contextual losses, quantile normalization, tail-risk aggregation, reward.
 
-The scoring path for one terminal state is: decode -> simulate each context
--> normalized-residual loss per context -> quantile normalization -> blend
-of mean and worst-K tail -> Boltzmann reward exp(-beta * loss). The reward
-cache stores raw losses only; `derive` computes the rest along the last axis,
-for one row or a whole cache file alike.
+The scoring path for a batch of terminal states is: decode -> simulate each
+context -> normalized-residual loss per context -> quantile normalization ->
+blend of mean and worst-K tail -> Boltzmann reward exp(-beta * loss), each
+step an array pass over the batch. The reward cache stores raw losses only;
+`derive` computes the rest along the last axis, for one row or a whole cache
+file alike. `context_loss` is the one-trajectory form of the loss, kept as
+the reference the batched loss is tested against.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .cache import LossRecord, RewardCache
-from .simulator import ContextDataset, simulate
-from .space import SpaceSpec, StateKey, decode_state, enumerate_terminals
+from .simulator import ContextDataset, simulate_batch
+from .space import SpaceSpec, StateKey, decode_batch, enumerate_terminals
 
 EPS_RESIDUAL = 1e-6   # guard in the normalized-residual denominator
 EPS_QUANTILE = 1e-8   # guard in the quantile-normalization denominator
@@ -142,7 +144,7 @@ class TerminalScorer:
 
     The reward cache at `cache_path` opens once the quantile table is
     frozen: passed in, or fitted by fit_on_enumeration / fit_on_warmup.
-    Only keys the cache does not hold are simulated.
+    Only keys the cache does not hold are simulated, all at once.
     """
 
     def __init__(
@@ -158,8 +160,10 @@ class TerminalScorer:
         self.contexts = list(contexts)
         self.config = config
         self.cache_path = Path(cache_path)
-        self.sim_evals = 0          # simulator invocations (one per context)
-        self.unique_scored = 0      # keys simulated (raw_losses calls)
+        self.requested = 0   # keys passed to score, repeats included
+        self.cache_hits = 0  # requested keys the cache already held
+        self.simulated = 0   # keys simulated, quantile fitting included
+        self.sim_evals = 0   # simulated keys times contexts
         self.quantiles: QuantileTable | None = None
         self.cache: RewardCache | None = None
         if quantiles is not None:
@@ -173,29 +177,30 @@ class TerminalScorer:
             functools.partial(derive, q=quantiles, config=self.config),
         )
 
-    def raw_losses(self, key: StateKey) -> np.ndarray:
-        """Simulate every context for one key; no cache lookup."""
-        params = decode_state(self.space, key)
-        raw = np.empty(len(self.contexts))
-        for i, ctx in enumerate(self.contexts):
-            try:
-                sim = simulate(params, ctx)
-            except Exception as exc:
-                raise SimulatorError(ctx.context_id, exc) from exc
-            raw[i] = context_loss(sim, ctx.obs_values)
-        self.sim_evals += len(self.contexts)
-        self.unique_scored += 1
+    def raw_losses(self, keys: Sequence[StateKey]) -> np.ndarray:
+        """(n, C) raw losses of n keys, simulated in one batch; no cache
+        lookup. A row does not depend on the other keys of the batch."""
+        names = [p.name for p in self.space.parameters]
+        theta = decode_batch(self.space, keys)
+        sims = simulate_batch(dict(zip(names, theta.T)), self.contexts)
+        raw = np.empty((len(keys), len(self.contexts)))
+        for j, (ctx, sim) in enumerate(zip(self.contexts, sims)):
+            if not np.all(np.isfinite(sim)):
+                raise SimulatorError(ctx.context_id, ValueError("non-finite trajectory value"))
+            obs = ctx.obs_values
+            raw[:, j] = np.mean(np.abs(sim - obs) / (np.abs(obs) + EPS_RESIDUAL), axis=1)
+        self.simulated += len(keys)
+        self.sim_evals += len(keys) * len(self.contexts)
         return raw
 
     def fit_on_enumeration(self) -> QuantileTable:
         """Fit quantiles on the raw losses of every terminal state, then
         commit those losses to the cache."""
         keys = list(enumerate_terminals(self.space))
-        table = np.array([self.raw_losses(k) for k in keys])
+        table = self.raw_losses(keys)
         cfg = self.config
         self._freeze(fit_quantiles(list(table.T), cfg.lo_level, cfg.hi_level))
-        for key, raw in zip(keys, table):
-            self.cache.put(key, raw)
+        self.cache.put(keys, table)
         return self.quantiles
 
     def fit_on_warmup(self, rng: np.random.Generator) -> QuantileTable:
@@ -206,15 +211,22 @@ class TerminalScorer:
             tuple(int(rng.integers(r)) for r in radices)
             for _ in range(self.config.warmup)
         }
-        table = np.array([self.raw_losses(k) for k in sorted(keys)])
+        table = self.raw_losses(sorted(keys))
         cfg = self.config
         self._freeze(fit_quantiles(list(table.T), cfg.lo_level, cfg.hi_level))
         return self.quantiles
 
-    def score(self, key: StateKey) -> LossRecord:
+    def score(self, keys: Sequence[StateKey]) -> list[LossRecord]:
+        """Records of the given terminal keys, in order. Repeats are looked
+        up once; the keys the cache lacks are simulated in one raw_losses
+        call and committed in one cache put."""
         if self.quantiles is None:
             raise RuntimeError("quantile table not fitted")
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        return self.cache.put(key, self.raw_losses(key))
+        found = {key: self.cache.get(key) for key in dict.fromkeys(keys)}
+        misses = [key for key, rec in found.items() if rec is None]
+        if misses:
+            found.update(zip(misses, self.cache.put(misses, self.raw_losses(misses))))
+        missed = set(misses)
+        self.requested += len(keys)
+        self.cache_hits += sum(key not in missed for key in keys)
+        return [found[key] for key in keys]

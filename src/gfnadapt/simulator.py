@@ -69,17 +69,24 @@ class ContextDataset:
             raise ValueError("obs_values must be non-negative and non-decreasing")
 
 
-def _inhibition(t: float, t_opt: float, t_width: float, s_sharp: float) -> float:
-    lo = 1.0 / (1.0 + math.exp(-s_sharp * (t - (t_opt - t_width))))
-    hi = 1.0 / (1.0 + math.exp(s_sharp * (t - (t_opt + t_width))))
+def _inhibition(t, t_opt, t_width, s_sharp, exp=math.exp):
+    lo = 1.0 / (1.0 + exp(-s_sharp * (t - (t_opt - t_width))))
+    hi = 1.0 / (1.0 + exp(s_sharp * (t - (t_opt + t_width))))
     return lo * hi
 
 
-def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray:
-    """Cumulative fruit dry mass sampled at the context's obs_times."""
+def _check_params(params: Mapping) -> None:
     missing = [n for n in SIM_PARAM_NAMES if n not in params]
     if missing:
         raise ValueError(f"missing simulator parameters: {missing}")
+
+
+def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray:
+    """Cumulative fruit dry mass sampled at the context's obs_times.
+
+    The scalar reference: simulate_batch computes the same recurrence for
+    many parameter sets at once and is what scoring runs."""
+    _check_params(params)
 
     lai_max = params["LAI_max"]
     sla = params["SLA"]
@@ -127,6 +134,90 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
         w_s += 0.3 * (1.0 - p_f) * net
         fruit[d] = w_f
     return fruit[context.obs_times - 1]
+
+
+# Keys per array pass of simulate_batch. It bounds the pass's day series,
+# (days, keys, contexts) float arrays of about 0.5 MiB each at 180 days and
+# 6 contexts, of which about five are alive at once.
+SIM_CHUNK = 64
+
+
+def simulate_batch(
+    params: Mapping[str, np.ndarray], contexts: Sequence[ContextDataset]
+) -> list[np.ndarray]:
+    """simulate for N parameter sets at once, given as one length-N column per
+    parameter; returns one (N, len(obs_times)) array per context.
+
+    Rows agree with simulate up to rounding (the hoisted day series multiply
+    in another order) and do not depend on the rest of the batch. Non-finite
+    values are returned, not raised.
+    """
+    _check_params(params)
+    cols = np.array([np.asarray(params[n], dtype=float) for n in SIM_PARAM_NAMES])
+    n = cols.shape[1]
+    out = [np.empty((n, len(c.obs_times))) for c in contexts]
+    by_days: dict[int, list[int]] = {}
+    for j, c in enumerate(contexts):
+        by_days.setdefault(c.days, []).append(j)
+    for members in by_days.values():
+        # forcing as (days, 1, contexts), to broadcast against (keys, 1) columns
+        forcing = [
+            np.stack([getattr(contexts[j], f) for j in members], axis=1)[:, None, :]
+            for f in ("t_day", "t_24", "light", "co2")
+        ]
+        obs_days = {int(t) - 1 for j in members for t in contexts[j].obs_times}
+        for lo in range(0, n, SIM_CHUNK):
+            with np.errstate(all="ignore"):  # overflow shows as a non-finite value
+                fruit = _fruit_on_days(cols[:, lo : lo + SIM_CHUNK, None], forcing, obs_days)
+            for g, j in enumerate(members):
+                out[j][lo : lo + SIM_CHUNK] = np.stack(
+                    [fruit[t - 1][:, g] for t in contexts[j].obs_times], axis=1
+                )
+    return out
+
+
+def _day_series(p, t_day, t_24, light, co2):
+    """The series of simulate that do not depend on crop state, for all days
+    at once, each (days, keys, contexts): assimilation at full light cover,
+    maintenance per unit mass, and the fruit partition fraction."""
+    (lai_max, sla, n_plants, p_max, alpha, co2_half, t_opt, t_width, s_sharp,
+     ts_start, ts_end, dev_rate, rg_fruit, c_maint, q10) = p
+    assim_max = (
+        p_max * (1.0 - np.exp(-alpha * light / p_max))
+        * (co2 / (co2 + co2_half))
+        * _inhibition(t_day, t_opt, t_width, s_sharp, np.exp)
+        * _inhibition(t_24, t_opt, t_width, s_sharp, np.exp)
+    )
+    maint_rate = c_maint * q10 ** ((t_24 - 25.0) / 10.0)
+    ts = np.cumsum(dev_rate * np.maximum(0.0, t_24 - 10.0), axis=0)
+    # the branches of simulate, in place over the ramp to save an array
+    p_f = rg_fruit * (ts - ts_start) / (ts_end - ts_start)
+    np.copyto(p_f, rg_fruit, where=~(ts < ts_end))
+    np.copyto(p_f, 0.0, where=ts < ts_start)
+    return assim_max, maint_rate, p_f
+
+
+def _fruit_on_days(p, forcing, days: set[int]) -> dict[int, np.ndarray]:
+    """Fruit mass, (keys, contexts), after each of the given 0-based days of
+    the recurrence in simulate; only the crop-state update runs day by day."""
+    assim_max, maint_rate, p_f = _day_series(p, *forcing)
+    lai_max, sla, n_plants = p[:3]
+    sla_n = sla * n_plants
+    shape = assim_max.shape[1:]
+    w_l, w_s, w_f = (np.full(shape, w) for w in (_W_LEAF0, _W_STEM0, _W_FRUIT0))
+    fruit = {}
+    for d in range(len(assim_max)):
+        # fmin/fmax pass over NaN like Python's min/max do in simulate
+        lai = np.fmin(lai_max, sla_n * w_l)
+        f_light = 1.0 - np.exp(-0.7 * lai)
+        net = np.fmax(0.0, assim_max[d] * f_light - maint_rate[d] * (w_f + w_l + w_s))
+        w_f += p_f[d] * net
+        rest = 1.0 - p_f[d]
+        w_l += 0.7 * rest * net
+        w_s += 0.3 * rest * net
+        if d in days:
+            fruit[d] = w_f.copy()
+    return fruit
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

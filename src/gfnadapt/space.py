@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
 import yaml
 
 StateKey = tuple[int, ...]
@@ -168,6 +169,41 @@ def decode_state(space: SpaceSpec, key: StateKey) -> dict[str, float]:
     return theta
 
 
+def decode_batch(space: SpaceSpec, keys: Sequence[StateKey]) -> np.ndarray:
+    """decode_state of many equal-length keys at once: one row per key,
+    columns in space.parameters order, each row equal to decode_state.
+
+    Each slot adds its chosen action's row of a per-slot step table, then
+    clips, slot by slot, so saturation happens in the same order.
+    """
+    keys = np.asarray(keys, dtype=np.intp)
+    if keys.ndim != 2:
+        raise ValueError("keys must be a non-empty sequence of equal-length keys")
+    if keys.shape[1] > space.slots:
+        raise ValueError(f"key length {keys.shape[1]} exceeds {space.slots} slots")
+    for t, column in enumerate(keys.T):
+        n = len(space.slot_group(t).actions)
+        if column.min() < 0 or column.max() >= n:
+            bad = column[(column < 0) | (column >= n)][0]
+            raise ValueError(f"slot {t}: action index {bad} out of range [0, {n})")
+    params = space.parameters
+    column_of = {p.name: j for j, p in enumerate(params)}
+    lower = np.array([p.lower for p in params])
+    upper = np.array([p.upper for p in params])
+    theta = np.tile([p.baseline for p in params], (len(keys), 1))
+    for t, column in enumerate(keys.T):
+        eta = space.slot_eta(t)
+        steps = np.zeros((len(space.slot_group(t).actions), len(params)))
+        for a, action in enumerate(space.slot_group(t).actions):
+            for pname, sign in action.signs.items():
+                p = params[column_of[pname]]
+                steps[a, column_of[pname]] = (
+                    eta * space.step_fraction * sign * (p.upper - p.lower)
+                )
+        theta = np.minimum(np.maximum(theta + steps[column], lower), upper)
+    return theta
+
+
 def enumerate_terminals(space: SpaceSpec) -> Iterator[StateKey]:
     """All terminal keys exactly once, in lexicographic action order."""
     ranges = [range(r) for r in space.slot_radices]
@@ -218,6 +254,14 @@ def load_space_file(path) -> SpaceSpec:
 
 
 def space_from_dict(doc: dict) -> SpaceSpec:
+    # imported here: config imports this module (through simulator)
+    from .config import ConfigError
+
+    if not isinstance(doc, dict):
+        raise ConfigError("a space definition must be a mapping")
+    for name in ("parameters", "groups", "cycles", "step_fraction"):
+        if name not in doc:
+            raise ConfigError(f"space definition lacks the key '{name}'")
     parameters = [
         ParameterSpec(
             name=p["name"],

@@ -59,22 +59,18 @@ class StubScorer:
 
     def __init__(self, rewards: dict):
         self.rewards = rewards
-        self.unique_scored = 0
-        self.sim_evals = 0
-        self._seen = set()
 
-    def score(self, key):
-        if key not in self._seen:
-            self._seen.add(key)
-            self.unique_scored += 1
-
+    def score(self, keys):
         class Rec:
             pass
 
-        rec = Rec()
-        rec.reward = self.rewards[key]
-        rec.aggregate = -float(np.log(self.rewards[key]))
-        return rec
+        records = []
+        for key in keys:
+            rec = Rec()
+            rec.reward = self.rewards[key]
+            rec.aggregate = -float(np.log(self.rewards[key]))
+            records.append(rec)
+        return records
 
 
 @pytest.fixture(scope="session")

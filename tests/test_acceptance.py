@@ -85,7 +85,7 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
     cfg = fitted_scorer.config
     for _ in range(100):
         key = tuple(int(rng.integers(r)) for r in radices)
-        rec = fitted_scorer.score(key)
+        [rec] = fitted_scorer.score([key])
         params = decode_state(space, key)
         raw = np.array(
             [
@@ -301,6 +301,20 @@ def test_budget_matched_comparison_harness(pipeline):
     )
 
 
+def test_cold_enumerate_simulates_each_terminal_once(pipeline):
+    # runs before test_cache_reuse_and_byte_identical_outputs re-runs the stages
+    cfg, _, _ = pipeline
+    root = cfg.out_root()
+    meta = json.loads((root / "enumerate" / "meta.json").read_text())
+    assert meta["simulated"] == meta["requested"] == meta["cache_hits"] == 2625
+    assert meta["sim_evals"] == 2625 * 6
+    for seed in (1, 2, 3):  # train runs after enumerate filled the cache
+        meta = json.loads((root / "train" / str(seed) / "meta.json").read_text())
+        assert meta["simulated"] == 0
+        assert meta["cache_hits"] == meta["requested"]
+    _ok("scoring counts: a cold enumerate simulates 2625 terminals once; train only reads")
+
+
 def test_cache_reuse_and_byte_identical_outputs(pipeline):
     cfg, run, _ = pipeline
     root = cfg.out_root()
@@ -341,7 +355,7 @@ def test_truth_state_is_optimal_without_noise(space, tmp_path):
     obs = synthesize_observations(contexts, truth, 0.0, seed=8)
     scorer = TerminalScorer(space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin")
     scorer.fit_on_enumeration()
-    raw = scorer.raw_losses(DEFAULT_TRUTH_KEY)
+    [raw] = scorer.raw_losses([DEFAULT_TRUTH_KEY])
     assert np.all(np.abs(raw) <= 1e-12)
     table = build_landscape(space, scorer)
     idx = table.index_of(DEFAULT_TRUTH_KEY)

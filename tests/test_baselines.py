@@ -15,16 +15,18 @@ class AggScorer:
         self.loss_fn = loss_fn
         self.calls = []
 
-    def score(self, key):
-        self.calls.append(key)
-
+    def score(self, keys):
         class Rec:
             pass
 
-        rec = Rec()
-        rec.aggregate = self.loss_fn(key)
-        rec.reward = float(np.exp(-4.0 * rec.aggregate))
-        return rec
+        self.calls.append(list(keys))
+        records = []
+        for key in keys:
+            rec = Rec()
+            rec.aggregate = self.loss_fn(key)
+            rec.reward = float(np.exp(-4.0 * rec.aggregate))
+            records.append(rec)
+        return records
 
 
 def separable_loss(key):
@@ -64,6 +66,18 @@ class TestRandomSearch:
         c = random_search(tiny_space, AggScorer(separable_loss), 50, seed=4)
         assert a.evaluated == b.evaluated
         assert a.evaluated != c.evaluated
+
+    def test_keys_drawn_as_one_key_at_a_time(self, tiny_space):
+        # all keys are drawn before the one scoring call, in the rng order
+        # of drawing and scoring key by key
+        rng = np.random.default_rng(8)
+        expected = [
+            tuple(int(rng.integers(r)) for r in tiny_space.slot_radices) for _ in range(40)
+        ]
+        scorer = AggScorer(separable_loss)
+        trace = random_search(tiny_space, scorer, 40, seed=8)
+        assert [key for key, _ in trace.evaluated] == expected
+        assert scorer.calls == [expected]
 
     def test_losses_match_scorer_exactly(self, tiny_space):
         scorer = AggScorer(separable_loss)

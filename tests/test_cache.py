@@ -29,7 +29,7 @@ def open_cache(path, key_len=2):
 def test_roundtrip(tmp_path):
     path = tmp_path / "c.bin"
     cache = open_cache(path)
-    cache.put((1, 2), np.full(3, 0.5))
+    cache.put([(1, 2)], [np.full(3, 0.5)])
     reopened = open_cache(path)
     got = reopened.get((1, 2))
     assert got.aggregate == 0.5
@@ -44,7 +44,7 @@ def test_file_holds_raw_losses_only(tmp_path):
     path = tmp_path / "c.bin"
     cache = open_cache(path)
     for i in range(4):
-        cache.put((i, 0), np.full(3, float(i)))
+        cache.put([(i, 0)], [np.full(3, float(i))])
     assert path.stat().st_size == HEADER_SIZE + 4 * RECORD_SIZE
 
 
@@ -52,7 +52,7 @@ def test_derived_once_over_all_records_on_load(tmp_path):
     path = tmp_path / "c.bin"
     cache = open_cache(path)
     for i in range(5):
-        cache.put((i, 1), np.arange(3.0) + i)
+        cache.put([(i, 1)], [np.arange(3.0) + i])
     assert cache.derive.shapes == [(1, 3)] * 5
     reopened = open_cache(path)
     assert reopened.derive.shapes == [(5, 3)]
@@ -62,8 +62,8 @@ def test_derived_once_over_all_records_on_load(tmp_path):
 
 def test_first_write_wins(tmp_path):
     cache = open_cache(tmp_path / "c.bin")
-    first = cache.put((0, 0), np.full(3, 1.0))
-    second = cache.put((0, 0), np.full(3, 2.0))
+    first = cache.put([(0, 0)], [np.full(3, 1.0)])[0]
+    second = cache.put([(0, 0)], [np.full(3, 2.0)])[0]
     assert second.aggregate == first.aggregate == 1.0
     assert cache.get((0, 0)).aggregate == 1.0
     assert open_cache(tmp_path / "c.bin").get((0, 0)).aggregate == 1.0
@@ -72,9 +72,9 @@ def test_first_write_wins(tmp_path):
 def test_duplicate_records_in_file_resolve_to_first(tmp_path):
     # two writers that opened the file before either appended
     a, b = open_cache(tmp_path / "c.bin"), open_cache(tmp_path / "c.bin")
-    a.put((0, 1), np.full(3, 1.0))
-    b.put((0, 1), np.full(3, 2.0))
-    b.put((1, 1), np.full(3, 3.0))
+    a.put([(0, 1)], [np.full(3, 1.0)])
+    b.put([(0, 1)], [np.full(3, 2.0)])
+    b.put([(1, 1)], [np.full(3, 3.0)])
     reopened = open_cache(tmp_path / "c.bin")
     assert len(reopened) == 2
     assert reopened.get((0, 1)).aggregate == 1.0
@@ -109,7 +109,7 @@ def test_flipped_byte_in_record_rejected(tmp_path):
     path = tmp_path / "c.bin"
     cache = open_cache(path)
     for i in range(3):
-        cache.put((i, 2), np.full(3, 0.1 * i))
+        cache.put([(i, 2)], [np.full(3, 0.1 * i)])
     blob = bytearray(path.read_bytes())
     middle = HEADER_SIZE + RECORD_SIZE
     blob[middle + 7] ^= 0x10  # inside the middle record's raw losses
@@ -121,7 +121,7 @@ def test_flipped_byte_in_record_rejected(tmp_path):
 def test_torn_tail_write_tolerated(tmp_path):
     path = tmp_path / "c.bin"
     cache = open_cache(path)
-    cache.put((1, 1), np.full(3, 0.25))
+    cache.put([(1, 1)], [np.full(3, 0.25)])
     with open(path, "ab") as fh:
         fh.write(b"\x00\x01\x02")  # simulated crash mid-record
     reopened = open_cache(path)
@@ -132,10 +132,10 @@ def test_torn_tail_write_tolerated(tmp_path):
 def test_append_after_torn_tail_reloads_exactly(tmp_path):
     path = tmp_path / "c.bin"
     cache = open_cache(path)
-    cache.put((1, 2), np.full(3, 0.25))
+    cache.put([(1, 2)], [np.full(3, 0.25)])
     with open(path, "ab") as fh:
         fh.write(b"\x00\x01\x02")  # simulated crash mid-record
-    appended = open_cache(path).put((1, 1), np.array([0.75, 0.5, 0.25]))
+    appended = open_cache(path).put([(1, 1)], [np.array([0.75, 0.5, 0.25])])[0]
     reloaded = open_cache(path)
     assert len(reloaded) == 2
     got = reloaded.get((1, 1))
@@ -151,7 +151,7 @@ def test_concurrent_puts_commit_once(tmp_path):
     results = []
 
     def worker(value):
-        results.append(cache.put((3, 3), np.full(3, value)).aggregate)
+        results.append(cache.put([(3, 3)], [np.full(3, value)])[0].aggregate)
 
     threads = [threading.Thread(target=worker, args=(float(v),)) for v in range(8)]
     for t in threads:

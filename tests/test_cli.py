@@ -2,6 +2,7 @@ import csv
 import json
 
 import pytest
+import yaml
 
 from gfnadapt.cli import main
 from gfnadapt.config import load_config
@@ -125,6 +126,25 @@ class TestExitCodes:
         assert run(workspace, "train", override) == 1
         assert not (workspace.parent / "runs").exists()  # no scoring, no done
 
+    @pytest.mark.parametrize("missing", ["parameters", "groups", "cycles", "step_fraction"])
+    def test_space_file_without_key_exits_1(self, workspace, tmp_path, capsys, missing):
+        doc = yaml.safe_load(TINY_SPACE_YAML)
+        del doc[missing]
+        bad = tmp_path / "bad_space.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert run(workspace, "enumerate", f"space.file={bad}") == 1
+        assert f"'{missing}'" in capsys.readouterr().err
+
+    def test_space_file_not_a_mapping_exits_1(self, workspace, tmp_path):
+        bad = tmp_path / "bad_space.yaml"
+        bad.write_text("- cycles\n- 1\n")
+        assert run(workspace, "enumerate", f"space.file={bad}") == 1
+
+    def test_missing_space_file_exits_1(self, workspace, tmp_path, capsys):
+        absent = tmp_path / "absent_space.yaml"
+        assert run(workspace, "enumerate", f"space.file={absent}") == 1
+        assert str(absent) in capsys.readouterr().err
+
     def test_corrupt_cache_record_exits_2(self, workspace, capsys):
         assert run(workspace, "enumerate") == 0
         path = load_config(workspace).cache_dir() / "rewards.bin"
@@ -148,7 +168,7 @@ class TestEnumerate:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 6
         meta = json.loads((out / "meta.json").read_text())
-        assert meta["unique_scored"] == 6
+        assert meta["simulated"] == 6
         assert meta["config_hash"] == load_config(workspace).run_hash()
 
     def test_rerun_skips(self, workspace):
@@ -204,6 +224,42 @@ class TestPipeline:
         assert methods == {"gflownet", "random", "tpe"}
         for r in doc["reports"]:
             assert r["topk_recovery"]  # landscape was available
+
+    def test_budget_counts_requested_keys_whatever_the_cache_holds(self, workspace, tmp_path):
+        # cold: the quantile fit simulates every terminal inside train;
+        # warm: enumerate filled the cache first, so train simulates nothing
+        budget = ["train.batch=1", "train.budget=5"]
+        cold = tmp_path / "cold"
+        assert run(workspace, "train", f"run.out_dir={cold}", *budget) == 0
+        assert run(workspace, "enumerate", *budget) == 0
+        assert run(workspace, "train", *budget) == 0
+        dirs = [out_root(workspace, f"run.out_dir={cold}", *budget) / "train" / "1",
+                out_root(workspace, *budget) / "train" / "1"]
+        for name in ("train_log.csv", "trace.csv"):
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes(), name
+        for d in dirs:
+            assert json.loads((d / "meta.json").read_text())["stopped_early"]
+        with open(dirs[0] / "train_log.csv") as fh:
+            rows = list(csv.reader(fh))[2:]
+        assert int(rows[-1][3]) == 5  # distinct keys requested at the stop
+        assert int(rows[-2][3]) < 5
+
+    def test_meta_counts_scoring(self, workspace):
+        assert run(workspace, "enumerate") == 0
+        assert run(workspace, "train") == 0
+        assert run(workspace, "sample") == 0
+        assert run(workspace, "baseline", "run.method=random") == 0
+        root = out_root(workspace)
+        enum = json.loads((root / "enumerate" / "meta.json").read_text())
+        assert (enum["requested"], enum["cache_hits"], enum["simulated"]) == (6, 6, 6)
+        (root / "train" / "1" / "done").unlink()
+        assert run(workspace, "train") == 0  # forced re-run
+        for stage in ("train/1", "sample/1", "baseline-random/1"):
+            meta = json.loads((root / stage / "meta.json").read_text())
+            assert meta["simulated"] == meta["sim_evals"] == 0, stage
+            assert meta["cache_hits"] == meta["requested"] > 0, stage
+        meta = json.loads((root / "train" / "1" / "meta.json").read_text())
+        assert meta["requested"] == 60 * 8  # steps x batch
 
     def test_train_idempotent(self, workspace):
         assert run(workspace, "train") == 0

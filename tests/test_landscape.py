@@ -27,14 +27,17 @@ class FixedRewardScorer:
     def __init__(self, rewards):
         self.rewards = rewards
 
-    def score(self, key):
+    def score(self, keys):
         class Rec:
             pass
 
-        rec = Rec()
-        rec.reward = self.rewards[key]
-        rec.aggregate = -float(np.log(self.rewards[key]))
-        return rec
+        records = []
+        for key in keys:
+            rec = Rec()
+            rec.reward = self.rewards[key]
+            rec.aggregate = -float(np.log(self.rewards[key]))
+            records.append(rec)
+        return records
 
 
 def table_from_rewards(space, rewards):

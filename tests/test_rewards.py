@@ -1,4 +1,5 @@
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from gfnadapt.rewards import (
     QuantileTable,
     RewardConfig,
+    SimulatorError,
     TerminalScorer,
     aggregate,
     context_loss,
@@ -15,7 +17,13 @@ from gfnadapt.rewards import (
     normalize,
     reward,
 )
-from gfnadapt.simulator import DEFAULT_TRUTH_KEY, generate_contexts, synthesize_observations
+from gfnadapt.simulator import (
+    DEFAULT_TRUTH_KEY,
+    SIM_CHUNK,
+    generate_contexts,
+    simulate,
+    synthesize_observations,
+)
 from gfnadapt.space import decode_state, enumerate_terminals
 
 
@@ -164,34 +172,49 @@ class TestTerminalScorer:
         return scorer
 
     def test_cache_hit_skips_simulation(self, scorer):
-        rec1 = scorer.score((1, 1))
+        [rec1] = scorer.score([(1, 1)])
         evals = scorer.sim_evals
-        rec2 = scorer.score((1, 1))
+        [rec2] = scorer.score([(1, 1)])
         assert scorer.sim_evals == evals
         assert rec1.aggregate == rec2.aggregate
         assert np.array_equal(rec1.raw, rec2.raw)
 
     def test_enumeration_fit_fills_the_cache(self, scorer, mini_space):
         keys = list(enumerate_terminals(mini_space))
-        assert len(scorer.cache) == len(keys) == scorer.unique_scored
+        assert len(scorer.cache) == len(keys) == scorer.simulated
         assert scorer.sim_evals == len(keys) * len(scorer.contexts)
-        for key in keys:
-            scorer.score(key)
-        assert scorer.unique_scored == len(keys)  # every score was a cache hit
+        scorer.score(keys)
+        assert scorer.simulated == len(keys)  # every score was a cache hit
+        assert scorer.cache_hits == scorer.requested == len(keys)
 
     def test_reward_positive_everywhere(self, scorer, mini_space):
-        for key in enumerate_terminals(mini_space):
-            assert scorer.score(key).reward > 0.0
+        for rec in scorer.score(list(enumerate_terminals(mini_space))):
+            assert rec.reward > 0.0
+
+    def test_repeats_scored_once_and_counted(self, mini_space, obs, tmp_path):
+        scorer = TerminalScorer(
+            mini_space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin",
+            quantiles=QuantileTable(np.zeros(len(obs)), np.ones(len(obs)), 0.05, 0.95),
+        )
+        a, b, c = (0, 1), (1, 2), (2, 0)
+        first = scorer.score([a, b, a])
+        assert first[0] is first[2]
+        assert (scorer.requested, scorer.cache_hits, scorer.simulated) == (3, 0, 2)
+        assert len(scorer.cache) == 2
+        second = scorer.score([b, c, b])
+        assert second[0] is first[1]
+        assert (scorer.requested, scorer.cache_hits, scorer.simulated) == (6, 2, 3)
+        assert scorer.sim_evals == 3 * len(obs)
 
     def test_record_consistency(self, scorer):
-        rec = scorer.score((0, 2))
+        [rec] = scorer.score([(0, 2)])
         cfg = scorer.config
         assert np.array_equal(rec.normalized, normalize(rec.raw, scorer.quantiles))
         assert rec.aggregate == aggregate(rec.normalized, cfg.lam, cfg.k_tail)
         assert rec.reward == reward(rec.aggregate, cfg.beta)
 
     def test_persistence_roundtrip(self, scorer, mini_space, obs, tmp_path):
-        rec = scorer.score((1, 0))
+        [rec] = scorer.score([(1, 0)])
         reopened = TerminalScorer(
             mini_space, obs, scorer.config,
             cache_path=tmp_path / "rewards.bin", quantiles=scorer.quantiles,
@@ -212,10 +235,10 @@ class TestTerminalScorer:
             cache_path=tmp_path / "rewards.bin", quantiles=b,
         )
         lam, k = scorer.config.lam, scorer.config.k_tail
-        for key in enumerate_terminals(mini_space):
-            rec = reopened.score(key)
+        keys = list(enumerate_terminals(mini_space))
+        for rec, old in zip(reopened.score(keys), scorer.score(keys)):
             assert rec.aggregate == aggregate(normalize(rec.raw, b), lam, k)
-            assert rec.aggregate != scorer.score(key).aggregate
+            assert rec.aggregate != old.aggregate
         assert reopened.sim_evals == 0
 
     def test_cache_freed_with_its_scorer(self, mini_space, obs, tmp_path):
@@ -234,7 +257,7 @@ class TestTerminalScorer:
             mini_space, contexts, RewardConfig(), cache_path=tmp_path / "rewards.bin"
         )
         with pytest.raises(RuntimeError, match="quantile"):
-            scorer.score((0, 0))
+            scorer.score([(0, 0)])
 
     def test_warmup_fit_freezes_quantiles(self, mini_space, obs, tmp_path):
         scorer = TerminalScorer(
@@ -244,7 +267,7 @@ class TestTerminalScorer:
         assert np.all(q.q_lo <= q.q_hi)
         assert len(scorer.cache) == 0  # warm-up losses stay out of the cache
         frozen = scorer.quantiles
-        scorer.score((0, 0))
+        scorer.score([(0, 0)])
         assert scorer.quantiles is frozen
 
 
@@ -264,10 +287,46 @@ def test_loaded_records_equal_their_own_row(space, obs_contexts, fitted_scorer):
         assert rec.reward == reward(agg, cfg.beta)
 
 
+def scalar_raw_losses(space, contexts, key):
+    params = decode_state(space, key)
+    return np.array([context_loss(simulate(params, c), c.obs_values) for c in contexts])
+
+
+def test_batched_raw_losses_match_scalar_oracle(space, obs_contexts, fitted_scorer):
+    rng = np.random.default_rng(11)
+    keys = [tuple(int(rng.integers(r)) for r in space.slot_radices) for _ in range(80)]
+    keys.append(DEFAULT_TRUTH_KEY)
+    for key, raw in zip(keys, fitted_scorer.raw_losses(keys)):
+        assert raw == pytest.approx(scalar_raw_losses(space, obs_contexts, key), rel=1e-10)
+
+
+def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer):
+    keys = list(enumerate_terminals(space))[: 2 * SIM_CHUNK + 5]
+    batch = fitted_scorer.raw_losses(keys)
+    reversed_batch = fitted_scorer.raw_losses(keys[::-1])[::-1]
+    # the first and last key of a chunk, and keys of the short last chunk
+    for i in (0, SIM_CHUNK - 1, SIM_CHUNK, len(keys) - 1):
+        [alone] = fitted_scorer.raw_losses([keys[i]])
+        assert np.array_equal(alone, batch[i])
+        assert np.array_equal(alone, reversed_batch[i])
+
+
+def test_non_finite_trajectory_names_its_context(space, obs_contexts, tmp_path):
+    # negative light and CO2 make assimilation infinite in context 3 only
+    bad = replace(obs_contexts[2], light=np.full(obs_contexts[2].days, -1e6),
+                  co2=np.full(obs_contexts[2].days, -1.0))
+    contexts = [*obs_contexts[:2], bad, *obs_contexts[3:]]
+    scorer = TerminalScorer(space, contexts, RewardConfig(), cache_path=tmp_path / "r.bin")
+    with pytest.raises(SimulatorError, match="context 3"):
+        scorer.raw_losses([(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)])
+    with pytest.raises(OverflowError):  # the scalar oracle fails on it too
+        simulate(decode_state(space, (1, 2, 3, 4, 5)), bad)
+
+
 def test_truth_key_scores_zero_without_noise(space, tmp_path):
     contexts = generate_contexts(7)
     truth = decode_state(space, DEFAULT_TRUTH_KEY)
     obs = synthesize_observations(contexts, truth, 0.0, seed=9)
     scorer = TerminalScorer(space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin")
-    raw = scorer.raw_losses(DEFAULT_TRUTH_KEY)
+    [raw] = scorer.raw_losses([DEFAULT_TRUTH_KEY])
     assert np.allclose(raw, 0.0, atol=1e-12)

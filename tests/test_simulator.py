@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,10 +8,11 @@ from gfnadapt.simulator import (
     ContextDataset,
     generate_contexts,
     simulate,
+    simulate_batch,
     synthesize_observations,
 )
 from gfnadapt.simulator import _inhibition
-from gfnadapt.space import decode_state
+from gfnadapt.space import decode_batch, decode_state
 
 # Baseline-parameter trajectory for context 1 (contexts_seed=7), frozen from
 # an independent straight-line reimplementation of the daily recurrence.
@@ -68,6 +71,31 @@ def test_missing_parameter_rejected(space):
     del params["P_max"]
     with pytest.raises(ValueError, match="P_max"):
         simulate(params, ctx)
+    with pytest.raises(ValueError, match="P_max"):
+        simulate_batch({k: np.array([v]) for k, v in params.items()}, [ctx])
+
+
+def test_batch_matches_scalar_on_unequal_contexts(space, tmp_path):
+    # contexts of 60, 90 and 180 days, observed at different times, read
+    # back from JSON; simulate_batch groups them by length
+    from gfnadapt.simulator import contexts_from_json, contexts_to_json
+
+    contexts = []
+    for cid, (days, step) in enumerate([(180, 14), (60, 5), (90, 30), (60, 7)], start=1):
+        ctx = generate_contexts(cid, days=days)[cid - 1]
+        contexts.append(replace(ctx, context_id=cid, obs_times=np.arange(step, days + 1, step),
+                                obs_values=np.zeros(days // step)))
+    contexts = synthesize_observations(contexts, decode_state(space, DEFAULT_TRUTH_KEY), 0.05, 3)
+    contexts_to_json(contexts, tmp_path / "contexts.json")
+    contexts = contexts_from_json(tmp_path / "contexts.json")
+    rng = np.random.default_rng(5)
+    keys = [tuple(int(rng.integers(r)) for r in space.slot_radices) for _ in range(70)]
+    names = [p.name for p in space.parameters]
+    sims = simulate_batch(dict(zip(names, decode_batch(space, keys).T)), contexts)
+    for ctx, sim in zip(contexts, sims):
+        assert sim.shape == (len(keys), len(ctx.obs_times))
+        for key, row in zip(keys, sim):
+            assert row == pytest.approx(simulate(decode_state(space, key), ctx), rel=1e-10)
 
 
 def test_obs_times_biweekly():

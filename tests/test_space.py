@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from gfnadapt.space import (
     GroupSpec,
     ParameterSpec,
     build_space,
+    decode_batch,
     decode_state,
     enumerate_terminals,
     hamming,
@@ -132,6 +134,43 @@ class TestDecode:
                         p.upper,
                     )
                 assert partial[p.name] == pytest.approx(expected, abs=1e-14)
+
+
+class TestDecodeBatch:
+    @staticmethod
+    def assert_rows_equal_decode_state(sp, keys):
+        names = [p.name for p in sp.parameters]
+        for key, row in zip(keys, decode_batch(sp, keys)):
+            assert dict(zip(names, row)) == decode_state(sp, key), key
+
+    def test_all_builtin_terminals(self, space):
+        self.assert_rows_equal_decode_state(space, list(enumerate_terminals(space)))
+
+    def test_partial_keys_of_two_cycles(self, space):
+        import dataclasses
+
+        sp = dataclasses.replace(space, cycles=2)
+        rng = np.random.default_rng(0)
+        for length in range(sp.slots + 1):
+            keys = [
+                tuple(int(rng.integers(r)) for r in sp.slot_radices[:length])
+                for _ in range(50)
+            ]
+            self.assert_rows_equal_decode_state(sp, keys)
+
+    def test_saturating_steps(self):
+        # full-range steps clip at a bound on almost every slot, three cycles
+        sp = make_tiny_space(cycles=3, step_fraction=1.0)
+        ranges = [range(r) for r in sp.slot_radices]
+        for length in range(sp.slots + 1):
+            keys = list(itertools.product(*ranges[:length]))
+            self.assert_rows_equal_decode_state(sp, keys)
+
+    def test_invalid_keys_rejected(self, tiny_space):
+        with pytest.raises(ValueError, match="slot 1: action index 3 out of range"):
+            decode_batch(tiny_space, [(0, 1), (1, 3)])
+        with pytest.raises(ValueError, match="exceeds"):
+            decode_batch(tiny_space, [(0, 0, 0)])
 
 
 class TestEnumeration:
