@@ -82,6 +82,12 @@ def tpe_search(
     built over the good and bad sets, candidates are drawn from the good
     density, and the candidate maximizing the product of density ratios is
     evaluated.
+
+    Each proposal is a few array passes over the history. Candidates are
+    drawn by inverse-CDF lookup of one `rng.random((n_candidates, S))` block,
+    which is what `Generator.choice(r, p=l)` does with one double per call, in
+    the same candidate-major order: the proposals are draw-for-draw those of
+    a per-candidate `rng.choice` loop.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
@@ -92,30 +98,33 @@ def tpe_search(
     rng = np.random.default_rng(seed)
     radices = space.slot_radices
     trace = SearchTrace(method="tpe", budget=budget, seed=seed)
+    keys = np.zeros((budget, len(radices)), dtype=np.int64)
+    losses = np.zeros(budget)
     for it in range(budget):
         if it < startup:
-            key = _uniform_key(radices, rng)
+            keys[it] = _uniform_key(radices, rng)
         else:
-            losses = np.array([loss for _, loss in trace.evaluated])
-            threshold = np.quantile(losses, gamma)
-            good = [k for k, loss in trace.evaluated if loss <= threshold]
-            bad = [k for k, loss in trace.evaluated if loss > threshold] or good
-            l_dens, g_dens = [], []
+            threshold = np.quantile(losses[:it], gamma)
+            good = losses[:it] <= threshold
+            bad = losses[:it] > threshold
+            if not bad.any():
+                bad = good
+            n_good, n_bad = int(good.sum()), int(bad.sum())
+            u = rng.random((n_candidates, len(radices)))
+            candidates = np.empty((n_candidates, len(radices)), dtype=np.int64)
+            ratios = np.empty((n_candidates, len(radices)))
             for t, r in enumerate(radices):
-                gc = np.bincount([k[t] for k in good], minlength=r).astype(float)
-                bc = np.bincount([k[t] for k in bad], minlength=r).astype(float)
-                l_dens.append((gc + 1.0) / (len(good) + r))
-                g_dens.append((bc + 1.0) / (len(bad) + r))
-            candidates = [
-                tuple(int(rng.choice(r, p=l_dens[t])) for t, r in enumerate(radices))
-                for _ in range(n_candidates)
-            ]
-            scores = [
-                float(
-                    np.prod([l_dens[t][k[t]] / g_dens[t][k[t]] for t in range(len(radices))])
-                )
-                for k in candidates
-            ]
-            key = candidates[int(np.argmax(scores))]
-        trace.evaluated.append((key, scorer.score([key])[0].aggregate))
+                column = keys[:it, t]
+                l = (np.bincount(column[good], minlength=r) + 1.0) / (n_good + r)
+                g = (np.bincount(column[bad], minlength=r) + 1.0) / (n_bad + r)
+                cdf = l.cumsum()
+                cdf /= cdf[-1]
+                c = cdf.searchsorted(u[:, t], side="right")
+                candidates[:, t] = c
+                ratios[:, t] = l[c] / g[c]
+            keys[it] = candidates[np.argmax(np.prod(ratios, axis=1))]
+        key = tuple(int(a) for a in keys[it])
+        loss = scorer.score([key])[0].aggregate
+        losses[it] = loss
+        trace.evaluated.append((key, loss))
     return trace

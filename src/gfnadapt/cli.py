@@ -24,7 +24,7 @@ from . import baselines, gflownet, landscape as lsc, metrics
 from .config import ConfigError, ExperimentConfig, load_config
 from .rewards import QuantileTable, RewardConfig, TerminalScorer
 from .simulator import builtin_space, generate_contexts, synthesize_observations
-from .space import decode_state, load_space_file
+from .space import decode_state, space_from_dict
 
 
 class MissingArtifact(RuntimeError):
@@ -36,13 +36,7 @@ class Workspace:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        space_file = cfg["space.file"]
-        if space_file == "builtin":
-            space = builtin_space()
-        elif not Path(space_file).is_file():
-            raise ConfigError(f"space.file {space_file} does not exist")
-        else:
-            space = load_space_file(space_file)
+        space = builtin_space() if cfg.space_doc is None else space_from_dict(cfg.space_doc)
         if cfg["space.cycles"] is not None:
             space = dataclasses.replace(space, cycles=cfg["space.cycles"])
         if cfg["space.step_fraction"] is not None:
@@ -174,7 +168,8 @@ def cmd_train(cfg: ExperimentConfig) -> None:
         start = time.monotonic()
         result = gflownet.train(ws.space, scorer, train_cfg, seed)
         wall = time.monotonic() - start
-        gflownet.save_checkpoint(out / "checkpoint.bin", result.net)
+        signature = gflownet.checkpoint_signature(ws.space, run_hash)
+        gflownet.save_checkpoint(out / "checkpoint.bin", result.net, signature)
         with open(out / "train_log.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"# config_hash={run_hash}"])
@@ -208,7 +203,7 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
             print(f"sample[{seed}]: {out} already complete, skipping")
             continue
         out.mkdir(parents=True, exist_ok=True)
-        net, _ = gflownet.load_checkpoint(ckpt)
+        net, _ = gflownet.load_checkpoint(ckpt, gflownet.checkpoint_signature(ws.space, run_hash))
         scorer = ws.scorer()
         start = time.monotonic()
         keys = gflownet.sample_terminals(
@@ -351,7 +346,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         for seed in cfg["run.seeds"]:
             ckpt = root / "train" / str(seed) / "checkpoint.bin"
             if ckpt.exists():
-                net, _ = gflownet.load_checkpoint(ckpt)
+                signature = gflownet.checkpoint_signature(ws.space, run_hash)
+                net, _ = gflownet.load_checkpoint(ckpt, signature)
                 learned = gflownet.exact_terminal_distribution(net, ws.space, cfg["run.enum_cap"])
                 l1_per_seed[str(seed)] = lsc.l1_distance(table.target_prob, learned)
     manifest = {

@@ -77,7 +77,7 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     values: dict
-    space_doc: dict | None = None  # resolved space definition, for hashing
+    space_doc: dict | None = None  # parsed space.file definition; None = built-in
 
     def __getitem__(self, dotted: str):
         node = self.values
@@ -126,7 +126,9 @@ def _merge(base: dict, update: dict, path: str = "") -> dict:
         where = f"{path}.{key}" if path else key
         if key not in out:
             raise ConfigError(f"unknown config key: {where}")
-        if isinstance(out[key], dict) and isinstance(value, dict):
+        if isinstance(out[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where} must be a section of settings, got {value!r}")
             out[key] = _merge(out[key], value, where)
         else:
             out[key] = value
@@ -144,15 +146,36 @@ def parse_overrides(pairs: list[str]) -> dict:
         if len(parts) != 2:
             raise ConfigError(f"override key must be section.key: {dotted}")
         node = update.setdefault(parts[0], {})
-        node[parts[1]] = yaml.safe_load(raw)
+        node[parts[1]] = _parse_yaml(raw, dotted)
     return update
 
 
+def _parse_yaml(stream, where: str):
+    try:
+        return yaml.safe_load(stream)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"{where} is not valid YAML: {exc}") from exc
+
+
+def _read_space_doc(path: str):
+    """The parsed definition in a space file, as JSON types so that it hashes
+    (dates and other YAML-only scalars become strings)."""
+    try:
+        with open(path) as fh:
+            doc = _parse_yaml(fh, f"space.file {path}")
+    except OSError as exc:
+        raise ConfigError(f"space.file {path} cannot be read: {exc.strerror}") from exc
+    return json.loads(json.dumps(doc, default=str))
+
+
 def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConfig:
+    """Resolve defaults, file and overrides, and validate them. A space file
+    other than the built-in one is read here, so that its definition, not
+    its path, goes into the hashes."""
     values = copy.deepcopy(DEFAULTS)
     if path is not None:
         with open(path) as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = _parse_yaml(fh, f"config file {path}") or {}
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} is not a mapping")
         values = _merge(values, doc)
@@ -160,6 +183,8 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
         values = _merge(values, parse_overrides(overrides))
     cfg = ExperimentConfig(values=values)
     _validate(cfg)
+    if cfg["space.file"] != "builtin":
+        cfg.space_doc = _read_space_doc(cfg["space.file"])
     return cfg
 
 

@@ -21,7 +21,7 @@ from .nn import Adam, Gradients, PolicyNet, log_softmax
 from .rewards import TerminalScorer
 from .space import SpaceSpec, StateKey
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -201,12 +201,23 @@ def sample_terminals(
 
 # ---------------------------------------------------------------------------
 # Checkpoints: length-prefixed JSON header followed by raw float64 arrays in
-# a fixed order. Deterministic bytes for identical models.
+# a fixed order. Deterministic bytes for identical models. The header carries
+# a signature of the space and run the net was trained for; loading refuses a
+# checkpoint whose signature differs from the caller's.
 
 
-def save_checkpoint(path, net: PolicyNet, rng_state: dict | None = None) -> None:
+def checkpoint_signature(space: SpaceSpec, run_hash: str) -> dict:
+    return {
+        "slot_radices": list(space.slot_radices),
+        "feature_dim": feature_dim(space),
+        "run_hash": run_hash,
+    }
+
+
+def save_checkpoint(path, net: PolicyNet, signature: dict, rng_state: dict | None = None) -> None:
     header = {
         "version": CHECKPOINT_VERSION,
+        "signature": signature,
         "trunk_dims": [list(w.shape) for w in net.trunk_w],
         "head_dims": [list(w.shape) for w in net.head_w],
         "log_z": net.log_z,
@@ -220,12 +231,23 @@ def save_checkpoint(path, net: PolicyNet, rng_state: dict | None = None) -> None
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def load_checkpoint(path) -> tuple[PolicyNet, dict | None]:
+def load_checkpoint(path, signature: dict) -> tuple[PolicyNet, dict | None]:
     with open(path, "rb") as fh:
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
+        try:
+            (hlen,) = struct.unpack("<I", fh.read(4))
+            header = json.loads(fh.read(hlen))
+        except (struct.error, ValueError) as exc:
+            raise ValueError(f"checkpoint {path} has a corrupt header") from exc
+        version = header.get("version") if isinstance(header, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"checkpoint {path} has unsupported version {version}")
+        stored = header["signature"]
+        wrong = [name for name in signature if stored.get(name) != signature[name]]
+        if wrong:
+            raise ValueError(f"checkpoint {path} was written for another run: " + "; ".join(
+                f"{name} is {stored.get(name)!r}, expected {signature[name]!r}"
+                for name in wrong
+            ))
 
         def read(shape):
             n = int(np.prod(shape))

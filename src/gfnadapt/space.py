@@ -262,27 +262,30 @@ def space_from_dict(doc: dict) -> SpaceSpec:
     for name in ("parameters", "groups", "cycles", "step_fraction"):
         if name not in doc:
             raise ConfigError(f"space definition lacks the key '{name}'")
-    parameters = [
-        ParameterSpec(
-            name=p["name"],
-            lower=float(p["lower"]),
-            upper=float(p["upper"]),
-            baseline=float(p["baseline"]),
-            group=int(p["group"]),
+    try:
+        parameters = [
+            ParameterSpec(
+                name=p["name"],
+                lower=float(p["lower"]),
+                upper=float(p["upper"]),
+                baseline=float(p["baseline"]),
+                group=int(p["group"]),
+            )
+            for p in doc["parameters"]
+        ]
+        groups = [
+            GroupSpec(
+                order=int(g["order"]),
+                name=g["name"],
+                actions=tuple(
+                    ActionSpec(name=a["name"], signs=dict(a.get("signs") or {}))
+                    for a in g["actions"]
+                ),
+            )
+            for g in doc["groups"]
+        ]
+        return build_space(
+            groups, parameters, int(doc["cycles"]), float(doc["step_fraction"])
         )
-        for p in doc["parameters"]
-    ]
-    groups = [
-        GroupSpec(
-            order=int(g["order"]),
-            name=g["name"],
-            actions=tuple(
-                ActionSpec(name=a["name"], signs=dict(a.get("signs") or {}))
-                for a in g["actions"]
-            ),
-        )
-        for g in doc["groups"]
-    ]
-    return build_space(
-        groups, parameters, int(doc["cycles"]), float(doc["step_fraction"])
-    )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid space definition: {type(exc).__name__}: {exc}") from exc

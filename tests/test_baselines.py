@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gfnadapt.baselines import SearchTrace, random_search, tpe_search
 from gfnadapt.metrics import best_so_far
+from gfnadapt.simulator import builtin_space
 from gfnadapt.space import enumerate_terminals
 
 from conftest import make_tiny_space
@@ -84,6 +87,89 @@ class TestRandomSearch:
         trace = random_search(tiny_space, scorer, 30, seed=5)
         for key, loss in trace.evaluated:
             assert loss == separable_loss(key)
+
+
+def reference_tpe(space, scorer, budget, seed, gamma=0.25, n_candidates=24, startup=10):
+    """TPE with one scalar `rng.choice` per candidate slot and Python-list
+    history: the oracle the array-pass proposals must match draw for draw."""
+    rng = np.random.default_rng(seed)
+    radices = space.slot_radices
+    evaluated = []
+    for it in range(budget):
+        if it < startup:
+            key = tuple(int(rng.integers(r)) for r in radices)
+        else:
+            losses = np.array([loss for _, loss in evaluated])
+            threshold = np.quantile(losses, gamma)
+            good = [k for k, loss in evaluated if loss <= threshold]
+            bad = [k for k, loss in evaluated if loss > threshold] or good
+            l_dens, g_dens = [], []
+            for t, r in enumerate(radices):
+                gc = np.bincount([k[t] for k in good], minlength=r).astype(float)
+                bc = np.bincount([k[t] for k in bad], minlength=r).astype(float)
+                l_dens.append((gc + 1.0) / (len(good) + r))
+                g_dens.append((bc + 1.0) / (len(bad) + r))
+            candidates = [
+                tuple(int(rng.choice(r, p=l_dens[t])) for t, r in enumerate(radices))
+                for _ in range(n_candidates)
+            ]
+            scores = [
+                float(np.prod([l_dens[t][k[t]] / g_dens[t][k[t]] for t in range(len(radices))]))
+                for k in candidates
+            ]
+            key = candidates[int(np.argmax(scores))]
+        evaluated.append((key, scorer.score([key])[0].aggregate))
+    return evaluated
+
+
+def mixed_loss(key):
+    # deterministic, uneven, with ties: exercises quantile splits and argmax ties
+    return sum(((a + 1) * (t + 3)) % 7 for t, a in enumerate(key)) / 10.0
+
+
+def tail_inf_loss(key):
+    # most keys infinite: the gamma quantile itself can be inf or nan
+    return mixed_loss(key) if key[0] == 1 and key[1] == 0 else float("inf")
+
+
+class TestTPEMatchesReference:
+    """`tpe_search` proposes in array passes; its trace must equal the
+    per-candidate sampler's exactly (keys, losses and order)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("which", ["tiny", "builtin-2cycle"])
+    def test_seeds(self, tiny_space, which, seed):
+        sp = tiny_space if which == "tiny" else dataclasses.replace(builtin_space(), cycles=2)
+        budget = 150 if which == "tiny" else 80
+        got = tpe_search(sp, AggScorer(mixed_loss), budget, seed).evaluated
+        assert got == reference_tpe(sp, AggScorer(mixed_loss), budget, seed)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # quantile of infs
+    @pytest.mark.parametrize(
+        "loss_fn", [lambda k: 0.5, tail_inf_loss], ids=["constant", "tail-inf"]
+    )
+    def test_degenerate_splits(self, loss_fn):
+        # constant: no key is bad, so the bad density falls back to the good one
+        sp = make_tiny_space(cycles=2)
+        for seed in range(3):
+            got = tpe_search(sp, AggScorer(loss_fn), 60, seed).evaluated
+            assert got == reference_tpe(sp, AggScorer(loss_fn), 60, seed)
+
+    @pytest.mark.parametrize(
+        "budget, kwargs",
+        [
+            (40, {"n_candidates": 1}),
+            (40, {"startup": 1}),
+            (40, {"startup": 1, "n_candidates": 1, "gamma": 0.9}),
+            (10, {"startup": 10}),
+            (7, {"startup": 12}),
+            (0, {}),
+        ],
+    )
+    def test_edge_parameters(self, budget, kwargs):
+        sp = make_tiny_space(cycles=2)
+        got = tpe_search(sp, AggScorer(mixed_loss), budget, 5, **kwargs).evaluated
+        assert got == reference_tpe(sp, AggScorer(mixed_loss), budget, 5, **kwargs)
 
 
 class TestTPE:

@@ -1,11 +1,14 @@
 import csv
 import json
+import shutil
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gfnadapt.cli import main
-from gfnadapt.config import load_config
+from gfnadapt.config import DEFAULTS, load_config
 
 # full crop parameter set, but only two small action groups: 6 terminals
 TINY_SPACE_YAML = """\
@@ -155,6 +158,82 @@ class TestExitCodes:
         assert run(workspace, "train") == 2
         assert f"record at byte {8 + 2 * size} fails its CRC32" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["[", "{a: 1", "!!python/object:os.system x", "'a"])
+    def test_unparsable_override_exits_1(self, workspace, capsys, value):
+        assert run(workspace, "enumerate", f"reward.beta={value}") == 1
+        assert "reward.beta" in capsys.readouterr().err
+
+    def test_unparsable_space_file_exits_1(self, workspace, tmp_path):
+        bad = tmp_path / "bad_space.yaml"
+        bad.write_text("parameters: [\n")
+        assert run(workspace, "enumerate", f"space.file={bad}") == 1
+
+    def test_space_file_is_a_directory_exits_1(self, workspace, tmp_path):
+        assert run(workspace, "enumerate", f"space.file={tmp_path}") == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc["parameters"][0].pop("lower"),
+            lambda doc: doc["parameters"][0].update(lower=9.0),  # above its upper bound
+            lambda doc: doc["groups"][0].update(actions=None),
+            lambda doc: doc["groups"][0].update(order="first"),
+        ],
+        ids=["missing-bound", "inverted-bounds", "actions-not-a-list", "order-not-a-number"],
+    )
+    def test_malformed_space_definition_exits_1(self, workspace, tmp_path, capsys, edit):
+        doc = yaml.safe_load(TINY_SPACE_YAML)
+        edit(doc)
+        bad = tmp_path / "bad_space.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert run(workspace, "enumerate", f"space.file={bad}") == 1
+        assert "invalid space definition" in capsys.readouterr().err
+
+
+# every config key and a few that are not; values mostly small and in range
+# (so that runs get past validation), the rest of every YAML shape
+_CONFIG_KEYS = [f"{sec}.{key}" for sec, keys in DEFAULTS.items() for key in keys]
+_JUNK_KEYS = ["nope.x", "reward", "reward.beta.x", "run.", ".beta", "space.file.x"]
+_VALUES = st.one_of(
+    st.integers(0, 20).map(str),
+    st.floats(0.0, 1.5).map(repr),
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(str),
+    st.sampled_from(["null", "random", "tpe", "2", "1", "0.5"]),
+    st.sampled_from([
+        "", "~", "true", "no", "abc", "x/y", "[]", "[1.5]", "[true]", "{a: 1}", "[", "{",
+        "'a", "-3", "1e309", ".nan", "-.inf", "2020-01-01", "!!binary aGk=", "gflownet",
+        "\x00", "a=b",
+    ]),
+)
+_PAIR = st.tuples(st.sampled_from(_CONFIG_KEYS + _JUNK_KEYS), _VALUES).map("=".join)
+_PAIRS = st.tuples(
+    st.lists(_PAIR, max_size=3),
+    # now and then a pair that lacks its '=' or its key
+    st.sampled_from([[]] * 6 + [["reward.beta"], ["="], ["=="]]),
+).map(lambda lists: lists[0] + lists[1])
+
+
+class TestConfigFuzz:
+    """Whatever `--set` pairs are given, the CLI exits 0, 1 or 2 and prints
+    no traceback."""
+
+    @settings(
+        max_examples=40, deadline=None, database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(method=st.sampled_from(["random", "tpe"]), pairs=_PAIRS)
+    def test_random_overrides(self, workspace, monkeypatch, capsys, method, pairs):
+        # relative out_dir values land in the test's directory
+        monkeypatch.chdir(workspace.parent)
+        monkeypatch.setenv("GFNADAPT_CACHE_DIR", str(workspace.parent / "fuzz-cache"))
+        argv = ["baseline", "--config", str(workspace), "--set", f"run.method={method}",
+                "--set", "baseline.budget=12"]
+        for pair in pairs:
+            argv += ["--set", pair]
+        assert main(argv) in (0, 1, 2)  # an exception escaping main is a traceback
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+
 
 class TestEnumerate:
     def test_artifacts(self, workspace):
@@ -177,6 +256,21 @@ class TestEnumerate:
         before = (out / "landscape.csv").stat().st_mtime_ns
         assert run(workspace, "enumerate") == 0
         assert (out / "landscape.csv").stat().st_mtime_ns == before
+
+    def test_space_file_edit_moves_hashes_and_rescores(self, workspace):
+        assert run(workspace, "enumerate") == 0
+        before = load_config(workspace)
+        (before.out_root() / "enumerate" / "done").unlink()  # force a re-run
+        space_path = workspace.parent / "space.yaml"
+        edited = TINY_SPACE_YAML.replace("lower: 0.005,  upper: 0.04", "lower: 0.002,  upper: 0.06")
+        assert edited != TINY_SPACE_YAML
+        space_path.write_text(edited)
+        after = load_config(workspace)
+        assert after.reward_hash() != before.reward_hash()
+        assert after.run_hash() != before.run_hash()
+        assert run(workspace, "enumerate") == 0
+        meta = json.loads((after.out_root() / "enumerate" / "meta.json").read_text())
+        assert meta["simulated"] > 0  # not served the old space's losses
 
     def test_rerun_after_marker_removal_hits_cache(self, workspace):
         assert run(workspace, "enumerate") == 0
@@ -286,6 +380,45 @@ class TestPipeline:
         lines[0] = "# config_hash=000000000000"
         trace.write_text("\n".join(lines) + "\n")
         assert run(workspace, "report") == 2
+
+    @pytest.mark.parametrize(
+        "old, new, field",
+        [
+            # one more canopy action: a different slot layout
+            ("      - {name: increase, signs: {LAI_max: 1, SLA: 1, n_plants: 1}}\n",
+             "      - {name: increase, signs: {LAI_max: 1, SLA: 1, n_plants: 1}}\n"
+             "      - {name: decrease, signs: {LAI_max: -1}}\n",
+             "slot_radices"),
+            # same layout, other bounds: only the run hash tells them apart
+            ("lower: 0.005,  upper: 0.04", "lower: 0.002,  upper: 0.06", "run_hash"),
+        ],
+        ids=["other-radices", "other-bounds"],
+    )
+    def test_checkpoint_of_another_space_refused(self, workspace, tmp_path, capsys, old, new,
+                                                 field):
+        assert run(workspace, "train") == 0
+        other = tmp_path / "other_space.yaml"
+        other.write_text(TINY_SPACE_YAML.replace(old, new))
+        override = f"space.file={other}"
+        dest = out_root(workspace, override) / "train" / "1"
+        dest.mkdir(parents=True)
+        shutil.copy(out_root(workspace) / "train" / "1" / "checkpoint.bin", dest)
+        capsys.readouterr()
+        assert run(workspace, "sample", override) == 2
+        assert f"{field} is" in capsys.readouterr().err
+        assert not (out_root(workspace, override) / "sample" / "1" / "done").exists()
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"\x01\x00", b"\x05\x00\x00\x00{\"a\"", b"\x02\x00\x00\x00{}", b"\x03\x00\x00\x00[1]"],
+        ids=["torn-length", "torn-header", "header-without-version", "header-not-a-mapping"],
+    )
+    def test_corrupt_checkpoint_exits_2(self, workspace, capsys, blob):
+        dest = out_root(workspace) / "train" / "1"
+        dest.mkdir(parents=True)
+        (dest / "checkpoint.bin").write_bytes(blob)
+        assert run(workspace, "sample") == 2
+        assert "checkpoint" in capsys.readouterr().err
 
 
 class TestOverrides:

@@ -58,6 +58,15 @@ class TestHashes:
         ]:
             assert load_config(overrides=[override]).reward_hash() != base.reward_hash()
 
+    def test_builtin_space_hashes_pinned(self):
+        # existing caches and run roots of the built-in space must still resolve
+        for overrides, run_hash, reward_hash in [
+            ([], "f282710af8f0", "3dec7370ca19"),
+            (["space.cycles=2"], "a16080365957", "3636d9782c3d"),
+        ]:
+            cfg = load_config(overrides=overrides)
+            assert (cfg.run_hash(), cfg.reward_hash()) == (run_hash, reward_hash)
+
     def test_cache_dir_env_override(self, monkeypatch):
         cfg = load_config()
         default = cfg.cache_dir()
@@ -96,6 +105,16 @@ class TestValidation:
             parse_overrides(["reward.beta"])
         with pytest.raises(ConfigError, match="section.key"):
             parse_overrides(["beta=4"])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("reward: 5\n", "reward must be a section"), ("reward: [\n", "not valid YAML")],
+    )
+    def test_malformed_config_file(self, tmp_path, text, message):
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
 
     def test_bad_method(self):
         with pytest.raises(ConfigError, match="unknown method"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -397,8 +399,9 @@ class TestCheckpoint:
         for head in net.head_w:
             head += rng.normal(0, 1, head.shape)
         path = tmp_path / "ckpt.bin"
-        gf.save_checkpoint(path, net, rng_state={"seed": 13})
-        loaded, rng_state = gf.load_checkpoint(path)
+        signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
+        gf.save_checkpoint(path, net, signature, rng_state={"seed": 13})
+        loaded, rng_state = gf.load_checkpoint(path, signature)
         assert rng_state == {"seed": 13}
         assert loaded.log_z == net.log_z
         for a, b in zip(net.params(), loaded.params()):
@@ -406,9 +409,19 @@ class TestCheckpoint:
 
     def test_deterministic_bytes(self, tiny_space, tmp_path):
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
-        gf.save_checkpoint(tmp_path / "a.bin", net)
-        gf.save_checkpoint(tmp_path / "b.bin", net)
+        signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
+        gf.save_checkpoint(tmp_path / "a.bin", net, signature)
+        gf.save_checkpoint(tmp_path / "b.bin", net, signature)
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    @pytest.mark.parametrize("field", ["slot_radices", "feature_dim", "run_hash"])
+    def test_signature_mismatch_refused(self, tiny_space, tmp_path, field):
+        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
+        signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
+        gf.save_checkpoint(tmp_path / "a.bin", net, signature)
+        other = dict(signature, **{field: "something else"})
+        with pytest.raises(ValueError, match=re.escape(f"{field} is {signature[field]!r}, expected")):
+            gf.load_checkpoint(tmp_path / "a.bin", other)
 
 
 def test_unique_trajectory_per_terminal(tiny_space):
