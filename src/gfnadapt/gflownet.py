@@ -106,10 +106,14 @@ def _rollout(
 
 
 def tb_loss_and_grads(
-    net: PolicyNet, passes: list[SlotPass], log_rewards: np.ndarray
+    net: PolicyNet,
+    passes: list[SlotPass],
+    log_rewards: np.ndarray,
+    grads: Gradients | None = None,
 ) -> tuple[float, Gradients]:
     """TB objective of the trajectories whose slot passes are given, and its
-    gradient by backpropagation through those passes."""
+    gradient by backpropagation through those passes, written into `grads`
+    (allocated when not given)."""
     n = len(log_rewards)
     rows = np.arange(n)
     sum_logp = np.zeros(n)
@@ -117,7 +121,10 @@ def tb_loss_and_grads(
         sum_logp += p.logp[rows, p.chosen]
     residual = net.log_z + sum_logp - log_rewards
     loss = float(np.mean(residual**2))
-    grads = Gradients.zeros_like(net)
+    if grads is None:
+        grads = Gradients.zeros_like(net)
+    else:
+        grads.flat.fill(0.0)
     dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
     for t, p in enumerate(passes):
         dlogits = -np.exp(p.logp) * dlogp[:, None]
@@ -145,6 +152,7 @@ def train(
     rng = np.random.default_rng(seed)
     net = new_policy(space, cfg, rng)
     opt = Adam(lr=cfg.lr, log_z_lr=cfg.log_z_lr)
+    grads = Gradients.zeros_like(net)
     seen: set[StateKey] = set()
     rows = []
     evaluated: list[tuple[StateKey, float]] = []
@@ -157,7 +165,7 @@ def train(
         log_rewards = np.log([rec.reward for rec in records])
         evaluated.extend((k, rec.aggregate) for k, rec in zip(keys, records))
         seen.update(keys)
-        loss, grads = tb_loss_and_grads(net, passes, log_rewards)
+        loss, _ = tb_loss_and_grads(net, passes, log_rewards, grads)
         if not np.isfinite(loss):
             raise RuntimeError(f"trajectory balance loss diverged at step {step}")
         opt.step(net, grads)
@@ -227,8 +235,7 @@ def save_checkpoint(path, net: PolicyNet, signature: dict, rng_state: dict | Non
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for arr in net.params():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(net.flat.astype("<f8", copy=False).tobytes())
 
 
 def load_checkpoint(path, signature: dict) -> tuple[PolicyNet, dict | None]:
@@ -248,14 +255,11 @@ def load_checkpoint(path, signature: dict) -> tuple[PolicyNet, dict | None]:
                 f"{name} is {stored.get(name)!r}, expected {signature[name]!r}"
                 for name in wrong
             ))
-
-        def read(shape):
-            n = int(np.prod(shape))
-            return np.frombuffer(fh.read(8 * n), dtype="<f8").reshape(shape).copy()
-
-        trunk_w = [read(s) for s in header["trunk_dims"]]
-        trunk_b = [read([s[1]]) for s in header["trunk_dims"]]
-        head_w = [read(s) for s in header["head_dims"]]
-        head_b = [read([s[1]]) for s in header["head_dims"]]
-    net = PolicyNet(trunk_w, trunk_b, head_w, head_b, log_z=header["log_z"])
+        body = fh.read()
+    net = PolicyNet(header["trunk_dims"], header["head_dims"], log_z=header["log_z"])
+    if len(body) != net.flat.nbytes:
+        raise ValueError(
+            f"checkpoint {path} holds {len(body)} parameter bytes, expected {net.flat.nbytes}"
+        )
+    net.flat[:] = np.frombuffer(body, dtype="<f8")
     return net, header.get("rng_state")

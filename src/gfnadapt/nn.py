@@ -7,7 +7,7 @@ architecture; no learning framework is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,15 +22,52 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
-@dataclass
-class PolicyNet:
-    """Trunk weights/biases plus per-slot head weights/biases and log_z."""
 
-    trunk_w: list[np.ndarray]
-    trunk_b: list[np.ndarray]
-    head_w: list[np.ndarray]
-    head_b: list[np.ndarray]
-    log_z: float = 0.0
+
+class FlatParams:
+    """One contiguous float64 vector `flat`, zero-initialised, viewed as the
+    trunk weights, trunk biases, head weights and head biases, in that order
+    (the order of params(), and of a checkpoint's bytes), plus the scalar
+    log_z. Writing through a view writes the vector."""
+
+    def __init__(
+        self,
+        trunk_shapes: list[tuple[int, int]],
+        head_shapes: list[tuple[int, int]],
+        log_z: float = 0.0,
+    ):
+        trunk_shapes = [tuple(s) for s in trunk_shapes]
+        head_shapes = [tuple(s) for s in head_shapes]
+        shapes = [
+            *trunk_shapes, *[(s[1],) for s in trunk_shapes],
+            *head_shapes, *[(s[1],) for s in head_shapes],
+        ]
+        sizes = [int(np.prod(s)) for s in shapes]
+        flat = np.zeros(sum(sizes))
+        ends = np.cumsum(sizes)
+        views = [flat[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends)]
+        n_trunk, n_head = len(trunk_shapes), len(head_shapes)
+        self.flat = flat
+        self.trunk_w = tuple(views[:n_trunk])
+        self.trunk_b = tuple(views[n_trunk : 2 * n_trunk])
+        self.head_w = tuple(views[2 * n_trunk : 2 * n_trunk + n_head])
+        self.head_b = tuple(views[2 * n_trunk + n_head :])
+        self.log_z = log_z
+
+    @property
+    def trunk_shapes(self) -> list[tuple[int, int]]:
+        return [w.shape for w in self.trunk_w]
+
+    @property
+    def head_shapes(self) -> list[tuple[int, int]]:
+        return [w.shape for w in self.head_w]
+
+    def params(self) -> list[np.ndarray]:
+        return [*self.trunk_w, *self.trunk_b, *self.head_w, *self.head_b]
+
+
+class PolicyNet(FlatParams):
+    """Trunk weights/biases plus per-slot head weights/biases and log_z."""
 
     @classmethod
     def init(
@@ -42,19 +79,11 @@ class PolicyNet:
     ) -> "PolicyNet":
         rng = rng or np.random.default_rng(0)
         dims = (in_dim, *hidden)
-        trunk_w = [_fan_in_uniform(rng, dims[i], dims[i + 1]) for i in range(len(hidden))]
-        trunk_b = [np.zeros(d) for d in hidden]
-        # heads start at zero so the initial policy is uniform
-        head_w = [np.zeros((hidden[-1], d)) for d in head_dims]
-        head_b = [np.zeros(d) for d in head_dims]
-        return cls(trunk_w, trunk_b, head_w, head_b, log_z=0.0)
-
-    @property
-    def head_dims(self) -> list[int]:
-        return [b.shape[0] for b in self.head_b]
-
-    def params(self) -> list[np.ndarray]:
-        return [*self.trunk_w, *self.trunk_b, *self.head_w, *self.head_b]
+        # heads (and biases) start at zero so the initial policy is uniform
+        net = cls(list(zip(dims[:-1], dims[1:])), [(hidden[-1], d) for d in head_dims])
+        for w in net.trunk_w:
+            w[...] = _fan_in_uniform(rng, *w.shape)
+        return net
 
     # -- forward / backward -------------------------------------------------
 
@@ -83,40 +112,30 @@ class PolicyNet:
     ) -> None:
         """Accumulate gradients for one slot's batched forward pass."""
         h_last = acts[-1]
-        grads.head_w[slot] += h_last.T @ dlogits
-        grads.head_b[slot] += dlogits.sum(axis=0)
+        gw, gb = grads.head_w[slot], grads.head_b[slot]
+        gw += h_last.T @ dlogits
+        gb += dlogits.sum(axis=0)
         dh = dlogits @ self.head_w[slot].T
         for i in range(len(self.trunk_w) - 1, -1, -1):
             dh = dh * (acts[i + 1] > 0.0)
-            grads.trunk_w[i] += acts[i].T @ dh
-            grads.trunk_b[i] += dh.sum(axis=0)
+            gw, gb = grads.trunk_w[i], grads.trunk_b[i]
+            gw += acts[i].T @ dh
+            gb += dh.sum(axis=0)
             dh = dh @ self.trunk_w[i].T
 
 
-@dataclass
-class Gradients:
-    trunk_w: list[np.ndarray]
-    trunk_b: list[np.ndarray]
-    head_w: list[np.ndarray]
-    head_b: list[np.ndarray]
-    log_z: float = 0.0
+class Gradients(FlatParams):
+    """Gradients of a PolicyNet's parameters, in the net's flat layout."""
 
     @classmethod
     def zeros_like(cls, net: PolicyNet) -> "Gradients":
-        return cls(
-            [np.zeros_like(w) for w in net.trunk_w],
-            [np.zeros_like(b) for b in net.trunk_b],
-            [np.zeros_like(w) for w in net.head_w],
-            [np.zeros_like(b) for b in net.head_b],
-        )
-
-    def params(self) -> list[np.ndarray]:
-        return [*self.trunk_w, *self.trunk_b, *self.head_w, *self.head_b]
+        return cls(net.trunk_shapes, net.head_shapes)
 
 
 @dataclass
 class Adam:
-    """Adaptive-moment optimizer over a list of arrays plus the scalar log_z."""
+    """Adaptive-moment optimizer over a net's flat parameter vector plus the
+    scalar log_z; moments and scratch space are allocated on the first step."""
 
     lr: float = 5e-4
     log_z_lr: float = 0.1
@@ -124,26 +143,39 @@ class Adam:
     beta2: float = 0.999
     eps: float = 1e-8
     _t: int = 0
-    _m: list[np.ndarray] = field(default_factory=list)
-    _v: list[np.ndarray] = field(default_factory=list)
+    _m: np.ndarray | None = None
+    _v: np.ndarray | None = None
+    _scratch: np.ndarray | None = None  # (2, n): numerator, denominator
     _mz: float = 0.0
     _vz: float = 0.0
 
     def step(self, net: PolicyNet, grads: Gradients) -> None:
-        params = net.params()
-        gs = grads.params()
-        if not self._m:
-            self._m = [np.zeros_like(p) for p in params]
-            self._v = [np.zeros_like(p) for p in params]
+        p, g = net.flat, grads.flat
+        if self._m is None:
+            self._m = np.zeros_like(p)
+            self._v = np.zeros_like(p)
+            self._scratch = np.empty((2, p.size))
+        m, v = self._m, self._v
+        num, den = self._scratch
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(params, gs, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        # elementwise: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order
+        m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=num)
+        m += num
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=num)
+        num *= g
+        v += num
+        np.divide(m, bc1, out=num)
+        num *= self.lr
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        p -= num
         self._mz = self.beta1 * self._mz + (1.0 - self.beta1) * grads.log_z
         self._vz = self.beta2 * self._vz + (1.0 - self.beta2) * grads.log_z**2
         net.log_z = float(

@@ -433,13 +433,8 @@ def test_unique_trajectory_per_terminal(tiny_space):
 
 
 def test_adam_moves_toward_minimum():
-    net = PolicyNet(
-        trunk_w=[np.array([[1.0]])],
-        trunk_b=[np.array([0.0])],
-        head_w=[np.array([[0.0]])],
-        head_b=[np.array([0.0])],
-        log_z=5.0,
-    )
+    net = PolicyNet([(1, 1)], [(1, 1)], log_z=5.0)
+    net.trunk_w[0][0, 0] = 1.0
     opt = Adam(lr=0.1, log_z_lr=0.1)
     from gfnadapt.nn import Gradients
 
