@@ -39,20 +39,19 @@ def feature_dim(space: SpaceSpec) -> int:
     return sum(r + 1 for r in space.slot_radices) + space.slots
 
 
-def encode_batch(space: SpaceSpec, keys: list[StateKey]) -> np.ndarray:
+def encode_batch(space: SpaceSpec, keys: np.ndarray) -> np.ndarray:
     """One-hot of each slot's choice (with an undecided category) plus a
-    one-hot of the current decision slot, one row per non-terminal key."""
-    radices = space.slot_radices
-    offsets = np.cumsum([0] + [r + 1 for r in radices])
-    slot_base = offsets[-1]
-    out = np.zeros((len(keys), slot_base + space.slots))
-    for i, key in enumerate(keys):
-        for t in range(space.slots):
-            if t < len(key):
-                out[i, offsets[t] + 1 + key[t]] = 1.0
-            else:
-                out[i, offsets[t]] = 1.0  # undecided
-        out[i, slot_base + len(key)] = 1.0
+    one-hot of the current decision slot, one row per prefix. `keys` holds
+    n prefixes of one length t, as an (n, t) int array."""
+    keys = np.asarray(keys, dtype=np.int64)
+    n, t = keys.shape
+    offsets = np.cumsum([0, *(r + 1 for r in space.slot_radices)])
+    cols = np.empty((n, space.slots + 1), dtype=np.int64)
+    cols[:, :t] = offsets[:t] + 1 + keys
+    cols[:, t:-1] = offsets[t:-1]  # undecided
+    cols[:, -1] = offsets[-1] + t
+    out = np.zeros((n, offsets[-1] + space.slots))
+    out[np.arange(n)[:, None], cols] = 1.0
     return out
 
 
@@ -71,10 +70,10 @@ class SlotPass(NamedTuple):
 
 
 def slot_forward(
-    net: PolicyNet, space: SpaceSpec, prefixes: list[StateKey], slot: int
+    net: PolicyNet, space: SpaceSpec, prefixes: np.ndarray, slot: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Trunk activations and action log-probs at `slot` for length-`slot`
-    prefixes."""
+    """Trunk activations and action log-probs at `slot` for an (n, slot)
+    int array of prefixes."""
     acts = net.trunk_forward(encode_batch(space, prefixes))
     return acts, log_softmax(net.logits(acts[-1], slot))
 
@@ -86,23 +85,28 @@ def _rollout(
     rng: np.random.Generator,
     explore_eps: float,
     keep_caches: bool = False,
-) -> tuple[list[StateKey], list[SlotPass]]:
-    """Sample n trajectories in lockstep; actions drawn from the eps-mixed
-    policy. With keep_caches, each slot's pass is returned for the TB
-    gradient; otherwise the list is empty, which bounds memory for large n."""
-    keys: list[StateKey] = [() for _ in range(n)]
+) -> tuple[np.ndarray, list[SlotPass]]:
+    """Sample n trajectories in lockstep, as an (n, slots) int array of
+    terminal keys; actions drawn from the eps-mixed policy. With
+    keep_caches, each slot's pass is returned for the TB gradient; otherwise
+    the list is empty, which bounds memory for large n."""
+    keys = np.zeros((n, space.slots), dtype=np.int64)
     passes = []
     for t in range(space.slots):
-        acts, logp = slot_forward(net, space, keys, t)
+        acts, logp = slot_forward(net, space, keys[:, :t], t)
         probs = np.exp(logp)
         n_actions = probs.shape[1]
         mixed = (1.0 - explore_eps) * probs + explore_eps / n_actions
         u = rng.random((n, 1))
         chosen = (mixed.cumsum(axis=1) < u).sum(axis=1).clip(max=n_actions - 1)
-        keys = [k + (int(a),) for k, a in zip(keys, chosen)]
+        keys[:, t] = chosen
         if keep_caches:
             passes.append(SlotPass(acts, logp, chosen))
     return keys, passes
+
+
+def _key_tuples(keys: np.ndarray) -> list[StateKey]:
+    return list(map(tuple, keys.tolist()))
 
 
 def tb_loss_and_grads(
@@ -160,7 +164,8 @@ def train(
     half = max(1, cfg.steps // 2)
     for step in range(1, cfg.steps + 1):
         eps = cfg.explore_eps * max(0.0, 1.0 - (step - 1) / half)
-        keys, passes = _rollout(net, space, cfg.batch, rng, eps, keep_caches=True)
+        key_array, passes = _rollout(net, space, cfg.batch, rng, eps, keep_caches=True)
+        keys = _key_tuples(key_array)
         records = scorer.score(keys)
         log_rewards = np.log([rec.reward for rec in records])
         evaluated.extend((k, rec.aggregate) for k, rec in zip(keys, records))
@@ -185,14 +190,14 @@ def exact_terminal_distribution(
     count = space.terminal_count()
     if count > cap:
         raise ValueError(f"space has {count} terminals, exceeding cap {cap}")
-    prefixes: list[StateKey] = [()]
+    prefixes = np.zeros((1, 0), dtype=np.int64)
     logps = np.zeros(1)
-    for t in range(space.slots):
-        feats = encode_batch(space, prefixes)
-        logp = net.log_probs(feats, t)
-        r = logp.shape[1]
+    for t, r in enumerate(space.slot_radices):
+        logp = net.log_probs(encode_batch(space, prefixes), t)
         logps = (logps[:, None] + logp).ravel()
-        prefixes = [p + (a,) for p in prefixes for a in range(r)]
+        prefixes = np.column_stack(
+            [np.repeat(prefixes, r, axis=0), np.tile(np.arange(r), len(prefixes))]
+        )
     return np.exp(logps)
 
 
@@ -204,7 +209,7 @@ def sample_terminals(
     if n == 0:
         return []
     keys, _ = _rollout(net, space, n, rng, explore_eps=0.0)
-    return keys
+    return _key_tuples(keys)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ class TestSampling:
         net = delta_net(tiny_space, (1, 2))
         rng = np.random.default_rng(5)
         keys, _ = gf._rollout(net, tiny_space, 50, rng, explore_eps=0.0)
-        assert keys == [(1, 2)] * 50
+        assert keys.tolist() == [[1, 2]] * 50
 
     def test_logp_bookkeeping(self, tiny_space):
         # actions come from the eps-mixed policy, log-probs from the pure one
