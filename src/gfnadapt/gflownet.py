@@ -39,10 +39,13 @@ def feature_dim(space: SpaceSpec) -> int:
     return sum(r + 1 for r in space.slot_radices) + space.slots
 
 
-def encode_batch(space: SpaceSpec, keys: np.ndarray) -> np.ndarray:
+def encode_batch(
+    space: SpaceSpec, keys: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """One-hot of each slot's choice (with an undecided category) plus a
     one-hot of the current decision slot, one row per prefix. `keys` holds
-    n prefixes of one length t, as an (n, t) int array."""
+    n prefixes of one length t, as an (n, t) int array; with `out`, the
+    rows are written there."""
     keys = np.asarray(keys, dtype=np.int64)
     n, t = keys.shape
     offsets = np.cumsum([0, *(r + 1 for r in space.slot_radices)])
@@ -50,7 +53,10 @@ def encode_batch(space: SpaceSpec, keys: np.ndarray) -> np.ndarray:
     cols[:, :t] = offsets[:t] + 1 + keys
     cols[:, t:-1] = offsets[t:-1]  # undecided
     cols[:, -1] = offsets[-1] + t
-    out = np.zeros((n, offsets[-1] + space.slots))
+    if out is None:
+        out = np.zeros((n, offsets[-1] + space.slots))
+    else:
+        out.fill(0.0)
     out[np.arange(n)[:, None], cols] = 1.0
     return out
 
@@ -61,20 +67,28 @@ def new_policy(space: SpaceSpec, cfg: TrainConfig, rng: np.random.Generator) -> 
     )
 
 
-class SlotPass(NamedTuple):
-    """One decision slot of a rollout, as tb_loss_and_grads consumes it."""
+class RolloutPasses(NamedTuple):
+    """The per-slot passes of one rollout, as tb_loss_and_grads consumes
+    them."""
 
-    acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL]
-    logp: np.ndarray        # pure-policy action log-probs, (n, radix)
-    chosen: np.ndarray      # sampled action per trajectory
+    acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL], (slots * n, width);
+                            # slot t's rows are row block t
+    logp: list[np.ndarray]  # per slot, pure-policy action log-probs, (n, radix)
+    chosen: np.ndarray      # sampled actions, (n, slots)
 
 
 def slot_forward(
-    net: PolicyNet, space: SpaceSpec, prefixes: np.ndarray, slot: int
+    net: PolicyNet,
+    space: SpaceSpec,
+    prefixes: np.ndarray,
+    slot: int,
+    acts: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Trunk activations and action log-probs at `slot` for an (n, slot)
-    int array of prefixes."""
-    acts = net.trunk_forward(encode_batch(space, prefixes))
+    int array of prefixes; with `acts` (one (n, width) array per layer,
+    input first), the activations are written there."""
+    x = encode_batch(space, prefixes, None if acts is None else acts[0])
+    acts = net.trunk_forward(x, None if acts is None else acts[1:])
     return acts, log_softmax(net.logits(acts[-1], slot))
 
 
@@ -85,23 +99,29 @@ def _rollout(
     rng: np.random.Generator,
     explore_eps: float,
     keep_caches: bool = False,
-) -> tuple[np.ndarray, list[SlotPass]]:
+) -> tuple[np.ndarray, RolloutPasses | None]:
     """Sample n trajectories in lockstep, as an (n, slots) int array of
     terminal keys; actions drawn from the eps-mixed policy. With
-    keep_caches, each slot's pass is returned for the TB gradient; otherwise
-    the list is empty, which bounds memory for large n."""
-    keys = np.zeros((n, space.slots), dtype=np.int64)
-    passes = []
-    for t in range(space.slots):
-        acts, logp = slot_forward(net, space, keys[:, :t], t)
+    keep_caches, the slot passes are returned for the TB gradient, each
+    slot's activations written into its row block; otherwise they are
+    dropped (None), which bounds memory for large n."""
+    slots = space.slots
+    keys = np.zeros((n, slots), dtype=np.int64)
+    passes = None
+    if keep_caches:
+        widths = [feature_dim(space), *(b.size for b in net.trunk_b)]
+        passes = RolloutPasses([np.empty((slots * n, w)) for w in widths], [], keys)
+    for t in range(slots):
+        block = None if passes is None else [a[t * n : (t + 1) * n] for a in passes.acts]
+        _, logp = slot_forward(net, space, keys[:, :t], t, block)
         probs = np.exp(logp)
         n_actions = probs.shape[1]
         mixed = (1.0 - explore_eps) * probs + explore_eps / n_actions
         u = rng.random((n, 1))
         chosen = (mixed.cumsum(axis=1) < u).sum(axis=1).clip(max=n_actions - 1)
         keys[:, t] = chosen
-        if keep_caches:
-            passes.append(SlotPass(acts, logp, chosen))
+        if passes is not None:
+            passes.logp.append(logp)
     return keys, passes
 
 
@@ -111,7 +131,7 @@ def _key_tuples(keys: np.ndarray) -> list[StateKey]:
 
 def tb_loss_and_grads(
     net: PolicyNet,
-    passes: list[SlotPass],
+    passes: RolloutPasses,
     log_rewards: np.ndarray,
     grads: Gradients | None = None,
 ) -> tuple[float, Gradients]:
@@ -121,19 +141,19 @@ def tb_loss_and_grads(
     n = len(log_rewards)
     rows = np.arange(n)
     sum_logp = np.zeros(n)
-    for p in passes:
-        sum_logp += p.logp[rows, p.chosen]
+    for t, logp in enumerate(passes.logp):
+        sum_logp += logp[rows, passes.chosen[:, t]]
     residual = net.log_z + sum_logp - log_rewards
     loss = float(np.mean(residual**2))
+    dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
+    dlogits = []
+    for t, logp in enumerate(passes.logp):
+        d = -np.exp(logp) * dlogp[:, None]
+        d[rows, passes.chosen[:, t]] += dlogp
+        dlogits.append(d)
     if grads is None:
         grads = Gradients.zeros_like(net)
-    else:
-        grads.flat.fill(0.0)
-    dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
-    for t, p in enumerate(passes):
-        dlogits = -np.exp(p.logp) * dlogp[:, None]
-        dlogits[rows, p.chosen] += dlogp
-        net.backward_slot(p.acts, t, dlogits, grads)
+    net.backward_stacked(passes.acts, dlogits, grads)
     grads.log_z = float(np.mean(2.0 * residual))
     return loss, grads
 

@@ -87,12 +87,16 @@ class PolicyNet(FlatParams):
 
     # -- forward / backward -------------------------------------------------
 
-    def trunk_forward(self, x: np.ndarray) -> list[np.ndarray]:
-        """Returns activations [x, h1, ..., hL]."""
+    def trunk_forward(
+        self, x: np.ndarray, out: list[np.ndarray] | None = None
+    ) -> list[np.ndarray]:
+        """Returns activations [x, h1, ..., hL]; with `out`, layer i's
+        activations are written into out[i - 1]."""
         acts = [x]
-        h = x
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            h = np.maximum(h @ w + b, 0.0)
+        for i, (w, b) in enumerate(zip(self.trunk_w, self.trunk_b)):
+            h = np.matmul(acts[-1], w, out=None if out is None else out[i])
+            h += b
+            np.maximum(h, 0.0, out=h)
             acts.append(h)
         return acts
 
@@ -103,25 +107,32 @@ class PolicyNet(FlatParams):
         """Log-softmax over the slot's actions for a batch of features."""
         return log_softmax(self.logits(self.trunk_forward(x)[-1], slot))
 
-    def backward_slot(
+    def backward_stacked(
         self,
         acts: list[np.ndarray],
-        slot: int,
-        dlogits: np.ndarray,
+        dlogits: list[np.ndarray],
         grads: "Gradients",
     ) -> None:
-        """Accumulate gradients for one slot's batched forward pass."""
+        """Write the gradients of one batch's passes over every slot into
+        `grads`, overwriting all of it. `acts` are the trunk activations
+        [x, h1, ..., hL] of all slots stacked, slot t's n rows in row block
+        t; `dlogits[t]` is the loss gradient of slot t's logits, (n, radix).
+        Each head's gradient takes that slot's block; each trunk layer's
+        takes one pass over all blocks. The input's gradient is not formed."""
+        n = len(dlogits[0])
         h_last = acts[-1]
-        gw, gb = grads.head_w[slot], grads.head_b[slot]
-        gw += h_last.T @ dlogits
-        gb += dlogits.sum(axis=0)
-        dh = dlogits @ self.head_w[slot].T
+        dh = np.empty_like(h_last)
+        for t, d in enumerate(dlogits):
+            rows = slice(t * n, (t + 1) * n)
+            np.matmul(h_last[rows].T, d, out=grads.head_w[t])
+            np.sum(d, axis=0, out=grads.head_b[t])
+            np.matmul(d, self.head_w[t].T, out=dh[rows])
         for i in range(len(self.trunk_w) - 1, -1, -1):
-            dh = dh * (acts[i + 1] > 0.0)
-            gw, gb = grads.trunk_w[i], grads.trunk_b[i]
-            gw += acts[i].T @ dh
-            gb += dh.sum(axis=0)
-            dh = dh @ self.trunk_w[i].T
+            dh *= acts[i + 1] > 0.0
+            np.matmul(acts[i].T, dh, out=grads.trunk_w[i])
+            np.sum(dh, axis=0, out=grads.trunk_b[i])
+            if i:
+                dh = dh @ self.trunk_w[i].T
 
 
 class Gradients(FlatParams):

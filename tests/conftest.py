@@ -43,15 +43,13 @@ def make_mini_sim_space():
 
 
 def fixed_passes(net, space, keys):
-    """Slot passes over the prefixes of given terminal keys, built with the
-    per-slot forward code the rollout runs."""
-    return [
-        gf.SlotPass(
-            *gf.slot_forward(net, space, [k[:t] for k in keys], t),
-            np.array([k[t] for k in keys]),
-        )
-        for t in range(space.slots)
-    ]
+    """Rollout passes over the prefixes of given terminal keys, built by
+    fresh per-slot forward passes (no preallocated buffers) and stacked
+    afterwards."""
+    keys = np.asarray(keys, dtype=np.int64)
+    per_slot = [gf.slot_forward(net, space, keys[:, :t], t) for t in range(space.slots)]
+    acts = [np.concatenate(layer) for layer in zip(*(a for a, _ in per_slot))]
+    return gf.RolloutPasses(acts, [logp for _, logp in per_slot], keys)
 
 
 class StubScorer:

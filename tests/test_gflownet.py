@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gfnadapt import gflownet as gf
-from gfnadapt.nn import Adam, PolicyNet
+from gfnadapt.nn import Adam, Gradients, PolicyNet
 from gfnadapt.space import enumerate_terminals
 
 from conftest import StubScorer, fixed_passes, make_tiny_space
@@ -32,10 +32,10 @@ def delta_net(space, key):
 
 def chosen_logp_sum(passes):
     """Per-trajectory sum of the recorded chosen-action log-probs."""
-    n = len(passes[0].chosen)
+    n = len(passes.chosen)
     total = np.zeros(n)
-    for p in passes:
-        total += p.logp[np.arange(n), p.chosen]
+    for t, logp in enumerate(passes.logp):
+        total += logp[np.arange(n), passes.chosen[:, t]]
     return total
 
 
@@ -107,7 +107,7 @@ class TestSampling:
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         keys, passes = gf._rollout(net, tiny_space, 20, rng, 0.3, keep_caches=True)
-        assert len(passes) == tiny_space.slots
+        assert len(passes.logp) == tiny_space.slots
         recorded = chosen_logp_sum(passes)
         for i, key in enumerate(keys):
             recomputed = sum(
@@ -115,10 +115,10 @@ class TestSampling:
                 for t in range(tiny_space.slots)
             )
             assert recorded[i] == pytest.approx(recomputed, abs=1e-10)
-        for t, p in enumerate(passes):
-            assert np.array_equal(p.chosen, [key[t] for key in keys])
-            assert np.all(p.logp <= 0.0)
-            assert np.allclose(np.exp(p.logp).sum(axis=1), 1.0, atol=1e-12)
+        assert np.array_equal(passes.chosen, keys)
+        for logp in passes.logp:
+            assert np.all(logp <= 0.0)
+            assert np.allclose(np.exp(logp).sum(axis=1), 1.0, atol=1e-12)
 
     def test_recorded_passes_match_fresh_forward(self, space):
         # train's gradient reuses the rollout's passes; they must equal a
@@ -131,18 +131,19 @@ class TestSampling:
             net, space, 16, np.random.default_rng(15), 0.2, keep_caches=True
         )
         fresh = fixed_passes(net, space, keys)
-        assert len(passes) == len(fresh) == space.slots
-        for rec, new in zip(passes, fresh):
-            assert len(rec.acts) == len(new.acts)
-            for a, b in zip(rec.acts, new.acts):
-                assert np.array_equal(a, b)
-            assert np.array_equal(rec.logp, new.logp)
-            assert np.array_equal(rec.chosen, new.chosen)
+        assert len(passes.acts) == len(fresh.acts) == len(net.trunk_w) + 1
+        for a, b in zip(passes.acts, fresh.acts):
+            assert a.shape == (space.slots * 16, b.shape[1])
+            assert np.array_equal(a, b)
+        assert len(passes.logp) == len(fresh.logp) == space.slots
+        for a, b in zip(passes.logp, fresh.logp):
+            assert np.array_equal(a, b)
+        assert np.array_equal(passes.chosen, fresh.chosen)
 
     def test_passes_dropped_without_keep_caches(self, tiny_space):
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(0))
         _, passes = gf._rollout(net, tiny_space, 5, np.random.default_rng(1), 0.0)
-        assert passes == []
+        assert passes is None
 
 
 def random_net(space, seed, hidden=(8, 8)):
@@ -238,6 +239,101 @@ class TestGradients:
         net.log_z += h
         fd = (up - down) / (2 * h)
         assert grads.log_z == pytest.approx(fd, rel=1e-6)
+
+
+def reference_grads(net, passes, log_rewards):
+    """TB gradient by the per-slot backward: every slot's head and trunk
+    gradients accumulated from that slot's own rows, one slot at a time."""
+    n = len(log_rewards)
+    rows = np.arange(n)
+    residual = net.log_z + chosen_logp_sum(passes) - log_rewards
+    dlogp = 2.0 * residual / n
+    grads = Gradients.zeros_like(net)
+    for t, logp in enumerate(passes.logp):
+        dlogits = -np.exp(logp) * dlogp[:, None]
+        dlogits[rows, passes.chosen[:, t]] += dlogp
+        acts = [a[t * n : (t + 1) * n] for a in passes.acts]
+        grads.head_w[t][...] += acts[-1].T @ dlogits
+        grads.head_b[t][...] += dlogits.sum(axis=0)
+        dh = dlogits @ net.head_w[t].T
+        for i in range(len(net.trunk_w) - 1, -1, -1):
+            dh = dh * (acts[i + 1] > 0.0)
+            grads.trunk_w[i][...] += acts[i].T @ dh
+            grads.trunk_b[i][...] += dh.sum(axis=0)
+            dh = dh @ net.trunk_w[i].T
+    grads.log_z = float(np.mean(2.0 * residual))
+    return grads
+
+
+class ReferenceAdam:
+    """Adam as one expression per parameter array, moments per array."""
+
+    def __init__(self, lr, log_z_lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.log_z_lr, self.beta1, self.beta2, self.eps = lr, log_z_lr, beta1, beta2, eps
+        self.t, self.m, self.v, self.mz, self.vz = 0, None, None, 0.0, 0.0
+
+    def step(self, net, grads):
+        params, gs = net.params(), grads.params()
+        if self.m is None:
+            self.m = [np.zeros_like(p) for p in params]
+            self.v = [np.zeros_like(p) for p in params]
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, gs, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        self.mz = self.beta1 * self.mz + (1.0 - self.beta1) * grads.log_z
+        self.vz = self.beta2 * self.vz + (1.0 - self.beta2) * grads.log_z**2
+        net.log_z = float(
+            net.log_z - self.log_z_lr * (self.mz / bc1) / (np.sqrt(self.vz / bc2) + self.eps)
+        )
+
+
+class TestFlatParameters:
+    def test_views_share_the_flat_buffer(self, space):
+        net = gf.new_policy(space, gf.TrainConfig(hidden=(16, 16)), np.random.default_rng(0))
+        sizes = [p.size for p in net.params()]
+        assert net.flat.size == sum(sizes)
+        assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in net.params()]))
+        for t, head in enumerate(net.head_w):
+            assert np.shares_memory(net.flat, head)
+            head += float(t + 1)
+        start = sum(sizes[: 2 * len(net.trunk_w)])
+        assert np.array_equal(net.flat[start : start + net.head_w[0].size], np.ones(net.head_w[0].size))
+
+    def test_stacked_backward_matches_per_slot_reference(self, space):
+        rng = np.random.default_rng(21)
+        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        for head in net.head_w:
+            head += rng.normal(0, 0.05, head.shape)
+        net.log_z = 0.3
+        keys, passes = gf._rollout(net, space, 16, rng, 0.2, keep_caches=True)
+        log_r = rng.normal(-1.0, 0.5, 16)
+        _, grads = gf.tb_loss_and_grads(net, passes, log_r)
+        ref = reference_grads(net, passes, log_r)
+        assert grads.log_z == ref.log_z
+        for a, b in zip(grads.params(), ref.params()):
+            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_flat_adam_matches_per_array_reference_exactly(self, tiny_space):
+        def make():
+            return random_net(tiny_space, 22, hidden=(8, 8))
+
+        net, ref_net = make(), make()
+        opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
+        rng = np.random.default_rng(23)
+        grads = Gradients.zeros_like(net)
+        for _ in range(5):
+            grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
+            grads.log_z = float(rng.normal())
+            opt.step(net, grads)
+            ref_opt.step(ref_net, grads)
+            assert np.array_equal(net.flat, ref_net.flat)
+            assert net.log_z == ref_net.log_z
 
 
 class TestTraining:
