@@ -22,6 +22,7 @@ from .rewards import TerminalScorer
 from .space import SpaceSpec, StateKey
 
 CHECKPOINT_VERSION = 2
+SAMPLE_CHUNK = 1024  # rows per rollout in sample_terminals
 
 
 @dataclass(frozen=True)
@@ -95,17 +96,17 @@ def slot_forward(
 def _rollout(
     net: PolicyNet,
     space: SpaceSpec,
-    n: int,
-    rng: np.random.Generator,
+    u: np.ndarray,
     explore_eps: float,
     keep_caches: bool = False,
 ) -> tuple[np.ndarray, RolloutPasses | None]:
     """Sample n trajectories in lockstep, as an (n, slots) int array of
-    terminal keys; actions drawn from the eps-mixed policy. With
+    terminal keys; actions drawn from the eps-mixed policy by inverse CDF,
+    slot t's from the uniforms u[t] of a (slots, n) array. With
     keep_caches, the slot passes are returned for the TB gradient, each
     slot's activations written into its row block; otherwise they are
-    dropped (None), which bounds memory for large n."""
-    slots = space.slots
+    dropped (None)."""
+    slots, n = u.shape
     keys = np.zeros((n, slots), dtype=np.int64)
     passes = None
     if keep_caches:
@@ -117,8 +118,7 @@ def _rollout(
         probs = np.exp(logp)
         n_actions = probs.shape[1]
         mixed = (1.0 - explore_eps) * probs + explore_eps / n_actions
-        u = rng.random((n, 1))
-        chosen = (mixed.cumsum(axis=1) < u).sum(axis=1).clip(max=n_actions - 1)
+        chosen = (mixed.cumsum(axis=1) < u[t, :, None]).sum(axis=1).clip(max=n_actions - 1)
         keys[:, t] = chosen
         if passes is not None:
             passes.logp.append(logp)
@@ -184,7 +184,8 @@ def train(
     half = max(1, cfg.steps // 2)
     for step in range(1, cfg.steps + 1):
         eps = cfg.explore_eps * max(0.0, 1.0 - (step - 1) / half)
-        key_array, passes = _rollout(net, space, cfg.batch, rng, eps, keep_caches=True)
+        u = rng.random((space.slots, cfg.batch))
+        key_array, passes = _rollout(net, space, u, eps, keep_caches=True)
         keys = _key_tuples(key_array)
         records = scorer.score(keys)
         log_rewards = np.log([rec.reward for rec in records])
@@ -224,11 +225,18 @@ def exact_terminal_distribution(
 def sample_terminals(
     net: PolicyNet, space: SpaceSpec, n: int, rng: np.random.Generator
 ) -> list[StateKey]:
+    """n terminal keys drawn from the policy. The rollout runs over row
+    chunks of SAMPLE_CHUNK, so the activations held at once stay bounded
+    whatever n is; the uniforms are drawn up front, so the keys do not
+    depend on the chunking."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return []
-    keys, _ = _rollout(net, space, n, rng, explore_eps=0.0)
+    u = rng.random((space.slots, n))
+    keys = np.empty((n, space.slots), dtype=np.int64)
+    for lo in range(0, n, SAMPLE_CHUNK):
+        keys[lo : lo + SAMPLE_CHUNK], _ = _rollout(
+            net, space, u[:, lo : lo + SAMPLE_CHUNK], explore_eps=0.0
+        )
     return _key_tuples(keys)
 
 

@@ -87,7 +87,7 @@ class TestSampling:
         net = delta_net(tiny_space, (0, 0))
         rng = np.random.default_rng(4)
         n = 10_000
-        keys, _ = gf._rollout(net, tiny_space, n, rng, explore_eps=0.999)
+        keys, _ = gf._rollout(net, tiny_space, rng.random((2, n)), explore_eps=0.999)
         for t, r in enumerate(tiny_space.slot_radices):
             counts = np.bincount([key[t] for key in keys], minlength=r)
             p = 1.0 / r
@@ -97,7 +97,7 @@ class TestSampling:
     def test_delta_policy_without_exploration(self, tiny_space):
         net = delta_net(tiny_space, (1, 2))
         rng = np.random.default_rng(5)
-        keys, _ = gf._rollout(net, tiny_space, 50, rng, explore_eps=0.0)
+        keys, _ = gf._rollout(net, tiny_space, rng.random((2, 50)), explore_eps=0.0)
         assert keys.tolist() == [[1, 2]] * 50
 
     def test_logp_bookkeeping(self, tiny_space):
@@ -106,7 +106,7 @@ class TestSampling:
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8, 8)), rng)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
-        keys, passes = gf._rollout(net, tiny_space, 20, rng, 0.3, keep_caches=True)
+        keys, passes = gf._rollout(net, tiny_space, rng.random((2, 20)), 0.3, keep_caches=True)
         assert len(passes.logp) == tiny_space.slots
         recorded = chosen_logp_sum(passes)
         for i, key in enumerate(keys):
@@ -128,7 +128,8 @@ class TestSampling:
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
         keys, passes = gf._rollout(
-            net, space, 16, np.random.default_rng(15), 0.2, keep_caches=True
+            net, space, np.random.default_rng(15).random((space.slots, 16)), 0.2,
+            keep_caches=True,
         )
         fresh = fixed_passes(net, space, keys)
         assert len(passes.acts) == len(fresh.acts) == len(net.trunk_w) + 1
@@ -142,7 +143,7 @@ class TestSampling:
 
     def test_passes_dropped_without_keep_caches(self, tiny_space):
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(0))
-        _, passes = gf._rollout(net, tiny_space, 5, np.random.default_rng(1), 0.0)
+        _, passes = gf._rollout(net, tiny_space, np.random.default_rng(1).random((2, 5)), 0.0)
         assert passes is None
 
 
@@ -311,7 +312,7 @@ class TestFlatParameters:
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
         net.log_z = 0.3
-        keys, passes = gf._rollout(net, space, 16, rng, 0.2, keep_caches=True)
+        keys, passes = gf._rollout(net, space, rng.random((space.slots, 16)), 0.2, keep_caches=True)
         log_r = rng.normal(-1.0, 0.5, 16)
         _, grads = gf.tb_loss_and_grads(net, passes, log_r)
         ref = reference_grads(net, passes, log_r)
@@ -485,6 +486,21 @@ class TestSampleTerminals:
         net = delta_net(tiny_space, (1, 0))
         keys = gf.sample_terminals(net, tiny_space, 10, np.random.default_rng(0))
         assert keys == [(1, 0)] * 10
+
+    @pytest.mark.parametrize(
+        "n", [1, gf.SAMPLE_CHUNK - 1, gf.SAMPLE_CHUNK, 2 * gf.SAMPLE_CHUNK + 3]
+    )
+    def test_chunks_equal_one_rollout(self, space, n):
+        rng = np.random.default_rng(24)
+        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        for head in net.head_w:
+            head += rng.normal(0, 1.0, head.shape)
+        keys = gf.sample_terminals(net, space, n, np.random.default_rng(25))
+        whole, _ = gf._rollout(
+            net, space, np.random.default_rng(25).random((space.slots, n)), explore_eps=0.0
+        )
+        assert keys == [tuple(k) for k in whole.tolist()]
+        assert len(set(keys)) > min(n, 20) // 2
 
 
 class TestCheckpoint:
