@@ -15,6 +15,21 @@ from .rewards import TerminalScorer
 from .space import SpaceSpec, StateKey
 
 
+def export_trace_csv(path, evaluated, config_hash: str = "") -> None:
+    """(key, loss) pairs in evaluation order, one row each with the best
+    loss so far; the format of every trace.csv and samples.csv."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"# config_hash={config_hash}"])
+        writer.writerow(["iteration", "key", "loss", "best_so_far"])
+        best = float("inf")
+        for i, (key, loss) in enumerate(evaluated, start=1):
+            best = min(best, loss)
+            writer.writerow(
+                ["%d" % i, "-".join(map(str, key)), repr(float(loss)), repr(float(best))]
+            )
+
+
 @dataclass
 class SearchTrace:
     method: str
@@ -23,16 +38,7 @@ class SearchTrace:
     evaluated: list[tuple[StateKey, float]] = field(default_factory=list)
 
     def export_csv(self, path, config_hash: str = "") -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"# config_hash={config_hash}"])
-            writer.writerow(["iteration", "key", "loss", "best_so_far"])
-            best = float("inf")
-            for i, (key, loss) in enumerate(self.evaluated, start=1):
-                best = min(best, loss)
-                writer.writerow(
-                    ["%d" % i, "-".join(map(str, key)), repr(float(loss)), repr(float(best))]
-                )
+        export_trace_csv(path, self.evaluated, config_hash)
 
     @classmethod
     def from_csv(cls, path, method: str = "", seed: int = 0) -> "SearchTrace":

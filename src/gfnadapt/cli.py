@@ -140,12 +140,6 @@ def cmd_enumerate(cfg: ExperimentConfig) -> None:
     print(f"enumerate: wrote {len(table.keys)} states to {out}")
 
 
-def _write_trace_csv(path, evaluated, config_hash):
-    trace = baselines.SearchTrace(method="", budget=len(evaluated), seed=0)
-    trace.evaluated = list(evaluated)
-    trace.export_csv(path, config_hash)
-
-
 def cmd_train(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
@@ -176,7 +170,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
             writer.writerow(["step", "tb_loss", "log_z", "unique_terminals"])
             for step, loss, log_z, uniq in result.log_rows:
                 writer.writerow([step, repr(float(loss)), repr(float(log_z)), uniq])
-        _write_trace_csv(out / "trace.csv", result.evaluated, run_hash)
+        baselines.export_trace_csv(out / "trace.csv", result.evaluated, run_hash)
         _write_meta(
             out,
             scorer,
@@ -203,14 +197,14 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
             print(f"sample[{seed}]: {out} already complete, skipping")
             continue
         out.mkdir(parents=True, exist_ok=True)
-        net, _ = gflownet.load_checkpoint(ckpt, gflownet.checkpoint_signature(ws.space, run_hash))
+        net = gflownet.load_checkpoint(ckpt, gflownet.checkpoint_signature(ws.space, run_hash))
         scorer = ws.scorer()
         start = time.monotonic()
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
         )
         evaluated = [(k, rec.aggregate) for k, rec in zip(keys, scorer.score(keys))]
-        _write_trace_csv(out / "samples.csv", evaluated, run_hash)
+        baselines.export_trace_csv(out / "samples.csv", evaluated, run_hash)
         _write_meta(
             out,
             scorer,
@@ -347,7 +341,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             ckpt = root / "train" / str(seed) / "checkpoint.bin"
             if ckpt.exists():
                 signature = gflownet.checkpoint_signature(ws.space, run_hash)
-                net, _ = gflownet.load_checkpoint(ckpt, signature)
+                net = gflownet.load_checkpoint(ckpt, signature)
                 learned = gflownet.exact_terminal_distribution(net, ws.space, cfg["run.enum_cap"])
                 l1_per_seed[str(seed)] = lsc.l1_distance(table.target_prob, learned)
     manifest = {

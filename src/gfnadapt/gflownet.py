@@ -21,7 +21,7 @@ from .nn import Adam, Gradients, PolicyNet, log_softmax
 from .rewards import TerminalScorer
 from .space import SpaceSpec, StateKey
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 SAMPLE_CHUNK = 1024  # rows per rollout in sample_terminals
 
 
@@ -255,14 +255,13 @@ def checkpoint_signature(space: SpaceSpec, run_hash: str) -> dict:
     }
 
 
-def save_checkpoint(path, net: PolicyNet, signature: dict, rng_state: dict | None = None) -> None:
+def save_checkpoint(path, net: PolicyNet, signature: dict) -> None:
     header = {
         "version": CHECKPOINT_VERSION,
         "signature": signature,
-        "trunk_dims": [list(w.shape) for w in net.trunk_w],
-        "head_dims": [list(w.shape) for w in net.head_w],
+        "trunk_dims": [list(s) for s in net.trunk_shapes],
+        "head_dims": [list(s) for s in net.head_shapes],
         "log_z": net.log_z,
-        "rng_state": rng_state,
     }
     blob = json.dumps(header, sort_keys=True).encode()
     with open(path, "wb") as fh:
@@ -271,7 +270,7 @@ def save_checkpoint(path, net: PolicyNet, signature: dict, rng_state: dict | Non
         fh.write(net.flat.astype("<f8", copy=False).tobytes())
 
 
-def load_checkpoint(path, signature: dict) -> tuple[PolicyNet, dict | None]:
+def load_checkpoint(path, signature: dict) -> PolicyNet:
     with open(path, "rb") as fh:
         try:
             (hlen,) = struct.unpack("<I", fh.read(4))
@@ -280,7 +279,10 @@ def load_checkpoint(path, signature: dict) -> tuple[PolicyNet, dict | None]:
             raise ValueError(f"checkpoint {path} has a corrupt header") from exc
         version = header.get("version") if isinstance(header, dict) else None
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"checkpoint {path} has unsupported version {version}")
+            raise ValueError(
+                f"checkpoint {path} has version {version}; this program reads version "
+                f"{CHECKPOINT_VERSION} only"
+            )
         stored = header["signature"]
         wrong = [name for name in signature if stored.get(name) != signature[name]]
         if wrong:
@@ -295,4 +297,4 @@ def load_checkpoint(path, signature: dict) -> tuple[PolicyNet, dict | None]:
             f"checkpoint {path} holds {len(body)} parameter bytes, expected {net.flat.nbytes}"
         )
     net.flat[:] = np.frombuffer(body, dtype="<f8")
-    return net, header.get("rng_state")
+    return net

@@ -3,6 +3,14 @@
 The forward policy is a shared ReLU trunk with one linear logit head per
 decision slot. Differentiation is implemented directly for this fixed
 architecture; no learning framework is used.
+
+All parameters live in one contiguous float64 vector: trunk weights, trunk
+biases, head weights, head biases, layer by layer and slot by slot. That is
+the order of params() and of a checkpoint's parameter bytes, and gradients
+and Adam's moments use the same layout, so an optimizer step is a few
+whole-vector passes. The forward runs once per slot (slot t's input depends
+on the action drawn at slot t-1); the backward stacks every slot's rows and
+runs one pass per trunk layer.
 """
 
 from __future__ import annotations
@@ -20,8 +28,6 @@ def _fan_in_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarr
 def log_softmax(z: np.ndarray) -> np.ndarray:
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-
-
 
 
 class FlatParams:

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import struct
 
 import pytest
 import yaml
@@ -407,6 +408,20 @@ class TestPipeline:
         assert run(workspace, "sample", override) == 2
         assert f"{field} is" in capsys.readouterr().err
         assert not (out_root(workspace, override) / "sample" / "1" / "done").exists()
+
+    def test_version_2_checkpoint_exits_2(self, workspace, capsys):
+        # version 2 headers carried an "rng_state" key that version 3 dropped
+        assert run(workspace, "train") == 0
+        ckpt = out_root(workspace) / "train" / "1" / "checkpoint.bin"
+        blob = ckpt.read_bytes()
+        hlen = struct.unpack("<I", blob[:4])[0]
+        header = dict(json.loads(blob[4 : 4 + hlen]), version=2, rng_state=None)
+        old = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(struct.pack("<I", len(old)) + old + blob[4 + hlen :])
+        capsys.readouterr()
+        assert run(workspace, "sample") == 2
+        assert "has version 2; this program reads version 3" in capsys.readouterr().err
+        assert not (out_root(workspace) / "sample" / "1" / "done").exists()
 
     @pytest.mark.parametrize(
         "blob",

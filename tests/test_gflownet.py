@@ -512,12 +512,22 @@ class TestCheckpoint:
             head += rng.normal(0, 1, head.shape)
         path = tmp_path / "ckpt.bin"
         signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
-        gf.save_checkpoint(path, net, signature, rng_state={"seed": 13})
-        loaded, rng_state = gf.load_checkpoint(path, signature)
-        assert rng_state == {"seed": 13}
+        gf.save_checkpoint(path, net, signature)
+        loaded = gf.load_checkpoint(path, signature)
         assert loaded.log_z == net.log_z
+        assert np.array_equal(loaded.flat, net.flat)
         for a, b in zip(net.params(), loaded.params()):
             assert np.array_equal(a, b)
+            assert np.shares_memory(loaded.flat, b)
+
+    def test_torn_parameter_block_refused(self, tiny_space, tmp_path):
+        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
+        signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
+        path = tmp_path / "a.bin"
+        gf.save_checkpoint(path, net, signature)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="parameter bytes"):
+            gf.load_checkpoint(path, signature)
 
     def test_deterministic_bytes(self, tiny_space, tmp_path):
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
