@@ -383,6 +383,20 @@ class TestPipeline:
         assert run(workspace, "report") == 2
 
     @pytest.mark.parametrize(
+        "row",
+        ["21,1-2", "21,1-", "21,1-2,0.5", "21,x-2,0.5,0.5"],
+        ids=["short", "torn-key", "without-best", "non-integer-action"],
+    )
+    def test_malformed_trace_row_exits_2(self, workspace, capsys, row):
+        assert run(workspace, "train") == 0
+        trace = out_root(workspace) / "train" / "1" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines + [row]) + "\n")
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "old, new, field",
         [
             # one more canopy action: a different slot layout
