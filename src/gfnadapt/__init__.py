@@ -1,6 +1,6 @@
 """Reward-proportional GFlowNet adaptation of mechanistic crop simulators."""
 
-from .cache import LossRecord, RewardCache
+from .cache import RewardCache
 from .rewards import QuantileTable, RewardConfig, TerminalScorer
 from .simulator import (
     DEFAULT_TRUTH_KEY,

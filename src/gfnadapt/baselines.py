@@ -1,13 +1,13 @@
-"""Baseline searchers over the grouped discrete space.
+"""Baseline searchers over the grouped discrete space, and the trace files.
 
 Both searchers score proposals through the shared reward cache, so their
 recorded losses are bit-identical to the cache records for the same keys.
+Each returns its (key, loss) pairs in evaluation order.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,25 +30,25 @@ def export_trace_csv(path, evaluated, config_hash: str = "") -> None:
             )
 
 
-@dataclass
-class SearchTrace:
-    method: str
-    budget: int
-    seed: int
-    evaluated: list[tuple[StateKey, float]] = field(default_factory=list)
-
-    def export_csv(self, path, config_hash: str = "") -> None:
-        export_trace_csv(path, self.evaluated, config_hash)
-
-    @classmethod
-    def from_csv(cls, path, method: str = "", seed: int = 0) -> "SearchTrace":
-        evaluated = []
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        for row in rows[2:]:
-            key = tuple(int(x) for x in row[1].split("-"))
-            evaluated.append((key, float(row[2])))
-        return cls(method=method, budget=len(evaluated), seed=seed, evaluated=evaluated)
+def read_trace_csv(path) -> list[tuple[StateKey, float]]:
+    """The (key, loss) pairs of a file written by export_trace_csv. A row
+    that is not four fields with a valid key and loss (a torn write, say)
+    raises ValueError naming the file and the line."""
+    evaluated = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if reader.line_num <= 2:  # config hash, header
+                continue
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"{len(row)} fields")
+                evaluated.append((tuple(int(a) for a in row[1].split("-")), float(row[2])))
+            except ValueError as exc:
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: malformed trace row {row}: {exc}"
+                ) from None
+    return evaluated
 
 
 def _uniform_key(radices: tuple[int, ...], rng: np.random.Generator) -> StateKey:
@@ -60,16 +60,15 @@ def random_search(
     scorer: TerminalScorer,
     budget: int,
     seed: int,
-) -> SearchTrace:
+) -> list[tuple[StateKey, float]]:
     """Uniform i.i.d. terminals, each slot's action uniform."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
     rng = np.random.default_rng(seed)
     radices = space.slot_radices
     keys = [_uniform_key(radices, rng) for _ in range(budget)]
-    records = scorer.score(keys)
-    evaluated = [(key, rec.aggregate) for key, rec in zip(keys, records)]
-    return SearchTrace(method="random", budget=budget, seed=seed, evaluated=evaluated)
+    losses, _ = scorer.score(keys)
+    return list(zip(keys, losses.tolist()))
 
 
 def tpe_search(
@@ -80,7 +79,7 @@ def tpe_search(
     gamma: float = 0.25,
     n_candidates: int = 24,
     startup: int = 10,
-) -> SearchTrace:
+) -> list[tuple[StateKey, float]]:
     """Per-slot categorical tree-structured Parzen estimator.
 
     After `startup` uniform draws, the history is split at the gamma
@@ -103,7 +102,7 @@ def tpe_search(
         raise ValueError("budget must be >= 0")
     rng = np.random.default_rng(seed)
     radices = space.slot_radices
-    trace = SearchTrace(method="tpe", budget=budget, seed=seed)
+    evaluated = []
     keys = np.zeros((budget, len(radices)), dtype=np.int64)
     losses = np.zeros(budget)
     for it in range(budget):
@@ -130,7 +129,6 @@ def tpe_search(
                 ratios[:, t] = l[c] / g[c]
             keys[it] = candidates[np.argmax(np.prod(ratios, axis=1))]
         key = tuple(int(a) for a in keys[it])
-        loss = scorer.score([key])[0].aggregate
-        losses[it] = loss
-        trace.evaluated.append((key, loss))
-    return trace
+        losses[it] = scorer.score([key])[0][0]
+        evaluated.append((key, float(losses[it])))
+    return evaluated

@@ -2,11 +2,11 @@
 
 Append-only binary log of what the simulator produced: each record is the
 canonical key bytes, the per-context raw losses as little-endian float64, and
-a CRC32 of both. The normalized losses, aggregate and reward are derived from
-the raw losses by the cache's `derive` function, in one pass over all records
-on load and one pass per committed batch. Duplicate keys resolve to the
-first-written record, which makes the file crash-safe and merge-friendly
-across runs.
+a CRC32 of both. In memory the cache holds each key's aggregate loss and
+reward only, derived from the raw losses by the cache's `derive` function in
+one pass over all records on load and one pass per committed batch.
+Duplicate keys resolve to the first-written record, which makes the file
+crash-safe and merge-friendly across runs.
 """
 
 from __future__ import annotations
@@ -15,33 +15,23 @@ import os
 import struct
 import threading
 import zlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .space import StateKey, key_bytes, key_from_bytes
+from .space import StateKey, key_bytes
 
 _MAGIC = b"GFRC"
 SCHEMA_VERSION = 2
 _HEADER = struct.Struct("<4sBBBx")  # magic, schema, key_len, n_contexts, pad
 
 
-@dataclass(frozen=True)
-class LossRecord:
-    key: StateKey
-    raw: np.ndarray         # per-context raw losses
-    normalized: np.ndarray  # per-context quantile-normalized losses
-    aggregate: float        # tail-risk adaptation loss
-    reward: float           # exp(-beta * aggregate)
-
-
 class RewardCache:
     """Thread-safe first-write-wins raw-loss log keyed by canonical key bytes.
 
-    `derive` maps (n, C) raw losses to the (n, C) normalized losses, (n,)
-    aggregates and (n,) rewards of the records."""
+    `derive` maps (n, C) raw losses to the (n,) aggregates and (n,) rewards
+    of the records."""
 
     def __init__(self, path, key_len: int, n_contexts: int, derive: Callable):
         self.path = Path(path)
@@ -50,7 +40,7 @@ class RewardCache:
         self.derive = derive
         self._record = np.dtype([("key", f"V{key_len}"), ("raw", "<f8", n_contexts),
                                  ("crc", "<u4")])
-        self._index: dict[bytes, LossRecord] = {}
+        self._index: dict[bytes, tuple[float, float]] = {}  # aggregate, reward
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
@@ -78,31 +68,35 @@ class RewardCache:
         if whole < len(data):  # torn tail write: cut back to the last whole record
             os.truncate(self.path, _HEADER.size + whole)
         records = np.frombuffer(data, self._record, whole // size)
-        view, first = memoryview(data), {}  # key bytes -> index of its first record
-        for i, at in enumerate(range(0, whole, size)):
-            if zlib.crc32(view[at : at + size - 4]) != records["crc"][i]:
-                raise ValueError(f"cache {self.path}: record at byte "
-                                 f"{_HEADER.size + at} fails its CRC32 check")
-            first.setdefault(bytes(view[at : at + self.key_len]), i)
-        keys = [key_from_bytes(kb) for kb in first]
-        self._index = dict(zip(first, self._records(keys, records["raw"][list(first.values())])))
+        bad = np.flatnonzero(records["crc"] != self._crcs(records))
+        if bad.size:
+            raise ValueError(f"cache {self.path}: record at byte "
+                             f"{_HEADER.size + bad[0] * size} fails its CRC32 check")
+        first: dict[bytes, int] = {}  # key bytes -> index of its first record
+        for i, kb in enumerate(records["key"].tolist()):
+            first.setdefault(kb, i)
+        self._index = dict(zip(first, self._derived(records["raw"][list(first.values())])))
 
-    def _records(self, keys: list[StateKey], raw: np.ndarray) -> list[LossRecord]:
-        norm, agg, rew = self.derive(raw)
-        # row copies: a view would keep its whole batch array alive
-        return [LossRecord(key, raw[i].copy(), norm[i].copy(), float(agg[i]), float(rew[i]))
-                for i, key in enumerate(keys)]
+    def _crcs(self, records: np.ndarray) -> list[int]:
+        """CRC32 of each record's key and raw-loss bytes."""
+        body = records.view(np.uint8).reshape(len(records), self._record.itemsize)
+        return [zlib.crc32(row) for row in body[:, :-4]]
+
+    def _derived(self, raw: np.ndarray) -> list[tuple[float, float]]:
+        agg, rew = self.derive(raw)
+        return list(zip(agg.tolist(), rew.tolist()))
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def get(self, key: StateKey) -> LossRecord | None:
+    def get(self, key: StateKey) -> tuple[float, float] | None:
+        """(aggregate, reward) of a held key; None if the cache lacks it."""
         return self._index.get(key_bytes(key))
 
-    def put(self, keys: Sequence[StateKey], raw: np.ndarray) -> list[LossRecord]:
+    def put(self, keys: Sequence[StateKey], raw: np.ndarray) -> list[tuple[float, float]]:
         """Commit the (n, C) raw losses of n keys: the keys not yet held are
         derived in one pass and appended in one write. Returns each key's
-        winning (maybe pre-existing) record."""
+        winning (maybe pre-existing) (aggregate, reward)."""
         with self._lock:
             fresh: dict[bytes, int] = {}  # key bytes -> row of its first occurrence
             for i, key in enumerate(keys):
@@ -110,15 +104,12 @@ class RewardCache:
                 if kb not in self._index:
                     fresh.setdefault(kb, i)
             if fresh:
-                rows = list(fresh.values())
-                records = self._records([keys[i] for i in rows],
-                                        np.asarray(raw, dtype=float)[rows])
-                blob = bytearray()
-                for kb, record in zip(fresh, records):
-                    body = kb + record.raw.astype("<f8").tobytes()
-                    blob += body + zlib.crc32(body).to_bytes(4, "little")
+                records = np.zeros(len(fresh), self._record)
+                records["key"] = np.frombuffer(b"".join(fresh), records.dtype["key"])
+                records["raw"] = np.asarray(raw, dtype=float)[list(fresh.values())]
+                records["crc"] = self._crcs(records)
                 with open(self.path, "ab") as fh:
-                    fh.write(blob)
+                    fh.write(records.tobytes())
                     fh.flush()
-                self._index.update(zip(fresh, records))
+                self._index.update(zip(fresh, self._derived(records["raw"])))
             return [self._index[key_bytes(key)] for key in keys]

@@ -203,7 +203,8 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
         )
-        evaluated = [(k, rec.aggregate) for k, rec in zip(keys, scorer.score(keys))]
+        losses, _ = scorer.score(keys)
+        evaluated = list(zip(keys, losses.tolist()))
         baselines.export_trace_csv(out / "samples.csv", evaluated, run_hash)
         _write_meta(
             out,
@@ -233,13 +234,13 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
         scorer = ws.scorer()
         start = time.monotonic()
         if method == "random":
-            trace = baselines.random_search(ws.space, scorer, budget, seed)
+            evaluated = baselines.random_search(ws.space, scorer, budget, seed)
         else:
-            trace = baselines.tpe_search(
+            evaluated = baselines.tpe_search(
                 ws.space, scorer, budget, seed, gamma=cfg["baseline.gamma"],
                 n_candidates=cfg["baseline.n_candidates"], startup=cfg["baseline.startup"],
             )
-        trace.export_csv(out / "trace.csv", run_hash)
+        baselines.export_trace_csv(out / "trace.csv", evaluated, run_hash)
         _write_meta(
             out,
             scorer,
@@ -251,7 +252,7 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
         )
         _mark_done(out)
         print(f"baseline-{method}[{seed}]: best loss "
-              f"{min(l for _, l in trace.evaluated):.4g}")
+              f"{min(l for _, l in evaluated):.4g}")
 
 
 def _check_hash(path: Path, run_hash: str) -> None:
@@ -299,9 +300,9 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     all_losses = []
     traces = {}
     for method, seed, trace_path, meta_path in found:
-        trace = baselines.SearchTrace.from_csv(trace_path, method=method, seed=seed)
-        traces[(method, seed)] = (trace, json.load(open(meta_path)))
-        all_losses.extend(loss for _, loss in trace.evaluated)
+        evaluated = baselines.read_trace_csv(trace_path)
+        traces[(method, seed)] = (evaluated, json.loads(meta_path.read_text()))
+        all_losses.extend(loss for _, loss in evaluated)
     l_star = (
         float(table.aggregates.min()) if table is not None else min(all_losses)
     )
@@ -310,9 +311,9 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     if table is not None:
         ks = sorted({min(k, len(table.keys)) for k in ks})
     reports = []
-    for (method, seed), (trace, meta) in sorted(traces.items()):
-        losses = [loss for _, loss in trace.evaluated]
-        med, ham, deficient = metrics.top20_stats(trace.evaluated)
+    for (method, seed), (evaluated, meta) in sorted(traces.items()):
+        losses = [loss for _, loss in evaluated]
+        med, ham, deficient = metrics.top20_stats(evaluated)
         rep = metrics.RetrievalReport(
             method=method,
             seed=seed,
@@ -324,7 +325,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             best_so_far=metrics.best_so_far(losses, l_star, beta),
             topk_recovery=(
                 metrics.topk_recovery(
-                    {k for k, _ in trace.evaluated}, table, ks
+                    {k for k, _ in evaluated}, table, ks
                 )
                 if table is not None
                 else []

@@ -10,6 +10,7 @@ per-slot passes the rollout recorded while sampling.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -40,6 +41,16 @@ def feature_dim(space: SpaceSpec) -> int:
     return sum(r + 1 for r in space.slot_radices) + space.slots
 
 
+@functools.lru_cache
+def _column_offsets(radices: tuple[int, ...]) -> np.ndarray:
+    """First feature column of each slot's one-hot block (each with its
+    undecided category), then of the current-slot block; read-only, as
+    every caller shares it."""
+    offsets = np.cumsum([0, *(r + 1 for r in radices)])
+    offsets.flags.writeable = False
+    return offsets
+
+
 def encode_batch(
     space: SpaceSpec, keys: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -49,7 +60,7 @@ def encode_batch(
     rows are written there."""
     keys = np.asarray(keys, dtype=np.int64)
     n, t = keys.shape
-    offsets = np.cumsum([0, *(r + 1 for r in space.slot_radices)])
+    offsets = _column_offsets(space.slot_radices)
     cols = np.empty((n, space.slots + 1), dtype=np.int64)
     cols[:, :t] = offsets[:t] + 1 + keys
     cols[:, t:-1] = offsets[t:-1]  # undecided
@@ -187,11 +198,10 @@ def train(
         u = rng.random((space.slots, cfg.batch))
         key_array, passes = _rollout(net, space, u, eps, keep_caches=True)
         keys = _key_tuples(key_array)
-        records = scorer.score(keys)
-        log_rewards = np.log([rec.reward for rec in records])
-        evaluated.extend((k, rec.aggregate) for k, rec in zip(keys, records))
+        losses, rewards = scorer.score(keys)
+        evaluated.extend(zip(keys, losses.tolist()))
         seen.update(keys)
-        loss, _ = tb_loss_and_grads(net, passes, log_rewards, grads)
+        loss, _ = tb_loss_and_grads(net, passes, np.log(rewards), grads)
         if not np.isfinite(loss):
             raise RuntimeError(f"trajectory balance loss diverged at step {step}")
         opt.step(net, grads)
@@ -214,7 +224,7 @@ def exact_terminal_distribution(
     prefixes = np.zeros((1, 0), dtype=np.int64)
     logps = np.zeros(1)
     for t, r in enumerate(space.slot_radices):
-        logp = net.log_probs(encode_batch(space, prefixes), t)
+        _, logp = slot_forward(net, space, prefixes, t)
         logps = (logps[:, None] + logp).ravel()
         prefixes = np.column_stack(
             [np.repeat(prefixes, r, axis=0), np.tile(np.arange(r), len(prefixes))]

@@ -25,13 +25,6 @@ class LandscapeTable:
     z: float
     target_prob: np.ndarray
 
-    def index_of(self, key: StateKey) -> int:
-        # mixed-radix decode; the last key holds each slot's largest action
-        radices = [a + 1 for a in self.keys[-1]]
-        if len(key) != len(radices) or not all(0 <= a < r for a, r in zip(key, radices)):
-            raise KeyError(key)
-        return sum(a * p for a, p in zip(key, place_values(radices)))
-
 
 @dataclass(frozen=True)
 class BasinAssignment:
@@ -46,9 +39,7 @@ def build_landscape(
     if count > cap:
         raise ValueError(f"space has {count} terminals, exceeding cap {cap}")
     keys = list(enumerate_terminals(space))
-    records = scorer.score(keys)
-    aggregates = np.array([rec.aggregate for rec in records])
-    rewards = np.array([rec.reward for rec in records])
+    aggregates, rewards = scorer.score(keys)
     z = float(rewards.sum())
     return LandscapeTable(keys, aggregates, rewards, z, rewards / z)
 
@@ -60,54 +51,37 @@ def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
     probability provided it strictly improves; among equally best improving
     neighbors the canonically smallest key wins. Modes are their own fixed
     points.
+
+    Indices are mixed-radix place-value sums, so the smallest index is the
+    smallest key. Every terminal's best neighbor is found in one array pass
+    per (slot, action); the modes then follow by pointer jumping, which
+    doubles the ascent steps covered on each pass.
     """
-    radices = space.slot_radices
-    pv = place_values(radices)
     probs = landscape.target_prob
     n = len(probs)
-    keys = landscape.keys
-
-    def best_neighbor(idx: int) -> int:
-        key = keys[idx]
-        best_idx, best_prob, best_key = idx, probs[idx], None
-        for t, r in enumerate(radices):
-            base = idx - key[t] * pv[t]
-            for b in range(r):
-                if b == key[t]:
-                    continue
-                j = base + b * pv[t]
-                cand_key = keys[j]
-                if probs[j] > best_prob or (
-                    best_key is not None and probs[j] == best_prob and cand_key < best_key
-                ):
-                    best_idx, best_prob, best_key = j, probs[j], cand_key
-        return best_idx
-
-    mode_of = np.full(n, -1, dtype=np.int64)
-    for start in range(n):
-        if mode_of[start] >= 0:
-            continue
-        path = []
-        cur = start
-        steps = 0
-        while mode_of[cur] < 0:
-            path.append(cur)
-            nxt = best_neighbor(cur)
-            steps += 1
-            if steps > n:
-                raise RuntimeError("ascent failed to terminate")
-            if nxt == cur:
-                mode_of[cur] = cur
-                break
-            cur = nxt
-        mode = mode_of[cur]
-        for idx in path:
-            mode_of[idx] = mode
-
-    basin_mass: dict[int, float] = {}
-    for idx in range(n):
-        m = int(mode_of[idx])
-        basin_mass[m] = basin_mass.get(m, 0.0) + float(probs[idx])
+    index = np.arange(n)
+    best = index.copy()
+    for r, pv in zip(space.slot_radices, place_values(space.slot_radices)):
+        base = index - index // pv % r * pv  # this slot's action set to 0
+        for b in range(r):
+            j = base + b * pv
+            better = (probs[j] > probs) & (
+                (probs[j] > probs[best]) | ((probs[j] == probs[best]) & (j < best))
+            )
+            best[better] = j[better]
+    # every step strictly raises the probability, so ascents are at most n
+    # long and n.bit_length() doublings cover them
+    mode_of = best
+    for _ in range(n.bit_length() + 1):
+        jumped = mode_of[mode_of]
+        if np.array_equal(jumped, mode_of):
+            break
+        mode_of = jumped
+    else:
+        raise RuntimeError("ascent failed to terminate")
+    mass = np.bincount(mode_of, weights=probs, minlength=n)
+    modes = np.unique(mode_of)
+    basin_mass = dict(zip(modes.tolist(), mass[modes].tolist()))
     return BasinAssignment(mode_of=mode_of, basin_mass=basin_mass)
 
 
@@ -117,23 +91,6 @@ def l1_distance(p: np.ndarray, q: np.ndarray) -> float:
     if p.shape != q.shape:
         raise ValueError("support mismatch")
     return float(np.abs(p - q).sum())
-
-
-def ranked_profile(dist: np.ndarray) -> np.ndarray:
-    """Probabilities sorted in decreasing order."""
-    return np.sort(np.asarray(dist, dtype=float))[::-1]
-
-
-def ranked_pair_profile(
-    exact: np.ndarray, learned: np.ndarray
-) -> list[tuple[int, float, float]]:
-    """(rank, exact, learned) rows, both series ordered by exact-probability
-    rank so the profiles are directly comparable."""
-    order = np.argsort(-np.asarray(exact))
-    return [
-        (rank + 1, float(exact[i]), float(learned[i]))
-        for rank, i in enumerate(order)
-    ]
 
 
 def grid_split(space: SpaceSpec) -> int:

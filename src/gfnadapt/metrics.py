@@ -47,7 +47,8 @@ def topk_recovery(
     """How many of the target's top-k states (by probability, ties broken by
     canonical key order) appear in the found set."""
     n = len(landscape.keys)
-    order = sorted(range(n), key=lambda i: (-landscape.target_prob[i], landscape.keys[i]))
+    # a stable sort keeps equal probabilities in index order, which is key order
+    order = np.argsort(-landscape.target_prob, kind="stable")
     out = []
     for k in ks:
         if k > n:

@@ -109,10 +109,6 @@ class PolicyNet(FlatParams):
     def logits(self, h: np.ndarray, slot: int) -> np.ndarray:
         return h @ self.head_w[slot] + self.head_b[slot]
 
-    def log_probs(self, x: np.ndarray, slot: int) -> np.ndarray:
-        """Log-softmax over the slot's actions for a batch of features."""
-        return log_softmax(self.logits(self.trunk_forward(x)[-1], slot))
-
     def backward_stacked(
         self,
         acts: list[np.ndarray],

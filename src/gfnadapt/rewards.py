@@ -4,9 +4,9 @@ The scoring path for a batch of terminal states is: decode -> simulate each
 context -> normalized-residual loss per context -> quantile normalization ->
 blend of mean and worst-K tail -> Boltzmann reward exp(-beta * loss), each
 step an array pass over the batch. The reward cache stores raw losses only;
-`derive` computes the rest along the last axis, for one row or a whole cache
-file alike. `context_loss` is the one-trajectory form of the loss, kept as
-the reference the batched loss is tested against.
+`derive` computes the aggregate and reward along the last axis, for one row
+or a whole cache file alike. `context_loss` is the one-trajectory form of the
+loss, kept as the reference the batched loss is tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cache import LossRecord, RewardCache
+from .cache import RewardCache
 from .simulator import ContextDataset, simulate_batch
 from .space import SpaceSpec, StateKey, decode_batch, enumerate_terminals
 
@@ -127,10 +127,9 @@ def reward(aggregate_loss, beta: float) -> np.ndarray:
 
 
 def derive(raw: np.ndarray, q: QuantileTable, config: RewardConfig):
-    """Normalized losses, aggregate and reward of (..., C) raw losses."""
-    norm = normalize(raw, q)
-    agg = aggregate(norm, config.lam, config.k_tail)
-    return norm, agg, reward(agg, config.beta)
+    """Aggregate loss and reward of (..., C) raw losses."""
+    agg = aggregate(normalize(raw, q), config.lam, config.k_tail)
+    return agg, reward(agg, config.beta)
 
 
 class SimulatorError(RuntimeError):
@@ -216,17 +215,18 @@ class TerminalScorer:
         self._freeze(fit_quantiles(list(table.T), cfg.lo_level, cfg.hi_level))
         return self.quantiles
 
-    def score(self, keys: Sequence[StateKey]) -> list[LossRecord]:
-        """Records of the given terminal keys, in order. Repeats are looked
-        up once; the keys the cache lacks are simulated in one raw_losses
-        call and committed in one cache put."""
+    def score(self, keys: Sequence[StateKey]) -> tuple[np.ndarray, np.ndarray]:
+        """(aggregate, reward) float arrays aligned with the given terminal
+        keys. Repeats are looked up once; the keys the cache lacks are
+        simulated in one raw_losses call and committed in one cache put."""
         if self.quantiles is None:
             raise RuntimeError("quantile table not fitted")
         found = {key: self.cache.get(key) for key in dict.fromkeys(keys)}
-        misses = [key for key, rec in found.items() if rec is None]
+        misses = [key for key, pair in found.items() if pair is None]
         if misses:
             found.update(zip(misses, self.cache.put(misses, self.raw_losses(misses))))
         missed = set(misses)
         self.requested += len(keys)
         self.cache_hits += sum(key not in missed for key in keys)
-        return [found[key] for key in keys]
+        agg, rew = np.array([found[key] for key in keys], dtype=float).reshape(-1, 2).T.copy()
+        return agg, rew

@@ -8,6 +8,7 @@ graph is a tree), which later lets the backward policy be deterministic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
@@ -82,7 +83,7 @@ class SpaceSpec:
     def slot_eta(self, t: int) -> float:
         return 2.0 ** -(self.slot_cycle(t) - 1)
 
-    @property
+    @functools.cached_property  # built on first access, once per space
     def slot_radices(self) -> tuple[int, ...]:
         return tuple(len(self.slot_group(t).actions) for t in range(self.slots))
 
@@ -141,10 +142,6 @@ def is_terminal(space: SpaceSpec, key: StateKey) -> bool:
 def key_bytes(key: StateKey) -> bytes:
     """Canonical injective encoding: one unsigned byte per slot."""
     return bytes(key)
-
-
-def key_from_bytes(raw: bytes) -> StateKey:
-    return tuple(raw)
 
 
 def decode_state(space: SpaceSpec, key: StateKey) -> dict[str, float]:

@@ -59,16 +59,8 @@ class StubScorer:
         self.rewards = rewards
 
     def score(self, keys):
-        class Rec:
-            pass
-
-        records = []
-        for key in keys:
-            rec = Rec()
-            rec.reward = self.rewards[key]
-            rec.aggregate = -float(np.log(self.rewards[key]))
-            records.append(rec)
-        return records
+        rewards = np.array([self.rewards[key] for key in keys], dtype=float)
+        return -np.log(rewards), rewards
 
 
 @pytest.fixture(scope="session")

@@ -15,14 +15,14 @@ from gfnadapt import gflownet as gf
 from gfnadapt.cli import main as cli_main
 from gfnadapt.config import load_config
 from gfnadapt.landscape import basin_map, build_landscape, l1_distance
-from gfnadapt.rewards import RewardConfig, TerminalScorer, aggregate
+from gfnadapt.rewards import RewardConfig, TerminalScorer, aggregate, normalize
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
     generate_contexts,
     simulate,
     synthesize_observations,
 )
-from gfnadapt.space import decode_state, enumerate_terminals, neighbors
+from gfnadapt.space import decode_state, enumerate_terminals, neighbors, place_values
 
 from conftest import StubScorer, fixed_passes, make_tiny_space
 
@@ -85,7 +85,8 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
     cfg = fitted_scorer.config
     for _ in range(100):
         key = tuple(int(rng.integers(r)) for r in radices)
-        [rec] = fitted_scorer.score([key])
+        [loss], [rew] = fitted_scorer.score([key])
+        [got_raw] = fitted_scorer.raw_losses([key])
         params = decode_state(space, key)
         raw = np.array(
             [
@@ -96,17 +97,17 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
                 for ctx in obs_contexts
             ]
         )
-        assert rec.raw == pytest.approx(raw, rel=1e-10)
+        assert got_raw == pytest.approx(raw, rel=1e-10)
         norm = (raw - q.q_lo) / (q.q_hi - q.q_lo + 1e-8)
-        assert rec.normalized == pytest.approx(norm, rel=1e-10)
+        assert normalize(got_raw, q) == pytest.approx(norm, rel=1e-10)
         ordered = sorted(norm, reverse=True)
         agg = 0.75 * np.mean(norm) + 0.25 * np.mean(ordered[:2])
-        assert rec.aggregate == pytest.approx(agg, rel=1e-10)
+        assert loss == pytest.approx(agg, rel=1e-10)
         for beta in (2.0, 4.0, 8.0):
-            assert np.exp(-beta * rec.aggregate) == pytest.approx(
+            assert np.exp(-beta * loss) == pytest.approx(
                 np.exp(-beta * agg), rel=1e-10
             )
-        assert rec.reward == pytest.approx(np.exp(-cfg.beta * agg), rel=1e-10)
+        assert rew == pytest.approx(np.exp(-cfg.beta * agg), rel=1e-10)
         # tail blend is exactly invariant to the order of context losses
         perm = rng.permutation(norm)
         assert aggregate(perm, cfg.lam, cfg.k_tail) == aggregate(norm, cfg.lam, cfg.k_tail)
@@ -210,12 +211,12 @@ def test_full_space_learning_fidelity(space, fitted_scorer, full_landscape):
 
 
 def test_basin_analysis(tiny_space, space, full_landscape):
-    from test_landscape import FixedRewardScorer, brute_force_ascent
+    from test_landscape import brute_force_ascent
 
     # crafted unimodal landscape: one basin, membership matches exhaustive ascent
     uni = build_landscape(
         tiny_space,
-        FixedRewardScorer(
+        StubScorer(
             {k: (10.0 if k == (1, 1) else 1.0 + 0.1 * sum(k))
              for k in enumerate_terminals(tiny_space)}
         ),
@@ -227,7 +228,7 @@ def test_basin_analysis(tiny_space, space, full_landscape):
     # crafted two-peak landscape: two basins, membership matches exhaustive ascent
     two = build_landscape(
         tiny_space,
-        FixedRewardScorer(
+        StubScorer(
             {(0, 0): 8.0, (0, 1): 2.0, (0, 2): 1.0,
              (1, 0): 1.5, (1, 1): 0.5, (1, 2): 9.0}
         ),
@@ -358,7 +359,8 @@ def test_truth_state_is_optimal_without_noise(space, tmp_path):
     [raw] = scorer.raw_losses([DEFAULT_TRUTH_KEY])
     assert np.all(np.abs(raw) <= 1e-12)
     table = build_landscape(space, scorer)
-    idx = table.index_of(DEFAULT_TRUTH_KEY)
+    idx = sum(a * pv for a, pv in zip(DEFAULT_TRUTH_KEY, place_values(space.slot_radices)))
+    assert table.keys[idx] == DEFAULT_TRUTH_KEY
     assert table.aggregates[idx] == table.aggregates.min()
     order = sorted(
         range(2625), key=lambda i: (-table.target_prob[i], table.keys[i])

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gfnadapt.baselines import SearchTrace, random_search, tpe_search
+from gfnadapt.baselines import export_trace_csv, random_search, read_trace_csv, tpe_search
 from gfnadapt.metrics import best_so_far
 from gfnadapt.simulator import builtin_space
 from gfnadapt.space import enumerate_terminals
@@ -19,17 +19,9 @@ class AggScorer:
         self.calls = []
 
     def score(self, keys):
-        class Rec:
-            pass
-
         self.calls.append(list(keys))
-        records = []
-        for key in keys:
-            rec = Rec()
-            rec.aggregate = self.loss_fn(key)
-            rec.reward = float(np.exp(-4.0 * rec.aggregate))
-            records.append(rec)
-        return records
+        losses = np.array([self.loss_fn(key) for key in keys], dtype=float)
+        return losses, np.exp(-4.0 * losses)
 
 
 def separable_loss(key):
@@ -41,8 +33,7 @@ def separable_loss(key):
 class TestRandomSearch:
     def test_budget_zero(self, tiny_space):
         trace = random_search(tiny_space, AggScorer(separable_loss), 0, seed=0)
-        assert trace.evaluated == []
-        assert trace.method == "random"
+        assert trace == []
 
     def test_negative_budget_rejected(self, tiny_space):
         with pytest.raises(ValueError, match="budget"):
@@ -50,15 +41,15 @@ class TestRandomSearch:
 
     def test_keys_valid_and_count(self, tiny_space):
         trace = random_search(tiny_space, AggScorer(separable_loss), 200, seed=1)
-        assert len(trace.evaluated) == 200
+        assert len(trace) == 200
         valid = set(enumerate_terminals(tiny_space))
-        assert all(key in valid for key, _ in trace.evaluated)
+        assert all(key in valid for key, _ in trace)
 
     def test_marginals_uniform(self, tiny_space):
         n = 6000
         trace = random_search(tiny_space, AggScorer(separable_loss), n, seed=2)
         for t, r in enumerate(tiny_space.slot_radices):
-            counts = np.bincount([k[t] for k, _ in trace.evaluated], minlength=r)
+            counts = np.bincount([k[t] for k, _ in trace], minlength=r)
             p = 1.0 / r
             sigma = np.sqrt(n * p * (1 - p))
             assert np.all(np.abs(counts - n * p) <= 4 * sigma)
@@ -67,8 +58,8 @@ class TestRandomSearch:
         a = random_search(tiny_space, AggScorer(separable_loss), 50, seed=3)
         b = random_search(tiny_space, AggScorer(separable_loss), 50, seed=3)
         c = random_search(tiny_space, AggScorer(separable_loss), 50, seed=4)
-        assert a.evaluated == b.evaluated
-        assert a.evaluated != c.evaluated
+        assert a == b
+        assert a != c
 
     def test_keys_drawn_as_one_key_at_a_time(self, tiny_space):
         # all keys are drawn before the one scoring call, in the rng order
@@ -79,13 +70,13 @@ class TestRandomSearch:
         ]
         scorer = AggScorer(separable_loss)
         trace = random_search(tiny_space, scorer, 40, seed=8)
-        assert [key for key, _ in trace.evaluated] == expected
+        assert [key for key, _ in trace] == expected
         assert scorer.calls == [expected]
 
     def test_losses_match_scorer_exactly(self, tiny_space):
         scorer = AggScorer(separable_loss)
         trace = random_search(tiny_space, scorer, 30, seed=5)
-        for key, loss in trace.evaluated:
+        for key, loss in trace:
             assert loss == separable_loss(key)
 
 
@@ -118,7 +109,7 @@ def reference_tpe(space, scorer, budget, seed, gamma=0.25, n_candidates=24, star
                 for k in candidates
             ]
             key = candidates[int(np.argmax(scores))]
-        evaluated.append((key, scorer.score([key])[0].aggregate))
+        evaluated.append((key, float(scorer.score([key])[0][0])))
     return evaluated
 
 
@@ -141,7 +132,7 @@ class TestTPEMatchesReference:
     def test_seeds(self, tiny_space, which, seed):
         sp = tiny_space if which == "tiny" else dataclasses.replace(builtin_space(), cycles=2)
         budget = 150 if which == "tiny" else 80
-        got = tpe_search(sp, AggScorer(mixed_loss), budget, seed).evaluated
+        got = tpe_search(sp, AggScorer(mixed_loss), budget, seed)
         assert got == reference_tpe(sp, AggScorer(mixed_loss), budget, seed)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # quantile of infs
@@ -152,7 +143,7 @@ class TestTPEMatchesReference:
         # constant: no key is bad, so the bad density falls back to the good one
         sp = make_tiny_space(cycles=2)
         for seed in range(3):
-            got = tpe_search(sp, AggScorer(loss_fn), 60, seed).evaluated
+            got = tpe_search(sp, AggScorer(loss_fn), 60, seed)
             assert got == reference_tpe(sp, AggScorer(loss_fn), 60, seed)
 
     @pytest.mark.parametrize(
@@ -168,14 +159,14 @@ class TestTPEMatchesReference:
     )
     def test_edge_parameters(self, budget, kwargs):
         sp = make_tiny_space(cycles=2)
-        got = tpe_search(sp, AggScorer(mixed_loss), budget, 5, **kwargs).evaluated
+        got = tpe_search(sp, AggScorer(mixed_loss), budget, 5, **kwargs)
         assert got == reference_tpe(sp, AggScorer(mixed_loss), budget, 5, **kwargs)
 
 
 class TestTPE:
     def test_budget_zero(self, tiny_space):
         trace = tpe_search(tiny_space, AggScorer(separable_loss), 0, seed=0)
-        assert trace.evaluated == []
+        assert trace == []
 
     def test_parameter_validation(self, tiny_space):
         scorer = AggScorer(separable_loss)
@@ -190,15 +181,15 @@ class TestTPE:
 
     def test_degenerate_equal_losses(self, tiny_space):
         trace = tpe_search(tiny_space, AggScorer(lambda k: 0.5), 40, seed=1)
-        assert len(trace.evaluated) == 40
+        assert len(trace) == 40
         valid = set(enumerate_terminals(tiny_space))
-        assert all(key in valid for key, _ in trace.evaluated)
-        assert all(loss == 0.5 for _, loss in trace.evaluated)
+        assert all(key in valid for key, _ in trace)
+        assert all(loss == 0.5 for _, loss in trace)
 
     def test_deterministic_per_seed(self, tiny_space):
         a = tpe_search(tiny_space, AggScorer(separable_loss), 60, seed=6)
         b = tpe_search(tiny_space, AggScorer(separable_loss), 60, seed=6)
-        assert a.evaluated == b.evaluated
+        assert a == b
 
     def test_concentrates_on_good_actions(self):
         # on a separable landscape TPE should spend its post-startup budget
@@ -209,8 +200,8 @@ class TestTPE:
         for seed in range(5):
             tpe = tpe_search(sp, AggScorer(separable_loss), budget, seed, startup=startup)
             rnd = random_search(sp, AggScorer(separable_loss), budget, seed)
-            tpe_means.append(np.mean([l for _, l in tpe.evaluated[startup:]]))
-            rnd_means.append(np.mean([l for _, l in rnd.evaluated[startup:]]))
+            tpe_means.append(np.mean([l for _, l in tpe[startup:]]))
+            rnd_means.append(np.mean([l for _, l in rnd[startup:]]))
         assert np.mean(tpe_means) < np.mean(rnd_means)
 
     def test_finds_low_loss_region(self):
@@ -218,13 +209,13 @@ class TestTPE:
         for seed in range(5):
             tpe = tpe_search(sp, AggScorer(separable_loss), 120, seed)
             # the optimum is 0; staying within one bad slot of it is expected
-            assert min(l for _, l in tpe.evaluated) <= 0.5
+            assert min(l for _, l in tpe) <= 0.5
 
 
 class TestSearchTrace:
     def test_best_so_far_monotone(self, tiny_space):
         trace = random_search(tiny_space, AggScorer(separable_loss), 100, seed=7)
-        losses = [l for _, l in trace.evaluated]
+        losses = [l for _, l in trace]
         series = best_so_far(losses, l_star=0.0, beta=4.0)
         gaps = [gap for _, gap, _ in series]
         assert [n for n, _, _ in series] == list(range(1, 101))
@@ -235,18 +226,16 @@ class TestSearchTrace:
     def test_csv_roundtrip(self, tiny_space, tmp_path):
         trace = tpe_search(tiny_space, AggScorer(separable_loss), 25, seed=8)
         path = tmp_path / "trace.csv"
-        trace.export_csv(path, config_hash="cafef00d")
+        export_trace_csv(path, trace, config_hash="cafef00d")
         assert path.read_text().splitlines()[0] == "# config_hash=cafef00d"
-        loaded = SearchTrace.from_csv(path, method="tpe", seed=8)
-        assert loaded.evaluated == trace.evaluated
+        assert read_trace_csv(path) == trace
 
     def test_csv_floats_exact(self, tiny_space, tmp_path):
         # repr() serialization keeps losses bit-identical through the file
         scorer = AggScorer(lambda k: 1.0 / 3.0 + sum(k) * 1e-17)
         trace = random_search(tiny_space, scorer, 10, seed=9)
         path = tmp_path / "trace.csv"
-        trace.export_csv(path)
-        loaded = SearchTrace.from_csv(path)
-        for (k1, l1), (k2, l2) in zip(trace.evaluated, loaded.evaluated):
+        export_trace_csv(path, trace)
+        for (k1, l1), (k2, l2) in zip(trace, read_trace_csv(path)):
             assert k1 == k2
             assert l1 == l2

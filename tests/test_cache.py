@@ -1,5 +1,6 @@
 import struct
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ class Derive:
     def __call__(self, raw):
         self.shapes.append(raw.shape)
         agg = raw.mean(axis=-1)
-        return 2 * raw, agg, np.exp(-agg)
+        return agg, np.exp(-agg)
 
 
 def open_cache(path, key_len=2):
@@ -31,11 +32,7 @@ def test_roundtrip(tmp_path):
     cache = open_cache(path)
     cache.put([(1, 2)], [np.full(3, 0.5)])
     reopened = open_cache(path)
-    got = reopened.get((1, 2))
-    assert got.aggregate == 0.5
-    assert got.reward == np.exp(-0.5)
-    assert np.array_equal(got.raw, np.full(3, 0.5))
-    assert np.array_equal(got.normalized, np.full(3, 1.0))
+    assert reopened.get((1, 2)) == (0.5, np.exp(-0.5))
     assert len(reopened) == 1
     assert reopened.get((2, 1)) is None
 
@@ -48,6 +45,19 @@ def test_file_holds_raw_losses_only(tmp_path):
     assert path.stat().st_size == HEADER_SIZE + 4 * RECORD_SIZE
 
 
+def test_record_layout(tmp_path):
+    # key bytes, raw losses as little-endian float64, CRC32 of both
+    path = tmp_path / "c.bin"
+    raw = [[0.25, -1.5, 3.0], [1.0, 2.0, 4.0]]
+    open_cache(path).put([(7, 1), (0, 255)], np.array(raw))
+    blob = path.read_bytes()
+    assert blob[:HEADER_SIZE] == struct.pack("<4sBBBx", b"GFRC", 2, 2, 3)
+    for i, (key, losses) in enumerate(zip([(7, 1), (0, 255)], raw)):
+        body = bytes(key) + struct.pack("<3d", *losses)
+        at = HEADER_SIZE + i * RECORD_SIZE
+        assert blob[at : at + RECORD_SIZE] == body + struct.pack("<I", zlib.crc32(body))
+
+
 def test_derived_once_over_all_records_on_load(tmp_path):
     path = tmp_path / "c.bin"
     cache = open_cache(path)
@@ -57,16 +67,16 @@ def test_derived_once_over_all_records_on_load(tmp_path):
     reopened = open_cache(path)
     assert reopened.derive.shapes == [(5, 3)]
     for i in range(5):
-        assert reopened.get((i, 1)).aggregate == cache.get((i, 1)).aggregate
+        assert reopened.get((i, 1)) == cache.get((i, 1))
 
 
 def test_first_write_wins(tmp_path):
     cache = open_cache(tmp_path / "c.bin")
     first = cache.put([(0, 0)], [np.full(3, 1.0)])[0]
     second = cache.put([(0, 0)], [np.full(3, 2.0)])[0]
-    assert second.aggregate == first.aggregate == 1.0
-    assert cache.get((0, 0)).aggregate == 1.0
-    assert open_cache(tmp_path / "c.bin").get((0, 0)).aggregate == 1.0
+    assert second == first == (1.0, np.exp(-1.0))
+    assert cache.get((0, 0)) == first
+    assert open_cache(tmp_path / "c.bin").get((0, 0)) == first
 
 
 def test_duplicate_records_in_file_resolve_to_first(tmp_path):
@@ -77,8 +87,8 @@ def test_duplicate_records_in_file_resolve_to_first(tmp_path):
     b.put([(1, 1)], [np.full(3, 3.0)])
     reopened = open_cache(tmp_path / "c.bin")
     assert len(reopened) == 2
-    assert reopened.get((0, 1)).aggregate == 1.0
-    assert reopened.get((1, 1)).aggregate == 3.0
+    assert reopened.get((0, 1))[0] == 1.0
+    assert reopened.get((1, 1))[0] == 3.0
 
 
 def test_header_mismatch_rejected(tmp_path):
@@ -126,7 +136,7 @@ def test_torn_tail_write_tolerated(tmp_path):
         fh.write(b"\x00\x01\x02")  # simulated crash mid-record
     reopened = open_cache(path)
     assert len(reopened) == 1
-    assert reopened.get((1, 1)).aggregate == 0.25
+    assert reopened.get((1, 1))[0] == 0.25
 
 
 def test_append_after_torn_tail_reloads_exactly(tmp_path):
@@ -138,12 +148,8 @@ def test_append_after_torn_tail_reloads_exactly(tmp_path):
     appended = open_cache(path).put([(1, 1)], [np.array([0.75, 0.5, 0.25])])[0]
     reloaded = open_cache(path)
     assert len(reloaded) == 2
-    got = reloaded.get((1, 1))
-    assert got is not None and got.key == (1, 1)
-    assert np.array_equal(got.raw, appended.raw)
-    assert np.array_equal(got.normalized, appended.normalized)
-    assert got.aggregate == appended.aggregate
-    assert got.reward == appended.reward
+    assert reloaded.get((1, 1)) == appended
+    assert reloaded.get((1, 2)) == (0.25, np.exp(-0.25))
 
 
 def test_concurrent_puts_commit_once(tmp_path):
@@ -151,7 +157,7 @@ def test_concurrent_puts_commit_once(tmp_path):
     results = []
 
     def worker(value):
-        results.append(cache.put([(3, 3)], [np.full(3, value)])[0].aggregate)
+        results.append(cache.put([(3, 3)], [np.full(3, value)])[0])
 
     threads = [threading.Thread(target=worker, args=(float(v),)) for v in range(8)]
     for t in threads:

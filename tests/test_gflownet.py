@@ -111,7 +111,7 @@ class TestSampling:
         recorded = chosen_logp_sum(passes)
         for i, key in enumerate(keys):
             recomputed = sum(
-                net.log_probs(gf.encode_batch(tiny_space, [key[:t]]), t)[0][key[t]]
+                gf.slot_forward(net, tiny_space, [key[:t]], t)[1][0][key[t]]
                 for t in range(tiny_space.slots)
             )
             assert recorded[i] == pytest.approx(recomputed, abs=1e-10)
@@ -424,7 +424,9 @@ class TestExactDistribution:
 
 class TabularOptimalPolicy:
     """Exact reward-proportional policy over a tiny space, duck-typed to the
-    PolicyNet interface used by exact_terminal_distribution."""
+    PolicyNet interface that slot_forward uses: the trunk passes the
+    features through, and a slot's logits are the log flows of its
+    children."""
 
     def __init__(self, space, rewards):
         self.space = space
@@ -444,18 +446,15 @@ class TabularOptimalPolicy:
             int(np.argmax(feat[offsets[t] : offsets[t + 1]])) - 1 for t in range(length)
         )
 
-    def log_probs(self, feats, slot):
-        out = []
-        for feat in feats:
-            prefix = self._decode_prefix(feat)
-            flows = np.array(
-                [
-                    self._flow(prefix + (a,))
-                    for a in range(self.space.slot_radices[slot])
-                ]
-            )
-            out.append(np.log(flows / flows.sum()))
-        return np.array(out)
+    def trunk_forward(self, x, out=None):
+        return [x]
+
+    def logits(self, feats, slot):
+        return np.array([
+            np.log([self._flow(self._decode_prefix(feat) + (a,))
+                    for a in range(self.space.slot_radices[slot])])
+            for feat in feats
+        ])
 
 
 def test_optimal_tabular_policy_matches_target(tiny_space):

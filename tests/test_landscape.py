@@ -13,35 +13,19 @@ from gfnadapt.landscape import (
     grid_split,
     l1_distance,
     project_grid,
-    ranked_pair_profile,
-    ranked_profile,
 )
-from gfnadapt.space import enumerate_terminals, neighbors
+from gfnadapt.space import enumerate_terminals, neighbors, place_values
 
-from conftest import make_tiny_space
-
-
-class FixedRewardScorer:
-    """Scorer stand-in with a preset reward per terminal key."""
-
-    def __init__(self, rewards):
-        self.rewards = rewards
-
-    def score(self, keys):
-        class Rec:
-            pass
-
-        records = []
-        for key in keys:
-            rec = Rec()
-            rec.reward = self.rewards[key]
-            rec.aggregate = -float(np.log(self.rewards[key]))
-            records.append(rec)
-        return records
+from conftest import StubScorer, make_tiny_space
 
 
 def table_from_rewards(space, rewards):
-    return build_landscape(space, FixedRewardScorer(rewards))
+    return build_landscape(space, StubScorer(rewards))
+
+
+def index_of(space, key):
+    """A terminal's index in enumeration order: its place-value sum."""
+    return sum(a * pv for a, pv in zip(key, place_values(space.slot_radices)))
 
 
 def brute_force_ascent(space, table):
@@ -97,7 +81,7 @@ class TestBuildLandscape:
         rewards = {k: 1.0 for k in enumerate_terminals(tiny_space)}
         table = table_from_rewards(tiny_space, rewards)
         for i, key in enumerate(table.keys):
-            assert table.index_of(key) == i
+            assert index_of(tiny_space, key) == i
 
     def test_cap_enforced(self, space, fitted_scorer):
         with pytest.raises(ValueError, match="cap"):
@@ -113,7 +97,7 @@ class TestBasins:
         }
         table = table_from_rewards(tiny_space, rewards)
         basins = basin_map(table, tiny_space)
-        peak = table.index_of((1, 2))
+        peak = index_of(tiny_space, (1, 2))
         assert set(basins.mode_of.tolist()) == {peak}
         assert basins.basin_mass[peak] == pytest.approx(1.0, abs=1e-12)
 
@@ -131,7 +115,7 @@ class TestBasins:
         oracle = brute_force_ascent(tiny_space, table)
         assert np.array_equal(basins.mode_of, oracle)
         modes = set(basins.mode_of.tolist())
-        assert modes == {table.index_of((0, 0)), table.index_of((1, 2))}
+        assert modes == {index_of(tiny_space, (0, 0)), index_of(tiny_space, (1, 2))}
 
     def test_mass_partitions_probability(self, full_landscape, space):
         basins = basin_map(full_landscape, space)
@@ -139,6 +123,10 @@ class TestBasins:
         # every mode is its own fixed point
         for m in basins.basin_mass:
             assert basins.mode_of[m] == m
+
+    def test_full_landscape_matches_brute_force(self, full_landscape, space):
+        basins = basin_map(full_landscape, space)
+        assert np.array_equal(basins.mode_of, brute_force_ascent(space, full_landscape))
 
     def test_flat_landscape_ties_break_canonically(self, tiny_space):
         rewards = {k: 1.0 for k in enumerate_terminals(tiny_space)}
@@ -158,6 +146,25 @@ class TestBasins:
                 basin_map(table, sp).mode_of, brute_force_ascent(sp, table)
             )
 
+    @pytest.mark.parametrize("cycles", [2, 3])
+    def test_tied_rewards_match_brute_force(self, cycles):
+        # rewards from {1, 2, 3}: many states have several equally best
+        # improving neighbors, so the smallest-key rule decides
+        sp = make_tiny_space(cycles=cycles)
+        keys = list(enumerate_terminals(sp))
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            rewards = dict(zip(keys, rng.integers(1, 4, len(keys)).astype(float).tolist()))
+            table = table_from_rewards(sp, rewards)
+            basins = basin_map(table, sp)
+            oracle = brute_force_ascent(sp, table)
+            assert np.array_equal(basins.mode_of, oracle)
+            # masses summed in index order, as a loop over the terminals would
+            mass = {}
+            for i, m in enumerate(oracle.tolist()):
+                mass[m] = mass.get(m, 0.0) + float(table.target_prob[i])
+            assert basins.basin_mass == mass
+
 
 class TestDistances:
     def test_l1_hand_value(self):
@@ -175,18 +182,6 @@ class TestDistances:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             l1_distance([0.5, 0.5], [1.0])
-
-
-class TestProfiles:
-    def test_ranked_profile_sorted(self):
-        prof = ranked_profile([0.1, 0.6, 0.3])
-        assert prof.tolist() == [0.6, 0.3, 0.1]
-
-    def test_pair_profile_aligned_on_exact_rank(self):
-        exact = np.array([0.1, 0.6, 0.3])
-        learned = np.array([0.2, 0.5, 0.3])
-        rows = ranked_pair_profile(exact, learned)
-        assert rows == [(1, 0.6, 0.5), (2, 0.3, 0.3), (3, 0.1, 0.2)]
 
 
 class TestGrid:

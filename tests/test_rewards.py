@@ -172,12 +172,11 @@ class TestTerminalScorer:
         return scorer
 
     def test_cache_hit_skips_simulation(self, scorer):
-        [rec1] = scorer.score([(1, 1)])
+        first = scorer.score([(1, 1)])
         evals = scorer.sim_evals
-        [rec2] = scorer.score([(1, 1)])
+        second = scorer.score([(1, 1)])
         assert scorer.sim_evals == evals
-        assert rec1.aggregate == rec2.aggregate
-        assert np.array_equal(rec1.raw, rec2.raw)
+        assert np.array_equal(first, second)
 
     def test_enumeration_fit_fills_the_cache(self, scorer, mini_space):
         keys = list(enumerate_terminals(mini_space))
@@ -188,8 +187,8 @@ class TestTerminalScorer:
         assert scorer.cache_hits == scorer.requested == len(keys)
 
     def test_reward_positive_everywhere(self, scorer, mini_space):
-        for rec in scorer.score(list(enumerate_terminals(mini_space))):
-            assert rec.reward > 0.0
+        _, rewards = scorer.score(list(enumerate_terminals(mini_space)))
+        assert np.all(rewards > 0.0)
 
     def test_repeats_scored_once_and_counted(self, mini_space, obs, tmp_path):
         scorer = TerminalScorer(
@@ -197,34 +196,29 @@ class TestTerminalScorer:
             quantiles=QuantileTable(np.zeros(len(obs)), np.ones(len(obs)), 0.05, 0.95),
         )
         a, b, c = (0, 1), (1, 2), (2, 0)
-        first = scorer.score([a, b, a])
-        assert first[0] is first[2]
+        first = np.array(scorer.score([a, b, a]))
+        assert np.array_equal(first[:, 0], first[:, 2])
         assert (scorer.requested, scorer.cache_hits, scorer.simulated) == (3, 0, 2)
         assert len(scorer.cache) == 2
-        second = scorer.score([b, c, b])
-        assert second[0] is first[1]
+        second = np.array(scorer.score([b, c, b]))
+        assert np.array_equal(second[:, 0], first[:, 1])
         assert (scorer.requested, scorer.cache_hits, scorer.simulated) == (6, 2, 3)
         assert scorer.sim_evals == 3 * len(obs)
 
     def test_record_consistency(self, scorer):
-        [rec] = scorer.score([(0, 2)])
+        [agg], [rew] = scorer.score([(0, 2)])
+        [raw] = scorer.raw_losses([(0, 2)])
         cfg = scorer.config
-        assert np.array_equal(rec.normalized, normalize(rec.raw, scorer.quantiles))
-        assert rec.aggregate == aggregate(rec.normalized, cfg.lam, cfg.k_tail)
-        assert rec.reward == reward(rec.aggregate, cfg.beta)
+        assert agg == aggregate(normalize(raw, scorer.quantiles), cfg.lam, cfg.k_tail)
+        assert rew == reward(agg, cfg.beta)
 
     def test_persistence_roundtrip(self, scorer, mini_space, obs, tmp_path):
-        [rec] = scorer.score([(1, 0)])
+        [agg], [rew] = scorer.score([(1, 0)])
         reopened = TerminalScorer(
             mini_space, obs, scorer.config,
             cache_path=tmp_path / "rewards.bin", quantiles=scorer.quantiles,
         )
-        stored = reopened.cache.get((1, 0))
-        assert stored is not None
-        assert stored.aggregate == rec.aggregate
-        assert stored.reward == rec.reward
-        assert np.array_equal(stored.raw, rec.raw)
-        assert np.array_equal(stored.normalized, rec.normalized)
+        assert reopened.cache.get((1, 0)) == (agg, rew)
 
     def test_records_follow_the_current_quantile_table(self, scorer, mini_space, obs,
                                                         tmp_path):
@@ -236,9 +230,11 @@ class TestTerminalScorer:
         )
         lam, k = scorer.config.lam, scorer.config.k_tail
         keys = list(enumerate_terminals(mini_space))
-        for rec, old in zip(reopened.score(keys), scorer.score(keys)):
-            assert rec.aggregate == aggregate(normalize(rec.raw, b), lam, k)
-            assert rec.aggregate != old.aggregate
+        new, _ = reopened.score(keys)
+        old, _ = scorer.score(keys)
+        for agg, old_agg, raw in zip(new, old, scorer.raw_losses(keys)):
+            assert agg == aggregate(normalize(raw, b), lam, k)
+            assert agg != old_agg
         assert reopened.sim_evals == 0
 
     def test_cache_freed_with_its_scorer(self, mini_space, obs, tmp_path):
@@ -280,11 +276,10 @@ def test_loaded_records_equal_their_own_row(space, obs_contexts, fitted_scorer):
     )
     assert len(reopened.cache) == 2625
     q, cfg = fitted_scorer.quantiles, fitted_scorer.config
-    for key in enumerate_terminals(space):
-        rec = reopened.cache.get(key)
-        agg = aggregate(normalize(rec.raw, q), cfg.lam, cfg.k_tail)
-        assert rec.aggregate == agg
-        assert rec.reward == reward(agg, cfg.beta)
+    keys = list(enumerate_terminals(space))
+    for key, raw in zip(keys, reopened.raw_losses(keys)):
+        agg = aggregate(normalize(raw, q), cfg.lam, cfg.k_tail)
+        assert reopened.cache.get(key) == (agg, reward(agg, cfg.beta))
 
 
 def scalar_raw_losses(space, contexts, key):
