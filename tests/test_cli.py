@@ -396,6 +396,34 @@ class TestPipeline:
         assert run(workspace, "report") == 2
         assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
 
+    # the workspace space has radices (2, 3): two slots
+    @pytest.mark.parametrize(
+        "row",
+        ["21,1-3,0.5,0.5", "21,9-9,0.5,0.5", "21,1,0.5,0.5", "21,1-2-0,0.5,0.5"],
+        ids=["action-out-of-range", "all-out-of-range", "not-terminal", "too-long"],
+    )
+    def test_trace_key_outside_space_exits_2(self, workspace, capsys, row):
+        assert run(workspace, "train") == 0
+        trace = out_root(workspace) / "train" / "1" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines + [row]) + "\n")
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
+        assert not (out_root(workspace) / "report" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "text", ['{"wall_clock": 1.0', "[1.0]", '{"wall_clock": "soon"}'],
+        ids=["truncated", "not-a-mapping", "non-numeric-wall-clock"],
+    )
+    def test_malformed_meta_exits_2_naming_it(self, workspace, capsys, text):
+        assert run(workspace, "train") == 0
+        meta = out_root(workspace) / "train" / "1" / "meta.json"
+        meta.write_text(text)
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        assert str(meta) in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "old, new, field",
         [
