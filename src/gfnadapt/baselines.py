@@ -12,7 +12,7 @@ import csv
 import numpy as np
 
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey
+from .space import SpaceSpec, StateKey, is_terminal, validate_key
 
 
 def export_trace_csv(path, evaluated, config_hash: str = "") -> None:
@@ -30,10 +30,11 @@ def export_trace_csv(path, evaluated, config_hash: str = "") -> None:
             )
 
 
-def read_trace_csv(path) -> list[tuple[StateKey, float]]:
-    """The (key, loss) pairs of a file written by export_trace_csv. A row
-    that is not four fields with a valid key and loss (a torn write, say)
-    raises ValueError naming the file and the line."""
+def read_trace_csv(path, space: SpaceSpec) -> list[tuple[StateKey, float]]:
+    """The (key, loss) pairs of a file written by export_trace_csv for
+    `space`. A row that is not four fields with a terminal key of the space
+    and a loss (a torn write, say) raises ValueError naming the file and
+    the line."""
     evaluated = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -43,7 +44,11 @@ def read_trace_csv(path) -> list[tuple[StateKey, float]]:
             try:
                 if len(row) != 4:
                     raise ValueError(f"{len(row)} fields")
-                evaluated.append((tuple(int(a) for a in row[1].split("-")), float(row[2])))
+                key = tuple(int(a) for a in row[1].split("-"))
+                validate_key(space, key)
+                if not is_terminal(space, key):
+                    raise ValueError(f"key of {len(key)} slots is not terminal")
+                evaluated.append((key, float(row[2])))
             except ValueError as exc:
                 raise ValueError(
                     f"{path}, line {reader.line_num}: malformed trace row {row}: {exc}"

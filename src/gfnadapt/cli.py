@@ -265,6 +265,19 @@ def _check_hash(path: Path, run_hash: str) -> None:
         )
 
 
+def _read_wall_clock(path) -> float:
+    """The `wall_clock` seconds of a stage's meta.json (0.0 when absent);
+    a file that is not a JSON mapping with a numeric value there raises
+    ValueError naming it."""
+    try:
+        meta = json.loads(Path(path).read_text())
+        if not isinstance(meta, dict):
+            raise ValueError("not a JSON object")
+        return float(meta.get("wall_clock", 0.0))
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed meta.json: {exc}") from None
+
+
 def cmd_report(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
@@ -300,8 +313,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     all_losses = []
     traces = {}
     for method, seed, trace_path, meta_path in found:
-        evaluated = baselines.read_trace_csv(trace_path)
-        traces[(method, seed)] = (evaluated, json.loads(meta_path.read_text()))
+        evaluated = baselines.read_trace_csv(trace_path, ws.space)
+        traces[(method, seed)] = (evaluated, _read_wall_clock(meta_path))
         all_losses.extend(loss for _, loss in evaluated)
     l_star = (
         float(table.aggregates.min()) if table is not None else min(all_losses)
@@ -311,7 +324,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     if table is not None:
         ks = sorted({min(k, len(table.keys)) for k in ks})
     reports = []
-    for (method, seed), (evaluated, meta) in sorted(traces.items()):
+    for (method, seed), (evaluated, wall_clock) in sorted(traces.items()):
         losses = [loss for _, loss in evaluated]
         med, ham, deficient = metrics.top20_stats(evaluated)
         rep = metrics.RetrievalReport(
@@ -321,7 +334,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             median_top20_loss=med,
             mean_hamming_top20=ham,
             sample_deficient=deficient,
-            wall_clock=float(meta.get("wall_clock", 0.0)),
+            wall_clock=wall_clock,
             best_so_far=metrics.best_so_far(losses, l_star, beta),
             topk_recovery=(
                 metrics.topk_recovery(

@@ -228,7 +228,7 @@ class TestSearchTrace:
         path = tmp_path / "trace.csv"
         export_trace_csv(path, trace, config_hash="cafef00d")
         assert path.read_text().splitlines()[0] == "# config_hash=cafef00d"
-        assert read_trace_csv(path) == trace
+        assert read_trace_csv(path, tiny_space) == trace
 
     def test_csv_floats_exact(self, tiny_space, tmp_path):
         # repr() serialization keeps losses bit-identical through the file
@@ -236,6 +236,6 @@ class TestSearchTrace:
         trace = random_search(tiny_space, scorer, 10, seed=9)
         path = tmp_path / "trace.csv"
         export_trace_csv(path, trace)
-        for (k1, l1), (k2, l2) in zip(trace, read_trace_csv(path)):
+        for (k1, l1), (k2, l2) in zip(trace, read_trace_csv(path, tiny_space)):
             assert k1 == k2
             assert l1 == l2
