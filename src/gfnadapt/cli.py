@@ -265,12 +265,12 @@ def _check_hash(path: Path, run_hash: str) -> None:
         )
 
 
-def _read_wall_clock(path) -> float:
+def _read_wall_clock(path: Path) -> float:
     """The `wall_clock` seconds of a stage's meta.json (0.0 when absent);
     a file that is not a JSON mapping with a numeric value there raises
     ValueError naming it."""
     try:
-        meta = json.loads(Path(path).read_text())
+        meta = json.loads(path.read_text())
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
         return float(meta.get("wall_clock", 0.0))

@@ -6,6 +6,10 @@ squared residual is (log_z + log P_F(tau) - log R(x))^2. The policy is a
 shared MLP trunk with one logit head per decision slot. The rollout is the
 policy's only forward path: training backpropagates (see nn.py) through the
 per-slot passes the rollout recorded while sampling.
+
+The policy's output at a state depends only on its prefix, so each slot's
+forward runs once per distinct prefix in the batch, not once per row, and
+the gradient is reduced onto those prefixes before the backward.
 """
 
 from __future__ import annotations
@@ -80,13 +84,16 @@ def new_policy(space: SpaceSpec, cfg: TrainConfig, rng: np.random.Generator) -> 
 
 
 class RolloutPasses(NamedTuple):
-    """The per-slot passes of one rollout, as tb_loss_and_grads consumes
-    them."""
+    """The per-slot passes of one rollout over its distinct prefixes, as
+    tb_loss_and_grads consumes them. Slot t has u_t distinct prefixes, in
+    lexicographic order; U is the sum of the u_t."""
 
-    acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL], (slots * n, width);
-                            # slot t's rows are row block t
-    logp: list[np.ndarray]  # per slot, pure-policy action log-probs, (n, radix)
+    acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL], (U, width); slot
+                            # t's rows are offsets[t]:offsets[t + 1]
+    logp: list[np.ndarray]  # per slot, pure-policy action log-probs, (u_t, radix)
     chosen: np.ndarray      # sampled actions, (n, slots)
+    inv: list[np.ndarray]   # per slot, (n,): each trajectory's prefix row in logp[t]
+    offsets: np.ndarray     # (slots + 1,) first row of each slot's block in acts
 
 
 def slot_forward(
@@ -113,27 +120,39 @@ def _rollout(
 ) -> tuple[np.ndarray, RolloutPasses | None]:
     """Sample n trajectories in lockstep, as an (n, slots) int array of
     terminal keys; actions drawn from the eps-mixed policy by inverse CDF,
-    slot t's from the uniforms u[t] of a (slots, n) array. With
-    keep_caches, the slot passes are returned for the TB gradient, each
-    slot's activations written into its row block; otherwise they are
-    dropped (None)."""
+    slot t's from the uniforms u[t] of a (slots, n) array. The policy runs
+    once per distinct prefix, found from a place-value code per row, and
+    each row draws from its prefix's CDF. With keep_caches, the slot passes
+    are returned for the TB gradient, each slot's activations written into
+    the next rows of the buffers; otherwise they are dropped (None)."""
     slots, n = u.shape
     keys = np.zeros((n, slots), dtype=np.int64)
-    passes = None
+    # the prefix, as the row of its parent prefix in the previous slot's
+    # distinct prefixes and its last action in place values: small, ordered
+    # like the prefixes, and free of overflow however many slots there are
+    codes = np.zeros(n, dtype=np.int64)
+    offsets = np.zeros(slots + 1, dtype=np.int64)
+    inverses, logps = [], []
     if keep_caches:
         widths = [feature_dim(space), *(b.size for b in net.trunk_b)]
-        passes = RolloutPasses([np.empty((slots * n, w)) for w in widths], [], keys)
-    for t in range(slots):
-        block = None if passes is None else [a[t * n : (t + 1) * n] for a in passes.acts]
-        _, logp = slot_forward(net, space, keys[:, :t], t, block)
-        probs = np.exp(logp)
-        n_actions = probs.shape[1]
-        mixed = (1.0 - explore_eps) * probs + explore_eps / n_actions
-        chosen = (mixed.cumsum(axis=1) < u[t, :, None]).sum(axis=1).clip(max=n_actions - 1)
+        buffers = [np.empty((slots * n, w)) for w in widths]
+    for t, n_actions in enumerate(space.slot_radices):
+        _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+        lo = offsets[t]
+        offsets[t + 1] = lo + len(first)
+        block = [b[lo : offsets[t + 1]] for b in buffers] if keep_caches else None
+        _, logp = slot_forward(net, space, keys[first, :t], t, block)
+        mixed = (1.0 - explore_eps) * np.exp(logp) + explore_eps / n_actions
+        cdf = mixed.cumsum(axis=1)[inv]
+        chosen = (cdf < u[t, :, None]).sum(axis=1).clip(max=n_actions - 1)
         keys[:, t] = chosen
-        if passes is not None:
-            passes.logp.append(logp)
-    return keys, passes
+        codes = inv * n_actions + chosen
+        inverses.append(inv)
+        logps.append(logp)
+    if not keep_caches:
+        return keys, None
+    acts = [b[: offsets[-1]] for b in buffers]
+    return keys, RolloutPasses(acts, logps, keys, inverses, offsets)
 
 
 def _key_tuples(keys: np.ndarray) -> list[StateKey]:
@@ -148,19 +167,26 @@ def tb_loss_and_grads(
 ) -> tuple[float, Gradients]:
     """TB objective of the trajectories whose slot passes are given, and its
     gradient by backpropagation through those passes, written into `grads`
-    (allocated when not given)."""
+    (allocated when not given). Each slot's logit gradient is summed over
+    the trajectories sharing a prefix, so the backward runs on the distinct
+    prefixes' rows."""
     n = len(log_rewards)
-    rows = np.arange(n)
     sum_logp = np.zeros(n)
-    for t, logp in enumerate(passes.logp):
-        sum_logp += logp[rows, passes.chosen[:, t]]
+    for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
+        sum_logp += logp[inv, passes.chosen[:, t]]
     residual = net.log_z + sum_logp - log_rewards
     loss = float(np.mean(residual**2))
     dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
     dlogits = []
-    for t, logp in enumerate(passes.logp):
-        d = -np.exp(logp) * dlogp[:, None]
-        d[rows, passes.chosen[:, t]] += dlogp
+    for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
+        rows, radix = logp.shape
+        per_prefix = np.bincount(inv, weights=dlogp, minlength=rows)
+        per_action = np.bincount(
+            inv * radix + passes.chosen[:, t], weights=dlogp, minlength=rows * radix
+        )
+        d = np.exp(logp)
+        d *= -per_prefix[:, None]
+        d += per_action.reshape(rows, radix)
         dlogits.append(d)
     if grads is None:
         grads = Gradients.zeros_like(net)

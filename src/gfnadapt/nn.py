@@ -8,9 +8,10 @@ All parameters live in one contiguous float64 vector: trunk weights, trunk
 biases, head weights, head biases, layer by layer and slot by slot. That is
 the order of params() and of a checkpoint's parameter bytes, and gradients
 and Adam's moments use the same layout, so an optimizer step is a few
-whole-vector passes. The forward runs once per slot (slot t's input depends
-on the action drawn at slot t-1); the backward stacks every slot's rows and
-runs one pass per trunk layer.
+whole-vector passes, run over cache-sized blocks of the vector. The forward
+runs once per slot (slot t's input depends on the action drawn at slot t-1),
+on the batch's distinct prefixes only; the backward stacks every slot's
+distinct-prefix rows and runs one pass per trunk layer.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+ADAM_CHUNK = 32768  # elements per block of an Adam step: 256 KiB per operand
 
 
 def _fan_in_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -117,15 +120,17 @@ class PolicyNet(FlatParams):
     ) -> None:
         """Write the gradients of one batch's passes over every slot into
         `grads`, overwriting all of it. `acts` are the trunk activations
-        [x, h1, ..., hL] of all slots stacked, slot t's n rows in row block
-        t; `dlogits[t]` is the loss gradient of slot t's logits, (n, radix).
+        [x, h1, ..., hL] of all slots stacked, slot by slot; `dlogits[t]`
+        is the loss gradient of slot t's logits, (rows_t, radix), and slot
+        t's rows in `acts` are the rows_t after those of the slots before.
         Each head's gradient takes that slot's block; each trunk layer's
         takes one pass over all blocks. The input's gradient is not formed."""
-        n = len(dlogits[0])
         h_last = acts[-1]
         dh = np.empty_like(h_last)
+        lo = 0
         for t, d in enumerate(dlogits):
-            rows = slice(t * n, (t + 1) * n)
+            rows = slice(lo, lo + len(d))
+            lo += len(d)
             np.matmul(h_last[rows].T, d, out=grads.head_w[t])
             np.sum(d, axis=0, out=grads.head_b[t])
             np.matmul(d, self.head_w[t].T, out=dh[rows])
@@ -148,7 +153,10 @@ class Gradients(FlatParams):
 @dataclass
 class Adam:
     """Adaptive-moment optimizer over a net's flat parameter vector plus the
-    scalar log_z; moments and scratch space are allocated on the first step."""
+    scalar log_z; moments and scratch space are allocated on the first step.
+    The update runs over blocks of ADAM_CHUNK elements, so each block's
+    operands stay in cache across its passes; every operation is
+    elementwise, so the blocks give the same bytes as one whole pass."""
 
     lr: float = 5e-4
     log_z_lr: float = 0.1
@@ -158,7 +166,7 @@ class Adam:
     _t: int = 0
     _m: np.ndarray | None = None
     _v: np.ndarray | None = None
-    _scratch: np.ndarray | None = None  # (2, n): numerator, denominator
+    _scratch: np.ndarray | None = None  # (2, block): numerator, denominator
     _mz: float = 0.0
     _vz: float = 0.0
 
@@ -167,28 +175,30 @@ class Adam:
         if self._m is None:
             self._m = np.zeros_like(p)
             self._v = np.zeros_like(p)
-            self._scratch = np.empty((2, p.size))
-        m, v = self._m, self._v
-        num, den = self._scratch
+            self._scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        # elementwise: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order
-        m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=num)
-        m += num
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=num)
-        num *= g
-        v += num
-        np.divide(m, bc1, out=num)
-        num *= self.lr
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += self.eps
-        num /= den
-        p -= num
+        for lo in range(0, p.size, ADAM_CHUNK):
+            block = slice(lo, lo + ADAM_CHUNK)
+            pb, gb, m, v = p[block], g[block], self._m[block], self._v[block]
+            num, den = self._scratch[:, : pb.size]
+            # elementwise: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+            # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order
+            m *= self.beta1
+            np.multiply(gb, 1.0 - self.beta1, out=num)
+            m += num
+            v *= self.beta2
+            np.multiply(gb, 1.0 - self.beta2, out=num)
+            num *= gb
+            v += num
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            pb -= num
         self._mz = self.beta1 * self._mz + (1.0 - self.beta1) * grads.log_z
         self._vz = self.beta2 * self._vz + (1.0 - self.beta2) * grads.log_z**2
         net.log_z = float(

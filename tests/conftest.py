@@ -43,13 +43,20 @@ def make_mini_sim_space():
 
 
 def fixed_passes(net, space, keys):
-    """Rollout passes over the prefixes of given terminal keys, built by
-    fresh per-slot forward passes (no preallocated buffers) and stacked
-    afterwards."""
+    """Rollout passes over the distinct prefixes of given terminal keys,
+    found with Python sets and built by fresh per-slot forward passes (no
+    preallocated buffers), stacked afterwards."""
     keys = np.asarray(keys, dtype=np.int64)
-    per_slot = [gf.slot_forward(net, space, keys[:, :t], t) for t in range(space.slots)]
+    per_slot, inverses = [], []
+    for t in range(space.slots):
+        prefixes = sorted({tuple(k[:t]) for k in keys.tolist()})
+        row = {prefix: i for i, prefix in enumerate(prefixes)}
+        inverses.append(np.array([row[tuple(k[:t])] for k in keys.tolist()], dtype=np.int64))
+        prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), t)
+        per_slot.append(gf.slot_forward(net, space, prefixes, t))
     acts = [np.concatenate(layer) for layer in zip(*(a for a, _ in per_slot))]
-    return gf.RolloutPasses(acts, [logp for _, logp in per_slot], keys)
+    offsets = np.cumsum([0, *(len(logp) for _, logp in per_slot)])
+    return gf.RolloutPasses(acts, [logp for _, logp in per_slot], keys, inverses, offsets)
 
 
 class StubScorer:

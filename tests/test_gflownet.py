@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gfnadapt import gflownet as gf
+from gfnadapt import nn
 from gfnadapt.nn import Adam, Gradients, PolicyNet
 from gfnadapt.space import enumerate_terminals
 
@@ -30,11 +31,17 @@ def delta_net(space, key):
     return net
 
 
+def per_row_logp(passes):
+    """Each slot's recorded log-probs gathered to one row per trajectory,
+    (n, radix), by the trajectory's prefix row."""
+    return [logp[inv] for logp, inv in zip(passes.logp, passes.inv)]
+
+
 def chosen_logp_sum(passes):
     """Per-trajectory sum of the recorded chosen-action log-probs."""
     n = len(passes.chosen)
     total = np.zeros(n)
-    for t, logp in enumerate(passes.logp):
+    for t, logp in enumerate(per_row_logp(passes)):
         total += logp[np.arange(n), passes.chosen[:, t]]
     return total
 
@@ -122,7 +129,7 @@ class TestSampling:
 
     def test_recorded_passes_match_fresh_forward(self, space):
         # train's gradient reuses the rollout's passes; they must equal a
-        # fresh forward pass over the sampled prefixes bit for bit
+        # fresh forward pass over the same distinct prefixes bit for bit
         rng = np.random.default_rng(14)
         net = gf.new_policy(space, gf.TrainConfig(), rng)
         for head in net.head_w:
@@ -132,14 +139,43 @@ class TestSampling:
             keep_caches=True,
         )
         fresh = fixed_passes(net, space, keys)
+        assert np.array_equal(passes.offsets, fresh.offsets)
         assert len(passes.acts) == len(fresh.acts) == len(net.trunk_w) + 1
         for a, b in zip(passes.acts, fresh.acts):
-            assert a.shape == (space.slots * 16, b.shape[1])
+            assert a.shape == (passes.offsets[-1], b.shape[1])
             assert np.array_equal(a, b)
         assert len(passes.logp) == len(fresh.logp) == space.slots
         for a, b in zip(passes.logp, fresh.logp):
             assert np.array_equal(a, b)
+        for a, b in zip(passes.inv, fresh.inv):
+            assert np.array_equal(a, b)
         assert np.array_equal(passes.chosen, fresh.chosen)
+
+    @pytest.mark.parametrize("eps, n", [(0.0, 16), (0.9, 16), (0.2, 64)])
+    def test_one_row_per_distinct_prefix(self, space, eps, n):
+        rng = np.random.default_rng(16)
+        net = gf.new_policy(space, gf.TrainConfig(hidden=(32, 32)), rng)
+        for head in net.head_w:
+            head += rng.normal(0, 1.0, head.shape)
+        keys, passes = gf._rollout(net, space, rng.random((space.slots, n)), eps, True)
+        distinct = [len({tuple(k[:t]) for k in keys.tolist()}) for t in range(space.slots)]
+        assert distinct[0] == 1
+        assert [len(logp) for logp in passes.logp] == distinct
+        assert np.array_equal(np.diff(passes.offsets), distinct)
+        for inv, logp in zip(passes.inv, passes.logp):
+            assert inv.shape == (n,)
+            assert np.array_equal(np.unique(inv), np.arange(len(logp)))
+
+    def test_gathered_logp_match_per_row_forward(self, space):
+        # a GEMM over fewer rows may round differently in the last place
+        rng = np.random.default_rng(17)
+        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        for head in net.head_w:
+            head += rng.normal(0, 0.5, head.shape)
+        keys, passes = gf._rollout(net, space, rng.random((space.slots, 64)), 0.3, True)
+        for t, logp in enumerate(per_row_logp(passes)):
+            _, fresh = gf.slot_forward(net, space, keys[:, :t], t)
+            assert np.abs(logp - fresh).max() <= 1e-12
 
     def test_passes_dropped_without_keep_caches(self, tiny_space):
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(0))
@@ -243,17 +279,19 @@ class TestGradients:
 
 
 def reference_grads(net, passes, log_rewards):
-    """TB gradient by the per-slot backward: every slot's head and trunk
-    gradients accumulated from that slot's own rows, one slot at a time."""
+    """TB gradient by the per-row, per-slot backward: the recorded passes
+    expanded to one row per trajectory at every slot, and every slot's head
+    and trunk gradients accumulated from those rows, one slot at a time."""
     n = len(log_rewards)
     rows = np.arange(n)
     residual = net.log_z + chosen_logp_sum(passes) - log_rewards
     dlogp = 2.0 * residual / n
     grads = Gradients.zeros_like(net)
-    for t, logp in enumerate(passes.logp):
+    for t, logp in enumerate(per_row_logp(passes)):
         dlogits = -np.exp(logp) * dlogp[:, None]
         dlogits[rows, passes.chosen[:, t]] += dlogp
-        acts = [a[t * n : (t + 1) * n] for a in passes.acts]
+        block = passes.offsets[t] + passes.inv[t]
+        acts = [a[block] for a in passes.acts]
         grads.head_w[t][...] += acts[-1].T @ dlogits
         grads.head_b[t][...] += dlogits.sum(axis=0)
         dh = dlogits @ net.head_w[t].T
@@ -264,6 +302,12 @@ def reference_grads(net, passes, log_rewards):
             dh = dh @ net.trunk_w[i].T
     grads.log_z = float(np.mean(2.0 * residual))
     return grads
+
+
+def assert_grads_close(grads, ref, rel):
+    assert grads.log_z == pytest.approx(ref.log_z, rel=1e-15, abs=0.0)
+    for a, b in zip(grads.params(), ref.params()):
+        assert np.linalg.norm(a - b) <= rel * np.linalg.norm(b)
 
 
 class ReferenceAdam:
@@ -317,8 +361,27 @@ class TestFlatParameters:
         _, grads = gf.tb_loss_and_grads(net, passes, log_r)
         ref = reference_grads(net, passes, log_r)
         assert grads.log_z == ref.log_z
-        for a, b in zip(grads.params(), ref.params()):
-            assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+        assert_grads_close(grads, ref, 1e-12)
+
+    @pytest.mark.parametrize("batch", ["all-identical", "all-distinct"])
+    def test_extreme_batches_match_per_row_reference(self, space, batch):
+        rng = np.random.default_rng(26)
+        net = gf.new_policy(space, gf.TrainConfig(hidden=(64, 64)), rng)
+        for head in net.head_w:
+            head += rng.normal(0, 0.5, head.shape)
+        net.log_z = -0.4
+        terminals = np.array(list(enumerate_terminals(space)))
+        if batch == "all-identical":
+            keys = np.repeat(terminals[[1234]], 16, axis=0)
+        else:  # every prefix of slot 1 on is distinct: radix-3 slot 0, radix-5 slot 1
+            keys = terminals[rng.permutation(len(terminals))[:3]]
+            keys[:, 0] = [0, 1, 2]
+        passes = fixed_passes(net, space, keys)
+        expected = 1 if batch == "all-identical" else len(keys)
+        assert [len(logp) for logp in passes.logp[1:]] == [expected] * (space.slots - 1)
+        log_r = rng.normal(-1.0, 0.5, len(keys))
+        _, grads = gf.tb_loss_and_grads(net, passes, log_r)
+        assert_grads_close(grads, reference_grads(net, passes, log_r), 1e-12)
 
     def test_flat_adam_matches_per_array_reference_exactly(self, tiny_space):
         def make():
@@ -327,6 +390,23 @@ class TestFlatParameters:
         net, ref_net = make(), make()
         opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
         rng = np.random.default_rng(23)
+        grads = Gradients.zeros_like(net)
+        for _ in range(5):
+            grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
+            grads.log_z = float(rng.normal())
+            opt.step(net, grads)
+            ref_opt.step(ref_net, grads)
+            assert np.array_equal(net.flat, ref_net.flat)
+            assert net.log_z == ref_net.log_z
+
+    def test_blocked_adam_matches_per_array_reference_exactly(self, tiny_space, monkeypatch):
+        # blocks of 7 elements cut every parameter array at odd places, and
+        # the last block is short
+        monkeypatch.setattr(nn, "ADAM_CHUNK", 7)
+        net, ref_net = (random_net(tiny_space, 27, hidden=(8, 8)) for _ in range(2))
+        assert net.flat.size % 7
+        opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
+        rng = np.random.default_rng(28)
         grads = Gradients.zeros_like(net)
         for _ in range(5):
             grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
