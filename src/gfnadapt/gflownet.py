@@ -127,17 +127,16 @@ def _rollout(
     the next rows of the buffers; otherwise they are dropped (None)."""
     slots, n = u.shape
     keys = np.zeros((n, slots), dtype=np.int64)
-    # the prefix, as the row of its parent prefix in the previous slot's
-    # distinct prefixes and its last action in place values: small, ordered
-    # like the prefixes, and free of overflow however many slots there are
-    codes = np.zeros(n, dtype=np.int64)
     offsets = np.zeros(slots + 1, dtype=np.int64)
     inverses, logps = [], []
     if keep_caches:
         widths = [feature_dim(space), *(b.size for b in net.trunk_b)]
         buffers = [np.empty((slots * n, w)) for w in widths]
+    # slot 0 has one prefix, the empty one, so it needs no np.unique
+    first, inv = np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
     for t, n_actions in enumerate(space.slot_radices):
-        _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+        if t:
+            _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
         lo = offsets[t]
         offsets[t + 1] = lo + len(first)
         block = [b[lo : offsets[t + 1]] for b in buffers] if keep_caches else None
@@ -146,6 +145,9 @@ def _rollout(
         cdf = mixed.cumsum(axis=1)[inv]
         chosen = (cdf < u[t, :, None]).sum(axis=1).clip(max=n_actions - 1)
         keys[:, t] = chosen
+        # the prefix, as the row of its parent prefix in the previous slot's
+        # distinct prefixes and its last action in place values: small, ordered
+        # like the prefixes, and free of overflow however many slots there are
         codes = inv * n_actions + chosen
         inverses.append(inv)
         logps.append(logp)

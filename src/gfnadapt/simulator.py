@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -136,10 +136,24 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
     return fruit[context.obs_times - 1]
 
 
-# Keys per array pass of simulate_batch. It bounds the pass's day series,
-# (days, keys, contexts) float arrays of about 0.5 MiB each at 180 days and
-# 6 contexts, of which about five are alive at once.
+# The parameters each day series of simulate that does not depend on crop
+# state reads, in the order _day_series unpacks them. The crop-state update
+# reads the other three, LAI_max, SLA and n_plants, key by key.
+DAY_SERIES_PARAMS = {
+    "assim_max": ("P_max", "alpha_light", "co2_half", "T_opt", "T_width", "s_sharp"),
+    "maint_rate": ("c_maint", "Q10"),
+    "p_f": ("TS_start", "TS_end", "dev_rate", "rg_fruit"),
+}
+
+# Distinct parameter rows per day series in one array pass of simulate_batch.
+# It bounds the pass's day series, (days, rows, contexts) float arrays of
+# about 0.5 MiB each at 64 rows, 180 days and 6 contexts, of which about five
+# are alive at once.
 SIM_CHUNK = 64
+# Keys per array pass at most. It bounds the day loop's (keys, contexts)
+# arrays, 0.19 MiB each at 4096 keys and 6 contexts; such a pass peaks near
+# 4.6 MiB besides its outputs (tracemalloc).
+SIM_KEYS = 4096
 
 
 def simulate_batch(
@@ -148,9 +162,17 @@ def simulate_batch(
     """simulate for N parameter sets at once, given as one length-N column per
     parameter; returns one (N, len(obs_times)) array per context.
 
+    Keys run in array passes over consecutive keys. Within a pass each day
+    series that does not depend on crop state is computed once per distinct
+    row of the parameters it reads (DAY_SERIES_PARAMS), rows counting as one
+    only when bit-identical, and each key reads its row's values in the day
+    loop; only the leaf/stem/fruit update runs per key. A pass holds as many
+    keys as keep every series within SIM_CHUNK distinct rows, and at most
+    SIM_KEYS keys.
+
     Rows agree with simulate up to rounding (the hoisted day series multiply
-    in another order) and do not depend on the rest of the batch. Non-finite
-    values are returned, not raised.
+    in another order) and are bit-identical whatever the rest of the batch.
+    Non-finite values are returned, not raised.
     """
     _check_params(params)
     cols = np.array([np.asarray(params[n], dtype=float) for n in SIM_PARAM_NAMES])
@@ -159,65 +181,133 @@ def simulate_batch(
     by_days: dict[int, list[int]] = {}
     for j, c in enumerate(contexts):
         by_days.setdefault(c.days, []).append(j)
+    groups = []
     for members in by_days.values():
-        # forcing as (days, 1, contexts), to broadcast against (keys, 1) columns
+        # forcing as (days, 1, contexts), to broadcast against (rows, 1) columns
         forcing = [
             np.stack([getattr(contexts[j], f) for j in members], axis=1)[:, None, :]
             for f in ("t_day", "t_24", "light", "co2")
         ]
-        obs_days = {int(t) - 1 for j in members for t in contexts[j].obs_times}
-        for lo in range(0, n, SIM_CHUNK):
+        # per 0-based observation day: (output, its column, context in group)
+        obs_days: dict[int, list] = {}
+        for g, j in enumerate(members):
+            for column, t in enumerate(contexts[j].obs_times):
+                obs_days.setdefault(int(t) - 1, []).append((out[j], column, g))
+        groups.append((forcing, obs_days))
+    series_cols = [
+        cols[[SIM_PARAM_NAMES.index(p) for p in names]] for names in DAY_SERIES_PARAMS.values()
+    ]
+    repeats = [_repeats(c.T) for c in series_cols]
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + SIM_KEYS)
+        # a key adds a row to a series unless its row is already in the pass
+        for _, prev in repeats:
+            hi = lo + int(np.searchsorted(np.cumsum(prev[lo:hi] < lo), SIM_CHUNK, "right"))
+        series_rows = []
+        for c, (codes, prev) in zip(series_cols, repeats):
+            first, inv = _distinct_rows(codes, prev, lo, hi)
+            series_rows.append((c[:, first, None], inv))
+        state = cols[:3, lo:hi, None]
+        for forcing, obs_days in groups:
             with np.errstate(all="ignore"):  # overflow shows as a non-finite value
-                fruit = _fruit_on_days(cols[:, lo : lo + SIM_CHUNK, None], forcing, obs_days)
-            for g, j in enumerate(members):
-                out[j][lo : lo + SIM_CHUNK] = np.stack(
-                    [fruit[t - 1][:, g] for t in contexts[j].obs_times], axis=1
-                )
+                for d, fruit in _fruit_on_days(state, series_rows, forcing, obs_days):
+                    for target, column, g in obs_days[d]:
+                        target[lo:hi, column] = fruit[:, g]
+        lo = hi
     return out
 
 
-def _day_series(p, t_day, t_24, light, co2):
-    """The series of simulate that do not depend on crop state, for all days
-    at once, each (days, keys, contexts): assimilation at full light cover,
-    maintenance per unit mass, and the fruit partition fraction."""
-    (lai_max, sla, n_plants, p_max, alpha, co2_half, t_opt, t_width, s_sharp,
-     ts_start, ts_end, dev_rate, rg_fruit, c_maint, q10) = p
-    assim_max = (
-        p_max * (1.0 - np.exp(-alpha * light / p_max))
-        * (co2 / (co2 + co2_half))
-        * _inhibition(t_day, t_opt, t_width, s_sharp, np.exp)
-        * _inhibition(t_24, t_opt, t_width, s_sharp, np.exp)
-    )
-    maint_rate = c_maint * q10 ** ((t_24 - 25.0) / 10.0)
+def _repeats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(codes, prev) of an (n, m) float array's rows: a code shared by
+    bit-identical rows only, and the index of the row's last bit-identical
+    predecessor, or -1."""
+    n = len(rows)
+    if n == 1:  # one key, as TPE scores them: nothing to sort
+        return np.zeros(1, dtype=np.intp), np.full(1, -1, dtype=np.intp)
+    rows = np.ascontiguousarray(rows)
+    void = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+    _, codes = np.unique(void, return_inverse=True)
+    codes = codes.reshape(-1)  # numpy 2.0 and 2.1 shape it like the input
+    order = np.argsort(codes, kind="stable")
+    repeat = codes[order[1:]] == codes[order[:-1]]
+    prev = np.full(n, -1, dtype=np.intp)
+    prev[order[1:][repeat]] = order[:-1][repeat]
+    return codes, prev
+
+
+def _distinct_rows(codes, prev, lo: int, hi: int):
+    """(first, inv) for the keys lo:hi: the key that first holds each distinct
+    row, in order of first occurrence, and the position in first of each
+    key's row, or None when no row repeats."""
+    first = lo + np.flatnonzero(prev[lo:hi] < lo)
+    if len(first) == hi - lo:
+        return first, None
+    position = np.empty(len(codes), dtype=np.intp)
+    position[codes[first]] = np.arange(len(first))
+    return first, position[codes[lo:hi]]
+
+
+def _day_series(name: str, p, t_day, t_24, light, co2) -> np.ndarray:
+    """The series `name` of simulate, one that does not depend on crop state,
+    for all days at once: a (days, rows, contexts) array from p, the columns
+    of DAY_SERIES_PARAMS[name] as (rows, 1) arrays. assim_max is the
+    assimilation at full light cover, maint_rate the maintenance per unit
+    mass, p_f the fruit partition fraction."""
+    if name == "assim_max":
+        p_max, alpha, co2_half, t_opt, t_width, s_sharp = p
+        return (
+            p_max * (1.0 - np.exp(-alpha * light / p_max))
+            * (co2 / (co2 + co2_half))
+            * _inhibition(t_day, t_opt, t_width, s_sharp, np.exp)
+            * _inhibition(t_24, t_opt, t_width, s_sharp, np.exp)
+        )
+    if name == "maint_rate":
+        c_maint, q10 = p
+        return c_maint * q10 ** ((t_24 - 25.0) / 10.0)
+    ts_start, ts_end, dev_rate, rg_fruit = p
     ts = np.cumsum(dev_rate * np.maximum(0.0, t_24 - 10.0), axis=0)
     # the branches of simulate, in place over the ramp to save an array
     p_f = rg_fruit * (ts - ts_start) / (ts_end - ts_start)
     np.copyto(p_f, rg_fruit, where=~(ts < ts_end))
     np.copyto(p_f, 0.0, where=ts < ts_start)
-    return assim_max, maint_rate, p_f
+    return p_f
 
 
-def _fruit_on_days(p, forcing, days: set[int]) -> dict[int, np.ndarray]:
-    """Fruit mass, (keys, contexts), after each of the given 0-based days of
-    the recurrence in simulate; only the crop-state update runs day by day."""
-    assim_max, maint_rate, p_f = _day_series(p, *forcing)
-    lai_max, sla, n_plants = p[:3]
+def _fruit_on_days(state, series_rows, forcing, days) -> Iterator[tuple[int, np.ndarray]]:
+    """(day, fruit mass) after each of the given 0-based days of the
+    recurrence in simulate, the mass a (keys, contexts) array that the next
+    day updates in place. state holds the keys' LAI_max, SLA and
+    n_plants as (keys, 1) columns; series_rows holds, per DAY_SERIES_PARAMS
+    entry, its parameter columns over the distinct rows and each key's row
+    (None: one row per key). Each series is computed once per distinct row;
+    only the crop-state update runs per key, day by day."""
+    n_ctx = forcing[0].shape[2]
+    # a key's day values are gathered from its row by flat index into the
+    # day's (rows, contexts) block, unless every key has a row of its own
+    (assim_max, a), (maint_rate, m), (p_f, f) = (
+        (_day_series(name, p, *forcing),
+         None if inv is None else inv[:, None] * n_ctx + np.arange(n_ctx))
+        for name, (p, inv) in zip(DAY_SERIES_PARAMS, series_rows)
+    )
+    lai_max, sla, n_plants = state
     sla_n = sla * n_plants
-    shape = assim_max.shape[1:]
+    shape = (len(lai_max), n_ctx)
     w_l, w_s, w_f = (np.full(shape, w) for w in (_W_LEAF0, _W_STEM0, _W_FRUIT0))
-    fruit = {}
     for d in range(len(assim_max)):
+        assim_d = assim_max[d] if a is None else assim_max[d].take(a)
+        maint_d = maint_rate[d] if m is None else maint_rate[d].take(m)
+        p_f_d = p_f[d] if f is None else p_f[d].take(f)
         # fmin/fmax pass over NaN like Python's min/max do in simulate
         lai = np.fmin(lai_max, sla_n * w_l)
         f_light = 1.0 - np.exp(-0.7 * lai)
-        net = np.fmax(0.0, assim_max[d] * f_light - maint_rate[d] * (w_f + w_l + w_s))
-        w_f += p_f[d] * net
-        rest = 1.0 - p_f[d]
+        net = np.fmax(0.0, assim_d * f_light - maint_d * (w_f + w_l + w_s))
+        w_f += p_f_d * net
+        rest = 1.0 - p_f_d
         w_l += 0.7 * rest * net
         w_s += 0.3 * rest * net
         if d in days:
-            fruit[d] = w_f.copy()
-    return fruit
+            yield d, w_f
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

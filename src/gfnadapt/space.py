@@ -129,8 +129,7 @@ def build_space(
 def validate_key(space: SpaceSpec, key: StateKey) -> None:
     if len(key) > space.slots:
         raise ValueError(f"key length {len(key)} exceeds {space.slots} slots")
-    for t, a in enumerate(key):
-        n = len(space.slot_group(t).actions)
+    for t, (a, n) in enumerate(zip(key, space.slot_radices)):
         if not 0 <= a < n:
             raise ValueError(f"slot {t}: action index {a} out of range [0, {n})")
 
@@ -178,8 +177,7 @@ def decode_batch(space: SpaceSpec, keys: Sequence[StateKey]) -> np.ndarray:
         raise ValueError("keys must be a non-empty sequence of equal-length keys")
     if keys.shape[1] > space.slots:
         raise ValueError(f"key length {keys.shape[1]} exceeds {space.slots} slots")
-    for t, column in enumerate(keys.T):
-        n = len(space.slot_group(t).actions)
+    for t, (column, n) in enumerate(zip(keys.T, space.slot_radices)):
         if column.min() < 0 or column.max() >= n:
             bad = column[(column < 0) | (column >= n)][0]
             raise ValueError(f"slot {t}: action index {bad} out of range [0, {n})")

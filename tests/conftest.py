@@ -59,6 +59,22 @@ def fixed_passes(net, space, keys):
     return gf.RolloutPasses(acts, [logp for _, logp in per_slot], keys, inverses, offsets)
 
 
+def record_passes(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch simulate_batch's day loop to record each array pass as its key
+    count followed by each day series' distinct row count."""
+    from gfnadapt import simulator
+
+    passes = []
+    fruit_on_days = simulator._fruit_on_days
+
+    def recorded(state, series_rows, *args):
+        passes.append((state.shape[1], *(p.shape[1] for p, _ in series_rows)))
+        return fruit_on_days(state, series_rows, *args)
+
+    monkeypatch.setattr(simulator, "_fruit_on_days", recorded)
+    return passes
+
+
 class StubScorer:
     """Fixed synthetic rewards per terminal key, no simulator behind it."""
 

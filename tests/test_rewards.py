@@ -17,14 +17,16 @@ from gfnadapt.rewards import (
     normalize,
     reward,
 )
+from gfnadapt import simulator
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
-    SIM_CHUNK,
     generate_contexts,
     simulate,
     synthesize_observations,
 )
 from gfnadapt.space import decode_state, enumerate_terminals
+
+from conftest import record_passes
 
 
 class TestContextLoss:
@@ -295,15 +297,20 @@ def test_batched_raw_losses_match_scalar_oracle(space, obs_contexts, fitted_scor
         assert raw == pytest.approx(scalar_raw_losses(space, obs_contexts, key), rel=1e-10)
 
 
-def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer):
-    keys = list(enumerate_terminals(space))[: 2 * SIM_CHUNK + 5]
+def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer, monkeypatch):
+    # SIM_CHUNK caps the distinct rows of each day series in a pass; at 4
+    # the enumerate's first keys take several passes
+    monkeypatch.setattr(simulator, "SIM_CHUNK", 4)
+    passes = record_passes(monkeypatch)
+    keys = list(enumerate_terminals(space))[:40]
     batch = fitted_scorer.raw_losses(keys)
+    assert len(passes) >= 3
     reversed_batch = fitted_scorer.raw_losses(keys[::-1])[::-1]
-    # the first and last key of a chunk, and keys of the short last chunk
-    for i in (0, SIM_CHUNK - 1, SIM_CHUNK, len(keys) - 1):
-        [alone] = fitted_scorer.raw_losses([keys[i]])
-        assert np.array_equal(alone, batch[i])
-        assert np.array_equal(alone, reversed_batch[i])
+    # every key, so the first and last key of each pass and the last pass
+    for key, row, reversed_row in zip(keys, batch, reversed_batch):
+        [alone] = fitted_scorer.raw_losses([key])
+        assert np.array_equal(alone, row)
+        assert np.array_equal(alone, reversed_row)
 
 
 def test_non_finite_trajectory_names_its_context(space, obs_contexts, tmp_path):

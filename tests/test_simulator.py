@@ -3,8 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gfnadapt import simulator
 from gfnadapt.simulator import (
+    DAY_SERIES_PARAMS,
     DEFAULT_TRUTH_KEY,
+    SIM_PARAM_NAMES,
     ContextDataset,
     generate_contexts,
     simulate,
@@ -12,7 +15,9 @@ from gfnadapt.simulator import (
     synthesize_observations,
 )
 from gfnadapt.simulator import _inhibition
-from gfnadapt.space import decode_batch, decode_state
+from gfnadapt.space import decode_batch, decode_state, enumerate_terminals
+
+from conftest import record_passes
 
 # Baseline-parameter trajectory for context 1 (contexts_seed=7), frozen from
 # an independent straight-line reimplementation of the daily recurrence.
@@ -96,6 +101,63 @@ def test_batch_matches_scalar_on_unequal_contexts(space, tmp_path):
         assert sim.shape == (len(keys), len(ctx.obs_times))
         for key, row in zip(keys, sim):
             assert row == pytest.approx(simulate(decode_state(space, key), ctx), rel=1e-10)
+
+
+def columns(space, keys):
+    """simulate_batch's parameter columns for the given keys."""
+    return dict(zip((p.name for p in space.parameters), decode_batch(space, keys).T))
+
+
+def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatch):
+    # the enumerate is one pass whose day series hold 25, 5 and 15 distinct
+    # rows, gathered per key; a single key reads its own rows
+    passes = record_passes(monkeypatch)
+    params = columns(space, list(enumerate_terminals(space)))
+    sims = simulate_batch(params, obs_contexts)
+    assert passes == [(2625, 25, 5, 15)]
+    alone = [
+        simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
+        for i in range(len(sims[0]))
+    ]
+    for j, sim in enumerate(sims):
+        assert sim.tobytes() == np.concatenate([a[j] for a in alone]).tobytes()
+
+
+@pytest.mark.parametrize("cap, value", [("SIM_CHUNK", 2), ("SIM_KEYS", 5)])
+def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap, value):
+    space2 = replace(space, cycles=2)
+    rng = np.random.default_rng(9)
+    keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(150)]
+    keys += keys[:30]  # rows repeated across passes
+    params = columns(space2, keys)
+    whole = simulate_batch(params, obs_contexts)
+    monkeypatch.setattr(simulator, cap, value)
+    passes = record_passes(monkeypatch)
+    split = simulate_batch(params, obs_contexts)
+    for a, b in zip(whole, split):
+        assert a.tobytes() == b.tobytes()
+    assert sum(n for n, *_ in passes) == len(keys) and len(passes) > 20
+    for n_keys, *rows in passes:
+        assert n_keys <= simulator.SIM_KEYS and max(rows) <= simulator.SIM_CHUNK
+
+
+def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
+    keys = list(enumerate_terminals(space))[:50]
+    keys.append(keys[10])  # bit-identical to key 10 in every parameter row
+    params = columns(space, keys)
+    clean = simulate_batch(params, obs_contexts)
+    params["rg_fruit"] = params["rg_fruit"].copy()
+    params["rg_fruit"][10] = np.nan
+    dirty = simulate_batch(params, obs_contexts)
+    others = np.arange(len(keys)) != 10
+    for a, b in zip(clean, dirty):
+        assert not np.all(np.isfinite(b[10]))
+        assert a[others].tobytes() == b[others].tobytes()
+
+
+def test_series_parameters_cover_each_parameter_once():
+    declared = [name for names in DAY_SERIES_PARAMS.values() for name in names]
+    assert sorted([*declared, "LAI_max", "SLA", "n_plants"]) == sorted(SIM_PARAM_NAMES)
 
 
 def test_obs_times_biweekly():
