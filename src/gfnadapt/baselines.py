@@ -15,7 +15,7 @@ from .rewards import TerminalScorer
 from .space import SpaceSpec, StateKey, is_terminal, validate_key
 
 
-def export_trace_csv(path, evaluated, config_hash: str = "") -> None:
+def export_trace_csv(path, evaluated, config_hash: str) -> None:
     """(key, loss) pairs in evaluation order, one row each with the best
     loss so far; the format of every trace.csv and samples.csv."""
     with open(path, "w", newline="") as fh:
@@ -30,17 +30,22 @@ def export_trace_csv(path, evaluated, config_hash: str = "") -> None:
             )
 
 
-def read_trace_csv(path, space: SpaceSpec) -> list[tuple[StateKey, float]]:
+def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[StateKey, float]]:
     """The (key, loss) pairs of a file written by export_trace_csv for
-    `space`. A row that is not four fields with a terminal key of the space
-    and a loss (a torn write, say) raises ValueError naming the file and
-    the line."""
+    `space` under `config_hash`. A file stamped with another config hash, or
+    a row that is not four fields with a terminal key of the space and a
+    loss (a torn write, say), raises ValueError naming the file (and the
+    line)."""
     evaluated = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        stamp = next(reader, [])
+        if stamp != [f"# config_hash={config_hash}"]:
+            raise ValueError(
+                f"{path} is stamped {','.join(stamp)!r}, expected config hash {config_hash}"
+            )
+        next(reader, None)  # header
         for row in reader:
-            if reader.line_num <= 2:  # config hash, header
-                continue
             try:
                 if len(row) != 4:
                     raise ValueError(f"{len(row)} fields")

@@ -2,8 +2,10 @@
 
 Outputs are laid out as <out>/<run-hash>/<command>/[<seed>/]; the reward
 cache is shared across commands and methods under <out>/cache/<reward-hash>/
-(override with GFNADAPT_CACHE_DIR). Commands are idempotent: a completed
-output directory is left untouched on re-run.
+(override with GFNADAPT_CACHE_DIR). enumerate, train, sample and baseline
+run through one stage lifecycle, `_run_stage`: a completed output directory
+(one with a `done` marker) is left untouched on re-run, and every stage
+writes meta.json with the same base fields.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
@@ -92,21 +94,35 @@ class Workspace:
         return scorer
 
 
-def _done(path: Path) -> bool:
-    return (path / "done").exists()
-
-
-def _mark_done(path: Path) -> None:
-    (path / "done").write_text("ok\n")
-
-
-def _write_meta(path: Path, scorer: TerminalScorer, **fields) -> None:
-    """meta.json of a stage, with the scorer's evaluation counts: keys
-    requested, served by the cache, and simulated (quantile fit included)."""
-    counts = {name: getattr(scorer, name)
-              for name in ("requested", "cache_hits", "simulated", "sim_evals")}
-    with open(path / "meta.json", "w") as fh:
-        json.dump({**fields, **counts}, fh, indent=2, sort_keys=True)
+def _run_stage(cfg: ExperimentConfig, ws: Workspace, stage: str, seeds, body) -> None:
+    """Run `body(out, scorer, seed)` for each seed into <run>/<stage>/<seed>,
+    or into <run>/<stage> for the one seed None, skipping a directory marked
+    `done`. The body writes the stage's artifacts and returns a summary line
+    and its own meta.json fields. Only when it returns are meta.json and then
+    `done` written. The base fields of meta.json are config_hash,
+    reward_hash, wall_clock (timed from before the scorer's set-up), the
+    scorer's four evaluation counts and the seed."""
+    for seed in seeds:
+        out, label = cfg.out_root() / stage, stage
+        if seed is not None:
+            out, label = out / str(seed), f"{stage}[{seed}]"
+        if (out / "done").exists():
+            print(f"{label}: {out} already complete, skipping")
+            continue
+        start = time.monotonic()
+        out.mkdir(parents=True, exist_ok=True)
+        scorer = ws.scorer()
+        summary, fields = body(out, scorer, seed)
+        meta = {"config_hash": cfg.run_hash(), "reward_hash": cfg.reward_hash(),
+                "wall_clock": time.monotonic() - start, **fields}
+        for name in ("requested", "cache_hits", "simulated", "sim_evals"):
+            meta[name] = getattr(scorer, name)
+        if seed is not None:
+            meta["seed"] = seed
+        with open(out / "meta.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+        (out / "done").write_text("ok\n")
+        print(f"{label}: {summary} ({meta['wall_clock']:.1f}s)")
 
 
 def cmd_enumerate(cfg: ExperimentConfig) -> None:
@@ -116,28 +132,24 @@ def cmd_enumerate(cfg: ExperimentConfig) -> None:
             f"space has {ws.space.terminal_count()} terminals, exceeding "
             f"enum_cap {cfg['run.enum_cap']}"
         )
-    out = cfg.out_root() / "enumerate"
-    if _done(out):
-        print(f"enumerate: {out} already complete, skipping")
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    scorer = ws.scorer()
-    table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
-    basins = lsc.basin_map(table, ws.space)
     run_hash = cfg.run_hash()
-    lsc.export_landscape_csv(out / "landscape.csv", table, basins, run_hash)
-    grid = lsc.project_grid(table.target_prob, ws.space, basins)
-    lsc.export_grid_json(out / "grid.json", grid, run_hash)
-    masses = {
-        "-".join(map(str, table.keys[m])): mass
-        for m, mass in sorted(basins.basin_mass.items())
-    }
-    with open(out / "basins.json", "w") as fh:
-        json.dump({"config_hash": run_hash, "basin_mass": masses}, fh, indent=2)
-    scorer.quantiles.to_json(out / "quantiles.json")
-    _write_meta(out, scorer, config_hash=run_hash, reward_hash=cfg.reward_hash())
-    _mark_done(out)
-    print(f"enumerate: wrote {len(table.keys)} states to {out}")
+
+    def body(out, scorer, _):
+        table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
+        basins = lsc.basin_map(table, ws.space)
+        lsc.export_landscape_csv(out / "landscape.csv", table, basins, run_hash)
+        grid = lsc.project_grid(table.target_prob, ws.space, basins)
+        lsc.export_grid_json(out / "grid.json", grid, run_hash)
+        masses = {
+            "-".join(map(str, table.keys[m])): mass
+            for m, mass in sorted(basins.basin_mass.items())
+        }
+        with open(out / "basins.json", "w") as fh:
+            json.dump({"config_hash": run_hash, "basin_mass": masses}, fh, indent=2)
+        scorer.quantiles.to_json(out / "quantiles.json")
+        return f"wrote {len(table.keys)} states to {out}", {}
+
+    _run_stage(cfg, ws, "enumerate", [None], body)
 
 
 def cmd_train(cfg: ExperimentConfig) -> None:
@@ -152,16 +164,9 @@ def cmd_train(cfg: ExperimentConfig) -> None:
         hidden=tuple(cfg["train.hidden"]),
         budget=cfg["train.budget"],
     )
-    for seed in cfg["run.seeds"]:
-        out = cfg.out_root() / "train" / str(seed)
-        if _done(out):
-            print(f"train[{seed}]: {out} already complete, skipping")
-            continue
-        out.mkdir(parents=True, exist_ok=True)
-        scorer = ws.scorer()
-        start = time.monotonic()
+
+    def body(out, scorer, seed):
         result = gflownet.train(ws.space, scorer, train_cfg, seed)
-        wall = time.monotonic() - start
         signature = gflownet.checkpoint_signature(ws.space, run_hash)
         gflownet.save_checkpoint(out / "checkpoint.bin", result.net, signature)
         with open(out / "train_log.csv", "w", newline="") as fh:
@@ -171,51 +176,34 @@ def cmd_train(cfg: ExperimentConfig) -> None:
             for step, loss, log_z, uniq in result.log_rows:
                 writer.writerow([step, repr(float(loss)), repr(float(log_z)), uniq])
         baselines.export_trace_csv(out / "trace.csv", result.evaluated, run_hash)
-        _write_meta(
-            out,
-            scorer,
-            config_hash=run_hash,
-            reward_hash=cfg.reward_hash(),
-            seed=seed,
-            wall_clock=wall,
-            stopped_early=result.stopped_early,
-        )
-        _mark_done(out)
-        print(f"train[{seed}]: final tb_loss={result.log_rows[-1][1]:.4g} ({wall:.1f}s)")
+        return (f"final tb_loss={result.log_rows[-1][1]:.4g}",
+                {"stopped_early": result.stopped_early})
+
+    _run_stage(cfg, ws, "train", cfg["run.seeds"], body)
 
 
 def cmd_sample(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
     n = cfg["train.n_samples"]
-    for seed in cfg["run.seeds"]:
-        ckpt = cfg.out_root() / "train" / str(seed) / "checkpoint.bin"
+    ckpts = {seed: cfg.out_root() / "train" / str(seed) / "checkpoint.bin"
+             for seed in cfg["run.seeds"]}
+    for ckpt in ckpts.values():
         if not ckpt.exists():
             raise MissingArtifact(f"missing checkpoint: {ckpt}")
-        out = cfg.out_root() / "sample" / str(seed)
-        if _done(out):
-            print(f"sample[{seed}]: {out} already complete, skipping")
-            continue
-        out.mkdir(parents=True, exist_ok=True)
-        net = gflownet.load_checkpoint(ckpt, gflownet.checkpoint_signature(ws.space, run_hash))
-        scorer = ws.scorer()
-        start = time.monotonic()
+
+    def body(out, scorer, seed):
+        net = gflownet.load_checkpoint(ckpts[seed],
+                                       gflownet.checkpoint_signature(ws.space, run_hash))
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
         )
         losses, _ = scorer.score(keys)
         evaluated = list(zip(keys, losses.tolist()))
         baselines.export_trace_csv(out / "samples.csv", evaluated, run_hash)
-        _write_meta(
-            out,
-            scorer,
-            config_hash=run_hash,
-            seed=seed,
-            wall_clock=time.monotonic() - start,
-            n_samples=n,
-        )
-        _mark_done(out)
-        print(f"sample[{seed}]: wrote {n} samples")
+        return f"wrote {n} samples", {"n_samples": n}
+
+    _run_stage(cfg, ws, "sample", cfg["run.seeds"], body)
 
 
 def cmd_baseline(cfg: ExperimentConfig) -> None:
@@ -225,14 +213,8 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
         raise ConfigError("baseline requires run.method to be 'random' or 'tpe'")
     run_hash = cfg.run_hash()
     budget = cfg["baseline.budget"]
-    for seed in cfg["run.seeds"]:
-        out = cfg.out_root() / f"baseline-{method}" / str(seed)
-        if _done(out):
-            print(f"baseline-{method}[{seed}]: already complete, skipping")
-            continue
-        out.mkdir(parents=True, exist_ok=True)
-        scorer = ws.scorer()
-        start = time.monotonic()
+
+    def body(out, scorer, seed):
         if method == "random":
             evaluated = baselines.random_search(ws.space, scorer, budget, seed)
         else:
@@ -241,28 +223,9 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
                 n_candidates=cfg["baseline.n_candidates"], startup=cfg["baseline.startup"],
             )
         baselines.export_trace_csv(out / "trace.csv", evaluated, run_hash)
-        _write_meta(
-            out,
-            scorer,
-            config_hash=run_hash,
-            reward_hash=cfg.reward_hash(),
-            seed=seed,
-            wall_clock=time.monotonic() - start,
-            budget=budget,
-        )
-        _mark_done(out)
-        print(f"baseline-{method}[{seed}]: best loss "
-              f"{min(l for _, l in evaluated):.4g}")
+        return f"best loss {min(l for _, l in evaluated):.4g}", {"budget": budget}
 
-
-def _check_hash(path: Path, run_hash: str) -> None:
-    with open(path, newline="") as fh:
-        first = fh.readline().strip()
-    embedded = first.split("config_hash=")[-1].strip('"')
-    if embedded != run_hash:
-        raise RuntimeError(
-            f"{path} carries config hash {embedded}, expected {run_hash}"
-        )
+    _run_stage(cfg, ws, f"baseline-{method}", cfg["run.seeds"], body)
 
 
 def _read_wall_clock(path: Path) -> float:
@@ -290,34 +253,24 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         scorer = ws.scorer()
         table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
 
-    sources = [("gflownet", root / "train")]
-    for method in ("random", "tpe"):
-        sources.append((method, root / f"baseline-{method}"))
-    found = []
-    for method, base in sources:
+    sources = {"gflownet": root / "train", "random": root / "baseline-random",
+               "tpe": root / "baseline-tpe"}
+    traces = {}
+    for method, base in sources.items():
         if not base.exists():
             continue
-        for seed_dir in sorted(base.iterdir(), key=lambda p: p.name):
-            trace_path = seed_dir / "trace.csv"
-            meta_path = seed_dir / "meta.json"
-            if not trace_path.exists():
-                raise MissingArtifact(f"missing trace: {trace_path}")
-            if not meta_path.exists():
-                raise MissingArtifact(f"missing meta: {meta_path}")
-            _check_hash(trace_path, run_hash)
-            found.append((method, int(seed_dir.name), trace_path, meta_path))
-    if not found:
+        for seed in cfg["run.seeds"]:
+            trace_path, meta_path = base / str(seed) / "trace.csv", base / str(seed) / "meta.json"
+            for path in (trace_path, meta_path):
+                if not path.exists():
+                    raise MissingArtifact(f"missing {path.stem}: {path}")
+            evaluated = baselines.read_trace_csv(trace_path, ws.space, run_hash)
+            traces[(method, seed)] = (evaluated, _read_wall_clock(meta_path))
+    if not traces:
         raise MissingArtifact(f"no traces found under {root}")
-
     beta = cfg["reward.beta"]
-    all_losses = []
-    traces = {}
-    for method, seed, trace_path, meta_path in found:
-        evaluated = baselines.read_trace_csv(trace_path, ws.space)
-        traces[(method, seed)] = (evaluated, _read_wall_clock(meta_path))
-        all_losses.extend(loss for _, loss in evaluated)
-    l_star = (
-        float(table.aggregates.min()) if table is not None else min(all_losses)
+    l_star = float(table.aggregates.min()) if table is not None else min(
+        loss for evaluated, _ in traces.values() for _, loss in evaluated
     )
 
     ks = [10, 20, 50]

@@ -136,31 +136,25 @@ def project_grid(
 
 
 def export_landscape_csv(
-    path, landscape: LandscapeTable, basins: BasinAssignment | None = None,
-    config_hash: str = "",
+    path, landscape: LandscapeTable, basins: BasinAssignment, config_hash: str
 ) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
         writer.writerow(["key", "loss", "reward", "target_prob", "mode_key"])
         for i, key in enumerate(landscape.keys):
-            mode = (
-                "-".join(map(str, landscape.keys[int(basins.mode_of[i])]))
-                if basins is not None
-                else ""
-            )
             writer.writerow(
                 [
                     "-".join(map(str, key)),
                     repr(float(landscape.aggregates[i])),
                     repr(float(landscape.rewards[i])),
                     repr(float(landscape.target_prob[i])),
-                    mode,
+                    "-".join(map(str, landscape.keys[int(basins.mode_of[i])])),
                 ]
             )
 
 
-def export_grid_json(path, grid: dict, config_hash: str = "") -> None:
+def export_grid_json(path, grid: dict, config_hash: str) -> None:
     doc = {
         "config_hash": config_hash,
         "row_radices": grid["row_radices"],

@@ -85,12 +85,13 @@ def top20_stats(
     return float(median(losses)), mean_ham, deficient
 
 
+# (comparison.csv column, RetrievalReport field): each column is followed
+# by its "_std" column, after the leading "method"
 REPORT_COLUMNS = (
-    "method",
-    "best_loss",
-    "median_top20",
-    "mean_hamming_top20",
-    "wall_clock",
+    ("best_loss", "best_loss"),
+    ("median_top20", "median_top20_loss"),
+    ("mean_hamming_top20", "mean_hamming_top20"),
+    ("wall_clock", "wall_clock"),
 )
 
 
@@ -99,65 +100,29 @@ def compare_methods(reports: Sequence[RetrievalReport]) -> list[dict]:
     methods: dict[str, list[RetrievalReport]] = {}
     for r in reports:
         methods.setdefault(r.method, []).append(r)
-
-    def agg(values):
-        values = np.asarray(values, dtype=float)
-        std = float(values.std(ddof=1)) if len(values) > 1 else 0.0
-        return float(values.mean()), std
-
     rows = []
     for method in sorted(methods):
-        group = methods[method]
         row = {"method": method}
-        for col, attr in [
-            ("best_loss", "best_loss"),
-            ("median_top20", "median_top20_loss"),
-            ("mean_hamming_top20", "mean_hamming_top20"),
-            ("wall_clock", "wall_clock"),
-        ]:
-            mean, std = agg([getattr(r, attr) for r in group])
-            row[col] = mean
-            row[col + "_std"] = std
+        for col, attr in REPORT_COLUMNS:
+            values = np.array([getattr(r, attr) for r in methods[method]], dtype=float)
+            row[col] = float(values.mean())
+            row[col + "_std"] = float(values.std(ddof=1)) if len(values) > 1 else 0.0
         rows.append(row)
     return rows
 
 
-def export_comparison_csv(path, rows: list[dict], config_hash: str = "") -> None:
+def export_comparison_csv(path, rows: list[dict], config_hash: str) -> None:
+    header = ["method"] + [c + sfx for c, _ in REPORT_COLUMNS for sfx in ("", "_std")]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
-        header = []
-        for col in REPORT_COLUMNS:
-            header.append(col)
-            if col != "method":
-                header.append(col + "_std")
         writer.writerow(header)
         for row in rows:
-            out = []
-            for col in REPORT_COLUMNS:
-                if col == "method":
-                    out.append(row[col])
-                else:
-                    out.append(repr(row[col]))
-                    out.append(repr(row[col + "_std"]))
-            writer.writerow(out)
+            writer.writerow([row["method"]] + [repr(row[c]) for c in header[1:]])
 
 
 def export_report_json(path, reports: Sequence[RetrievalReport], manifest: dict) -> None:
-    doc = dict(manifest)
-    doc["reports"] = [
-        {
-            "method": r.method,
-            "seed": r.seed,
-            "best_loss": r.best_loss,
-            "median_top20_loss": r.median_top20_loss,
-            "mean_hamming_top20": r.mean_hamming_top20,
-            "sample_deficient": r.sample_deficient,
-            "wall_clock": r.wall_clock,
-            "best_so_far": r.best_so_far,
-            "topk_recovery": r.topk_recovery,
-        }
-        for r in reports
-    ]
+    # vars, not asdict: asdict copies every tuple of every best_so_far series
+    doc = dict(manifest, reports=[vars(r) for r in reports])
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)

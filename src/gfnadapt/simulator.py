@@ -9,7 +9,6 @@ partitioning toward fruit. Observations are cumulative fruit dry mass
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -370,43 +369,3 @@ def synthesize_observations(
         out.append(replace(ctx, obs_values=noisy))
     return out
 
-
-# ---------------------------------------------------------------------------
-# Context import/export so external simulators or real datasets can be
-# substituted behind the same interface.
-
-
-def contexts_to_json(contexts: Sequence[ContextDataset], path) -> None:
-    records = [
-        {
-            "context_id": c.context_id,
-            "days": c.days,
-            "t_day": c.t_day.tolist(),
-            "t_24": c.t_24.tolist(),
-            "light": c.light.tolist(),
-            "co2": c.co2.tolist(),
-            "obs_times": c.obs_times.tolist(),
-            "obs_values": c.obs_values.tolist(),
-        }
-        for c in contexts
-    ]
-    with open(path, "w") as fh:
-        json.dump(records, fh)
-
-
-def contexts_from_json(path) -> list[ContextDataset]:
-    with open(path) as fh:
-        records = json.load(fh)
-    return [
-        ContextDataset(
-            context_id=r["context_id"],
-            days=r["days"],
-            t_day=np.asarray(r["t_day"], dtype=float),
-            t_24=np.asarray(r["t_24"], dtype=float),
-            light=np.asarray(r["light"], dtype=float),
-            co2=np.asarray(r["co2"], dtype=float),
-            obs_times=np.asarray(r["obs_times"], dtype=int),
-            obs_values=np.asarray(r["obs_values"], dtype=float),
-        )
-        for r in records
-    ]

@@ -228,14 +228,16 @@ class TestSearchTrace:
         path = tmp_path / "trace.csv"
         export_trace_csv(path, trace, config_hash="cafef00d")
         assert path.read_text().splitlines()[0] == "# config_hash=cafef00d"
-        assert read_trace_csv(path, tiny_space) == trace
+        assert read_trace_csv(path, tiny_space, "cafef00d") == trace
+        with pytest.raises(ValueError, match="expected config hash beef"):
+            read_trace_csv(path, tiny_space, "beef")
 
     def test_csv_floats_exact(self, tiny_space, tmp_path):
         # repr() serialization keeps losses bit-identical through the file
         scorer = AggScorer(lambda k: 1.0 / 3.0 + sum(k) * 1e-17)
         trace = random_search(tiny_space, scorer, 10, seed=9)
         path = tmp_path / "trace.csv"
-        export_trace_csv(path, trace)
-        for (k1, l1), (k2, l2) in zip(trace, read_trace_csv(path, tiny_space)):
+        export_trace_csv(path, trace, "beef")
+        for (k1, l1), (k2, l2) in zip(trace, read_trace_csv(path, tiny_space, "beef")):
             assert k1 == k2
             assert l1 == l2

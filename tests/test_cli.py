@@ -356,6 +356,25 @@ class TestPipeline:
         meta = json.loads((root / "train" / "1" / "meta.json").read_text())
         assert meta["requested"] == 60 * 8  # steps x batch
 
+    def test_meta_has_the_same_base_fields_in_every_stage(self, workspace):
+        for command, *overrides in [("enumerate",), ("train",), ("sample",),
+                                    ("baseline", "run.method=random")]:
+            assert run(workspace, command, *overrides) == 0
+        root = out_root(workspace)
+        cfg = load_config(workspace)
+        base = {"config_hash", "reward_hash", "wall_clock", "requested", "cache_hits",
+                "simulated", "sim_evals"}
+        own = {"enumerate": set(), "train/1": {"stopped_early"}, "sample/1": {"n_samples"},
+               "baseline-random/1": {"budget"}}
+        for stage, fields in own.items():
+            meta = json.loads((root / stage / "meta.json").read_text())
+            seed = {"seed"} if "/" in stage else set()
+            assert set(meta) == base | seed | fields, stage
+            assert (meta["config_hash"], meta["reward_hash"]) == (
+                cfg.run_hash(), cfg.reward_hash()), stage
+            assert meta["wall_clock"] > 0.0, stage
+            assert meta.get("seed", 1) == 1, stage
+
     def test_train_idempotent(self, workspace):
         assert run(workspace, "train") == 0
         ckpt = out_root(workspace) / "train" / "1" / "checkpoint.bin"
@@ -371,8 +390,19 @@ class TestPipeline:
         assert (root / "baseline-tpe" / "1" / "done").exists()
         # six terminals total: the second method's run can only hit the cache
         meta = json.loads((root / "baseline-tpe" / "1" / "meta.json").read_text())
+        assert meta["simulated"] == 0
+        assert meta["cache_hits"] == meta["requested"] > 0
         cfg = load_config(workspace)
         assert (cfg.cache_dir() / "rewards.bin").exists()
+
+    def test_report_reads_the_run_seeds_not_the_directory_listing(self, workspace):
+        # a stray file beside the seed directories; the baselines have no
+        # stage directory, so they are skipped
+        assert run(workspace, "train") == 0
+        (out_root(workspace) / "train" / ".DS_Store").touch()
+        assert run(workspace, "report") == 0
+        doc = json.loads((out_root(workspace) / "report" / "report.json").read_text())
+        assert [(r["method"], r["seed"]) for r in doc["reports"]] == [("gflownet", 1)]
 
     def test_report_rejects_foreign_trace(self, workspace):
         assert run(workspace, "train") == 0

@@ -6,7 +6,6 @@ import pytest
 
 from gfnadapt.landscape import LandscapeTable
 from gfnadapt.metrics import (
-    REPORT_COLUMNS,
     RetrievalReport,
     best_so_far,
     compare_methods,
@@ -138,13 +137,12 @@ class TestCompareMethods:
         )
         assert [r["method"] for r in rows] == ["gflownet", "random", "tpe"]
 
-    def test_column_order_snapshot(self):
-        assert REPORT_COLUMNS == (
-            "method",
-            "best_loss",
-            "median_top20",
-            "mean_hamming_top20",
-            "wall_clock",
+    def test_column_order_snapshot(self, tmp_path):
+        path = tmp_path / "comparison.csv"
+        export_comparison_csv(path, compare_methods([report("tpe", 1, 0.4)]), "beef")
+        assert path.read_text().splitlines()[1] == (
+            "method,best_loss,best_loss_std,median_top20,median_top20_std,"
+            "mean_hamming_top20,mean_hamming_top20_std,wall_clock,wall_clock_std"
         )
 
 

@@ -80,19 +80,15 @@ def test_missing_parameter_rejected(space):
         simulate_batch({k: np.array([v]) for k, v in params.items()}, [ctx])
 
 
-def test_batch_matches_scalar_on_unequal_contexts(space, tmp_path):
-    # contexts of 60, 90 and 180 days, observed at different times, read
-    # back from JSON; simulate_batch groups them by length
-    from gfnadapt.simulator import contexts_from_json, contexts_to_json
-
+def test_batch_matches_scalar_on_unequal_contexts(space):
+    # contexts of 60, 90 and 180 days, observed at different times;
+    # simulate_batch groups them by length
     contexts = []
     for cid, (days, step) in enumerate([(180, 14), (60, 5), (90, 30), (60, 7)], start=1):
         ctx = generate_contexts(cid, days=days)[cid - 1]
         contexts.append(replace(ctx, context_id=cid, obs_times=np.arange(step, days + 1, step),
                                 obs_values=np.zeros(days // step)))
     contexts = synthesize_observations(contexts, decode_state(space, DEFAULT_TRUTH_KEY), 0.05, 3)
-    contexts_to_json(contexts, tmp_path / "contexts.json")
-    contexts = contexts_from_json(tmp_path / "contexts.json")
     rng = np.random.default_rng(5)
     keys = [tuple(int(rng.integers(r)) for r in space.slot_radices) for _ in range(70)]
     names = [p.name for p in space.parameters]
@@ -226,15 +222,3 @@ def test_simulate_pure(space, obs_contexts):
     a = simulate(params, obs_contexts[0])
     b = simulate(params, obs_contexts[0])
     assert np.array_equal(a, b)
-
-
-def test_context_json_roundtrip(tmp_path, obs_contexts):
-    from gfnadapt.simulator import contexts_from_json, contexts_to_json
-
-    path = tmp_path / "contexts.json"
-    contexts_to_json(obs_contexts, path)
-    loaded = contexts_from_json(path)
-    for a, b in zip(obs_contexts, loaded):
-        assert a.context_id == b.context_id
-        assert np.array_equal(a.obs_values, b.obs_values)
-        assert np.array_equal(a.t_24, b.t_24)
