@@ -245,9 +245,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
     root = cfg.out_root()
-    out = root / "report"
-    out.mkdir(parents=True, exist_ok=True)
-
+    # every input is read and checked before <run>/report is created, so a
+    # failed report leaves no directory behind
     table = None
     if (root / "enumerate" / "landscape.csv").exists():
         scorer = ws.scorer()
@@ -299,9 +298,6 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         )
         reports.append(rep)
 
-    rows = metrics.compare_methods(reports)
-    metrics.export_comparison_csv(out / "comparison.csv", rows, run_hash)
-
     l1_per_seed = {}
     if table is not None:
         for seed in cfg["run.seeds"]:
@@ -311,6 +307,11 @@ def cmd_report(cfg: ExperimentConfig) -> None:
                 net = gflownet.load_checkpoint(ckpt, signature)
                 learned = gflownet.exact_terminal_distribution(net, ws.space, cfg["run.enum_cap"])
                 l1_per_seed[str(seed)] = lsc.l1_distance(table.target_prob, learned)
+
+    out = root / "report"
+    out.mkdir(parents=True, exist_ok=True)
+    metrics.export_comparison_csv(out / "comparison.csv", metrics.compare_methods(reports),
+                                  run_hash)
     manifest = {
         "config_hash": run_hash,
         "reward_hash": cfg.reward_hash(),

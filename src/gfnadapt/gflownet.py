@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+import numpy.typing as npt
 
 from .nn import Adam, Gradients, PolicyNet, log_softmax
 from .rewards import TerminalScorer
 from .space import SpaceSpec, StateKey
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 SAMPLE_CHUNK = 1024  # rows per rollout in sample_terminals
 
 
@@ -56,12 +57,15 @@ def _column_offsets(radices: tuple[int, ...]) -> np.ndarray:
 
 
 def encode_batch(
-    space: SpaceSpec, keys: np.ndarray, out: np.ndarray | None = None
+    space: SpaceSpec,
+    keys: np.ndarray,
+    out: np.ndarray | None = None,
+    dtype: npt.DTypeLike = np.float32,
 ) -> np.ndarray:
     """One-hot of each slot's choice (with an undecided category) plus a
     one-hot of the current decision slot, one row per prefix. `keys` holds
     n prefixes of one length t, as an (n, t) int array; with `out`, the
-    rows are written there."""
+    rows are written there, otherwise into a new array of `dtype`."""
     keys = np.asarray(keys, dtype=np.int64)
     n, t = keys.shape
     offsets = _column_offsets(space.slot_radices)
@@ -70,16 +74,21 @@ def encode_batch(
     cols[:, t:-1] = offsets[t:-1]  # undecided
     cols[:, -1] = offsets[-1] + t
     if out is None:
-        out = np.zeros((n, offsets[-1] + space.slots))
+        out = np.zeros((n, offsets[-1] + space.slots), dtype=dtype)
     else:
         out.fill(0.0)
     out[np.arange(n)[:, None], cols] = 1.0
     return out
 
 
-def new_policy(space: SpaceSpec, cfg: TrainConfig, rng: np.random.Generator) -> PolicyNet:
+def new_policy(
+    space: SpaceSpec,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    dtype: npt.DTypeLike = np.float32,
+) -> PolicyNet:
     return PolicyNet.init(
-        feature_dim(space), list(space.slot_radices), hidden=cfg.hidden, rng=rng
+        feature_dim(space), list(space.slot_radices), hidden=cfg.hidden, rng=rng, dtype=dtype
     )
 
 
@@ -90,7 +99,8 @@ class RolloutPasses(NamedTuple):
 
     acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL], (U, width); slot
                             # t's rows are offsets[t]:offsets[t + 1]
-    logp: list[np.ndarray]  # per slot, pure-policy action log-probs, (u_t, radix)
+    logp: list[np.ndarray]  # per slot, pure-policy action log-probs, (u_t, radix),
+                            # float64 whatever the net's dtype
     chosen: np.ndarray      # sampled actions, (n, slots)
     inv: list[np.ndarray]   # per slot, (n,): each trajectory's prefix row in logp[t]
     offsets: np.ndarray     # (slots + 1,) first row of each slot's block in acts
@@ -103,10 +113,11 @@ def slot_forward(
     slot: int,
     acts: list[np.ndarray] | None = None,
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Trunk activations and action log-probs at `slot` for an (n, slot)
-    int array of prefixes; with `acts` (one (n, width) array per layer,
-    input first), the activations are written there."""
-    x = encode_batch(space, prefixes, None if acts is None else acts[0])
+    """Trunk activations (in the net's dtype) and float64 action log-probs
+    at `slot` for an (n, slot) int array of prefixes; with `acts` (one
+    (n, width) array per layer, input first), the activations are written
+    there."""
+    x = encode_batch(space, prefixes, None if acts is None else acts[0], net.dtype)
     acts = net.trunk_forward(x, None if acts is None else acts[1:])
     return acts, log_softmax(net.logits(acts[-1], slot))
 
@@ -131,7 +142,7 @@ def _rollout(
     inverses, logps = [], []
     if keep_caches:
         widths = [feature_dim(space), *(b.size for b in net.trunk_b)]
-        buffers = [np.empty((slots * n, w)) for w in widths]
+        buffers = [np.empty((slots * n, w), dtype=net.dtype) for w in widths]
     # slot 0 has one prefix, the empty one, so it needs no np.unique
     first, inv = np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
     for t, n_actions in enumerate(space.slot_radices):
@@ -171,7 +182,8 @@ def tb_loss_and_grads(
     gradient by backpropagation through those passes, written into `grads`
     (allocated when not given). Each slot's logit gradient is summed over
     the trajectories sharing a prefix, so the backward runs on the distinct
-    prefixes' rows."""
+    prefixes' rows. The loss and the logit gradients are reduced in float64;
+    each slot's logit gradient is cast to the net's dtype for the backward."""
     n = len(log_rewards)
     sum_logp = np.zeros(n)
     for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
@@ -189,7 +201,7 @@ def tb_loss_and_grads(
         d = np.exp(logp)
         d *= -per_prefix[:, None]
         d += per_action.reshape(rows, radix)
-        dlogits.append(d)
+        dlogits.append(d.astype(net.dtype, copy=False))
     if grads is None:
         grads = Gradients.zeros_like(net)
     net.backward_stacked(passes.acts, dlogits, grads)
@@ -279,10 +291,14 @@ def sample_terminals(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: length-prefixed JSON header followed by raw float64 arrays in
-# a fixed order. Deterministic bytes for identical models. The header carries
-# a signature of the space and run the net was trained for; loading refuses a
-# checkpoint whose signature differs from the caller's.
+# Checkpoints: length-prefixed JSON header followed by the net's flat
+# parameter vector as one little-endian block of the net's dtype ("<f4" for
+# float32, "<f8" for float64, named in the header's "dtype"). Deterministic
+# bytes for identical models. The header carries a signature of the space and
+# run the net was trained for; loading refuses a checkpoint whose signature
+# differs from the caller's.
+
+_CHECKPOINT_DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 
 def checkpoint_signature(space: SpaceSpec, run_hash: str) -> dict:
@@ -296,6 +312,7 @@ def checkpoint_signature(space: SpaceSpec, run_hash: str) -> dict:
 def save_checkpoint(path, net: PolicyNet, signature: dict) -> None:
     header = {
         "version": CHECKPOINT_VERSION,
+        "dtype": net.dtype.name,
         "signature": signature,
         "trunk_dims": [list(s) for s in net.trunk_shapes],
         "head_dims": [list(s) for s in net.head_shapes],
@@ -305,7 +322,7 @@ def save_checkpoint(path, net: PolicyNet, signature: dict) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(net.flat.astype("<f8", copy=False).tobytes())
+        fh.write(net.flat.astype(_CHECKPOINT_DTYPES[net.dtype.name], copy=False).tobytes())
 
 
 def load_checkpoint(path, signature: dict) -> PolicyNet:
@@ -328,11 +345,15 @@ def load_checkpoint(path, signature: dict) -> PolicyNet:
                 f"{name} is {stored.get(name)!r}, expected {signature[name]!r}"
                 for name in wrong
             ))
+        if header.get("dtype") not in _CHECKPOINT_DTYPES:
+            raise ValueError(f"checkpoint {path} has an unknown dtype {header.get('dtype')!r}")
         body = fh.read()
-    net = PolicyNet(header["trunk_dims"], header["head_dims"], log_z=header["log_z"])
+    net = PolicyNet(
+        header["trunk_dims"], header["head_dims"], log_z=header["log_z"], dtype=header["dtype"]
+    )
     if len(body) != net.flat.nbytes:
         raise ValueError(
             f"checkpoint {path} holds {len(body)} parameter bytes, expected {net.flat.nbytes}"
         )
-    net.flat[:] = np.frombuffer(body, dtype="<f8")
+    net.flat[:] = np.frombuffer(body, dtype=_CHECKPOINT_DTYPES[header["dtype"]])
     return net

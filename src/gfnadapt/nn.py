@@ -4,14 +4,19 @@ The forward policy is a shared ReLU trunk with one linear logit head per
 decision slot. Differentiation is implemented directly for this fixed
 architecture; no learning framework is used.
 
-All parameters live in one contiguous float64 vector: trunk weights, trunk
-biases, head weights, head biases, layer by layer and slot by slot. That is
-the order of params() and of a checkpoint's parameter bytes, and gradients
-and Adam's moments use the same layout, so an optimizer step is a few
-whole-vector passes, run over cache-sized blocks of the vector. The forward
-runs once per slot (slot t's input depends on the action drawn at slot t-1),
-on the batch's distinct prefixes only; the backward stacks every slot's
-distinct-prefix rows and runs one pass per trunk layer.
+All parameters live in one contiguous vector of the net's dtype (float32
+unless the net is built otherwise): trunk weights, trunk biases, head
+weights, head biases, layer by layer and slot by slot. That is the order of
+params() and of a checkpoint's parameter bytes, and gradients, Adam's
+moments and the activation buffers use the same dtype and the same layout,
+so an optimizer step is a few whole-vector passes, run over cache-sized
+blocks of the vector. Reductions stay in float64: log_softmax upcasts the
+logits, so log-probabilities, the trajectory-balance residual, log_z and the
+loss are float64 whatever the net's dtype.
+
+The forward runs once per slot (slot t's input depends on the action drawn
+at slot t-1), on the batch's distinct prefixes only; the backward stacks
+every slot's distinct-prefix rows and runs one pass per trunk layer.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.typing as npt
 
-ADAM_CHUNK = 32768  # elements per block of an Adam step: 256 KiB per operand
+ADAM_CHUNK = 32768  # elements per block of an Adam step: 128 KiB per float32 operand
+FLUSH_EVERY = 64  # Adam steps between flushes of moments about to go subnormal
 
 
 def _fan_in_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
@@ -29,12 +36,15 @@ def _fan_in_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarr
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
+    """Log-probabilities in float64 whatever z's dtype, so sums and
+    normalisations over them keep double precision."""
+    z = z.astype(np.float64, copy=False)
     z = z - z.max(axis=-1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
 
 class FlatParams:
-    """One contiguous float64 vector `flat`, zero-initialised, viewed as the
+    """One contiguous vector `flat` of `dtype`, zero-initialised, viewed as the
     trunk weights, trunk biases, head weights and head biases, in that order
     (the order of params(), and of a checkpoint's bytes), plus the scalar
     log_z. Writing through a view writes the vector."""
@@ -44,6 +54,7 @@ class FlatParams:
         trunk_shapes: list[tuple[int, int]],
         head_shapes: list[tuple[int, int]],
         log_z: float = 0.0,
+        dtype: npt.DTypeLike = np.float32,
     ):
         trunk_shapes = [tuple(s) for s in trunk_shapes]
         head_shapes = [tuple(s) for s in head_shapes]
@@ -52,7 +63,7 @@ class FlatParams:
             *head_shapes, *[(s[1],) for s in head_shapes],
         ]
         sizes = [int(np.prod(s)) for s in shapes]
-        flat = np.zeros(sum(sizes))
+        flat = np.zeros(sum(sizes), dtype=dtype)
         ends = np.cumsum(sizes)
         views = [flat[end - size : end].reshape(s) for s, size, end in zip(shapes, sizes, ends)]
         n_trunk, n_head = len(trunk_shapes), len(head_shapes)
@@ -62,6 +73,10 @@ class FlatParams:
         self.head_w = tuple(views[2 * n_trunk : 2 * n_trunk + n_head])
         self.head_b = tuple(views[2 * n_trunk + n_head :])
         self.log_z = log_z
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.flat.dtype
 
     @property
     def trunk_shapes(self) -> list[tuple[int, int]]:
@@ -85,11 +100,14 @@ class PolicyNet(FlatParams):
         head_dims: list[int],
         hidden: tuple[int, ...] = (256, 256, 256),
         rng: np.random.Generator | None = None,
+        dtype: npt.DTypeLike = np.float32,
     ) -> "PolicyNet":
         rng = rng or np.random.default_rng(0)
         dims = (in_dim, *hidden)
         # heads (and biases) start at zero so the initial policy is uniform
-        net = cls(list(zip(dims[:-1], dims[1:])), [(hidden[-1], d) for d in head_dims])
+        net = cls(
+            list(zip(dims[:-1], dims[1:])), [(hidden[-1], d) for d in head_dims], dtype=dtype
+        )
         for w in net.trunk_w:
             w[...] = _fan_in_uniform(rng, *w.shape)
         return net
@@ -124,7 +142,8 @@ class PolicyNet(FlatParams):
         is the loss gradient of slot t's logits, (rows_t, radix), and slot
         t's rows in `acts` are the rows_t after those of the slots before.
         Each head's gradient takes that slot's block; each trunk layer's
-        takes one pass over all blocks. The input's gradient is not formed."""
+        takes one pass over all blocks. The input's gradient is not formed.
+        `dlogits` must have the net's dtype, or the products are promoted."""
         h_last = acts[-1]
         dh = np.empty_like(h_last)
         lo = 0
@@ -147,16 +166,26 @@ class Gradients(FlatParams):
 
     @classmethod
     def zeros_like(cls, net: PolicyNet) -> "Gradients":
-        return cls(net.trunk_shapes, net.head_shapes)
+        return cls(net.trunk_shapes, net.head_shapes, dtype=net.dtype)
 
 
 @dataclass
 class Adam:
     """Adaptive-moment optimizer over a net's flat parameter vector plus the
-    scalar log_z; moments and scratch space are allocated on the first step.
-    The update runs over blocks of ADAM_CHUNK elements, so each block's
-    operands stay in cache across its passes; every operation is
-    elementwise, so the blocks give the same bytes as one whole pass."""
+    scalar log_z; moments and scratch space are allocated on the first step,
+    in the net's dtype. The update runs over blocks of ADAM_CHUNK elements,
+    so each block's operands stay in cache across its passes; every
+    operation is elementwise, so the blocks give the same bytes as one whole
+    pass.
+
+    A parameter whose gradient stays exactly zero (a dead ReLU unit) has its
+    moments decay by beta each step until they, or the update's product
+    lr * m, go subnormal, and subnormal arithmetic is many times slower.
+    Every FLUSH_EVERY steps, v below tiny / beta2**FLUSH_EVERY and m below
+    tiny / (min(lr, 1) * beta1**FLUSH_EVERY) are set to zero: above those
+    floors, FLUSH_EVERY more decays leave v, m and lr * m normal. A flushed
+    m would have moved its parameter by less than
+    tiny / (eps * beta1**FLUSH_EVERY) per step, about 1e-27 at float32."""
 
     lr: float = 5e-4
     log_z_lr: float = 0.1
@@ -175,10 +204,17 @@ class Adam:
         if self._m is None:
             self._m = np.zeros_like(p)
             self._v = np.zeros_like(p)
-            self._scratch = np.empty((2, min(ADAM_CHUNK, p.size)))
+            self._scratch = np.empty((2, min(ADAM_CHUNK, p.size)), dtype=p.dtype)
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
+        floors = None
+        if self._t % FLUSH_EVERY == 0:
+            tiny = np.finfo(p.dtype).tiny
+            floors = (
+                tiny / (min(self.lr, 1.0) * self.beta1**FLUSH_EVERY),
+                tiny / self.beta2**FLUSH_EVERY,
+            )
         for lo in range(0, p.size, ADAM_CHUNK):
             block = slice(lo, lo + ADAM_CHUNK)
             pb, gb, m, v = p[block], g[block], self._m[block], self._v[block]
@@ -199,6 +235,10 @@ class Adam:
             den += self.eps
             num /= den
             pb -= num
+            if floors:
+                for moment, floor in zip((m, v), floors):
+                    np.abs(moment, out=num)
+                    moment[num < floor] = 0.0
         self._mz = self.beta1 * self._mz + (1.0 - self.beta1) * grads.log_z
         self._vz = self.beta2 * self._vz + (1.0 - self.beta2) * grads.log_z**2
         net.log_z = float(

@@ -129,7 +129,7 @@ def test_gradients_match_finite_differences():
     start = time.monotonic()
     sp = make_tiny_space()
     rng = np.random.default_rng(3)
-    net = gf.new_policy(sp, gf.TrainConfig(hidden=(8, 8, 8)), rng)
+    net = gf.new_policy(sp, gf.TrainConfig(hidden=(8, 8, 8)), rng, dtype=np.float64)
     for head in net.head_w:
         head += rng.normal(0, 0.3, head.shape)
     keys = [(0, 0), (1, 2), (0, 1), (1, 0)]

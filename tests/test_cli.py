@@ -3,6 +3,7 @@ import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -106,6 +107,11 @@ class TestExitCodes:
 
     def test_report_without_traces(self, workspace):
         assert run(workspace, "report") == 2
+
+    def test_failed_report_leaves_no_report_directory(self, workspace, capsys):
+        assert run(workspace, "report") == 2
+        assert "no traces found" in capsys.readouterr().err
+        assert not (out_root(workspace) / "report").exists()
 
     @pytest.mark.parametrize(
         "override",
@@ -425,6 +431,7 @@ class TestPipeline:
         capsys.readouterr()
         assert run(workspace, "report") == 2
         assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
+        assert not (out_root(workspace) / "report").exists()
 
     # the workspace space has radices (2, 3): two slots
     @pytest.mark.parametrize(
@@ -440,7 +447,7 @@ class TestPipeline:
         capsys.readouterr()
         assert run(workspace, "report") == 2
         assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
-        assert not (out_root(workspace) / "report" / "report.json").exists()
+        assert not (out_root(workspace) / "report").exists()
 
     @pytest.mark.parametrize(
         "text", ['{"wall_clock": 1.0', "[1.0]", '{"wall_clock": "soon"}'],
@@ -481,18 +488,29 @@ class TestPipeline:
         assert f"{field} is" in capsys.readouterr().err
         assert not (out_root(workspace, override) / "sample" / "1" / "done").exists()
 
-    def test_version_2_checkpoint_exits_2(self, workspace, capsys):
-        # version 2 headers carried an "rng_state" key that version 3 dropped
+    def test_checkpoint_header_names_version_4_and_float32(self, workspace):
+        assert run(workspace, "train") == 0
+        blob = (out_root(workspace) / "train" / "1" / "checkpoint.bin").read_bytes()
+        hlen = struct.unpack("<I", blob[:4])[0]
+        header = json.loads(blob[4 : 4 + hlen])
+        assert (header["version"], header["dtype"]) == (4, "float32")
+        n = sum(a * b + b for a, b in header["trunk_dims"] + header["head_dims"])
+        assert len(blob) - 4 - hlen == 4 * n
+
+    def test_version_3_checkpoint_exits_2(self, workspace, capsys):
+        # version 3 headers had no "dtype" and a float64 parameter block
         assert run(workspace, "train") == 0
         ckpt = out_root(workspace) / "train" / "1" / "checkpoint.bin"
         blob = ckpt.read_bytes()
         hlen = struct.unpack("<I", blob[:4])[0]
-        header = dict(json.loads(blob[4 : 4 + hlen]), version=2, rng_state=None)
+        header = dict(json.loads(blob[4 : 4 + hlen]), version=3)
+        del header["dtype"]
         old = json.dumps(header, sort_keys=True).encode()
-        ckpt.write_bytes(struct.pack("<I", len(old)) + old + blob[4 + hlen :])
+        body = np.frombuffer(blob[4 + hlen :], dtype="<f4").astype("<f8").tobytes()
+        ckpt.write_bytes(struct.pack("<I", len(old)) + old + body)
         capsys.readouterr()
         assert run(workspace, "sample") == 2
-        assert "has version 2; this program reads version 3" in capsys.readouterr().err
+        assert "has version 3; this program reads version 4" in capsys.readouterr().err
         assert not (out_root(workspace) / "sample" / "1" / "done").exists()
 
     @pytest.mark.parametrize(

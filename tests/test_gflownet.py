@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -169,7 +171,7 @@ class TestSampling:
     def test_gathered_logp_match_per_row_forward(self, space):
         # a GEMM over fewer rows may round differently in the last place
         rng = np.random.default_rng(17)
-        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        net = gf.new_policy(space, gf.TrainConfig(), rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         keys, passes = gf._rollout(net, space, rng.random((space.slots, 64)), 0.3, True)
@@ -183,9 +185,9 @@ class TestSampling:
         assert passes is None
 
 
-def random_net(space, seed, hidden=(8, 8)):
+def random_net(space, seed, hidden=(8, 8), dtype=np.float32):
     rng = np.random.default_rng(seed)
-    net = gf.new_policy(space, gf.TrainConfig(hidden=hidden), rng)
+    net = gf.new_policy(space, gf.TrainConfig(hidden=hidden), rng, dtype=dtype)
     for head in net.head_w:
         head += rng.normal(0, 0.5, head.shape)
     return net
@@ -230,7 +232,7 @@ class TestGradients:
     def test_matches_central_differences(self):
         sp = make_tiny_space()
         rng = np.random.default_rng(7)
-        net = gf.new_policy(sp, gf.TrainConfig(hidden=(8, 8, 8)), rng)
+        net = gf.new_policy(sp, gf.TrainConfig(hidden=(8, 8, 8)), rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.3, head.shape)
         keys = [(0, 0), (1, 2), (0, 1), (1, 0)]
@@ -352,7 +354,7 @@ class TestFlatParameters:
 
     def test_stacked_backward_matches_per_slot_reference(self, space):
         rng = np.random.default_rng(21)
-        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        net = gf.new_policy(space, gf.TrainConfig(), rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
         net.log_z = 0.3
@@ -366,7 +368,7 @@ class TestFlatParameters:
     @pytest.mark.parametrize("batch", ["all-identical", "all-distinct"])
     def test_extreme_batches_match_per_row_reference(self, space, batch):
         rng = np.random.default_rng(26)
-        net = gf.new_policy(space, gf.TrainConfig(hidden=(64, 64)), rng)
+        net = gf.new_policy(space, gf.TrainConfig(hidden=(64, 64)), rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         net.log_z = -0.4
@@ -383,13 +385,10 @@ class TestFlatParameters:
         _, grads = gf.tb_loss_and_grads(net, passes, log_r)
         assert_grads_close(grads, reference_grads(net, passes, log_r), 1e-12)
 
-    def test_flat_adam_matches_per_array_reference_exactly(self, tiny_space):
-        def make():
-            return random_net(tiny_space, 22, hidden=(8, 8))
-
-        net, ref_net = make(), make()
+    @staticmethod
+    def assert_adam_matches_reference(net, ref_net, seed):
         opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
-        rng = np.random.default_rng(23)
+        rng = np.random.default_rng(seed)
         grads = Gradients.zeros_like(net)
         for _ in range(5):
             grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
@@ -398,23 +397,20 @@ class TestFlatParameters:
             ref_opt.step(ref_net, grads)
             assert np.array_equal(net.flat, ref_net.flat)
             assert net.log_z == ref_net.log_z
+
+    def test_flat_adam_matches_per_array_reference_exactly(self, tiny_space):
+        for dtype in (np.float64, np.float32):
+            net, ref_net = (random_net(tiny_space, 22, hidden=(8, 8), dtype=dtype) for _ in range(2))
+            self.assert_adam_matches_reference(net, ref_net, 23)
 
     def test_blocked_adam_matches_per_array_reference_exactly(self, tiny_space, monkeypatch):
         # blocks of 7 elements cut every parameter array at odd places, and
         # the last block is short
         monkeypatch.setattr(nn, "ADAM_CHUNK", 7)
-        net, ref_net = (random_net(tiny_space, 27, hidden=(8, 8)) for _ in range(2))
-        assert net.flat.size % 7
-        opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
-        rng = np.random.default_rng(28)
-        grads = Gradients.zeros_like(net)
-        for _ in range(5):
-            grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
-            grads.log_z = float(rng.normal())
-            opt.step(net, grads)
-            ref_opt.step(ref_net, grads)
-            assert np.array_equal(net.flat, ref_net.flat)
-            assert net.log_z == ref_net.log_z
+        for dtype in (np.float64, np.float32):
+            net, ref_net = (random_net(tiny_space, 27, hidden=(8, 8), dtype=dtype) for _ in range(2))
+            assert net.flat.size % 7
+            self.assert_adam_matches_reference(net, ref_net, 28)
 
 
 class TestTraining:
@@ -508,6 +504,8 @@ class TabularOptimalPolicy:
     features through, and a slot's logits are the log flows of its
     children."""
 
+    dtype = np.float64
+
     def __init__(self, space, rewards):
         self.space = space
         self.rewards = rewards
@@ -582,22 +580,45 @@ class TestSampleTerminals:
         assert len(set(keys)) > min(n, 20) // 2
 
 
+def read_checkpoint(path):
+    """(header, parameter block bytes) of a checkpoint file."""
+    blob = path.read_bytes()
+    hlen = struct.unpack("<I", blob[:4])[0]
+    return json.loads(blob[4 : 4 + hlen]), blob[4 + hlen :]
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tiny_space, tmp_path):
-        rng = np.random.default_rng(13)
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8, 8)), rng)
-        net.log_z = 1.25
-        for head in net.head_w:
-            head += rng.normal(0, 1, head.shape)
-        path = tmp_path / "ckpt.bin"
         signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
+        for dtype, block in ((np.float32, "<f4"), (np.float64, "<f8")):
+            rng = np.random.default_rng(13)
+            net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8, 8)), rng, dtype=dtype)
+            net.log_z = 1.25
+            for head in net.head_w:
+                head += rng.normal(0, 1, head.shape)
+            path = tmp_path / f"ckpt{block[1:]}.bin"
+            gf.save_checkpoint(path, net, signature)
+            header, body = read_checkpoint(path)
+            assert (header["version"], header["dtype"]) == (4, np.dtype(dtype).name)
+            assert body == net.flat.astype(block).tobytes()
+            loaded = gf.load_checkpoint(path, signature)
+            assert loaded.dtype == dtype
+            assert loaded.log_z == net.log_z
+            assert loaded.flat.tobytes() == net.flat.tobytes()
+            for a, b in zip(net.params(), loaded.params()):
+                assert np.array_equal(a, b)
+                assert np.shares_memory(loaded.flat, b)
+
+    def test_unknown_dtype_refused(self, tiny_space, tmp_path):
+        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
+        signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
+        path = tmp_path / "a.bin"
         gf.save_checkpoint(path, net, signature)
-        loaded = gf.load_checkpoint(path, signature)
-        assert loaded.log_z == net.log_z
-        assert np.array_equal(loaded.flat, net.flat)
-        for a, b in zip(net.params(), loaded.params()):
-            assert np.array_equal(a, b)
-            assert np.shares_memory(loaded.flat, b)
+        header, body = read_checkpoint(path)
+        blob = json.dumps(dict(header, dtype="float16"), sort_keys=True).encode()
+        path.write_bytes(struct.pack("<I", len(blob)) + blob + body)
+        with pytest.raises(ValueError, match="unknown dtype 'float16'"):
+            gf.load_checkpoint(path, signature)
 
     def test_torn_parameter_block_refused(self, tiny_space, tmp_path):
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
@@ -631,6 +652,68 @@ def test_unique_trajectory_per_terminal(tiny_space):
     for key in enumerate_terminals(tiny_space):
         for t in range(1, len(key) + 1):
             assert key[:t][:-1] == key[: t - 1]
+
+
+class TestPrecision:
+    def test_default_policy_is_float32_with_float64_reductions(self, space, monkeypatch):
+        rng = np.random.default_rng(31)
+        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        assert net.dtype == np.float32
+        for head in net.head_w:
+            head += rng.normal(0, 0.5, head.shape)
+        net.log_z = 0.3
+        net64 = PolicyNet(net.trunk_shapes, net.head_shapes, log_z=net.log_z, dtype=np.float64)
+        net64.flat[:] = net.flat
+        keys, passes = gf._rollout(net, space, rng.random((space.slots, 16)), 0.2, True)
+        assert all(a.dtype == np.float32 for a in passes.acts)
+        assert all(logp.dtype == np.float64 for logp in passes.logp)
+        log_r = rng.normal(-1.0, 0.5, len(keys))
+        # a float64 logit gradient would promote the backward's products
+        backward = PolicyNet.backward_stacked
+        dlogit_dtypes = []
+
+        def spy(self, acts, dlogits, grads):
+            dlogit_dtypes.extend(d.dtype for d in dlogits)
+            return backward(self, acts, dlogits, grads)
+
+        monkeypatch.setattr(PolicyNet, "backward_stacked", spy)
+        loss, grads = gf.tb_loss_and_grads(net, passes, log_r)
+        assert dlogit_dtypes == [np.float32] * space.slots
+        loss64, ref = gf.tb_loss_and_grads(net64, fixed_passes(net64, space, keys), log_r)
+        assert type(loss) is float
+        assert loss == pytest.approx(loss64, rel=1e-3)
+        assert grads.dtype == np.float32
+        assert grads.log_z == pytest.approx(ref.log_z, rel=1e-3)
+        for a, b in zip(grads.params(), ref.params()):
+            assert np.linalg.norm(a - b) <= 1e-3 * np.linalg.norm(b)
+
+    def test_float32_exact_distribution_sums_to_one(self, space):
+        rng = np.random.default_rng(2)
+        net = gf.new_policy(space, gf.TrainConfig(hidden=(32, 32)), rng)
+        assert net.dtype == np.float32
+        for head in net.head_w:
+            head += rng.normal(0, 1.0, head.shape)
+        probs = gf.exact_terminal_distribution(net, space)
+        assert probs.dtype == np.float64
+        assert abs(probs.sum() - 1.0) < 1e-9
+
+    def test_adam_moments_never_go_subnormal(self):
+        # gradients over 32 decades, zero after step 10: left alone, the
+        # large ones' m (decaying by beta1) and the small ones' v (by beta2),
+        # and the update's lr * m, would be subnormal at step 1000
+        net = PolicyNet([(8, 16)], [(16, 2)])
+        grads = Gradients.zeros_like(net)
+        n = grads.flat.size
+        signs = np.where(np.arange(n) % 2, -1.0, 1.0)
+        opt = Adam()
+        for step in range(1, 1001):
+            grads.flat[:] = signs * np.logspace(-22, 10, n) if step <= 10 else 0.0
+            opt.step(net, grads)
+        tiny = np.finfo(np.float32).tiny
+        lr = np.float32(opt.lr)
+        for moment in (opt._m, opt._v, lr * opt._m):
+            assert moment.dtype == np.float32
+            assert not np.any((moment != 0.0) & (np.abs(moment) < tiny))
 
 
 def test_adam_moves_toward_minimum():
