@@ -325,6 +325,22 @@ def save_checkpoint(path, net: PolicyNet, signature: dict) -> None:
         fh.write(net.flat.astype(_CHECKPOINT_DTYPES[net.dtype.name], copy=False).tobytes())
 
 
+def _is_shapes(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(s, list) and len(s) == 2
+        and all(type(d) is int and d > 0 for d in s) for s in value
+    )
+
+
+# what load_checkpoint requires of each header field it reads
+_HEADER_FIELDS = {
+    "signature": lambda v: isinstance(v, dict),
+    "trunk_dims": _is_shapes,
+    "head_dims": _is_shapes,
+    "log_z": lambda v: type(v) in (int, float),
+}
+
+
 def load_checkpoint(path, signature: dict) -> PolicyNet:
     with open(path, "rb") as fh:
         try:
@@ -338,6 +354,11 @@ def load_checkpoint(path, signature: dict) -> PolicyNet:
                 f"checkpoint {path} has version {version}; this program reads version "
                 f"{CHECKPOINT_VERSION} only"
             )
+        for name, valid in _HEADER_FIELDS.items():
+            if not valid(header.get(name)):
+                raise ValueError(
+                    f"checkpoint {path} has a missing or malformed header field {name!r}"
+                )
         stored = header["signature"]
         wrong = [name for name in signature if stored.get(name) != signature[name]]
         if wrong:

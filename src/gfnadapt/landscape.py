@@ -107,28 +107,20 @@ def grid_split(space: SpaceSpec) -> int:
     return best_k
 
 
-def project_grid(
-    dist: np.ndarray,
-    space: SpaceSpec,
-    basins: BasinAssignment | None = None,
-) -> dict:
+def project_grid(dist: np.ndarray, space: SpaceSpec, basins: BasinAssignment) -> dict:
     """Mixed-radix 2-D projection: per-cell total mass and dominant basin."""
     radices = space.slot_radices
     k = grid_split(space)
     n_rows = int(np.prod(radices[:k]))
     n_cols = int(np.prod(radices[k:]))
-    dist = np.asarray(dist, dtype=float)
-    mass = dist.reshape(n_rows, n_cols)
-    out = {
+    return {
         "row_radices": list(radices[:k]),
         "col_radices": list(radices[k:]),
-        "mass": mass,
-    }
-    if basins is not None:
+        "mass": np.asarray(dist, dtype=float).reshape(n_rows, n_cols),
         # rows x cols covers the full radix product, so each cell holds
         # exactly one terminal and its basin is the dominant one
-        out["dominant_basin"] = basins.mode_of.reshape(n_rows, n_cols)
-    return out
+        "dominant_basin": basins.mode_of.reshape(n_rows, n_cols),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +152,7 @@ def export_grid_json(path, grid: dict, config_hash: str) -> None:
         "row_radices": grid["row_radices"],
         "col_radices": grid["col_radices"],
         "mass": grid["mass"].tolist(),
+        "dominant_basin": grid["dominant_basin"].tolist(),
     }
-    if "dominant_basin" in grid:
-        doc["dominant_basin"] = grid["dominant_basin"].tolist()
     with open(path, "w") as fh:
         json.dump(doc, fh)

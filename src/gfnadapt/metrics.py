@@ -30,14 +30,19 @@ class RetrievalReport:
 def best_so_far(
     losses: Sequence[float], l_star: float, beta: float
 ) -> list[tuple[int, float, float]]:
-    """(n, optimality gap, reward of the best state so far) series."""
+    """The (n, optimality gap, reward of the best state so far) series as its
+    change points: the rows where the best loss improves, plus the last n.
+    The series at any n is the last change point at or before it."""
     if len(losses) == 0:
         raise ValueError("empty trace")
     out = []
     best = float("inf")
     for n, loss in enumerate(losses, start=1):
-        best = min(best, loss)
-        out.append((n, best - l_star, float(np.exp(-beta * best))))
+        if loss < best or n == 1:
+            best = min(best, loss)
+            out.append((n, best - l_star, float(np.exp(-beta * best))))
+    if out[-1][0] != len(losses):
+        out.append((len(losses), *out[-1][1:]))
     return out
 
 

@@ -182,12 +182,12 @@ class TerminalScorer:
         names = [p.name for p in self.space.parameters]
         theta = decode_batch(self.space, keys)
         sims = simulate_batch(dict(zip(names, theta.T)), self.contexts)
-        raw = np.empty((len(keys), len(self.contexts)))
-        for j, (ctx, sim) in enumerate(zip(self.contexts, sims)):
-            if not np.all(np.isfinite(sim)):
-                raise SimulatorError(ctx.context_id, ValueError("non-finite trajectory value"))
-            obs = ctx.obs_values
-            raw[:, j] = np.mean(np.abs(sim - obs) / (np.abs(obs) + EPS_RESIDUAL), axis=1)
+        finite = np.isfinite(sims).all(axis=(0, 2))
+        if not finite.all():
+            ctx = self.contexts[int(np.argmin(finite))]
+            raise SimulatorError(ctx.context_id, ValueError("non-finite trajectory value"))
+        obs = np.array([ctx.obs_values for ctx in self.contexts])
+        raw = np.mean(np.abs(sims - obs) / (np.abs(obs) + EPS_RESIDUAL), axis=2)
         self.simulated += len(keys)
         self.sim_evals += len(keys) * len(self.contexts)
         return raw

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,10 +60,14 @@ class ContextDataset:
                 raise ValueError("forcing length must equal days")
             if not np.all(np.isfinite(arr)):
                 raise ValueError("non-finite forcing value")
-        if np.any(np.diff(self.obs_times) <= 0) or (
-            len(self.obs_times) and self.obs_times[-1] > self.days
-        ):
+        if len(self.obs_times) == 0:
+            raise ValueError("a context needs at least one observation")
+        if self.obs_times[0] < 1:
+            raise ValueError("the first observation day must be >= 1")
+        if np.any(np.diff(self.obs_times) <= 0) or self.obs_times[-1] > self.days:
             raise ValueError("obs_times must be strictly increasing and <= days")
+        if len(self.obs_values) != len(self.obs_times):
+            raise ValueError("a context needs one obs_value per observation day")
         if np.any(self.obs_values < 0) or np.any(np.diff(self.obs_values) < 0):
             raise ValueError("obs_values must be non-negative and non-decreasing")
 
@@ -157,9 +161,10 @@ SIM_KEYS = 4096
 
 def simulate_batch(
     params: Mapping[str, np.ndarray], contexts: Sequence[ContextDataset]
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """simulate for N parameter sets at once, given as one length-N column per
-    parameter; returns one (N, len(obs_times)) array per context.
+    parameter; returns an (N, contexts, observations) array. Every context
+    must share one day grid: the same days and obs_times.
 
     Keys run in array passes over consecutive keys. Within a pass each day
     series that does not depend on crop state is computed once per distinct
@@ -174,25 +179,20 @@ def simulate_batch(
     Non-finite values are returned, not raised.
     """
     _check_params(params)
+    grid = contexts[0]
+    for c in contexts[1:]:
+        for field in ("days", "obs_times"):
+            if not np.array_equal(getattr(c, field), getattr(grid, field)):
+                raise ValueError(f"context {c.context_id} has other {field} than context "
+                                 f"{grid.context_id}; contexts must share one day grid")
     cols = np.array([np.asarray(params[n], dtype=float) for n in SIM_PARAM_NAMES])
     n = cols.shape[1]
-    out = [np.empty((n, len(c.obs_times))) for c in contexts]
-    by_days: dict[int, list[int]] = {}
-    for j, c in enumerate(contexts):
-        by_days.setdefault(c.days, []).append(j)
-    groups = []
-    for members in by_days.values():
-        # forcing as (days, 1, contexts), to broadcast against (rows, 1) columns
-        forcing = [
-            np.stack([getattr(contexts[j], f) for j in members], axis=1)[:, None, :]
-            for f in ("t_day", "t_24", "light", "co2")
-        ]
-        # per 0-based observation day: (output, its column, context in group)
-        obs_days: dict[int, list] = {}
-        for g, j in enumerate(members):
-            for column, t in enumerate(contexts[j].obs_times):
-                obs_days.setdefault(int(t) - 1, []).append((out[j], column, g))
-        groups.append((forcing, obs_days))
+    out = np.empty((n, len(contexts), len(grid.obs_times)))
+    # forcing as (days, 1, contexts), to broadcast against (rows, 1) columns
+    forcing = [
+        np.stack([getattr(c, f) for c in contexts], axis=1)[:, None, :]
+        for f in ("t_day", "t_24", "light", "co2")
+    ]
     series_cols = [
         cols[[SIM_PARAM_NAMES.index(p) for p in names]] for names in DAY_SERIES_PARAMS.values()
     ]
@@ -207,12 +207,9 @@ def simulate_batch(
         for c, (codes, prev) in zip(series_cols, repeats):
             first, inv = _distinct_rows(codes, prev, lo, hi)
             series_rows.append((c[:, first, None], inv))
-        state = cols[:3, lo:hi, None]
-        for forcing, obs_days in groups:
-            with np.errstate(all="ignore"):  # overflow shows as a non-finite value
-                for d, fruit in _fruit_on_days(state, series_rows, forcing, obs_days):
-                    for target, column, g in obs_days[d]:
-                        target[lo:hi, column] = fruit[:, g]
+        with np.errstate(all="ignore"):  # overflow shows as a non-finite value
+            _fruit_on_days(cols[:3, lo:hi, None], series_rows, forcing, grid.obs_times - 1,
+                           out[lo:hi])
         lo = hi
     return out
 
@@ -273,10 +270,10 @@ def _day_series(name: str, p, t_day, t_24, light, co2) -> np.ndarray:
     return p_f
 
 
-def _fruit_on_days(state, series_rows, forcing, days) -> Iterator[tuple[int, np.ndarray]]:
-    """(day, fruit mass) after each of the given 0-based days of the
-    recurrence in simulate, the mass a (keys, contexts) array that the next
-    day updates in place. state holds the keys' LAI_max, SLA and
+def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
+    """Write the fruit mass after each of the 0-based obs_days of the
+    recurrence in simulate into out, a (keys, contexts, observations) array,
+    and stop after the last of them. state holds the keys' LAI_max, SLA and
     n_plants as (keys, 1) columns; series_rows holds, per DAY_SERIES_PARAMS
     entry, its parameter columns over the distinct rows and each key's row
     (None: one row per key). Each series is computed once per distinct row;
@@ -293,7 +290,8 @@ def _fruit_on_days(state, series_rows, forcing, days) -> Iterator[tuple[int, np.
     sla_n = sla * n_plants
     shape = (len(lai_max), n_ctx)
     w_l, w_s, w_f = (np.full(shape, w) for w in (_W_LEAF0, _W_STEM0, _W_FRUIT0))
-    for d in range(len(assim_max)):
+    k = 0
+    for d in range(obs_days[-1] + 1):
         assim_d = assim_max[d] if a is None else assim_max[d].take(a)
         maint_d = maint_rate[d] if m is None else maint_rate[d].take(m)
         p_f_d = p_f[d] if f is None else p_f[d].take(f)
@@ -305,8 +303,9 @@ def _fruit_on_days(state, series_rows, forcing, days) -> Iterator[tuple[int, np.
         rest = 1.0 - p_f_d
         w_l += 0.7 * rest * net
         w_s += 0.3 * rest * net
-        if d in days:
-            yield d, w_f
+        if d == obs_days[k]:
+            out[:, :, k] = w_f
+            k += 1
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

@@ -514,6 +514,35 @@ class TestPipeline:
         assert not (out_root(workspace) / "sample" / "1" / "done").exists()
 
     @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("signature", None), ("trunk_dims", None), ("head_dims", None), ("log_z", None),
+            ("signature", ["run_hash"]), ("trunk_dims", "16x16"), ("head_dims", [[16]]),
+            ("log_z", "0.5"),
+        ],
+        ids=["no-signature", "no-trunk_dims", "no-head_dims", "no-log_z", "signature-list",
+             "trunk_dims-string", "head_dims-pair-short", "log_z-string"],
+    )
+    def test_malformed_header_field_exits_2(self, workspace, capsys, field, value):
+        # the version is current, so only the field itself can be at fault
+        assert run(workspace, "train") == 0
+        ckpt = out_root(workspace) / "train" / "1" / "checkpoint.bin"
+        blob = ckpt.read_bytes()
+        hlen = struct.unpack("<I", blob[:4])[0]
+        header = json.loads(blob[4 : 4 + hlen])
+        if value is None:
+            del header[field]
+        else:
+            header[field] = value
+        bad = json.dumps(header, sort_keys=True).encode()
+        ckpt.write_bytes(struct.pack("<I", len(bad)) + bad + blob[4 + hlen :])
+        capsys.readouterr()
+        assert run(workspace, "sample") == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and repr(field) in err
+        assert not (out_root(workspace) / "sample" / "1" / "done").exists()
+
+    @pytest.mark.parametrize(
         "blob",
         [b"\x01\x00", b"\x05\x00\x00\x00{\"a\"", b"\x02\x00\x00\x00{}", b"\x03\x00\x00\x00[1]"],
         ids=["torn-length", "torn-header", "header-without-version", "header-not-a-mapping"],

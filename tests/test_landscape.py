@@ -23,6 +23,11 @@ def table_from_rewards(space, rewards):
     return build_landscape(space, StubScorer(rewards))
 
 
+def basins_of(space, dist):
+    """basin_map of the landscape whose target distribution is dist."""
+    return basin_map(table_from_rewards(space, dict(zip(enumerate_terminals(space), dist))), space)
+
+
 def index_of(space, key):
     """A terminal's index in enumeration order: its place-value sum."""
     return sum(a * pv for a, pv in zip(key, place_values(space.slot_radices)))
@@ -194,7 +199,7 @@ class TestGrid:
 
     def test_projection_preserves_mass(self, tiny_space):
         dist = np.array([0.05, 0.1, 0.15, 0.2, 0.25, 0.25])
-        grid = project_grid(dist, tiny_space)
+        grid = project_grid(dist, tiny_space, basins_of(tiny_space, dist))
         assert grid["mass"].shape == (2, 3)
         assert grid["mass"].sum() == pytest.approx(1.0)
         # row-major alignment with lexicographic terminal order
@@ -232,7 +237,8 @@ class TestExports:
         import json
 
         dist = np.full(6, 1.0 / 6)
-        grid = project_grid(dist, tiny_space)
+        basins = basins_of(tiny_space, dist)
+        grid = project_grid(dist, tiny_space, basins)
         path = tmp_path / "grid.json"
         export_grid_json(path, grid, config_hash="deadbeef")
         doc = json.loads(path.read_text())
@@ -240,3 +246,4 @@ class TestExports:
         assert doc["row_radices"] == [2]
         assert doc["col_radices"] == [3]
         assert np.array(doc["mass"]).shape == (2, 3)
+        assert doc["dominant_basin"] == basins.mode_of.reshape(2, 3).tolist()

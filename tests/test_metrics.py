@@ -58,6 +58,24 @@ class TestBestSoFar:
         with pytest.raises(ValueError, match="empty"):
             best_so_far([], 0.0, 4.0)
 
+    def test_change_points_rebuild_the_running_min(self):
+        # ties among the improvements and a tail that never improves
+        rng = np.random.default_rng(12)
+        losses = [*(rng.integers(0, 40, 300) / 20.0 - 0.5), *(rng.random(50) + 2.0)]
+        l_star, beta = -0.6, 4.0
+        reference, best = [], float("inf")
+        for loss in losses:
+            best = min(best, loss)
+            reference.append((best - l_star, float(np.exp(-beta * best))))
+        rows = best_so_far(losses, l_star, beta)
+        ns = [n for n, _, _ in rows]
+        assert ns[0] == 1 and ns[-1] == len(losses)
+        assert ns == sorted(set(ns)) and len(rows) < 20
+        rebuilt = []
+        for (n, gap, rew), following in zip(rows, [*ns[1:], len(losses) + 1]):
+            rebuilt += [(gap, rew)] * (following - n)
+        assert rebuilt == reference
+
 
 class TestTopkRecovery:
     def test_full_and_empty(self):

@@ -325,6 +325,16 @@ def test_non_finite_trajectory_names_its_context(space, obs_contexts, tmp_path):
         simulate(decode_state(space, (1, 2, 3, 4, 5)), bad)
 
 
+def test_non_finite_trajectories_name_the_first_context(space, obs_contexts, tmp_path):
+    contexts = [
+        replace(c, light=np.full(c.days, -1e6), co2=np.full(c.days, -1.0)) if j in (2, 4) else c
+        for j, c in enumerate(obs_contexts)
+    ]
+    scorer = TerminalScorer(space, contexts, RewardConfig(), cache_path=tmp_path / "r.bin")
+    with pytest.raises(SimulatorError, match="context 3"):
+        scorer.raw_losses([(1, 2, 3, 4, 5)])
+
+
 def test_truth_key_scores_zero_without_noise(space, tmp_path):
     contexts = generate_contexts(7)
     truth = decode_state(space, DEFAULT_TRUTH_KEY)

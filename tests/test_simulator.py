@@ -80,28 +80,60 @@ def test_missing_parameter_rejected(space):
         simulate_batch({k: np.array([v]) for k, v in params.items()}, [ctx])
 
 
-def test_batch_matches_scalar_on_unequal_contexts(space):
-    # contexts of 60, 90 and 180 days, observed at different times;
-    # simulate_batch groups them by length
-    contexts = []
-    for cid, (days, step) in enumerate([(180, 14), (60, 5), (90, 30), (60, 7)], start=1):
-        ctx = generate_contexts(cid, days=days)[cid - 1]
-        contexts.append(replace(ctx, context_id=cid, obs_times=np.arange(step, days + 1, step),
-                                obs_values=np.zeros(days // step)))
-    contexts = synthesize_observations(contexts, decode_state(space, DEFAULT_TRUTH_KEY), 0.05, 3)
-    rng = np.random.default_rng(5)
-    keys = [tuple(int(rng.integers(r)) for r in space.slot_radices) for _ in range(70)]
-    names = [p.name for p in space.parameters]
-    sims = simulate_batch(dict(zip(names, decode_batch(space, keys).T)), contexts)
-    for ctx, sim in zip(contexts, sims):
-        assert sim.shape == (len(keys), len(ctx.obs_times))
-        for key, row in zip(keys, sim):
-            assert row == pytest.approx(simulate(decode_state(space, key), ctx), rel=1e-10)
-
-
 def columns(space, keys):
     """simulate_batch's parameter columns for the given keys."""
     return dict(zip((p.name for p in space.parameters), decode_batch(space, keys).T))
+
+
+def test_batch_matches_scalar_on_a_shared_grid(space):
+    # 60-day contexts observed every 5 days, not the default 180 and 14
+    contexts = [
+        replace(ctx, obs_times=np.arange(5, 61, 5), obs_values=np.zeros(12))
+        for ctx in generate_contexts(3, days=60)
+    ]
+    contexts = synthesize_observations(contexts, decode_state(space, DEFAULT_TRUTH_KEY), 0.05, 3)
+    rng = np.random.default_rng(5)
+    keys = [tuple(int(rng.integers(r)) for r in space.slot_radices) for _ in range(70)]
+    sims = simulate_batch(columns(space, keys), contexts)
+    assert sims.shape == (len(keys), len(contexts), 12)
+    for key, row in zip(keys, sims):
+        for ctx, sim in zip(contexts, row):
+            assert sim == pytest.approx(simulate(decode_state(space, key), ctx), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "odd, named",
+    [
+        (lambda ctx: generate_contexts(7, days=90)[3], "days"),
+        (lambda ctx: replace(ctx, obs_times=np.arange(7, 169, 7), obs_values=np.zeros(24)),
+         "obs_times"),
+        (lambda ctx: replace(ctx, obs_times=np.arange(15, 170, 14), obs_values=np.zeros(12)),
+         "obs_times"),
+    ],
+    ids=["days", "obs-count", "obs-days"],
+)
+def test_batch_refuses_contexts_on_different_grids(space, odd, named):
+    contexts = generate_contexts(7)
+    contexts[3] = odd(contexts[3])
+    with pytest.raises(ValueError, match=f"context 4 .*{named}"):
+        simulate_batch(columns(space, [(0, 0, 0, 0, 0)]), contexts)
+
+
+@pytest.mark.parametrize(
+    "obs_times, obs_values, message",
+    [
+        ([0, 14, 28], [0.0, 0.1, 0.2], "first observation"),
+        ([], [], "at least one observation"),
+        ([14, 28], [0.1], "one obs_value per"),
+        ([14, 28], [0.1, 0.2, 0.3], "one obs_value per"),
+    ],
+    ids=["day-0", "no-observations", "fewer-values", "more-values"],
+)
+def test_context_rejects_bad_observation_grid(obs_times, obs_values, message):
+    ctx = generate_contexts(7, days=60)[0]
+    with pytest.raises(ValueError, match=message):
+        replace(ctx, obs_times=np.array(obs_times, dtype=int),
+                obs_values=np.array(obs_values, dtype=float))
 
 
 def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatch):
@@ -111,12 +143,12 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
     params = columns(space, list(enumerate_terminals(space)))
     sims = simulate_batch(params, obs_contexts)
     assert passes == [(2625, 25, 5, 15)]
+    assert sims.shape == (2625, len(obs_contexts), 12)
     alone = [
         simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
-        for i in range(len(sims[0]))
+        for i in range(len(sims))
     ]
-    for j, sim in enumerate(sims):
-        assert sim.tobytes() == np.concatenate([a[j] for a in alone]).tobytes()
+    assert sims.tobytes() == np.concatenate(alone).tobytes()
 
 
 @pytest.mark.parametrize("cap, value", [("SIM_CHUNK", 2), ("SIM_KEYS", 5)])
@@ -130,8 +162,7 @@ def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap
     monkeypatch.setattr(simulator, cap, value)
     passes = record_passes(monkeypatch)
     split = simulate_batch(params, obs_contexts)
-    for a, b in zip(whole, split):
-        assert a.tobytes() == b.tobytes()
+    assert whole.tobytes() == split.tobytes()
     assert sum(n for n, *_ in passes) == len(keys) and len(passes) > 20
     for n_keys, *rows in passes:
         assert n_keys <= simulator.SIM_KEYS and max(rows) <= simulator.SIM_CHUNK
@@ -146,9 +177,8 @@ def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
     params["rg_fruit"][10] = np.nan
     dirty = simulate_batch(params, obs_contexts)
     others = np.arange(len(keys)) != 10
-    for a, b in zip(clean, dirty):
-        assert not np.all(np.isfinite(b[10]))
-        assert a[others].tobytes() == b[others].tobytes()
+    assert not np.isfinite(dirty[10]).all(axis=1).any()  # in every context
+    assert clean[others].tobytes() == dirty[others].tobytes()
 
 
 def test_series_parameters_cover_each_parameter_once():
