@@ -98,11 +98,14 @@ def tpe_search(
     density, and the candidate maximizing the product of density ratios is
     evaluated.
 
-    Each proposal is a few array passes over the history. Candidates are
-    drawn by inverse-CDF lookup of one `rng.random((n_candidates, S))` block,
-    which is what `Generator.choice(r, p=l)` does with one double per call, in
-    the same candidate-major order: the proposals are draw-for-draw those of
-    a per-candidate `rng.choice` loop.
+    Each proposal is one array pass over all slots. The history is kept as
+    cells of one (slots, largest radix) table, with running totals of the
+    cell counts: one bincount counts the good set, and the bad counts are
+    the totals minus the good ones. Candidates are drawn by inverse-CDF
+    lookup of one `rng.random((n_candidates, S))` block against every slot's
+    CDF at once, which is what `Generator.choice(r, p=l)` does with one
+    double per call, in the same candidate-major order: the proposals are
+    draw-for-draw those of a per-candidate `rng.choice` loop.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
@@ -112,33 +115,45 @@ def tpe_search(
         raise ValueError("budget must be >= 0")
     rng = np.random.default_rng(seed)
     radices = space.slot_radices
-    evaluated = []
-    keys = np.zeros((budget, len(radices)), dtype=np.int64)
+    n_slots, width = len(radices), max(radices)
+    r = np.array(radices)[:, None]
+    # Laplace smoothing over a slot's actions; a padded cell gets none, so
+    # its density is 0 and adds nothing to its slot's CDF
+    smoothing = (np.arange(width) < r).astype(float)
+    offsets = np.arange(n_slots) * width
+    cells = np.zeros((budget, n_slots), dtype=np.intp)  # slot t, action a: t * width + a
+    totals = np.zeros(n_slots * width, dtype=np.intp)
     losses = np.zeros(budget)
+    evaluated = []
     for it in range(budget):
         if it < startup:
-            keys[it] = _uniform_key(radices, rng)
+            key = _uniform_key(radices, rng)
         else:
             threshold = np.quantile(losses[:it], gamma)
             good = losses[:it] <= threshold
-            bad = losses[:it] > threshold
-            if not bad.any():
-                bad = good
-            n_good, n_bad = int(good.sum()), int(bad.sum())
-            u = rng.random((n_candidates, len(radices)))
-            candidates = np.empty((n_candidates, len(radices)), dtype=np.int64)
-            ratios = np.empty((n_candidates, len(radices)))
-            for t, r in enumerate(radices):
-                column = keys[:it, t]
-                l = (np.bincount(column[good], minlength=r) + 1.0) / (n_good + r)
-                g = (np.bincount(column[bad], minlength=r) + 1.0) / (n_bad + r)
-                cdf = l.cumsum()
-                cdf /= cdf[-1]
-                c = cdf.searchsorted(u[:, t], side="right")
-                candidates[:, t] = c
-                ratios[:, t] = l[c] / g[c]
-            keys[it] = candidates[np.argmax(np.prod(ratios, axis=1))]
-        key = tuple(int(a) for a in keys[it])
+            n_good = int(good.sum())
+            # a NaN threshold (a NaN loss, or inf - inf in the quantile's
+            # interpolation) puts no key in either set, so n_bad is 0 and the
+            # bad density falls back to the (empty) good one; otherwise every
+            # key is good or bad, and the bad counts are the rest of the totals
+            n_bad = int(np.count_nonzero(losses[:it] > threshold))
+            good_counts = np.bincount(cells[:it][good].ravel(), minlength=totals.size)
+            if n_bad:
+                bad_counts = totals - good_counts
+            else:
+                bad_counts, n_bad = good_counts, n_good
+            l = (good_counts.reshape(n_slots, width) + smoothing) / (n_good + r)
+            g = (bad_counts.reshape(n_slots, width) + smoothing) / (n_bad + r)
+            cdf = l.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            u = rng.random((n_candidates, n_slots))
+            # the count of CDF values <= u: searchsorted(side="right") per slot
+            candidates = (cdf <= u[:, :, None]).sum(2)
+            at = candidates + offsets
+            ratios = l.take(at) / g.take(at)
+            key = tuple(candidates[np.argmax(np.prod(ratios, axis=1))].tolist())
+        cells[it] = offsets + key
+        totals[cells[it]] += 1
         losses[it] = scorer.score([key])[0][0]
         evaluated.append((key, float(losses[it])))
     return evaluated

@@ -228,15 +228,16 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
     _run_stage(cfg, ws, f"baseline-{method}", cfg["run.seeds"], body)
 
 
-def _read_wall_clock(path: Path) -> float:
-    """The `wall_clock` seconds of a stage's meta.json (0.0 when absent);
-    a file that is not a JSON mapping with a numeric value there raises
-    ValueError naming it."""
+def _check_meta(path: Path) -> None:
+    """Raise ValueError naming a stage's meta.json unless it is a JSON
+    mapping whose `wall_clock`, if present, is a number. The report reads
+    nothing else from it: wall-clock time stays in meta.json, so the report's
+    bytes depend only on the traces."""
     try:
         meta = json.loads(path.read_text())
         if not isinstance(meta, dict):
             raise ValueError("not a JSON object")
-        return float(meta.get("wall_clock", 0.0))
+        float(meta.get("wall_clock", 0.0))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: malformed meta.json: {exc}") from None
 
@@ -263,20 +264,20 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             for path in (trace_path, meta_path):
                 if not path.exists():
                     raise MissingArtifact(f"missing {path.stem}: {path}")
-            evaluated = baselines.read_trace_csv(trace_path, ws.space, run_hash)
-            traces[(method, seed)] = (evaluated, _read_wall_clock(meta_path))
+            _check_meta(meta_path)
+            traces[(method, seed)] = baselines.read_trace_csv(trace_path, ws.space, run_hash)
     if not traces:
         raise MissingArtifact(f"no traces found under {root}")
     beta = cfg["reward.beta"]
     l_star = float(table.aggregates.min()) if table is not None else min(
-        loss for evaluated, _ in traces.values() for _, loss in evaluated
+        loss for evaluated in traces.values() for _, loss in evaluated
     )
 
     ks = [10, 20, 50]
     if table is not None:
         ks = sorted({min(k, len(table.keys)) for k in ks})
     reports = []
-    for (method, seed), (evaluated, wall_clock) in sorted(traces.items()):
+    for (method, seed), evaluated in sorted(traces.items()):
         losses = [loss for _, loss in evaluated]
         med, ham, deficient = metrics.top20_stats(evaluated)
         rep = metrics.RetrievalReport(
@@ -286,7 +287,6 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             median_top20_loss=med,
             mean_hamming_top20=ham,
             sample_deficient=deficient,
-            wall_clock=wall_clock,
             best_so_far=metrics.best_so_far(losses, l_star, beta),
             topk_recovery=(
                 metrics.topk_recovery(

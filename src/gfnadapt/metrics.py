@@ -22,7 +22,6 @@ class RetrievalReport:
     median_top20_loss: float
     mean_hamming_top20: float
     sample_deficient: bool
-    wall_clock: float
     best_so_far: list[tuple[int, float, float]] = field(default_factory=list)
     topk_recovery: list[tuple[int, int]] = field(default_factory=list)
 
@@ -96,7 +95,6 @@ REPORT_COLUMNS = (
     ("best_loss", "best_loss"),
     ("median_top20", "median_top20_loss"),
     ("mean_hamming_top20", "mean_hamming_top20"),
-    ("wall_clock", "wall_clock"),
 )
 
 

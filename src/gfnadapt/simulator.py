@@ -148,15 +148,15 @@ DAY_SERIES_PARAMS = {
     "p_f": ("TS_start", "TS_end", "dev_rate", "rg_fruit"),
 }
 
-# Distinct parameter rows per day series in one array pass of simulate_batch.
-# It bounds the pass's day series, (days, rows, contexts) float arrays of
-# about 0.5 MiB each at 64 rows, 180 days and 6 contexts, of which about five
-# are alive at once.
-SIM_CHUNK = 64
 # Keys per array pass at most. It bounds the day loop's (keys, contexts)
 # arrays, 0.19 MiB each at 4096 keys and 6 contexts; such a pass peaks near
-# 4.6 MiB besides its outputs (tracemalloc).
+# 4.9 MiB besides its outputs (tracemalloc).
 SIM_KEYS = 4096
+# Cells per block of a day series at most: the block's consecutive days times
+# the series' distinct parameter rows in the pass, so a block of 2880 cells
+# is about 0.13 MiB at 6 contexts. A 1000-key batch on the 2-cycle space
+# peaks near 1.9 MiB besides its outputs (tracemalloc).
+SIM_CELLS = 16 * 180
 
 
 def simulate_batch(
@@ -166,13 +166,12 @@ def simulate_batch(
     parameter; returns an (N, contexts, observations) array. Every context
     must share one day grid: the same days and obs_times.
 
-    Keys run in array passes over consecutive keys. Within a pass each day
-    series that does not depend on crop state is computed once per distinct
-    row of the parameters it reads (DAY_SERIES_PARAMS), rows counting as one
-    only when bit-identical, and each key reads its row's values in the day
-    loop; only the leaf/stem/fruit update runs per key. A pass holds as many
-    keys as keep every series within SIM_CHUNK distinct rows, and at most
-    SIM_KEYS keys.
+    Keys run in array passes of at most SIM_KEYS consecutive keys. Within a
+    pass each day series that does not depend on crop state is computed once
+    per distinct row of the parameters it reads (DAY_SERIES_PARAMS), rows
+    counting as one only when bit-identical, in blocks of consecutive days of
+    at most SIM_CELLS cells; each key reads its row's values in the day loop,
+    and only the leaf/stem/fruit update runs per key.
 
     Rows agree with simulate up to rounding (the hoisted day series multiply
     in another order) and are bit-identical whatever the rest of the batch.
@@ -196,60 +195,46 @@ def simulate_batch(
     series_cols = [
         cols[[SIM_PARAM_NAMES.index(p) for p in names]] for names in DAY_SERIES_PARAMS.values()
     ]
-    repeats = [_repeats(c.T) for c in series_cols]
-    lo = 0
-    while lo < n:
+    for lo in range(0, n, SIM_KEYS):
         hi = min(n, lo + SIM_KEYS)
-        # a key adds a row to a series unless its row is already in the pass
-        for _, prev in repeats:
-            hi = lo + int(np.searchsorted(np.cumsum(prev[lo:hi] < lo), SIM_CHUNK, "right"))
         series_rows = []
-        for c, (codes, prev) in zip(series_cols, repeats):
-            first, inv = _distinct_rows(codes, prev, lo, hi)
-            series_rows.append((c[:, first, None], inv))
+        for c in series_cols:
+            first, inv = _distinct_rows(c[:, lo:hi].T)
+            series_rows.append((c[:, lo + first, None], inv))
         with np.errstate(all="ignore"):  # overflow shows as a non-finite value
             _fruit_on_days(cols[:3, lo:hi, None], series_rows, forcing, grid.obs_times - 1,
                            out[lo:hi])
-        lo = hi
     return out
 
 
-def _repeats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(codes, prev) of an (n, m) float array's rows: a code shared by
-    bit-identical rows only, and the index of the row's last bit-identical
-    predecessor, or -1."""
+def _distinct_rows(rows: np.ndarray):
+    """(first, inv) of an (n, m) float array: the index of the first of each
+    set of bit-identical rows, in order of first occurrence, and the position
+    in first of each row's set, or None when no row repeats."""
     n = len(rows)
     if n == 1:  # one key, as TPE scores them: nothing to sort
-        return np.zeros(1, dtype=np.intp), np.full(1, -1, dtype=np.intp)
+        return np.zeros(1, dtype=np.intp), None
     rows = np.ascontiguousarray(rows)
     void = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    _, codes = np.unique(void, return_inverse=True)
-    codes = codes.reshape(-1)  # numpy 2.0 and 2.1 shape it like the input
-    order = np.argsort(codes, kind="stable")
-    repeat = codes[order[1:]] == codes[order[:-1]]
-    prev = np.full(n, -1, dtype=np.intp)
-    prev[order[1:][repeat]] = order[:-1][repeat]
-    return codes, prev
+    _, first, codes = np.unique(void, return_index=True, return_inverse=True)
+    if len(first) == n:
+        return np.arange(n), None
+    order = np.argsort(first)
+    position = np.empty(len(first), dtype=np.intp)
+    position[order] = np.arange(len(first))
+    # numpy 2.0 and 2.1 shape the inverse like the input
+    return first[order], position[codes.reshape(-1)]
 
 
-def _distinct_rows(codes, prev, lo: int, hi: int):
-    """(first, inv) for the keys lo:hi: the key that first holds each distinct
-    row, in order of first occurrence, and the position in first of each
-    key's row, or None when no row repeats."""
-    first = lo + np.flatnonzero(prev[lo:hi] < lo)
-    if len(first) == hi - lo:
-        return first, None
-    position = np.empty(len(codes), dtype=np.intp)
-    position[codes[first]] = np.arange(len(first))
-    return first, position[codes[lo:hi]]
-
-
-def _day_series(name: str, p, t_day, t_24, light, co2) -> np.ndarray:
-    """The series `name` of simulate, one that does not depend on crop state,
-    for all days at once: a (days, rows, contexts) array from p, the columns
-    of DAY_SERIES_PARAMS[name] as (rows, 1) arrays. assim_max is the
-    assimilation at full light cover, maint_rate the maintenance per unit
-    mass, p_f the fruit partition fraction."""
+def _day_series(name: str, p, t_day, t_24, light, co2, carry):
+    """(series, carry) for the series `name` of simulate, one that does not
+    depend on crop state, over a block of consecutive days: a (days, rows,
+    contexts) array from p, the columns of DAY_SERIES_PARAMS[name] as (rows,
+    1) arrays, and the forcing over those days. assim_max is the assimilation
+    at full light cover, maint_rate the maintenance per unit mass, p_f the
+    fruit partition fraction. carry is what the next block continues from:
+    p_f's temperature sum on the block's last day (None before the first
+    block), and None for the other series."""
     if name == "assim_max":
         p_max, alpha, co2_half, t_opt, t_width, s_sharp = p
         return (
@@ -257,17 +242,37 @@ def _day_series(name: str, p, t_day, t_24, light, co2) -> np.ndarray:
             * (co2 / (co2 + co2_half))
             * _inhibition(t_day, t_opt, t_width, s_sharp, np.exp)
             * _inhibition(t_24, t_opt, t_width, s_sharp, np.exp)
-        )
+        ), None
     if name == "maint_rate":
         c_maint, q10 = p
-        return c_maint * q10 ** ((t_24 - 25.0) / 10.0)
+        return c_maint * q10 ** ((t_24 - 25.0) / 10.0), None
     ts_start, ts_end, dev_rate, rg_fruit = p
-    ts = np.cumsum(dev_rate * np.maximum(0.0, t_24 - 10.0), axis=0)
+    ts = dev_rate * np.maximum(0.0, t_24 - 10.0)
+    if carry is not None:  # the same sequential sum as over all days at once
+        ts[0] += carry
+    ts = np.cumsum(ts, axis=0)
     # the branches of simulate, in place over the ramp to save an array
     p_f = rg_fruit * (ts - ts_start) / (ts_end - ts_start)
     np.copyto(p_f, rg_fruit, where=~(ts < ts_end))
     np.copyto(p_f, 0.0, where=ts < ts_start)
-    return p_f
+    return p_f, ts[-1].copy()  # not a view that keeps the block alive
+
+
+def _series_by_day(name: str, p, inv, forcing, n_days: int):
+    """Yield the series `name` on each of the first n_days days as a (keys,
+    contexts) array: computed by _day_series once per distinct row in p, in
+    blocks of at most SIM_CELLS cells, and gathered per key by flat index
+    into the day's (rows, contexts) block, unless inv is None (every key has
+    a row of its own)."""
+    rows, n_ctx = p.shape[1], forcing[0].shape[2]
+    block = max(1, SIM_CELLS // rows)
+    at = None if inv is None else inv[:, None] * n_ctx + np.arange(n_ctx)
+    carry = None
+    for lo in range(0, n_days, block):
+        hi = min(n_days, lo + block)
+        series, carry = _day_series(name, p, *(f[lo:hi] for f in forcing), carry)
+        yield from (day if at is None else day.take(at) for day in series)
+        del series  # freed before the next block is computed
 
 
 def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
@@ -278,23 +283,17 @@ def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
     entry, its parameter columns over the distinct rows and each key's row
     (None: one row per key). Each series is computed once per distinct row;
     only the crop-state update runs per key, day by day."""
-    n_ctx = forcing[0].shape[2]
-    # a key's day values are gathered from its row by flat index into the
-    # day's (rows, contexts) block, unless every key has a row of its own
-    (assim_max, a), (maint_rate, m), (p_f, f) = (
-        (_day_series(name, p, *forcing),
-         None if inv is None else inv[:, None] * n_ctx + np.arange(n_ctx))
+    n_days = obs_days[-1] + 1
+    series = [
+        _series_by_day(name, p, inv, forcing, n_days)
         for name, (p, inv) in zip(DAY_SERIES_PARAMS, series_rows)
-    )
+    ]
     lai_max, sla, n_plants = state
     sla_n = sla * n_plants
-    shape = (len(lai_max), n_ctx)
-    w_l, w_s, w_f = (np.full(shape, w) for w in (_W_LEAF0, _W_STEM0, _W_FRUIT0))
+    w_l, w_s, w_f = (np.full((len(lai_max), forcing[0].shape[2]), w)
+                     for w in (_W_LEAF0, _W_STEM0, _W_FRUIT0))
     k = 0
-    for d in range(obs_days[-1] + 1):
-        assim_d = assim_max[d] if a is None else assim_max[d].take(a)
-        maint_d = maint_rate[d] if m is None else maint_rate[d].take(m)
-        p_f_d = p_f[d] if f is None else p_f[d].take(f)
+    for d, (assim_d, maint_d, p_f_d) in enumerate(zip(*series)):
         # fmin/fmax pass over NaN like Python's min/max do in simulate
         lai = np.fmin(lai_max, sla_n * w_l)
         f_light = 1.0 - np.exp(-0.7 * lai)

@@ -135,6 +135,15 @@ class TestTPEMatchesReference:
         got = tpe_search(sp, AggScorer(mixed_loss), budget, seed)
         assert got == reference_tpe(sp, AggScorer(mixed_loss), budget, seed)
 
+    def test_deep_history(self):
+        # 290 proposals on the built-in 2-cycle space: the bad counts, taken
+        # as the history's totals minus the good ones, against the reference's
+        # own bincount of the bad set over a long and uneven history
+        sp = dataclasses.replace(builtin_space(), cycles=2)
+        got = tpe_search(sp, AggScorer(mixed_loss), 300, 11)
+        assert got == reference_tpe(sp, AggScorer(mixed_loss), 300, 11)
+        assert len({key for key, _ in got}) > 20
+
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # quantile of infs
     @pytest.mark.parametrize(
         "loss_fn", [lambda k: 0.5, tail_inf_loss], ids=["constant", "tail-inf"]

@@ -410,6 +410,19 @@ class TestPipeline:
         doc = json.loads((out_root(workspace) / "report" / "report.json").read_text())
         assert [(r["method"], r["seed"]) for r in doc["reports"]] == [("gflownet", 1)]
 
+    def test_report_bytes_do_not_depend_on_wall_clock(self, workspace):
+        # a re-run stage takes another time; its wall_clock stays in
+        # meta.json, so the report over the same traces keeps its bytes
+        assert run(workspace, "train") == 0
+        assert run(workspace, "report") == 0
+        report = out_root(workspace) / "report"
+        before = {path.name: path.read_bytes() for path in report.iterdir()}
+        meta = out_root(workspace) / "train" / "1" / "meta.json"
+        meta.write_text(json.dumps(dict(json.loads(meta.read_text()), wall_clock=123.0)))
+        assert run(workspace, "report") == 0
+        assert {path.name: path.read_bytes() for path in report.iterdir()} == before
+        assert "wall_clock" not in json.loads(before["report.json"])["reports"][0]
+
     def test_report_rejects_foreign_trace(self, workspace):
         assert run(workspace, "train") == 0
         trace = out_root(workspace) / "train" / "1" / "trace.csv"

@@ -29,7 +29,7 @@ def small_table():
     )
 
 
-def report(method, seed, best, med=0.2, ham=2.0, wall=1.0):
+def report(method, seed, best, med=0.2, ham=2.0):
     return RetrievalReport(
         method=method,
         seed=seed,
@@ -37,7 +37,6 @@ def report(method, seed, best, med=0.2, ham=2.0, wall=1.0):
         median_top20_loss=med,
         mean_hamming_top20=ham,
         sample_deficient=False,
-        wall_clock=wall,
     )
 
 
@@ -160,14 +159,14 @@ class TestCompareMethods:
         export_comparison_csv(path, compare_methods([report("tpe", 1, 0.4)]), "beef")
         assert path.read_text().splitlines()[1] == (
             "method,best_loss,best_loss_std,median_top20,median_top20_std,"
-            "mean_hamming_top20,mean_hamming_top20_std,wall_clock,wall_clock_std"
+            "mean_hamming_top20,mean_hamming_top20_std"
         )
 
 
 class TestExports:
     def test_comparison_csv(self, tmp_path):
         rows = compare_methods(
-            [report("random", 1, 0.5, wall=2.0), report("random", 2, 0.7, wall=4.0)]
+            [report("random", 1, 0.5, med=0.2), report("random", 2, 0.7, med=0.4)]
         )
         path = tmp_path / "comparison.csv"
         export_comparison_csv(path, rows, config_hash="beef")
@@ -176,7 +175,7 @@ class TestExports:
             table = list(csv.DictReader(fh))
         assert table[0]["method"] == "random"
         assert float(table[0]["best_loss"]) == pytest.approx(0.6)
-        assert float(table[0]["wall_clock"]) == pytest.approx(3.0)
+        assert float(table[0]["median_top20"]) == pytest.approx(0.3)
         assert "best_loss_std" in table[0]
 
     def test_report_json(self, tmp_path):

@@ -151,7 +151,21 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
     assert sims.tobytes() == np.concatenate(alone).tobytes()
 
 
-@pytest.mark.parametrize("cap, value", [("SIM_CHUNK", 2), ("SIM_KEYS", 5)])
+def record_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """Patch _day_series to record each block it computes as its (days,
+    distinct rows)."""
+    blocks = []
+    day_series = simulator._day_series
+
+    def recorded(name, p, t_day, *args):
+        blocks.append((len(t_day), p.shape[1]))
+        return day_series(name, p, t_day, *args)
+
+    monkeypatch.setattr(simulator, "_day_series", recorded)
+    return blocks
+
+
+@pytest.mark.parametrize("cap, value", [("SIM_CELLS", 1), ("SIM_KEYS", 5)])
 def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap, value):
     space2 = replace(space, cycles=2)
     rng = np.random.default_rng(9)
@@ -161,11 +175,35 @@ def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap
     whole = simulate_batch(params, obs_contexts)
     monkeypatch.setattr(simulator, cap, value)
     passes = record_passes(monkeypatch)
+    blocks = record_blocks(monkeypatch)
     split = simulate_batch(params, obs_contexts)
     assert whole.tobytes() == split.tobytes()
-    assert sum(n for n, *_ in passes) == len(keys) and len(passes) > 20
-    for n_keys, *rows in passes:
-        assert n_keys <= simulator.SIM_KEYS and max(rows) <= simulator.SIM_CHUNK
+    assert sum(n for n, *_ in passes) == len(keys)
+    assert all(n_keys <= simulator.SIM_KEYS for n_keys, *_ in passes)
+    assert all(days == 1 or days * rows <= simulator.SIM_CELLS for days, rows in blocks)
+    if cap == "SIM_KEYS":
+        assert len(passes) > 20
+    else:  # one pass whose blocks hold one day, up to the last observation day
+        [(_, *rows)] = passes
+        assert blocks == [(1, r) for _ in range(168) for r in rows]
+
+
+def test_random_2cycle_batch_is_one_pass(space, obs_contexts, monkeypatch):
+    # most keys have rows of their own, so each series is computed in blocks
+    # of a few days; a single key reads one block of every day
+    space2 = replace(space, cycles=2)
+    rng = np.random.default_rng(12)
+    keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(1000)]
+    params = columns(space2, keys)
+    passes = record_passes(monkeypatch)
+    sims = simulate_batch(params, obs_contexts)
+    assert len(passes) == 1 and passes[0][0] == 1000
+    assert max(passes[0][1:]) > simulator.SIM_CELLS // 180  # more than one block
+    alone = [
+        simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
+        for i in range(len(keys))
+    ]
+    assert sims.tobytes() == np.concatenate(alone).tobytes()
 
 
 def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
