@@ -25,6 +25,8 @@ from .space import StateKey, key_bytes
 _MAGIC = b"GFRC"
 SCHEMA_VERSION = 2
 _HEADER = struct.Struct("<4sBBBx")  # magic, schema, key_len, n_contexts, pad
+MAX_KEY_LEN = 255  # slots per key: the header holds the key length in one byte
+MAX_ACTIONS = 256  # actions per slot: a key holds each action in one byte
 
 
 class RewardCache:
@@ -46,8 +48,11 @@ class RewardCache:
         if self.path.exists():
             self._load()
         else:
+            # packed first: a key length or context count the header cannot
+            # hold fails here, before the file exists
+            header = _HEADER.pack(_MAGIC, SCHEMA_VERSION, key_len, n_contexts)
             with open(self.path, "wb") as fh:
-                fh.write(_HEADER.pack(_MAGIC, SCHEMA_VERSION, key_len, n_contexts))
+                fh.write(header)
 
     def _load(self) -> None:
         with open(self.path, "rb") as fh:

@@ -5,7 +5,8 @@ cache is shared across commands and methods under <out>/cache/<reward-hash>/
 (override with GFNADAPT_CACHE_DIR). enumerate, train, sample and baseline
 run through one stage lifecycle, `_run_stage`: a completed output directory
 (one with a `done` marker) is left untouched on re-run, and every stage
-writes meta.json with the same base fields.
+writes meta.json with the same base fields. `done` is the one completion
+signal: sample and report read a stage's outputs only once it is written.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baselines, gflownet, landscape as lsc, metrics
+from .cache import MAX_ACTIONS, MAX_KEY_LEN
 from .config import ConfigError, ExperimentConfig, load_config
 from .rewards import QuantileTable, RewardConfig, TerminalScorer
 from .simulator import builtin_space, generate_contexts, synthesize_observations
@@ -44,6 +46,13 @@ class Workspace:
         if cfg["space.step_fraction"] is not None:
             space = dataclasses.replace(space, step_fraction=cfg["space.step_fraction"])
         self.space = space
+        widest = max(len(g.actions) for g in space.groups)
+        if space.slots > MAX_KEY_LEN or widest > MAX_ACTIONS:
+            raise ConfigError(
+                f"the space has {space.slots} slots and up to {widest} actions per group; "
+                f"the reward cache encodes at most {MAX_KEY_LEN} slots and "
+                f"{MAX_ACTIONS} actions per group"
+            )
         truth, radices = cfg["data.truth_key"], space.slot_radices
         if len(truth) % len(space.groups) or len(truth) > len(radices) or any(
             a >= r for a, r in zip(truth, radices)
@@ -101,7 +110,8 @@ def _run_stage(cfg: ExperimentConfig, ws: Workspace, stage: str, seeds, body) ->
     and its own meta.json fields. Only when it returns are meta.json and then
     `done` written. The base fields of meta.json are config_hash,
     reward_hash, wall_clock (timed from before the scorer's set-up), the
-    scorer's four evaluation counts and the seed."""
+    scorer's three evaluation counts, sim_evals (simulated keys times
+    contexts) and the seed."""
     for seed in seeds:
         out, label = cfg.out_root() / stage, stage
         if seed is not None:
@@ -115,14 +125,22 @@ def _run_stage(cfg: ExperimentConfig, ws: Workspace, stage: str, seeds, body) ->
         summary, fields = body(out, scorer, seed)
         meta = {"config_hash": cfg.run_hash(), "reward_hash": cfg.reward_hash(),
                 "wall_clock": time.monotonic() - start, **fields}
-        for name in ("requested", "cache_hits", "simulated", "sim_evals"):
+        for name in ("requested", "cache_hits", "simulated"):
             meta[name] = getattr(scorer, name)
+        meta["sim_evals"] = scorer.simulated * len(scorer.contexts)
         if seed is not None:
             meta["seed"] = seed
         with open(out / "meta.json", "w") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)
         (out / "done").write_text("ok\n")
         print(f"{label}: {summary} ({meta['wall_clock']:.1f}s)")
+
+
+def _require_done(out: Path) -> None:
+    """Refuse a stage output directory that `_run_stage` has not marked
+    `done`: its outputs may be missing, partial or stale."""
+    if not (out / "done").exists():
+        raise MissingArtifact(f"stage output {out} is missing or incomplete (no done marker)")
 
 
 def cmd_enumerate(cfg: ExperimentConfig) -> None:
@@ -186,14 +204,12 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
     n = cfg["train.n_samples"]
-    ckpts = {seed: cfg.out_root() / "train" / str(seed) / "checkpoint.bin"
-             for seed in cfg["run.seeds"]}
-    for ckpt in ckpts.values():
-        if not ckpt.exists():
-            raise MissingArtifact(f"missing checkpoint: {ckpt}")
+    train = cfg.out_root() / "train"
+    for seed in cfg["run.seeds"]:
+        _require_done(train / str(seed))
 
     def body(out, scorer, seed):
-        net = gflownet.load_checkpoint(ckpts[seed],
+        net = gflownet.load_checkpoint(train / str(seed) / "checkpoint.bin",
                                        gflownet.checkpoint_signature(ws.space, run_hash))
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
@@ -228,20 +244,6 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
     _run_stage(cfg, ws, f"baseline-{method}", cfg["run.seeds"], body)
 
 
-def _check_meta(path: Path) -> None:
-    """Raise ValueError naming a stage's meta.json unless it is a JSON
-    mapping whose `wall_clock`, if present, is a number. The report reads
-    nothing else from it: wall-clock time stays in meta.json, so the report's
-    bytes depend only on the traces."""
-    try:
-        meta = json.loads(path.read_text())
-        if not isinstance(meta, dict):
-            raise ValueError("not a JSON object")
-        float(meta.get("wall_clock", 0.0))
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed meta.json: {exc}") from None
-
-
 def cmd_report(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
@@ -249,7 +251,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     # every input is read and checked before <run>/report is created, so a
     # failed report leaves no directory behind
     table = None
-    if (root / "enumerate" / "landscape.csv").exists():
+    if (root / "enumerate" / "done").exists():
         scorer = ws.scorer()
         table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
 
@@ -260,12 +262,9 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         if not base.exists():
             continue
         for seed in cfg["run.seeds"]:
-            trace_path, meta_path = base / str(seed) / "trace.csv", base / str(seed) / "meta.json"
-            for path in (trace_path, meta_path):
-                if not path.exists():
-                    raise MissingArtifact(f"missing {path.stem}: {path}")
-            _check_meta(meta_path)
-            traces[(method, seed)] = baselines.read_trace_csv(trace_path, ws.space, run_hash)
+            _require_done(base / str(seed))
+            traces[(method, seed)] = baselines.read_trace_csv(
+                base / str(seed) / "trace.csv", ws.space, run_hash)
     if not traces:
         raise MissingArtifact(f"no traces found under {root}")
     beta = cfg["reward.beta"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -87,9 +87,17 @@ def new_policy(
     rng: np.random.Generator,
     dtype: npt.DTypeLike = np.float32,
 ) -> PolicyNet:
-    return PolicyNet.init(
-        feature_dim(space), list(space.slot_radices), hidden=cfg.hidden, rng=rng, dtype=dtype
+    """A policy of cfg.hidden trunk widths whose trunk weights are drawn
+    uniform in +-1/sqrt(fan-in); heads (and all biases) start at zero, so
+    the initial policy is uniform."""
+    dims = (feature_dim(space), *cfg.hidden)
+    net = PolicyNet(
+        list(zip(dims[:-1], dims[1:])), [(dims[-1], r) for r in space.slot_radices], dtype=dtype
     )
+    for w in net.trunk_w:
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return net
 
 
 class RolloutPasses(NamedTuple):
@@ -98,12 +106,11 @@ class RolloutPasses(NamedTuple):
     lexicographic order; U is the sum of the u_t."""
 
     acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL], (U, width); slot
-                            # t's rows are offsets[t]:offsets[t + 1]
+                            # t's u_t rows follow those of the slots before
     logp: list[np.ndarray]  # per slot, pure-policy action log-probs, (u_t, radix),
                             # float64 whatever the net's dtype
     chosen: np.ndarray      # sampled actions, (n, slots)
     inv: list[np.ndarray]   # per slot, (n,): each trajectory's prefix row in logp[t]
-    offsets: np.ndarray     # (slots + 1,) first row of each slot's block in acts
 
 
 def slot_forward(
@@ -138,7 +145,7 @@ def _rollout(
     the next rows of the buffers; otherwise they are dropped (None)."""
     slots, n = u.shape
     keys = np.zeros((n, slots), dtype=np.int64)
-    offsets = np.zeros(slots + 1, dtype=np.int64)
+    rows = 0  # activation rows written so far
     inverses, logps = [], []
     if keep_caches:
         widths = [feature_dim(space), *(b.size for b in net.trunk_b)]
@@ -148,9 +155,8 @@ def _rollout(
     for t, n_actions in enumerate(space.slot_radices):
         if t:
             _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
-        lo = offsets[t]
-        offsets[t + 1] = lo + len(first)
-        block = [b[lo : offsets[t + 1]] for b in buffers] if keep_caches else None
+        block = [b[rows : rows + len(first)] for b in buffers] if keep_caches else None
+        rows += len(first)
         _, logp = slot_forward(net, space, keys[first, :t], t, block)
         mixed = (1.0 - explore_eps) * np.exp(logp) + explore_eps / n_actions
         cdf = mixed.cumsum(axis=1)[inv]
@@ -164,8 +170,8 @@ def _rollout(
         logps.append(logp)
     if not keep_caches:
         return keys, None
-    acts = [b[: offsets[-1]] for b in buffers]
-    return keys, RolloutPasses(acts, logps, keys, inverses, offsets)
+    acts = [b[:rows] for b in buffers]
+    return keys, RolloutPasses(acts, logps, keys, inverses)
 
 
 def _key_tuples(keys: np.ndarray) -> list[StateKey]:
@@ -176,13 +182,13 @@ def tb_loss_and_grads(
     net: PolicyNet,
     passes: RolloutPasses,
     log_rewards: np.ndarray,
-    grads: Gradients | None = None,
-) -> tuple[float, Gradients]:
-    """TB objective of the trajectories whose slot passes are given, and its
-    gradient by backpropagation through those passes, written into `grads`
-    (allocated when not given). Each slot's logit gradient is summed over
-    the trajectories sharing a prefix, so the backward runs on the distinct
-    prefixes' rows. The loss and the logit gradients are reduced in float64;
+    grads: Gradients,
+) -> float:
+    """TB objective of the trajectories whose slot passes are given; its
+    gradient by backpropagation through those passes is written into
+    `grads`. Each slot's logit gradient is summed over the trajectories
+    sharing a prefix, so the backward runs on the distinct prefixes' rows.
+    The loss and the logit gradients are reduced in float64;
     each slot's logit gradient is cast to the net's dtype for the backward."""
     n = len(log_rewards)
     sum_logp = np.zeros(n)
@@ -202,19 +208,17 @@ def tb_loss_and_grads(
         d *= -per_prefix[:, None]
         d += per_action.reshape(rows, radix)
         dlogits.append(d.astype(net.dtype, copy=False))
-    if grads is None:
-        grads = Gradients.zeros_like(net)
     net.backward_stacked(passes.acts, dlogits, grads)
     grads.log_z = float(np.mean(2.0 * residual))
-    return loss, grads
+    return loss
 
 
 @dataclass
 class TrainResult:
     net: PolicyNet
-    log_rows: list[tuple[int, float, float, int]] = field(default_factory=list)
-    evaluated: list[tuple[StateKey, float]] = field(default_factory=list)
-    stopped_early: bool = False
+    log_rows: list[tuple[int, float, float, int]]  # step, TB loss, log_z, distinct keys
+    evaluated: list[tuple[StateKey, float]]
+    stopped_early: bool
 
 
 def train(
@@ -241,7 +245,7 @@ def train(
         losses, rewards = scorer.score(keys)
         evaluated.extend(zip(keys, losses.tolist()))
         seen.update(keys)
-        loss, _ = tb_loss_and_grads(net, passes, np.log(rewards), grads)
+        loss = tb_loss_and_grads(net, passes, np.log(rewards), grads)
         if not np.isfinite(loss):
             raise RuntimeError(f"trajectory balance loss diverged at step {step}")
         opt.step(net, grads)

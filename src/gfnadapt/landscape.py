@@ -22,7 +22,6 @@ class LandscapeTable:
     keys: list[StateKey]          # lexicographic order
     aggregates: np.ndarray
     rewards: np.ndarray
-    z: float
     target_prob: np.ndarray
 
 
@@ -40,8 +39,7 @@ def build_landscape(
         raise ValueError(f"space has {count} terminals, exceeding cap {cap}")
     keys = list(enumerate_terminals(space))
     aggregates, rewards = scorer.score(keys)
-    z = float(rewards.sum())
-    return LandscapeTable(keys, aggregates, rewards, z, rewards / z)
+    return LandscapeTable(keys, aggregates, rewards, rewards / rewards.sum())
 
 
 def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:

@@ -62,19 +62,17 @@ def topk_recovery(
     return out
 
 
-def top20_stats(
-    evaluated: Sequence[tuple[StateKey, float]], top_n: int = 20
-) -> tuple[float, float, bool]:
-    """Median loss and mean pairwise Hamming distance over the `top_n`
-    distinct lowest-loss keys; flags a sample-deficient input."""
+def top20_stats(evaluated: Sequence[tuple[StateKey, float]]) -> tuple[float, float, bool]:
+    """Median loss and mean pairwise Hamming distance over the 20 distinct
+    lowest-loss keys; flags a sample-deficient input (fewer than 20)."""
     if not evaluated:
         raise ValueError("empty input")
     by_key: dict[StateKey, float] = {}
     for key, loss in evaluated:
         if key not in by_key or loss < by_key[key]:
             by_key[key] = loss
-    ranked = sorted(by_key.items(), key=lambda kv: (kv[1], kv[0]))[:top_n]
-    deficient = len(ranked) < top_n
+    ranked = sorted(by_key.items(), key=lambda kv: (kv[1], kv[0]))[:20]
+    deficient = len(ranked) < 20
     losses = [loss for _, loss in ranked]
     keys = [key for key, _ in ranked]
     if len(keys) < 2:

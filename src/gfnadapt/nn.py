@@ -21,18 +21,12 @@ every slot's distinct-prefix rows and runs one pass per trunk layer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.typing as npt
 
 ADAM_CHUNK = 32768  # elements per block of an Adam step: 128 KiB per float32 operand
 FLUSH_EVERY = 64  # Adam steps between flushes of moments about to go subnormal
-
-
-def _fan_in_uniform(rng: np.random.Generator, n_in: int, n_out: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(n_in)
-    return rng.uniform(-bound, bound, size=(n_in, n_out))
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
 
 def log_softmax(z: np.ndarray) -> np.ndarray:
@@ -93,27 +87,6 @@ class FlatParams:
 class PolicyNet(FlatParams):
     """Trunk weights/biases plus per-slot head weights/biases and log_z."""
 
-    @classmethod
-    def init(
-        cls,
-        in_dim: int,
-        head_dims: list[int],
-        hidden: tuple[int, ...] = (256, 256, 256),
-        rng: np.random.Generator | None = None,
-        dtype: npt.DTypeLike = np.float32,
-    ) -> "PolicyNet":
-        rng = rng or np.random.default_rng(0)
-        dims = (in_dim, *hidden)
-        # heads (and biases) start at zero so the initial policy is uniform
-        net = cls(
-            list(zip(dims[:-1], dims[1:])), [(hidden[-1], d) for d in head_dims], dtype=dtype
-        )
-        for w in net.trunk_w:
-            w[...] = _fan_in_uniform(rng, *w.shape)
-        return net
-
-    # -- forward / backward -------------------------------------------------
-
     def trunk_forward(
         self, x: np.ndarray, out: list[np.ndarray] | None = None
     ) -> list[np.ndarray]:
@@ -169,14 +142,13 @@ class Gradients(FlatParams):
         return cls(net.trunk_shapes, net.head_shapes, dtype=net.dtype)
 
 
-@dataclass
 class Adam:
     """Adaptive-moment optimizer over a net's flat parameter vector plus the
-    scalar log_z; moments and scratch space are allocated on the first step,
-    in the net's dtype. The update runs over blocks of ADAM_CHUNK elements,
-    so each block's operands stay in cache across its passes; every
-    operation is elementwise, so the blocks give the same bytes as one whole
-    pass.
+    scalar log_z, with decays BETA1 and BETA2 and guard EPS; moments and
+    scratch space are allocated on the first step, in the net's dtype. The
+    update runs over blocks of ADAM_CHUNK elements, so each block's operands
+    stay in cache across its passes; every operation is elementwise, so the
+    blocks give the same bytes as one whole pass.
 
     A parameter whose gradient stays exactly zero (a dead ReLU unit) has its
     moments decay by beta each step until they, or the update's product
@@ -187,61 +159,57 @@ class Adam:
     m would have moved its parameter by less than
     tiny / (eps * beta1**FLUSH_EVERY) per step, about 1e-27 at float32."""
 
-    lr: float = 5e-4
-    log_z_lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    _t: int = 0
-    _m: np.ndarray | None = None
-    _v: np.ndarray | None = None
-    _scratch: np.ndarray | None = None  # (2, block): numerator, denominator
-    _mz: float = 0.0
-    _vz: float = 0.0
+    def __init__(self, lr: float, log_z_lr: float):
+        self.lr = lr
+        self.log_z_lr = log_z_lr
+        self.t = 0
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
+        self.scratch: np.ndarray | None = None  # (2, block): numerator, denominator
+        self.mz = self.vz = 0.0
 
     def step(self, net: PolicyNet, grads: Gradients) -> None:
         p, g = net.flat, grads.flat
-        if self._m is None:
-            self._m = np.zeros_like(p)
-            self._v = np.zeros_like(p)
-            self._scratch = np.empty((2, min(ADAM_CHUNK, p.size)), dtype=p.dtype)
-        self._t += 1
-        bc1 = 1.0 - self.beta1**self._t
-        bc2 = 1.0 - self.beta2**self._t
+        if self.m is None:
+            self.m = np.zeros_like(p)
+            self.v = np.zeros_like(p)
+            self.scratch = np.empty((2, min(ADAM_CHUNK, p.size)), dtype=p.dtype)
+        self.t += 1
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         floors = None
-        if self._t % FLUSH_EVERY == 0:
+        if self.t % FLUSH_EVERY == 0:
             tiny = np.finfo(p.dtype).tiny
             floors = (
-                tiny / (min(self.lr, 1.0) * self.beta1**FLUSH_EVERY),
-                tiny / self.beta2**FLUSH_EVERY,
+                tiny / (min(self.lr, 1.0) * BETA1**FLUSH_EVERY),
+                tiny / BETA2**FLUSH_EVERY,
             )
         for lo in range(0, p.size, ADAM_CHUNK):
             block = slice(lo, lo + ADAM_CHUNK)
-            pb, gb, m, v = p[block], g[block], self._m[block], self._v[block]
-            num, den = self._scratch[:, : pb.size]
+            pb, gb, m, v = p[block], g[block], self.m[block], self.v[block]
+            num, den = self.scratch[:, : pb.size]
             # elementwise: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
             # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order
-            m *= self.beta1
-            np.multiply(gb, 1.0 - self.beta1, out=num)
+            m *= BETA1
+            np.multiply(gb, 1.0 - BETA1, out=num)
             m += num
-            v *= self.beta2
-            np.multiply(gb, 1.0 - self.beta2, out=num)
+            v *= BETA2
+            np.multiply(gb, 1.0 - BETA2, out=num)
             num *= gb
             v += num
             np.divide(m, bc1, out=num)
             num *= self.lr
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += EPS
             num /= den
             pb -= num
             if floors:
                 for moment, floor in zip((m, v), floors):
                     np.abs(moment, out=num)
                     moment[num < floor] = 0.0
-        self._mz = self.beta1 * self._mz + (1.0 - self.beta1) * grads.log_z
-        self._vz = self.beta2 * self._vz + (1.0 - self.beta2) * grads.log_z**2
+        self.mz = BETA1 * self.mz + (1.0 - BETA1) * grads.log_z
+        self.vz = BETA2 * self.vz + (1.0 - BETA2) * grads.log_z**2
         net.log_z = float(
-            net.log_z
-            - self.log_z_lr * (self._mz / bc1) / (np.sqrt(self._vz / bc2) + self.eps)
+            net.log_z - self.log_z_lr * (self.mz / bc1) / (np.sqrt(self.vz / bc2) + EPS)
         )

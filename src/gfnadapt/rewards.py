@@ -83,22 +83,15 @@ def context_loss(sim: np.ndarray, obs: np.ndarray) -> float:
     return float(np.mean(np.abs(sim - obs) / (np.abs(obs) + EPS_RESIDUAL)))
 
 
-def fit_quantiles(
-    losses_per_context: Sequence[np.ndarray],
-    lo_level: float,
-    hi_level: float,
-) -> QuantileTable:
-    """Per-context empirical quantiles by linear interpolation."""
+def fit_quantiles(table: np.ndarray, lo_level: float, hi_level: float) -> QuantileTable:
+    """Per-context empirical quantiles, by linear interpolation, of an
+    (n, C) table of raw losses."""
     if not 0.0 < lo_level < hi_level < 1.0:
         raise ValueError("quantile levels must satisfy 0 < lo < hi < 1")
-    q_lo, q_hi = [], []
-    for sample in losses_per_context:
-        sample = np.asarray(sample, dtype=float)
-        if sample.size == 0:
-            raise ValueError("empty loss sample")
-        q_lo.append(float(np.quantile(sample, lo_level)))
-        q_hi.append(float(np.quantile(sample, hi_level)))
-    return QuantileTable(np.array(q_lo), np.array(q_hi), lo_level, hi_level)
+    if len(table) == 0:
+        raise ValueError("empty loss sample")
+    q_lo, q_hi = np.quantile(table, (lo_level, hi_level), axis=0)
+    return QuantileTable(q_lo, q_hi, lo_level, hi_level)
 
 
 def normalize(raw: np.ndarray, q: QuantileTable) -> np.ndarray:
@@ -162,7 +155,6 @@ class TerminalScorer:
         self.requested = 0   # keys passed to score, repeats included
         self.cache_hits = 0  # requested keys the cache already held
         self.simulated = 0   # keys simulated, quantile fitting included
-        self.sim_evals = 0   # simulated keys times contexts
         self.quantiles: QuantileTable | None = None
         self.cache: RewardCache | None = None
         if quantiles is not None:
@@ -177,8 +169,13 @@ class TerminalScorer:
         )
 
     def raw_losses(self, keys: Sequence[StateKey]) -> np.ndarray:
-        """(n, C) raw losses of n keys, simulated in one batch; no cache
-        lookup. A row does not depend on the other keys of the batch."""
+        """(n, C) raw losses of n terminal keys, simulated in one batch; no
+        cache lookup. A row does not depend on the other keys of the batch."""
+        slots = self.space.slots
+        for key in keys:
+            if len(key) != slots:
+                raise ValueError(f"key {key} is not terminal: it decides "
+                                 f"{len(key)} of {slots} slots")
         names = [p.name for p in self.space.parameters]
         theta = decode_batch(self.space, keys)
         sims = simulate_batch(dict(zip(names, theta.T)), self.contexts)
@@ -189,7 +186,6 @@ class TerminalScorer:
         obs = np.array([ctx.obs_values for ctx in self.contexts])
         raw = np.mean(np.abs(sims - obs) / (np.abs(obs) + EPS_RESIDUAL), axis=2)
         self.simulated += len(keys)
-        self.sim_evals += len(keys) * len(self.contexts)
         return raw
 
     def fit_on_enumeration(self) -> QuantileTable:
@@ -198,7 +194,7 @@ class TerminalScorer:
         keys = list(enumerate_terminals(self.space))
         table = self.raw_losses(keys)
         cfg = self.config
-        self._freeze(fit_quantiles(list(table.T), cfg.lo_level, cfg.hi_level))
+        self._freeze(fit_quantiles(table, cfg.lo_level, cfg.hi_level))
         self.cache.put(keys, table)
         return self.quantiles
 
@@ -212,7 +208,7 @@ class TerminalScorer:
         }
         table = self.raw_losses(sorted(keys))
         cfg = self.config
-        self._freeze(fit_quantiles(list(table.T), cfg.lo_level, cfg.hi_level))
+        self._freeze(fit_quantiles(table, cfg.lo_level, cfg.hi_level))
         return self.quantiles
 
     def score(self, keys: Sequence[StateKey]) -> tuple[np.ndarray, np.ndarray]:

@@ -108,6 +108,8 @@ def build_space(
         raise ValueError("cycles must be >= 1")
     if not 0.0 < step_fraction <= 1.0:
         raise ValueError("step_fraction must be in (0, 1]")
+    if not groups:
+        raise ValueError("a space needs at least one group")
     orders = sorted(g.order for g in groups)
     if orders != list(range(1, len(groups) + 1)):
         raise ValueError(f"group orders must be contiguous 1..G, got {orders}")

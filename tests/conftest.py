@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gfnadapt import gflownet as gf
+from gfnadapt.nn import Gradients
 from gfnadapt.rewards import RewardConfig, TerminalScorer
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
@@ -55,8 +56,14 @@ def fixed_passes(net, space, keys):
         prefixes = np.array(prefixes, dtype=np.int64).reshape(len(prefixes), t)
         per_slot.append(gf.slot_forward(net, space, prefixes, t))
     acts = [np.concatenate(layer) for layer in zip(*(a for a, _ in per_slot))]
-    offsets = np.cumsum([0, *(len(logp) for _, logp in per_slot)])
-    return gf.RolloutPasses(acts, [logp for _, logp in per_slot], keys, inverses, offsets)
+    return gf.RolloutPasses(acts, [logp for _, logp in per_slot], keys, inverses)
+
+
+def tb_fresh(net, passes, log_rewards):
+    """(TB loss, gradients) of the passes, the gradients written into a new
+    buffer."""
+    grads = Gradients.zeros_like(net)
+    return gf.tb_loss_and_grads(net, passes, log_rewards, grads), grads
 
 
 def record_passes(monkeypatch) -> list[tuple[int, ...]]:

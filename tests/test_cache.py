@@ -98,6 +98,17 @@ def test_header_mismatch_rejected(tmp_path):
         open_cache(path, key_len=5)
 
 
+def test_unencodable_header_creates_no_file(tmp_path):
+    # a key length the header's one byte cannot hold fails before the file
+    # exists, so no empty file is left for later runs to refuse
+    path = tmp_path / "c.bin"
+    with pytest.raises(struct.error):
+        open_cache(path, key_len=256)
+    assert not path.exists()
+    open_cache(path, key_len=255)
+    assert path.stat().st_size == HEADER_SIZE
+
+
 def test_schema_one_file_refused(tmp_path):
     path = tmp_path / "c.bin"
     # schema 1: key bytes, raw, normalized, aggregate and reward, no CRC

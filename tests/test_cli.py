@@ -9,8 +9,9 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gfnadapt.cli import main
-from gfnadapt.config import DEFAULTS, load_config
+from gfnadapt import rewards
+from gfnadapt.cli import Workspace, main
+from gfnadapt.config import DEFAULTS, ConfigError, load_config
 
 # full crop parameter set, but only two small action groups: 6 terminals
 TINY_SPACE_YAML = """\
@@ -78,6 +79,17 @@ run:
     return config_path
 
 
+def space_with_actions(tmp_path, n):
+    """The workspace space with n actions in its second group."""
+    doc = yaml.safe_load(TINY_SPACE_YAML)
+    doc["groups"][1]["actions"] += [
+        {"name": f"up{i}", "signs": {"P_max": 1}} for i in range(n - 3)
+    ]
+    path = tmp_path / f"space_{n}_actions.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    return path
+
+
 def run(config_path, command, *overrides):
     argv = [command, "--config", str(config_path)]
     for pair in overrides:
@@ -136,6 +148,42 @@ class TestExitCodes:
         assert run(workspace, "train", override) == 1
         assert not (workspace.parent / "runs").exists()  # no scoring, no done
 
+    # the reward cache holds a key in one byte per slot, behind a one-byte
+    # key length: at most 255 slots and 256 actions per group
+    @pytest.mark.parametrize("cycles, refused", [(51, False), (52, True)])
+    def test_slot_limit(self, cycles, refused):
+        cfg = load_config(None, [f"space.cycles={cycles}"])  # built-in space: 5 groups
+        if refused:
+            with pytest.raises(ConfigError, match="at most 255 slots"):
+                Workspace(cfg)
+        else:
+            assert Workspace(cfg).space.slots == 255
+
+    @pytest.mark.parametrize("n_actions, refused", [(256, False), (257, True)])
+    def test_action_limit(self, workspace, tmp_path, n_actions, refused):
+        cfg = load_config(workspace, [f"space.file={space_with_actions(tmp_path, n_actions)}"])
+        if refused:
+            with pytest.raises(ConfigError, match="256 actions per group"):
+                Workspace(cfg)
+        else:
+            assert Workspace(cfg).space.slot_radices == (2, 256)
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [("baseline", "space.cycles=128"), ("enumerate", "space.file={actions_257}")],
+        ids=["256-slots", "257-actions"],
+    )
+    def test_unencodable_space_exits_1_before_simulating(self, workspace, tmp_path, capsys,
+                                                         monkeypatch, command, override):
+        def simulate_batch(*args):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(rewards, "simulate_batch", simulate_batch)
+        override = override.format(actions_257=space_with_actions(tmp_path, 257))
+        assert run(workspace, command, override, "run.method=random") == 1
+        assert "the reward cache encodes at most" in capsys.readouterr().err
+        assert not (workspace.parent / "runs").exists()  # no cache file, no stage directory
+
     @pytest.mark.parametrize("missing", ["parameters", "groups", "cycles", "step_fraction"])
     def test_space_file_without_key_exits_1(self, workspace, tmp_path, capsys, missing):
         doc = yaml.safe_load(TINY_SPACE_YAML)
@@ -185,8 +233,10 @@ class TestExitCodes:
             lambda doc: doc["parameters"][0].update(lower=9.0),  # above its upper bound
             lambda doc: doc["groups"][0].update(actions=None),
             lambda doc: doc["groups"][0].update(order="first"),
+            lambda doc: doc.update(groups=[]),
         ],
-        ids=["missing-bound", "inverted-bounds", "actions-not-a-list", "order-not-a-number"],
+        ids=["missing-bound", "inverted-bounds", "actions-not-a-list", "order-not-a-number",
+             "no-groups"],
     )
     def test_malformed_space_definition_exits_1(self, workspace, tmp_path, capsys, edit):
         doc = yaml.safe_load(TINY_SPACE_YAML)
@@ -462,17 +512,26 @@ class TestPipeline:
         assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
         assert not (out_root(workspace) / "report").exists()
 
-    @pytest.mark.parametrize(
-        "text", ['{"wall_clock": 1.0', "[1.0]", '{"wall_clock": "soon"}'],
-        ids=["truncated", "not-a-mapping", "non-numeric-wall-clock"],
-    )
-    def test_malformed_meta_exits_2_naming_it(self, workspace, capsys, text):
+    def test_sample_refuses_train_output_without_done(self, workspace, capsys):
+        # a train directory without `done` may hold a partial or stale checkpoint
         assert run(workspace, "train") == 0
-        meta = out_root(workspace) / "train" / "1" / "meta.json"
-        meta.write_text(text)
+        seed_dir = out_root(workspace) / "train" / "1"
+        (seed_dir / "done").unlink()
+        capsys.readouterr()
+        assert run(workspace, "sample") == 2
+        assert f"{seed_dir} is missing or incomplete" in capsys.readouterr().err
+        assert not (out_root(workspace) / "sample").exists()
+
+    @pytest.mark.parametrize("stage", ["train", "baseline-random"])
+    def test_report_refuses_stage_output_without_done(self, workspace, capsys, stage):
+        assert run(workspace, "train") == 0
+        assert run(workspace, "baseline", "run.method=random") == 0
+        seed_dir = out_root(workspace) / stage / "1"
+        (seed_dir / "done").unlink()
         capsys.readouterr()
         assert run(workspace, "report") == 2
-        assert str(meta) in capsys.readouterr().err
+        assert f"{seed_dir} is missing or incomplete" in capsys.readouterr().err
+        assert not (out_root(workspace) / "report").exists()
 
     @pytest.mark.parametrize(
         "old, new, field",
@@ -495,7 +554,8 @@ class TestPipeline:
         override = f"space.file={other}"
         dest = out_root(workspace, override) / "train" / "1"
         dest.mkdir(parents=True)
-        shutil.copy(out_root(workspace) / "train" / "1" / "checkpoint.bin", dest)
+        for name in ("checkpoint.bin", "done"):
+            shutil.copy(out_root(workspace) / "train" / "1" / name, dest)
         capsys.readouterr()
         assert run(workspace, "sample", override) == 2
         assert f"{field} is" in capsys.readouterr().err

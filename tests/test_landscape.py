@@ -68,14 +68,12 @@ class TestBuildLandscape:
             0.3,
         )
         table = table_from_rewards(sp, {(0,): 1.0, (1,): 3.0})
-        assert table.z == 4.0
         assert table.target_prob.tolist() == [0.25, 0.75]
 
     def test_uniform_rewards(self, tiny_space):
         rewards = {k: 2.0 for k in enumerate_terminals(tiny_space)}
         table = table_from_rewards(tiny_space, rewards)
         assert np.allclose(table.target_prob, 1.0 / 6)
-        assert table.z == pytest.approx(12.0)
 
     def test_probabilities_sum_to_one(self, full_landscape):
         assert full_landscape.target_prob.sum() == pytest.approx(1.0, abs=1e-12)

@@ -19,13 +19,11 @@ from gfnadapt.metrics import (
 def small_table():
     keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
     rewards = np.array([4.0, 2.0, 1.0, 1.0])
-    z = float(rewards.sum())
     return LandscapeTable(
         keys=keys,
         aggregates=-np.log(rewards),
         rewards=rewards,
-        z=z,
-        target_prob=rewards / z,
+        target_prob=rewards / rewards.sum(),
     )
 
 
@@ -107,26 +105,33 @@ class TestTopkRecovery:
 
 class TestTop20Stats:
     def test_duplicates_keep_minimum(self):
-        evaluated = [((0, 0), 0.8), ((0, 0), 0.3), ((1, 1), 0.5)]
-        med, ham, deficient = top20_stats(evaluated, top_n=2)
-        assert med == pytest.approx(0.4)  # median of {0.3, 0.5}
-        assert ham == 2.0
+        # 21 distinct keys; (0, 0) is among the 20 lowest only at its minimum
+        others = [((1, i), 0.5 + 0.01 * i) for i in range(20)]
+        med, _, deficient = top20_stats([((0, 0), 0.8), ((0, 0), 0.3), *others])
+        assert med == pytest.approx(0.585)  # median of {0.3, 0.50, ..., 0.68}
         assert not deficient
+
+    def test_mean_pairwise_hamming(self):
+        # 20 keys (i, 0) and one (0, 1): the top 20 are (0, 0)..(19, 0), each
+        # pair one slot apart
+        evaluated = [((i, 0), float(i)) for i in range(20)] + [((0, 1), 99.0)]
+        _, ham, _ = top20_stats(evaluated)
+        assert ham == 1.0
 
     def test_deficiency_flag(self):
         evaluated = [((0, 0), 0.1), ((0, 1), 0.2)]
-        _, _, deficient = top20_stats(evaluated, top_n=20)
+        _, _, deficient = top20_stats(evaluated)
         assert deficient
 
     def test_single_key(self):
-        med, ham, deficient = top20_stats([((1, 2), 0.7)], top_n=20)
+        med, ham, deficient = top20_stats([((1, 2), 0.7)])
         assert med == 0.7
         assert ham == 0.0
         assert deficient
 
     def test_selects_lowest_losses(self):
         evaluated = [((i, 0), float(i)) for i in range(30)]
-        med, _, deficient = top20_stats(evaluated, top_n=20)
+        med, _, deficient = top20_stats(evaluated)
         assert med == pytest.approx(9.5)  # median of 0..19
         assert not deficient
 

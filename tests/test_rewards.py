@@ -1,3 +1,4 @@
+import re
 import weakref
 from dataclasses import replace
 
@@ -57,17 +58,29 @@ class TestContextLoss:
 
 class TestQuantiles:
     def test_interpolated_sample(self):
-        q = fit_quantiles([np.arange(101.0)], 0.05, 0.95)
+        q = fit_quantiles(np.arange(101.0)[:, None], 0.05, 0.95)
         assert q.q_lo[0] == pytest.approx(5.0)
         assert q.q_hi[0] == pytest.approx(95.0)
 
     def test_constant_sample(self):
-        q = fit_quantiles([np.full(10, 3.3)], 0.05, 0.95)
+        q = fit_quantiles(np.full((10, 1), 3.3), 0.05, 0.95)
         assert q.q_lo[0] == q.q_hi[0] == 3.3
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            fit_quantiles([np.array([])], 0.05, 0.95)
+            fit_quantiles(np.empty((0, 6)), 0.05, 0.95)
+
+    @pytest.mark.parametrize("rows", [1, 2, 6, 255, 256, 2625])
+    def test_table_matches_per_column_quantiles(self, rows):
+        # one call over the table's axis 0 gives each column's own quantiles,
+        # bit for bit, on this numpy
+        rng = np.random.default_rng(rows)
+        for table in (rng.random((rows, 6)), rng.lognormal(0.0, 2.0, (rows, 6)),
+                      rng.integers(0, 3, (rows, 6)).astype(float)):
+            q = fit_quantiles(table, 0.05, 0.95)
+            for c, column in enumerate(table.T):
+                assert q.q_lo[c] == np.quantile(column, 0.05)
+                assert q.q_hi[c] == np.quantile(column, 0.95)
 
     def test_normalize_endpoints(self):
         q = QuantileTable(np.array([1.0]), np.array([3.0]), 0.05, 0.95)
@@ -79,7 +92,7 @@ class TestQuantiles:
         assert normalize(np.array([2.0]), q)[0] == 0.0
 
     def test_json_roundtrip(self, tmp_path):
-        q = fit_quantiles([np.arange(10.0), np.arange(5.0)], 0.1, 0.9)
+        q = fit_quantiles(np.arange(20.0).reshape(10, 2), 0.1, 0.9)
         q.to_json(tmp_path / "q.json")
         loaded = QuantileTable.from_json(tmp_path / "q.json")
         assert np.array_equal(loaded.q_lo, q.q_lo)
@@ -175,15 +188,14 @@ class TestTerminalScorer:
 
     def test_cache_hit_skips_simulation(self, scorer):
         first = scorer.score([(1, 1)])
-        evals = scorer.sim_evals
+        simulated = scorer.simulated
         second = scorer.score([(1, 1)])
-        assert scorer.sim_evals == evals
+        assert scorer.simulated == simulated
         assert np.array_equal(first, second)
 
     def test_enumeration_fit_fills_the_cache(self, scorer, mini_space):
         keys = list(enumerate_terminals(mini_space))
         assert len(scorer.cache) == len(keys) == scorer.simulated
-        assert scorer.sim_evals == len(keys) * len(scorer.contexts)
         scorer.score(keys)
         assert scorer.simulated == len(keys)  # every score was a cache hit
         assert scorer.cache_hits == scorer.requested == len(keys)
@@ -205,7 +217,6 @@ class TestTerminalScorer:
         second = np.array(scorer.score([b, c, b]))
         assert np.array_equal(second[:, 0], first[:, 1])
         assert (scorer.requested, scorer.cache_hits, scorer.simulated) == (6, 2, 3)
-        assert scorer.sim_evals == 3 * len(obs)
 
     def test_record_consistency(self, scorer):
         [agg], [rew] = scorer.score([(0, 2)])
@@ -237,7 +248,7 @@ class TestTerminalScorer:
         for agg, old_agg, raw in zip(new, old, scorer.raw_losses(keys)):
             assert agg == aggregate(normalize(raw, b), lam, k)
             assert agg != old_agg
-        assert reopened.sim_evals == 0
+        assert reopened.simulated == 0
 
     def test_cache_freed_with_its_scorer(self, mini_space, obs, tmp_path):
         # no reference cycle: a stage's records go as soon as its scorer does
@@ -267,6 +278,16 @@ class TestTerminalScorer:
         frozen = scorer.quantiles
         scorer.score([(0, 0)])
         assert scorer.quantiles is frozen
+
+
+def test_non_terminal_key_refused_before_simulating(fitted_scorer):
+    # a prefix of the built-in space's five slots is a cache miss; it must
+    # fail naming itself, before it is simulated or counted
+    counts = (fitted_scorer.simulated, fitted_scorer.requested, len(fitted_scorer.cache))
+    with pytest.raises(ValueError, match=re.escape("key (1, 2, 3, 4) is not terminal")):
+        fitted_scorer.score([(0, 0, 0, 0, 0), (1, 2, 3, 4)])
+    assert (fitted_scorer.simulated, fitted_scorer.requested,
+            len(fitted_scorer.cache)) == counts
 
 
 def test_loaded_records_equal_their_own_row(space, obs_contexts, fitted_scorer):
