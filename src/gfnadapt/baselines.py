@@ -8,11 +8,12 @@ Each returns its (key, loss) pairs in evaluation order.
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey, is_terminal, validate_key
+from .space import SpaceSpec, StateKey, is_terminal, uniform_keys, validate_key
 
 
 def export_trace_csv(path, evaluated, config_hash: str) -> None:
@@ -61,8 +62,23 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
     return evaluated
 
 
-def _uniform_key(radices: tuple[int, ...], rng: np.random.Generator) -> StateKey:
-    return tuple(int(rng.integers(r)) for r in radices)
+def _quantile(losses: np.ndarray, q: float) -> float:
+    """np.quantile(losses, q) of a non-empty 1-d float array, bit for bit,
+    from one np.partition: numpy's linear method partitions at these same
+    indices, returns the last value when it is NaN (NaN sorts last), and
+    interpolates with the same two formulas, split at t >= 0.5."""
+    n = len(losses)
+    at = (n - 1) * q
+    lo = hi = -1  # at the top, numpy takes the last value twice
+    if at < n - 1:
+        lo = math.floor(at)
+        hi = lo + 1
+    part = np.partition(losses, sorted({0, -1, lo, hi}))
+    if math.isnan(part[-1]):
+        return float(part[-1])
+    a, b, t = float(part[lo]), float(part[hi]), at - lo
+    diff = b - a
+    return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
 
 def random_search(
@@ -74,9 +90,7 @@ def random_search(
     """Uniform i.i.d. terminals, each slot's action uniform."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
-    rng = np.random.default_rng(seed)
-    radices = space.slot_radices
-    keys = [_uniform_key(radices, rng) for _ in range(budget)]
+    keys = uniform_keys(space, budget, np.random.default_rng(seed))
     losses, _ = scorer.score(keys)
     return list(zip(keys, losses.tolist()))
 
@@ -92,11 +106,12 @@ def tpe_search(
 ) -> list[tuple[StateKey, float]]:
     """Per-slot categorical tree-structured Parzen estimator.
 
-    After `startup` uniform draws, the history is split at the gamma
-    quantile of losses; per slot, Laplace-smoothed categorical densities are
-    built over the good and bad sets, candidates are drawn from the good
-    density, and the candidate maximizing the product of density ratios is
-    evaluated.
+    After `startup` uniform draws, all made first in one call, the history
+    is split at the gamma quantile of losses (np.quantile's value, from one
+    partition of the history); per slot, Laplace-smoothed categorical
+    densities are built over the good and bad sets, candidates are drawn
+    from the good density, and the candidate maximizing the product of
+    density ratios is evaluated.
 
     Each proposal is one array pass over all slots. The history is kept as
     cells of one (slots, largest radix) table, with running totals of the
@@ -125,11 +140,12 @@ def tpe_search(
     totals = np.zeros(n_slots * width, dtype=np.intp)
     losses = np.zeros(budget)
     evaluated = []
+    startup_keys = uniform_keys(space, min(startup, budget), rng)
     for it in range(budget):
         if it < startup:
-            key = _uniform_key(radices, rng)
+            key = startup_keys[it]
         else:
-            threshold = np.quantile(losses[:it], gamma)
+            threshold = _quantile(losses[:it], gamma)
             good = losses[:it] <= threshold
             n_good = int(good.sum())
             # a NaN threshold (a NaN loss, or inf - inf in the quantile's

@@ -19,6 +19,7 @@ from pathlib import Path
 import yaml
 
 from .simulator import DEFAULT_TRUTH_KEY, N_CONTEXTS
+from .space import load_yaml
 
 DEFAULTS: dict = {
     "space": {
@@ -152,7 +153,7 @@ def parse_overrides(pairs: list[str]) -> dict:
 
 def _parse_yaml(stream, where: str):
     try:
-        return yaml.safe_load(stream)
+        return load_yaml(stream)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{where} is not valid YAML: {exc}") from exc
 

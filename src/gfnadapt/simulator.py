@@ -72,9 +72,9 @@ class ContextDataset:
             raise ValueError("obs_values must be non-negative and non-decreasing")
 
 
-def _inhibition(t, t_opt, t_width, s_sharp, exp=math.exp):
-    lo = 1.0 / (1.0 + exp(-s_sharp * (t - (t_opt - t_width))))
-    hi = 1.0 / (1.0 + exp(s_sharp * (t - (t_opt + t_width))))
+def _inhibition(t, t_opt, t_width, s_sharp):
+    lo = 1.0 / (1.0 + math.exp(-s_sharp * (t - (t_opt - t_width))))
+    hi = 1.0 / (1.0 + math.exp(s_sharp * (t - (t_opt + t_width))))
     return lo * hi
 
 
@@ -88,7 +88,9 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
     """Cumulative fruit dry mass sampled at the context's obs_times.
 
     The scalar reference: simulate_batch computes the same recurrence for
-    many parameter sets at once and is what scoring runs."""
+    many parameter sets at once and is what scoring runs. The day loop runs
+    over Python floats, read from memoryviews of the forcing: the same IEEE
+    arithmetic as numpy's float64 scalars at a fraction of their cost."""
     _check_params(params)
 
     lai_max = params["LAI_max"]
@@ -107,10 +109,10 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
     c_maint = params["c_maint"]
     q10 = params["Q10"]
 
-    t_day = context.t_day
-    t_24 = context.t_24
-    light = context.light
-    co2 = context.co2
+    t_day = memoryview(context.t_day)
+    t_24 = memoryview(context.t_24)
+    light = memoryview(context.light)
+    co2 = memoryview(context.co2)
 
     w_l, w_s, w_f = _W_LEAF0, _W_STEM0, _W_FRUIT0
     ts = 0.0
@@ -150,12 +152,13 @@ DAY_SERIES_PARAMS = {
 
 # Keys per array pass at most. It bounds the day loop's (keys, contexts)
 # arrays, 0.19 MiB each at 4096 keys and 6 contexts; such a pass peaks near
-# 4.9 MiB besides its outputs (tracemalloc).
+# 3.7 MiB besides its outputs (tracemalloc).
 SIM_KEYS = 4096
 # Cells per block of a day series at most: the block's consecutive days times
-# the series' distinct parameter rows in the pass, so a block of 2880 cells
-# is about 0.13 MiB at 6 contexts. A 1000-key batch on the 2-cycle space
-# peaks near 1.9 MiB besides its outputs (tracemalloc).
+# the series' distinct parameter rows in the pass, times three for p_f's
+# stacked coefficients, so a block of 2880 cells is about 0.13 MiB at 6
+# contexts. A 1000-key batch on the 2-cycle space peaks near 1.6 MiB besides
+# its outputs (tracemalloc).
 SIM_CELLS = 16 * 180
 
 
@@ -171,7 +174,8 @@ def simulate_batch(
     per distinct row of the parameters it reads (DAY_SERIES_PARAMS), rows
     counting as one only when bit-identical, in blocks of consecutive days of
     at most SIM_CELLS cells; each key reads its row's values in the day loop,
-    and only the leaf/stem/fruit update runs per key.
+    and only the crop-state update runs per key: one multiply-add of p_f's
+    stacked coefficients into the stacked fruit, leaf and stem state.
 
     Rows agree with simulate up to rounding (the hoisted day series multiply
     in another order) and are bit-identical whatever the rest of the batch.
@@ -187,11 +191,6 @@ def simulate_batch(
     cols = np.array([np.asarray(params[n], dtype=float) for n in SIM_PARAM_NAMES])
     n = cols.shape[1]
     out = np.empty((n, len(contexts), len(grid.obs_times)))
-    # forcing as (days, 1, contexts), to broadcast against (rows, 1) columns
-    forcing = [
-        np.stack([getattr(c, f) for c in contexts], axis=1)[:, None, :]
-        for f in ("t_day", "t_24", "light", "co2")
-    ]
     series_cols = [
         cols[[SIM_PARAM_NAMES.index(p) for p in names]] for names in DAY_SERIES_PARAMS.values()
     ]
@@ -202,7 +201,7 @@ def simulate_batch(
             first, inv = _distinct_rows(c[:, lo:hi].T)
             series_rows.append((c[:, lo + first, None], inv))
         with np.errstate(all="ignore"):  # overflow shows as a non-finite value
-            _fruit_on_days(cols[:3, lo:hi, None], series_rows, forcing, grid.obs_times - 1,
+            _fruit_on_days(cols[:3, lo:hi, None], series_rows, contexts, grid.obs_times - 1,
                            out[lo:hi])
     return out
 
@@ -226,31 +225,57 @@ def _distinct_rows(rows: np.ndarray):
     return first[order], position[codes.reshape(-1)]
 
 
-def _day_series(name: str, p, t_day, t_24, light, co2, carry):
+def _forcing(contexts, field: str, days: slice) -> np.ndarray:
+    """The contexts' forcing `field` over `days` as a (days, 1, contexts)
+    array, to broadcast against (rows, 1) parameter columns."""
+    return np.stack([getattr(c, field)[days] for c in contexts], axis=1)[:, None, :]
+
+
+def _day_series(name: str, p, contexts, days: slice, carry):
     """(series, carry) for the series `name` of simulate, one that does not
     depend on crop state, over a block of consecutive days: a (days, rows,
     contexts) array from p, the columns of DAY_SERIES_PARAMS[name] as (rows,
-    1) arrays, and the forcing over those days. assim_max is the assimilation
-    at full light cover, maint_rate the maintenance per unit mass, p_f the
+    1) arrays, and the forcing it reads over those days, stacked here so
+    that only the block's days are held. assim_max is the assimilation at
+    full light cover, maint_rate the maintenance per unit mass, p_f the
     fruit partition fraction. carry is what the next block continues from:
     p_f's temperature sum on the block's last day (None before the first
     block), and None for the other series."""
+    t_24 = _forcing(contexts, "t_24", days)
     if name == "assim_max":
         p_max, alpha, co2_half, t_opt, t_width, s_sharp = p
-        return (
-            p_max * (1.0 - np.exp(-alpha * light / p_max))
-            * (co2 / (co2 + co2_half))
-            * _inhibition(t_day, t_opt, t_width, s_sharp, np.exp)
-            * _inhibition(t_24, t_opt, t_width, s_sharp, np.exp)
-        ), None
+        t_day, light, co2 = (_forcing(contexts, f, days) for f in ("t_day", "light", "co2"))
+        # simulate's product, factor by factor and in place, in three blocks
+        assim = np.multiply(-alpha, light)
+        assim /= p_max
+        np.exp(assim, out=assim)
+        np.subtract(1.0, assim, out=assim)
+        assim *= p_max
+        lo, hi = np.empty((2, *assim.shape))
+        np.add(co2, co2_half, out=lo)
+        np.divide(co2, lo, out=lo)
+        assim *= lo
+        edges = ((lo, t_opt - t_width, -s_sharp), (hi, t_opt + t_width, s_sharp))
+        for t in (t_day, t_24):  # times _inhibition(t, t_opt, t_width, s_sharp)
+            for part, edge, sign in edges:
+                np.subtract(t, edge, out=part)
+                part *= sign
+                np.exp(part, out=part)
+                part += 1.0
+                np.divide(1.0, part, out=part)
+            lo *= hi
+            assim *= lo
+        return assim, None
     if name == "maint_rate":
         c_maint, q10 = p
-        return c_maint * q10 ** ((t_24 - 25.0) / 10.0), None
+        rate = q10 ** ((t_24 - 25.0) / 10.0)
+        rate *= c_maint
+        return rate, None
     ts_start, ts_end, dev_rate, rg_fruit = p
     ts = dev_rate * np.maximum(0.0, t_24 - 10.0)
     if carry is not None:  # the same sequential sum as over all days at once
         ts[0] += carry
-    ts = np.cumsum(ts, axis=0)
+    np.cumsum(ts, axis=0, out=ts)
     # the branches of simulate, in place over the ramp to save an array
     p_f = rg_fruit * (ts - ts_start) / (ts_end - ts_start)
     np.copyto(p_f, rg_fruit, where=~(ts < ts_end))
@@ -258,53 +283,85 @@ def _day_series(name: str, p, t_day, t_24, light, co2, carry):
     return p_f, ts[-1].copy()  # not a view that keeps the block alive
 
 
-def _series_by_day(name: str, p, inv, forcing, n_days: int):
+def _coefficients(p_f: np.ndarray) -> np.ndarray:
+    """The growth coefficients of fruit, leaf and stem, [p_f, 0.7 * (1 -
+    p_f), 0.3 * (1 - p_f)] as simulate multiplies them, stacked as a (days,
+    3, rows, contexts) array from a (days, rows, contexts) block of p_f."""
+    coef = np.empty((len(p_f), 3, *p_f.shape[1:]))
+    coef[:, 0] = p_f
+    rest = 1.0 - p_f
+    coef[:, 1] = 0.7 * rest
+    rest *= 0.3
+    coef[:, 2] = rest
+    return coef
+
+
+def _series_by_day(name: str, p, inv, contexts, n_days: int):
     """Yield the series `name` on each of the first n_days days as a (keys,
     contexts) array: computed by _day_series once per distinct row in p, in
-    blocks of at most SIM_CELLS cells, and gathered per key by flat index
-    into the day's (rows, contexts) block, unless inv is None (every key has
-    a row of its own)."""
-    rows, n_ctx = p.shape[1], forcing[0].shape[2]
-    block = max(1, SIM_CELLS // rows)
-    at = None if inv is None else inv[:, None] * n_ctx + np.arange(n_ctx)
+    blocks of at most SIM_CELLS cells, and gathered per key by one take
+    along the block's row axis, unless inv is None (every key has a row of
+    its own). p_f is yielded as its stacked coefficients, a
+    (3, keys, contexts) array, stacked by _coefficients for a third as many
+    days at a time, so that those blocks too hold at most SIM_CELLS cells
+    counting all three planes. A yielded array is not read again once the
+    next day is asked for, so the caller may write into it."""
+    block = max(1, SIM_CELLS // p.shape[1])
+    stacked = name == "p_f"
+    step = max(1, block // 3) if stacked else block
     carry = None
     for lo in range(0, n_days, block):
-        hi = min(n_days, lo + block)
-        series, carry = _day_series(name, p, *(f[lo:hi] for f in forcing), carry)
-        yield from (day if at is None else day.take(at) for day in series)
-        del series  # freed before the next block is computed
+        series, carry = _day_series(name, p, contexts, slice(lo, min(n_days, lo + block)), carry)
+        for start in range(0, len(series), step):
+            days = _coefficients(series[start : start + step]) if stacked else series
+            yield from days if inv is None else (day.take(inv, axis=-2) for day in days)
+            del days  # freed before the next block is computed
+        del series
 
 
-def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
+def _fruit_on_days(state, series_rows, contexts, obs_days, out) -> None:
     """Write the fruit mass after each of the 0-based obs_days of the
     recurrence in simulate into out, a (keys, contexts, observations) array,
     and stop after the last of them. state holds the keys' LAI_max, SLA and
     n_plants as (keys, 1) columns; series_rows holds, per DAY_SERIES_PARAMS
     entry, its parameter columns over the distinct rows and each key's row
     (None: one row per key). Each series is computed once per distinct row;
-    only the crop-state update runs per key, day by day."""
+    only the crop-state update runs per key, day by day, on one stacked
+    (fruit, leaf, stem) array grown by p_f's coefficients times the day's net
+    assimilation, the day's arithmetic written into two buffers allocated
+    once. The day's series are released before the next day's are made."""
     n_days = obs_days[-1] + 1
-    series = [
-        _series_by_day(name, p, inv, forcing, n_days)
+    assim_by_day, maint_by_day, coef_by_day = (
+        _series_by_day(name, p, inv, contexts, n_days)
         for name, (p, inv) in zip(DAY_SERIES_PARAMS, series_rows)
-    ]
+    )
     lai_max, sla, n_plants = state
     sla_n = sla * n_plants
-    w_l, w_s, w_f = (np.full((len(lai_max), forcing[0].shape[2]), w)
-                     for w in (_W_LEAF0, _W_STEM0, _W_FRUIT0))
+    w = np.empty((3, len(lai_max), len(contexts)))
+    w[0], w[1], w[2] = _W_FRUIT0, _W_LEAF0, _W_STEM0
+    w_f, w_l, w_s = w
+    net, mass = np.empty((2, *w_f.shape))
     k = 0
-    for d, (assim_d, maint_d, p_f_d) in enumerate(zip(*series)):
+    for d in range(n_days):
+        assim_d, maint_d, coef_d = next(assim_by_day), next(maint_by_day), next(coef_by_day)
         # fmin/fmax pass over NaN like Python's min/max do in simulate
-        lai = np.fmin(lai_max, sla_n * w_l)
-        f_light = 1.0 - np.exp(-0.7 * lai)
-        net = np.fmax(0.0, assim_d * f_light - maint_d * (w_f + w_l + w_s))
-        w_f += p_f_d * net
-        rest = 1.0 - p_f_d
-        w_l += 0.7 * rest * net
-        w_s += 0.3 * rest * net
+        np.multiply(sla_n, w_l, out=net)
+        np.fmin(lai_max, net, out=net)  # lai
+        np.multiply(-0.7, net, out=net)
+        np.exp(net, out=net)
+        np.subtract(1.0, net, out=net)  # f_light
+        np.multiply(assim_d, net, out=net)
+        np.add(w_f, w_l, out=mass)  # w_f + w_l + w_s, in simulate's order
+        mass += w_s
+        mass *= maint_d
+        net -= mass
+        np.fmax(0.0, net, out=net)
+        coef_d *= net
+        w += coef_d
         if d == obs_days[k]:
             out[:, :, k] = w_f
             k += 1
+        del assim_d, maint_d, coef_d  # freed before the next day's are gathered
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

@@ -207,6 +207,14 @@ def enumerate_terminals(space: SpaceSpec) -> Iterator[StateKey]:
     return iter(itertools.product(*ranges))
 
 
+def uniform_keys(space: SpaceSpec, n: int, rng: np.random.Generator) -> list[StateKey]:
+    """n terminal keys, each slot's action uniform, from one rng.integers
+    call over every slot's radix: the same draws, in the same order, as a
+    per-slot rng.integers(r) loop, and the same rng state after them."""
+    radices = space.slot_radices
+    return list(map(tuple, rng.integers(0, radices, size=(n, len(radices))).tolist()))
+
+
 def place_values(radices: Sequence[int]) -> list[int]:
     """Mixed-radix place value of each slot: the index of a terminal key in
     enumerate_terminals order is sum(key[t] * pv[t]).
@@ -243,10 +251,16 @@ def hamming(a: StateKey, b: StateKey) -> int:
 # Space definition files
 
 
+def load_yaml(stream):
+    """yaml.safe_load, parsed by libyaml's C parser when PyYAML has it (the
+    built-in space in about a sixth of the time); the documents are equal."""
+    return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
 def load_space_file(path) -> SpaceSpec:
     """Read a YAML space definition (parameters, groups/actions, cycles, sf)."""
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        doc = load_yaml(fh)
     return space_from_dict(doc)
 
 

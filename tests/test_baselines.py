@@ -2,9 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gfnadapt.baselines import export_trace_csv, random_search, read_trace_csv, tpe_search
+from gfnadapt.baselines import (
+    _quantile,
+    export_trace_csv,
+    random_search,
+    read_trace_csv,
+    tpe_search,
+)
 from gfnadapt.metrics import best_so_far
+from gfnadapt.rewards import RewardConfig, TerminalScorer
 from gfnadapt.simulator import builtin_space
 from gfnadapt.space import enumerate_terminals
 
@@ -219,6 +228,86 @@ class TestTPE:
             tpe = tpe_search(sp, AggScorer(separable_loss), 120, seed)
             # the optimum is 0; staying within one bad slot of it is expected
             assert min(l for _, l in tpe) <= 0.5
+
+
+def per_slot_keys(space, n, rng):
+    """n keys drawn slot by slot, one rng.integers(r) call each: the draws
+    every uniform key must reproduce."""
+    return [tuple(int(rng.integers(r)) for r in space.slot_radices) for _ in range(n)]
+
+
+class TestUniformDraws:
+    """Uniform keys are drawn in one rng.integers call over every slot's
+    radix; they must be the keys of a per-slot loop, draw for draw."""
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["builtin", "builtin-2cycle"])
+    def space_of(self, request):
+        return dataclasses.replace(builtin_space(), cycles=request.param)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("budget", [1, 7])
+    def test_random_search(self, space_of, seed, budget):
+        trace = random_search(space_of, AggScorer(mixed_loss), budget, seed)
+        assert [key for key, _ in trace] == per_slot_keys(space_of, budget,
+                                                          np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("budget", [1, 7, 25])
+    def test_tpe_startup(self, space_of, seed, budget):
+        # the first `startup` proposals, all drawn before any candidate
+        trace = tpe_search(space_of, AggScorer(mixed_loss), budget, seed, startup=10)
+        startup = min(budget, 10)
+        expected = per_slot_keys(space_of, startup, np.random.default_rng(seed))
+        assert [key for key, _ in trace[:startup]] == expected
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("warmup", [1, 7, 256])
+    def test_fit_on_warmup(self, space_of, obs_contexts, seed, warmup, tmp_path):
+        scorer = TerminalScorer(space_of, obs_contexts, RewardConfig(warmup=warmup),
+                                cache_path=tmp_path / "rewards.bin")
+        simulated = []
+
+        def raw_losses(keys):  # the keys the warm-up would simulate
+            simulated.append(keys)
+            return np.zeros((len(keys), len(obs_contexts)))
+
+        scorer.raw_losses = raw_losses
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        scorer.fit_on_warmup(rng)
+        assert simulated == [sorted(set(per_slot_keys(space_of, warmup, reference)))]
+        assert rng.random() == reference.random()  # the streams continue alike
+
+
+# float64 values with ties, signed zeros and both infinities, and NaN
+_LOSS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 3).map(float),
+)
+
+
+class TestQuantile:
+    """The TPE split threshold: np.quantile's linear method from one
+    partition, which must return np.quantile's value bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        losses=st.lists(_LOSS, min_size=1, max_size=1000),
+        gamma=st.one_of(st.sampled_from([0.25, 0.1, 0.5, 0.75, 0.9, 1 / 3]),
+                        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+    )
+    def test_equals_np_quantile(self, losses, gamma):
+        losses = np.array(losses)
+        with np.errstate(invalid="ignore"):  # inf - inf in the interpolation
+            expected = np.quantile(losses, gamma)
+        assert np.float64(_quantile(losses, gamma)).tobytes() == np.float64(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 999, 1000])
+    @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 0.999])
+    def test_every_length_and_level(self, n, gamma):
+        rng = np.random.default_rng(n)
+        for losses in (rng.normal(size=n), rng.integers(0, 3, n).astype(float)):
+            assert _quantile(losses, gamma) == np.quantile(losses, gamma)
 
 
 class TestSearchTrace:

@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import struct
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from gfnadapt import rewards
 from gfnadapt.cli import Workspace, main
 from gfnadapt.config import DEFAULTS, ConfigError, load_config
+from gfnadapt.space import load_yaml
 
 # full crop parameter set, but only two small action groups: 6 terminals
 TINY_SPACE_YAML = """\
@@ -77,6 +79,17 @@ run:
 """
     )
     return config_path
+
+
+@pytest.mark.parametrize("which", ["builtin", "tiny"])
+def test_c_and_python_yaml_parsers_agree(which):
+    # load_yaml parses with libyaml's CSafeLoader where PyYAML has it
+    text = TINY_SPACE_YAML if which == "tiny" else (
+        resources.files("gfnadapt").joinpath("data/greenhouse_space_v1.yaml").read_text())
+    c_loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    python_doc = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=c_loader) == python_doc
+    assert load_yaml(text) == python_doc
 
 
 def space_with_actions(tmp_path, n):
@@ -218,10 +231,11 @@ class TestExitCodes:
         assert run(workspace, "enumerate", f"reward.beta={value}") == 1
         assert "reward.beta" in capsys.readouterr().err
 
-    def test_unparsable_space_file_exits_1(self, workspace, tmp_path):
+    def test_unparsable_space_file_exits_1(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad_space.yaml"
         bad.write_text("parameters: [\n")
         assert run(workspace, "enumerate", f"space.file={bad}") == 1
+        assert f"space.file {bad} is not valid YAML" in capsys.readouterr().err
 
     def test_space_file_is_a_directory_exits_1(self, workspace, tmp_path):
         assert run(workspace, "enumerate", f"space.file={tmp_path}") == 1

@@ -151,17 +151,26 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
     assert sims.tobytes() == np.concatenate(alone).tobytes()
 
 
-def record_blocks(monkeypatch) -> list[tuple[int, int]]:
-    """Patch _day_series to record each block it computes as its (days,
-    distinct rows)."""
+def record_blocks(monkeypatch) -> list[tuple[int, int, int]]:
+    """Patch _day_series and _coefficients to record each block they compute
+    as its (days, distinct rows, planes): one plane for a day series, three
+    for p_f's stacked coefficients."""
     blocks = []
-    day_series = simulator._day_series
+    day_series, coefficients = simulator._day_series, simulator._coefficients
 
-    def recorded(name, p, t_day, *args):
-        blocks.append((len(t_day), p.shape[1]))
-        return day_series(name, p, t_day, *args)
+    def recorded_series(*args):
+        series, carry = day_series(*args)
+        blocks.append((*series.shape[:2], 1))
+        return series, carry
 
-    monkeypatch.setattr(simulator, "_day_series", recorded)
+    def recorded_coefficients(p_f):
+        coef = coefficients(p_f)
+        days, planes, rows, _ = coef.shape
+        blocks.append((days, rows, planes))
+        return coef
+
+    monkeypatch.setattr(simulator, "_day_series", recorded_series)
+    monkeypatch.setattr(simulator, "_coefficients", recorded_coefficients)
     return blocks
 
 
@@ -180,12 +189,16 @@ def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap
     assert whole.tobytes() == split.tobytes()
     assert sum(n for n, *_ in passes) == len(keys)
     assert all(n_keys <= simulator.SIM_KEYS for n_keys, *_ in passes)
-    assert all(days == 1 or days * rows <= simulator.SIM_CELLS for days, rows in blocks)
+    assert all(days == 1 or days * rows * planes <= simulator.SIM_CELLS
+               for days, rows, planes in blocks)
+    assert {planes for *_, planes in blocks} == {1, 3}
     if cap == "SIM_KEYS":
         assert len(passes) > 20
-    else:  # one pass whose blocks hold one day, up to the last observation day
+    else:  # one pass whose blocks hold one day, up to the last observation day,
+        # p_f's followed by its coefficients'
         [(_, *rows)] = passes
-        assert blocks == [(1, r) for _ in range(168) for r in rows]
+        per_day = [(1, r, 1) for r in rows] + [(1, rows[-1], 3)]
+        assert blocks == per_day * 168
 
 
 def test_random_2cycle_batch_is_one_pass(space, obs_contexts, monkeypatch):
@@ -196,9 +209,13 @@ def test_random_2cycle_batch_is_one_pass(space, obs_contexts, monkeypatch):
     keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(1000)]
     params = columns(space2, keys)
     passes = record_passes(monkeypatch)
+    blocks = record_blocks(monkeypatch)
     sims = simulate_batch(params, obs_contexts)
     assert len(passes) == 1 and passes[0][0] == 1000
     assert max(passes[0][1:]) > simulator.SIM_CELLS // 180  # more than one block
+    # every block fits in SIM_CELLS, p_f's stacked coefficients counting thrice
+    assert all(days * rows * planes <= simulator.SIM_CELLS for days, rows, planes in blocks)
+    assert {planes for *_, planes in blocks} == {1, 3}
     alone = [
         simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
         for i in range(len(keys))
