@@ -9,26 +9,31 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 
 import numpy as np
 
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey, is_terminal, uniform_keys, validate_key
+from .space import SpaceSpec, StateKey, uniform_keys, validate_key
 
 
 def export_trace_csv(path, evaluated, config_hash: str) -> None:
     """(key, loss) pairs in evaluation order, one row each with the best
-    loss so far; the format of every trace.csv and samples.csv."""
+    loss so far; the format of every trace.csv and samples.csv. The rows are
+    the bytes csv.writer writes for them (no field needs quoting), formatted
+    and written one at a time."""
+
+    def rows():
+        best = float("inf")
+        for i, (key, loss) in enumerate(evaluated, start=1):
+            best = min(best, loss)
+            yield f"{i},{'-'.join(map(str, key))},{float(loss)!r},{float(best)!r}\r\n"
+
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
         writer.writerow(["iteration", "key", "loss", "best_so_far"])
-        best = float("inf")
-        for i, (key, loss) in enumerate(evaluated, start=1):
-            best = min(best, loss)
-            writer.writerow(
-                ["%d" % i, "-".join(map(str, key)), repr(float(loss)), repr(float(best))]
-            )
+        fh.writelines(rows())
 
 
 def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[StateKey, float]]:
@@ -38,6 +43,7 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
     loss (a torn write, say), raises ValueError naming the file (and the
     line)."""
     evaluated = []
+    slots, radices = space.slots, space.slot_radices
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         stamp = next(reader, [])
@@ -50,9 +56,10 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
             try:
                 if len(row) != 4:
                     raise ValueError(f"{len(row)} fields")
-                key = tuple(int(a) for a in row[1].split("-"))
-                validate_key(space, key)
-                if not is_terminal(space, key):
+                key = tuple(map(int, row[1].split("-")))
+                # '-' separates the actions, so none parses as negative
+                if len(key) != slots or not all(map(operator.lt, key, radices)):
+                    validate_key(space, key)
                     raise ValueError(f"key of {len(key)} slots is not terminal")
                 evaluated.append((key, float(row[2])))
             except ValueError as exc:

@@ -56,6 +56,19 @@ def _column_offsets(radices: tuple[int, ...]) -> np.ndarray:
     return offsets
 
 
+@functools.lru_cache
+def _fixed_columns(radices: tuple[int, ...], t: int) -> np.ndarray:
+    """The feature row every prefix of length t starts from: ones at the
+    undecided category of slots t onward and at slot t's current-slot
+    column; read-only, as every caller shares it."""
+    offsets = _column_offsets(radices)
+    row = np.zeros(offsets[-1] + len(radices))
+    row[offsets[t:-1]] = 1.0
+    row[offsets[-1] + t] = 1.0
+    row.flags.writeable = False
+    return row
+
+
 def encode_batch(
     space: SpaceSpec,
     keys: np.ndarray,
@@ -65,19 +78,17 @@ def encode_batch(
     """One-hot of each slot's choice (with an undecided category) plus a
     one-hot of the current decision slot, one row per prefix. `keys` holds
     n prefixes of one length t, as an (n, t) int array; with `out`, the
-    rows are written there, otherwise into a new array of `dtype`."""
+    rows are written there, otherwise into a new array of `dtype`. Every
+    row starts as slot t's shared row; only the decided slots' columns are
+    scattered per row."""
     keys = np.asarray(keys, dtype=np.int64)
     n, t = keys.shape
-    offsets = _column_offsets(space.slot_radices)
-    cols = np.empty((n, space.slots + 1), dtype=np.int64)
-    cols[:, :t] = offsets[:t] + 1 + keys
-    cols[:, t:-1] = offsets[t:-1]  # undecided
-    cols[:, -1] = offsets[-1] + t
+    radices = space.slot_radices
+    fixed = _fixed_columns(radices, t)
     if out is None:
-        out = np.zeros((n, offsets[-1] + space.slots), dtype=dtype)
-    else:
-        out.fill(0.0)
-    out[np.arange(n)[:, None], cols] = 1.0
+        out = np.empty((n, fixed.size), dtype=dtype)
+    out[...] = fixed
+    out[np.arange(n)[:, None], _column_offsets(radices)[:t] + 1 + keys] = 1.0
     return out
 
 
@@ -129,6 +140,22 @@ def slot_forward(
     return acts, log_softmax(net.logits(acts[-1], slot))
 
 
+def _distinct_codes(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(codes, return_index=True, return_inverse=True)[1:] of an
+    int array of codes in [0, bound), without a sort: a presence mask's
+    running count ranks the distinct codes in ascending order. `first` holds
+    one row carrying each distinct code, not necessarily its first; `inv`
+    each row's rank."""
+    rank = np.zeros(bound, dtype=np.intp)
+    rank[codes] = 1
+    rank.cumsum(out=rank)
+    inv = rank[codes]
+    inv -= 1
+    first = np.empty(rank[-1], dtype=np.intp)
+    first[inv] = np.arange(len(codes))
+    return first, inv
+
+
 def _rollout(
     net: PolicyNet,
     space: SpaceSpec,
@@ -150,21 +177,23 @@ def _rollout(
     if keep_caches:
         widths = [feature_dim(space), *(b.size for b in net.trunk_b)]
         buffers = [np.empty((slots * n, w), dtype=net.dtype) for w in widths]
-    # slot 0 has one prefix, the empty one, so it needs no np.unique
+    # slot 0 has one prefix, the empty one
     first, inv = np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
     for t, n_actions in enumerate(space.slot_radices):
         if t:
-            _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+            first, inv = _distinct_codes(codes, len(first) * space.slot_radices[t - 1])
         block = [b[rows : rows + len(first)] for b in buffers] if keep_caches else None
         rows += len(first)
         _, logp = slot_forward(net, space, keys[first, :t], t, block)
         mixed = (1.0 - explore_eps) * np.exp(logp) + explore_eps / n_actions
         cdf = mixed.cumsum(axis=1)[inv]
-        chosen = (cdf < u[t, :, None]).sum(axis=1).clip(max=n_actions - 1)
+        chosen = np.add.reduce(cdf < u[t, :, None], axis=1)
+        np.minimum(chosen, n_actions - 1, out=chosen)
         keys[:, t] = chosen
         # the prefix, as the row of its parent prefix in the previous slot's
         # distinct prefixes and its last action in place values: small, ordered
-        # like the prefixes, and free of overflow however many slots there are
+        # like the prefixes, and free of overflow however many slots there are;
+        # every row carrying a code holds the same prefix
         codes = inv * n_actions + chosen
         inverses.append(inv)
         logps.append(logp)
@@ -195,7 +224,7 @@ def tb_loss_and_grads(
     for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
         sum_logp += logp[inv, passes.chosen[:, t]]
     residual = net.log_z + sum_logp - log_rewards
-    loss = float(np.mean(residual**2))
+    loss = float(np.add.reduce(residual**2)) / n  # np.mean's sum and divide, unwrapped
     dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
     dlogits = []
     for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
@@ -209,7 +238,7 @@ def tb_loss_and_grads(
         d += per_action.reshape(rows, radix)
         dlogits.append(d.astype(net.dtype, copy=False))
     net.backward_stacked(passes.acts, dlogits, grads)
-    grads.log_z = float(np.mean(2.0 * residual))
+    grads.log_z = float(np.add.reduce(2.0 * residual)) / n
     return loss
 
 

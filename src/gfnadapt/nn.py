@@ -33,8 +33,9 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     """Log-probabilities in float64 whatever z's dtype, so sums and
     normalisations over them keep double precision."""
     z = z.astype(np.float64, copy=False)
-    z = z - z.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    z -= np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
+    return z
 
 
 class FlatParams:
@@ -124,12 +125,12 @@ class PolicyNet(FlatParams):
             rows = slice(lo, lo + len(d))
             lo += len(d)
             np.matmul(h_last[rows].T, d, out=grads.head_w[t])
-            np.sum(d, axis=0, out=grads.head_b[t])
+            np.add.reduce(d, axis=0, out=grads.head_b[t])
             np.matmul(d, self.head_w[t].T, out=dh[rows])
         for i in range(len(self.trunk_w) - 1, -1, -1):
             dh *= acts[i + 1] > 0.0
             np.matmul(acts[i].T, dh, out=grads.trunk_w[i])
-            np.sum(dh, axis=0, out=grads.trunk_b[i])
+            np.add.reduce(dh, axis=0, out=grads.trunk_b[i])
             if i:
                 dh = dh @ self.trunk_w[i].T
 
@@ -177,6 +178,9 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
+        # once 1 - beta1**t rounds to 1 in the parameters' dtype, m / bc1 is
+        # exactly m, so those steps skip the divide
+        m_corrected = p.dtype.type(bc1) != 1.0
         floors = None
         if self.t % FLUSH_EVERY == 0:
             tiny = np.finfo(p.dtype).tiny
@@ -197,8 +201,11 @@ class Adam:
             np.multiply(gb, 1.0 - BETA2, out=num)
             num *= gb
             v += num
-            np.divide(m, bc1, out=num)
-            num *= self.lr
+            if m_corrected:
+                np.divide(m, bc1, out=num)
+                num *= self.lr
+            else:
+                np.multiply(m, self.lr, out=num)
             np.divide(v, bc2, out=den)
             np.sqrt(den, out=den)
             den += EPS

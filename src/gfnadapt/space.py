@@ -87,6 +87,26 @@ class SpaceSpec:
     def slot_radices(self) -> tuple[int, ...]:
         return tuple(len(self.slot_group(t).actions) for t in range(self.slots))
 
+    @functools.cached_property
+    def slot_steps(self) -> tuple[np.ndarray, ...]:
+        """Per slot, the (actions, parameters) table of the move each action
+        makes, eta_c * sf * sign * (upper - lower), columns in `parameters`
+        order; read-only, built on first access, once per space."""
+        column_of = {p.name: j for j, p in enumerate(self.parameters)}
+        tables = []
+        for t in range(self.slots):
+            eta = self.slot_eta(t)
+            steps = np.zeros((len(self.slot_group(t).actions), len(self.parameters)))
+            for a, action in enumerate(self.slot_group(t).actions):
+                for pname, sign in action.signs.items():
+                    p = self.parameters[column_of[pname]]
+                    steps[a, column_of[pname]] = (
+                        eta * self.step_fraction * sign * (p.upper - p.lower)
+                    )
+            steps.flags.writeable = False
+            tables.append(steps)
+        return tuple(tables)
+
     def terminal_count(self) -> int:
         n = 1
         for g in self.groups:
@@ -171,8 +191,9 @@ def decode_batch(space: SpaceSpec, keys: Sequence[StateKey]) -> np.ndarray:
     """decode_state of many equal-length keys at once: one row per key,
     columns in space.parameters order, each row equal to decode_state.
 
-    Each slot adds its chosen action's row of a per-slot step table, then
-    clips, slot by slot, so saturation happens in the same order.
+    Each slot adds its chosen action's row of its step table
+    (space.slot_steps), then clips, slot by slot, so saturation happens in
+    the same order.
     """
     keys = np.asarray(keys, dtype=np.intp)
     if keys.ndim != 2:
@@ -184,19 +205,10 @@ def decode_batch(space: SpaceSpec, keys: Sequence[StateKey]) -> np.ndarray:
             bad = column[(column < 0) | (column >= n)][0]
             raise ValueError(f"slot {t}: action index {bad} out of range [0, {n})")
     params = space.parameters
-    column_of = {p.name: j for j, p in enumerate(params)}
     lower = np.array([p.lower for p in params])
     upper = np.array([p.upper for p in params])
     theta = np.tile([p.baseline for p in params], (len(keys), 1))
-    for t, column in enumerate(keys.T):
-        eta = space.slot_eta(t)
-        steps = np.zeros((len(space.slot_group(t).actions), len(params)))
-        for a, action in enumerate(space.slot_group(t).actions):
-            for pname, sign in action.signs.items():
-                p = params[column_of[pname]]
-                steps[a, column_of[pname]] = (
-                    eta * space.step_fraction * sign * (p.upper - p.lower)
-                )
+    for column, steps in zip(keys.T, space.slot_steps):
         theta = np.minimum(np.maximum(theta + steps[column], lower), upper)
     return theta
 

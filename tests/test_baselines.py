@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -15,7 +16,7 @@ from gfnadapt.baselines import (
 from gfnadapt.metrics import best_so_far
 from gfnadapt.rewards import RewardConfig, TerminalScorer
 from gfnadapt.simulator import builtin_space
-from gfnadapt.space import enumerate_terminals
+from gfnadapt.space import ActionSpec, GroupSpec, ParameterSpec, build_space, enumerate_terminals
 
 from conftest import make_tiny_space
 
@@ -341,3 +342,67 @@ class TestSearchTrace:
         for (k1, l1), (k2, l2) in zip(trace, read_trace_csv(path, tiny_space, "beef")):
             assert k1 == k2
             assert l1 == l2
+
+
+def csv_writer_trace(path, evaluated, config_hash):
+    """A trace file written field by field through csv.writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"# config_hash={config_hash}"])
+        writer.writerow(["iteration", "key", "loss", "best_so_far"])
+        best = float("inf")
+        for i, (key, loss) in enumerate(evaluated, start=1):
+            best = min(best, loss)
+            writer.writerow(["%d" % i, "-".join(map(str, key)), repr(float(loss)), repr(float(best))])
+
+
+def wide_space():
+    """Radices (12, 3) over two cycles: keys with two-digit actions."""
+    params = [ParameterSpec("a", 0.0, 1.0, 0.5, group=1), ParameterSpec("b", 0.0, 1.0, 0.5, group=2)]
+    groups = [
+        GroupSpec(1, "g1", tuple(ActionSpec(f"a{i}", {"a": int(i > 0)}) for i in range(12))),
+        GroupSpec(2, "g2", tuple(ActionSpec(f"b{i}", {"b": int(i > 0)}) for i in range(3))),
+    ]
+    return build_space(groups, params, cycles=2, step_fraction=0.1)
+
+
+class TestTraceBytes:
+    LOSSES = [float("nan"), float("inf"), -0.0, 1e-300, 5e-324, -float("inf"), 0.5, -1.25e17]
+
+    @pytest.mark.parametrize("rows", [0, 1, 300])
+    def test_bytes_equal_csv_writer_and_read_back(self, tmp_path, rows):
+        sp = wide_space()
+        rng = np.random.default_rng(rows)
+        keys = [tuple(k) for k in rng.integers(0, sp.slot_radices, (rows, sp.slots)).tolist()]
+        losses = [*self.LOSSES, *rng.normal(0, 1e3, rows).tolist()][:rows]
+        if rows:
+            keys[0] = (11, 2, 10, 0)
+            losses[-1] = np.float64(losses[-1])
+        trace = list(zip(keys, losses))
+        path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
+        export_trace_csv(path, trace, "cafef00d")
+        csv_writer_trace(ref, trace, "cafef00d")
+        assert path.read_bytes() == ref.read_bytes()
+        back = read_trace_csv(path, sp, "cafef00d")
+        assert [(k, repr(l)) for k, l in back] == [(k, repr(float(l))) for k, l in trace]
+        assert all(type(l) is float for _, l in back)
+
+    def test_bad_row_named_by_its_line(self, tiny_space, tmp_path):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(path, [((1, 2), 0.5)] * 6, "beef")
+        lines = path.read_text().splitlines()
+        for rows, error in [
+            ({4: "3,1-3,0.5,0.5"}, "line 5: .*action index 3 out of range"),
+            ({6: "5,1,0.5,0.5"}, "line 7: .*not terminal"),
+            ({5: "4,1-99999999999999999999,0.5,0.5"}, "line 6: .*out of range"),
+            # the first bad row in file order is named, whatever is wrong with it
+            ({3: "2,1-3,0.5,0.5", 6: "5,1-2,0.5"}, "line 4: .*action index 3 out of range"),
+            ({3: "2,1-2,0.5", 6: "5,1-3,0.5,0.5"}, "line 4: .*3 fields"),
+            ({3: "2,1-2,x,0.5", 4: "3,1,0.5,0.5"}, "line 4: .*could not convert"),
+        ]:
+            bad = lines.copy()
+            for at, row in rows.items():
+                bad[at] = row
+            path.write_text("\n".join(bad) + "\n")
+            with pytest.raises(ValueError, match=error):
+                read_trace_csv(path, tiny_space, "beef")

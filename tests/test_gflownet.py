@@ -1,9 +1,12 @@
+import itertools
 import json
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gfnadapt import gflownet as gf
 from gfnadapt import nn
@@ -183,6 +186,66 @@ class TestSampling:
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(0))
         _, passes = gf._rollout(net, tiny_space, np.random.default_rng(1).random((2, 5)), 0.0)
         assert passes is None
+
+
+@given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(0, 10**6), min_size=1, max_size=64))
+@example(3, 4, [5] * 9)  # all equal
+@example(3, 4, list(range(12))[::-1])  # all distinct, every code
+@example(3, 4, [11, 0, 11, 11])  # the largest code, repeated
+@example(1, 1, [0])
+def test_distinct_codes_match_np_unique(parents, radix, raw):
+    # codes as _rollout forms them: a parent prefix's row times the radix
+    # plus an action; the prefix a code stands for is (parent row, action)
+    bound = parents * radix
+    codes = np.array(raw, dtype=np.int64) % bound
+    first, inv = gf._distinct_codes(codes, bound)
+    _, ref_first, ref_inv = np.unique(codes, return_index=True, return_inverse=True)
+    assert np.array_equal(inv, ref_inv.ravel())
+    prefixes = np.column_stack([codes // radix, codes % radix])
+    assert np.array_equal(prefixes[first], prefixes[ref_first])
+
+
+def unique_rollout(net, space, u, explore_eps):
+    """A rollout whose distinct prefixes come from np.unique over each
+    slot's codes, each slot's forward into fresh arrays."""
+    slots, n = u.shape
+    keys = np.zeros((n, slots), dtype=np.int64)
+    per_slot, inverses = [], []
+    first, inv = np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
+    for t, n_actions in enumerate(space.slot_radices):
+        if t:
+            _, first, inv = np.unique(codes, return_index=True, return_inverse=True)
+            inv = inv.ravel()
+        acts, logp = gf.slot_forward(net, space, keys[first, :t], t)
+        mixed = (1.0 - explore_eps) * np.exp(logp) + explore_eps / n_actions
+        cdf = mixed.cumsum(axis=1)[inv]
+        keys[:, t] = (cdf < u[t, :, None]).sum(axis=1).clip(max=n_actions - 1)
+        codes = inv * n_actions + keys[:, t]
+        per_slot.append((acts, logp))
+        inverses.append(inv)
+    acts = [np.concatenate(layer) for layer in zip(*(a for a, _ in per_slot))]
+    return keys, gf.RolloutPasses(acts, [logp for _, logp in per_slot], keys, inverses)
+
+
+@pytest.mark.parametrize("n", [1, 16, 64])
+@pytest.mark.parametrize("eps", [0.0, 0.2, 0.9])
+def test_rollout_equals_np_unique_rollout(space, eps, n):
+    rng = np.random.default_rng(40)
+    net = gf.new_policy(space, gf.TrainConfig(), rng)
+    for head in net.head_w:
+        head += rng.normal(0, 0.5, head.shape)
+    u = rng.random((space.slots, n))
+    keys, passes = gf._rollout(net, space, u, eps, keep_caches=True)
+    ref_keys, ref = unique_rollout(net, space, u, eps)
+    assert np.array_equal(keys, ref_keys)
+    assert np.array_equal(gf._rollout(net, space, u, eps)[0], ref_keys)
+    for field, ref_field in zip(passes, ref):
+        if isinstance(field, list):
+            assert len(field) == len(ref_field)
+            for a, b in zip(field, ref_field):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        else:
+            assert np.array_equal(field, ref_field)
 
 
 def random_net(space, seed, hidden=(8, 8), dtype=np.float32):
@@ -403,6 +466,26 @@ class TestFlatParameters:
         for dtype in (np.float64, np.float32):
             net, ref_net = (random_net(tiny_space, 22, hidden=(8, 8), dtype=dtype) for _ in range(2))
             self.assert_adam_matches_reference(net, ref_net, 23)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adam_matches_reference_across_the_bias_correction_switch(self, tiny_space, dtype):
+        # from the step where 1 - beta1**t rounds to 1 in the parameters'
+        # dtype, Adam skips dividing by it: start both optimizers a few steps
+        # before the switch and step past it
+        switch = next(t for t in itertools.count(1) if dtype(1.0 - nn.BETA1**t) == 1.0)
+        net, ref_net = (random_net(tiny_space, 31, dtype=dtype) for _ in range(2))
+        opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
+        opt.t = ref_opt.t = switch - 4
+        rng = np.random.default_rng(32)
+        grads = Gradients.zeros_like(net)
+        for _ in range(8):
+            grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
+            grads.log_z = float(rng.normal())
+            opt.step(net, grads)
+            ref_opt.step(ref_net, grads)
+            assert np.array_equal(net.flat, ref_net.flat)
+            assert net.log_z == ref_net.log_z
+        assert opt.t == switch + 4
 
     def test_blocked_adam_matches_per_array_reference_exactly(self, tiny_space, monkeypatch):
         # blocks of 7 elements cut every parameter array at odd places, and

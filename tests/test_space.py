@@ -165,6 +165,25 @@ class TestDecodeBatch:
             keys = list(itertools.product(*ranges[:length]))
             self.assert_rows_equal_decode_state(sp, keys)
 
+    @pytest.mark.parametrize("cycles", [1, 2])
+    def test_step_tables_built_once_per_space(self, space, cycles):
+        import dataclasses
+
+        sp = dataclasses.replace(space, cycles=cycles)
+        column_of = {p.name: j for j, p in enumerate(sp.parameters)}
+        assert len(sp.slot_steps) == sp.slots
+        for t, table in enumerate(sp.slot_steps):
+            expected = np.zeros((sp.slot_radices[t], len(sp.parameters)))
+            for a, action in enumerate(sp.slot_group(t).actions):
+                for name, sign in action.signs.items():
+                    p = sp.parameters[column_of[name]]
+                    expected[a, column_of[name]] = (
+                        sp.slot_eta(t) * sp.step_fraction * sign * (p.upper - p.lower)
+                    )
+            assert np.array_equal(table, expected)
+            assert not table.flags.writeable
+        assert sp.slot_steps is sp.slot_steps
+
     def test_invalid_keys_rejected(self, tiny_space):
         with pytest.raises(ValueError, match="slot 1: action index 3 out of range"):
             decode_batch(tiny_space, [(0, 1), (1, 3)])
