@@ -27,7 +27,7 @@ from . import baselines, gflownet, landscape as lsc, metrics
 from .cache import MAX_ACTIONS, MAX_KEY_LEN
 from .config import ConfigError, ExperimentConfig, load_config
 from .rewards import QuantileTable, RewardConfig, TerminalScorer
-from .simulator import builtin_space, generate_contexts, synthesize_observations
+from .simulator import SIM_PARAM_NAMES, builtin_space, generate_contexts, synthesize_observations
 from .space import decode_state, space_from_dict
 
 
@@ -46,6 +46,10 @@ class Workspace:
         if cfg["space.step_fraction"] is not None:
             space = dataclasses.replace(space, step_fraction=cfg["space.step_fraction"])
         self.space = space
+        names = {p.name for p in space.parameters}
+        missing = [name for name in SIM_PARAM_NAMES if name not in names]
+        if missing:
+            raise ConfigError(f"the space lacks the simulator parameters {missing}")
         widest = max(len(g.actions) for g in space.groups)
         if space.slots > MAX_KEY_LEN or widest > MAX_ACTIONS:
             raise ConfigError(
@@ -120,8 +124,8 @@ def _run_stage(cfg: ExperimentConfig, ws: Workspace, stage: str, seeds, body) ->
             print(f"{label}: {out} already complete, skipping")
             continue
         start = time.monotonic()
-        out.mkdir(parents=True, exist_ok=True)
         scorer = ws.scorer()
+        out.mkdir(parents=True, exist_ok=True)  # not before a failed set-up
         summary, fields = body(out, scorer, seed)
         meta = {"config_hash": cfg.run_hash(), "reward_hash": cfg.reward_hash(),
                 "wall_clock": time.monotonic() - start, **fields}
@@ -153,7 +157,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> None:
     run_hash = cfg.run_hash()
 
     def body(out, scorer, _):
-        table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
+        table = lsc.build_landscape(ws.space, scorer)
         basins = lsc.basin_map(table, ws.space)
         lsc.export_landscape_csv(out / "landscape.csv", table, basins, run_hash)
         grid = lsc.project_grid(table.target_prob, ws.space, basins)
@@ -253,7 +257,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     table = None
     if (root / "enumerate" / "done").exists():
         scorer = ws.scorer()
-        table = lsc.build_landscape(ws.space, scorer, cap=cfg["run.enum_cap"])
+        table = lsc.build_landscape(ws.space, scorer)
 
     sources = {"gflownet": root / "train", "random": root / "baseline-random",
                "tpe": root / "baseline-tpe"}
@@ -304,7 +308,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             if ckpt.exists():
                 signature = gflownet.checkpoint_signature(ws.space, run_hash)
                 net = gflownet.load_checkpoint(ckpt, signature)
-                learned = gflownet.exact_terminal_distribution(net, ws.space, cfg["run.enum_cap"])
+                learned = gflownet.exact_terminal_distribution(net, ws.space)
                 l1_per_seed[str(seed)] = lsc.l1_distance(table.target_prob, learned)
 
     out = root / "report"

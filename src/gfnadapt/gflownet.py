@@ -5,7 +5,9 @@ trajectory and the backward policy is deterministic (log P_B = 0), so the
 squared residual is (log_z + log P_F(tau) - log R(x))^2. The policy is a
 shared MLP trunk with one logit head per decision slot. The rollout is the
 policy's only forward path: training backpropagates (see nn.py) through the
-per-slot passes the rollout recorded while sampling.
+per-slot passes the rollout recorded while sampling, and the exact terminal
+distribution is the log P_F of a rollout that reads its actions from every
+terminal's key.
 
 The policy's output at a state depends only on its prefix, so each slot's
 forward runs once per distinct prefix in the batch, not once per row, and
@@ -113,14 +115,14 @@ def new_policy(
 
 class RolloutPasses(NamedTuple):
     """The per-slot passes of one rollout over its distinct prefixes, as
-    tb_loss_and_grads consumes them. Slot t has u_t distinct prefixes, in
-    lexicographic order; U is the sum of the u_t."""
+    log_pf and tb_loss_and_grads consume them. Slot t has u_t distinct
+    prefixes, in lexicographic order; U is the sum of the u_t."""
 
-    acts: list[np.ndarray]  # trunk activations [x, h1, ..., hL], (U, width); slot
-                            # t's u_t rows follow those of the slots before
+    acts: list[np.ndarray] | None  # trunk activations [x, h1, ..., hL], (U, width),
+                                   # slot by slot; None unless keep_caches
     logp: list[np.ndarray]  # per slot, pure-policy action log-probs, (u_t, radix),
                             # float64 whatever the net's dtype
-    chosen: np.ndarray      # sampled actions, (n, slots)
+    chosen: np.ndarray      # the trajectories' actions, (n, slots)
     inv: list[np.ndarray]   # per slot, (n,): each trajectory's prefix row in logp[t]
 
 
@@ -159,19 +161,21 @@ def _distinct_codes(codes: np.ndarray, bound: int) -> tuple[np.ndarray, np.ndarr
 def _rollout(
     net: PolicyNet,
     space: SpaceSpec,
-    u: np.ndarray,
-    explore_eps: float,
+    u: np.ndarray | None = None,
+    explore_eps: float = 0.0,
     keep_caches: bool = False,
-) -> tuple[np.ndarray, RolloutPasses | None]:
-    """Sample n trajectories in lockstep, as an (n, slots) int array of
-    terminal keys; actions drawn from the eps-mixed policy by inverse CDF,
-    slot t's from the uniforms u[t] of a (slots, n) array. The policy runs
-    once per distinct prefix, found from a place-value code per row, and
-    each row draws from its prefix's CDF. With keep_caches, the slot passes
-    are returned for the TB gradient, each slot's activations written into
-    the next rows of the buffers; otherwise they are dropped (None)."""
-    slots, n = u.shape
-    keys = np.zeros((n, slots), dtype=np.int64)
+    keys: np.ndarray | None = None,
+) -> RolloutPasses:
+    """Run n trajectories in lockstep, slot by slot. Their actions are either
+    drawn from the eps-mixed policy by inverse CDF, slot t's from the
+    uniforms u[t] of a (slots, n) array, or read from `keys`, an (n, slots)
+    int array of terminal keys (teacher forcing). The policy runs once per
+    distinct prefix, found from a place-value code per row. With
+    keep_caches, each slot's activations are written into the next rows of
+    the buffers and returned for the TB gradient; otherwise acts is None."""
+    if keys is None:
+        keys = np.zeros(u.shape[::-1], dtype=np.int64)
+    n, slots = keys.shape
     rows = 0  # activation rows written so far
     inverses, logps = [], []
     if keep_caches:
@@ -185,22 +189,30 @@ def _rollout(
         block = [b[rows : rows + len(first)] for b in buffers] if keep_caches else None
         rows += len(first)
         _, logp = slot_forward(net, space, keys[first, :t], t, block)
-        mixed = (1.0 - explore_eps) * np.exp(logp) + explore_eps / n_actions
-        cdf = mixed.cumsum(axis=1)[inv]
-        chosen = np.add.reduce(cdf < u[t, :, None], axis=1)
-        np.minimum(chosen, n_actions - 1, out=chosen)
-        keys[:, t] = chosen
+        if u is not None:
+            mixed = (1.0 - explore_eps) * np.exp(logp) + explore_eps / n_actions
+            cdf = mixed.cumsum(axis=1)[inv]
+            chosen = np.add.reduce(cdf < u[t, :, None], axis=1)
+            np.minimum(chosen, n_actions - 1, out=chosen)
+            keys[:, t] = chosen
         # the prefix, as the row of its parent prefix in the previous slot's
         # distinct prefixes and its last action in place values: small, ordered
         # like the prefixes, and free of overflow however many slots there are;
         # every row carrying a code holds the same prefix
-        codes = inv * n_actions + chosen
+        codes = inv * n_actions + keys[:, t]
         inverses.append(inv)
         logps.append(logp)
-    if not keep_caches:
-        return keys, None
-    acts = [b[:rows] for b in buffers]
-    return keys, RolloutPasses(acts, logps, keys, inverses)
+    acts = [b[:rows] for b in buffers] if keep_caches else None
+    return RolloutPasses(acts, logps, keys, inverses)
+
+
+def log_pf(passes: RolloutPasses) -> np.ndarray:
+    """Each trajectory's log P_F, float64: its chosen actions' log-probs
+    summed slot by slot from slot 0."""
+    total = np.zeros(len(passes.chosen))
+    for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
+        total += logp[inv, passes.chosen[:, t]]
+    return total
 
 
 def _key_tuples(keys: np.ndarray) -> list[StateKey]:
@@ -220,10 +232,7 @@ def tb_loss_and_grads(
     The loss and the logit gradients are reduced in float64;
     each slot's logit gradient is cast to the net's dtype for the backward."""
     n = len(log_rewards)
-    sum_logp = np.zeros(n)
-    for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
-        sum_logp += logp[inv, passes.chosen[:, t]]
-    residual = net.log_z + sum_logp - log_rewards
+    residual = net.log_z + log_pf(passes) - log_rewards
     loss = float(np.add.reduce(residual**2)) / n  # np.mean's sum and divide, unwrapped
     dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
     dlogits = []
@@ -269,8 +278,8 @@ def train(
     for step in range(1, cfg.steps + 1):
         eps = cfg.explore_eps * max(0.0, 1.0 - (step - 1) / half)
         u = rng.random((space.slots, cfg.batch))
-        key_array, passes = _rollout(net, space, u, eps, keep_caches=True)
-        keys = _key_tuples(key_array)
+        passes = _rollout(net, space, u, eps, keep_caches=True)
+        keys = _key_tuples(passes.chosen)
         losses, rewards = scorer.score(keys)
         evaluated.extend(zip(keys, losses.tolist()))
         seen.update(keys)
@@ -287,22 +296,13 @@ def train(
     return TrainResult(net=net, log_rows=rows, evaluated=evaluated, stopped_early=stopped)
 
 
-def exact_terminal_distribution(
-    net: PolicyNet, space: SpaceSpec, cap: int = 100_000
-) -> np.ndarray:
-    """Terminal probabilities in lexicographic enumeration order."""
-    count = space.terminal_count()
-    if count > cap:
-        raise ValueError(f"space has {count} terminals, exceeding cap {cap}")
-    prefixes = np.zeros((1, 0), dtype=np.int64)
-    logps = np.zeros(1)
-    for t, r in enumerate(space.slot_radices):
-        _, logp = slot_forward(net, space, prefixes, t)
-        logps = (logps[:, None] + logp).ravel()
-        prefixes = np.column_stack(
-            [np.repeat(prefixes, r, axis=0), np.tile(np.arange(r), len(prefixes))]
-        )
-    return np.exp(logps)
+def exact_terminal_distribution(net: PolicyNet, space: SpaceSpec) -> np.ndarray:
+    """Terminal probabilities in lexicographic enumeration order: exp of the
+    log P_F of a rollout that reads every terminal's actions from its key.
+    The caller decides whether the space is small enough to enumerate."""
+    radices = space.slot_radices
+    keys = np.indices(radices).reshape(len(radices), -1).T
+    return np.exp(log_pf(_rollout(net, space, keys=keys)))
 
 
 def sample_terminals(
@@ -317,9 +317,7 @@ def sample_terminals(
     u = rng.random((space.slots, n))
     keys = np.empty((n, space.slots), dtype=np.int64)
     for lo in range(0, n, SAMPLE_CHUNK):
-        keys[lo : lo + SAMPLE_CHUNK], _ = _rollout(
-            net, space, u[:, lo : lo + SAMPLE_CHUNK], explore_eps=0.0
-        )
+        keys[lo : lo + SAMPLE_CHUNK] = _rollout(net, space, u[:, lo : lo + SAMPLE_CHUNK]).chosen
     return _key_tuples(keys)
 
 

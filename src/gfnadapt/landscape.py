@@ -31,12 +31,8 @@ class BasinAssignment:
     basin_mass: dict[int, float]  # mode index -> summed target probability
 
 
-def build_landscape(
-    space: SpaceSpec, scorer: TerminalScorer, cap: int = 100_000
-) -> LandscapeTable:
-    count = space.terminal_count()
-    if count > cap:
-        raise ValueError(f"space has {count} terminals, exceeding cap {cap}")
+def build_landscape(space: SpaceSpec, scorer: TerminalScorer) -> LandscapeTable:
+    """Every terminal scored, in lexicographic order (callers check run.enum_cap)."""
     keys = list(enumerate_terminals(space))
     aggregates, rewards = scorer.score(keys)
     return LandscapeTable(keys, aggregates, rewards, rewards / rewards.sum())

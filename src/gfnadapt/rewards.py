@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -46,7 +47,10 @@ class QuantileTable:
     eps: float = EPS_QUANTILE
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
+        """Written through a sibling temporary file renamed over `path`, so a
+        crash mid-write leaves no torn table behind."""
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w") as fh:
             json.dump(
                 {
                     "q_lo": self.q_lo.tolist(),
@@ -58,18 +62,23 @@ class QuantileTable:
                 fh,
                 indent=2,
             )
+        os.replace(tmp, path)
 
     @classmethod
     def from_json(cls, path) -> "QuantileTable":
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(
-            q_lo=np.asarray(doc["q_lo"], dtype=float),
-            q_hi=np.asarray(doc["q_hi"], dtype=float),
-            lo_level=doc["lo_level"],
-            hi_level=doc["hi_level"],
-            eps=doc["eps"],
-        )
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            return cls(
+                q_lo=np.asarray(doc["q_lo"], dtype=float),
+                q_hi=np.asarray(doc["q_hi"], dtype=float),
+                lo_level=doc["lo_level"],
+                hi_level=doc["hi_level"],
+                eps=doc["eps"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            msg = f"quantile table {path} is unreadable ({type(exc).__name__}: {exc})"
+            raise ValueError(f"{msg}; delete it to refit") from exc
 
 
 def context_loss(sim: np.ndarray, obs: np.ndarray) -> float:

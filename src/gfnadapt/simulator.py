@@ -237,10 +237,11 @@ def _day_series(name: str, p, contexts, days: slice, carry):
     contexts) array from p, the columns of DAY_SERIES_PARAMS[name] as (rows,
     1) arrays, and the forcing it reads over those days, stacked here so
     that only the block's days are held. assim_max is the assimilation at
-    full light cover, maint_rate the maintenance per unit mass, p_f the
-    fruit partition fraction. carry is what the next block continues from:
-    p_f's temperature sum on the block's last day (None before the first
-    block), and None for the other series."""
+    full light cover, maint_rate the maintenance per unit mass; p_f is the
+    growth coefficients of fruit, leaf and stem from the fruit partition
+    fraction, a (days, 3, rows, contexts) array. carry is what the next
+    block continues from: p_f's temperature sum on the block's last day
+    (None before the first block), and None for the other series."""
     t_24 = _forcing(contexts, "t_24", days)
     if name == "assim_max":
         p_max, alpha, co2_half, t_opt, t_width, s_sharp = p
@@ -276,47 +277,34 @@ def _day_series(name: str, p, contexts, days: slice, carry):
     if carry is not None:  # the same sequential sum as over all days at once
         ts[0] += carry
     np.cumsum(ts, axis=0, out=ts)
-    # the branches of simulate, in place over the ramp to save an array
-    p_f = rg_fruit * (ts - ts_start) / (ts_end - ts_start)
+    # [p_f, 0.7 * (1 - p_f), 0.3 * (1 - p_f)] as simulate multiplies them,
+    # p_f by simulate's branches, in place over the ramp
+    coef = np.empty((len(ts), 3, *ts.shape[1:]))
+    p_f, leaf, stem = coef.transpose(1, 0, 2, 3)
+    np.divide(rg_fruit * (ts - ts_start), ts_end - ts_start, out=p_f)
     np.copyto(p_f, rg_fruit, where=~(ts < ts_end))
     np.copyto(p_f, 0.0, where=ts < ts_start)
-    return p_f, ts[-1].copy()  # not a view that keeps the block alive
-
-
-def _coefficients(p_f: np.ndarray) -> np.ndarray:
-    """The growth coefficients of fruit, leaf and stem, [p_f, 0.7 * (1 -
-    p_f), 0.3 * (1 - p_f)] as simulate multiplies them, stacked as a (days,
-    3, rows, contexts) array from a (days, rows, contexts) block of p_f."""
-    coef = np.empty((len(p_f), 3, *p_f.shape[1:]))
-    coef[:, 0] = p_f
-    rest = 1.0 - p_f
-    coef[:, 1] = 0.7 * rest
-    rest *= 0.3
-    coef[:, 2] = rest
-    return coef
+    np.subtract(1.0, p_f, out=stem)
+    np.multiply(0.7, stem, out=leaf)
+    stem *= 0.3
+    return coef, ts[-1].copy()  # not a view that keeps the block alive
 
 
 def _series_by_day(name: str, p, inv, contexts, n_days: int):
     """Yield the series `name` on each of the first n_days days as a (keys,
-    contexts) array: computed by _day_series once per distinct row in p, in
-    blocks of at most SIM_CELLS cells, and gathered per key by one take
-    along the block's row axis, unless inv is None (every key has a row of
-    its own). p_f is yielded as its stacked coefficients, a
-    (3, keys, contexts) array, stacked by _coefficients for a third as many
-    days at a time, so that those blocks too hold at most SIM_CELLS cells
-    counting all three planes. A yielded array is not read again once the
-    next day is asked for, so the caller may write into it."""
-    block = max(1, SIM_CELLS // p.shape[1])
-    stacked = name == "p_f"
-    step = max(1, block // 3) if stacked else block
+    contexts) array, or p_f's growth coefficients as a (3, keys, contexts)
+    array: computed by _day_series once per distinct row in p, in blocks of
+    at most SIM_CELLS cells counting every plane, and gathered per key by
+    one take along the block's row axis, unless inv is None (every key has
+    a row of its own). A yielded array is not read again once the next day
+    is asked for, so the caller may write into it."""
+    planes = 3 if name == "p_f" else 1
+    block = max(1, SIM_CELLS // (planes * p.shape[1]))
     carry = None
     for lo in range(0, n_days, block):
         series, carry = _day_series(name, p, contexts, slice(lo, min(n_days, lo + block)), carry)
-        for start in range(0, len(series), step):
-            days = _coefficients(series[start : start + step]) if stacked else series
-            yield from days if inv is None else (day.take(inv, axis=-2) for day in days)
-            del days  # freed before the next block is computed
-        del series
+        yield from series if inv is None else (day.take(inv, axis=-2) for day in series)
+        del series  # freed before the next block is computed
 
 
 def _fruit_on_days(state, series_rows, contexts, obs_days, out) -> None:

@@ -200,10 +200,12 @@ def decode_batch(space: SpaceSpec, keys: Sequence[StateKey]) -> np.ndarray:
         raise ValueError("keys must be a non-empty sequence of equal-length keys")
     if keys.shape[1] > space.slots:
         raise ValueError(f"key length {keys.shape[1]} exceeds {space.slots} slots")
-    for t, (column, n) in enumerate(zip(keys.T, space.slot_radices)):
-        if column.min() < 0 or column.max() >= n:
-            bad = column[(column < 0) | (column >= n)][0]
-            raise ValueError(f"slot {t}: action index {bad} out of range [0, {n})")
+    radices = np.array(space.slot_radices[: keys.shape[1]], dtype=np.uintp)
+    out_of_range = keys.view(np.uintp) >= radices  # a negative index wraps past them
+    if out_of_range.any():
+        t = int(out_of_range.any(axis=0).argmax())
+        bad, n = keys[out_of_range[:, t], t][0], space.slot_radices[t]
+        raise ValueError(f"slot {t}: action index {bad} out of range [0, {n})")
     params = space.parameters
     lower = np.array([p.lower for p in params])
     upper = np.array([p.upper for p in params])
@@ -232,7 +234,7 @@ def place_values(radices: Sequence[int]) -> list[int]:
     enumerate_terminals order is sum(key[t] * pv[t]).
 
     project_grid's row-major reshape and exact_terminal_distribution's
-    slot-by-slot outer products rely on this same lexicographic order.
+    enumerated keys rely on this same lexicographic order.
     """
     pv = [1] * len(radices)
     for i in range(len(radices) - 2, -1, -1):

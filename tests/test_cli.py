@@ -197,6 +197,31 @@ class TestExitCodes:
         assert "the reward cache encodes at most" in capsys.readouterr().err
         assert not (workspace.parent / "runs").exists()  # no cache file, no stage directory
 
+    def test_space_without_simulator_parameter_exits_1_before_simulating(
+        self, workspace, tmp_path, capsys
+    ):
+        doc = yaml.safe_load(TINY_SPACE_YAML)
+        doc["parameters"] = [p for p in doc["parameters"] if p["name"] != "Q10"]
+        bad = tmp_path / "bad_space.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert run(workspace, "enumerate", f"space.file={bad}") == 1
+        assert "['Q10']" in capsys.readouterr().err
+        assert not (workspace.parent / "runs").exists()  # no cache file, no stage directory
+
+    def test_torn_quantile_table_exits_2_naming_it(self, workspace, capsys):
+        assert run(workspace, "enumerate") == 0
+        path = load_config(workspace).cache_dir() / "quantiles.json"
+        whole = path.read_bytes()
+        path.write_bytes(whole[:40])
+        capsys.readouterr()
+        assert run(workspace, "baseline", "run.method=tpe") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "delete it to refit" in err
+        assert not (out_root(workspace) / "baseline-tpe").exists()
+        path.unlink()
+        assert run(workspace, "baseline", "run.method=tpe") == 0
+        assert path.read_bytes() == whole
+
     @pytest.mark.parametrize("missing", ["parameters", "groups", "cycles", "step_fraction"])
     def test_space_file_without_key_exits_1(self, workspace, tmp_path, capsys, missing):
         doc = yaml.safe_load(TINY_SPACE_YAML)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -99,7 +100,7 @@ class TestSampling:
         net = delta_net(tiny_space, (0, 0))
         rng = np.random.default_rng(4)
         n = 10_000
-        keys, _ = gf._rollout(net, tiny_space, rng.random((2, n)), explore_eps=0.999)
+        keys = gf._rollout(net, tiny_space, rng.random((2, n)), explore_eps=0.999).chosen
         for t, r in enumerate(tiny_space.slot_radices):
             counts = np.bincount([key[t] for key in keys], minlength=r)
             p = 1.0 / r
@@ -109,7 +110,7 @@ class TestSampling:
     def test_delta_policy_without_exploration(self, tiny_space):
         net = delta_net(tiny_space, (1, 2))
         rng = np.random.default_rng(5)
-        keys, _ = gf._rollout(net, tiny_space, rng.random((2, 50)), explore_eps=0.0)
+        keys = gf._rollout(net, tiny_space, rng.random((2, 50)), explore_eps=0.0).chosen
         assert keys.tolist() == [[1, 2]] * 50
 
     def test_logp_bookkeeping(self, tiny_space):
@@ -118,16 +119,16 @@ class TestSampling:
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8, 8)), rng)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
-        keys, passes = gf._rollout(net, tiny_space, rng.random((2, 20)), 0.3, keep_caches=True)
+        passes = gf._rollout(net, tiny_space, rng.random((2, 20)), 0.3, keep_caches=True)
         assert len(passes.logp) == tiny_space.slots
-        recorded = chosen_logp_sum(passes)
-        for i, key in enumerate(keys):
+        recorded = gf.log_pf(passes)
+        assert np.array_equal(recorded, chosen_logp_sum(passes))
+        for i, key in enumerate(passes.chosen):
             recomputed = sum(
                 gf.slot_forward(net, tiny_space, [key[:t]], t)[1][0][key[t]]
                 for t in range(tiny_space.slots)
             )
             assert recorded[i] == pytest.approx(recomputed, abs=1e-10)
-        assert np.array_equal(passes.chosen, keys)
         for logp in passes.logp:
             assert np.all(logp <= 0.0)
             assert np.allclose(np.exp(logp).sum(axis=1), 1.0, atol=1e-12)
@@ -139,11 +140,11 @@ class TestSampling:
         net = gf.new_policy(space, gf.TrainConfig(), rng)
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
-        keys, passes = gf._rollout(
+        passes = gf._rollout(
             net, space, np.random.default_rng(15).random((space.slots, 16)), 0.2,
             keep_caches=True,
         )
-        fresh = fixed_passes(net, space, keys)
+        fresh = fixed_passes(net, space, passes.chosen)
         assert [len(logp) for logp in passes.logp] == [len(logp) for logp in fresh.logp]
         assert len(passes.acts) == len(fresh.acts) == len(net.trunk_w) + 1
         for a, b in zip(passes.acts, fresh.acts):
@@ -162,8 +163,9 @@ class TestSampling:
         net = gf.new_policy(space, gf.TrainConfig(hidden=(32, 32)), rng)
         for head in net.head_w:
             head += rng.normal(0, 1.0, head.shape)
-        keys, passes = gf._rollout(net, space, rng.random((space.slots, n)), eps, True)
-        distinct = [len({tuple(k[:t]) for k in keys.tolist()}) for t in range(space.slots)]
+        passes = gf._rollout(net, space, rng.random((space.slots, n)), eps, True)
+        keys = passes.chosen.tolist()
+        distinct = [len({tuple(k[:t]) for k in keys}) for t in range(space.slots)]
         assert distinct[0] == 1
         assert [len(logp) for logp in passes.logp] == distinct
         assert all(len(a) == sum(distinct) for a in passes.acts)
@@ -177,15 +179,31 @@ class TestSampling:
         net = gf.new_policy(space, gf.TrainConfig(), rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
-        keys, passes = gf._rollout(net, space, rng.random((space.slots, 64)), 0.3, True)
+        passes = gf._rollout(net, space, rng.random((space.slots, 64)), 0.3, True)
         for t, logp in enumerate(per_row_logp(passes)):
-            _, fresh = gf.slot_forward(net, space, keys[:, :t], t)
+            _, fresh = gf.slot_forward(net, space, passes.chosen[:, :t], t)
             assert np.abs(logp - fresh).max() <= 1e-12
+
+    @pytest.mark.parametrize("cycles", [1, 2])
+    def test_teacher_forced_passes_match_fresh_forward(self, space, cycles):
+        # keys read instead of drawn give the passes of those keys' prefixes
+        sp = dataclasses.replace(space, cycles=cycles)
+        rng = np.random.default_rng(18)
+        net = random_net(sp, 19, hidden=(32, 32))
+        keys = rng.integers(0, sp.slot_radices, size=(24, sp.slots))
+        keys = np.concatenate([keys, keys[:8], keys[3:5]])  # repeated keys
+        passes = gf._rollout(net, sp, keys=keys, keep_caches=True)
+        fresh = fixed_passes(net, sp, keys)
+        assert len(passes.acts) == len(fresh.acts)
+        for field in ("acts", "logp", "inv"):
+            for a, b in zip(getattr(passes, field), getattr(fresh, field)):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert np.array_equal(passes.chosen, keys)
 
     def test_passes_dropped_without_keep_caches(self, tiny_space):
         net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(0))
-        _, passes = gf._rollout(net, tiny_space, np.random.default_rng(1).random((2, 5)), 0.0)
-        assert passes is None
+        passes = gf._rollout(net, tiny_space, np.random.default_rng(1).random((2, 5)), 0.0)
+        assert passes.acts is None
 
 
 @given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(0, 10**6), min_size=1, max_size=64))
@@ -235,10 +253,10 @@ def test_rollout_equals_np_unique_rollout(space, eps, n):
     for head in net.head_w:
         head += rng.normal(0, 0.5, head.shape)
     u = rng.random((space.slots, n))
-    keys, passes = gf._rollout(net, space, u, eps, keep_caches=True)
+    passes = gf._rollout(net, space, u, eps, keep_caches=True)
     ref_keys, ref = unique_rollout(net, space, u, eps)
-    assert np.array_equal(keys, ref_keys)
-    assert np.array_equal(gf._rollout(net, space, u, eps)[0], ref_keys)
+    assert np.array_equal(passes.chosen, ref_keys)
+    assert np.array_equal(gf._rollout(net, space, u, eps).chosen, ref_keys)
     for field, ref_field in zip(passes, ref):
         if isinstance(field, list):
             assert len(field) == len(ref_field)
@@ -422,7 +440,7 @@ class TestFlatParameters:
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
         net.log_z = 0.3
-        keys, passes = gf._rollout(net, space, rng.random((space.slots, 16)), 0.2, keep_caches=True)
+        passes = gf._rollout(net, space, rng.random((space.slots, 16)), 0.2, keep_caches=True)
         log_r = rng.normal(-1.0, 0.5, 16)
         _, grads = tb_fresh(net, passes, log_r)
         ref = reference_grads(net, passes, log_r)
@@ -563,10 +581,19 @@ class TestExactDistribution:
             head += rng.normal(0, 2, head.shape)
         assert abs(gf.exact_terminal_distribution(net, tiny_space).sum() - 1.0) < 1e-9
 
-    def test_cap_enforced(self, space):
-        net = gf.new_policy(space, gf.TrainConfig(), np.random.default_rng(0))
-        with pytest.raises(ValueError, match="cap"):
-            gf.exact_terminal_distribution(net, space, cap=100)
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_prefix_expansion(self, space, dtype):
+        # the teacher-forced rollout over every terminal against the outer
+        # sums of one forward per slot over every prefix, in enumeration order
+        net = random_net(space, 13, hidden=(32, 32), dtype=dtype)
+        prefixes, logps = np.zeros((1, 0), dtype=np.int64), np.zeros(1)
+        for t, r in enumerate(space.slot_radices):
+            _, logp = gf.slot_forward(net, space, prefixes, t)
+            logps = (logps[:, None] + logp).ravel()
+            prefixes = np.column_stack(
+                [np.repeat(prefixes, r, axis=0), np.tile(np.arange(r), len(prefixes))]
+            )
+        assert gf.exact_terminal_distribution(net, space).tobytes() == np.exp(logps).tobytes()
 
     def test_sampling_consistency_chi_square(self, tiny_space):
         rng = np.random.default_rng(11)
@@ -657,9 +684,9 @@ class TestSampleTerminals:
         for head in net.head_w:
             head += rng.normal(0, 1.0, head.shape)
         keys = gf.sample_terminals(net, space, n, np.random.default_rng(25))
-        whole, _ = gf._rollout(
+        whole = gf._rollout(
             net, space, np.random.default_rng(25).random((space.slots, n)), explore_eps=0.0
-        )
+        ).chosen
         assert keys == [tuple(k) for k in whole.tolist()]
         assert len(set(keys)) > min(n, 20) // 2
 
@@ -748,7 +775,8 @@ class TestPrecision:
         net.log_z = 0.3
         net64 = PolicyNet(net.trunk_shapes, net.head_shapes, log_z=net.log_z, dtype=np.float64)
         net64.flat[:] = net.flat
-        keys, passes = gf._rollout(net, space, rng.random((space.slots, 16)), 0.2, True)
+        passes = gf._rollout(net, space, rng.random((space.slots, 16)), 0.2, True)
+        keys = passes.chosen
         assert all(a.dtype == np.float32 for a in passes.acts)
         assert all(logp.dtype == np.float64 for logp in passes.logp)
         log_r = rng.normal(-1.0, 0.5, len(keys))

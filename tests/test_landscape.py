@@ -86,10 +86,6 @@ class TestBuildLandscape:
         for i, key in enumerate(table.keys):
             assert index_of(tiny_space, key) == i
 
-    def test_cap_enforced(self, space, fitted_scorer):
-        with pytest.raises(ValueError, match="cap"):
-            build_landscape(space, fitted_scorer, cap=100)
-
 
 class TestBasins:
     def test_unimodal(self, tiny_space):

@@ -1,3 +1,4 @@
+import json
 import re
 import weakref
 from dataclasses import replace
@@ -97,6 +98,28 @@ class TestQuantiles:
         loaded = QuantileTable.from_json(tmp_path / "q.json")
         assert np.array_equal(loaded.q_lo, q.q_lo)
         assert np.array_equal(loaded.q_hi, q.q_hi)
+
+    def test_crash_mid_write_keeps_the_old_table(self, tmp_path, monkeypatch):
+        path = tmp_path / "q.json"
+        fit_quantiles(np.arange(20.0).reshape(10, 2), 0.1, 0.9).to_json(path)
+        whole = path.read_bytes()
+
+        def torn_dump(doc, fh, **kwargs):
+            fh.write('{"q_lo": [')
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError):
+            fit_quantiles(np.arange(20.0).reshape(10, 2), 0.2, 0.8).to_json(path)
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("text", ['{"q_lo": [0.5', '{"q_lo": [0.5]}', "[1, 2]"])
+    def test_unreadable_table_names_its_path(self, tmp_path, text):
+        path = tmp_path / "q.json"
+        path.write_text(text)
+        named = f"{re.escape(str(path))} is unreadable .*delete it to refit"
+        with pytest.raises(ValueError, match=named):
+            QuantileTable.from_json(path)
 
 
 class TestAggregate:

@@ -152,25 +152,19 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
 
 
 def record_blocks(monkeypatch) -> list[tuple[int, int, int]]:
-    """Patch _day_series and _coefficients to record each block they compute
-    as its (days, distinct rows, planes): one plane for a day series, three
-    for p_f's stacked coefficients."""
+    """Patch _day_series to record each block it computes as its (days,
+    distinct rows, planes): one plane for a day series, three for p_f's
+    stacked coefficients."""
     blocks = []
-    day_series, coefficients = simulator._day_series, simulator._coefficients
+    day_series = simulator._day_series
 
-    def recorded_series(*args):
+    def recorded(*args):
         series, carry = day_series(*args)
-        blocks.append((*series.shape[:2], 1))
+        planes = series.shape[1] if series.ndim == 4 else 1
+        blocks.append((len(series), series.shape[-2], planes))
         return series, carry
 
-    def recorded_coefficients(p_f):
-        coef = coefficients(p_f)
-        days, planes, rows, _ = coef.shape
-        blocks.append((days, rows, planes))
-        return coef
-
-    monkeypatch.setattr(simulator, "_day_series", recorded_series)
-    monkeypatch.setattr(simulator, "_coefficients", recorded_coefficients)
+    monkeypatch.setattr(simulator, "_day_series", recorded)
     return blocks
 
 
@@ -195,9 +189,9 @@ def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap
     if cap == "SIM_KEYS":
         assert len(passes) > 20
     else:  # one pass whose blocks hold one day, up to the last observation day,
-        # p_f's followed by its coefficients'
+        # p_f's as its stacked coefficients
         [(_, *rows)] = passes
-        per_day = [(1, r, 1) for r in rows] + [(1, rows[-1], 3)]
+        per_day = [(1, rows[0], 1), (1, rows[1], 1), (1, rows[2], 3)]
         assert blocks == per_day * 168
 
 
