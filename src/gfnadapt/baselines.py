@@ -44,28 +44,31 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
     line)."""
     evaluated = []
     slots, radices = space.slots, space.slot_radices
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        stamp = next(reader, [])
-        if stamp != [f"# config_hash={config_hash}"]:
-            raise ValueError(
-                f"{path} is stamped {','.join(stamp)!r}, expected config hash {config_hash}"
-            )
-        next(reader, None)  # header
-        for row in reader:
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"{len(row)} fields")
-                key = tuple(map(int, row[1].split("-")))
-                # '-' separates the actions, so none parses as negative
-                if len(key) != slots or not all(map(operator.lt, key, radices)):
-                    validate_key(space, key)
-                    raise ValueError(f"key of {len(key)} slots is not terminal")
-                evaluated.append((key, float(row[2])))
-            except ValueError as exc:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            stamp = next(reader, [])
+            if stamp != [f"# config_hash={config_hash}"]:
                 raise ValueError(
-                    f"{path}, line {reader.line_num}: malformed trace row {row}: {exc}"
-                ) from None
+                    f"{path} is stamped {','.join(stamp)!r}, expected config hash {config_hash}"
+                )
+            next(reader, None)  # header
+            for row in reader:
+                try:
+                    if len(row) != 4:
+                        raise ValueError(f"{len(row)} fields")
+                    key = tuple(map(int, row[1].split("-")))
+                    # '-' separates the actions, so none parses as negative
+                    if len(key) != slots or not all(map(operator.lt, key, radices)):
+                        validate_key(space, key)
+                        raise ValueError(f"key of {len(key)} slots is not terminal")
+                    evaluated.append((key, float(row[2])))
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{path}, line {reader.line_num}: malformed trace row {row}: {exc}"
+                    ) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     return evaluated
 
 

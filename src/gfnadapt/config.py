@@ -13,6 +13,7 @@ import copy
 import hashlib
 import json
 import os
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -154,7 +155,7 @@ def parse_overrides(pairs: list[str]) -> dict:
 def _parse_yaml(stream, where: str):
     try:
         return load_yaml(stream)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{where} is not valid YAML: {exc}") from exc
 
 
@@ -229,6 +230,14 @@ def _validate(cfg: ExperimentConfig) -> None:
     for kind, interval, names in _RULES:
         for dotted in names.split():
             value = cfg[dotted]
+            # YAML 1.1 reads a decimal literal with an exponent as a string
+            # unless it has a dot and a signed exponent (5e-4, 1E3); a float
+            # setting stores it as the float it denotes
+            if kind is float and isinstance(value, str) and re.fullmatch(
+                r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+", value
+            ):
+                section, key = dotted.split(".")
+                value = cfg.values[section][key] = float(value)
             if value is None and ExperimentConfig(DEFAULTS)[dotted] is None:
                 continue
             if not _fits(value, kind, interval):

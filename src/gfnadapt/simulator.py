@@ -142,8 +142,8 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
 
 
 # The parameters each day series of simulate that does not depend on crop
-# state reads, in the order _day_series unpacks them. The crop-state update
-# reads the other three, LAI_max, SLA and n_plants, key by key.
+# state reads, in the order its function below unpacks them. The crop-state
+# update reads the other three, LAI_max, SLA and n_plants, key by key.
 DAY_SERIES_PARAMS = {
     "assim_max": ("P_max", "alpha_light", "co2_half", "T_opt", "T_width", "s_sharp"),
     "maint_rate": ("c_maint", "Q10"),
@@ -154,11 +154,11 @@ DAY_SERIES_PARAMS = {
 # arrays, 0.19 MiB each at 4096 keys and 6 contexts; such a pass peaks near
 # 3.7 MiB besides its outputs (tracemalloc).
 SIM_KEYS = 4096
-# Cells per block of a day series at most: the block's consecutive days times
-# the series' distinct parameter rows in the pass, times three for p_f's
-# stacked coefficients, so a block of 2880 cells is about 0.13 MiB at 6
-# contexts. A 1000-key batch on the 2-cycle space peaks near 1.6 MiB besides
-# its outputs (tracemalloc).
+# Cells per block of days at most: the block's consecutive days times the
+# distinct parameter rows of the widest day series in the pass, p_f's three
+# stacked coefficients counting three times, so the widest of a block's
+# series is about 0.13 MiB at 6 contexts. A 1000-key batch on the 2-cycle
+# space peaks near 1.6 MiB besides its outputs (tracemalloc).
 SIM_CELLS = 16 * 180
 
 
@@ -194,6 +194,9 @@ def simulate_batch(
     series_cols = [
         cols[[SIM_PARAM_NAMES.index(p) for p in names]] for names in DAY_SERIES_PARAMS.values()
     ]
+    # t_day, t_24, light and co2 as one (4, days, 1, contexts) array, each
+    # field to broadcast against (rows, 1) parameter columns
+    forcing = np.stack([[c.t_day, c.t_24, c.light, c.co2] for c in contexts], axis=-1)[:, :, None]
     for lo in range(0, n, SIM_KEYS):
         hi = min(n, lo + SIM_KEYS)
         series_rows = []
@@ -201,15 +204,15 @@ def simulate_batch(
             first, inv = _distinct_rows(c[:, lo:hi].T)
             series_rows.append((c[:, lo + first, None], inv))
         with np.errstate(all="ignore"):  # overflow shows as a non-finite value
-            _fruit_on_days(cols[:3, lo:hi, None], series_rows, contexts, grid.obs_times - 1,
+            _fruit_on_days(cols[:3, lo:hi, None], series_rows, forcing, grid.obs_times - 1,
                            out[lo:hi])
     return out
 
 
 def _distinct_rows(rows: np.ndarray):
     """(first, inv) of an (n, m) float array: the index of the first of each
-    set of bit-identical rows, in order of first occurrence, and the position
-    in first of each row's set, or None when no row repeats."""
+    set of bit-identical rows, in np.unique's order, and the position in
+    first of each row's set, or None when no row repeats."""
     n = len(rows)
     if n == 1:  # one key, as TPE scores them: nothing to sort
         return np.zeros(1, dtype=np.intp), None
@@ -218,70 +221,61 @@ def _distinct_rows(rows: np.ndarray):
     _, first, codes = np.unique(void, return_index=True, return_inverse=True)
     if len(first) == n:
         return np.arange(n), None
-    order = np.argsort(first)
-    position = np.empty(len(first), dtype=np.intp)
-    position[order] = np.arange(len(first))
-    # numpy 2.0 and 2.1 shape the inverse like the input
-    return first[order], position[codes.reshape(-1)]
+    return first, codes.reshape(-1)  # numpy 2.0 and 2.1 shape it like the input
 
 
-def _forcing(contexts, field: str, days: slice) -> np.ndarray:
-    """The contexts' forcing `field` over `days` as a (days, 1, contexts)
-    array, to broadcast against (rows, 1) parameter columns."""
-    return np.stack([getattr(c, field)[days] for c in contexts], axis=1)[:, None, :]
-
-
-def _day_series(name: str, p, contexts, days: slice, carry):
-    """(series, carry) for the series `name` of simulate, one that does not
-    depend on crop state, over a block of consecutive days: a (days, rows,
-    contexts) array from p, the columns of DAY_SERIES_PARAMS[name] as (rows,
-    1) arrays, and the forcing it reads over those days, stacked here so
-    that only the block's days are held. assim_max is the assimilation at
-    full light cover, maint_rate the maintenance per unit mass; p_f is the
-    growth coefficients of fruit, leaf and stem from the fruit partition
-    fraction, a (days, 3, rows, contexts) array. carry is what the next
-    block continues from: p_f's temperature sum on the block's last day
-    (None before the first block), and None for the other series."""
-    t_24 = _forcing(contexts, "t_24", days)
-    if name == "assim_max":
-        p_max, alpha, co2_half, t_opt, t_width, s_sharp = p
-        t_day, light, co2 = (_forcing(contexts, f, days) for f in ("t_day", "light", "co2"))
-        # simulate's product, factor by factor and in place, in three blocks
-        assim = np.multiply(-alpha, light)
-        assim /= p_max
-        np.exp(assim, out=assim)
-        np.subtract(1.0, assim, out=assim)
-        assim *= p_max
-        lo, hi = np.empty((2, *assim.shape))
-        np.add(co2, co2_half, out=lo)
-        np.divide(co2, lo, out=lo)
+def _assim_max(p, t_day, t_24, light, co2):
+    """simulate's assimilation at full light cover over a block of days, a
+    (days, rows, contexts) array from p, the assim_max columns of
+    DAY_SERIES_PARAMS as (rows, 1) arrays, and the block's forcing: its
+    product factor by factor and in place, in three blocks."""
+    p_max, alpha, co2_half, t_opt, t_width, s_sharp = p
+    assim = np.multiply(-alpha, light)
+    assim /= p_max
+    np.exp(assim, out=assim)
+    np.subtract(1.0, assim, out=assim)
+    assim *= p_max
+    lo, hi = np.empty((2, *assim.shape))
+    np.add(co2, co2_half, out=lo)
+    np.divide(co2, lo, out=lo)
+    assim *= lo
+    edges = ((lo, t_opt - t_width, -s_sharp), (hi, t_opt + t_width, s_sharp))
+    for t in (t_day, t_24):  # times _inhibition(t, t_opt, t_width, s_sharp)
+        for part, edge, sign in edges:
+            np.subtract(t, edge, out=part)
+            part *= sign
+            np.exp(part, out=part)
+            part += 1.0
+            np.divide(1.0, part, out=part)
+        lo *= hi
         assim *= lo
-        edges = ((lo, t_opt - t_width, -s_sharp), (hi, t_opt + t_width, s_sharp))
-        for t in (t_day, t_24):  # times _inhibition(t, t_opt, t_width, s_sharp)
-            for part, edge, sign in edges:
-                np.subtract(t, edge, out=part)
-                part *= sign
-                np.exp(part, out=part)
-                part += 1.0
-                np.divide(1.0, part, out=part)
-            lo *= hi
-            assim *= lo
-        return assim, None
-    if name == "maint_rate":
-        c_maint, q10 = p
-        rate = q10 ** ((t_24 - 25.0) / 10.0)
-        rate *= c_maint
-        return rate, None
+    return assim
+
+
+def _maint_rate(p, t_24):
+    """simulate's maintenance per unit mass over a block of days, like
+    _assim_max from the maint_rate columns."""
+    c_maint, q10 = p
+    rate = q10 ** ((t_24 - 25.0) / 10.0)
+    rate *= c_maint
+    return rate
+
+
+def _growth_coefficients(p, t_24, ts_before):
+    """(coef, ts) over a block of days from the p_f columns: coef, a (days,
+    3, rows, contexts) array, holds the growth coefficients of fruit, leaf
+    and stem, [p_f, 0.7 * (1 - p_f), 0.3 * (1 - p_f)] as simulate multiplies
+    them, p_f by simulate's branches; ts is the temperature sum on the
+    block's last day, which the next block continues from as ts_before (None
+    before the first block)."""
     ts_start, ts_end, dev_rate, rg_fruit = p
     ts = dev_rate * np.maximum(0.0, t_24 - 10.0)
-    if carry is not None:  # the same sequential sum as over all days at once
-        ts[0] += carry
+    if ts_before is not None:  # the same sequential sum as over all days at once
+        ts[0] += ts_before
     np.cumsum(ts, axis=0, out=ts)
-    # [p_f, 0.7 * (1 - p_f), 0.3 * (1 - p_f)] as simulate multiplies them,
-    # p_f by simulate's branches, in place over the ramp
     coef = np.empty((len(ts), 3, *ts.shape[1:]))
     p_f, leaf, stem = coef.transpose(1, 0, 2, 3)
-    np.divide(rg_fruit * (ts - ts_start), ts_end - ts_start, out=p_f)
+    np.divide(rg_fruit * (ts - ts_start), ts_end - ts_start, out=p_f)  # in place over the ramp
     np.copyto(p_f, rg_fruit, where=~(ts < ts_end))
     np.copyto(p_f, 0.0, where=ts < ts_start)
     np.subtract(1.0, p_f, out=stem)
@@ -290,66 +284,68 @@ def _day_series(name: str, p, contexts, days: slice, carry):
     return coef, ts[-1].copy()  # not a view that keeps the block alive
 
 
-def _series_by_day(name: str, p, inv, contexts, n_days: int):
-    """Yield the series `name` on each of the first n_days days as a (keys,
-    contexts) array, or p_f's growth coefficients as a (3, keys, contexts)
-    array: computed by _day_series once per distinct row in p, in blocks of
-    at most SIM_CELLS cells counting every plane, and gathered per key by
-    one take along the block's row axis, unless inv is None (every key has
-    a row of its own). A yielded array is not read again once the next day
-    is asked for, so the caller may write into it."""
-    planes = 3 if name == "p_f" else 1
-    block = max(1, SIM_CELLS // (planes * p.shape[1]))
-    carry = None
-    for lo in range(0, n_days, block):
-        series, carry = _day_series(name, p, contexts, slice(lo, min(n_days, lo + block)), carry)
-        yield from series if inv is None else (day.take(inv, axis=-2) for day in series)
-        del series  # freed before the next block is computed
+def _by_key(series, inv):
+    """A block's series day by day, each day gathered per key by one take
+    along its row axis, unless inv is None (every key has a row of its own).
+    A day's array is not read again once the next is asked for, so the
+    caller may write into it."""
+    return iter(series) if inv is None else (day.take(inv, axis=-2) for day in series)
 
 
-def _fruit_on_days(state, series_rows, contexts, obs_days, out) -> None:
+def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
     """Write the fruit mass after each of the 0-based obs_days of the
     recurrence in simulate into out, a (keys, contexts, observations) array,
     and stop after the last of them. state holds the keys' LAI_max, SLA and
     n_plants as (keys, 1) columns; series_rows holds, per DAY_SERIES_PARAMS
     entry, its parameter columns over the distinct rows and each key's row
-    (None: one row per key). Each series is computed once per distinct row;
-    only the crop-state update runs per key, day by day, on one stacked
-    (fruit, leaf, stem) array grown by p_f's coefficients times the day's net
-    assimilation, the day's arithmetic written into two buffers allocated
-    once. The day's series are released before the next day's are made."""
+    (None: one row per key); forcing is simulate_batch's stacked forcing.
+
+    The three day series are computed once per distinct row, block by block
+    on one grid of consecutive days whose blocks keep the widest series
+    within SIM_CELLS cells, p_f's three planes counting three times; each
+    key reads its rows through _by_key. Only the crop-state update runs per
+    key, day by day, on one stacked (fruit, leaf, stem) array grown by p_f's
+    coefficients times the day's net assimilation, the day's arithmetic
+    written into two buffers allocated once. A block's series are released
+    before the next block's are made."""
     n_days = obs_days[-1] + 1
-    assim_by_day, maint_by_day, coef_by_day = (
-        _series_by_day(name, p, inv, contexts, n_days)
-        for name, (p, inv) in zip(DAY_SERIES_PARAMS, series_rows)
-    )
+    (assim_p, assim_inv), (maint_p, maint_inv), (coef_p, coef_inv) = series_rows
+    widest = max(assim_p.shape[1], maint_p.shape[1], 3 * coef_p.shape[1])
+    block = max(1, SIM_CELLS // widest)
     lai_max, sla, n_plants = state
     sla_n = sla * n_plants
-    w = np.empty((3, len(lai_max), len(contexts)))
+    w = np.empty((3, len(lai_max), forcing.shape[-1]))
     w[0], w[1], w[2] = _W_FRUIT0, _W_LEAF0, _W_STEM0
     w_f, w_l, w_s = w
     net, mass = np.empty((2, *w_f.shape))
-    k = 0
-    for d in range(n_days):
-        assim_d, maint_d, coef_d = next(assim_by_day), next(maint_by_day), next(coef_by_day)
-        # fmin/fmax pass over NaN like Python's min/max do in simulate
-        np.multiply(sla_n, w_l, out=net)
-        np.fmin(lai_max, net, out=net)  # lai
-        np.multiply(-0.7, net, out=net)
-        np.exp(net, out=net)
-        np.subtract(1.0, net, out=net)  # f_light
-        np.multiply(assim_d, net, out=net)
-        np.add(w_f, w_l, out=mass)  # w_f + w_l + w_s, in simulate's order
-        mass += w_s
-        mass *= maint_d
-        net -= mass
-        np.fmax(0.0, net, out=net)
-        coef_d *= net
-        w += coef_d
-        if d == obs_days[k]:
-            out[:, :, k] = w_f
-            k += 1
-        del assim_d, maint_d, coef_d  # freed before the next day's are gathered
+    k, ts = 0, None
+    for lo in range(0, n_days, block):
+        t_day, t_24, light, co2 = forcing[:, lo : min(n_days, lo + block)]
+        assim = _assim_max(assim_p, t_day, t_24, light, co2)
+        maint = _maint_rate(maint_p, t_24)
+        coef, ts = _growth_coefficients(coef_p, t_24, ts)
+        by_key = _by_key(assim, assim_inv), _by_key(maint, maint_inv), _by_key(coef, coef_inv)
+        for d in range(lo, lo + len(t_24)):
+            assim_d, maint_d, coef_d = map(next, by_key)
+            # fmin/fmax pass over NaN like Python's min/max do in simulate
+            np.multiply(sla_n, w_l, out=net)
+            np.fmin(lai_max, net, out=net)  # lai
+            np.multiply(-0.7, net, out=net)
+            np.exp(net, out=net)
+            np.subtract(1.0, net, out=net)  # f_light
+            np.multiply(assim_d, net, out=net)
+            np.add(w_f, w_l, out=mass)  # w_f + w_l + w_s, in simulate's order
+            mass += w_s
+            mass *= maint_d
+            net -= mass
+            np.fmax(0.0, net, out=net)
+            coef_d *= net
+            w += coef_d
+            if d == obs_days[k]:
+                out[:, :, k] = w_f
+                k += 1
+            del assim_d, maint_d, coef_d  # freed before the next day's are gathered
+        del assim, maint, coef, by_key  # freed before the next block is computed
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

@@ -135,6 +135,8 @@ def build_space(
         raise ValueError(f"group orders must be contiguous 1..G, got {orders}")
     by_group: dict[int, set[str]] = {}
     for p in parameters:
+        if any(p.name in names for names in by_group.values()):
+            raise ValueError(f"parameter {p.name} is listed twice")
         by_group.setdefault(p.group, set()).add(p.name)
     for g in groups:
         owned = by_group.get(g.order, set())

@@ -262,6 +262,37 @@ class TestExitCodes:
         assert run(workspace, "enumerate", f"space.file={bad}") == 1
         assert f"space.file {bad} is not valid YAML" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["config", "space.file"])
+    def test_file_that_is_not_utf8_exits_1_naming_it(self, workspace, tmp_path, capsys, where):
+        bad = tmp_path / "bad.yaml"
+        if where == "config":
+            bad.write_bytes(workspace.read_bytes() + b"# caf\xff\n")
+            argv = ["train", "--config", str(bad)]
+        else:
+            bad.write_bytes(TINY_SPACE_YAML.encode() + b"# caf\xff\n")
+            argv = ["train", "--config", str(workspace), "--set", f"space.file={bad}"]
+        assert main(argv) == 1  # an exception escaping main is a traceback
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert not (workspace.parent / "runs").exists()
+
+    def test_space_listing_a_parameter_twice_exits_1_before_simulating(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        def simulate_batch(*args):
+            raise AssertionError("simulated")
+
+        monkeypatch.setattr(rewards, "simulate_batch", simulate_batch)
+        doc = load_yaml(
+            resources.files("gfnadapt").joinpath("data/greenhouse_space_v1.yaml").read_text())
+        [lai_max] = [p for p in doc["parameters"] if p["name"] == "LAI_max"]
+        doc["parameters"].append(dict(lai_max, group=2, lower=1.0))
+        bad = tmp_path / "bad_space.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        assert run(workspace, "enumerate", f"space.file={bad}") == 1
+        assert "parameter LAI_max is listed twice" in capsys.readouterr().err
+        assert not (workspace.parent / "runs").exists()  # no cache file, no stage directory
+
     def test_space_file_is_a_directory_exits_1(self, workspace, tmp_path):
         assert run(workspace, "enumerate", f"space.file={tmp_path}") == 1
 
@@ -533,6 +564,18 @@ class TestPipeline:
         capsys.readouterr()
         assert run(workspace, "report") == 2
         assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
+        assert not (out_root(workspace) / "report").exists()
+
+    def test_trace_that_is_not_utf8_exits_2_naming_it(self, workspace, capsys):
+        assert run(workspace, "train") == 0
+        trace = out_root(workspace) / "train" / "1" / "trace.csv"
+        blob = bytearray(trace.read_bytes())
+        blob[len(blob) // 2] = 0xFF
+        trace.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace} ") and "0xff" in err
         assert not (out_root(workspace) / "report").exists()
 
     # the workspace space has radices (2, 3): two slots

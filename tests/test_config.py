@@ -134,6 +134,36 @@ class TestValidation:
         with pytest.raises(ConfigError, match="noise_rel"):
             load_config(overrides=["data.noise_rel=-0.1"])
 
+    @pytest.mark.parametrize("where", ["override", "file"])
+    def test_float_setting_in_exponent_form(self, tmp_path, where):
+        # YAML 1.1 reads 5e-4 (no dot) as a string; 5e-4 is train.lr's default
+        if where == "override":
+            cfg = load_config(overrides=["train.lr=5e-4", "reward.beta=4E0"])
+        else:
+            path = tmp_path / "exp.yaml"
+            path.write_text("train:\n  lr: 5e-4\nreward:\n  beta: 4E0\n")
+            cfg = load_config(path)
+        assert cfg["train.lr"] == 0.0005 and type(cfg["train.lr"]) is float
+        assert cfg["reward.beta"] == 4.0 and type(cfg["reward.beta"]) is float
+        assert cfg.run_hash() == load_config(overrides=["train.lr=0.0005"]).run_hash()
+        assert cfg.run_hash() == "f282710af8f0"  # the defaults' run hash
+
+    def test_exponent_form_out_of_range_or_not_a_float_setting(self):
+        with pytest.raises(ConfigError, match="train.lr must be a number in .*-0.0005"):
+            load_config(overrides=["train.lr=-5e-4"])
+        with pytest.raises(ConfigError, match="train.steps must be an integer"):
+            load_config(overrides=["train.steps=1e3"])
+        # string settings keep the string, and their hashes
+        cfg = load_config(overrides=["run.out_dir=1e3", "run.method=random"])
+        assert cfg["run.out_dir"] == "1e3"
+        assert cfg.run_hash() == "f282710af8f0"
+
+    def test_non_utf8_config_file_names_it(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_bytes(b"# caf\xff\ntrain:\n  steps: 10\n")
+        with pytest.raises(ConfigError, match=f"config file {path} is not valid YAML"):
+            load_config(path)
+
     def test_non_mapping_file(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("- just\n- a list\n")

@@ -152,33 +152,64 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
 
 
 def record_blocks(monkeypatch) -> list[tuple[int, int, int]]:
-    """Patch _day_series to record each block it computes as its (days,
-    distinct rows, planes): one plane for a day series, three for p_f's
-    stacked coefficients."""
+    """Wrap the three day series functions to record each block they compute
+    as its (days, distinct rows, planes): one plane for assim_max and
+    maint_rate, three for p_f's stacked growth coefficients."""
     blocks = []
-    day_series = simulator._day_series
 
-    def recorded(*args):
-        series, carry = day_series(*args)
-        planes = series.shape[1] if series.ndim == 4 else 1
-        blocks.append((len(series), series.shape[-2], planes))
-        return series, carry
+    def recording(series):
+        def recorded(*args):
+            result = series(*args)
+            values = result[0] if isinstance(result, tuple) else result
+            planes = values.shape[1] if values.ndim == 4 else 1
+            blocks.append((len(values), values.shape[-2], planes))
+            return result
 
-    monkeypatch.setattr(simulator, "_day_series", recorded)
+        return recorded
+
+    for name in ("_assim_max", "_maint_rate", "_growth_coefficients"):
+        monkeypatch.setattr(simulator, name, recording(getattr(simulator, name)))
     return blocks
 
 
-@pytest.mark.parametrize("cap, value", [("SIM_CELLS", 1), ("SIM_KEYS", 5)])
-def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap, value):
+@pytest.mark.parametrize(
+    "batch, cap, value",
+    [
+        pytest.param(batch, cap, value, id=f"{prefix}{cap}-{value}")
+        for batch, prefix in (("random", ""), ("groups-2-3", "groups-2-3-"))
+        for cap, value in (("SIM_CELLS", 1), ("SIM_CELLS", 7), ("SIM_CELLS", 45), ("SIM_KEYS", 5))
+    ],
+)
+def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, batch, cap, value):
     space2 = replace(space, cycles=2)
     rng = np.random.default_rng(9)
     keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(150)]
+    if batch == "groups-2-3":  # groups 1, 4 and 5 as in the first key, in both cycles
+        keys = [
+            tuple(a if space2.slot_group(t).order in (2, 3) else keys[0][t]
+                  for t, a in enumerate(key))
+            for key in keys
+        ]
     keys += keys[:30]  # rows repeated across passes
     params = columns(space2, keys)
+    blocks = record_blocks(monkeypatch)
     whole = simulate_batch(params, obs_contexts)
+    if batch == "groups-2-3":
+        # assim_max's rows set the block length, so p_f's one row carries its
+        # temperature sum across blocks shorter than p_f alone would take ...
+        coef_rows = [rows for _, rows, planes in blocks if planes == 3]
+        assert len(coef_rows) > 1 and set(coef_rows) == {1}
+        blocks.clear()
+        alone = [
+            simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
+            for i in range(len(keys))
+        ]
+        # ... to the bytes of one-key batches, whose p_f is one block of every day
+        assert {days for days, _, planes in blocks if planes == 3} == {168}
+        assert whole.tobytes() == np.concatenate(alone).tobytes()
     monkeypatch.setattr(simulator, cap, value)
     passes = record_passes(monkeypatch)
-    blocks = record_blocks(monkeypatch)
+    blocks.clear()
     split = simulate_batch(params, obs_contexts)
     assert whole.tobytes() == split.tobytes()
     assert sum(n for n, *_ in passes) == len(keys)
@@ -188,8 +219,9 @@ def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, cap
     assert {planes for *_, planes in blocks} == {1, 3}
     if cap == "SIM_KEYS":
         assert len(passes) > 20
-    else:  # one pass whose blocks hold one day, up to the last observation day,
-        # p_f's as its stacked coefficients
+    else:  # one pass whose blocks hold one day (the widest series has more
+        # than 45 rows), up to the last observation day, p_f's as its
+        # stacked coefficients
         [(_, *rows)] = passes
         per_day = [(1, rows[0], 1), (1, rows[1], 1), (1, rows[2], 3)]
         assert blocks == per_day * 168

@@ -64,6 +64,16 @@ class TestBuildSpace:
         with pytest.raises(ValueError, match="foreign"):
             build_space(groups, [p], 1, 0.3)
 
+    def test_repeated_parameter_rejected(self):
+        # decode_state would keep the second entry, decode_batch a column each
+        p = ParameterSpec("p", 0.0, 1.0, 0.5, group=1)
+        groups = [
+            GroupSpec(1, "g1", (ActionSpec("none", {}), ActionSpec("up", {"p": 1}))),
+            GroupSpec(2, "g2", (ActionSpec("none", {}),)),
+        ]
+        with pytest.raises(ValueError, match="parameter p is listed twice"):
+            build_space(groups, [p, ParameterSpec("p", -1.0, 1.0, 0.5, group=2)], 1, 0.3)
+
     def test_empty_action_list_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             GroupSpec(1, "g", ())
