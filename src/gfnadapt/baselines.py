@@ -72,21 +72,23 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
     return evaluated
 
 
-def _quantile(losses: np.ndarray, q: float) -> float:
-    """np.quantile(losses, q) of a non-empty 1-d float array, bit for bit,
-    from one np.partition: numpy's linear method partitions at these same
-    indices, returns the last value when it is NaN (NaN sorts last), and
-    interpolates with the same two formulas, split at t >= 0.5."""
-    n = len(losses)
+def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
+    """np.quantile(losses, q) from `ordered`, the non-empty losses in
+    ascending order with NaN last: the value of the two entries numpy's
+    linear method interpolates between, with its two formulas split at
+    t >= 0.5, and the last value when it is NaN. Only the sign of a zero and
+    the payload of a NaN can differ from np.quantile's, which no comparison
+    against the threshold sees."""
+    n = len(ordered)
+    last = float(ordered[-1])
+    if math.isnan(last):
+        return last
     at = (n - 1) * q
-    lo = hi = -1  # at the top, numpy takes the last value twice
-    if at < n - 1:
-        lo = math.floor(at)
-        hi = lo + 1
-    part = np.partition(losses, sorted({0, -1, lo, hi}))
-    if math.isnan(part[-1]):
-        return float(part[-1])
-    a, b, t = float(part[lo]), float(part[hi]), at - lo
+    if at >= n - 1:  # at the top, numpy takes the last value twice, at index -1
+        t = at + 1
+        return last - (last - last) * (1 - t)
+    lo = math.floor(at)
+    a, b, t = float(ordered[lo]), float(ordered[lo + 1]), at - lo
     diff = b - a
     return b - diff * (1 - t) if t >= 0.5 else a + diff * t
 
@@ -117,20 +119,24 @@ def tpe_search(
     """Per-slot categorical tree-structured Parzen estimator.
 
     After `startup` uniform draws, all made first in one call, the history
-    is split at the gamma quantile of losses (np.quantile's value, from one
-    partition of the history); per slot, Laplace-smoothed categorical
-    densities are built over the good and bad sets, candidates are drawn
-    from the good density, and the candidate maximizing the product of
-    density ratios is evaluated.
+    is split at the gamma quantile of losses (np.quantile's value); per
+    slot, Laplace-smoothed categorical densities are built over the good and
+    bad sets, candidates are drawn from the good density, and the candidate
+    maximizing the product of density ratios is evaluated.
 
-    Each proposal is one array pass over all slots. The history is kept as
-    cells of one (slots, largest radix) table, with running totals of the
-    cell counts: one bincount counts the good set, and the bad counts are
-    the totals minus the good ones. Candidates are drawn by inverse-CDF
-    lookup of one `rng.random((n_candidates, S))` block against every slot's
-    CDF at once, which is what `Generator.choice(r, p=l)` does with one
-    double per call, in the same candidate-major order: the proposals are
-    draw-for-draw those of a per-candidate `rng.choice` loop.
+    The history is kept in ascending loss order (NaN last), each loss with
+    its key's cells in one (largest radix, slots) table; an evaluation is
+    inserted after the equal losses before it. The threshold is read from
+    the two entries the quantile interpolates between, and the good set is
+    the prefix of losses up to it. Its cell counts are kept running: a
+    proposal adds or removes only the rows between the old split and the
+    new one, and the bad counts are the history's totals minus the good
+    ones. So a proposal's cost does not grow with the history, besides the
+    shift of one insert. Candidates are drawn by inverse-CDF lookup of one
+    `rng.random((n_candidates, S))` block against every slot's CDF at once,
+    which is what `Generator.choice(r, p=l)` does with one double per call,
+    in the same candidate-major order: the proposals are draw-for-draw those
+    of a per-candidate `rng.choice` loop.
     """
     if not 0.0 < gamma < 1.0:
         raise ValueError("gamma must be in (0, 1)")
@@ -141,45 +147,63 @@ def tpe_search(
     rng = np.random.default_rng(seed)
     radices = space.slot_radices
     n_slots, width = len(radices), max(radices)
-    r = np.array(radices)[:, None]
+    r = np.array(radices)
     # Laplace smoothing over a slot's actions; a padded cell gets none, so
     # its density is 0 and adds nothing to its slot's CDF
-    smoothing = (np.arange(width) < r).astype(float)
-    offsets = np.arange(n_slots) * width
-    cells = np.zeros((budget, n_slots), dtype=np.intp)  # slot t, action a: t * width + a
-    totals = np.zeros(n_slots * width, dtype=np.intp)
-    losses = np.zeros(budget)
+    smoothing = (np.arange(width)[:, None] < r).astype(float)
+    slot_of = np.arange(n_slots)
+    # action a of slot t is cell a * n_slots + t: each slot's densities run
+    # down one column of a (largest radix, slots) table
+    cells = np.zeros((budget, n_slots), dtype=np.intp)
+    totals = np.zeros(width * n_slots, dtype=np.intp)
+    good_counts = np.zeros_like(totals)  # the cells of the first `split` rows of `order`
+    ordered = np.zeros(budget)  # the losses so far, ascending, NaN last
+    order = np.zeros(budget, dtype=np.intp)  # the evaluation (row of cells) of each
+    split = 0
     evaluated = []
     startup_keys = uniform_keys(space, min(startup, budget), rng)
     for it in range(budget):
         if it < startup:
             key = startup_keys[it]
         else:
-            threshold = _quantile(losses[:it], gamma)
-            good = losses[:it] <= threshold
-            n_good = int(good.sum())
+            threshold = _sorted_quantile(ordered[:it], gamma)
             # a NaN threshold (a NaN loss, or inf - inf in the quantile's
-            # interpolation) puts no key in either set, so n_bad is 0 and the
-            # bad density falls back to the (empty) good one; otherwise every
-            # key is good or bad, and the bad counts are the rest of the totals
-            n_bad = int(np.count_nonzero(losses[:it] > threshold))
-            good_counts = np.bincount(cells[:it][good].ravel(), minlength=totals.size)
+            # interpolation) puts no key in either set, so the bad density
+            # falls back to the (empty) good one; otherwise every key is good
+            # or bad, and the bad counts are the rest of the totals
+            if math.isnan(threshold):
+                n_good = n_bad = 0
+            else:
+                n_good = int(ordered[:it].searchsorted(threshold, "right"))
+                n_bad = it - n_good
+            if n_good != split:
+                lo, hi = sorted((split, n_good))
+                np.add.at(good_counts, cells[order[lo:hi]], 1 if n_good > split else -1)
+                split = n_good
             if n_bad:
                 bad_counts = totals - good_counts
             else:
                 bad_counts, n_bad = good_counts, n_good
-            l = (good_counts.reshape(n_slots, width) + smoothing) / (n_good + r)
-            g = (bad_counts.reshape(n_slots, width) + smoothing) / (n_bad + r)
-            cdf = l.cumsum(axis=1)
-            cdf /= cdf[:, -1:]
+            l = (good_counts.reshape(width, n_slots) + smoothing) / (n_good + r)
+            g = (bad_counts.reshape(width, n_slots) + smoothing) / (n_bad + r)
+            cdf = l.cumsum(axis=0)
+            cdf /= cdf[-1]
             u = rng.random((n_candidates, n_slots))
-            # the count of CDF values <= u: searchsorted(side="right") per slot
-            candidates = (cdf <= u[:, :, None]).sum(2)
-            at = candidates + offsets
+            # the count of CDF values <= u: searchsorted(side="right") per
+            # slot, summed over the table's outer axis, a run of fast adds
+            candidates = (cdf[:, None] <= u).sum(0)
+            at = candidates * n_slots + slot_of
             ratios = l.take(at) / g.take(at)
-            key = tuple(candidates[np.argmax(np.prod(ratios, axis=1))].tolist())
-        cells[it] = offsets + key
+            key = tuple(candidates[ratios.prod(axis=1).argmax()].tolist())
+        cells[it] = np.multiply(key, n_slots) + slot_of
         totals[cells[it]] += 1
-        losses[it] = scorer.score([key])[0][0]
-        evaluated.append((key, float(losses[it])))
+        loss = scorer.score([key])[0][0]
+        pos = int(ordered[:it].searchsorted(loss, "right"))
+        ordered[pos + 1 : it + 1] = ordered[pos:it]
+        order[pos + 1 : it + 1] = order[pos:it]
+        ordered[pos], order[pos] = loss, it
+        if pos < split:  # inside the good prefix, which now holds one more row
+            good_counts[cells[it]] += 1
+            split += 1
+        evaluated.append((key, float(loss)))
     return evaluated

@@ -124,23 +124,25 @@ def project_grid(dist: np.ndarray, space: SpaceSpec, basins: BasinAssignment) ->
 def export_landscape_csv(
     path, landscape: LandscapeTable, basins: BasinAssignment, config_hash: str
 ) -> None:
+    """One row per terminal with its loss, reward, target probability and
+    the key of its basin's mode. The rows are the bytes csv.writer writes for
+    them (no field needs quoting), formatted and written one at a time."""
+    keys = landscape.keys
+    modes = {m: "-".join(map(str, keys[m])) for m in np.unique(basins.mode_of).tolist()}
+    rows = zip(keys, landscape.aggregates, landscape.rewards, landscape.target_prob,
+               basins.mode_of)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
         writer.writerow(["key", "loss", "reward", "target_prob", "mode_key"])
-        for i, key in enumerate(landscape.keys):
-            writer.writerow(
-                [
-                    "-".join(map(str, key)),
-                    repr(float(landscape.aggregates[i])),
-                    repr(float(landscape.rewards[i])),
-                    repr(float(landscape.target_prob[i])),
-                    "-".join(map(str, landscape.keys[int(basins.mode_of[i])])),
-                ]
-            )
+        fh.writelines(f"{'-'.join(map(str, key))},{float(loss)!r},{float(reward)!r},"
+                      f"{float(prob)!r},{modes[mode]}\r\n"
+                      for key, loss, reward, prob, mode in rows)
 
 
 def export_grid_json(path, grid: dict, config_hash: str) -> None:
+    """The grid projection as one JSON object; json.dumps's bytes, which are
+    json.dump's, from the C encoder that json.dump never uses."""
     doc = {
         "config_hash": config_hash,
         "row_radices": grid["row_radices"],
@@ -149,4 +151,4 @@ def export_grid_json(path, grid: dict, config_hash: str) -> None:
         "dominant_basin": grid["dominant_basin"].tolist(),
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))

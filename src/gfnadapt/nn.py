@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-ADAM_CHUNK = 32768  # elements per block of an Adam step: 128 KiB per float32 operand
+ADAM_CHUNK = 65536  # elements per block of an Adam step: 256 KiB per float32 operand
 FLUSH_EVERY = 64  # Adam steps between flushes of moments about to go subnormal
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 

@@ -285,11 +285,14 @@ def _growth_coefficients(p, t_24, ts_before):
 
 
 def _by_key(series, inv):
-    """A block's series day by day, each day gathered per key by one take
-    along its row axis, unless inv is None (every key has a row of its own).
-    A day's array is not read again once the next is asked for, so the
-    caller may write into it."""
-    return iter(series) if inv is None else (day.take(inv, axis=-2) for day in series)
+    """A function from a day of a block to that day of its series per key:
+    the day's row itself when inv is None (every key has a row of its own),
+    else the day gathered per key by one take along its row axis. A day's
+    array is not read again once the next is asked for, so the caller may
+    write into it."""
+    if inv is None:
+        return series.__getitem__
+    return lambda i: series[i].take(inv, axis=-2)
 
 
 def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
@@ -306,46 +309,55 @@ def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
     key reads its rows through _by_key. Only the crop-state update runs per
     key, day by day, on one stacked (fruit, leaf, stem) array grown by p_f's
     coefficients times the day's net assimilation, the day's arithmetic
-    written into two buffers allocated once. A block's series are released
-    before the next block's are made."""
+    written into two buffers allocated once, its constants converted to
+    float64 arrays once and its outputs passed positionally: the day loop's
+    cost is numpy's per-call overhead. A block's series are released before
+    the next block's are made."""
+    obs_days = obs_days.tolist()
     n_days = obs_days[-1] + 1
     (assim_p, assim_inv), (maint_p, maint_inv), (coef_p, coef_inv) = series_rows
     widest = max(assim_p.shape[1], maint_p.shape[1], 3 * coef_p.shape[1])
     block = max(1, SIM_CELLS // widest)
     lai_max, sla, n_plants = state
-    sla_n = sla * n_plants
-    w = np.empty((3, len(lai_max), forcing.shape[-1]))
+    n_contexts = forcing.shape[-1]
+    # the keys' columns repeated over the contexts: a ufunc whose operands
+    # share one shape skips broadcasting's set-up, most of a small day's cost
+    lai_max = np.repeat(lai_max, n_contexts, axis=1)
+    sla_n = np.repeat(sla * n_plants, n_contexts, axis=1)
+    w = np.empty((3, len(lai_max), n_contexts))
     w[0], w[1], w[2] = _W_FRUIT0, _W_LEAF0, _W_STEM0
     w_f, w_l, w_s = w
     net, mass = np.empty((2, *w_f.shape))
+    zero, one, extinction = np.array(0.0), np.array(1.0), np.array(-0.7)
     k, ts = 0, None
     for lo in range(0, n_days, block):
         t_day, t_24, light, co2 = forcing[:, lo : min(n_days, lo + block)]
         assim = _assim_max(assim_p, t_day, t_24, light, co2)
         maint = _maint_rate(maint_p, t_24)
         coef, ts = _growth_coefficients(coef_p, t_24, ts)
-        by_key = _by_key(assim, assim_inv), _by_key(maint, maint_inv), _by_key(coef, coef_inv)
-        for d in range(lo, lo + len(t_24)):
-            assim_d, maint_d, coef_d = map(next, by_key)
+        assim_of, maint_of, coef_of = (
+            _by_key(assim, assim_inv), _by_key(maint, maint_inv), _by_key(coef, coef_inv))
+        for i in range(len(t_24)):
+            assim_d, maint_d, coef_d = assim_of(i), maint_of(i), coef_of(i)
             # fmin/fmax pass over NaN like Python's min/max do in simulate
-            np.multiply(sla_n, w_l, out=net)
-            np.fmin(lai_max, net, out=net)  # lai
-            np.multiply(-0.7, net, out=net)
-            np.exp(net, out=net)
-            np.subtract(1.0, net, out=net)  # f_light
-            np.multiply(assim_d, net, out=net)
-            np.add(w_f, w_l, out=mass)  # w_f + w_l + w_s, in simulate's order
-            mass += w_s
-            mass *= maint_d
-            net -= mass
-            np.fmax(0.0, net, out=net)
-            coef_d *= net
-            w += coef_d
-            if d == obs_days[k]:
+            np.multiply(sla_n, w_l, net)
+            np.fmin(lai_max, net, net)  # lai
+            np.multiply(extinction, net, net)
+            np.exp(net, net)
+            np.subtract(one, net, net)  # f_light
+            np.multiply(assim_d, net, net)
+            np.add(w_f, w_l, mass)  # w_f + w_l + w_s, in simulate's order
+            np.add(mass, w_s, mass)
+            np.multiply(mass, maint_d, mass)
+            np.subtract(net, mass, net)
+            np.fmax(zero, net, net)
+            np.multiply(coef_d, net, coef_d)
+            np.add(w, coef_d, w)
+            if lo + i == obs_days[k]:
                 out[:, :, k] = w_f
                 k += 1
             del assim_d, maint_d, coef_d  # freed before the next day's are gathered
-        del assim, maint, coef, by_key  # freed before the next block is computed
+        del assim, maint, coef, assim_of, maint_of, coef_of  # freed before the next block
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

@@ -107,6 +107,15 @@ class SpaceSpec:
             tables.append(steps)
         return tuple(tables)
 
+    @functools.cached_property
+    def parameter_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, upper, baseline) of the parameters, in `parameters`
+        order; read-only, built on first access, once per space."""
+        arrays = np.array([[getattr(p, field) for p in self.parameters]
+                           for field in ("lower", "upper", "baseline")], dtype=float)
+        arrays.flags.writeable = False
+        return tuple(arrays)
+
     def terminal_count(self) -> int:
         n = 1
         for g in self.groups:
@@ -208,10 +217,8 @@ def decode_batch(space: SpaceSpec, keys: Sequence[StateKey]) -> np.ndarray:
         t = int(out_of_range.any(axis=0).argmax())
         bad, n = keys[out_of_range[:, t], t][0], space.slot_radices[t]
         raise ValueError(f"slot {t}: action index {bad} out of range [0, {n})")
-    params = space.parameters
-    lower = np.array([p.lower for p in params])
-    upper = np.array([p.upper for p in params])
-    theta = np.tile([p.baseline for p in params], (len(keys), 1))
+    lower, upper, baseline = space.parameter_arrays
+    theta = np.tile(baseline, (len(keys), 1))
     for column, steps in zip(keys.T, space.slot_steps):
         theta = np.minimum(np.maximum(theta + steps[column], lower), upper)
     return theta

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfnadapt.baselines import (
-    _quantile,
+    _sorted_quantile,
     export_trace_csv,
     random_search,
     read_trace_csv,
@@ -133,6 +133,21 @@ def tail_inf_loss(key):
     return mixed_loss(key) if key[0] == 1 and key[1] == 0 else float("inf")
 
 
+def few_values_loss(key):
+    # four distinct losses, so the split jumps across runs of tied rows
+    return float(sum(key) % 4)
+
+
+def some_nan_loss(key):
+    # NaN for the lowest losses, which TPE reaches after its start-up
+    loss = mixed_loss(key)
+    return float("nan") if loss < 1.5 else loss
+
+
+def bitwise(trace):
+    return [(key, np.float64(loss).tobytes()) for key, loss in trace]
+
+
 class TestTPEMatchesReference:
     """`tpe_search` proposes in array passes; its trace must equal the
     per-candidate sampler's exactly (keys, losses and order)."""
@@ -153,6 +168,27 @@ class TestTPEMatchesReference:
         got = tpe_search(sp, AggScorer(mixed_loss), 300, 11)
         assert got == reference_tpe(sp, AggScorer(mixed_loss), 300, 11)
         assert len({key for key, _ in got}) > 20
+
+    def test_long_history(self):
+        # 990 proposals on the built-in 2-cycle space: the running good-set
+        # counts and the sorted inserts over a full-size history
+        sp = dataclasses.replace(builtin_space(), cycles=2)
+        got = tpe_search(sp, AggScorer(mixed_loss), 1000, 2)
+        assert got == reference_tpe(sp, AggScorer(mixed_loss), 1000, 2)
+
+    @pytest.mark.parametrize("loss_fn", [few_values_loss, some_nan_loss],
+                             ids=["few-values", "some-nan"])
+    def test_split_moves_many_rows(self, loss_fn):
+        # 90 proposals on the built-in 2-cycle space. Few values: the split
+        # jumps across runs of tied rows, up and down; some NaN: after a few
+        # dozen proposals the first NaN loss empties both sets for good
+        sp = dataclasses.replace(builtin_space(), cycles=2)
+        for seed in range(3):
+            got = tpe_search(sp, AggScorer(loss_fn), 100, seed)
+            expected = reference_tpe(sp, AggScorer(loss_fn), 100, seed)
+            assert bitwise(got) == bitwise(expected)  # NaN != NaN
+        if loss_fn is some_nan_loss:
+            assert np.isnan([loss for _, loss in got]).any()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # quantile of infs
     @pytest.mark.parametrize(
@@ -288,8 +324,11 @@ _LOSS = st.one_of(
 
 
 class TestQuantile:
-    """The TPE split threshold: np.quantile's linear method from one
-    partition, which must return np.quantile's value bit for bit."""
+    """The TPE split threshold: np.quantile's linear method read from the
+    sorted history. It must return np.quantile's value bit for bit, but for
+    the sign of a zero and the payload of a NaN (np.sort may canonicalize
+    NaNs, and orders 0.0 and -0.0 unlike np.partition), which no comparison
+    against the threshold sees."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -301,14 +340,25 @@ class TestQuantile:
         losses = np.array(losses)
         with np.errstate(invalid="ignore"):  # inf - inf in the interpolation
             expected = np.quantile(losses, gamma)
-        assert np.float64(_quantile(losses, gamma)).tobytes() == np.float64(expected).tobytes()
+        got = _sorted_quantile(np.sort(losses), gamma)
+        if np.isnan(expected):
+            assert np.isnan(got)
+        else:  # a nonzero float equals only itself bit for bit
+            assert got == expected
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 10, 999, 1000])
     @pytest.mark.parametrize("gamma", [0.25, 0.5, 0.75, 0.999])
     def test_every_length_and_level(self, n, gamma):
         rng = np.random.default_rng(n)
-        for losses in (rng.normal(size=n), rng.integers(0, 3, n).astype(float)):
-            assert _quantile(losses, gamma) == np.quantile(losses, gamma)
+        normal = rng.normal(size=n)
+        for losses in (normal, rng.integers(0, 3, n).astype(float),
+                       np.where(normal > 0.5, np.inf, normal),
+                       np.where(normal < -0.5, -np.inf, normal),
+                       np.where(normal > 1.0, np.nan, normal)):
+            with np.errstate(invalid="ignore"):  # inf - inf in the interpolation
+                expected = np.quantile(losses, gamma)
+            got = _sorted_quantile(np.sort(losses), gamma)
+            assert got == expected or (np.isnan(got) and np.isnan(expected))
 
 
 class TestSearchTrace:

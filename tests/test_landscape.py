@@ -241,3 +241,40 @@ class TestExports:
         assert doc["col_radices"] == [3]
         assert np.array(doc["mass"]).shape == (2, 3)
         assert doc["dominant_basin"] == basins.mode_of.reshape(2, 3).tolist()
+
+    def test_csv_bytes_equal_csv_writer(self, tmp_path):
+        # special floats, and keys whose modes lie elsewhere in the table
+        sp = make_tiny_space(cycles=2)
+        keys = list(enumerate_terminals(sp))
+        rng = np.random.default_rng(3)
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, -1.25e17, 0.1]
+        aggregates = np.array([*special, *rng.normal(0, 1e3, len(keys) - len(special))])
+        rewards = rng.random(len(keys))
+        table = LandscapeTable(keys, aggregates, rewards, rewards / rewards.sum())
+        basins = BasinAssignment(rng.integers(0, len(keys), len(keys)), {})
+        path, ref = tmp_path / "landscape.csv", tmp_path / "ref.csv"
+        export_landscape_csv(path, table, basins, config_hash="abc123")
+        with open(ref, "w", newline="") as fh:  # one csv.writer row per terminal
+            writer = csv.writer(fh)
+            writer.writerow(["# config_hash=abc123"])
+            writer.writerow(["key", "loss", "reward", "target_prob", "mode_key"])
+            for i, key in enumerate(keys):
+                writer.writerow(["-".join(map(str, key)), repr(float(aggregates[i])),
+                                 repr(float(rewards[i])), repr(float(table.target_prob[i])),
+                                 "-".join(map(str, keys[int(basins.mode_of[i])]))])
+        assert path.read_bytes() == ref.read_bytes()
+
+    def test_grid_json_bytes_equal_json_dump(self, tmp_path):
+        import json
+
+        sp = make_tiny_space(cycles=2)
+        dist = np.random.default_rng(4).random(sp.terminal_count())
+        dist /= dist.sum()
+        grid = project_grid(dist, sp, basins_of(sp, dist))
+        path, ref = tmp_path / "grid.json", tmp_path / "ref.json"
+        export_grid_json(path, grid, config_hash="deadbeef")
+        with open(ref, "w") as fh:
+            json.dump({"config_hash": "deadbeef", "row_radices": grid["row_radices"],
+                       "col_radices": grid["col_radices"], "mass": grid["mass"].tolist(),
+                       "dominant_basin": grid["dominant_basin"].tolist()}, fh)
+        assert path.read_bytes() == ref.read_bytes()

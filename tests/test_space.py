@@ -194,6 +194,13 @@ class TestDecodeBatch:
             assert not table.flags.writeable
         assert sp.slot_steps is sp.slot_steps
 
+    def test_parameter_arrays_built_once_per_space(self, space):
+        lower, upper, baseline = space.parameter_arrays
+        for array, field in ((lower, "lower"), (upper, "upper"), (baseline, "baseline")):
+            assert array.tolist() == [getattr(p, field) for p in space.parameters]
+            assert not array.flags.writeable
+        assert space.parameter_arrays is space.parameter_arrays
+
     def test_invalid_keys_rejected(self, tiny_space):
         with pytest.raises(ValueError, match="slot 1: action index 3 out of range"):
             decode_batch(tiny_space, [(0, 1), (1, 3)])
