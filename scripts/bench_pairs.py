@@ -1,17 +1,30 @@
 #!/usr/bin/env python3
-"""Compare two checkouts on one perfbench workload in interleaved pairs.
+"""Compare two checkouts on perfbench workloads in interleaved pairs.
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload search-2cycle \\
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload all \\
         --pairs 10 --seconds 20 [--seed 1]
 
 Each pair runs `perfbench/run.py` once in each checkout, from that
-checkout's root, so each imports its own `src/`. Pair i uses seed
+checkout's root, so each imports its own `src/`. `--workload` is one
+workload or `all`, every workload of one perfbench run. Pair i uses seed
 `--seed + i` on both sides. The side that runs first alternates from pair to
 pair, because the second run of a pair can read differently from the first.
-For every end-to-end metric in CHANGE's BENCHMARK.json it prints each pair's
-readings, each side's median and quartiles, the pairs CHANGE wins and the
-per-pair ratios CHANGE / PARENT. Nothing in either checkout is changed;
-perfbench writes only under each checkout's `.bench_out/`.
+For every workload and every end-to-end metric in CHANGE's BENCHMARK.json it
+prints each pair's readings, each side's median and quartiles, the pairs
+CHANGE wins and the per-pair ratios CHANGE / PARENT, then one verdict line
+per workload and metric under two rules:
+
+- claim: CHANGE wins at least 9/10 of the pairs (ties count for neither) and
+  the medians differ, in CHANGE's favour, by more than the distance between
+  PARENT's quartiles;
+- no regression: CHANGE's median is at most PARENT's times (1 + bound),
+  with the metric's bound from BENCHMARK.json (at least PARENT's times
+  (1 - bound) for a metric where higher is better). It reads "unresolved"
+  when PARENT's quartile spread is wider than the bound, as a share of its
+  median, unless every CHANGE run reads better than every PARENT run.
+
+Nothing in either checkout is changed; perfbench writes only under each
+checkout's `.bench_out/`.
 """
 
 import argparse
@@ -24,7 +37,8 @@ import numpy as np
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one untraced perfbench run in `root`."""
+    """The metrics of one untraced perfbench run in `root`, keyed by
+    (workload, metric)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -38,7 +52,11 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if not result["correct"]:
         sys.stderr.write(proc.stdout)
         raise SystemExit(f"perfbench checks failed in {root}")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    # `--workload all` names its metrics "<workload>/<metric>"
+    return {
+        tuple(name.split("/", 1)) if workload == "all" else (workload, name): m["value"]
+        for name, m in result["metrics"].items()
+    }
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -46,11 +64,30 @@ def quartiles(values) -> tuple[float, float, float]:
     return float(q1), float(median), float(q3)
 
 
+def verdict(parent: np.ndarray, change: np.ndarray, better: str, bound: float) -> str:
+    """The claim and no-regression verdicts of one metric's paired readings."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * (parent - change) > 0: change better
+    wins = int(np.sum(sign * (parent - change) > 0))
+    (p1, pm, p3), cm = quartiles(parent), float(np.median(change))
+    gain, spread = sign * (pm - cm), p3 - p1
+    claim = "met" if wins * 10 >= 9 * len(parent) and gain > spread else "not met"
+    limit = pm * (1.0 + sign * bound)
+    within = sign * (limit - cm) >= 0
+    regression = f"change median {cm:.4g} {'within' if within else 'beyond'} {limit:.4g}"
+    if spread > bound * abs(pm) and not np.all(sign * (parent[:, None] - change) > 0):
+        regression = (f"unresolved (parent spread {spread / abs(pm):.3f} of its median "
+                      f"> bound {bound:g}; {regression})")
+    else:
+        regression = f"{'ok' if within else 'regressed'} ({regression})"
+    return (f"claim {claim} (wins {wins}/{len(parent)}, gain {gain:.4g} vs parent "
+            f"spread {spread:.4g}); no regression {regression}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, help="a perfbench workload, or all")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
@@ -59,7 +96,10 @@ def main(argv=None) -> int:
         parser.error("--pairs must be >= 1")
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    workloads = ([w["name"] for w in bench["workloads"]] if args.workload == "all"
+                 else [args.workload])
+    series = [(w, name) for w in workloads for name in metrics]
 
     readings = {"parent": [], "change": []}
     for i in range(args.pairs):
@@ -68,24 +108,28 @@ def main(argv=None) -> int:
         for side in order:
             readings[side].append(run_perfbench(roots[side], args.workload, seed, args.seconds))
         cells = "  ".join(
-            f"{name} {readings['parent'][-1][name]:.4g} -> {readings['change'][-1][name]:.4g}"
-            for name in better
+            f"{w}/{name} {readings['parent'][-1][w, name]:.4g} -> "
+            f"{readings['change'][-1][w, name]:.4g}"
+            for w, name in series
         )
         print(f"pair {i + 1} seed {seed} ({order[0]} first): {cells}", flush=True)
 
     print(f"\n{args.workload}: {args.pairs} pairs at --seconds {args.seconds:g}, "
           f"seeds {args.seed}-{args.seed + args.pairs - 1}")
-    for name, direction in better.items():
-        parent = np.array([r[name] for r in readings["parent"]])
-        change = np.array([r[name] for r in readings["change"]])
-        wins = int(np.sum(change < parent if direction == "lower" else change > parent))
+    verdicts = []
+    for w, name in series:
+        parent = np.array([r[w, name] for r in readings["parent"]])
+        change = np.array([r[w, name] for r in readings["change"]])
+        better, bound = metrics[name]["better"], metrics[name]["bound"]
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         ratios = " ".join(f"{x:.3f}" for x in change / parent)
-        print(f"{name} ({direction} is better)")
+        print(f"{w}/{name} ({better} is better, bound {bound:g})")
         print(f"  parent median {pm:.4g}  quartiles {p1:.4g} .. {p3:.4g}  (spread {p3 - p1:.4g})")
         print(f"  change median {cm:.4g}  quartiles {c1:.4g} .. {c3:.4g}  (spread {c3 - c1:.4g})")
-        print(f"  change/parent medians {cm / pm:.3f}; change wins {wins}/{args.pairs}")
-        print(f"  per-pair ratios change/parent: {ratios}")
+        print(f"  change/parent medians {cm / pm:.3f}; per-pair ratios change/parent: {ratios}")
+        verdicts.append(f"verdict {w}/{name}: {verdict(parent, change, better, bound)}")
+    print()
+    print("\n".join(verdicts))
     return 0
 
 

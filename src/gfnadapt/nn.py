@@ -9,10 +9,10 @@ unless the net is built otherwise): trunk weights, trunk biases, head
 weights, head biases, layer by layer and slot by slot. That is the order of
 params() and of a checkpoint's parameter bytes, and gradients, Adam's
 moments and the activation buffers use the same dtype and the same layout,
-so an optimizer step is a few whole-vector passes, run over cache-sized
-blocks of the vector. Reductions stay in float64: log_softmax upcasts the
-logits, so log-probabilities, the trajectory-balance residual, log_z and the
-loss are float64 whatever the net's dtype.
+so an optimizer step is a few whole-vector passes. Reductions stay in
+float64: log_softmax upcasts the logits, so log-probabilities, the
+trajectory-balance residual, log_z and the loss are float64 whatever the
+net's dtype.
 
 The forward runs once per slot (slot t's input depends on the action drawn
 at slot t-1), on the batch's distinct prefixes only; the backward stacks
@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
-ADAM_CHUNK = 65536  # elements per block of an Adam step: 256 KiB per float32 operand
 FLUSH_EVERY = 64  # Adam steps between flushes of moments about to go subnormal
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator guard
 
@@ -146,10 +145,8 @@ class Gradients(FlatParams):
 class Adam:
     """Adaptive-moment optimizer over a net's flat parameter vector plus the
     scalar log_z, with decays BETA1 and BETA2 and guard EPS; moments and
-    scratch space are allocated on the first step, in the net's dtype. The
-    update runs over blocks of ADAM_CHUNK elements, so each block's operands
-    stay in cache across its passes; every operation is elementwise, so the
-    blocks give the same bytes as one whole pass.
+    scratch space are allocated on the first step, in the net's dtype. Each
+    step is a few elementwise passes over the whole vector.
 
     A parameter whose gradient stays exactly zero (a dead ReLU unit) has its
     moments decay by beta each step until they, or the update's product
@@ -166,7 +163,7 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
-        self.scratch: np.ndarray | None = None  # (2, block): numerator, denominator
+        self.scratch: np.ndarray | None = None  # (2, n): numerator, denominator
         self.mz = self.vz = 0.0
 
     def step(self, net: PolicyNet, grads: Gradients) -> None:
@@ -174,47 +171,42 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(p)
             self.v = np.zeros_like(p)
-            self.scratch = np.empty((2, min(ADAM_CHUNK, p.size)), dtype=p.dtype)
+            self.scratch = np.empty((2, p.size), dtype=p.dtype)
+        m, v = self.m, self.v
+        num, den = self.scratch
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
+        # elementwise: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
+        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order
+        m *= BETA1
+        np.multiply(g, 1.0 - BETA1, out=num)
+        m += num
+        v *= BETA2
+        np.multiply(g, 1.0 - BETA2, out=num)
+        num *= g
+        v += num
         # once 1 - beta1**t rounds to 1 in the parameters' dtype, m / bc1 is
         # exactly m, so those steps skip the divide
-        m_corrected = p.dtype.type(bc1) != 1.0
-        floors = None
+        if p.dtype.type(bc1) != 1.0:
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+        else:
+            np.multiply(m, self.lr, out=num)
+        np.divide(v, bc2, out=den)
+        np.sqrt(den, out=den)
+        den += EPS
+        num /= den
+        p -= num
         if self.t % FLUSH_EVERY == 0:
             tiny = np.finfo(p.dtype).tiny
             floors = (
                 tiny / (min(self.lr, 1.0) * BETA1**FLUSH_EVERY),
                 tiny / BETA2**FLUSH_EVERY,
             )
-        for lo in range(0, p.size, ADAM_CHUNK):
-            block = slice(lo, lo + ADAM_CHUNK)
-            pb, gb, m, v = p[block], g[block], self.m[block], self.v[block]
-            num, den = self.scratch[:, : pb.size]
-            # elementwise: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-            # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order
-            m *= BETA1
-            np.multiply(gb, 1.0 - BETA1, out=num)
-            m += num
-            v *= BETA2
-            np.multiply(gb, 1.0 - BETA2, out=num)
-            num *= gb
-            v += num
-            if m_corrected:
-                np.divide(m, bc1, out=num)
-                num *= self.lr
-            else:
-                np.multiply(m, self.lr, out=num)
-            np.divide(v, bc2, out=den)
-            np.sqrt(den, out=den)
-            den += EPS
-            num /= den
-            pb -= num
-            if floors:
-                for moment, floor in zip((m, v), floors):
-                    np.abs(moment, out=num)
-                    moment[num < floor] = 0.0
+            for moment, floor in zip((m, v), floors):
+                np.abs(moment, out=num)
+                moment[num < floor] = 0.0
         self.mz = BETA1 * self.mz + (1.0 - BETA1) * grads.log_z
         self.vz = BETA2 * self.vz + (1.0 - BETA2) * grads.log_z**2
         net.log_z = float(

@@ -150,15 +150,13 @@ DAY_SERIES_PARAMS = {
     "p_f": ("TS_start", "TS_end", "dev_rate", "rg_fruit"),
 }
 
-# Keys per array pass at most. It bounds the day loop's (keys, contexts)
-# arrays, 0.19 MiB each at 4096 keys and 6 contexts; such a pass peaks near
-# 3.7 MiB besides its outputs (tracemalloc).
-SIM_KEYS = 4096
-# Cells per block of days at most: the block's consecutive days times the
-# distinct parameter rows of the widest day series in the pass, p_f's three
-# stacked coefficients counting three times, so the widest of a block's
-# series is about 0.13 MiB at 6 contexts. A 1000-key batch on the 2-cycle
-# space peaks near 1.6 MiB besides its outputs (tracemalloc).
+# Rows at most of every plane an array pass allocates, each plane one
+# float64 per context, about 0.13 MiB at 6 contexts: a pass holds at most
+# SIM_CELLS consecutive keys, and a block of days at most SIM_CELLS cells,
+# its consecutive days times the distinct parameter rows of the widest day
+# series in the pass, p_f's three stacked coefficients counting three times.
+# A 1000-key batch on the 2-cycle space peaks near 1.6 MiB besides its
+# outputs (tracemalloc).
 SIM_CELLS = 16 * 180
 
 
@@ -169,7 +167,7 @@ def simulate_batch(
     parameter; returns an (N, contexts, observations) array. Every context
     must share one day grid: the same days and obs_times.
 
-    Keys run in array passes of at most SIM_KEYS consecutive keys. Within a
+    Keys run in array passes of at most SIM_CELLS consecutive keys. Within a
     pass each day series that does not depend on crop state is computed once
     per distinct row of the parameters it reads (DAY_SERIES_PARAMS), rows
     counting as one only when bit-identical, in blocks of consecutive days of
@@ -184,10 +182,12 @@ def simulate_batch(
     _check_params(params)
     grid = contexts[0]
     for c in contexts[1:]:
-        for field in ("days", "obs_times"):
-            if not np.array_equal(getattr(c, field), getattr(grid, field)):
-                raise ValueError(f"context {c.context_id} has other {field} than context "
-                                 f"{grid.context_id}; contexts must share one day grid")
+        # the contexts of generate_contexts share one obs_times array
+        same_obs = c.obs_times is grid.obs_times or np.array_equal(c.obs_times, grid.obs_times)
+        if c.days != grid.days or not same_obs:
+            field = "days" if c.days != grid.days else "obs_times"
+            raise ValueError(f"context {c.context_id} has other {field} than context "
+                             f"{grid.context_id}; contexts must share one day grid")
     cols = np.array([np.asarray(params[n], dtype=float) for n in SIM_PARAM_NAMES])
     n = cols.shape[1]
     out = np.empty((n, len(contexts), len(grid.obs_times)))
@@ -197,8 +197,8 @@ def simulate_batch(
     # t_day, t_24, light and co2 as one (4, days, 1, contexts) array, each
     # field to broadcast against (rows, 1) parameter columns
     forcing = np.stack([[c.t_day, c.t_24, c.light, c.co2] for c in contexts], axis=-1)[:, :, None]
-    for lo in range(0, n, SIM_KEYS):
-        hi = min(n, lo + SIM_KEYS)
+    for lo in range(0, n, SIM_CELLS):
+        hi = min(n, lo + SIM_CELLS)
         series_rows = []
         for c in series_cols:
             first, inv = _distinct_rows(c[:, lo:hi].T)

@@ -505,13 +505,13 @@ class TestFlatParameters:
             assert net.log_z == ref_net.log_z
         assert opt.t == switch + 4
 
-    def test_blocked_adam_matches_per_array_reference_exactly(self, tiny_space, monkeypatch):
-        # blocks of 7 elements cut every parameter array at odd places, and
-        # the last block is short
-        monkeypatch.setattr(nn, "ADAM_CHUNK", 7)
+    def test_whole_vector_adam_matches_per_array_reference_exactly(self, space):
+        # the built-in space's policy at the default hidden sizes: one step
+        # runs each elementwise pass over all of its parameters at once
         for dtype in (np.float64, np.float32):
-            net, ref_net = (random_net(tiny_space, 27, hidden=(8, 8), dtype=dtype) for _ in range(2))
-            assert net.flat.size % 7
+            net, ref_net = (random_net(space, 27, hidden=gf.TrainConfig().hidden, dtype=dtype)
+                            for _ in range(2))
+            assert net.flat.size > 100_000
             self.assert_adam_matches_reference(net, ref_net, 28)
 
 

@@ -342,11 +342,11 @@ def test_batched_raw_losses_match_scalar_oracle(space, obs_contexts, fitted_scor
 
 
 def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer, monkeypatch):
-    # SIM_KEYS caps the keys of a pass; at 16 the enumerate's first keys take
-    # three passes. At 180 day-series cells a single key's series are one
-    # block of every day, and a pass's p_f (8, 8 and 4 distinct rows) several
-    monkeypatch.setattr(simulator, "SIM_KEYS", 16)
-    monkeypatch.setattr(simulator, "SIM_CELLS", 180)
+    # SIM_CELLS caps a pass's keys and a block's day-series cells; at 16 the
+    # enumerate's first keys take three passes, whose p_f (8, 8 and 4
+    # distinct rows) runs in blocks of one day and a single key's in blocks
+    # of five
+    monkeypatch.setattr(simulator, "SIM_CELLS", 16)
     passes = record_passes(monkeypatch)
     keys = list(enumerate_terminals(space))[:40]
     batch = fitted_scorer.raw_losses(keys)

@@ -173,58 +173,55 @@ def record_blocks(monkeypatch) -> list[tuple[int, int, int]]:
 
 
 @pytest.mark.parametrize(
-    "batch, cap, value",
+    "batch, cells",
     [
-        pytest.param(batch, cap, value, id=f"{prefix}{cap}-{value}")
+        pytest.param(batch, cells, id=f"{prefix}SIM_CELLS-{cells}")
         for batch, prefix in (("random", ""), ("groups-2-3", "groups-2-3-"))
-        for cap, value in (("SIM_CELLS", 1), ("SIM_CELLS", 7), ("SIM_CELLS", 45), ("SIM_KEYS", 5))
+        for cells in (1, 5, 7, 45)
     ],
 )
-def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, batch, cap, value):
+def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, batch, cells):
     space2 = replace(space, cycles=2)
     rng = np.random.default_rng(9)
-    keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(150)]
+    keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(60)]
     if batch == "groups-2-3":  # groups 1, 4 and 5 as in the first key, in both cycles
         keys = [
             tuple(a if space2.slot_group(t).order in (2, 3) else keys[0][t]
                   for t, a in enumerate(key))
             for key in keys
         ]
-    keys += keys[:30]  # rows repeated across passes
+    keys += keys[:15]  # rows repeated across passes
     params = columns(space2, keys)
     blocks = record_blocks(monkeypatch)
     whole = simulate_batch(params, obs_contexts)
     if batch == "groups-2-3":
         # assim_max's rows set the block length, so p_f's one row carries its
-        # temperature sum across blocks shorter than p_f alone would take ...
+        # temperature sum across blocks shorter than p_f alone would take
         coef_rows = [rows for _, rows, planes in blocks if planes == 3]
         assert len(coef_rows) > 1 and set(coef_rows) == {1}
-        blocks.clear()
-        alone = [
-            simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
-            for i in range(len(keys))
-        ]
-        # ... to the bytes of one-key batches, whose p_f is one block of every day
-        assert {days for days, _, planes in blocks if planes == 3} == {168}
-        assert whole.tobytes() == np.concatenate(alone).tobytes()
-    monkeypatch.setattr(simulator, cap, value)
+    blocks.clear()
+    alone = [
+        simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
+        for i in range(len(keys))
+    ]
+    # the bytes of one-key batches, whose p_f is one block of every day
+    assert {days for days, _, planes in blocks if planes == 3} == {168}
+    assert whole.tobytes() == np.concatenate(alone).tobytes()
+    monkeypatch.setattr(simulator, "SIM_CELLS", cells)
     passes = record_passes(monkeypatch)
     blocks.clear()
     split = simulate_batch(params, obs_contexts)
     assert whole.tobytes() == split.tobytes()
-    assert sum(n for n, *_ in passes) == len(keys)
-    assert all(n_keys <= simulator.SIM_KEYS for n_keys, *_ in passes)
-    assert all(days == 1 or days * rows * planes <= simulator.SIM_CELLS
-               for days, rows, planes in blocks)
-    assert {planes for *_, planes in blocks} == {1, 3}
-    if cap == "SIM_KEYS":
-        assert len(passes) > 20
-    else:  # one pass whose blocks hold one day (the widest series has more
-        # than 45 rows), up to the last observation day, p_f's as its
-        # stacked coefficients
-        [(_, *rows)] = passes
-        per_day = [(1, rows[0], 1), (1, rows[1], 1), (1, rows[2], 3)]
-        assert blocks == per_day * 168
+    # ceil(n / SIM_CELLS) passes of consecutive keys, SIM_CELLS in all but the last
+    assert [n for n, *_ in passes] == [min(cells, len(keys) - lo)
+                                      for lo in range(0, len(keys), cells)]
+    # every pass's widest series has more than half of SIM_CELLS rows, so
+    # its blocks hold one day, up to the last observation day, p_f's as its
+    # stacked coefficients
+    per_day = [
+        [(1, assim, 1), (1, maint, 1), (1, coef, 3)] * 168 for _, assim, maint, coef in passes
+    ]
+    assert blocks == [block for pass_blocks in per_day for block in pass_blocks]
 
 
 def test_random_2cycle_batch_is_one_pass(space, obs_contexts, monkeypatch):
