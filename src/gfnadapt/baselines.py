@@ -40,8 +40,8 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
     """The (key, loss) pairs of a file written by export_trace_csv for
     `space` under `config_hash`. A file stamped with another config hash, or
     a row that is not four fields with a terminal key of the space and a
-    loss (a torn write, say), raises ValueError naming the file (and the
-    line)."""
+    loss (a torn write, say), or a file without rows, raises ValueError
+    naming the file (and the line)."""
     evaluated = []
     slots, radices = space.slots, space.slot_radices
     try:
@@ -69,6 +69,8 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
                     ) from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+    if not evaluated:
+        raise ValueError(f"{path} holds no trace rows")
     return evaluated
 
 

@@ -72,23 +72,18 @@ def _fixed_columns(radices: tuple[int, ...], t: int) -> np.ndarray:
 
 
 def encode_batch(
-    space: SpaceSpec,
-    keys: np.ndarray,
-    out: np.ndarray | None = None,
-    dtype: npt.DTypeLike = np.float32,
+    space: SpaceSpec, keys: np.ndarray, dtype: npt.DTypeLike = np.float32
 ) -> np.ndarray:
     """One-hot of each slot's choice (with an undecided category) plus a
-    one-hot of the current decision slot, one row per prefix. `keys` holds
-    n prefixes of one length t, as an (n, t) int array; with `out`, the
-    rows are written there, otherwise into a new array of `dtype`. Every
-    row starts as slot t's shared row; only the decided slots' columns are
-    scattered per row."""
+    one-hot of the current decision slot, one row per prefix, as an array
+    of `dtype`. `keys` holds n prefixes of one length t, as an (n, t) int
+    array. Every row starts as slot t's shared row; only the decided slots'
+    columns are scattered per row."""
     keys = np.asarray(keys, dtype=np.int64)
     n, t = keys.shape
     radices = space.slot_radices
     fixed = _fixed_columns(radices, t)
-    if out is None:
-        out = np.empty((n, fixed.size), dtype=dtype)
+    out = np.empty((n, fixed.size), dtype=dtype)
     out[...] = fixed
     out[np.arange(n)[:, None], _column_offsets(radices)[:t] + 1 + keys] = 1.0
     return out
@@ -127,18 +122,11 @@ class RolloutPasses(NamedTuple):
 
 
 def slot_forward(
-    net: PolicyNet,
-    space: SpaceSpec,
-    prefixes: np.ndarray,
-    slot: int,
-    acts: list[np.ndarray] | None = None,
+    net: PolicyNet, space: SpaceSpec, prefixes: np.ndarray, slot: int
 ) -> tuple[list[np.ndarray], np.ndarray]:
-    """Trunk activations (in the net's dtype) and float64 action log-probs
-    at `slot` for an (n, slot) int array of prefixes; with `acts` (one
-    (n, width) array per layer, input first), the activations are written
-    there."""
-    x = encode_batch(space, prefixes, None if acts is None else acts[0], net.dtype)
-    acts = net.trunk_forward(x, None if acts is None else acts[1:])
+    """Trunk activations [x, h1, ..., hL] (in the net's dtype) and float64
+    action log-probs at `slot` for an (n, slot) int array of prefixes."""
+    acts = net.trunk_forward(encode_batch(space, prefixes, net.dtype))
     return acts, log_softmax(net.logits(acts[-1], slot))
 
 
@@ -171,24 +159,21 @@ def _rollout(
     uniforms u[t] of a (slots, n) array, or read from `keys`, an (n, slots)
     int array of terminal keys (teacher forcing). The policy runs once per
     distinct prefix, found from a place-value code per row. With
-    keep_caches, each slot's activations are written into the next rows of
-    the buffers and returned for the TB gradient; otherwise acts is None."""
+    keep_caches, every slot's activations are kept and stacked once per
+    layer for the TB gradient; otherwise acts is None and no slot's
+    activations outlive the next slot."""
     if keys is None:
         keys = np.zeros(u.shape[::-1], dtype=np.int64)
-    n, slots = keys.shape
-    rows = 0  # activation rows written so far
-    inverses, logps = [], []
-    if keep_caches:
-        widths = [feature_dim(space), *(b.size for b in net.trunk_b)]
-        buffers = [np.empty((slots * n, w), dtype=net.dtype) for w in widths]
+    n = len(keys)
+    per_slot, inverses, logps = [], [], []
     # slot 0 has one prefix, the empty one
     first, inv = np.zeros(1, dtype=np.intp), np.zeros(n, dtype=np.intp)
     for t, n_actions in enumerate(space.slot_radices):
         if t:
             first, inv = _distinct_codes(codes, len(first) * space.slot_radices[t - 1])
-        block = [b[rows : rows + len(first)] for b in buffers] if keep_caches else None
-        rows += len(first)
-        _, logp = slot_forward(net, space, keys[first, :t], t, block)
+        acts, logp = slot_forward(net, space, keys[first, :t], t)
+        if keep_caches:
+            per_slot.append(acts)
         if u is not None:
             mixed = (1.0 - explore_eps) * np.exp(logp) + explore_eps / n_actions
             cdf = mixed.cumsum(axis=1)[inv]
@@ -202,7 +187,7 @@ def _rollout(
         codes = inv * n_actions + keys[:, t]
         inverses.append(inv)
         logps.append(logp)
-    acts = [b[:rows] for b in buffers] if keep_caches else None
+    acts = [np.concatenate(layer) for layer in zip(*per_slot)] if keep_caches else None
     return RolloutPasses(acts, logps, keys, inverses)
 
 

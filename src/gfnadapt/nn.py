@@ -7,12 +7,11 @@ architecture; no learning framework is used.
 All parameters live in one contiguous vector of the net's dtype (float32
 unless the net is built otherwise): trunk weights, trunk biases, head
 weights, head biases, layer by layer and slot by slot. That is the order of
-params() and of a checkpoint's parameter bytes, and gradients, Adam's
-moments and the activation buffers use the same dtype and the same layout,
-so an optimizer step is a few whole-vector passes. Reductions stay in
-float64: log_softmax upcasts the logits, so log-probabilities, the
-trajectory-balance residual, log_z and the loss are float64 whatever the
-net's dtype.
+params() and of a checkpoint's parameter bytes, and gradients and Adam's
+moments use the same dtype and the same layout, so an optimizer step is a
+few whole-vector passes. Reductions stay in float64: log_softmax upcasts
+the logits, so log-probabilities, the trajectory-balance residual, log_z
+and the loss are float64 whatever the net's dtype.
 
 The forward runs once per slot (slot t's input depends on the action drawn
 at slot t-1), on the batch's distinct prefixes only; the backward stacks
@@ -87,14 +86,11 @@ class FlatParams:
 class PolicyNet(FlatParams):
     """Trunk weights/biases plus per-slot head weights/biases and log_z."""
 
-    def trunk_forward(
-        self, x: np.ndarray, out: list[np.ndarray] | None = None
-    ) -> list[np.ndarray]:
-        """Returns activations [x, h1, ..., hL]; with `out`, layer i's
-        activations are written into out[i - 1]."""
+    def trunk_forward(self, x: np.ndarray) -> list[np.ndarray]:
+        """Returns activations [x, h1, ..., hL]."""
         acts = [x]
-        for i, (w, b) in enumerate(zip(self.trunk_w, self.trunk_b)):
-            h = np.matmul(acts[-1], w, out=None if out is None else out[i])
+        for w, b in zip(self.trunk_w, self.trunk_b):
+            h = acts[-1] @ w
             h += b
             np.maximum(h, 0.0, out=h)
             acts.append(h)

@@ -123,9 +123,20 @@ def aggregate(normalized: np.ndarray, lam: float, k: int) -> np.ndarray:
 
 
 def reward(aggregate_loss, beta: float) -> np.ndarray:
+    """exp(-beta * loss), refused where it leaves the float64 range: an
+    infinite reward cannot be normalised and a zero one has no log."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    return np.exp(-beta * np.asarray(aggregate_loss, dtype=float))
+    loss = np.asarray(aggregate_loss, dtype=float)
+    with np.errstate(over="ignore"):
+        r = np.exp(-beta * loss)
+    bad = ~((r > 0.0) & (r < np.inf))  # NaN included
+    if bad.any():
+        raise ValueError(
+            f"reward.beta={beta:g} gives the aggregate loss {float(loss[bad].flat[0])!r} "
+            f"the reward {float(r[bad].flat[0])!r}, outside the float64 range"
+        )
+    return r
 
 
 def derive(raw: np.ndarray, q: QuantileTable, config: RewardConfig):

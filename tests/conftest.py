@@ -45,8 +45,8 @@ def make_mini_sim_space():
 
 def fixed_passes(net, space, keys):
     """Rollout passes over the distinct prefixes of given terminal keys,
-    found with Python sets and built by fresh per-slot forward passes (no
-    preallocated buffers), stacked afterwards."""
+    found with Python sets and built by per-slot forward passes, stacked
+    afterwards."""
     keys = np.asarray(keys, dtype=np.int64)
     per_slot, inverses = [], []
     for t in range(space.slots):

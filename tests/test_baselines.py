@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -433,6 +434,10 @@ class TestTraceBytes:
         export_trace_csv(path, trace, "cafef00d")
         csv_writer_trace(ref, trace, "cafef00d")
         assert path.read_bytes() == ref.read_bytes()
+        if not rows:  # no stage writes an empty trace, so reading one is an error
+            with pytest.raises(ValueError, match=f"{re.escape(str(path))} holds no trace rows"):
+                read_trace_csv(path, sp, "cafef00d")
+            return
         back = read_trace_csv(path, sp, "cafef00d")
         assert [(k, repr(l)) for k, l in back] == [(k, repr(float(l))) for k, l in trace]
         assert all(type(l) is float for _, l in back)

@@ -130,6 +130,22 @@ class TestExitCodes:
     def test_sample_without_checkpoint(self, workspace):
         assert run(workspace, "sample") == 2
 
+    # aggregate losses on the built-in space run from -0.12 to 2.75: at
+    # beta=20000 rewards overflow to inf below loss 0 and underflow to 0
+    # above about 0.04; at beta=400 the worst keys' underflow to 0
+    @pytest.mark.parametrize("command, beta", [("enumerate", 20000), ("train", 400)])
+    def test_reward_outside_float64_range_exits_2(
+        self, tmp_path, capsys, monkeypatch, command, beta
+    ):
+        monkeypatch.setenv("GFNADAPT_CACHE_DIR", str(tmp_path / "cache"))
+        assert main([
+            command, "--set", f"run.out_dir={tmp_path / 'runs'}", "--set", "run.seeds=[1]",
+            "--set", "train.steps=10", "--set", f"reward.beta={beta}",
+        ]) == 2
+        assert "reward.beta" in capsys.readouterr().err
+        assert not [*(tmp_path / "runs").rglob("landscape.csv")]
+        assert not [*(tmp_path / "runs").rglob("checkpoint.bin")]
+
     def test_report_without_traces(self, workspace):
         assert run(workspace, "report") == 2
 
@@ -564,6 +580,15 @@ class TestPipeline:
         capsys.readouterr()
         assert run(workspace, "report") == 2
         assert f"{trace}, line {len(lines) + 1}" in capsys.readouterr().err
+        assert not (out_root(workspace) / "report").exists()
+
+    def test_header_only_trace_exits_2_naming_it(self, workspace, capsys):
+        assert run(workspace, "train") == 0
+        trace = out_root(workspace) / "train" / "1" / "trace.csv"
+        trace.write_text("\n".join(trace.read_text().splitlines()[:2]) + "\n")
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        assert capsys.readouterr().err == f"error: {trace} holds no trace rows\n"
         assert not (out_root(workspace) / "report").exists()
 
     def test_trace_that_is_not_utf8_exits_2_naming_it(self, workspace, capsys):

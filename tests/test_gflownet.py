@@ -225,7 +225,7 @@ def test_distinct_codes_match_np_unique(parents, radix, raw):
 
 def unique_rollout(net, space, u, explore_eps):
     """A rollout whose distinct prefixes come from np.unique over each
-    slot's codes, each slot's forward into fresh arrays."""
+    slot's codes."""
     slots, n = u.shape
     keys = np.zeros((n, slots), dtype=np.int64)
     per_slot, inverses = [], []
@@ -635,7 +635,7 @@ class TabularOptimalPolicy:
             int(np.argmax(feat[offsets[t] : offsets[t + 1]])) - 1 for t in range(length)
         )
 
-    def trunk_forward(self, x, out=None):
+    def trunk_forward(self, x):
         return [x]
 
     def logits(self, feats, slot):

@@ -187,6 +187,20 @@ class TestReward:
         ]
         assert all(o == orders[0] for o in orders)
 
+    @pytest.mark.parametrize(
+        "loss, beta",
+        [(-0.2, 20000.0), (2.75, 400.0), (np.nan, 4.0)],
+        ids=["overflow", "underflow", "nan"],
+    )
+    def test_refuses_a_reward_outside_the_float64_range(self, loss, beta):
+        losses = np.array([[0.0, loss], [0.0, 0.0]])
+        with pytest.raises(ValueError, match=f"reward.beta={beta:g} .* loss {loss!r} "):
+            reward(losses, beta)
+
+    def test_keeps_the_smallest_normal_and_subnormal_rewards(self):
+        # exp(-745) is the smallest positive float64 the exponential gives
+        assert reward(np.array([708.0, 745.0]), 1.0).tolist() == [np.exp(-708.0), np.exp(-745.0)]
+
 
 class TestTerminalScorer:
     @pytest.fixture()
