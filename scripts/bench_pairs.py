@@ -16,7 +16,8 @@ per workload and metric under two rules:
 
 - claim: CHANGE wins at least 9/10 of the pairs (ties count for neither) and
   the medians differ, in CHANGE's favour, by more than the distance between
-  PARENT's quartiles;
+  PARENT's quartiles. Below 10 pairs it reads "too few pairs": one pair
+  would meet 9/10, and one run's quartile spread is 0;
 - no regression: CHANGE's median is at most PARENT's times (1 + bound),
   with the metric's bound from BENCHMARK.json (at least PARENT's times
   (1 - bound) for a metric where higher is better). It reads "unresolved"
@@ -70,7 +71,10 @@ def verdict(parent: np.ndarray, change: np.ndarray, better: str, bound: float) -
     wins = int(np.sum(sign * (parent - change) > 0))
     (p1, pm, p3), cm = quartiles(parent), float(np.median(change))
     gain, spread = sign * (pm - cm), p3 - p1
-    claim = "met" if wins * 10 >= 9 * len(parent) and gain > spread else "not met"
+    if len(parent) < 10:
+        claim = "too few pairs"
+    else:
+        claim = "met" if wins * 10 >= 9 * len(parent) and gain > spread else "not met"
     limit = pm * (1.0 + sign * bound)
     within = sign * (limit - cm) >= 0
     regression = f"change median {cm:.4g} {'within' if within else 'beyond'} {limit:.4g}"

@@ -91,12 +91,14 @@ class Workspace:
         )
         cache_dir = cfg.cache_dir()
         qpath = cache_dir / "quantiles.json"
+        contexts = self.contexts()
+        quantiles = QuantileTable.from_json(qpath) if qpath.exists() else None
+        if quantiles is not None and len(quantiles.q_lo) != len(contexts):
+            raise ValueError(f"quantile table {qpath} has {len(quantiles.q_lo)} entries for "
+                             f"{len(contexts)} contexts; delete it to refit")
         scorer = TerminalScorer(
-            self.space,
-            self.contexts(),
-            reward_cfg,
-            cache_path=cache_dir / "rewards.bin",
-            quantiles=QuantileTable.from_json(qpath) if qpath.exists() else None,
+            self.space, contexts, reward_cfg, cache_path=cache_dir / "rewards.bin",
+            quantiles=quantiles,
         )
         if scorer.quantiles is None:
             if self.enumerable:
@@ -364,6 +366,9 @@ def main(argv=None) -> int:
         return 1
     except (MissingArtifact, RuntimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     return 0
 

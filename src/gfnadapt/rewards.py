@@ -66,16 +66,23 @@ class QuantileTable:
 
     @classmethod
     def from_json(cls, path) -> "QuantileTable":
+        """The table written by to_json; q_lo and q_hi must be 1-D lists of
+        finite numbers of one length (the caller checks it against its
+        contexts)."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            return cls(
+            table = cls(
                 q_lo=np.asarray(doc["q_lo"], dtype=float),
                 q_hi=np.asarray(doc["q_hi"], dtype=float),
                 lo_level=doc["lo_level"],
                 hi_level=doc["hi_level"],
                 eps=doc["eps"],
             )
+            if not (table.q_lo.ndim == 1 and table.q_lo.shape == table.q_hi.shape
+                    and np.isfinite(table.q_lo).all() and np.isfinite(table.q_hi).all()):
+                raise ValueError("q_lo and q_hi must be 1-D lists of finite numbers of one length")
+            return table
         except (KeyError, TypeError, ValueError) as exc:
             msg = f"quantile table {path} is unreadable ({type(exc).__name__}: {exc})"
             raise ValueError(f"{msg}; delete it to refit") from exc

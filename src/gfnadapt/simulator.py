@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .space import SpaceSpec, StateKey, load_space_file
+from .space import SpaceSpec, StateKey, load_yaml, space_from_dict
 
 SIM_PARAM_NAMES = (
     "LAI_max", "SLA", "n_plants",
@@ -37,8 +37,8 @@ _W_LEAF0, _W_STEM0, _W_FRUIT0 = 0.05, 0.02, 0.0
 
 def builtin_space() -> SpaceSpec:
     path = resources.files("gfnadapt").joinpath("data/greenhouse_space_v1.yaml")
-    with resources.as_file(path) as p:
-        return load_space_file(p)
+    with resources.as_file(path) as p, open(p) as fh:
+        return space_from_dict(load_yaml(fh))
 
 
 @dataclass(frozen=True)

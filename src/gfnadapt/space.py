@@ -77,11 +77,8 @@ class SpaceSpec:
     def slot_group(self, t: int) -> GroupSpec:
         return self.groups[t % self.n_groups]
 
-    def slot_cycle(self, t: int) -> int:
-        return t // self.n_groups + 1
-
     def slot_eta(self, t: int) -> float:
-        return 2.0 ** -(self.slot_cycle(t) - 1)
+        return 2.0 ** -(t // self.n_groups)
 
     @functools.cached_property  # built on first access, once per space
     def slot_radices(self) -> tuple[int, ...]:
@@ -121,10 +118,6 @@ class SpaceSpec:
         for g in self.groups:
             n *= len(g.actions)
         return n**self.cycles
-
-    @property
-    def _param_index(self) -> dict[str, ParameterSpec]:
-        return {p.name: p for p in self.parameters}
 
 
 def build_space(
@@ -167,10 +160,6 @@ def validate_key(space: SpaceSpec, key: StateKey) -> None:
             raise ValueError(f"slot {t}: action index {a} out of range [0, {n})")
 
 
-def is_terminal(space: SpaceSpec, key: StateKey) -> bool:
-    return len(key) == space.slots
-
-
 def key_bytes(key: StateKey) -> bytes:
     """Canonical injective encoding: one unsigned byte per slot."""
     return bytes(key)
@@ -185,7 +174,7 @@ def decode_state(space: SpaceSpec, key: StateKey) -> dict[str, float]:
     """
     validate_key(space, key)
     theta = {p.name: p.baseline for p in space.parameters}
-    specs = space._param_index
+    specs = {p.name: p for p in space.parameters}
     for t, a in enumerate(key):
         action = space.slot_group(t).actions[a]
         eta = space.slot_eta(t)
@@ -253,7 +242,7 @@ def place_values(radices: Sequence[int]) -> list[int]:
 
 def neighbors(space: SpaceSpec, key: StateKey) -> list[StateKey]:
     """Terminal keys differing from `key` in exactly one slot."""
-    if not is_terminal(space, key):
+    if len(key) != space.slots:
         raise ValueError("neighbors requires a terminal key")
     validate_key(space, key)
     out = []
@@ -278,13 +267,6 @@ def load_yaml(stream):
     """yaml.safe_load, parsed by libyaml's C parser when PyYAML has it (the
     built-in space in about a sixth of the time); the documents are equal."""
     return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-
-
-def load_space_file(path) -> SpaceSpec:
-    """Read a YAML space definition (parameters, groups/actions, cycles, sf)."""
-    with open(path) as fh:
-        doc = load_yaml(fh)
-    return space_from_dict(doc)
 
 
 def space_from_dict(doc: dict) -> SpaceSpec:

@@ -14,7 +14,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 _VERDICT = re.compile(
-    r"claim (met|not met) \(wins (\d+)/(\d+), .*\); no regression (ok|regressed|unresolved) "
+    r"claim (met|not met|too few pairs) \(wins (\d+)/(\d+), .*\); no regression (ok|regressed|unresolved) "
 )
 
 
@@ -47,6 +47,12 @@ class TestClaim:
 
     def test_ties_count_for_neither_side(self):
         assert verdict(PARENT, PARENT) == ("not met", 0, "ok")
+
+    @pytest.mark.parametrize("pairs", [1, 9])
+    def test_too_few_pairs_below_ten_whatever_the_gain(self, pairs):
+        # every pair won by 0.2; a single run's quartile spread is 0
+        parent = PARENT[:pairs]
+        assert verdict(parent, parent - 0.2) == ("too few pairs", pairs, "ok")
 
 
 class TestRegression:

@@ -10,7 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gfnadapt import rewards
+from gfnadapt import baselines, gflownet, landscape, rewards
 from gfnadapt.cli import Workspace, main
 from gfnadapt.config import DEFAULTS, ConfigError, load_config
 from gfnadapt.space import load_yaml
@@ -146,6 +146,25 @@ class TestExitCodes:
         assert not [*(tmp_path / "runs").rglob("landscape.csv")]
         assert not [*(tmp_path / "runs").rglob("checkpoint.bin")]
 
+    @pytest.mark.parametrize("command, module, name, overrides", [
+        ("enumerate", landscape, "build_landscape", []),
+        ("train", gflownet, "train", []),
+        ("baseline", baselines, "random_search", ["run.method=random"]),
+    ])
+    def test_memory_exhaustion_exits_2_with_one_error_line(
+        self, workspace, capsys, monkeypatch, command, module, name, overrides
+    ):
+        def exhausted(*args, **kwargs):
+            # numpy's error for an allocation it cannot make; nothing is allocated
+            raise MemoryError("Unable to allocate 149. GiB for an array with shape "
+                              "(20000000000,) and data type float64")
+
+        monkeypatch.setattr(module, name, exhausted)
+        assert run(workspace, command, *overrides) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Unable to allocate 149. GiB" in err
+
     def test_report_without_traces(self, workspace):
         assert run(workspace, "report") == 2
 
@@ -236,6 +255,28 @@ class TestExitCodes:
         assert not (out_root(workspace) / "baseline-tpe").exists()
         path.unlink()
         assert run(workspace, "baseline", "run.method=tpe") == 0
+        assert path.read_bytes() == whole
+
+    # the workspace has six contexts; each edit loads without a JSON error
+    @pytest.mark.parametrize("edit", [
+        {"q_lo": 0.0, "q_hi": 1.0},             # scalars broadcast over every context
+        {"q_lo": [0.1, 0.2, 0.3]},              # three entries for six contexts
+        {"q_hi": [[1.0] * 6]},                  # (1, 6) broadcasts too
+        {"q_lo": [0.1] * 5 + [None]},           # null reads as NaN
+        {"q_hi": [1.0] * 5 + [float("inf")]},
+    ])
+    def test_quantile_table_of_the_wrong_shape_exits_2_naming_it(self, workspace, capsys, edit):
+        assert run(workspace, "enumerate") == 0
+        path = load_config(workspace).cache_dir() / "quantiles.json"
+        whole = path.read_bytes()
+        path.write_text(json.dumps({**json.loads(whole), **edit}))
+        capsys.readouterr()
+        assert run(workspace, "baseline", "run.method=random") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "delete it to refit" in err
+        assert not (out_root(workspace) / "baseline-random").exists()
+        path.unlink()
+        assert run(workspace, "baseline", "run.method=random") == 0
         assert path.read_bytes() == whole
 
     @pytest.mark.parametrize("missing", ["parameters", "groups", "cycles", "step_fraction"])

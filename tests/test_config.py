@@ -1,10 +1,18 @@
+import dataclasses
+import inspect
+
 import pytest
 
+from gfnadapt import baselines
 from gfnadapt.config import (
+    DEFAULTS,
     ConfigError,
     load_config,
     parse_overrides,
 )
+from gfnadapt.gflownet import TrainConfig
+from gfnadapt.rewards import RewardConfig
+from gfnadapt.simulator import generate_contexts
 
 
 class TestDefaults:
@@ -14,6 +22,20 @@ class TestDefaults:
         assert cfg["data.truth_key"] == [2, 1, 3, 1, 4]
         assert cfg["run.seeds"] == [1, 2, 3]
         assert cfg["train.log_z_lr"] == 0.1
+
+    def test_dataclass_and_signature_defaults_agree_with_the_table(self):
+        # the tests build RewardConfig() and TrainConfig(); the CLI reads DEFAULTS
+        reward = dataclasses.asdict(RewardConfig())
+        reward["lambda"] = reward.pop("lam")
+        assert reward == DEFAULTS["reward"]
+        train = dataclasses.asdict(TrainConfig())
+        train["hidden"] = list(train["hidden"])
+        assert train == {name: DEFAULTS["train"][name] for name in train}
+        tpe = inspect.signature(baselines.tpe_search).parameters
+        for name in ("gamma", "n_candidates", "startup"):
+            assert tpe[name].default == DEFAULTS["baseline"][name], name
+        days = inspect.signature(generate_contexts).parameters["days"].default
+        assert days == DEFAULTS["data"]["days"]
 
     def test_dotted_lookup(self):
         cfg = load_config()
