@@ -23,6 +23,8 @@ per workload and metric under two rules:
   (1 - bound) for a metric where higher is better). It reads "unresolved"
   when PARENT's quartile spread is wider than the bound, as a share of its
   median, unless every CHANGE run reads better than every PARENT run.
+  Below 10 pairs it too reads "too few pairs", as one pair's spread of 0
+  would read noise as a regression.
 
 Nothing in either checkout is changed; perfbench writes only under each
 checkout's `.bench_out/`.
@@ -71,14 +73,17 @@ def verdict(parent: np.ndarray, change: np.ndarray, better: str, bound: float) -
     wins = int(np.sum(sign * (parent - change) > 0))
     (p1, pm, p3), cm = quartiles(parent), float(np.median(change))
     gain, spread = sign * (pm - cm), p3 - p1
-    if len(parent) < 10:
+    few = len(parent) < 10
+    if few:
         claim = "too few pairs"
     else:
         claim = "met" if wins * 10 >= 9 * len(parent) and gain > spread else "not met"
     limit = pm * (1.0 + sign * bound)
     within = sign * (limit - cm) >= 0
     regression = f"change median {cm:.4g} {'within' if within else 'beyond'} {limit:.4g}"
-    if spread > bound * abs(pm) and not np.all(sign * (parent[:, None] - change) > 0):
+    if few:
+        regression = f"too few pairs ({regression})"
+    elif spread > bound * abs(pm) and not np.all(sign * (parent[:, None] - change) > 0):
         regression = (f"unresolved (parent spread {spread / abs(pm):.3f} of its median "
                       f"> bound {bound:g}; {regression})")
     else:

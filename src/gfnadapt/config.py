@@ -193,8 +193,9 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
 # (kind, accepted interval, settings). None is accepted where it is the
 # default; a list must be a non-empty list of integers in the interval.
 _RULES = (
-    (int, "[1, inf)", "space.cycles reward.warmup train.steps train.batch train.n_samples"
+    (int, "[1, inf)", "space.cycles train.steps train.batch train.n_samples"
                       " train.budget baseline.budget baseline.n_candidates baseline.startup"),
+    (int, "[2, inf)", "reward.warmup"),  # one key fits q_lo == q_hi in every context
     (int, "[0, inf)", "data.contexts_seed run.enum_cap"),
     (int, f"[1, {N_CONTEXTS}]", "reward.k_tail"),
     (int, "[14, inf)", "data.days"),  # at least one biweekly observation

@@ -45,30 +45,24 @@ class TrainConfig:
 
 
 def feature_dim(space: SpaceSpec) -> int:
-    return sum(r + 1 for r in space.slot_radices) + space.slots
+    return _feature_layout(space.slot_radices)[1].shape[1]
 
 
 @functools.lru_cache
-def _column_offsets(radices: tuple[int, ...]) -> np.ndarray:
-    """First feature column of each slot's one-hot block (each with its
-    undecided category), then of the current-slot block; read-only, as
-    every caller shares it."""
+def _feature_layout(radices: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The policy's input layout, read-only as every caller shares it: the
+    first column of each slot's one-hot block (each with its undecided
+    category), then of the current-slot block; and a (slots, width) table
+    whose row t, the row every prefix of length t starts from, holds ones at
+    the undecided category of slots t onward and at slot t's current-slot
+    column."""
+    slots = len(radices)
     offsets = np.cumsum([0, *(r + 1 for r in radices)])
-    offsets.flags.writeable = False
-    return offsets
-
-
-@functools.lru_cache
-def _fixed_columns(radices: tuple[int, ...], t: int) -> np.ndarray:
-    """The feature row every prefix of length t starts from: ones at the
-    undecided category of slots t onward and at slot t's current-slot
-    column; read-only, as every caller shares it."""
-    offsets = _column_offsets(radices)
-    row = np.zeros(offsets[-1] + len(radices))
-    row[offsets[t:-1]] = 1.0
-    row[offsets[-1] + t] = 1.0
-    row.flags.writeable = False
-    return row
+    rows = np.zeros((slots, offsets[-1] + slots))
+    rows[:, offsets[:-1]] = np.triu(np.ones((slots, slots)))
+    rows[:, offsets[-1]:] = np.eye(slots)
+    offsets.flags.writeable = rows.flags.writeable = False
+    return offsets, rows
 
 
 def encode_batch(
@@ -77,15 +71,14 @@ def encode_batch(
     """One-hot of each slot's choice (with an undecided category) plus a
     one-hot of the current decision slot, one row per prefix, as an array
     of `dtype`. `keys` holds n prefixes of one length t, as an (n, t) int
-    array. Every row starts as slot t's shared row; only the decided slots'
+    array. Every row starts as the layout's row t; only the decided slots'
     columns are scattered per row."""
     keys = np.asarray(keys, dtype=np.int64)
     n, t = keys.shape
-    radices = space.slot_radices
-    fixed = _fixed_columns(radices, t)
-    out = np.empty((n, fixed.size), dtype=dtype)
-    out[...] = fixed
-    out[np.arange(n)[:, None], _column_offsets(radices)[:t] + 1 + keys] = 1.0
+    offsets, rows = _feature_layout(space.slot_radices)
+    out = np.empty((n, rows.shape[1]), dtype=dtype)
+    out[...] = rows[t]
+    out[np.arange(n)[:, None], offsets[:t] + 1 + keys] = 1.0
     return out
 
 

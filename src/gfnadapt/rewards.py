@@ -68,7 +68,8 @@ class QuantileTable:
     def from_json(cls, path) -> "QuantileTable":
         """The table written by to_json; q_lo and q_hi must be 1-D lists of
         finite numbers of one length (the caller checks it against its
-        contexts)."""
+        contexts), eps a finite number > 0 and the levels numbers with
+        0 < lo_level < hi_level < 1 (a bool is not a number here)."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -82,6 +83,11 @@ class QuantileTable:
             if not (table.q_lo.ndim == 1 and table.q_lo.shape == table.q_hi.shape
                     and np.isfinite(table.q_lo).all() and np.isfinite(table.q_hi).all()):
                 raise ValueError("q_lo and q_hi must be 1-D lists of finite numbers of one length")
+            scalars = (table.eps, table.lo_level, table.hi_level)
+            if not (all(type(x) in (int, float) for x in scalars) and 0.0 < table.eps < np.inf
+                    and 0.0 < table.lo_level < table.hi_level < 1.0):
+                raise ValueError("eps must be a finite number > 0 and the levels numbers "
+                                 "with 0 < lo_level < hi_level < 1")
             return table
         except (KeyError, TypeError, ValueError) as exc:
             msg = f"quantile table {path} is unreadable ({type(exc).__name__}: {exc})"

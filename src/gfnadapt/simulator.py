@@ -408,15 +408,21 @@ def synthesize_observations(
     noise_rel: float,
     seed: int,
 ) -> list[ContextDataset]:
-    """Replace obs_values with the truth trajectory under multiplicative noise."""
+    """Replace obs_values with the truth trajectory under multiplicative
+    noise, refused where the noise takes an observation outside the float64
+    range."""
     if noise_rel < 0:
         raise ValueError("noise_rel must be >= 0")
     rng = np.random.default_rng(seed)
     out = []
     for ctx in contexts:
         traj = simulate(truth, ctx)
-        noisy = traj * (1.0 + noise_rel * rng.standard_normal(len(traj)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            noisy = traj * (1.0 + noise_rel * rng.standard_normal(len(traj)))
         noisy = np.maximum.accumulate(np.clip(noisy, 0.0, None))
+        if not np.isfinite(noisy).all():  # NaN where 0 meets an infinite noise
+            raise ValueError(f"data.noise_rel={noise_rel:g} takes an observation of context "
+                             f"{ctx.context_id} outside the float64 range")
         out.append(replace(ctx, obs_values=noisy))
     return out
 

@@ -14,7 +14,7 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 _VERDICT = re.compile(
-    r"claim (met|not met|too few pairs) \(wins (\d+)/(\d+), .*\); no regression (ok|regressed|unresolved) "
+    r"claim (met|not met|too few pairs) \(wins (\d+)/(\d+), .*\); no regression (ok|regressed|unresolved|too few pairs) "
 )
 
 
@@ -52,13 +52,21 @@ class TestClaim:
     def test_too_few_pairs_below_ten_whatever_the_gain(self, pairs):
         # every pair won by 0.2; a single run's quartile spread is 0
         parent = PARENT[:pairs]
-        assert verdict(parent, parent - 0.2) == ("too few pairs", pairs, "ok")
+        assert verdict(parent, parent - 0.2) == ("too few pairs", pairs, "too few pairs")
 
 
 class TestRegression:
     def test_regressed_beyond_the_bound(self):
         # limit 1.045 * 1.1 = 1.1495; change median 1.045 * 1.12
         assert verdict(PARENT, PARENT * 1.12)[2] == "regressed"
+
+    # a single run's quartile spread is 0, so below ten pairs noise would read
+    # as a regression
+    @pytest.mark.parametrize("pairs, reading", [(1, "too few pairs"), (9, "too few pairs"),
+                                                (10, "regressed")])
+    def test_a_clear_regression_needs_ten_pairs(self, pairs, reading):
+        parent = PARENT[:pairs]
+        assert verdict(parent, parent * 1.5)[2] == reading
 
     def test_ok_within_the_bound(self):
         assert verdict(PARENT, PARENT * 1.08)[2] == "ok"

@@ -146,6 +146,16 @@ class TestExitCodes:
         assert not [*(tmp_path / "runs").rglob("landscape.csv")]
         assert not [*(tmp_path / "runs").rglob("checkpoint.bin")]
 
+    # at 1e308 the noise overflows to inf, and 0 * inf is NaN
+    def test_overflowing_noise_exits_2_before_the_cache_opens(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setenv("GFNADAPT_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["enumerate", "--set", f"run.out_dir={tmp_path / 'runs'}",
+                     "--set", "data.noise_rel=1.0e308"]) == 2
+        assert "noise_rel" in capsys.readouterr().err
+        assert not [*tmp_path.rglob("rewards.bin")]
+        assert not [*tmp_path.rglob("enumerate")]
+
     @pytest.mark.parametrize("command, module, name, overrides", [
         ("enumerate", landscape, "build_landscape", []),
         ("train", gflownet, "train", []),
@@ -190,6 +200,7 @@ class TestExitCodes:
             "data.days=abc",
             "reward.lo_level=0.99",
             "baseline.gamma=2",
+            "reward.warmup=1",  # one key fits q_lo == q_hi in every context
         ],
     )
     def test_out_of_range_rejected_before_work(self, workspace, override):
@@ -264,6 +275,11 @@ class TestExitCodes:
         {"q_hi": [[1.0] * 6]},                  # (1, 6) broadcasts too
         {"q_lo": [0.1] * 5 + [None]},           # null reads as NaN
         {"q_hi": [1.0] * 5 + [float("inf")]},
+        {"eps": "x"},                           # no arithmetic on a string
+        {"eps": float("nan")},                  # NaN rewards, blamed on reward.beta
+        {"eps": True},                          # a bool is not a number here
+        {"lo_level": [1]},
+        {"hi_level": 0.01},                     # below lo_level 0.05
     ])
     def test_quantile_table_of_the_wrong_shape_exits_2_naming_it(self, workspace, capsys, edit):
         assert run(workspace, "enumerate") == 0

@@ -152,6 +152,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match="step_fraction"):
             load_config(overrides=["space.step_fraction=1.5"])
 
+    def test_warmup_of_one_key_rejected(self):
+        # one key gives a degenerate quantile table, q_lo == q_hi
+        with pytest.raises(ConfigError, match=r"reward.warmup must be an integer in \[2, inf\)"):
+            load_config(overrides=["reward.warmup=1"])
+        assert load_config(overrides=["reward.warmup=2"])["reward.warmup"] == 2
+
     def test_negative_noise(self):
         with pytest.raises(ConfigError, match="noise_rel"):
             load_config(overrides=["data.noise_rel=-0.1"])

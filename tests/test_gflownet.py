@@ -70,6 +70,32 @@ class TestEncoding:
         assert np.array_equal(a, b)
         assert np.array_equal(a, gf.encode_batch(space, [(1, 2)])[0])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("which", ["tiny", "builtin", "two_cycle"])
+    def test_every_prefix_length_matches_a_per_row_reference(self, space, tiny_space, which,
+                                                             dtype):
+        spaces = {"tiny": tiny_space, "builtin": space,
+                  "two_cycle": dataclasses.replace(space, cycles=2)}
+        s = spaces[which]
+        radices = s.slot_radices
+        rng = np.random.default_rng(3)
+        for t in range(s.slots):
+            keys = [[int(rng.integers(r)) for r in radices[:t]] for _ in range(6)]
+            keys[0] = [r - 1 for r in radices[:t]]  # each slot's last action
+            expected = []
+            for key in keys:
+                row = []
+                for slot, r in enumerate(radices):
+                    block = [0.0] * (r + 1)  # undecided, then one column per action
+                    block[1 + key[slot] if slot < t else 0] = 1.0
+                    row += block
+                current = [0.0] * s.slots
+                current[t] = 1.0
+                expected.append(row + current)
+            got = gf.encode_batch(s, np.array(keys, dtype=np.int64).reshape(6, t), dtype)
+            assert got.dtype == dtype and got.shape == (6, gf.feature_dim(s))
+            assert np.array_equal(got, np.array(expected, dtype=dtype))
+
 
 class TestForwardPolicy:
     def test_fresh_model_is_uniform(self, tiny_space):

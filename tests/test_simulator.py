@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -303,6 +304,17 @@ def test_noisy_observations_keep_invariants(space):
     for ctx in obs:
         assert np.all(ctx.obs_values >= 0)
         assert np.all(np.diff(ctx.obs_values) >= 0)
+
+
+def test_overflowing_noise_is_refused_naming_it(space):
+    contexts = generate_contexts(7)
+    truth = decode_state(space, DEFAULT_TRUTH_KEY)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning must not escape
+        with pytest.raises(ValueError, match=r"noise_rel=1e\+308 .* context \d+ "):
+            synthesize_observations(contexts, truth, 1e308, seed=1)
+        for ctx in synthesize_observations(contexts, truth, 1e300, seed=1):
+            assert np.isfinite(ctx.obs_values).all()
 
 
 def test_inhibition_bounded_and_peaks_at_optimum():
