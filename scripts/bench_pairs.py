@@ -12,7 +12,9 @@ pair, because the second run of a pair can read differently from the first.
 For every workload and every end-to-end metric in CHANGE's BENCHMARK.json it
 prints each pair's readings, each side's median and quartiles, the pairs
 CHANGE wins and the per-pair ratios CHANGE / PARENT, then one verdict line
-per workload and metric under two rules:
+per workload and metric. Each verdict line gives the gain, the medians'
+difference in CHANGE's favour, also as a share of PARENT's median, so that
+a claim met on a tiny effect shows as one. It reads two rules:
 
 - claim: CHANGE wins at least 9/10 of the pairs (ties count for neither) and
   the medians differ, in CHANGE's favour, by more than the distance between
@@ -88,8 +90,9 @@ def verdict(parent: np.ndarray, change: np.ndarray, better: str, bound: float) -
                       f"> bound {bound:g}; {regression})")
     else:
         regression = f"{'ok' if within else 'regressed'} ({regression})"
-    return (f"claim {claim} (wins {wins}/{len(parent)}, gain {gain:.4g} vs parent "
-            f"spread {spread:.4g}); no regression {regression}")
+    return (f"claim {claim} (wins {wins}/{len(parent)}, gain {gain:.4g} "
+            f"({gain / abs(pm):.2%} of the parent median) vs parent spread {spread:.4g}); "
+            f"no regression {regression}")
 
 
 def main(argv=None) -> int:

@@ -40,8 +40,8 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
     """The (key, loss) pairs of a file written by export_trace_csv for
     `space` under `config_hash`. A file stamped with another config hash, or
     a row that is not four fields with a terminal key of the space and a
-    loss (a torn write, say), or a file without rows, raises ValueError
-    naming the file (and the line)."""
+    finite loss (a torn write, say), or a file without rows, raises
+    ValueError naming the file (and the line)."""
     evaluated = []
     slots, radices = space.slots, space.slot_radices
     try:
@@ -62,7 +62,10 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
                     if len(key) != slots or not all(map(operator.lt, key, radices)):
                         validate_key(space, key)
                         raise ValueError(f"key of {len(key)} slots is not terminal")
-                    evaluated.append((key, float(row[2])))
+                    loss = float(row[2])
+                    if not math.isfinite(loss):
+                        raise ValueError(f"loss {loss} is not finite")
+                    evaluated.append((key, loss))
                 except ValueError as exc:
                     raise ValueError(
                         f"{path}, line {reader.line_num}: malformed trace row {row}: {exc}"

@@ -22,48 +22,47 @@ import yaml
 from .simulator import DEFAULT_TRUTH_KEY, N_CONTEXTS
 from .space import load_yaml
 
+# Every setting: its default, its kind, and the values it accepts. A number
+# or a list accepts an interval, written as its error message writes it; a
+# list must be a non-empty list of integers in it. A string accepts any
+# string, or one of the choices given. None is accepted where it is the default.
+SETTINGS: dict[str, tuple] = {
+    "space.file": ("builtin", str, None),
+    "space.cycles": (None, int, "[1, inf)"),  # None = value from the space file
+    "space.step_fraction": (None, float, "(0, 1]"),
+    "reward.beta": (4.0, float, "(0, inf)"),
+    "reward.lambda": (0.25, float, "[0, 1]"),
+    "reward.k_tail": (2, int, f"[1, {N_CONTEXTS}]"),
+    "reward.lo_level": (0.05, float, "(0, 1)"),
+    "reward.hi_level": (0.95, float, "(0, 1)"),
+    "reward.warmup": (256, int, "[2, inf)"),  # one key fits q_lo == q_hi in every context
+    "data.contexts_seed": (7, int, "[0, inf)"),
+    "data.noise_rel": (0.03, float, "[0, inf)"),
+    "data.days": (180, int, "[14, inf)"),  # at least one biweekly observation
+    "data.truth_key": (list(DEFAULT_TRUTH_KEY), list, "[0, inf)"),  # see cli.Workspace
+    "train.steps": (1000, int, "[1, inf)"),
+    "train.batch": (16, int, "[1, inf)"),
+    "train.lr": (5e-4, float, "(0, inf)"),
+    "train.log_z_lr": (0.1, float, "(0, inf)"),
+    "train.explore_eps": (0.05, float, "[0, 1]"),
+    "train.hidden": ([256, 256, 256], list, "[1, inf)"),
+    "train.n_samples": (5000, int, "[1, inf)"),
+    "train.budget": (None, int, "[1, inf)"),  # cap on distinct keys requested; None = unlimited
+    "baseline.budget": (2000, int, "[1, inf)"),
+    "baseline.gamma": (0.25, float, "(0, 1)"),
+    "baseline.n_candidates": (24, int, "[1, inf)"),
+    "baseline.startup": (10, int, "[1, inf)"),
+    "run.method": ("gflownet", str, ("gflownet", "random", "tpe")),
+    "run.seeds": ([1, 2, 3], list, "[0, inf)"),
+    "run.out_dir": ("runs", str, None),
+    "run.enum_cap": (100_000, int, "[0, inf)"),
+}
+
+# the defaults as a config file nests them, {section: {key: default}}
 DEFAULTS: dict = {
-    "space": {
-        "file": "builtin",
-        "cycles": None,          # None = value from the space file
-        "step_fraction": None,
-    },
-    "reward": {
-        "beta": 4.0,
-        "lambda": 0.25,
-        "k_tail": 2,
-        "lo_level": 0.05,
-        "hi_level": 0.95,
-        "warmup": 256,
-    },
-    "data": {
-        "contexts_seed": 7,
-        "noise_rel": 0.03,
-        "days": 180,
-        "truth_key": list(DEFAULT_TRUTH_KEY),
-    },
-    "train": {
-        "steps": 1000,
-        "batch": 16,
-        "lr": 5e-4,
-        "log_z_lr": 0.1,
-        "explore_eps": 0.05,
-        "hidden": [256, 256, 256],
-        "n_samples": 5000,
-        "budget": None,          # cap on distinct keys requested; None = unlimited
-    },
-    "baseline": {
-        "budget": 2000,
-        "gamma": 0.25,
-        "n_candidates": 24,
-        "startup": 10,
-    },
-    "run": {
-        "method": "gflownet",
-        "seeds": [1, 2, 3],
-        "out_dir": "runs",
-        "enum_cap": 100_000,
-    },
+    section: {dotted.split(".")[1]: setting[0] for dotted, setting in SETTINGS.items()
+              if dotted.startswith(f"{section}.")}
+    for section in dict.fromkeys(dotted.split(".")[0] for dotted in SETTINGS)
 }
 
 # keys that do not affect produced numbers and are excluded from the run hash
@@ -190,58 +189,40 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
     return cfg
 
 
-# (kind, accepted interval, settings). None is accepted where it is the
-# default; a list must be a non-empty list of integers in the interval.
-_RULES = (
-    (int, "[1, inf)", "space.cycles train.steps train.batch train.n_samples"
-                      " train.budget baseline.budget baseline.n_candidates baseline.startup"),
-    (int, "[2, inf)", "reward.warmup"),  # one key fits q_lo == q_hi in every context
-    (int, "[0, inf)", "data.contexts_seed run.enum_cap"),
-    (int, f"[1, {N_CONTEXTS}]", "reward.k_tail"),
-    (int, "[14, inf)", "data.days"),  # at least one biweekly observation
-    (float, "(0, inf)", "reward.beta train.lr train.log_z_lr"),
-    (float, "(0, 1)", "reward.lo_level reward.hi_level baseline.gamma"),
-    (float, "(0, 1]", "space.step_fraction"),
-    (float, "[0, 1]", "reward.lambda train.explore_eps"),
-    (float, "[0, inf)", "data.noise_rel"),
-    (list, "[1, inf)", "train.hidden"),
-    (list, "[0, inf)", "run.seeds data.truth_key"),  # truth key: see cli.Workspace
-)
-_KINDS = {int: "an integer", float: "a number", list: "a non-empty list of integers"}
+_KINDS = {int: "an integer", float: "a number", list: "a non-empty list of integers",
+          str: "a string"}
 
 
-def _fits(value, kind: type, interval: str) -> bool:
+def _fits(value, kind: type, accepted) -> bool:
+    if kind is str:
+        return isinstance(value, str) and (accepted is None or value in accepted)
     if kind is list:
         return isinstance(value, list) and value != [] and all(
-            _fits(x, int, interval) for x in value
+            _fits(x, int, accepted) for x in value
         )
     if isinstance(value, bool) or not isinstance(value, (int, kind)):
         return False
-    lo, hi = (float(x) for x in interval[1:-1].split(","))
-    above = lo < value if interval[0] == "(" else lo <= value
-    return above and (value < hi if interval[-1] == ")" else value <= hi)
+    lo, hi = (float(x) for x in accepted[1:-1].split(","))
+    above = lo < value if accepted[0] == "(" else lo <= value
+    return above and (value < hi if accepted[-1] == ")" else value <= hi)
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg["run.method"] not in ("gflownet", "random", "tpe"):
-        raise ConfigError(f"unknown method: {cfg['run.method']}")
-    for dotted in ("space.file", "run.out_dir"):
-        if not isinstance(cfg[dotted], str):
-            raise ConfigError(f"{dotted} must be a string, got {cfg[dotted]!r}")
-    for kind, interval, names in _RULES:
-        for dotted in names.split():
-            value = cfg[dotted]
-            # YAML 1.1 reads a decimal literal with an exponent as a string
-            # unless it has a dot and a signed exponent (5e-4, 1E3); a float
-            # setting stores it as the float it denotes
-            if kind is float and isinstance(value, str) and re.fullmatch(
-                r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+", value
-            ):
-                section, key = dotted.split(".")
-                value = cfg.values[section][key] = float(value)
-            if value is None and ExperimentConfig(DEFAULTS)[dotted] is None:
-                continue
-            if not _fits(value, kind, interval):
-                raise ConfigError(f"{dotted} must be {_KINDS[kind]} in {interval}, got {value!r}")
+    for dotted, (default, kind, accepted) in SETTINGS.items():
+        section, key = dotted.split(".")
+        value = cfg.values[section][key]
+        # YAML 1.1 reads a decimal literal with an exponent as a string
+        # unless it has a dot and a signed exponent (5e-4, 1E3); a float
+        # setting stores it as the float it denotes
+        if kind is float and isinstance(value, str) and re.fullmatch(
+            r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+", value
+        ):
+            value = cfg.values[section][key] = float(value)
+        if (value is None and default is None) or _fits(value, kind, accepted):
+            continue
+        if isinstance(accepted, tuple):
+            raise ConfigError(f"unknown {key}: {value}")
+        where = f" in {accepted}" if accepted else ""
+        raise ConfigError(f"{dotted} must be {_KINDS[kind]}{where}, got {value!r}")
     if cfg["reward.lo_level"] >= cfg["reward.hi_level"]:
         raise ConfigError("reward.lo_level must be below reward.hi_level")

@@ -375,6 +375,16 @@ def load_checkpoint(path, signature: dict) -> PolicyNet:
                 f"{name} is {stored.get(name)!r}, expected {signature[name]!r}"
                 for name in wrong
             ))
+        # the layer shapes must make a policy of the signature: the trunk
+        # chains from the feature width, each head maps its last width to
+        # the slot's radix
+        widths = [signature["feature_dim"], *(out for _, out in header["trunk_dims"])]
+        for name, shapes in (("trunk_dims", [list(p) for p in zip(widths, widths[1:])]),
+                             ("head_dims", [[widths[-1], r] for r in signature["slot_radices"]])):
+            if header[name] != shapes:
+                raise ValueError(
+                    f"checkpoint {path} has a missing or malformed header field {name!r}"
+                )
         if header.get("dtype") not in _CHECKPOINT_DTYPES:
             raise ValueError(f"checkpoint {path} has an unknown dtype {header.get('dtype')!r}")
         body = fh.read()

@@ -45,6 +45,13 @@ class TestClaim:
         # every pair won, but the medians differ by 0.01 < 0.045
         assert verdict(PARENT, PARENT - 0.01) == ("not met", 10, "ok")
 
+    def test_the_gain_is_printed_as_a_share_of_the_parent_median(self):
+        # a gain that wins every pair shows how small it is: 0.0021 of 1.045
+        line = bench_pairs.verdict(PARENT, PARENT - 0.0021, "lower", 0.1)
+        assert "gain 0.0021 (0.20% of the parent median) vs parent spread 0.045)" in line
+        line = bench_pairs.verdict(PARENT, PARENT * 1.05, "lower", 0.1)
+        assert "gain -0.05225 (-5.00% of the parent median)" in line
+
     def test_ties_count_for_neither_side(self):
         assert verdict(PARENT, PARENT) == ("not met", 0, "ok")
 

@@ -114,6 +114,20 @@ def out_root(config_path, *overrides):
     return load_config(config_path, list(overrides)).out_root()
 
 
+def _edit_header(ckpt, field, value):
+    """Set a checkpoint header's `field` to `value`, or drop it for None;
+    the parameter block stays as it is."""
+    blob = ckpt.read_bytes()
+    hlen = struct.unpack("<I", blob[:4])[0]
+    header = json.loads(blob[4 : 4 + hlen])
+    if value is None:
+        del header[field]
+    else:
+        header[field] = value
+    bad = json.dumps(header, sort_keys=True).encode()
+    ckpt.write_bytes(struct.pack("<I", len(bad)) + bad + blob[4 + hlen :])
+
+
 class TestExitCodes:
     def test_unknown_config_key(self, workspace):
         assert run(workspace, "enumerate", "reward.nope=1") == 1
@@ -626,8 +640,10 @@ class TestPipeline:
 
     @pytest.mark.parametrize(
         "row",
-        ["21,1-2", "21,1-", "21,1-2,0.5", "21,x-2,0.5,0.5"],
-        ids=["short", "torn-key", "without-best", "non-integer-action"],
+        ["21,1-2", "21,1-", "21,1-2,0.5", "21,x-2,0.5,0.5", "21,1-2,nan,0.5", "21,1-2,inf,0.5",
+         "21,1-2,-inf,0.5"],
+        ids=["short", "torn-key", "without-best", "non-integer-action", "nan-loss", "inf-loss",
+             "minus-inf-loss"],
     )
     def test_malformed_trace_row_exits_2(self, workspace, capsys, row):
         assert run(workspace, "train") == 0
@@ -756,28 +772,36 @@ class TestPipeline:
             ("signature", None), ("trunk_dims", None), ("head_dims", None), ("log_z", None),
             ("signature", ["run_hash"]), ("trunk_dims", "16x16"), ("head_dims", [[16]]),
             ("log_z", "0.5"),
+            # the workspace policy: feature_dim 9, trunk [[9, 16], [16, 16]],
+            # heads [[16, 2], [16, 3]]; swapped heads keep the parameter count
+            ("head_dims", [[16, 3], [16, 2]]), ("trunk_dims", [[10, 16], [16, 16]]),
         ],
         ids=["no-signature", "no-trunk_dims", "no-head_dims", "no-log_z", "signature-list",
-             "trunk_dims-string", "head_dims-pair-short", "log_z-string"],
+             "trunk_dims-string", "head_dims-pair-short", "log_z-string",
+             "head_dims-slots-swapped", "trunk_dims-not-from-feature_dim"],
     )
     def test_malformed_header_field_exits_2(self, workspace, capsys, field, value):
         # the version is current, so only the field itself can be at fault
         assert run(workspace, "train") == 0
         ckpt = out_root(workspace) / "train" / "1" / "checkpoint.bin"
-        blob = ckpt.read_bytes()
-        hlen = struct.unpack("<I", blob[:4])[0]
-        header = json.loads(blob[4 : 4 + hlen])
-        if value is None:
-            del header[field]
-        else:
-            header[field] = value
-        bad = json.dumps(header, sort_keys=True).encode()
-        ckpt.write_bytes(struct.pack("<I", len(bad)) + bad + blob[4 + hlen :])
+        _edit_header(ckpt, field, value)
         capsys.readouterr()
         assert run(workspace, "sample") == 2
         err = capsys.readouterr().err
         assert str(ckpt) in err and repr(field) in err
         assert not (out_root(workspace) / "sample" / "1" / "done").exists()
+
+    def test_checkpoint_of_another_policy_shape_exits_2_in_report(self, workspace, capsys):
+        # report reads the checkpoint for its L1 once the landscape is enumerated
+        assert run(workspace, "enumerate") == 0
+        assert run(workspace, "train") == 0
+        ckpt = out_root(workspace) / "train" / "1" / "checkpoint.bin"
+        _edit_header(ckpt, "head_dims", [[16, 3], [16, 2]])
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {ckpt} has a missing or malformed header field 'head_dims'\n"
+        assert not (out_root(workspace) / "report").exists()
 
     @pytest.mark.parametrize(
         "blob",

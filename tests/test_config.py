@@ -1,7 +1,9 @@
 import dataclasses
 import inspect
+import re
 
 import pytest
+import yaml
 
 from gfnadapt import baselines
 from gfnadapt.config import (
@@ -211,3 +213,102 @@ class TestParseOverrides:
 
     def test_null_value(self):
         assert parse_overrides(["train.budget=null"])["train"]["budget"] is None
+
+
+# Every setting's kind and accepted values, written out here and not read
+# from config.py, so that a rewrite of its table is checked against them:
+# (setting, kind as the error message names it, accepted range as the
+# message writes it, a value inside it). A null is accepted only where the
+# default is null.
+_NULLABLE = {"space.cycles", "space.step_fraction", "train.budget"}
+_RANGES = [
+    ("space.cycles", "an integer", "[1, inf)", "3"),
+    ("space.step_fraction", "a number", "(0, 1]", "0.5"),
+    ("reward.beta", "a number", "(0, inf)", "2.5"),
+    ("reward.lambda", "a number", "[0, 1]", "0.5"),
+    ("reward.k_tail", "an integer", "[1, 6]", "3"),
+    ("reward.lo_level", "a number", "(0, 1)", "0.5"),
+    ("reward.hi_level", "a number", "(0, 1)", "0.5"),
+    ("reward.warmup", "an integer", "[2, inf)", "100"),
+    ("data.contexts_seed", "an integer", "[0, inf)", "11"),
+    ("data.noise_rel", "a number", "[0, inf)", "0.2"),
+    ("data.days", "an integer", "[14, inf)", "90"),
+    ("data.truth_key", "a non-empty list of integers", "[0, inf)", "[2, 0, 1]"),
+    ("train.steps", "an integer", "[1, inf)", "50"),
+    ("train.batch", "an integer", "[1, inf)", "8"),
+    ("train.lr", "a number", "(0, inf)", "0.01"),
+    ("train.log_z_lr", "a number", "(0, inf)", "0.5"),
+    ("train.explore_eps", "a number", "[0, 1]", "0.5"),
+    ("train.hidden", "a non-empty list of integers", "[1, inf)", "[32, 8]"),
+    ("train.n_samples", "an integer", "[1, inf)", "100"),
+    ("train.budget", "an integer", "[1, inf)", "500"),
+    ("baseline.budget", "an integer", "[1, inf)", "500"),
+    ("baseline.gamma", "a number", "(0, 1)", "0.5"),
+    ("baseline.n_candidates", "an integer", "[1, inf)", "8"),
+    ("baseline.startup", "an integer", "[1, inf)", "5"),
+    ("run.seeds", "a non-empty list of integers", "[0, inf)", "[4, 5]"),
+    ("run.enum_cap", "an integer", "[0, inf)", "1000"),
+]
+# the string settings: a value each accepts, and the message that refuses 5
+_STRINGS = [
+    ("space.file", "builtin", "space.file must be a string, got 5"),
+    ("run.method", "random", "unknown method: 5"),
+    ("run.out_dir", "elsewhere", "run.out_dir must be a string, got 5"),
+]
+
+
+def _bound_cases(kind: str, interval: str):
+    """(value, accepted) at each finite bound of `interval`, and, beside a
+    closed bound, a value just outside it (so [0] for train.hidden)."""
+    lo, hi = interval[1:-1].split(", ")
+    step = 0.5 if kind == "a number" else 1
+    form = "[{}]" if kind.endswith("list of integers") else "{}"
+    for bound, closed, outside in ((lo, interval[0] == "[", -step),
+                                   (hi, interval[-1] == "]", step)):
+        if bound != "inf":
+            yield form.format(bound), closed
+            if closed:
+                yield form.format(type(step)(bound) + outside), False
+
+
+def _setting_cases():
+    for dotted, kind, interval, inside in _RANGES:
+        refused = f"{dotted} must be {kind} in {interval}, got "
+        yield f"{dotted}={inside}", None
+        for value, accepted in _bound_cases(kind, interval):
+            yield f"{dotted}={value}", None if accepted else refused
+        bad = ["true", "x", "[]"]
+        bad += ["[1, -1]"] if kind.endswith("list of integers") else []
+        bad += ["2.5"] if kind == "an integer" else []
+        bad += [] if dotted in _NULLABLE else ["null"]
+        for value in bad:
+            yield f"{dotted}={value}", refused
+        if dotted in _NULLABLE:
+            yield f"{dotted}=null", None
+    for dotted, inside, refused_5 in _STRINGS:
+        yield f"{dotted}={inside}", None
+        yield f"{dotted}=5", refused_5
+        yield f"{dotted}=null", refused_5.replace("5", "None")
+    yield "run.method=annealing", "unknown method: annealing"
+    yield "run.method=tpe", None
+    yield "run.method=gflownet", None
+
+
+class TestEverySetting:
+    def test_the_table_names_every_setting_once(self):
+        names = [row[0] for row in _RANGES + _STRINGS]
+        assert len(names) == len(set(names)) == 29
+        assert set(names) == {f"{sec}.{key}" for sec, keys in DEFAULTS.items() for key in keys}
+
+    @pytest.mark.parametrize(
+        "override, refused",
+        [pytest.param(*case, id=f"{case[0]}-{'ok' if case[1] is None else 'refused'}")
+         for case in _setting_cases()],
+    )
+    def test_accepted_and_refused_values(self, override, refused):
+        if refused is None:
+            dotted, raw = override.split("=")
+            assert load_config(overrides=[override])[dotted] == yaml.safe_load(raw)
+        else:
+            with pytest.raises(ConfigError, match=re.escape(refused)):
+                load_config(overrides=[override])
