@@ -17,6 +17,9 @@ from .rewards import TerminalScorer
 from .space import SpaceSpec, StateKey, uniform_keys, validate_key
 
 
+_TRACE_HEADER = ["iteration", "key", "loss", "best_so_far"]
+
+
 def export_trace_csv(path, evaluated, config_hash: str) -> None:
     """(key, loss) pairs in evaluation order, one row each with the best
     loss so far; the format of every trace.csv and samples.csv. The rows are
@@ -32,18 +35,20 @@ def export_trace_csv(path, evaluated, config_hash: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
-        writer.writerow(["iteration", "key", "loss", "best_so_far"])
+        writer.writerow(_TRACE_HEADER)
         fh.writelines(rows())
 
 
 def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[StateKey, float]]:
     """The (key, loss) pairs of a file written by export_trace_csv for
-    `space` under `config_hash`. A file stamped with another config hash, or
-    a row that is not four fields with a terminal key of the space and a
-    finite loss (a torn write, say), or a file without rows, raises
-    ValueError naming the file (and the line)."""
+    `space` under `config_hash`. A file stamped with another config hash or
+    without its header row, a row that is not four fields (its 1-based
+    position, a terminal key of the space, a finite loss and the running
+    minimum of the losses; a torn write, say), or a file without rows,
+    raises ValueError naming the file (and the line)."""
     evaluated = []
     slots, radices = space.slots, space.slot_radices
+    best = math.inf
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -52,11 +57,15 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
                 raise ValueError(
                     f"{path} is stamped {','.join(stamp)!r}, expected config hash {config_hash}"
                 )
-            next(reader, None)  # header
-            for row in reader:
+            header = next(reader, None)
+            if header is not None and header != _TRACE_HEADER:
+                raise ValueError(f"{path}, line 2: header {header} is not {_TRACE_HEADER}")
+            for i, row in enumerate(reader, start=1):
                 try:
                     if len(row) != 4:
                         raise ValueError(f"{len(row)} fields")
+                    if row[0] != str(i):
+                        raise ValueError(f"iteration {row[0]} is not the row's position {i}")
                     key = tuple(map(int, row[1].split("-")))
                     # '-' separates the actions, so none parses as negative
                     if len(key) != slots or not all(map(operator.lt, key, radices)):
@@ -65,6 +74,10 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
                     loss = float(row[2])
                     if not math.isfinite(loss):
                         raise ValueError(f"loss {loss} is not finite")
+                    # the writer's repr round-trips, so the minimum reads back exactly
+                    best = min(best, loss)
+                    if float(row[3]) != best:
+                        raise ValueError(f"best_so_far is not the running minimum {best!r}")
                     evaluated.append((key, loss))
                 except ValueError as exc:
                     raise ValueError(

@@ -35,6 +35,12 @@ class MissingArtifact(RuntimeError):
     pass
 
 
+# the most terminals a quantile table is fitted on; a larger space is fitted
+# on a warm-up sample. The table is shared under the reward hash, so the
+# choice must not depend on a setting the hash leaves out, such as run.enum_cap
+FIT_ON_ENUMERATION_MAX = 100_000
+
+
 class Workspace:
     """Lazily assembled space / contexts / scorer for one resolved config."""
 
@@ -65,10 +71,6 @@ class Workspace:
                 f"data.truth_key {truth} must fill whole cycles of the space's "
                 f"slots, whose action counts are {radices}"
             )
-
-    @property
-    def enumerable(self) -> bool:
-        return self.space.terminal_count() <= self.cfg["run.enum_cap"]
 
     def contexts(self):
         cfg = self.cfg
@@ -101,7 +103,7 @@ class Workspace:
             quantiles=quantiles,
         )
         if scorer.quantiles is None:
-            if self.enumerable:
+            if self.space.terminal_count() <= FIT_ON_ENUMERATION_MAX:
                 scorer.fit_on_enumeration()
             else:
                 scorer.fit_on_warmup(np.random.default_rng(cfg["data.contexts_seed"] + 2))
@@ -151,7 +153,7 @@ def _require_done(out: Path) -> None:
 
 def cmd_enumerate(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
-    if not ws.enumerable:
+    if ws.space.terminal_count() > cfg["run.enum_cap"]:
         raise ConfigError(
             f"space has {ws.space.terminal_count()} terminals, exceeding "
             f"enum_cap {cfg['run.enum_cap']}"

@@ -58,15 +58,10 @@ SETTINGS: dict[str, tuple] = {
     "run.enum_cap": (100_000, int, "[0, inf)"),
 }
 
-# the defaults as a config file nests them, {section: {key: default}}
-DEFAULTS: dict = {
-    section: {dotted.split(".")[1]: setting[0] for dotted, setting in SETTINGS.items()
-              if dotted.startswith(f"{section}.")}
-    for section in dict.fromkeys(dotted.split(".")[0] for dotted in SETTINGS)
-}
+_SECTIONS = {dotted.split(".")[0] for dotted in SETTINGS}
 
 # keys that do not affect produced numbers and are excluded from the run hash
-_HASH_EXCLUDE = {("run", "out_dir"), ("run", "method")}
+_HASH_EXCLUDE = {"run.out_dir", "run.method"}
 
 _REWARD_SECTIONS = ("space", "reward", "data")
 
@@ -77,43 +72,39 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    values: dict
+    values: dict  # {dotted name: value}, every setting of SETTINGS
     space_doc: dict | None = None  # parsed space.file definition; None = built-in
 
     def __getitem__(self, dotted: str):
-        node = self.values
-        for part in dotted.split("."):
-            node = node[part]
-        return node
+        return self.values[dotted]
 
     # -- hashes -------------------------------------------------------------
 
-    def _canonical(self, sections) -> dict:
+    def _canonical(self, sections=_SECTIONS) -> dict:
+        """The {section: {key: value}} document of `sections` that the hashes digest."""
         doc = {}
-        for sec in sections:
-            doc[sec] = {
-                k: v
-                for k, v in self.values[sec].items()
-                if (sec, k) not in _HASH_EXCLUDE
-            }
+        for dotted, value in self.values.items():
+            section, key = dotted.split(".")
+            if section in sections and dotted not in _HASH_EXCLUDE:
+                doc.setdefault(section, {})[key] = value
         if self.space_doc is not None:
             doc["space_definition"] = self.space_doc
         return doc
 
     def run_hash(self) -> str:
-        return _digest(self._canonical(sorted(self.values)))
+        return _digest(self._canonical())
 
     def reward_hash(self) -> str:
         return _digest(self._canonical(_REWARD_SECTIONS))
 
     def out_root(self) -> Path:
-        return Path(self.values["run"]["out_dir"]) / self.run_hash()
+        return Path(self["run.out_dir"]) / self.run_hash()
 
     def cache_dir(self) -> Path:
         override = os.environ.get("GFNADAPT_CACHE_DIR")
         if override:
             return Path(override) / self.reward_hash()
-        return Path(self.values["run"]["out_dir"]) / "cache" / self.reward_hash()
+        return Path(self["run.out_dir"]) / "cache" / self.reward_hash()
 
 
 def _digest(doc: dict) -> str:
@@ -121,33 +112,23 @@ def _digest(doc: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
-def _merge(base: dict, update: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in update.items():
-        where = f"{path}.{key}" if path else key
-        if key not in out:
-            raise ConfigError(f"unknown config key: {where}")
-        if isinstance(out[key], dict):
-            if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be a section of settings, got {value!r}")
-            out[key] = _merge(out[key], value, where)
-        else:
-            out[key] = value
-    return out
+def _set(values: dict, dotted: str, value) -> None:
+    if dotted not in SETTINGS:
+        section = dotted.split(".")[0]
+        raise ConfigError(f"unknown config key: {dotted if section in _SECTIONS else section}")
+    values[dotted] = value
 
 
 def parse_overrides(pairs: list[str]) -> dict:
-    """Turn --set section.key=value pairs into a nested update dict."""
+    """Turn --set section.key=value pairs into {section.key: value}."""
     update: dict = {}
     for pair in pairs:
         if "=" not in pair:
             raise ConfigError(f"override must look like section.key=value: {pair}")
         dotted, raw = pair.split("=", 1)
-        parts = dotted.split(".")
-        if len(parts) != 2:
+        if dotted.count(".") != 1:
             raise ConfigError(f"override key must be section.key: {dotted}")
-        node = update.setdefault(parts[0], {})
-        node[parts[1]] = _parse_yaml(raw, dotted)
+        update[dotted] = _parse_yaml(raw, dotted)
     return update
 
 
@@ -173,15 +154,21 @@ def load_config(path=None, overrides: list[str] | None = None) -> ExperimentConf
     """Resolve defaults, file and overrides, and validate them. A space file
     other than the built-in one is read here, so that its definition, not
     its path, goes into the hashes."""
-    values = copy.deepcopy(DEFAULTS)
+    values = copy.deepcopy({dotted: setting[0] for dotted, setting in SETTINGS.items()})
     if path is not None:
         with open(path) as fh:
             doc = _parse_yaml(fh, f"config file {path}") or {}
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path} is not a mapping")
-        values = _merge(values, doc)
-    if overrides:
-        values = _merge(values, parse_overrides(overrides))
+        for section, settings in doc.items():
+            if section not in _SECTIONS:
+                raise ConfigError(f"unknown config key: {section}")
+            if not isinstance(settings, dict):
+                raise ConfigError(f"{section} must be a section of settings, got {settings!r}")
+            for key, value in settings.items():
+                _set(values, f"{section}.{key}", value)
+    for dotted, value in parse_overrides(overrides or []).items():
+        _set(values, dotted, value)
     cfg = ExperimentConfig(values=values)
     _validate(cfg)
     if cfg["space.file"] != "builtin":
@@ -209,19 +196,18 @@ def _fits(value, kind: type, accepted) -> bool:
 
 def _validate(cfg: ExperimentConfig) -> None:
     for dotted, (default, kind, accepted) in SETTINGS.items():
-        section, key = dotted.split(".")
-        value = cfg.values[section][key]
+        value = cfg.values[dotted]
         # YAML 1.1 reads a decimal literal with an exponent as a string
         # unless it has a dot and a signed exponent (5e-4, 1E3); a float
         # setting stores it as the float it denotes
         if kind is float and isinstance(value, str) and re.fullmatch(
             r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+", value
         ):
-            value = cfg.values[section][key] = float(value)
+            value = cfg.values[dotted] = float(value)
         if (value is None and default is None) or _fits(value, kind, accepted):
             continue
         if isinstance(accepted, tuple):
-            raise ConfigError(f"unknown {key}: {value}")
+            raise ConfigError(f"unknown {dotted.split('.')[1]}: {value}")
         where = f" in {accepted}" if accepted else ""
         raise ConfigError(f"{dotted} must be {_KINDS[kind]}{where}, got {value!r}")
     if cfg["reward.lo_level"] >= cfg["reward.hi_level"]:

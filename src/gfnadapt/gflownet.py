@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import struct
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -346,7 +347,7 @@ _HEADER_FIELDS = {
     "signature": lambda v: isinstance(v, dict),
     "trunk_dims": _is_shapes,
     "head_dims": _is_shapes,
-    "log_z": lambda v: type(v) in (int, float),
+    "log_z": lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
 }
 
 
@@ -396,4 +397,6 @@ def load_checkpoint(path, signature: dict) -> PolicyNet:
             f"checkpoint {path} holds {len(body)} parameter bytes, expected {net.flat.nbytes}"
         )
     net.flat[:] = np.frombuffer(body, dtype=_CHECKPOINT_DTYPES[header["dtype"]])
+    if not np.isfinite(net.flat).all():
+        raise ValueError(f"checkpoint {path} holds parameters that are not finite")
     return net

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gfnadapt import baselines, gflownet, landscape, rewards
 from gfnadapt.cli import Workspace, main
-from gfnadapt.config import DEFAULTS, ConfigError, load_config
+from gfnadapt.config import SETTINGS, ConfigError, load_config
 from gfnadapt.space import load_yaml
 
 # full crop parameter set, but only two small action groups: 6 terminals
@@ -406,7 +406,7 @@ class TestExitCodes:
 
 # every config key and a few that are not; values mostly small and in range
 # (so that runs get past validation), the rest of every YAML shape
-_CONFIG_KEYS = [f"{sec}.{key}" for sec, keys in DEFAULTS.items() for key in keys]
+_CONFIG_KEYS = list(SETTINGS)
 _JUNK_KEYS = ["nope.x", "reward", "reward.beta.x", "run.", ".beta", "space.file.x"]
 _VALUES = st.one_of(
     st.integers(0, 20).map(str),
@@ -495,6 +495,27 @@ class TestEnumerate:
         meta = json.loads((out / "meta.json").read_text())
         assert meta["sim_evals"] == 0  # every loss served from the cache
         assert (out / "landscape.csv").read_bytes() == first
+
+
+    def test_quantile_fit_does_not_depend_on_enum_cap(self, tmp_path, monkeypatch):
+        # the built-in space: its 2625 terminals are more than a warm-up fit
+        # covers. A baseline under run.enum_cap=0 fits the shared table first
+        def enumerate_after(cache, out, *stages):
+            monkeypatch.setenv("GFNADAPT_CACHE_DIR", str(tmp_path / cache))
+            where = f"run.out_dir={tmp_path / out}"
+            for stage in [*stages, ["enumerate"]]:
+                argv = [stage[0], "--set", where]
+                for pair in stage[1:]:
+                    argv += ["--set", pair]
+                assert main(argv) == 0, stage
+            return load_config(overrides=[where]).out_root() / "enumerate"
+
+        shared = enumerate_after(
+            "shared", "runs", ["baseline", "run.enum_cap=0", "run.method=random",
+                               "baseline.budget=5", "run.seeds=[1]"])
+        fresh = enumerate_after("fresh", "fresh-runs")
+        for name in ("landscape.csv", "quantiles.json"):
+            assert (shared / name).read_bytes() == (fresh / name).read_bytes(), name
 
 
 class TestPipeline:
@@ -638,17 +659,23 @@ class TestPipeline:
         trace.write_text("\n".join(lines) + "\n")
         assert run(workspace, "report") == 2
 
+    # a row appended to the trace: {i} is its 1-based position, {best} the
+    # trace's best loss so far
     @pytest.mark.parametrize(
         "row",
-        ["21,1-2", "21,1-", "21,1-2,0.5", "21,x-2,0.5,0.5", "21,1-2,nan,0.5", "21,1-2,inf,0.5",
-         "21,1-2,-inf,0.5"],
+        ["{i},1-2", "{i},1-", "{i},1-2,0.5", "{i},x-2,0.5,0.5", "{i},1-2,nan,0.5",
+         "{i},1-2,inf,0.5", "{i},1-2,-inf,0.5", "{i},1-2,0.5,x", "{i},1-2,0.5,-1e9",
+         "{i},1-2,-1e9,{best}", "7,1-2,0.5,{best}", "0,1-2,0.5,{best}", "x,1-2,0.5,{best}"],
         ids=["short", "torn-key", "without-best", "non-integer-action", "nan-loss", "inf-loss",
-             "minus-inf-loss"],
+             "minus-inf-loss", "best-not-a-number", "best-below-the-running-minimum",
+             "best-above-the-running-minimum", "iteration-not-the-position",
+             "iteration-zero", "iteration-not-a-number"],
     )
     def test_malformed_trace_row_exits_2(self, workspace, capsys, row):
         assert run(workspace, "train") == 0
         trace = out_root(workspace) / "train" / "1" / "trace.csv"
         lines = trace.read_text().splitlines()
+        row = row.format(i=len(lines) - 1, best=lines[-1].split(",")[3])
         trace.write_text("\n".join(lines + [row]) + "\n")
         capsys.readouterr()
         assert run(workspace, "report") == 2
@@ -662,6 +689,17 @@ class TestPipeline:
         capsys.readouterr()
         assert run(workspace, "report") == 2
         assert capsys.readouterr().err == f"error: {trace} holds no trace rows\n"
+        assert not (out_root(workspace) / "report").exists()
+
+    def test_trace_without_its_header_exits_2_naming_it(self, workspace, capsys):
+        # the first data row in the header's place used to be skipped unread
+        assert run(workspace, "train") == 0
+        trace = out_root(workspace) / "train" / "1" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:1] + lines[2:]) + "\n")
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        assert f"{trace}, line 2: " in capsys.readouterr().err
         assert not (out_root(workspace) / "report").exists()
 
     def test_trace_that_is_not_utf8_exits_2_naming_it(self, workspace, capsys):
@@ -679,13 +717,14 @@ class TestPipeline:
     # the workspace space has radices (2, 3): two slots
     @pytest.mark.parametrize(
         "row",
-        ["21,1-3,0.5,0.5", "21,9-9,0.5,0.5", "21,1,0.5,0.5", "21,1-2-0,0.5,0.5"],
+        ["{i},1-3,0.5,0.5", "{i},9-9,0.5,0.5", "{i},1,0.5,0.5", "{i},1-2-0,0.5,0.5"],
         ids=["action-out-of-range", "all-out-of-range", "not-terminal", "too-long"],
     )
     def test_trace_key_outside_space_exits_2(self, workspace, capsys, row):
         assert run(workspace, "train") == 0
         trace = out_root(workspace) / "train" / "1" / "trace.csv"
         lines = trace.read_text().splitlines()
+        row = row.format(i=len(lines) - 1)
         trace.write_text("\n".join(lines + [row]) + "\n")
         capsys.readouterr()
         assert run(workspace, "report") == 2
@@ -771,13 +810,14 @@ class TestPipeline:
         [
             ("signature", None), ("trunk_dims", None), ("head_dims", None), ("log_z", None),
             ("signature", ["run_hash"]), ("trunk_dims", "16x16"), ("head_dims", [[16]]),
-            ("log_z", "0.5"),
+            ("log_z", "0.5"), ("log_z", float("nan")), ("log_z", float("inf")),
             # the workspace policy: feature_dim 9, trunk [[9, 16], [16, 16]],
             # heads [[16, 2], [16, 3]]; swapped heads keep the parameter count
             ("head_dims", [[16, 3], [16, 2]]), ("trunk_dims", [[10, 16], [16, 16]]),
         ],
         ids=["no-signature", "no-trunk_dims", "no-head_dims", "no-log_z", "signature-list",
-             "trunk_dims-string", "head_dims-pair-short", "log_z-string",
+             "trunk_dims-string", "head_dims-pair-short", "log_z-string", "log_z-nan",
+             "log_z-inf",
              "head_dims-slots-swapped", "trunk_dims-not-from-feature_dim"],
     )
     def test_malformed_header_field_exits_2(self, workspace, capsys, field, value):
@@ -802,6 +842,23 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err == f"error: checkpoint {ckpt} has a missing or malformed header field 'head_dims'\n"
         assert not (out_root(workspace) / "report").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "report"])
+    def test_checkpoint_with_nan_parameters_exits_2(self, workspace, capsys, command):
+        # report reads the checkpoint for its L1 once the landscape is enumerated
+        assert run(workspace, "enumerate") == 0
+        assert run(workspace, "train") == 0
+        ckpt = out_root(workspace) / "train" / "1" / "checkpoint.bin"
+        blob = ckpt.read_bytes()
+        start = 4 + struct.unpack("<I", blob[:4])[0]
+        nan = np.full((len(blob) - start) // 4, np.nan, dtype="<f4").tobytes()
+        ckpt.write_bytes(blob[:start] + nan)
+        capsys.readouterr()
+        assert run(workspace, command) == 2
+        assert capsys.readouterr().err == (
+            f"error: checkpoint {ckpt} holds parameters that are not finite\n")
+        root = out_root(workspace)
+        assert not (root / "sample" / "1" / "done").exists() and not (root / "report").exists()
 
     @pytest.mark.parametrize(
         "blob",

@@ -7,7 +7,7 @@ import yaml
 
 from gfnadapt import baselines
 from gfnadapt.config import (
-    DEFAULTS,
+    SETTINGS,
     ConfigError,
     load_config,
     parse_overrides,
@@ -26,22 +26,24 @@ class TestDefaults:
         assert cfg["train.log_z_lr"] == 0.1
 
     def test_dataclass_and_signature_defaults_agree_with_the_table(self):
-        # the tests build RewardConfig() and TrainConfig(); the CLI reads DEFAULTS
-        reward = dataclasses.asdict(RewardConfig())
-        reward["lambda"] = reward.pop("lam")
-        assert reward == DEFAULTS["reward"]
+        # the tests build RewardConfig() and TrainConfig(); the CLI reads SETTINGS
+        reward = {f"reward.{name}": v for name, v in dataclasses.asdict(RewardConfig()).items()}
+        reward["reward.lambda"] = reward.pop("reward.lam")
+        assert reward == {dotted: s[0] for dotted, s in SETTINGS.items() if dotted in reward}
+        assert set(reward) == {dotted for dotted in SETTINGS if dotted.startswith("reward.")}
         train = dataclasses.asdict(TrainConfig())
         train["hidden"] = list(train["hidden"])
-        assert train == {name: DEFAULTS["train"][name] for name in train}
+        assert train == {name: SETTINGS[f"train.{name}"][0] for name in train}
         tpe = inspect.signature(baselines.tpe_search).parameters
         for name in ("gamma", "n_candidates", "startup"):
-            assert tpe[name].default == DEFAULTS["baseline"][name], name
+            assert tpe[name].default == SETTINGS[f"baseline.{name}"][0], name
         days = inspect.signature(generate_contexts).parameters["days"].default
-        assert days == DEFAULTS["data"]["days"]
+        assert days == SETTINGS["data.days"][0]
 
     def test_dotted_lookup(self):
         cfg = load_config()
-        assert cfg["baseline.gamma"] == cfg.values["baseline"]["gamma"] == 0.25
+        assert cfg["baseline.gamma"] == cfg.values["baseline.gamma"] == 0.25
+        assert list(cfg.values) == list(SETTINGS)
         with pytest.raises(KeyError):
             cfg["baseline.nope"]
 
@@ -201,18 +203,54 @@ class TestValidation:
             load_config(path)
 
 
+# every error message a config's names and shape can draw, word for word:
+# (config file text or None, overrides, message)
+_MESSAGES = [
+    (None, ["rewards.beta=4"], "unknown config key: rewards"),
+    (None, ["reward.betta=4"], "unknown config key: reward.betta"),
+    (None, [".beta=1"], "unknown config key: "),
+    (None, ["run.=3"], "unknown config key: run."),
+    (None, ["rewards.=1"], "unknown config key: rewards"),
+    (None, ["reward.beta.x=1"], "override key must be section.key: reward.beta.x"),
+    (None, ["beta=4"], "override key must be section.key: beta"),
+    (None, ["reward.beta"], "override must look like section.key=value: reward.beta"),
+    ("reward: 5\n", [], "reward must be a section of settings, got 5"),
+    ("reward:\n", [], "reward must be a section of settings, got None"),
+    ("nope: 5\n", [], "unknown config key: nope"),
+    ("rewards: {beta: 3}\n", [], "unknown config key: rewards"),
+    ("reward: {betta: 3}\n", [], "unknown config key: reward.betta"),
+    ("5: 3\n", [], "unknown config key: 5"),
+    ("reward: {5: 3}\n", [], "unknown config key: reward.5"),
+    # the file's sections in order, each checked before the next
+    ("reward: {betta: 3}\ntrain: 5\n", [], "unknown config key: reward.betta"),
+    # the file before the overrides, and every override's form before any name
+    ("nope: 5\n", ["beta=4"], "unknown config key: nope"),
+    (None, ["rewards.beta=4", "beta=4"], "override key must be section.key: beta"),
+]
+
+
+@pytest.mark.parametrize("text, overrides, message", _MESSAGES,
+                         ids=[f"{text!r}-{overrides}" for text, overrides, _ in _MESSAGES])
+def test_config_error_message(tmp_path, text, overrides, message):
+    path = None
+    if text is not None:
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path, overrides)
+    assert str(info.value) == message
+
+
 class TestParseOverrides:
     def test_typed_values(self):
         update = parse_overrides(
             ["reward.beta=8", "data.noise_rel=0.5", "run.seeds=[1,2]", "space.file=x.yaml"]
         )
-        assert update["reward"]["beta"] == 8
-        assert update["data"]["noise_rel"] == 0.5
-        assert update["run"]["seeds"] == [1, 2]
-        assert update["space"]["file"] == "x.yaml"
+        assert update == {"reward.beta": 8, "data.noise_rel": 0.5, "run.seeds": [1, 2],
+                          "space.file": "x.yaml"}
 
     def test_null_value(self):
-        assert parse_overrides(["train.budget=null"])["train"]["budget"] is None
+        assert parse_overrides(["train.budget=null"]) == {"train.budget": None}
 
 
 # Every setting's kind and accepted values, written out here and not read
@@ -298,7 +336,7 @@ class TestEverySetting:
     def test_the_table_names_every_setting_once(self):
         names = [row[0] for row in _RANGES + _STRINGS]
         assert len(names) == len(set(names)) == 29
-        assert set(names) == {f"{sec}.{key}" for sec, keys in DEFAULTS.items() for key in keys}
+        assert set(names) == set(SETTINGS)
 
     @pytest.mark.parametrize(
         "override, refused",
