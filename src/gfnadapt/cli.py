@@ -212,13 +212,17 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
     n = cfg["train.n_samples"]
-    train = cfg.out_root() / "train"
+    train, sample = cfg.out_root() / "train", cfg.out_root() / "sample"
     for seed in cfg["run.seeds"]:
         _require_done(train / str(seed))
+    # every checkpoint a seed still to run reads is loaded and checked before
+    # any stage directory is made, so a refused one leaves none behind
+    signature = gflownet.checkpoint_signature(ws.space, run_hash)
+    nets = {seed: gflownet.load_checkpoint(train / str(seed) / "checkpoint.bin", signature)
+            for seed in cfg["run.seeds"] if not (sample / str(seed) / "done").exists()}
 
     def body(out, scorer, seed):
-        net = gflownet.load_checkpoint(train / str(seed) / "checkpoint.bin",
-                                       gflownet.checkpoint_signature(ws.space, run_hash))
+        net = nets.pop(seed)
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
         )
@@ -286,6 +290,10 @@ def cmd_report(cfg: ExperimentConfig) -> None:
     reports = []
     for (method, seed), evaluated in sorted(traces.items()):
         losses = [loss for _, loss in evaluated]
+        try:
+            series = metrics.best_so_far(losses, l_star, beta)
+        except ValueError as exc:
+            raise ValueError(f"{sources[method] / str(seed) / 'trace.csv'}: {exc}") from None
         med, ham, deficient = metrics.top20_stats(evaluated)
         rep = metrics.RetrievalReport(
             method=method,
@@ -294,7 +302,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             median_top20_loss=med,
             mean_hamming_top20=ham,
             sample_deficient=deficient,
-            best_so_far=metrics.best_so_far(losses, l_star, beta),
+            best_so_far=series,
             topk_recovery=(
                 metrics.topk_recovery(
                     {k for k, _ in evaluated}, table, ks

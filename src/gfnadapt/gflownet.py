@@ -4,14 +4,17 @@ Because the construction graph is a tree, every terminal state has a unique
 trajectory and the backward policy is deterministic (log P_B = 0), so the
 squared residual is (log_z + log P_F(tau) - log R(x))^2. The policy is a
 shared MLP trunk with one logit head per decision slot. The rollout is the
-policy's only forward path: training backpropagates (see nn.py) through the
-per-slot passes the rollout recorded while sampling, and the exact terminal
+policy's only forward path: training backpropagates (`_backward`) through
+the per-slot passes the rollout recorded while sampling, and the exact terminal
 distribution is the log P_F of a rollout that reads its actions from every
 terminal's key.
 
-The policy's output at a state depends only on its prefix, so each slot's
-forward runs once per distinct prefix in the batch, not once per row, and
-the gradient is reduced onto those prefixes before the backward.
+The forward runs once per slot, since slot t's input depends on the action
+drawn at slot t-1. The policy's output at a state depends only on its
+prefix, so each slot's forward runs once per distinct prefix in the batch,
+not once per row, and the gradient is reduced onto those prefixes before
+the backward, which stacks every slot's rows and runs one pass per trunk
+layer.
 """
 
 from __future__ import annotations
@@ -104,7 +107,7 @@ def new_policy(
 
 class RolloutPasses(NamedTuple):
     """The per-slot passes of one rollout over its distinct prefixes, as
-    log_pf and tb_loss_and_grads consume them. Slot t has u_t distinct
+    log_pf and _backward consume them. Slot t has u_t distinct
     prefixes, in lexicographic order; U is the sum of the u_t."""
 
     acts: list[np.ndarray] | None  # trunk activations [x, h1, ..., hL], (U, width),
@@ -154,7 +157,7 @@ def _rollout(
     int array of terminal keys (teacher forcing). The policy runs once per
     distinct prefix, found from a place-value code per row. With
     keep_caches, every slot's activations are kept and stacked once per
-    layer for the TB gradient; otherwise acts is None and no slot's
+    layer for the backward; otherwise acts is None and no slot's
     activations outlive the next slot."""
     if keys is None:
         keys = np.zeros(u.shape[::-1], dtype=np.int64)
@@ -198,23 +201,20 @@ def _key_tuples(keys: np.ndarray) -> list[StateKey]:
     return list(map(tuple, keys.tolist()))
 
 
-def tb_loss_and_grads(
-    net: PolicyNet,
-    passes: RolloutPasses,
-    log_rewards: np.ndarray,
-    grads: Gradients,
-) -> float:
-    """TB objective of the trajectories whose slot passes are given; its
-    gradient by backpropagation through those passes is written into
-    `grads`. Each slot's logit gradient is summed over the trajectories
-    sharing a prefix, so the backward runs on the distinct prefixes' rows.
-    The loss and the logit gradients are reduced in float64;
-    each slot's logit gradient is cast to the net's dtype for the backward."""
-    n = len(log_rewards)
-    residual = net.log_z + log_pf(passes) - log_rewards
-    loss = float(np.add.reduce(residual**2)) / n  # np.mean's sum and divide, unwrapped
-    dlogp = 2.0 * residual / n  # d loss / d (chosen log-prob), per trajectory
-    dlogits = []
+def _backward(
+    net: PolicyNet, passes: RolloutPasses, dlogp: np.ndarray, grads: Gradients
+) -> None:
+    """Write into `grads`, overwriting the net's parameters' part of it, the
+    gradient of a loss whose derivative by each trajectory's log P_F is
+    `dlogp`, (n,) float64, by backpropagation through the passes (kept with
+    keep_caches). Per slot, dlogp is summed onto the distinct prefixes and
+    chosen actions in float64; the logit gradient is cast to the net's
+    dtype (a float64 one would promote the products) and gives the slot's
+    head gradient and its rows of the trunk's output gradient, which each
+    trunk layer then takes in one pass over every slot's rows."""
+    acts = passes.acts
+    dh = np.empty_like(acts[-1])
+    lo = 0
     for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
         rows, radix = logp.shape
         per_prefix = np.bincount(inv, weights=dlogp, minlength=rows)
@@ -224,10 +224,33 @@ def tb_loss_and_grads(
         d = np.exp(logp)
         d *= -per_prefix[:, None]
         d += per_action.reshape(rows, radix)
-        dlogits.append(d.astype(net.dtype, copy=False))
-    net.backward_stacked(passes.acts, dlogits, grads)
+        d = d.astype(net.dtype, copy=False)
+        block = slice(lo, lo + rows)
+        lo += rows
+        np.matmul(acts[-1][block].T, d, out=grads.head_w[t])
+        np.add.reduce(d, axis=0, out=grads.head_b[t])
+        np.matmul(d, net.head_w[t].T, out=dh[block])
+    for i in range(len(net.trunk_w) - 1, -1, -1):
+        dh *= acts[i + 1] > 0.0
+        np.matmul(acts[i].T, dh, out=grads.trunk_w[i])
+        np.add.reduce(dh, axis=0, out=grads.trunk_b[i])
+        if i:
+            dh = dh @ net.trunk_w[i].T
+
+
+def tb_loss_and_grads(
+    net: PolicyNet,
+    passes: RolloutPasses,
+    log_rewards: np.ndarray,
+    grads: Gradients,
+) -> float:
+    """TB objective of the trajectories whose slot passes are given, reduced
+    in float64; its gradient is written into `grads`."""
+    n = len(log_rewards)
+    residual = net.log_z + log_pf(passes) - log_rewards
+    _backward(net, passes, 2.0 * residual / n, grads)
     grads.log_z = float(np.add.reduce(2.0 * residual)) / n
-    return loss
+    return float(np.add.reduce(residual**2)) / n  # np.mean's sum and divide, unwrapped
 
 
 @dataclass

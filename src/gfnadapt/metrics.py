@@ -11,6 +11,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .landscape import LandscapeTable
+from .rewards import reward
 from .space import StateKey, hamming
 
 
@@ -31,7 +32,8 @@ def best_so_far(
 ) -> list[tuple[int, float, float]]:
     """The (n, optimality gap, reward of the best state so far) series as its
     change points: the rows where the best loss improves, plus the last n.
-    The series at any n is the last change point at or before it."""
+    The series at any n is the last change point at or before it. A reward
+    outside the float64 range is refused, as rewards.reward refuses it."""
     if len(losses) == 0:
         raise ValueError("empty trace")
     out = []
@@ -39,7 +41,7 @@ def best_so_far(
     for n, loss in enumerate(losses, start=1):
         if loss < best or n == 1:
             best = min(best, loss)
-            out.append((n, best - l_star, float(np.exp(-beta * best))))
+            out.append((n, best - l_star, float(reward(best, beta))))
     if out[-1][0] != len(losses):
         out.append((len(losses), *out[-1][1:]))
     return out

@@ -1,8 +1,8 @@
-"""Minimal dense network with manual reverse-mode gradients.
+"""The policy network's parameters, its forward pass and Adam.
 
 The forward policy is a shared ReLU trunk with one linear logit head per
-decision slot. Differentiation is implemented directly for this fixed
-architecture; no learning framework is used.
+decision slot; no learning framework is used. Its gradient is written by
+gflownet._backward, through the per-slot passes a rollout records.
 
 All parameters live in one contiguous vector of the net's dtype (float32
 unless the net is built otherwise): trunk weights, trunk biases, head
@@ -12,10 +12,6 @@ moments use the same dtype and the same layout, so an optimizer step is a
 few whole-vector passes. Reductions stay in float64: log_softmax upcasts
 the logits, so log-probabilities, the trajectory-balance residual, log_z
 and the loss are float64 whatever the net's dtype.
-
-The forward runs once per slot (slot t's input depends on the action drawn
-at slot t-1), on the batch's distinct prefixes only; the backward stacks
-every slot's distinct-prefix rows and runs one pass per trunk layer.
 """
 
 from __future__ import annotations
@@ -98,36 +94,6 @@ class PolicyNet(FlatParams):
 
     def logits(self, h: np.ndarray, slot: int) -> np.ndarray:
         return h @ self.head_w[slot] + self.head_b[slot]
-
-    def backward_stacked(
-        self,
-        acts: list[np.ndarray],
-        dlogits: list[np.ndarray],
-        grads: "Gradients",
-    ) -> None:
-        """Write the gradients of one batch's passes over every slot into
-        `grads`, overwriting all of it. `acts` are the trunk activations
-        [x, h1, ..., hL] of all slots stacked, slot by slot; `dlogits[t]`
-        is the loss gradient of slot t's logits, (rows_t, radix), and slot
-        t's rows in `acts` are the rows_t after those of the slots before.
-        Each head's gradient takes that slot's block; each trunk layer's
-        takes one pass over all blocks. The input's gradient is not formed.
-        `dlogits` must have the net's dtype, or the products are promoted."""
-        h_last = acts[-1]
-        dh = np.empty_like(h_last)
-        lo = 0
-        for t, d in enumerate(dlogits):
-            rows = slice(lo, lo + len(d))
-            lo += len(d)
-            np.matmul(h_last[rows].T, d, out=grads.head_w[t])
-            np.add.reduce(d, axis=0, out=grads.head_b[t])
-            np.matmul(d, self.head_w[t].T, out=dh[rows])
-        for i in range(len(self.trunk_w) - 1, -1, -1):
-            dh *= acts[i + 1] > 0.0
-            np.matmul(acts[i].T, dh, out=grads.trunk_w[i])
-            np.add.reduce(dh, axis=0, out=grads.trunk_b[i])
-            if i:
-                dh = dh @ self.trunk_w[i].T
 
 
 class Gradients(FlatParams):

@@ -702,6 +702,21 @@ class TestPipeline:
         assert f"{trace}, line 2: " in capsys.readouterr().err
         assert not (out_root(workspace) / "report").exists()
 
+    def test_trace_whose_reward_leaves_the_float64_range_exits_2_naming_it(
+        self, workspace, capsys
+    ):
+        # the row passes every trace check, but exp(-beta * loss) overflows
+        # at the default reward.beta of 4; report.json used to read Infinity
+        assert run(workspace, "train") == 0
+        trace = out_root(workspace) / "train" / "1" / "trace.csv"
+        lines = trace.read_text().splitlines()
+        trace.write_text("\n".join(lines[:2] + ["1,1-2,-1000.0,-1000.0"]) + "\n")
+        capsys.readouterr()
+        assert run(workspace, "report") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {trace}: reward.beta=4 gives ") and err.count("\n") == 1
+        assert not (out_root(workspace) / "report").exists()
+
     def test_trace_that_is_not_utf8_exits_2_naming_it(self, workspace, capsys):
         assert run(workspace, "train") == 0
         trace = out_root(workspace) / "train" / "1" / "trace.csv"
@@ -857,8 +872,9 @@ class TestPipeline:
         assert run(workspace, command) == 2
         assert capsys.readouterr().err == (
             f"error: checkpoint {ckpt} holds parameters that are not finite\n")
+        # the checkpoint is refused before any stage directory is made
         root = out_root(workspace)
-        assert not (root / "sample" / "1" / "done").exists() and not (root / "report").exists()
+        assert not (root / "sample" / "1").exists() and not (root / "report").exists()
 
     @pytest.mark.parametrize(
         "blob",

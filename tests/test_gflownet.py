@@ -30,6 +30,24 @@ def tiny_stub():
     return StubScorer(dict(TINY_REWARDS))
 
 
+def tiny_target():
+    """The tiny space's six terminal keys in enumeration order, as an int
+    array, and their TINY_REWARDS normalised."""
+    keys = np.array(sorted(TINY_REWARDS))
+    rewards = np.array([TINY_REWARDS[key] for key in sorted(TINY_REWARDS)])
+    return keys, rewards / rewards.sum()
+
+
+def forward_kl_fresh(net, space, keys, target):
+    """(forward KL to `target` over the terminals `keys`, less the target's
+    entropy: -sum p*(x) log P_F(x); its gradients, written by the shared
+    backward into a new buffer). d loss / d log P_F(x) is -p*(x)."""
+    passes = gf._rollout(net, space, keys=keys, keep_caches=True)
+    grads = Gradients.zeros_like(net)
+    gf._backward(net, passes, -target, grads)
+    return -float(target @ gf.log_pf(passes)), grads
+
+
 def delta_net(space, key):
     net = gf.new_policy(space, gf.TrainConfig(), np.random.default_rng(0))
     for t, a in enumerate(key):
@@ -336,7 +354,8 @@ class TestTBLoss:
 
 
 class TestGradients:
-    def test_matches_central_differences(self):
+    @pytest.mark.parametrize("objective", ["tb", "forward-kl"])
+    def test_matches_central_differences(self, objective):
         sp = make_tiny_space()
         rng = np.random.default_rng(7)
         net = gf.new_policy(sp, gf.TrainConfig(hidden=(8, 8, 8)), rng, dtype=np.float64)
@@ -344,8 +363,11 @@ class TestGradients:
             head += rng.normal(0, 0.3, head.shape)
         keys = [(0, 0), (1, 2), (0, 1), (1, 0)]
         log_r = np.array([0.0, 0.7, -0.5, 1.1])
+        every_key, target = tiny_target()
 
         def loss_and_grads():
+            if objective == "forward-kl":
+                return forward_kl_fresh(net, sp, every_key, target)
             return tb_fresh(net, fixed_passes(net, sp, keys), log_r)
 
         _, grads = loss_and_grads()
@@ -386,15 +408,24 @@ class TestGradients:
         fd = (up - down) / (2 * h)
         assert grads.log_z == pytest.approx(fd, rel=1e-6)
 
+    def test_forward_kl_fit_reaches_the_tiny_target(self, tiny_space):
+        keys, target = tiny_target()
+        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(16, 16)), np.random.default_rng(0))
+        opt = Adam(lr=5e-3, log_z_lr=0.1)
+        for _ in range(300):
+            _, grads = forward_kl_fresh(net, tiny_space, keys, target)
+            opt.step(net, grads)
+        learned = gf.exact_terminal_distribution(net, tiny_space)
+        assert np.abs(learned - target).sum() <= 0.01
 
-def reference_grads(net, passes, log_rewards):
-    """TB gradient by the per-row, per-slot backward: the recorded passes
-    expanded to one row per trajectory at every slot, and every slot's head
-    and trunk gradients accumulated from those rows, one slot at a time."""
-    n = len(log_rewards)
-    rows = np.arange(n)
-    residual = net.log_z + chosen_logp_sum(passes) - log_rewards
-    dlogp = 2.0 * residual / n
+
+def reference_grads(net, passes, dlogp):
+    """Gradient of a loss whose d loss / d log P_F per trajectory is `dlogp`,
+    by the per-row, per-slot backward: the recorded passes expanded to one
+    row per trajectory at every slot, and every slot's head and trunk
+    gradients accumulated from those rows, one slot at a time. log_z's
+    gradient is left at 0."""
+    rows = np.arange(len(dlogp))
     grads = Gradients.zeros_like(net)
     starts = np.cumsum([0, *map(len, passes.logp)])  # each slot's first row in acts
     for t, logp in enumerate(per_row_logp(passes)):
@@ -410,6 +441,13 @@ def reference_grads(net, passes, log_rewards):
             grads.trunk_w[i][...] += acts[i].T @ dh
             grads.trunk_b[i][...] += dh.sum(axis=0)
             dh = dh @ net.trunk_w[i].T
+    return grads
+
+
+def reference_tb_grads(net, passes, log_rewards):
+    """TB's gradient by reference_grads, and its log_z gradient."""
+    residual = net.log_z + chosen_logp_sum(passes) - log_rewards
+    grads = reference_grads(net, passes, 2.0 * residual / len(log_rewards))
     grads.log_z = float(np.mean(2.0 * residual))
     return grads
 
@@ -469,9 +507,25 @@ class TestFlatParameters:
         passes = gf._rollout(net, space, rng.random((space.slots, 16)), 0.2, keep_caches=True)
         log_r = rng.normal(-1.0, 0.5, 16)
         _, grads = tb_fresh(net, passes, log_r)
-        ref = reference_grads(net, passes, log_r)
+        ref = reference_tb_grads(net, passes, log_r)
         assert grads.log_z == ref.log_z
         assert_grads_close(grads, ref, 1e-12)
+
+    def test_forward_kl_backward_matches_per_row_reference(self, space):
+        # the shared backward under a second objective: the forward KL over a
+        # scored set of 64 terminals, teacher-forced through the rollout
+        rng = np.random.default_rng(27)
+        net = gf.new_policy(space, gf.TrainConfig(), rng, dtype=np.float64)
+        for head in net.head_w:
+            head += rng.normal(0, 0.05, head.shape)
+        terminals = np.array(list(enumerate_terminals(space)))
+        keys = terminals[rng.choice(len(terminals), size=64, replace=False)]
+        target = rng.random(64)
+        target /= target.sum()
+        passes = gf._rollout(net, space, keys=keys, keep_caches=True)
+        grads = Gradients.zeros_like(net)
+        gf._backward(net, passes, -target, grads)
+        assert_grads_close(grads, reference_grads(net, passes, -target), 1e-12)
 
     @pytest.mark.parametrize("batch", ["all-identical", "all-distinct"])
     def test_extreme_batches_match_per_row_reference(self, space, batch):
@@ -491,7 +545,7 @@ class TestFlatParameters:
         assert [len(logp) for logp in passes.logp[1:]] == [expected] * (space.slots - 1)
         log_r = rng.normal(-1.0, 0.5, len(keys))
         _, grads = tb_fresh(net, passes, log_r)
-        assert_grads_close(grads, reference_grads(net, passes, log_r), 1e-12)
+        assert_grads_close(grads, reference_tb_grads(net, passes, log_r), 1e-12)
 
     @staticmethod
     def assert_adam_matches_reference(net, ref_net, seed):
@@ -792,7 +846,7 @@ def test_unique_trajectory_per_terminal(tiny_space):
 
 
 class TestPrecision:
-    def test_default_policy_is_float32_with_float64_reductions(self, space, monkeypatch):
+    def test_default_policy_is_float32_with_float64_reductions(self, space):
         rng = np.random.default_rng(31)
         net = gf.new_policy(space, gf.TrainConfig(), rng)
         assert net.dtype == np.float32
@@ -806,17 +860,25 @@ class TestPrecision:
         assert all(a.dtype == np.float32 for a in passes.acts)
         assert all(logp.dtype == np.float64 for logp in passes.logp)
         log_r = rng.normal(-1.0, 0.5, len(keys))
-        # a float64 logit gradient would promote the backward's products
-        backward = PolicyNet.backward_stacked
-        dlogit_dtypes = []
-
-        def spy(self, acts, dlogits, grads):
-            dlogit_dtypes.extend(d.dtype for d in dlogits)
-            return backward(self, acts, dlogits, grads)
-
-        monkeypatch.setattr(PolicyNet, "backward_stacked", spy)
         loss, grads = tb_fresh(net, passes, log_r)
-        assert dlogit_dtypes == [np.float32] * space.slots
+        # the backward's products take float32 logit gradients: each head's
+        # gradient is, bit for bit, the float32 product of its slot's stacked
+        # activations and its float64 logit gradient cast to float32. A
+        # float64 logit gradient would be promoted, and only its product
+        # rounded to float32 on the way out
+        dlogp = 2.0 * (net.log_z + gf.log_pf(passes) - log_r) / len(keys)
+        lo, promoted = 0, []
+        for t, (logp, inv) in enumerate(zip(passes.logp, passes.inv)):
+            rows, radix = logp.shape
+            d = -np.exp(logp) * np.bincount(inv, weights=dlogp, minlength=rows)[:, None]
+            d += np.bincount(
+                inv * radix + keys[:, t], weights=dlogp, minlength=rows * radix
+            ).reshape(rows, radix)
+            h = passes.acts[-1][lo : lo + rows]
+            lo += rows
+            assert np.array_equal(grads.head_w[t], h.T @ d.astype(np.float32))
+            promoted.append(np.array_equal(grads.head_w[t], (h.T @ d).astype(np.float32)))
+        assert not all(promoted)  # the two products differ, so the check can fail
         loss64, ref = tb_fresh(net64, fixed_passes(net64, space, keys), log_r)
         assert type(loss) is float
         assert loss == pytest.approx(loss64, rel=1e-3)
