@@ -26,7 +26,7 @@ import numpy as np
 from . import baselines, gflownet, landscape as lsc, metrics
 from .cache import MAX_ACTIONS, MAX_KEY_LEN
 from .config import ConfigError, ExperimentConfig, load_config
-from .rewards import QuantileTable, RewardConfig, TerminalScorer
+from .rewards import QuantileTable, TerminalScorer
 from .simulator import SIM_PARAM_NAMES, builtin_space, generate_contexts, synthesize_observations
 from .space import decode_state, space_from_dict
 
@@ -83,14 +83,6 @@ class Workspace:
     def scorer(self) -> TerminalScorer:
         """Fresh scorer (zeroed counters) backed by the shared reward cache."""
         cfg = self.cfg
-        reward_cfg = RewardConfig(
-            beta=cfg["reward.beta"],
-            lam=cfg["reward.lambda"],
-            k_tail=cfg["reward.k_tail"],
-            lo_level=cfg["reward.lo_level"],
-            hi_level=cfg["reward.hi_level"],
-            warmup=cfg["reward.warmup"],
-        )
         cache_dir = cfg.cache_dir()
         qpath = cache_dir / "quantiles.json"
         contexts = self.contexts()
@@ -99,7 +91,7 @@ class Workspace:
             raise ValueError(f"quantile table {qpath} has {len(quantiles.q_lo)} entries for "
                              f"{len(contexts)} contexts; delete it to refit")
         scorer = TerminalScorer(
-            self.space, contexts, reward_cfg, cache_path=cache_dir / "rewards.bin",
+            self.space, contexts, cfg, cache_path=cache_dir / "rewards.bin",
             quantiles=quantiles,
         )
         if scorer.quantiles is None:
@@ -181,18 +173,9 @@ def cmd_enumerate(cfg: ExperimentConfig) -> None:
 def cmd_train(cfg: ExperimentConfig) -> None:
     ws = Workspace(cfg)
     run_hash = cfg.run_hash()
-    train_cfg = gflownet.TrainConfig(
-        steps=cfg["train.steps"],
-        batch=cfg["train.batch"],
-        lr=cfg["train.lr"],
-        log_z_lr=cfg["train.log_z_lr"],
-        explore_eps=cfg["train.explore_eps"],
-        hidden=tuple(cfg["train.hidden"]),
-        budget=cfg["train.budget"],
-    )
 
     def body(out, scorer, seed):
-        result = gflownet.train(ws.space, scorer, train_cfg, seed)
+        result = gflownet.train(ws.space, scorer, cfg, seed)
         signature = gflownet.checkpoint_signature(ws.space, run_hash)
         gflownet.save_checkpoint(out / "checkpoint.bin", result.net, signature)
         with open(out / "train_log.csv", "w", newline="") as fh:

@@ -24,7 +24,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 import numpy.typing as npt
@@ -35,17 +35,6 @@ from .space import SpaceSpec, StateKey
 
 CHECKPOINT_VERSION = 4
 SAMPLE_CHUNK = 1024  # rows per rollout in sample_terminals
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    steps: int = 1000
-    batch: int = 16
-    lr: float = 5e-4
-    log_z_lr: float = 0.1
-    hidden: tuple[int, ...] = (256, 256, 256)
-    explore_eps: float = 0.05  # decayed linearly to 0 over the first half
-    budget: int | None = None  # cap on distinct keys requested; None = unlimited
 
 
 def feature_dim(space: SpaceSpec) -> int:
@@ -88,14 +77,14 @@ def encode_batch(
 
 def new_policy(
     space: SpaceSpec,
-    cfg: TrainConfig,
+    hidden: Sequence[int],
     rng: np.random.Generator,
     dtype: npt.DTypeLike = np.float32,
 ) -> PolicyNet:
-    """A policy of cfg.hidden trunk widths whose trunk weights are drawn
+    """A policy of `hidden` trunk widths whose trunk weights are drawn
     uniform in +-1/sqrt(fan-in); heads (and all biases) start at zero, so
     the initial policy is uniform."""
-    dims = (feature_dim(space), *cfg.hidden)
+    dims = (feature_dim(space), *hidden)
     net = PolicyNet(
         list(zip(dims[:-1], dims[1:])), [(dims[-1], r) for r in space.slot_radices], dtype=dtype
     )
@@ -264,37 +253,41 @@ class TrainResult:
 def train(
     space: SpaceSpec,
     scorer: TerminalScorer,
-    cfg: TrainConfig,
+    cfg: Mapping,
     seed: int,
 ) -> TrainResult:
-    """Trajectory-balance training loop with an eps-mixed sampler."""
+    """Trajectory-balance training loop with an eps-mixed sampler, whose eps
+    decays linearly to 0 over the first half of the steps. `cfg` maps the
+    train.* settings by dotted name. numpy's floating-point warnings are
+    silenced: a diverging run stops at the first non-finite loss."""
     rng = np.random.default_rng(seed)
-    net = new_policy(space, cfg, rng)
-    opt = Adam(lr=cfg.lr, log_z_lr=cfg.log_z_lr)
+    net = new_policy(space, cfg["train.hidden"], rng)
+    opt = Adam(lr=cfg["train.lr"], log_z_lr=cfg["train.log_z_lr"])
     grads = Gradients.zeros_like(net)
     seen: set[StateKey] = set()
     rows = []
     evaluated: list[tuple[StateKey, float]] = []
     stopped = False
-    half = max(1, cfg.steps // 2)
-    for step in range(1, cfg.steps + 1):
-        eps = cfg.explore_eps * max(0.0, 1.0 - (step - 1) / half)
-        u = rng.random((space.slots, cfg.batch))
-        passes = _rollout(net, space, u, eps, keep_caches=True)
-        keys = _key_tuples(passes.chosen)
-        losses, rewards = scorer.score(keys)
-        evaluated.extend(zip(keys, losses.tolist()))
-        seen.update(keys)
-        loss = tb_loss_and_grads(net, passes, np.log(rewards), grads)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"trajectory balance loss diverged at step {step}")
-        opt.step(net, grads)
-        rows.append((step, loss, net.log_z, len(seen)))
-        # the run's own distinct keys, so the stop does not depend on what
-        # the cache already held
-        if cfg.budget is not None and len(seen) >= cfg.budget:
-            stopped = True
-            break
+    half = max(1, cfg["train.steps"] // 2)
+    with np.errstate(all="ignore"):
+        for step in range(1, cfg["train.steps"] + 1):
+            eps = cfg["train.explore_eps"] * max(0.0, 1.0 - (step - 1) / half)
+            u = rng.random((space.slots, cfg["train.batch"]))
+            passes = _rollout(net, space, u, eps, keep_caches=True)
+            keys = _key_tuples(passes.chosen)
+            losses, rewards = scorer.score(keys)
+            evaluated.extend(zip(keys, losses.tolist()))
+            seen.update(keys)
+            loss = tb_loss_and_grads(net, passes, np.log(rewards), grads)
+            if not np.isfinite(loss):
+                raise RuntimeError(f"trajectory balance loss diverged at step {step}")
+            opt.step(net, grads)
+            rows.append((step, loss, net.log_z, len(seen)))
+            # the run's own distinct keys, so the stop does not depend on what
+            # the cache already held
+            if cfg["train.budget"] is not None and len(seen) >= cfg["train.budget"]:
+                stopped = True
+                break
     return TrainResult(net=net, log_rows=rows, evaluated=evaluated, stopped_early=stopped)
 
 

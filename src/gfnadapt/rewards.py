@@ -16,7 +16,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,16 +26,6 @@ from .space import SpaceSpec, StateKey, decode_batch, enumerate_terminals, unifo
 
 EPS_RESIDUAL = 1e-6   # guard in the normalized-residual denominator
 EPS_QUANTILE = 1e-8   # guard in the quantile-normalization denominator
-
-
-@dataclass(frozen=True)
-class RewardConfig:
-    beta: float = 4.0
-    lam: float = 0.25
-    k_tail: int = 2
-    lo_level: float = 0.05
-    hi_level: float = 0.95
-    warmup: int = 256  # quantile-fitting sample size in non-enumerable mode
 
 
 @dataclass(frozen=True)
@@ -152,10 +142,11 @@ def reward(aggregate_loss, beta: float) -> np.ndarray:
     return r
 
 
-def derive(raw: np.ndarray, q: QuantileTable, config: RewardConfig):
-    """Aggregate loss and reward of (..., C) raw losses."""
-    agg = aggregate(normalize(raw, q), config.lam, config.k_tail)
-    return agg, reward(agg, config.beta)
+def derive(raw: np.ndarray, q: QuantileTable, config: Mapping):
+    """Aggregate loss and reward of (..., C) raw losses, under the reward.*
+    settings that `config` maps by dotted name."""
+    agg = aggregate(normalize(raw, q), config["reward.lambda"], config["reward.k_tail"])
+    return agg, reward(agg, config["reward.beta"])
 
 
 class SimulatorError(RuntimeError):
@@ -167,16 +158,17 @@ class SimulatorError(RuntimeError):
 class TerminalScorer:
     """Cache-backed scoring of terminal states against all contexts.
 
-    The reward cache at `cache_path` opens once the quantile table is
-    frozen: passed in, or fitted by fit_on_enumeration / fit_on_warmup.
-    Only keys the cache does not hold are simulated, all at once.
+    `config` maps the reward.* settings by dotted name. The reward cache at
+    `cache_path` opens once the quantile table is frozen: passed in, or
+    fitted by fit_on_enumeration / fit_on_warmup. Only keys the cache does
+    not hold are simulated, all at once.
     """
 
     def __init__(
         self,
         space: SpaceSpec,
         contexts: Sequence[ContextDataset],
-        config: RewardConfig = RewardConfig(),
+        config: Mapping,
         *,
         cache_path,
         quantiles: QuantileTable | None = None,
@@ -227,17 +219,17 @@ class TerminalScorer:
         keys = list(enumerate_terminals(self.space))
         table = self.raw_losses(keys)
         cfg = self.config
-        self._freeze(fit_quantiles(table, cfg.lo_level, cfg.hi_level))
+        self._freeze(fit_quantiles(table, cfg["reward.lo_level"], cfg["reward.hi_level"]))
         self.cache.put(keys, table)
         return self.quantiles
 
     def fit_on_warmup(self, rng: np.random.Generator) -> QuantileTable:
         """Fit quantiles on uniformly random terminals, then freeze. The
         warm-up losses are not cached."""
-        keys = set(uniform_keys(self.space, self.config.warmup, rng))
+        keys = set(uniform_keys(self.space, self.config["reward.warmup"], rng))
         table = self.raw_losses(sorted(keys))
         cfg = self.config
-        self._freeze(fit_quantiles(table, cfg.lo_level, cfg.hi_level))
+        self._freeze(fit_quantiles(table, cfg["reward.lo_level"], cfg["reward.hi_level"]))
         return self.quantiles
 
     def score(self, keys: Sequence[StateKey]) -> tuple[np.ndarray, np.ndarray]:

@@ -3,7 +3,8 @@ import pytest
 
 from gfnadapt import gflownet as gf
 from gfnadapt.nn import Gradients
-from gfnadapt.rewards import RewardConfig, TerminalScorer
+from gfnadapt.config import load_config
+from gfnadapt.rewards import TerminalScorer
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
     builtin_space,
@@ -11,6 +12,10 @@ from gfnadapt.simulator import (
     synthesize_observations,
 )
 from gfnadapt.space import ActionSpec, GroupSpec, ParameterSpec, build_space, decode_state
+
+# the resolved default config, {dotted name: value}; a test overrides a
+# setting with {**DEFAULT_CFG, "train.steps": 50}
+DEFAULT_CFG = load_config().values
 
 
 def make_tiny_space(cycles=1, step_fraction=0.3):
@@ -113,7 +118,7 @@ def obs_contexts(space):
 @pytest.fixture(scope="session")
 def fitted_scorer(space, obs_contexts, tmp_path_factory):
     scorer = TerminalScorer(
-        space, obs_contexts, RewardConfig(),
+        space, obs_contexts, DEFAULT_CFG,
         cache_path=tmp_path_factory.mktemp("cache") / "rewards.bin",
     )
     scorer.fit_on_enumeration()

@@ -15,7 +15,7 @@ from gfnadapt import gflownet as gf
 from gfnadapt.cli import main as cli_main
 from gfnadapt.config import load_config
 from gfnadapt.landscape import basin_map, build_landscape, l1_distance
-from gfnadapt.rewards import RewardConfig, TerminalScorer, aggregate, normalize
+from gfnadapt.rewards import TerminalScorer, aggregate, normalize
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
     generate_contexts,
@@ -24,7 +24,7 @@ from gfnadapt.simulator import (
 )
 from gfnadapt.space import decode_state, enumerate_terminals, neighbors, place_values
 
-from conftest import StubScorer, fixed_passes, make_tiny_space, tb_fresh
+from conftest import DEFAULT_CFG, StubScorer, fixed_passes, make_tiny_space, tb_fresh
 
 
 def _ok(line):
@@ -83,6 +83,7 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
     radices = space.slot_radices
     q = fitted_scorer.quantiles
     cfg = fitted_scorer.config
+    lam, k = cfg["reward.lambda"], cfg["reward.k_tail"]
     for _ in range(100):
         key = tuple(int(rng.integers(r)) for r in radices)
         [loss], [rew] = fitted_scorer.score([key])
@@ -107,17 +108,17 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
             assert np.exp(-beta * loss) == pytest.approx(
                 np.exp(-beta * agg), rel=1e-10
             )
-        assert rew == pytest.approx(np.exp(-cfg.beta * agg), rel=1e-10)
+        assert rew == pytest.approx(np.exp(-cfg["reward.beta"] * agg), rel=1e-10)
         # tail blend is exactly invariant to the order of context losses
         perm = rng.permutation(norm)
-        assert aggregate(perm, cfg.lam, cfg.k_tail) == aggregate(norm, cfg.lam, cfg.k_tail)
+        assert aggregate(perm, lam, k) == aggregate(norm, lam, k)
     _ok("reward pipeline: 100 terminals recomputed to 1e-10, order invariance exact")
 
 
 def test_distributions_are_normalized(space, full_landscape):
     assert abs(full_landscape.target_prob.sum() - 1.0) < 1e-9
     rng = np.random.default_rng(2)
-    net = gf.new_policy(space, gf.TrainConfig(hidden=(32, 32)), rng)
+    net = gf.new_policy(space, (32, 32), rng)
     for head in net.head_w:
         head += rng.normal(0, 1.0, head.shape)
     probs = gf.exact_terminal_distribution(net, space)
@@ -129,7 +130,7 @@ def test_gradients_match_finite_differences():
     start = time.monotonic()
     sp = make_tiny_space()
     rng = np.random.default_rng(3)
-    net = gf.new_policy(sp, gf.TrainConfig(hidden=(8, 8, 8)), rng, dtype=np.float64)
+    net = gf.new_policy(sp, (8, 8, 8), rng, dtype=np.float64)
     for head in net.head_w:
         head += rng.normal(0, 0.3, head.shape)
     keys = [(0, 0), (1, 2), (0, 1), (1, 0)]
@@ -169,7 +170,8 @@ def test_small_space_learning_fidelity(tiny_space):
         result = gf.train(
             tiny_space,
             StubScorer(dict(rewards)),
-            gf.TrainConfig(steps=1500, batch=16, lr=5e-4, hidden=(64, 64)),
+            {**DEFAULT_CFG, "train.steps": 1500, "train.batch": 16, "train.lr": 5e-4,
+             "train.hidden": [64, 64]},
             seed,
         )
         learned = gf.exact_terminal_distribution(result.net, tiny_space)
@@ -192,7 +194,7 @@ def test_full_space_learning_fidelity(space, fitted_scorer, full_landscape):
     l1s, recoveries = [], []
     for seed in (1, 2, 3):
         result = gf.train(
-            space, fitted_scorer, gf.TrainConfig(steps=1000, batch=16), seed
+            space, fitted_scorer, {**DEFAULT_CFG, "train.steps": 1000, "train.batch": 16}, seed
         )
         learned = gf.exact_terminal_distribution(result.net, space)
         l1s.append(l1_distance(learned, full_landscape.target_prob))
@@ -354,7 +356,7 @@ def test_truth_state_is_optimal_without_noise(space, tmp_path):
     contexts = generate_contexts(7)
     truth = decode_state(space, DEFAULT_TRUTH_KEY)
     obs = synthesize_observations(contexts, truth, 0.0, seed=8)
-    scorer = TerminalScorer(space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin")
+    scorer = TerminalScorer(space, obs, DEFAULT_CFG, cache_path=tmp_path / "rewards.bin")
     scorer.fit_on_enumeration()
     [raw] = scorer.raw_losses([DEFAULT_TRUTH_KEY])
     assert np.all(np.abs(raw) <= 1e-12)

@@ -16,11 +16,11 @@ from gfnadapt.baselines import (
     tpe_search,
 )
 from gfnadapt.metrics import best_so_far
-from gfnadapt.rewards import RewardConfig, TerminalScorer
+from gfnadapt.rewards import TerminalScorer
 from gfnadapt.simulator import builtin_space
 from gfnadapt.space import ActionSpec, GroupSpec, ParameterSpec, build_space, enumerate_terminals
 
-from conftest import make_tiny_space
+from conftest import DEFAULT_CFG, make_tiny_space
 
 
 class AggScorer:
@@ -302,7 +302,7 @@ class TestUniformDraws:
     @pytest.mark.parametrize("seed", range(1, 6))
     @pytest.mark.parametrize("warmup", [1, 7, 256])
     def test_fit_on_warmup(self, space_of, obs_contexts, seed, warmup, tmp_path):
-        scorer = TerminalScorer(space_of, obs_contexts, RewardConfig(warmup=warmup),
+        scorer = TerminalScorer(space_of, obs_contexts, {**DEFAULT_CFG, "reward.warmup": warmup},
                                 cache_path=tmp_path / "rewards.bin")
         simulated = []
 

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +15,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gfnadapt import baselines, gflownet, landscape, rewards
-from gfnadapt.cli import Workspace, main
-from gfnadapt.config import SETTINGS, ConfigError, load_config
+from gfnadapt.cli import Workspace, cmd_train, main
+from gfnadapt.config import SETTINGS, ConfigError, ExperimentConfig, load_config
 from gfnadapt.space import load_yaml
 
 # full crop parameter set, but only two small action groups: 6 terminals
@@ -188,6 +192,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Unable to allocate 149. GiB" in err
+
+    # at a learning rate of 1e308 the first Adam step overflows the parameters
+    # (or log_z) to inf, so step 2's loss is not finite. Run in a new process,
+    # where numpy's RuntimeWarnings would reach stderr as they do for a user
+    @pytest.mark.parametrize("setting", ["train.lr", "train.log_z_lr"])
+    def test_diverging_train_writes_one_error_line(self, workspace, tmp_path, setting):
+        env = {**os.environ, "PYTHONPATH": str(Path(gflownet.__file__).parents[1])}
+        env.pop("GFNADAPT_CACHE_DIR", None)
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "gfnadapt.cli", "train",
+             "--config", str(workspace), "--set", f"{setting}=1e308",
+             "--set", "train.steps=3"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: trajectory balance loss diverged at step 2\n"
 
     def test_report_without_traces(self, workspace):
         assert run(workspace, "report") == 2
@@ -904,3 +924,23 @@ class TestOverrides:
         assert run(workspace, "enumerate") == 0
         cfg = load_config(workspace)
         assert (shared / cfg.reward_hash() / "rewards.bin").exists()
+
+    def test_train_and_the_scorer_read_every_train_and_reward_setting(self, workspace,
+                                                                        monkeypatch):
+        # a setting that reaches neither would be accepted and then ignored;
+        # train.n_samples is sample's. With FIT_ON_ENUMERATION_MAX at 0 the
+        # quantiles are fitted on a warm-up sample, the one path that reads
+        # reward.warmup
+        read = set()
+
+        class Recording(ExperimentConfig):
+            def __getitem__(self, dotted):
+                read.add(dotted)
+                return super().__getitem__(dotted)
+
+        monkeypatch.setattr("gfnadapt.cli.FIT_ON_ENUMERATION_MAX", 0)
+        cfg = load_config(workspace, ["train.steps=3"])
+        cmd_train(Recording(cfg.values, cfg.space_doc))
+        wanted = {dotted for dotted in SETTINGS
+                  if dotted.split(".")[0] in ("train", "reward")} - {"train.n_samples"}
+        assert wanted - read == set()

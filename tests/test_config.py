@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import re
 
@@ -12,8 +11,6 @@ from gfnadapt.config import (
     load_config,
     parse_overrides,
 )
-from gfnadapt.gflownet import TrainConfig
-from gfnadapt.rewards import RewardConfig
 from gfnadapt.simulator import generate_contexts
 
 
@@ -25,15 +22,7 @@ class TestDefaults:
         assert cfg["run.seeds"] == [1, 2, 3]
         assert cfg["train.log_z_lr"] == 0.1
 
-    def test_dataclass_and_signature_defaults_agree_with_the_table(self):
-        # the tests build RewardConfig() and TrainConfig(); the CLI reads SETTINGS
-        reward = {f"reward.{name}": v for name, v in dataclasses.asdict(RewardConfig()).items()}
-        reward["reward.lambda"] = reward.pop("reward.lam")
-        assert reward == {dotted: s[0] for dotted, s in SETTINGS.items() if dotted in reward}
-        assert set(reward) == {dotted for dotted in SETTINGS if dotted.startswith("reward.")}
-        train = dataclasses.asdict(TrainConfig())
-        train["hidden"] = list(train["hidden"])
-        assert train == {name: SETTINGS[f"train.{name}"][0] for name in train}
+    def test_signature_defaults_agree_with_the_table(self):
         tpe = inspect.signature(baselines.tpe_search).parameters
         for name in ("gamma", "n_candidates", "startup"):
             assert tpe[name].default == SETTINGS[f"baseline.{name}"][0], name

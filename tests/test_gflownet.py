@@ -14,7 +14,7 @@ from gfnadapt import nn
 from gfnadapt.nn import Adam, Gradients, PolicyNet
 from gfnadapt.space import enumerate_terminals
 
-from conftest import StubScorer, fixed_passes, make_tiny_space, tb_fresh
+from conftest import DEFAULT_CFG, StubScorer, fixed_passes, make_tiny_space, tb_fresh
 
 TINY_REWARDS = {
     (0, 0): 1.0,
@@ -49,7 +49,7 @@ def forward_kl_fresh(net, space, keys, target):
 
 
 def delta_net(space, key):
-    net = gf.new_policy(space, gf.TrainConfig(), np.random.default_rng(0))
+    net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], np.random.default_rng(0))
     for t, a in enumerate(key):
         net.head_b[t][a] = 50.0
     return net
@@ -117,14 +117,14 @@ class TestEncoding:
 
 class TestForwardPolicy:
     def test_fresh_model_is_uniform(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(1))
+        net = gf.new_policy(tiny_space, DEFAULT_CFG["train.hidden"], np.random.default_rng(1))
         for t, r in enumerate(tiny_space.slot_radices):
             _, logp = gf.slot_forward(net, tiny_space, [(0,) * t], t)
             assert np.allclose(np.exp(logp[0]), 1.0 / r, atol=1e-12)
 
     def test_normalization_random_weights(self, tiny_space):
         rng = np.random.default_rng(2)
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(16, 16)), rng)
+        net = gf.new_policy(tiny_space, (16, 16), rng)
         for head in net.head_w:
             head += rng.normal(0, 1, head.shape)
         for t in range(tiny_space.slots):
@@ -132,7 +132,7 @@ class TestForwardPolicy:
             assert abs(np.exp(logp[0]).sum() - 1.0) < 1e-6
 
     def test_deterministic(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(3))
+        net = gf.new_policy(tiny_space, DEFAULT_CFG["train.hidden"], np.random.default_rng(3))
         _, a = gf.slot_forward(net, tiny_space, [()], 0)
         _, b = gf.slot_forward(net, tiny_space, [()], 0)
         assert np.array_equal(a, b)
@@ -160,7 +160,7 @@ class TestSampling:
     def test_logp_bookkeeping(self, tiny_space):
         # actions come from the eps-mixed policy, log-probs from the pure one
         rng = np.random.default_rng(6)
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8, 8)), rng)
+        net = gf.new_policy(tiny_space, (8, 8), rng)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         passes = gf._rollout(net, tiny_space, rng.random((2, 20)), 0.3, keep_caches=True)
@@ -181,7 +181,7 @@ class TestSampling:
         # train's gradient reuses the rollout's passes; they must equal a
         # fresh forward pass over the same distinct prefixes bit for bit
         rng = np.random.default_rng(14)
-        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng)
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
         passes = gf._rollout(
@@ -204,7 +204,7 @@ class TestSampling:
     @pytest.mark.parametrize("eps, n", [(0.0, 16), (0.9, 16), (0.2, 64)])
     def test_one_row_per_distinct_prefix(self, space, eps, n):
         rng = np.random.default_rng(16)
-        net = gf.new_policy(space, gf.TrainConfig(hidden=(32, 32)), rng)
+        net = gf.new_policy(space, (32, 32), rng)
         for head in net.head_w:
             head += rng.normal(0, 1.0, head.shape)
         passes = gf._rollout(net, space, rng.random((space.slots, n)), eps, True)
@@ -220,7 +220,7 @@ class TestSampling:
     def test_gathered_logp_match_per_row_forward(self, space):
         # a GEMM over fewer rows may round differently in the last place
         rng = np.random.default_rng(17)
-        net = gf.new_policy(space, gf.TrainConfig(), rng, dtype=np.float64)
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         passes = gf._rollout(net, space, rng.random((space.slots, 64)), 0.3, True)
@@ -245,7 +245,7 @@ class TestSampling:
         assert np.array_equal(passes.chosen, keys)
 
     def test_passes_dropped_without_keep_caches(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(0))
+        net = gf.new_policy(tiny_space, (8,), np.random.default_rng(0))
         passes = gf._rollout(net, tiny_space, np.random.default_rng(1).random((2, 5)), 0.0)
         assert passes.acts is None
 
@@ -293,7 +293,7 @@ def unique_rollout(net, space, u, explore_eps):
 @pytest.mark.parametrize("eps", [0.0, 0.2, 0.9])
 def test_rollout_equals_np_unique_rollout(space, eps, n):
     rng = np.random.default_rng(40)
-    net = gf.new_policy(space, gf.TrainConfig(), rng)
+    net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng)
     for head in net.head_w:
         head += rng.normal(0, 0.5, head.shape)
     u = rng.random((space.slots, n))
@@ -312,7 +312,7 @@ def test_rollout_equals_np_unique_rollout(space, eps, n):
 
 def random_net(space, seed, hidden=(8, 8), dtype=np.float32):
     rng = np.random.default_rng(seed)
-    net = gf.new_policy(space, gf.TrainConfig(hidden=hidden), rng, dtype=dtype)
+    net = gf.new_policy(space, hidden, rng, dtype=dtype)
     for head in net.head_w:
         head += rng.normal(0, 0.5, head.shape)
     return net
@@ -350,7 +350,8 @@ class TestTBLoss:
         scorer = StubScorer({**TINY_REWARDS, (1, 2): 0.0})
         with np.errstate(divide="ignore", invalid="ignore"):
             with pytest.raises(RuntimeError, match="diverged"):
-                gf.train(tiny_space, scorer, gf.TrainConfig(steps=50, hidden=(8,)), seed=0)
+                cfg = {**DEFAULT_CFG, "train.steps": 50, "train.hidden": [8]}
+                gf.train(tiny_space, scorer, cfg, seed=0)
 
 
 class TestGradients:
@@ -358,7 +359,7 @@ class TestGradients:
     def test_matches_central_differences(self, objective):
         sp = make_tiny_space()
         rng = np.random.default_rng(7)
-        net = gf.new_policy(sp, gf.TrainConfig(hidden=(8, 8, 8)), rng, dtype=np.float64)
+        net = gf.new_policy(sp, (8, 8, 8), rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.3, head.shape)
         keys = [(0, 0), (1, 2), (0, 1), (1, 0)]
@@ -391,7 +392,7 @@ class TestGradients:
 
     def test_log_z_gradient(self):
         sp = make_tiny_space()
-        net = gf.new_policy(sp, gf.TrainConfig(hidden=(8,)), np.random.default_rng(9))
+        net = gf.new_policy(sp, (8,), np.random.default_rng(9))
         keys = [(0, 0), (1, 1)]
         log_r = np.array([0.2, -0.3])
 
@@ -410,7 +411,7 @@ class TestGradients:
 
     def test_forward_kl_fit_reaches_the_tiny_target(self, tiny_space):
         keys, target = tiny_target()
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(16, 16)), np.random.default_rng(0))
+        net = gf.new_policy(tiny_space, (16, 16), np.random.default_rng(0))
         opt = Adam(lr=5e-3, log_z_lr=0.1)
         for _ in range(300):
             _, grads = forward_kl_fresh(net, tiny_space, keys, target)
@@ -488,7 +489,7 @@ class ReferenceAdam:
 
 class TestFlatParameters:
     def test_views_share_the_flat_buffer(self, space):
-        net = gf.new_policy(space, gf.TrainConfig(hidden=(16, 16)), np.random.default_rng(0))
+        net = gf.new_policy(space, (16, 16), np.random.default_rng(0))
         sizes = [p.size for p in net.params()]
         assert net.flat.size == sum(sizes)
         assert np.array_equal(net.flat, np.concatenate([p.ravel() for p in net.params()]))
@@ -500,7 +501,7 @@ class TestFlatParameters:
 
     def test_stacked_backward_matches_per_slot_reference(self, space):
         rng = np.random.default_rng(21)
-        net = gf.new_policy(space, gf.TrainConfig(), rng, dtype=np.float64)
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
         net.log_z = 0.3
@@ -515,7 +516,7 @@ class TestFlatParameters:
         # the shared backward under a second objective: the forward KL over a
         # scored set of 64 terminals, teacher-forced through the rollout
         rng = np.random.default_rng(27)
-        net = gf.new_policy(space, gf.TrainConfig(), rng, dtype=np.float64)
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
         terminals = np.array(list(enumerate_terminals(space)))
@@ -530,7 +531,7 @@ class TestFlatParameters:
     @pytest.mark.parametrize("batch", ["all-identical", "all-distinct"])
     def test_extreme_batches_match_per_row_reference(self, space, batch):
         rng = np.random.default_rng(26)
-        net = gf.new_policy(space, gf.TrainConfig(hidden=(64, 64)), rng, dtype=np.float64)
+        net = gf.new_policy(space, (64, 64), rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         net.log_z = -0.4
@@ -589,7 +590,7 @@ class TestFlatParameters:
         # the built-in space's policy at the default hidden sizes: one step
         # runs each elementwise pass over all of its parameters at once
         for dtype in (np.float64, np.float32):
-            net, ref_net = (random_net(space, 27, hidden=gf.TrainConfig().hidden, dtype=dtype)
+            net, ref_net = (random_net(space, 27, hidden=DEFAULT_CFG["train.hidden"], dtype=dtype)
                             for _ in range(2))
             assert net.flat.size > 100_000
             self.assert_adam_matches_reference(net, ref_net, 28)
@@ -604,7 +605,7 @@ class TestTraining:
             result = gf.train(
                 tiny_space,
                 tiny_stub(),
-                gf.TrainConfig(steps=1500, batch=16, hidden=(64, 64)),
+                {**DEFAULT_CFG, "train.steps": 1500, "train.batch": 16, "train.hidden": [64, 64]},
                 seed,
             )
             learned = gf.exact_terminal_distribution(result.net, tiny_space)
@@ -613,7 +614,8 @@ class TestTraining:
 
     def test_loss_decreases(self, tiny_space):
         result = gf.train(
-            tiny_space, tiny_stub(), gf.TrainConfig(steps=1000, hidden=(32, 32)), seed=0
+            tiny_space, tiny_stub(),
+            {**DEFAULT_CFG, "train.steps": 1000, "train.hidden": [32, 32]}, seed=0,
         )
         losses = [row[1] for row in result.log_rows]
         tenth = len(losses) // 10
@@ -623,7 +625,7 @@ class TestTraining:
         result = gf.train(
             tiny_space,
             tiny_stub(),
-            gf.TrainConfig(steps=500, batch=8, budget=3),
+            {**DEFAULT_CFG, "train.steps": 500, "train.batch": 8, "train.budget": 3},
             seed=0,
         )
         assert result.stopped_early
@@ -641,7 +643,8 @@ class TestTraining:
             0.3,
         )
         scorer = StubScorer({(0,): 0.7})
-        result = gf.train(sp, scorer, gf.TrainConfig(steps=400, hidden=(8,)), seed=0)
+        cfg = {**DEFAULT_CFG, "train.steps": 400, "train.hidden": [8]}
+        result = gf.train(sp, scorer, cfg, seed=0)
         # with one trajectory, the optimum is log_z = log R and P_F = 1
         assert result.net.log_z == pytest.approx(np.log(0.7), abs=1e-2)
         assert result.log_rows[-1][1] < 1e-4
@@ -649,14 +652,14 @@ class TestTraining:
 
 class TestExactDistribution:
     def test_uniform_policy_builtin(self, space):
-        net = gf.new_policy(space, gf.TrainConfig(), np.random.default_rng(0))
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], np.random.default_rng(0))
         probs = gf.exact_terminal_distribution(net, space)
         assert probs.shape == (2625,)
         assert np.allclose(probs, 1.0 / 2625, atol=1e-15)
 
     def test_sums_to_one_random_model(self, tiny_space):
         rng = np.random.default_rng(10)
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(16,)), rng)
+        net = gf.new_policy(tiny_space, (16,), rng)
         for head in net.head_w:
             head += rng.normal(0, 2, head.shape)
         assert abs(gf.exact_terminal_distribution(net, tiny_space).sum() - 1.0) < 1e-9
@@ -677,7 +680,7 @@ class TestExactDistribution:
 
     def test_sampling_consistency_chi_square(self, tiny_space):
         rng = np.random.default_rng(11)
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(16,)), rng)
+        net = gf.new_policy(tiny_space, (16,), rng)
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         probs = gf.exact_terminal_distribution(net, tiny_space)
@@ -741,11 +744,11 @@ def test_optimal_tabular_policy_matches_target(tiny_space):
 
 class TestSampleTerminals:
     def test_zero_draws(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(0))
+        net = gf.new_policy(tiny_space, DEFAULT_CFG["train.hidden"], np.random.default_rng(0))
         assert gf.sample_terminals(net, tiny_space, 0, np.random.default_rng(0)) == []
 
     def test_reproducible(self, tiny_space):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(), np.random.default_rng(0))
+        net = gf.new_policy(tiny_space, DEFAULT_CFG["train.hidden"], np.random.default_rng(0))
         a = gf.sample_terminals(net, tiny_space, 20, np.random.default_rng(5))
         b = gf.sample_terminals(net, tiny_space, 20, np.random.default_rng(5))
         assert a == b
@@ -760,7 +763,7 @@ class TestSampleTerminals:
     )
     def test_chunks_equal_one_rollout(self, space, n):
         rng = np.random.default_rng(24)
-        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng)
         for head in net.head_w:
             head += rng.normal(0, 1.0, head.shape)
         keys = gf.sample_terminals(net, space, n, np.random.default_rng(25))
@@ -783,7 +786,7 @@ class TestCheckpoint:
         signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
         for dtype, block in ((np.float32, "<f4"), (np.float64, "<f8")):
             rng = np.random.default_rng(13)
-            net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8, 8)), rng, dtype=dtype)
+            net = gf.new_policy(tiny_space, (8, 8), rng, dtype=dtype)
             net.log_z = 1.25
             for head in net.head_w:
                 head += rng.normal(0, 1, head.shape)
@@ -801,7 +804,7 @@ class TestCheckpoint:
                 assert np.shares_memory(loaded.flat, b)
 
     def test_unknown_dtype_refused(self, tiny_space, tmp_path):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
+        net = gf.new_policy(tiny_space, (8,), np.random.default_rng(1))
         signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
         path = tmp_path / "a.bin"
         gf.save_checkpoint(path, net, signature)
@@ -812,7 +815,7 @@ class TestCheckpoint:
             gf.load_checkpoint(path, signature)
 
     def test_torn_parameter_block_refused(self, tiny_space, tmp_path):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
+        net = gf.new_policy(tiny_space, (8,), np.random.default_rng(1))
         signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
         path = tmp_path / "a.bin"
         gf.save_checkpoint(path, net, signature)
@@ -821,7 +824,7 @@ class TestCheckpoint:
             gf.load_checkpoint(path, signature)
 
     def test_deterministic_bytes(self, tiny_space, tmp_path):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
+        net = gf.new_policy(tiny_space, (8,), np.random.default_rng(1))
         signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
         gf.save_checkpoint(tmp_path / "a.bin", net, signature)
         gf.save_checkpoint(tmp_path / "b.bin", net, signature)
@@ -829,7 +832,7 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("field", ["slot_radices", "feature_dim", "run_hash"])
     def test_signature_mismatch_refused(self, tiny_space, tmp_path, field):
-        net = gf.new_policy(tiny_space, gf.TrainConfig(hidden=(8,)), np.random.default_rng(1))
+        net = gf.new_policy(tiny_space, (8,), np.random.default_rng(1))
         signature = gf.checkpoint_signature(tiny_space, "0123456789ab")
         gf.save_checkpoint(tmp_path / "a.bin", net, signature)
         other = dict(signature, **{field: "something else"})
@@ -848,7 +851,7 @@ def test_unique_trajectory_per_terminal(tiny_space):
 class TestPrecision:
     def test_default_policy_is_float32_with_float64_reductions(self, space):
         rng = np.random.default_rng(31)
-        net = gf.new_policy(space, gf.TrainConfig(), rng)
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng)
         assert net.dtype == np.float32
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
@@ -889,7 +892,7 @@ class TestPrecision:
 
     def test_float32_exact_distribution_sums_to_one(self, space):
         rng = np.random.default_rng(2)
-        net = gf.new_policy(space, gf.TrainConfig(hidden=(32, 32)), rng)
+        net = gf.new_policy(space, (32, 32), rng)
         assert net.dtype == np.float32
         for head in net.head_w:
             head += rng.normal(0, 1.0, head.shape)

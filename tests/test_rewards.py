@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from gfnadapt.rewards import (
     QuantileTable,
-    RewardConfig,
     SimulatorError,
     TerminalScorer,
     aggregate,
@@ -28,7 +27,7 @@ from gfnadapt.simulator import (
 )
 from gfnadapt.space import decode_state, enumerate_terminals
 
-from conftest import record_passes
+from conftest import DEFAULT_CFG, record_passes
 
 
 class TestContextLoss:
@@ -218,7 +217,7 @@ class TestTerminalScorer:
     @pytest.fixture()
     def scorer(self, mini_space, obs, tmp_path):
         scorer = TerminalScorer(
-            mini_space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin"
+            mini_space, obs, DEFAULT_CFG, cache_path=tmp_path / "rewards.bin"
         )
         scorer.fit_on_enumeration()
         return scorer
@@ -243,7 +242,7 @@ class TestTerminalScorer:
 
     def test_repeats_scored_once_and_counted(self, mini_space, obs, tmp_path):
         scorer = TerminalScorer(
-            mini_space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin",
+            mini_space, obs, DEFAULT_CFG, cache_path=tmp_path / "rewards.bin",
             quantiles=QuantileTable(np.zeros(len(obs)), np.ones(len(obs)), 0.05, 0.95),
         )
         a, b, c = (0, 1), (1, 2), (2, 0)
@@ -259,8 +258,9 @@ class TestTerminalScorer:
         [agg], [rew] = scorer.score([(0, 2)])
         [raw] = scorer.raw_losses([(0, 2)])
         cfg = scorer.config
-        assert agg == aggregate(normalize(raw, scorer.quantiles), cfg.lam, cfg.k_tail)
-        assert rew == reward(agg, cfg.beta)
+        assert agg == aggregate(normalize(raw, scorer.quantiles), cfg["reward.lambda"],
+                                cfg["reward.k_tail"])
+        assert rew == reward(agg, cfg["reward.beta"])
 
     def test_persistence_roundtrip(self, scorer, mini_space, obs, tmp_path):
         [agg], [rew] = scorer.score([(1, 0)])
@@ -278,7 +278,7 @@ class TestTerminalScorer:
             mini_space, obs, scorer.config,
             cache_path=tmp_path / "rewards.bin", quantiles=b,
         )
-        lam, k = scorer.config.lam, scorer.config.k_tail
+        lam, k = scorer.config["reward.lambda"], scorer.config["reward.k_tail"]
         keys = list(enumerate_terminals(mini_space))
         new, _ = reopened.score(keys)
         old, _ = scorer.score(keys)
@@ -290,7 +290,7 @@ class TestTerminalScorer:
     def test_cache_freed_with_its_scorer(self, mini_space, obs, tmp_path):
         # no reference cycle: a stage's records go as soon as its scorer does
         scorer = TerminalScorer(
-            mini_space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin",
+            mini_space, obs, DEFAULT_CFG, cache_path=tmp_path / "rewards.bin",
             quantiles=QuantileTable(np.zeros(len(obs)), np.ones(len(obs)), 0.05, 0.95),
         )
         cache = weakref.ref(scorer.cache)
@@ -300,14 +300,15 @@ class TestTerminalScorer:
     def test_unfitted_scorer_rejected(self, mini_space, tmp_path):
         contexts = generate_contexts(3, days=60)
         scorer = TerminalScorer(
-            mini_space, contexts, RewardConfig(), cache_path=tmp_path / "rewards.bin"
+            mini_space, contexts, DEFAULT_CFG, cache_path=tmp_path / "rewards.bin"
         )
         with pytest.raises(RuntimeError, match="quantile"):
             scorer.score([(0, 0)])
 
     def test_warmup_fit_freezes_quantiles(self, mini_space, obs, tmp_path):
         scorer = TerminalScorer(
-            mini_space, obs, RewardConfig(warmup=4), cache_path=tmp_path / "rewards.bin"
+            mini_space, obs, {**DEFAULT_CFG, "reward.warmup": 4},
+            cache_path=tmp_path / "rewards.bin",
         )
         q = scorer.fit_on_warmup(np.random.default_rng(0))
         assert np.all(q.q_lo <= q.q_hi)
@@ -338,8 +339,8 @@ def test_loaded_records_equal_their_own_row(space, obs_contexts, fitted_scorer):
     q, cfg = fitted_scorer.quantiles, fitted_scorer.config
     keys = list(enumerate_terminals(space))
     for key, raw in zip(keys, reopened.raw_losses(keys)):
-        agg = aggregate(normalize(raw, q), cfg.lam, cfg.k_tail)
-        assert reopened.cache.get(key) == (agg, reward(agg, cfg.beta))
+        agg = aggregate(normalize(raw, q), cfg["reward.lambda"], cfg["reward.k_tail"])
+        assert reopened.cache.get(key) == (agg, reward(agg, cfg["reward.beta"]))
 
 
 def scalar_raw_losses(space, contexts, key):
@@ -378,7 +379,7 @@ def test_non_finite_trajectory_names_its_context(space, obs_contexts, tmp_path):
     bad = replace(obs_contexts[2], light=np.full(obs_contexts[2].days, -1e6),
                   co2=np.full(obs_contexts[2].days, -1.0))
     contexts = [*obs_contexts[:2], bad, *obs_contexts[3:]]
-    scorer = TerminalScorer(space, contexts, RewardConfig(), cache_path=tmp_path / "r.bin")
+    scorer = TerminalScorer(space, contexts, DEFAULT_CFG, cache_path=tmp_path / "r.bin")
     with pytest.raises(SimulatorError, match="context 3"):
         scorer.raw_losses([(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)])
     with pytest.raises(OverflowError):  # the scalar oracle fails on it too
@@ -390,7 +391,7 @@ def test_non_finite_trajectories_name_the_first_context(space, obs_contexts, tmp
         replace(c, light=np.full(c.days, -1e6), co2=np.full(c.days, -1.0)) if j in (2, 4) else c
         for j, c in enumerate(obs_contexts)
     ]
-    scorer = TerminalScorer(space, contexts, RewardConfig(), cache_path=tmp_path / "r.bin")
+    scorer = TerminalScorer(space, contexts, DEFAULT_CFG, cache_path=tmp_path / "r.bin")
     with pytest.raises(SimulatorError, match="context 3"):
         scorer.raw_losses([(1, 2, 3, 4, 5)])
 
@@ -399,6 +400,6 @@ def test_truth_key_scores_zero_without_noise(space, tmp_path):
     contexts = generate_contexts(7)
     truth = decode_state(space, DEFAULT_TRUTH_KEY)
     obs = synthesize_observations(contexts, truth, 0.0, seed=9)
-    scorer = TerminalScorer(space, obs, RewardConfig(), cache_path=tmp_path / "rewards.bin")
+    scorer = TerminalScorer(space, obs, DEFAULT_CFG, cache_path=tmp_path / "rewards.bin")
     [raw] = scorer.raw_losses([DEFAULT_TRUTH_KEY])
     assert np.allclose(raw, 0.0, atol=1e-12)
