@@ -141,22 +141,34 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
     return fruit[context.obs_times - 1]
 
 
-# The parameters each day series of simulate that does not depend on crop
-# state reads, in the order its function below unpacks them. The crop-state
-# update reads the other three, LAI_max, SLA and n_plants, key by key.
+# The parameters each factor of simulate's state-free day series reads, in
+# the order its function below unpacks them. The crop-state update reads the
+# other three, LAI_max, SLA and n_plants, key by key.
 DAY_SERIES_PARAMS = {
-    "assim_max": ("P_max", "alpha_light", "co2_half", "T_opt", "T_width", "s_sharp"),
+    "light_co2": ("P_max", "alpha_light", "co2_half"),
+    "inhibition": ("T_opt", "T_width", "s_sharp"),
     "maint_rate": ("c_maint", "Q10"),
-    "p_f": ("TS_start", "TS_end", "dev_rate", "rg_fruit"),
+    "temp_sum": ("dev_rate",),
+    "fruit_share": ("TS_start", "TS_end", "rg_fruit"),
+}
+
+# The day series, each as the factors it is built from: assimilation at full
+# light cover is light_co2 times inhibition at t_day and at t_24, the
+# maintenance rate is its own factor, and p_f's growth coefficients are the
+# fruit share over the temperature sum.
+DAY_SERIES = {
+    "assim_max": ("light_co2", "inhibition"),
+    "maint_rate": ("maint_rate",),
+    "p_f": ("temp_sum", "fruit_share"),
 }
 
 # Rows at most of every plane an array pass allocates, each plane one
 # float64 per context, about 0.13 MiB at 6 contexts: a pass holds at most
 # SIM_CELLS consecutive keys, and a block of days at most SIM_CELLS cells,
-# its consecutive days times the distinct parameter rows of the widest day
-# series in the pass, p_f's three stacked coefficients counting three times.
-# A 1000-key batch on the 2-cycle space peaks near 1.6 MiB besides its
-# outputs (tracemalloc).
+# its consecutive days times the distinct rows of the widest series or
+# factor in the pass, p_f's three stacked coefficients counting three times
+# and the inhibition's two planes twice. A 1000-key batch on the 2-cycle
+# space peaks near 1.6 MiB besides its outputs (tracemalloc).
 SIM_CELLS = 16 * 180
 
 
@@ -168,12 +180,21 @@ def simulate_batch(
     must share one day grid: the same days and obs_times.
 
     Keys run in array passes of at most SIM_CELLS consecutive keys. Within a
-    pass each day series that does not depend on crop state is computed once
-    per distinct row of the parameters it reads (DAY_SERIES_PARAMS), rows
-    counting as one only when bit-identical, in blocks of consecutive days of
-    at most SIM_CELLS cells; each key reads its row's values in the day loop,
-    and only the crop-state update runs per key: one multiply-add of p_f's
-    stacked coefficients into the stacked fruit, leaf and stem state.
+    pass the day series that do not depend on crop state (DAY_SERIES) are
+    built from factors, each computed once per distinct row of the
+    parameters it reads (DAY_SERIES_PARAMS), rows counting as one only when
+    bit-identical: the light-and-CO2 factor (P_max, alpha_light, co2_half),
+    the inhibition at t_day and at t_24 (T_opt, T_width, s_sharp), the
+    maintenance rate (c_maint, Q10) and the temperature sum (dev_rate). Each
+    series is assembled once per distinct row of all its factors'
+    parameters, its factors' rows gathered: assimilation as
+    ((light · co2) · inhibition(t_day)) · inhibition(t_24), and p_f's growth
+    coefficients as the fruit share (TS_start, TS_end, rg_fruit) over the
+    temperature sum. Factors and series run in blocks of consecutive days of
+    at most SIM_CELLS cells; each key reads its series rows' values in the
+    day loop, and only the crop-state update runs per key: one multiply-add
+    of p_f's stacked coefficients into the stacked fruit, leaf and stem
+    state.
 
     Rows agree with simulate up to rounding (the hoisted day series multiply
     in another order) and are bit-identical whatever the rest of the batch.
@@ -192,10 +213,11 @@ def simulate_batch(
     n = cols.shape[1]
     out = np.empty((n, len(contexts), len(grid.obs_times)))
     series_cols = [
-        cols[[SIM_PARAM_NAMES.index(p) for p in names]] for names in DAY_SERIES_PARAMS.values()
+        cols[[SIM_PARAM_NAMES.index(p) for f in factors for p in DAY_SERIES_PARAMS[f]]]
+        for factors in DAY_SERIES.values()
     ]
     # t_day, t_24, light and co2 as one (4, days, 1, contexts) array, each
-    # field to broadcast against (rows, 1) parameter columns
+    # field to broadcast against _fruit_on_days's parameter columns
     forcing = np.stack([[c.t_day, c.t_24, c.light, c.co2] for c in contexts], axis=-1)[:, :, None]
     for lo in range(0, n, SIM_CELLS):
         hi = min(n, lo + SIM_CELLS)
@@ -224,55 +246,100 @@ def _distinct_rows(rows: np.ndarray):
     return first, codes.reshape(-1)  # numpy 2.0 and 2.1 shape it like the input
 
 
-def _assim_max(p, t_day, t_24, light, co2):
-    """simulate's assimilation at full light cover over a block of days, a
-    (days, rows, contexts) array from p, the assim_max columns of
-    DAY_SERIES_PARAMS as (rows, 1) arrays, and the block's forcing: its
-    product factor by factor and in place, in three blocks."""
-    p_max, alpha, co2_half, t_opt, t_width, s_sharp = p
-    assim = np.multiply(-alpha, light)
-    assim /= p_max
-    np.exp(assim, out=assim)
-    np.subtract(1.0, assim, out=assim)
-    assim *= p_max
-    lo, hi = np.empty((2, *assim.shape))
-    np.add(co2, co2_half, out=lo)
-    np.divide(co2, lo, out=lo)
-    assim *= lo
-    edges = ((lo, t_opt - t_width, -s_sharp), (hi, t_opt + t_width, s_sharp))
-    for t in (t_day, t_24):  # times _inhibition(t, t_opt, t_width, s_sharp)
-        for part, edge, sign in edges:
+def _factor_rows(p):
+    """(p's distinct rows, the position among them of each of p's rows or
+    None) of (params, rows, 1) parameter columns, as _distinct_rows counts
+    them."""
+    first, of = _distinct_rows(p[:, :, 0].T)
+    return (p, None) if of is None else (p[:, first], of)
+
+
+def _rows_of(factor, of):
+    """factor's rows gathered along its row axis, one per series row: factor
+    itself when of is None."""
+    return factor if of is None else factor.take(of, axis=-2)
+
+
+def _light_co2(p, light, co2):
+    """simulate's light-and-CO2 factor of assimilation over a block of days,
+    a (days, rows, contexts) array from p, the light_co2 columns of
+    DAY_SERIES_PARAMS as (rows, contexts) arrays ((1, 1) for one row), and
+    the block's forcing:
+    p_max * (1 - exp(-alpha * light / p_max)) * co2 / (co2 + co2_half),
+    computed in place."""
+    p_max, alpha, co2_half = p
+    factor = np.multiply(-alpha, light)
+    factor /= p_max
+    np.exp(factor, out=factor)
+    np.subtract(1.0, factor, out=factor)
+    factor *= p_max
+    f_co2 = np.add(co2, co2_half)
+    np.divide(co2, f_co2, out=f_co2)
+    factor *= f_co2
+    return factor
+
+
+def _inhibition_planes(p, t_day, t_24):
+    """simulate's _inhibition at t_day and at t_24 over a block of days, a
+    (2, days, rows, contexts) array from the inhibition columns, like
+    _light_co2."""
+    t_opt, t_width, s_sharp = p
+    planes = np.empty((2, len(t_day), len(t_opt), t_day.shape[-1]))
+    hi = np.empty(planes.shape[1:])
+    edges = ((t_opt - t_width, -s_sharp), (t_opt + t_width, s_sharp))
+    for lo, t in zip(planes, (t_day, t_24)):
+        for part, (edge, sign) in zip((lo, hi), edges):
             np.subtract(t, edge, out=part)
             part *= sign
             np.exp(part, out=part)
             part += 1.0
             np.divide(1.0, part, out=part)
         lo *= hi
-        assim *= lo
+    return planes
+
+
+def _assim_max(light_co2, light_of, inhibition, inhibition_of):
+    """simulate's assimilation at full light cover over a block of days, a
+    (days, rows, contexts) array over the assim_max rows, assembled from its
+    factors' rows: ((light · co2) · inhibition(t_day)) · inhibition(t_24),
+    each factor's rows gathered per assim_max row by light_of and
+    inhibition_of (None: one factor row per series row)."""
+    assim = _rows_of(light_co2, light_of)
+    at_t_day, at_t_24 = _rows_of(inhibition, inhibition_of)
+    assim *= at_t_day
+    assim *= at_t_24
     return assim
 
 
 def _maint_rate(p, t_24):
     """simulate's maintenance per unit mass over a block of days, like
-    _assim_max from the maint_rate columns."""
+    _light_co2 from the maint_rate columns."""
     c_maint, q10 = p
     rate = q10 ** ((t_24 - 25.0) / 10.0)
     rate *= c_maint
     return rate
 
 
-def _growth_coefficients(p, t_24, ts_before):
-    """(coef, ts) over a block of days from the p_f columns: coef, a (days,
-    3, rows, contexts) array, holds the growth coefficients of fruit, leaf
-    and stem, [p_f, 0.7 * (1 - p_f), 0.3 * (1 - p_f)] as simulate multiplies
-    them, p_f by simulate's branches; ts is the temperature sum on the
-    block's last day, which the next block continues from as ts_before (None
-    before the first block)."""
-    ts_start, ts_end, dev_rate, rg_fruit = p
+def _temp_sum(p, t_24, ts_before):
+    """(ts, last) over a block of days from the temp_sum column: ts, a
+    (days, rows, contexts) array, is simulate's temperature sum on each day,
+    and last its copy on the block's last day, which the next block
+    continues from as ts_before (None before the first block)."""
+    (dev_rate,) = p
     ts = dev_rate * np.maximum(0.0, t_24 - 10.0)
     if ts_before is not None:  # the same sequential sum as over all days at once
         ts[0] += ts_before
     np.cumsum(ts, axis=0, out=ts)
+    return ts, ts[-1].copy()  # not a view that keeps the block alive
+
+
+def _growth_coefficients(p, ts):
+    """The growth coefficients over a block of days from the fruit_share
+    columns and ts, the temperature sum on the same rows: a (days, 3, rows,
+    contexts) array of the growth coefficients of fruit, leaf and stem,
+    [p_f, 0.7 * (1 - p_f), 0.3 * (1 - p_f)] as simulate multiplies them,
+    p_f by simulate's branches."""
+    ts_start, ts_end, rg_fruit = p
     coef = np.empty((len(ts), 3, *ts.shape[1:]))
     p_f, leaf, stem = coef.transpose(1, 0, 2, 3)
     np.divide(rg_fruit * (ts - ts_start), ts_end - ts_start, out=p_f)  # in place over the ramp
@@ -281,7 +348,7 @@ def _growth_coefficients(p, t_24, ts_before):
     np.subtract(1.0, p_f, out=stem)
     np.multiply(0.7, stem, out=leaf)
     stem *= 0.3
-    return coef, ts[-1].copy()  # not a view that keeps the block alive
+    return coef
 
 
 def _by_key(series, inv):
@@ -299,27 +366,47 @@ def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
     """Write the fruit mass after each of the 0-based obs_days of the
     recurrence in simulate into out, a (keys, contexts, observations) array,
     and stop after the last of them. state holds the keys' LAI_max, SLA and
-    n_plants as (keys, 1) columns; series_rows holds, per DAY_SERIES_PARAMS
-    entry, its parameter columns over the distinct rows and each key's row
-    (None: one row per key); forcing is simulate_batch's stacked forcing.
+    n_plants as (keys, 1) columns; series_rows holds, per DAY_SERIES entry,
+    its factors' parameter columns over the series' distinct rows and each
+    key's row (None: one row per key); forcing is simulate_batch's stacked
+    forcing.
 
-    The three day series are computed once per distinct row, block by block
-    on one grid of consecutive days whose blocks keep the widest series
-    within SIM_CELLS cells, p_f's three planes counting three times; each
-    key reads its rows through _by_key. Only the crop-state update runs per
-    key, day by day, on one stacked (fruit, leaf, stem) array grown by p_f's
-    coefficients times the day's net assimilation, the day's arithmetic
-    written into two buffers allocated once, its constants converted to
-    float64 arrays once and its outputs passed positionally: the day loop's
-    cost is numpy's per-call overhead. A block's series are released before
-    the next block's are made."""
+    Block by block on one grid of consecutive days, four factors are
+    computed once per distinct row of their own parameters among the series
+    rows: the light-and-CO2 factor (P_max, alpha_light, co2_half), the
+    inhibition at t_day and at t_24 (T_opt, T_width, s_sharp), the
+    maintenance rate (c_maint, Q10) and the temperature sum (dev_rate),
+    which carries from block to block per dev_rate row. Each series' rows
+    are then assembled from its factors' rows: assimilation by gather and
+    multiply, and p_f's growth coefficients as the fruit share (TS_start,
+    TS_end, rg_fruit) over each row's gathered temperature sum. The blocks
+    keep the widest series or factor within SIM_CELLS cells, p_f's three
+    planes counting three times and the inhibition's two twice. Each key
+    reads its series rows through _by_key. Only the crop-state update runs
+    per key, day by day, on one stacked (fruit, leaf, stem) array grown by
+    p_f's coefficients times the day's net assimilation, the day's
+    arithmetic written into two buffers allocated once, its constants
+    converted to float64 arrays once and its outputs passed positionally:
+    the day loop's cost is numpy's per-call overhead. A block's factors and
+    series are released before the next block's are made."""
     obs_days = obs_days.tolist()
     n_days = obs_days[-1] + 1
     (assim_p, assim_inv), (maint_p, maint_inv), (coef_p, coef_inv) = series_rows
-    widest = max(assim_p.shape[1], maint_p.shape[1], 3 * coef_p.shape[1])
+    # each series' columns split into its factors', in DAY_SERIES's order
+    (light_p, light_of), (inhib_p, inhib_of) = _factor_rows(assim_p[:3]), _factor_rows(assim_p[3:])
+    (dev_p, dev_of), share_p = _factor_rows(coef_p[:1]), coef_p[1:]
+    n_contexts = forcing.shape[-1]
+    # the factors' columns of more than one row repeated over the contexts,
+    # like the keys' below: a (days, rows, contexts) operand then meets its
+    # parameters in one inner loop per day, not one per row. One row meets a
+    # whole block in one inner loop as it is.
+    light_p, inhib_p, maint_p, dev_p, share_p = (
+        p if p.shape[1] == 1 else np.repeat(p, n_contexts, axis=2)
+        for p in (light_p, inhib_p, maint_p, dev_p, share_p))
+    # a factor has at most its series' rows, but the inhibition has two planes
+    widest = max(assim_p.shape[1], 2 * inhib_p.shape[1], maint_p.shape[1], 3 * coef_p.shape[1])
     block = max(1, SIM_CELLS // widest)
     lai_max, sla, n_plants = state
-    n_contexts = forcing.shape[-1]
     # the keys' columns repeated over the contexts: a ufunc whose operands
     # share one shape skips broadcasting's set-up, most of a small day's cost
     lai_max = np.repeat(lai_max, n_contexts, axis=1)
@@ -329,12 +416,14 @@ def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
     w_f, w_l, w_s = w
     net, mass = np.empty((2, *w_f.shape))
     zero, one, extinction = np.array(0.0), np.array(1.0), np.array(-0.7)
-    k, ts = 0, None
+    k, ts_last = 0, None
     for lo in range(0, n_days, block):
         t_day, t_24, light, co2 = forcing[:, lo : min(n_days, lo + block)]
-        assim = _assim_max(assim_p, t_day, t_24, light, co2)
+        assim = _assim_max(_light_co2(light_p, light, co2), light_of,
+                           _inhibition_planes(inhib_p, t_day, t_24), inhib_of)
         maint = _maint_rate(maint_p, t_24)
-        coef, ts = _growth_coefficients(coef_p, t_24, ts)
+        ts, ts_last = _temp_sum(dev_p, t_24, ts_last)
+        coef = _growth_coefficients(share_p, _rows_of(ts, dev_of))
         assim_of, maint_of, coef_of = (
             _by_key(assim, assim_inv), _by_key(maint, maint_inv), _by_key(coef, coef_inv))
         for i in range(len(t_24)):
@@ -357,7 +446,7 @@ def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
                 out[:, :, k] = w_f
                 k += 1
             del assim_d, maint_d, coef_d  # freed before the next day's are gathered
-        del assim, maint, coef, assim_of, maint_of, coef_of  # freed before the next block
+        del assim, maint, ts, coef, assim_of, maint_of, coef_of  # freed before the next block
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

@@ -6,6 +6,7 @@ import pytest
 
 from gfnadapt import simulator
 from gfnadapt.simulator import (
+    DAY_SERIES,
     DAY_SERIES_PARAMS,
     DEFAULT_TRUTH_KEY,
     SIM_PARAM_NAMES,
@@ -152,25 +153,55 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
     assert sims.tobytes() == np.concatenate(alone).tobytes()
 
 
-def record_blocks(monkeypatch) -> list[tuple[int, int, int]]:
-    """Wrap the three day series functions to record each block they compute
-    as its (days, distinct rows, planes): one plane for assim_max and
-    maint_rate, three for p_f's stacked growth coefficients."""
+# Each function that computes a block of a day-series factor or assembles a
+# series from its factors, with the DAY_SERIES_PARAMS entries whose distinct
+# rows it runs over and its planes: the inhibition at t_day and at t_24, and
+# p_f's three stacked growth coefficients
+BLOCK_FUNCTIONS = {
+    "_light_co2": (("light_co2",), 1),
+    "_inhibition_planes": (("inhibition",), 2),
+    "_assim_max": (DAY_SERIES["assim_max"], 1),
+    "_maint_rate": (DAY_SERIES["maint_rate"], 1),
+    "_temp_sum": (("temp_sum",), 1),
+    "_growth_coefficients": (DAY_SERIES["p_f"], 3),
+}
+FACTORS = ("_light_co2", "_inhibition_planes", "_maint_rate", "_temp_sum")
+
+
+def record_blocks(monkeypatch) -> list[tuple[str, int, int, int]]:
+    """Wrap the BLOCK_FUNCTIONS to record each block they compute as its
+    (function, days, distinct rows, planes), the days counted from the
+    array's size."""
     blocks = []
 
-    def recording(series):
+    def recording(name, compute):
+        planes = BLOCK_FUNCTIONS[name][1]
+
         def recorded(*args):
-            result = series(*args)
+            result = compute(*args)
             values = result[0] if isinstance(result, tuple) else result
-            planes = values.shape[1] if values.ndim == 4 else 1
-            blocks.append((len(values), values.shape[-2], planes))
+            *_, rows, contexts = values.shape
+            blocks.append((name, values.size // (planes * rows * contexts), rows, planes))
             return result
 
         return recorded
 
-    for name in ("_assim_max", "_maint_rate", "_growth_coefficients"):
-        monkeypatch.setattr(simulator, name, recording(getattr(simulator, name)))
+    for name in BLOCK_FUNCTIONS:
+        monkeypatch.setattr(simulator, name, recording(name, getattr(simulator, name)))
     return blocks
+
+
+def distinct_rows(params, factors, keys: slice) -> int:
+    """The distinct rows of the factors' parameter columns over the keys."""
+    names = [name for factor in factors for name in DAY_SERIES_PARAMS[factor]]
+    return len(np.unique(np.column_stack([params[name][keys] for name in names]), axis=0))
+
+
+def one_key_batches(params, contexts):
+    return np.concatenate([
+        simulate_batch({name: col[i : i + 1] for name, col in params.items()}, contexts)
+        for i in range(len(params["P_max"]))
+    ])
 
 
 @pytest.mark.parametrize(
@@ -198,36 +229,41 @@ def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, bat
     if batch == "groups-2-3":
         # assim_max's rows set the block length, so p_f's one row carries its
         # temperature sum across blocks shorter than p_f alone would take
-        coef_rows = [rows for _, rows, planes in blocks if planes == 3]
-        assert len(coef_rows) > 1 and set(coef_rows) == {1}
+        for name in ("_temp_sum", "_growth_coefficients"):
+            rows = [rows for function, _, rows, _ in blocks if function == name]
+            assert len(rows) > 1 and set(rows) == {1}
     blocks.clear()
-    alone = [
-        simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
-        for i in range(len(keys))
-    ]
+    alone = one_key_batches(params, obs_contexts)
     # the bytes of one-key batches, whose p_f is one block of every day
-    assert {days for days, _, planes in blocks if planes == 3} == {168}
-    assert whole.tobytes() == np.concatenate(alone).tobytes()
+    assert {days for name, days, *_ in blocks
+            if name in ("_temp_sum", "_growth_coefficients")} == {168}
+    assert whole.tobytes() == alone.tobytes()
     monkeypatch.setattr(simulator, "SIM_CELLS", cells)
     passes = record_passes(monkeypatch)
     blocks.clear()
     split = simulate_batch(params, obs_contexts)
     assert whole.tobytes() == split.tobytes()
-    # ceil(n / SIM_CELLS) passes of consecutive keys, SIM_CELLS in all but the last
-    assert [n for n, *_ in passes] == [min(cells, len(keys) - lo)
-                                      for lo in range(0, len(keys), cells)]
+    # ceil(n / SIM_CELLS) passes of consecutive keys, SIM_CELLS in all but the
+    # last, each series over the distinct rows of its factors' parameters
+    pass_keys = [slice(lo, min(lo + cells, len(keys))) for lo in range(0, len(keys), cells)]
+    assert passes == [
+        (k.stop - k.start, *(distinct_rows(params, factors, k) for factors in DAY_SERIES.values()))
+        for k in pass_keys
+    ]
     # every pass's widest series has more than half of SIM_CELLS rows, so
-    # its blocks hold one day, up to the last observation day, p_f's as its
-    # stacked coefficients
+    # its blocks hold one day, up to the last observation day, each factor
+    # over the distinct rows of its own parameters
     per_day = [
-        [(1, assim, 1), (1, maint, 1), (1, coef, 3)] * 168 for _, assim, maint, coef in passes
+        [(name, 1, distinct_rows(params, factors, k), planes)
+         for name, (factors, planes) in BLOCK_FUNCTIONS.items()] * 168
+        for k in pass_keys
     ]
     assert blocks == [block for pass_blocks in per_day for block in pass_blocks]
 
 
 def test_random_2cycle_batch_is_one_pass(space, obs_contexts, monkeypatch):
-    # most keys have rows of their own, so each series is computed in blocks
-    # of a few days; a single key reads one block of every day
+    # most keys have series rows of their own, so each series is computed in
+    # blocks of a few days; a single key reads one block of every day
     space2 = replace(space, cycles=2)
     rng = np.random.default_rng(12)
     keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(1000)]
@@ -237,14 +273,63 @@ def test_random_2cycle_batch_is_one_pass(space, obs_contexts, monkeypatch):
     sims = simulate_batch(params, obs_contexts)
     assert len(passes) == 1 and passes[0][0] == 1000
     assert max(passes[0][1:]) > simulator.SIM_CELLS // 180  # more than one block
-    # every block fits in SIM_CELLS, p_f's stacked coefficients counting thrice
-    assert all(days * rows * planes <= simulator.SIM_CELLS for days, rows, planes in blocks)
-    assert {planes for *_, planes in blocks} == {1, 3}
-    alone = [
-        simulate_batch({name: col[i : i + 1] for name, col in params.items()}, obs_contexts)
-        for i in range(len(keys))
-    ]
-    assert sims.tobytes() == np.concatenate(alone).tobytes()
+    # every block fits in SIM_CELLS, stacked planes counting once each
+    assert all(days * rows * planes <= simulator.SIM_CELLS for _, days, rows, planes in blocks)
+    assert {name for name, *_ in blocks} == set(BLOCK_FUNCTIONS)
+    # each factor reads one group's parameters, whose distinct rows over two
+    # cycles number at most 25 here (22, 21, 21 and 7), while the series
+    # assembled from two factors hold hundreds (395 and 158)
+    rows = {name: {rows for function, _, rows, _ in blocks if function == name}
+            for name in BLOCK_FUNCTIONS}
+    assert max(max(rows[name]) for name in FACTORS) <= 25
+    assert min(min(rows["_assim_max"]), min(rows["_growth_coefficients"])) >= 100
+    assert sims.tobytes() == one_key_batches(params, obs_contexts).tobytes()
+
+
+@pytest.mark.parametrize("cells", [None, 5, 45], ids=["SIM_CELLS-default", "SIM_CELLS-5",
+                                                     "SIM_CELLS-45"])
+def test_factor_rows_stay_with_their_keys(space, obs_contexts, monkeypatch, cells):
+    # on the 3-cycle space, pairs of keys that share one factor of a series
+    # but not the other: a factor row gathered into the wrong series row
+    # changes some key's bytes
+    space3 = replace(space, cycles=3)
+    rng = np.random.default_rng(21)
+    base = [int(rng.integers(r)) for r in space3.slot_radices]
+    groups = [space3.slot_group(t).order for t in range(space3.slots)]
+
+    def varied(actions):
+        """base with each slot of the groups in actions drawn from its actions."""
+        return tuple(int(rng.choice(actions[g])) if g in actions else a
+                     for g, a in zip(groups, base))
+
+    light_shared = {3: range(5)}  # photosynthesis as in base, inhibition drawn
+    inhibition_shared = {2: range(5)}
+    # no action that moves dev_rate; TS_start, TS_end and rg_fruit drawn
+    dev_rate_shared = {4: (0, 3, 4), 5: (0, 1, 2)}
+    keys = [tuple(base)] * 4
+    for _ in range(8):
+        for actions in (light_shared, inhibition_shared, dev_rate_shared):
+            keys += [varied(actions), varied(actions)]
+    keys += [tuple(int(rng.integers(r)) for r in space3.slot_radices) for _ in range(100)]
+    params = columns(space3, keys)
+    for i, name in enumerate(("P_max", "T_opt", "dev_rate"), start=1):  # keys 1-3: base with a NaN
+        params[name] = params[name].copy()
+        params[name][i] = np.nan
+    if cells is not None:
+        monkeypatch.setattr(simulator, "SIM_CELLS", cells)
+    blocks = record_blocks(monkeypatch)
+    sims = simulate_batch(params, obs_contexts)
+    if cells is None:  # one pass, whose series rows are assembled from fewer factor rows
+        rows = {name: rows for name, _, rows, _ in blocks}
+        assert rows["_light_co2"] < rows["_assim_max"]
+        assert rows["_inhibition_planes"] < rows["_assim_max"]
+        assert rows["_temp_sum"] < rows["_growth_coefficients"]
+    assert sims.tobytes() == one_key_batches(params, obs_contexts).tobytes()
+    # each NaN stays in its own key: no assimilation where P_max or T_opt is
+    # NaN, and the fruit share from day 1 where dev_rate is
+    assert not sims[1].any() and not sims[2].any()
+    assert sims[0].all() and sims[3].tobytes() != sims[0].tobytes()
+    assert np.isfinite(sims).all()
 
 
 def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
@@ -263,6 +348,8 @@ def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
 def test_series_parameters_cover_each_parameter_once():
     declared = [name for names in DAY_SERIES_PARAMS.values() for name in names]
     assert sorted([*declared, "LAI_max", "SLA", "n_plants"]) == sorted(SIM_PARAM_NAMES)
+    factors = [factor for factors in DAY_SERIES.values() for factor in factors]
+    assert sorted(factors) == sorted(DAY_SERIES_PARAMS)
 
 
 def test_obs_times_biweekly():
