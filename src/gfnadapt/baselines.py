@@ -2,7 +2,8 @@
 
 Both searchers score proposals through the shared reward cache, so their
 recorded losses are bit-identical to the cache records for the same keys.
-Each returns its (key, loss) pairs in evaluation order.
+Each returns its scored set, (keys, losses): an (n, slots) int array of the
+keys in evaluation order and an (n,) float64 array of their losses.
 """
 
 from __future__ import annotations
@@ -14,39 +15,38 @@ import operator
 import numpy as np
 
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey, uniform_keys, validate_key
+from .space import SpaceSpec, key_tuples, uniform_keys, validate_key
 
 
 _TRACE_HEADER = ["iteration", "key", "loss", "best_so_far"]
+_CHUNK = 1024  # rows export_trace_csv turns into Python values at a time
 
 
-def export_trace_csv(path, evaluated, config_hash: str) -> None:
-    """(key, loss) pairs in evaluation order, one row each with the best
-    loss so far; the format of every trace.csv and samples.csv. The rows are
-    the bytes csv.writer writes for them (no field needs quoting), formatted
-    and written one at a time."""
-
-    def rows():
-        best = float("inf")
-        for i, (key, loss) in enumerate(evaluated, start=1):
-            best = min(best, loss)
-            yield f"{i},{'-'.join(map(str, key))},{float(loss)!r},{float(best)!r}\r\n"
-
+def export_trace_csv(path, keys: np.ndarray, losses: np.ndarray, config_hash: str) -> None:
+    """A scored set, one row per key with its loss and the best loss so far;
+    the format of every trace.csv and samples.csv. The rows are the bytes
+    csv.writer writes for them (no field needs quoting), formatted one at a
+    time from chunks of _CHUNK rows, never the whole set at once."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
         writer.writerow(_TRACE_HEADER)
-        fh.writelines(rows())
+        best = float("inf")
+        for lo in range(0, len(losses), _CHUNK):
+            chunk = zip(keys[lo : lo + _CHUNK].tolist(), losses[lo : lo + _CHUNK].tolist())
+            for i, (key, loss) in enumerate(chunk, start=lo + 1):
+                best = min(best, loss)
+                fh.write(f"{i},{'-'.join(map(str, key))},{loss!r},{best!r}\r\n")
 
 
-def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[StateKey, float]]:
-    """The (key, loss) pairs of a file written by export_trace_csv for
-    `space` under `config_hash`. A file stamped with another config hash or
+def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> tuple[np.ndarray, np.ndarray]:
+    """The scored set, (keys, losses), of a file written by export_trace_csv
+    for `space` under `config_hash`. A file stamped with another config hash or
     without its header row, a row that is not four fields (its 1-based
     position, a terminal key of the space, a finite loss and the running
     minimum of the losses; a torn write, say), or a file without rows,
     raises ValueError naming the file (and the line)."""
-    evaluated = []
+    keys, losses = [], []
     slots, radices = space.slots, space.slot_radices
     best = math.inf
     try:
@@ -78,16 +78,17 @@ def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> list[tuple[State
                     best = min(best, loss)
                     if float(row[3]) != best:
                         raise ValueError(f"best_so_far is not the running minimum {best!r}")
-                    evaluated.append((key, loss))
+                    keys += key
+                    losses.append(loss)
                 except ValueError as exc:
                     raise ValueError(
                         f"{path}, line {reader.line_num}: malformed trace row {row}: {exc}"
                     ) from None
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
-    if not evaluated:
+    if not losses:
         raise ValueError(f"{path} holds no trace rows")
-    return evaluated
+    return np.array(keys).reshape(-1, slots), np.array(losses)
 
 
 def _sorted_quantile(ordered: np.ndarray, q: float) -> float:
@@ -116,13 +117,12 @@ def random_search(
     scorer: TerminalScorer,
     budget: int,
     seed: int,
-) -> list[tuple[StateKey, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Uniform i.i.d. terminals, each slot's action uniform."""
     if budget < 0:
         raise ValueError("budget must be >= 0")
     keys = uniform_keys(space, budget, np.random.default_rng(seed))
-    losses, _ = scorer.score(keys)
-    return list(zip(keys, losses.tolist()))
+    return keys, scorer.score(key_tuples(keys))[0]
 
 
 def tpe_search(
@@ -133,7 +133,7 @@ def tpe_search(
     gamma: float = 0.25,
     n_candidates: int = 24,
     startup: int = 10,
-) -> list[tuple[StateKey, float]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-slot categorical tree-structured Parzen estimator.
 
     After `startup` uniform draws, all made first in one call, the history
@@ -178,12 +178,11 @@ def tpe_search(
     ordered = np.zeros(budget)  # the losses so far, ascending, NaN last
     order = np.zeros(budget, dtype=np.intp)  # the evaluation (row of cells) of each
     split = 0
-    evaluated = []
-    startup_keys = uniform_keys(space, min(startup, budget), rng)
+    keys = np.empty((budget, n_slots), dtype=np.int64)
+    losses = np.empty(budget)
+    keys[:startup] = uniform_keys(space, min(startup, budget), rng)
     for it in range(budget):
-        if it < startup:
-            key = startup_keys[it]
-        else:
+        if it >= startup:
             threshold = _sorted_quantile(ordered[:it], gamma)
             # a NaN threshold (a NaN loss, or inf - inf in the quantile's
             # interpolation) puts no key in either set, so the bad density
@@ -212,10 +211,10 @@ def tpe_search(
             candidates = (cdf[:, None] <= u).sum(0)
             at = candidates * n_slots + slot_of
             ratios = l.take(at) / g.take(at)
-            key = tuple(candidates[ratios.prod(axis=1).argmax()].tolist())
-        cells[it] = np.multiply(key, n_slots) + slot_of
+            keys[it] = candidates[ratios.prod(axis=1).argmax()]
+        cells[it] = keys[it] * n_slots + slot_of
         totals[cells[it]] += 1
-        loss = scorer.score([key])[0][0]
+        loss = losses[it] = scorer.score(key_tuples(keys[it : it + 1]))[0][0]
         pos = int(ordered[:it].searchsorted(loss, "right"))
         ordered[pos + 1 : it + 1] = ordered[pos:it]
         order[pos + 1 : it + 1] = order[pos:it]
@@ -223,5 +222,4 @@ def tpe_search(
         if pos < split:  # inside the good prefix, which now holds one more row
             good_counts[cells[it]] += 1
             split += 1
-        evaluated.append((key, float(loss)))
-    return evaluated
+    return keys, losses

@@ -7,6 +7,8 @@ run through one stage lifecycle, `_run_stage`: a completed output directory
 (one with a `done` marker) is left untouched on re-run, and every stage
 writes meta.json with the same base fields. `done` is the one completion
 signal: sample and report read a stage's outputs only once it is written.
+A scored set passes between steps as (keys, losses) arrays; its keys turn
+into tuples only where a stage hands them to the scorer.
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 """
@@ -28,7 +30,7 @@ from .cache import MAX_ACTIONS, MAX_KEY_LEN
 from .config import ConfigError, ExperimentConfig, load_config
 from .rewards import QuantileTable, TerminalScorer
 from .simulator import SIM_PARAM_NAMES, builtin_space, generate_contexts, synthesize_observations
-from .space import decode_state, space_from_dict
+from .space import decode_state, key_tuples, space_from_dict
 
 
 class MissingArtifact(RuntimeError):
@@ -42,7 +44,8 @@ FIT_ON_ENUMERATION_MAX = 100_000
 
 
 class Workspace:
-    """Lazily assembled space / contexts / scorer for one resolved config."""
+    """The space and contexts of one resolved config, built once when the
+    workspace is made, and a fresh scorer over them per call to scorer()."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -71,14 +74,16 @@ class Workspace:
                 f"data.truth_key {truth} must fill whole cycles of the space's "
                 f"slots, whose action counts are {radices}"
             )
+        contexts = generate_contexts(cfg["data.contexts_seed"], days=cfg["data.days"])
+        self._contexts = synthesize_observations(
+            contexts, decode_state(space, tuple(truth)), cfg["data.noise_rel"],
+            seed=cfg["data.contexts_seed"] + 1,
+        )
 
     def contexts(self):
-        cfg = self.cfg
-        contexts = generate_contexts(cfg["data.contexts_seed"], days=cfg["data.days"])
-        truth = decode_state(self.space, tuple(cfg["data.truth_key"]))
-        return synthesize_observations(
-            contexts, truth, cfg["data.noise_rel"], seed=cfg["data.contexts_seed"] + 1
-        )
+        """The contexts with their synthesized observations, which every
+        scorer of the workspace shares."""
+        return self._contexts
 
     def scorer(self) -> TerminalScorer:
         """Fresh scorer (zeroed counters) backed by the shared reward cache."""
@@ -184,7 +189,7 @@ def cmd_train(cfg: ExperimentConfig) -> None:
             writer.writerow(["step", "tb_loss", "log_z", "unique_terminals"])
             for step, loss, log_z, uniq in result.log_rows:
                 writer.writerow([step, repr(float(loss)), repr(float(log_z)), uniq])
-        baselines.export_trace_csv(out / "trace.csv", result.evaluated, run_hash)
+        baselines.export_trace_csv(out / "trace.csv", result.keys, result.losses, run_hash)
         return (f"final tb_loss={result.log_rows[-1][1]:.4g}",
                 {"stopped_early": result.stopped_early})
 
@@ -209,9 +214,8 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
         )
-        losses, _ = scorer.score(keys)
-        evaluated = list(zip(keys, losses.tolist()))
-        baselines.export_trace_csv(out / "samples.csv", evaluated, run_hash)
+        losses, _ = scorer.score(key_tuples(keys))
+        baselines.export_trace_csv(out / "samples.csv", keys, losses, run_hash)
         return f"wrote {n} samples", {"n_samples": n}
 
     _run_stage(cfg, ws, "sample", cfg["run.seeds"], body)
@@ -227,14 +231,14 @@ def cmd_baseline(cfg: ExperimentConfig) -> None:
 
     def body(out, scorer, seed):
         if method == "random":
-            evaluated = baselines.random_search(ws.space, scorer, budget, seed)
+            keys, losses = baselines.random_search(ws.space, scorer, budget, seed)
         else:
-            evaluated = baselines.tpe_search(
+            keys, losses = baselines.tpe_search(
                 ws.space, scorer, budget, seed, gamma=cfg["baseline.gamma"],
                 n_candidates=cfg["baseline.n_candidates"], startup=cfg["baseline.startup"],
             )
-        baselines.export_trace_csv(out / "trace.csv", evaluated, run_hash)
-        return f"best loss {min(l for _, l in evaluated):.4g}", {"budget": budget}
+        baselines.export_trace_csv(out / "trace.csv", keys, losses, run_hash)
+        return f"best loss {losses.min():.4g}", {"budget": budget}
 
     _run_stage(cfg, ws, f"baseline-{method}", cfg["run.seeds"], body)
 
@@ -264,35 +268,28 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         raise MissingArtifact(f"no traces found under {root}")
     beta = cfg["reward.beta"]
     l_star = float(table.aggregates.min()) if table is not None else min(
-        loss for evaluated in traces.values() for _, loss in evaluated
+        float(losses.min()) for _, losses in traces.values()
     )
 
     ks = [10, 20, 50]
     if table is not None:
         ks = sorted({min(k, len(table.keys)) for k in ks})
     reports = []
-    for (method, seed), evaluated in sorted(traces.items()):
-        losses = [loss for _, loss in evaluated]
+    for (method, seed), (keys, losses) in sorted(traces.items()):
         try:
-            series = metrics.best_so_far(losses, l_star, beta)
+            series = metrics.best_so_far(losses.tolist(), l_star, beta)
         except ValueError as exc:
             raise ValueError(f"{sources[method] / str(seed) / 'trace.csv'}: {exc}") from None
-        med, ham, deficient = metrics.top20_stats(evaluated)
+        med, ham, deficient = metrics.top20_stats(keys, losses)
         rep = metrics.RetrievalReport(
             method=method,
             seed=seed,
-            best_loss=min(losses),
+            best_loss=float(losses.min()),
             median_top20_loss=med,
             mean_hamming_top20=ham,
             sample_deficient=deficient,
             best_so_far=series,
-            topk_recovery=(
-                metrics.topk_recovery(
-                    {k for k, _ in evaluated}, table, ks
-                )
-                if table is not None
-                else []
-            ),
+            topk_recovery=metrics.topk_recovery(keys, table, ks) if table is not None else [],
         )
         reports.append(rep)
 

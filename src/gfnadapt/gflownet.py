@@ -31,7 +31,7 @@ import numpy.typing as npt
 
 from .nn import Adam, Gradients, PolicyNet, log_softmax
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey
+from .space import SpaceSpec, StateKey, key_tuples
 
 CHECKPOINT_VERSION = 4
 SAMPLE_CHUNK = 1024  # rows per rollout in sample_terminals
@@ -186,10 +186,6 @@ def log_pf(passes: RolloutPasses) -> np.ndarray:
     return total
 
 
-def _key_tuples(keys: np.ndarray) -> list[StateKey]:
-    return list(map(tuple, keys.tolist()))
-
-
 def _backward(
     net: PolicyNet, passes: RolloutPasses, dlogp: np.ndarray, grads: Gradients
 ) -> None:
@@ -246,7 +242,8 @@ def tb_loss_and_grads(
 class TrainResult:
     net: PolicyNet
     log_rows: list[tuple[int, float, float, int]]  # step, TB loss, log_z, distinct keys
-    evaluated: list[tuple[StateKey, float]]
+    keys: np.ndarray    # (n, slots) int, every trajectory's terminal key in sampling order
+    losses: np.ndarray  # (n,) float64, their losses
     stopped_early: bool
 
 
@@ -258,15 +255,16 @@ def train(
 ) -> TrainResult:
     """Trajectory-balance training loop with an eps-mixed sampler, whose eps
     decays linearly to 0 over the first half of the steps. `cfg` maps the
-    train.* settings by dotted name. numpy's floating-point warnings are
-    silenced: a diverging run stops at the first non-finite loss."""
+    train.* settings by dotted name. The result's keys and losses are the
+    scored set of every trajectory sampled. numpy's floating-point warnings
+    are silenced: a diverging run stops at the first non-finite loss."""
     rng = np.random.default_rng(seed)
     net = new_policy(space, cfg["train.hidden"], rng)
     opt = Adam(lr=cfg["train.lr"], log_z_lr=cfg["train.log_z_lr"])
     grads = Gradients.zeros_like(net)
     seen: set[StateKey] = set()
     rows = []
-    evaluated: list[tuple[StateKey, float]] = []
+    scored = []  # each step's (keys, losses)
     stopped = False
     half = max(1, cfg["train.steps"] // 2)
     with np.errstate(all="ignore"):
@@ -274,9 +272,9 @@ def train(
             eps = cfg["train.explore_eps"] * max(0.0, 1.0 - (step - 1) / half)
             u = rng.random((space.slots, cfg["train.batch"]))
             passes = _rollout(net, space, u, eps, keep_caches=True)
-            keys = _key_tuples(passes.chosen)
+            keys = key_tuples(passes.chosen)
             losses, rewards = scorer.score(keys)
-            evaluated.extend(zip(keys, losses.tolist()))
+            scored.append((passes.chosen, losses))
             seen.update(keys)
             loss = tb_loss_and_grads(net, passes, np.log(rewards), grads)
             if not np.isfinite(loss):
@@ -288,7 +286,7 @@ def train(
             if cfg["train.budget"] is not None and len(seen) >= cfg["train.budget"]:
                 stopped = True
                 break
-    return TrainResult(net=net, log_rows=rows, evaluated=evaluated, stopped_early=stopped)
+    return TrainResult(net, rows, *map(np.concatenate, zip(*scored)), stopped_early=stopped)
 
 
 def exact_terminal_distribution(net: PolicyNet, space: SpaceSpec) -> np.ndarray:
@@ -302,18 +300,18 @@ def exact_terminal_distribution(net: PolicyNet, space: SpaceSpec) -> np.ndarray:
 
 def sample_terminals(
     net: PolicyNet, space: SpaceSpec, n: int, rng: np.random.Generator
-) -> list[StateKey]:
-    """n terminal keys drawn from the policy. The rollout runs over row
-    chunks of SAMPLE_CHUNK, so the activations held at once stay bounded
-    whatever n is; the uniforms are drawn up front, so the keys do not
-    depend on the chunking."""
+) -> np.ndarray:
+    """n terminal keys drawn from the policy, an (n, slots) int array. The
+    rollout runs over row chunks of SAMPLE_CHUNK, so the activations held at
+    once stay bounded whatever n is; the uniforms are drawn up front, so the
+    keys do not depend on the chunking."""
     if n < 0:
         raise ValueError("n must be >= 0")
     u = rng.random((space.slots, n))
     keys = np.empty((n, space.slots), dtype=np.int64)
     for lo in range(0, n, SAMPLE_CHUNK):
         keys[lo : lo + SAMPLE_CHUNK] = _rollout(net, space, u[:, lo : lo + SAMPLE_CHUNK]).chosen
-    return _key_tuples(keys)
+    return keys
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,13 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from statistics import median
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .landscape import LandscapeTable
 from .rewards import reward
-from .space import StateKey, hamming
+from .space import place_values
 
 
 @dataclass
@@ -48,45 +47,45 @@ def best_so_far(
 
 
 def topk_recovery(
-    found: set[StateKey], landscape: LandscapeTable, ks: Iterable[int]
+    keys: np.ndarray, landscape: LandscapeTable, ks: Sequence[int]
 ) -> list[tuple[int, int]]:
     """How many of the target's top-k states (by probability, ties broken by
-    canonical key order) appear in the found set."""
+    canonical key order) appear among `keys`, an (n, slots) int array of
+    terminals of the landscape's space."""
     n = len(landscape.keys)
     # a stable sort keeps equal probabilities in index order, which is key order
     order = np.argsort(-landscape.target_prob, kind="stable")
-    out = []
     for k in ks:
         if k > n:
             raise ValueError(f"k={k} exceeds terminal count {n}")
-        top = {landscape.keys[i] for i in order[:k]}
-        out.append((k, len(found & top)))
-    return out
+    # the landscape holds every terminal in lexicographic order, so a key's
+    # row is its mixed-radix index, and the last key holds each slot's top action
+    found = np.zeros(n, dtype=bool)
+    found[keys @ place_values(np.add(landscape.keys[-1], 1))] = True
+    return [(k, int(found[order[:k]].sum())) for k in ks]
 
 
-def top20_stats(evaluated: Sequence[tuple[StateKey, float]]) -> tuple[float, float, bool]:
+def top20_stats(keys: np.ndarray, losses: np.ndarray) -> tuple[float, float, bool]:
     """Median loss and mean pairwise Hamming distance over the 20 distinct
-    lowest-loss keys; flags a sample-deficient input (fewer than 20)."""
-    if not evaluated:
+    lowest-loss keys of a scored set, (keys, losses), each key at its lowest
+    loss and ties broken by key order; flags a sample-deficient input (fewer
+    than 20)."""
+    if len(losses) == 0:
         raise ValueError("empty input")
-    by_key: dict[StateKey, float] = {}
-    for key, loss in evaluated:
-        if key not in by_key or loss < by_key[key]:
-            by_key[key] = loss
-    ranked = sorted(by_key.items(), key=lambda kv: (kv[1], kv[0]))[:20]
-    deficient = len(ranked) < 20
-    losses = [loss for _, loss in ranked]
-    keys = [key for key, _ in ranked]
-    if len(keys) < 2:
-        mean_ham = 0.0
-    else:
-        dists = [
-            hamming(keys[i], keys[j])
-            for i in range(len(keys))
-            for j in range(i + 1, len(keys))
-        ]
-        mean_ham = float(np.mean(dists))
-    return float(median(losses)), mean_ham, deficient
+    if len(keys) != len(losses):
+        raise ValueError(f"{len(keys)} keys for {len(losses)} losses")
+    # rows by key, each key's lowest loss first, keep the first row of each
+    # run of equal keys; then those by loss, keeping key order among ties
+    order = np.lexsort((losses, *keys.T[::-1]))
+    keys, losses = keys[order], losses[order]
+    first = np.r_[True, (keys[1:] != keys[:-1]).any(axis=1)]
+    keys, losses = keys[first], losses[first]
+    top = np.argsort(losses, kind="stable")[:20]
+    keys, losses = keys[top], losses[top]
+    m = len(top)
+    # every pair's distance is counted twice over the (m, m) table
+    mean_ham = (keys[:, None] != keys).sum() / (m * (m - 1)) if m > 1 else 0.0
+    return float(np.median(losses)), float(mean_ham), m < 20
 
 
 # (comparison.csv column, RetrievalReport field): each column is followed

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cache import RewardCache
 from .simulator import ContextDataset, simulate_batch
-from .space import SpaceSpec, StateKey, decode_batch, enumerate_terminals, uniform_keys
+from .space import SpaceSpec, StateKey, decode_batch, enumerate_terminals, key_tuples, uniform_keys
 
 EPS_RESIDUAL = 1e-6   # guard in the normalized-residual denominator
 EPS_QUANTILE = 1e-8   # guard in the quantile-normalization denominator
@@ -226,7 +226,7 @@ class TerminalScorer:
     def fit_on_warmup(self, rng: np.random.Generator) -> QuantileTable:
         """Fit quantiles on uniformly random terminals, then freeze. The
         warm-up losses are not cached."""
-        keys = set(uniform_keys(self.space, self.config["reward.warmup"], rng))
+        keys = set(key_tuples(uniform_keys(self.space, self.config["reward.warmup"], rng)))
         table = self.raw_losses(sorted(keys))
         cfg = self.config
         self._freeze(fit_quantiles(table, cfg["reward.lo_level"], cfg["reward.hi_level"]))

@@ -9,6 +9,7 @@ partitioning toward fruit. Observations are cumulative fruit dry mass
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -35,7 +36,10 @@ DEFAULT_TRUTH_KEY: StateKey = (2, 1, 3, 1, 4)
 _W_LEAF0, _W_STEM0, _W_FRUIT0 = 0.05, 0.02, 0.0
 
 
+@functools.cache
 def builtin_space() -> SpaceSpec:
+    """The packaged greenhouse space, parsed once per process and shared: it
+    is frozen and its tables read-only (overrides use dataclasses.replace)."""
     path = resources.files("gfnadapt").joinpath("data/greenhouse_space_v1.yaml")
     with resources.as_file(path) as p, open(p) as fh:
         return space_from_dict(load_yaml(fh))

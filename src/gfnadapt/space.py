@@ -219,12 +219,19 @@ def enumerate_terminals(space: SpaceSpec) -> Iterator[StateKey]:
     return iter(itertools.product(*ranges))
 
 
-def uniform_keys(space: SpaceSpec, n: int, rng: np.random.Generator) -> list[StateKey]:
-    """n terminal keys, each slot's action uniform, from one rng.integers
-    call over every slot's radix: the same draws, in the same order, as a
-    per-slot rng.integers(r) loop, and the same rng state after them."""
+def uniform_keys(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n terminal keys as an (n, slots) int array, each slot's action
+    uniform, from one rng.integers call over every slot's radix: the same
+    draws, in the same order, as a per-slot rng.integers(r) loop, and the
+    same rng state after them."""
     radices = space.slot_radices
-    return list(map(tuple, rng.integers(0, radices, size=(n, len(radices))).tolist()))
+    return rng.integers(0, radices, size=(n, len(radices)))
+
+
+def key_tuples(keys: np.ndarray) -> list[StateKey]:
+    """The rows of an (n, slots) int array of keys as tuples, the hashable
+    form in which TerminalScorer.score looks keys up."""
+    return list(map(tuple, keys.tolist()))
 
 
 def place_values(radices: Sequence[int]) -> list[int]:
@@ -251,12 +258,6 @@ def neighbors(space: SpaceSpec, key: StateKey) -> list[StateKey]:
             if b != a:
                 out.append(key[:t] + (b,) + key[t + 1 :])
     return out
-
-
-def hamming(a: StateKey, b: StateKey) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

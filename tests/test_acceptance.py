@@ -22,7 +22,7 @@ from gfnadapt.simulator import (
     simulate,
     synthesize_observations,
 )
-from gfnadapt.space import decode_state, enumerate_terminals, neighbors, place_values
+from gfnadapt.space import decode_state, enumerate_terminals, key_tuples, neighbors, place_values
 
 from conftest import DEFAULT_CFG, StubScorer, fixed_passes, make_tiny_space, tb_fresh
 
@@ -198,9 +198,9 @@ def test_full_space_learning_fidelity(space, fitted_scorer, full_landscape):
         )
         learned = gf.exact_terminal_distribution(result.net, space)
         l1s.append(l1_distance(learned, full_landscape.target_prob))
-        samples = set(
+        samples = set(key_tuples(
             gf.sample_terminals(result.net, space, 5000, np.random.default_rng(seed))
-        )
+        ))
         recoveries.append(len(samples & top50) / 50.0)
     elapsed = time.monotonic() - start
     assert float(np.median(l1s)) <= 0.30

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfnadapt.baselines import (
+    _CHUNK,
     _sorted_quantile,
     export_trace_csv,
     random_search,
@@ -18,7 +19,14 @@ from gfnadapt.baselines import (
 from gfnadapt.metrics import best_so_far
 from gfnadapt.rewards import TerminalScorer
 from gfnadapt.simulator import builtin_space
-from gfnadapt.space import ActionSpec, GroupSpec, ParameterSpec, build_space, enumerate_terminals
+from gfnadapt.space import (
+    ActionSpec,
+    GroupSpec,
+    ParameterSpec,
+    build_space,
+    enumerate_terminals,
+    key_tuples,
+)
 
 from conftest import DEFAULT_CFG, make_tiny_space
 
@@ -36,6 +44,15 @@ class AggScorer:
         return losses, np.exp(-4.0 * losses)
 
 
+def pairs(scored):
+    """The (key tuple, loss) pairs of a scored set (keys, losses), after
+    checking its shape: an (n, slots) int64 array and an (n,) float64 one."""
+    keys, losses = scored
+    assert keys.dtype == np.int64 and losses.dtype == np.float64
+    assert keys.ndim == 2 and losses.shape == (len(keys),)
+    return list(zip(key_tuples(keys), losses.tolist()))
+
+
 def separable_loss(key):
     # per-slot penalty, minimized at action 1 in slot 0 and action 2 in slot 1
     penalties = [{0: 0.4, 1: 0.0}, {0: 0.5, 1: 0.3, 2: 0.0}]
@@ -44,32 +61,32 @@ def separable_loss(key):
 
 class TestRandomSearch:
     def test_budget_zero(self, tiny_space):
-        trace = random_search(tiny_space, AggScorer(separable_loss), 0, seed=0)
-        assert trace == []
+        keys, losses = random_search(tiny_space, AggScorer(separable_loss), 0, seed=0)
+        assert keys.shape == (0, tiny_space.slots) and losses.shape == (0,)
 
     def test_negative_budget_rejected(self, tiny_space):
         with pytest.raises(ValueError, match="budget"):
             random_search(tiny_space, AggScorer(separable_loss), -1, seed=0)
 
     def test_keys_valid_and_count(self, tiny_space):
-        trace = random_search(tiny_space, AggScorer(separable_loss), 200, seed=1)
+        trace = pairs(random_search(tiny_space, AggScorer(separable_loss), 200, seed=1))
         assert len(trace) == 200
         valid = set(enumerate_terminals(tiny_space))
         assert all(key in valid for key, _ in trace)
 
     def test_marginals_uniform(self, tiny_space):
         n = 6000
-        trace = random_search(tiny_space, AggScorer(separable_loss), n, seed=2)
+        keys, _ = random_search(tiny_space, AggScorer(separable_loss), n, seed=2)
         for t, r in enumerate(tiny_space.slot_radices):
-            counts = np.bincount([k[t] for k, _ in trace], minlength=r)
+            counts = np.bincount(keys[:, t], minlength=r)
             p = 1.0 / r
             sigma = np.sqrt(n * p * (1 - p))
             assert np.all(np.abs(counts - n * p) <= 4 * sigma)
 
     def test_deterministic_per_seed(self, tiny_space):
-        a = random_search(tiny_space, AggScorer(separable_loss), 50, seed=3)
-        b = random_search(tiny_space, AggScorer(separable_loss), 50, seed=3)
-        c = random_search(tiny_space, AggScorer(separable_loss), 50, seed=4)
+        a = pairs(random_search(tiny_space, AggScorer(separable_loss), 50, seed=3))
+        b = pairs(random_search(tiny_space, AggScorer(separable_loss), 50, seed=3))
+        c = pairs(random_search(tiny_space, AggScorer(separable_loss), 50, seed=4))
         assert a == b
         assert a != c
 
@@ -81,13 +98,13 @@ class TestRandomSearch:
             tuple(int(rng.integers(r)) for r in tiny_space.slot_radices) for _ in range(40)
         ]
         scorer = AggScorer(separable_loss)
-        trace = random_search(tiny_space, scorer, 40, seed=8)
-        assert [key for key, _ in trace] == expected
+        keys, _ = random_search(tiny_space, scorer, 40, seed=8)
+        assert key_tuples(keys) == expected
         assert scorer.calls == [expected]
 
     def test_losses_match_scorer_exactly(self, tiny_space):
         scorer = AggScorer(separable_loss)
-        trace = random_search(tiny_space, scorer, 30, seed=5)
+        trace = pairs(random_search(tiny_space, scorer, 30, seed=5))
         for key, loss in trace:
             assert loss == separable_loss(key)
 
@@ -159,7 +176,7 @@ class TestTPEMatchesReference:
     def test_seeds(self, tiny_space, which, seed):
         sp = tiny_space if which == "tiny" else dataclasses.replace(builtin_space(), cycles=2)
         budget = 150 if which == "tiny" else 80
-        got = tpe_search(sp, AggScorer(mixed_loss), budget, seed)
+        got = pairs(tpe_search(sp, AggScorer(mixed_loss), budget, seed))
         assert got == reference_tpe(sp, AggScorer(mixed_loss), budget, seed)
 
     def test_deep_history(self):
@@ -167,7 +184,7 @@ class TestTPEMatchesReference:
         # as the history's totals minus the good ones, against the reference's
         # own bincount of the bad set over a long and uneven history
         sp = dataclasses.replace(builtin_space(), cycles=2)
-        got = tpe_search(sp, AggScorer(mixed_loss), 300, 11)
+        got = pairs(tpe_search(sp, AggScorer(mixed_loss), 300, 11))
         assert got == reference_tpe(sp, AggScorer(mixed_loss), 300, 11)
         assert len({key for key, _ in got}) > 20
 
@@ -175,7 +192,7 @@ class TestTPEMatchesReference:
         # 990 proposals on the built-in 2-cycle space: the running good-set
         # counts and the sorted inserts over a full-size history
         sp = dataclasses.replace(builtin_space(), cycles=2)
-        got = tpe_search(sp, AggScorer(mixed_loss), 1000, 2)
+        got = pairs(tpe_search(sp, AggScorer(mixed_loss), 1000, 2))
         assert got == reference_tpe(sp, AggScorer(mixed_loss), 1000, 2)
 
     @pytest.mark.parametrize("loss_fn", [few_values_loss, some_nan_loss],
@@ -186,7 +203,7 @@ class TestTPEMatchesReference:
         # dozen proposals the first NaN loss empties both sets for good
         sp = dataclasses.replace(builtin_space(), cycles=2)
         for seed in range(3):
-            got = tpe_search(sp, AggScorer(loss_fn), 100, seed)
+            got = pairs(tpe_search(sp, AggScorer(loss_fn), 100, seed))
             expected = reference_tpe(sp, AggScorer(loss_fn), 100, seed)
             assert bitwise(got) == bitwise(expected)  # NaN != NaN
         if loss_fn is some_nan_loss:
@@ -200,7 +217,7 @@ class TestTPEMatchesReference:
         # constant: no key is bad, so the bad density falls back to the good one
         sp = make_tiny_space(cycles=2)
         for seed in range(3):
-            got = tpe_search(sp, AggScorer(loss_fn), 60, seed)
+            got = pairs(tpe_search(sp, AggScorer(loss_fn), 60, seed))
             assert got == reference_tpe(sp, AggScorer(loss_fn), 60, seed)
 
     @pytest.mark.parametrize(
@@ -216,14 +233,14 @@ class TestTPEMatchesReference:
     )
     def test_edge_parameters(self, budget, kwargs):
         sp = make_tiny_space(cycles=2)
-        got = tpe_search(sp, AggScorer(mixed_loss), budget, 5, **kwargs)
+        got = pairs(tpe_search(sp, AggScorer(mixed_loss), budget, 5, **kwargs))
         assert got == reference_tpe(sp, AggScorer(mixed_loss), budget, 5, **kwargs)
 
 
 class TestTPE:
     def test_budget_zero(self, tiny_space):
-        trace = tpe_search(tiny_space, AggScorer(separable_loss), 0, seed=0)
-        assert trace == []
+        keys, losses = tpe_search(tiny_space, AggScorer(separable_loss), 0, seed=0)
+        assert keys.shape == (0, tiny_space.slots) and losses.shape == (0,)
 
     def test_parameter_validation(self, tiny_space):
         scorer = AggScorer(separable_loss)
@@ -237,15 +254,15 @@ class TestTPE:
             tpe_search(tiny_space, scorer, 10, 0, startup=0)
 
     def test_degenerate_equal_losses(self, tiny_space):
-        trace = tpe_search(tiny_space, AggScorer(lambda k: 0.5), 40, seed=1)
+        trace = pairs(tpe_search(tiny_space, AggScorer(lambda k: 0.5), 40, seed=1))
         assert len(trace) == 40
         valid = set(enumerate_terminals(tiny_space))
         assert all(key in valid for key, _ in trace)
         assert all(loss == 0.5 for _, loss in trace)
 
     def test_deterministic_per_seed(self, tiny_space):
-        a = tpe_search(tiny_space, AggScorer(separable_loss), 60, seed=6)
-        b = tpe_search(tiny_space, AggScorer(separable_loss), 60, seed=6)
+        a = pairs(tpe_search(tiny_space, AggScorer(separable_loss), 60, seed=6))
+        b = pairs(tpe_search(tiny_space, AggScorer(separable_loss), 60, seed=6))
         assert a == b
 
     def test_concentrates_on_good_actions(self):
@@ -255,18 +272,18 @@ class TestTPE:
         budget, startup = 120, 10
         tpe_means, rnd_means = [], []
         for seed in range(5):
-            tpe = tpe_search(sp, AggScorer(separable_loss), budget, seed, startup=startup)
-            rnd = random_search(sp, AggScorer(separable_loss), budget, seed)
-            tpe_means.append(np.mean([l for _, l in tpe[startup:]]))
-            rnd_means.append(np.mean([l for _, l in rnd[startup:]]))
+            _, tpe = tpe_search(sp, AggScorer(separable_loss), budget, seed, startup=startup)
+            _, rnd = random_search(sp, AggScorer(separable_loss), budget, seed)
+            tpe_means.append(np.mean(tpe[startup:]))
+            rnd_means.append(np.mean(rnd[startup:]))
         assert np.mean(tpe_means) < np.mean(rnd_means)
 
     def test_finds_low_loss_region(self):
         sp = make_tiny_space(cycles=2)
         for seed in range(5):
-            tpe = tpe_search(sp, AggScorer(separable_loss), 120, seed)
+            _, tpe = tpe_search(sp, AggScorer(separable_loss), 120, seed)
             # the optimum is 0; staying within one bad slot of it is expected
-            assert min(l for _, l in tpe) <= 0.5
+            assert tpe.min() <= 0.5
 
 
 def per_slot_keys(space, n, rng):
@@ -286,18 +303,17 @@ class TestUniformDraws:
     @pytest.mark.parametrize("seed", range(1, 6))
     @pytest.mark.parametrize("budget", [1, 7])
     def test_random_search(self, space_of, seed, budget):
-        trace = random_search(space_of, AggScorer(mixed_loss), budget, seed)
-        assert [key for key, _ in trace] == per_slot_keys(space_of, budget,
-                                                          np.random.default_rng(seed))
+        keys, _ = random_search(space_of, AggScorer(mixed_loss), budget, seed)
+        assert key_tuples(keys) == per_slot_keys(space_of, budget, np.random.default_rng(seed))
 
     @pytest.mark.parametrize("seed", range(1, 6))
     @pytest.mark.parametrize("budget", [1, 7, 25])
     def test_tpe_startup(self, space_of, seed, budget):
         # the first `startup` proposals, all drawn before any candidate
-        trace = tpe_search(space_of, AggScorer(mixed_loss), budget, seed, startup=10)
+        keys, _ = tpe_search(space_of, AggScorer(mixed_loss), budget, seed, startup=10)
         startup = min(budget, 10)
         expected = per_slot_keys(space_of, startup, np.random.default_rng(seed))
-        assert [key for key, _ in trace[:startup]] == expected
+        assert key_tuples(keys[:startup]) == expected
 
     @pytest.mark.parametrize("seed", range(1, 6))
     @pytest.mark.parametrize("warmup", [1, 7, 256])
@@ -365,8 +381,8 @@ class TestQuantile:
 
 class TestSearchTrace:
     def test_best_so_far_monotone(self, tiny_space):
-        trace = random_search(tiny_space, AggScorer(separable_loss), 100, seed=7)
-        losses = [l for _, l in trace]
+        _, losses = random_search(tiny_space, AggScorer(separable_loss), 100, seed=7)
+        losses = losses.tolist()
         series = best_so_far(losses, l_star=0.0, beta=4.0)
         gaps = [gap for _, gap, _ in series]
         # change points: n rises to the last evaluation, the gap falls at each
@@ -379,9 +395,9 @@ class TestSearchTrace:
     def test_csv_roundtrip(self, tiny_space, tmp_path):
         trace = tpe_search(tiny_space, AggScorer(separable_loss), 25, seed=8)
         path = tmp_path / "trace.csv"
-        export_trace_csv(path, trace, config_hash="cafef00d")
+        export_trace_csv(path, *trace, config_hash="cafef00d")
         assert path.read_text().splitlines()[0] == "# config_hash=cafef00d"
-        assert read_trace_csv(path, tiny_space, "cafef00d") == trace
+        assert pairs(read_trace_csv(path, tiny_space, "cafef00d")) == pairs(trace)
         with pytest.raises(ValueError, match="expected config hash beef"):
             read_trace_csv(path, tiny_space, "beef")
 
@@ -390,8 +406,9 @@ class TestSearchTrace:
         scorer = AggScorer(lambda k: 1.0 / 3.0 + sum(k) * 1e-17)
         trace = random_search(tiny_space, scorer, 10, seed=9)
         path = tmp_path / "trace.csv"
-        export_trace_csv(path, trace, "beef")
-        for (k1, l1), (k2, l2) in zip(trace, read_trace_csv(path, tiny_space, "beef")):
+        export_trace_csv(path, *trace, "beef")
+        back = read_trace_csv(path, tiny_space, "beef")
+        for (k1, l1), (k2, l2) in zip(pairs(trace), pairs(back)):
             assert k1 == k2
             assert l1 == l2
 
@@ -421,18 +438,19 @@ def wide_space():
 class TestTraceBytes:
     LOSSES = [float("nan"), float("inf"), -0.0, 1e-300, 5e-324, -float("inf"), 0.5, -1.25e17]
 
-    @pytest.mark.parametrize("rows", [0, 1, 300])
+    # one row, a part of a chunk, and two whole chunks and a part: the
+    # running minimum carries across chunks
+    @pytest.mark.parametrize("rows", [0, 1, 300, 2 * _CHUNK + 3])
     def test_bytes_equal_csv_writer_and_read_back(self, tmp_path, rows):
         sp = wide_space()
         rng = np.random.default_rng(rows)
-        keys = [tuple(k) for k in rng.integers(0, sp.slot_radices, (rows, sp.slots)).tolist()]
-        losses = [*self.LOSSES, *rng.normal(0, 1e3, rows).tolist()][:rows]
+        keys = rng.integers(0, sp.slot_radices, (rows, sp.slots))
+        losses = np.array([*self.LOSSES, *rng.normal(0, 1e3, rows).tolist()][:rows])
         if rows:
             keys[0] = (11, 2, 10, 0)
-            losses[-1] = np.float64(losses[-1])
-        trace = list(zip(keys, losses))
+        trace = pairs((keys, losses))
         path, ref = tmp_path / "trace.csv", tmp_path / "ref.csv"
-        export_trace_csv(path, trace, "cafef00d")
+        export_trace_csv(path, keys, losses, "cafef00d")
         csv_writer_trace(ref, trace, "cafef00d")
         assert path.read_bytes() == ref.read_bytes()
         if not rows:  # no stage writes an empty trace, so reading one is an error
@@ -443,16 +461,17 @@ class TestTraceBytes:
         # loss that is not finite, such as the first row's nan
         with pytest.raises(ValueError, match="line 3: .*loss nan is not finite"):
             read_trace_csv(path, sp, "cafef00d")
-        finite = [(k, l) for k, l in trace if math.isfinite(l)]
-        if finite:
-            export_trace_csv(path, finite, "cafef00d")
-            back = read_trace_csv(path, sp, "cafef00d")
-            assert [(k, repr(l)) for k, l in back] == [(k, repr(float(l))) for k, l in finite]
-            assert all(type(l) is float for _, l in back)
+        finite = np.isfinite(losses)
+        if finite.any():
+            export_trace_csv(path, keys[finite], losses[finite], "cafef00d")
+            back = pairs(read_trace_csv(path, sp, "cafef00d"))
+            assert [(k, repr(l)) for k, l in back] == [
+                (k, repr(float(l))) for k, l in trace if math.isfinite(l)
+            ]
 
     def test_bad_row_named_by_its_line(self, tiny_space, tmp_path):
         path = tmp_path / "trace.csv"
-        export_trace_csv(path, [((1, 2), 0.5)] * 6, "beef")
+        export_trace_csv(path, np.array([(1, 2)] * 6), np.full(6, 0.5), "beef")
         lines = path.read_text().splitlines()
         for rows, error in [
             ({4: "3,1-3,0.5,0.5"}, "line 5: .*action index 3 out of range"),

@@ -14,9 +14,10 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gfnadapt import baselines, gflownet, landscape, rewards
+from gfnadapt import baselines, cli, gflownet, landscape, rewards
 from gfnadapt.cli import Workspace, cmd_train, main
 from gfnadapt.config import SETTINGS, ConfigError, ExperimentConfig, load_config
+from gfnadapt.simulator import builtin_space
 from gfnadapt.space import load_yaml
 
 # full crop parameter set, but only two small action groups: 6 terminals
@@ -574,6 +575,32 @@ class TestPipeline:
         for r in doc["reports"]:
             assert r["topk_recovery"]  # landscape was available
 
+    def test_every_stage_hands_the_scorer_key_tuples(self, workspace, monkeypatch):
+        # a stage holds its keys as an (n, slots) array, but the scorer's
+        # cache lookup (and a tracer hashing tuple(keys)) needs a sequence of
+        # hashable keys: every call must get a list of tuples of ints
+        stages = [("enumerate",), ("train",), ("sample",), ("baseline", "run.method=random"),
+                  ("baseline", "run.method=tpe"), ("report",)]
+        calls = {stage: [] for stage in stages}
+        current = []
+        score = rewards.TerminalScorer.score
+
+        def recording(self, keys):
+            calls[current[-1]].append(keys)
+            return score(self, keys)
+
+        monkeypatch.setattr(rewards.TerminalScorer, "score", recording)
+        for stage in stages:
+            current.append(stage)
+            assert run(workspace, stage[0], "train.steps=3", *stage[1:]) == 0
+        for stage, args in calls.items():
+            assert args, f"{stage} never called the scorer"
+            for keys in args:
+                assert isinstance(keys, list) and keys
+                assert all(type(key) is tuple and len(key) == 2 for key in keys)
+                assert all(type(a) is int for key in keys for a in key)
+                assert len(set(tuple(keys))) <= len(keys)
+
     def test_budget_counts_requested_keys_whatever_the_cache_holds(self, workspace, tmp_path):
         # cold: the quantile fit simulates every terminal inside train;
         # warm: enumerate filled the cache first, so train simulates nothing
@@ -907,6 +934,37 @@ class TestPipeline:
         (dest / "checkpoint.bin").write_bytes(blob)
         assert run(workspace, "sample") == 2
         assert "checkpoint" in capsys.readouterr().err
+
+
+class TestWorkspace:
+    def test_builtin_space_is_shared_and_left_unchanged(self):
+        # the packaged space is parsed once and shared: a workspace that
+        # overrides its cycles gets a copy, so a later default workspace
+        # still has the 5 slots, and the shared tables stay read-only
+        two = Workspace(load_config(None, ["space.cycles=2"]))
+        default = Workspace(load_config(None))
+        assert two.space.slots == 10 and default.space.slots == 5
+        assert default.space is builtin_space()
+        assert len(default.space.slot_steps) == 5
+        for steps in (*default.space.slot_steps, *default.space.parameter_arrays):
+            assert not steps.flags.writeable
+
+    def test_contexts_are_synthesized_once_per_workspace(self, workspace, monkeypatch):
+        # two seeds, each with its own scorer, over one synthesis
+        synthesized = []
+        synthesize = cli.synthesize_observations
+
+        def counting(*args, **kwargs):
+            synthesized.append(args)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "synthesize_observations", counting)
+        assert run(workspace, "train", "train.steps=3", "run.seeds=[1, 2]") == 0
+        assert len(synthesized) == 1
+        ws = Workspace(load_config(workspace))
+        for scorer in (ws.scorer(), ws.scorer()):
+            assert all(a is b for a, b in zip(scorer.contexts, ws.contexts(), strict=True))
+        assert len(synthesized) == 2
 
 
 class TestOverrides:

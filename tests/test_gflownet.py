@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gfnadapt import gflownet as gf
 from gfnadapt import nn
 from gfnadapt.nn import Adam, Gradients, PolicyNet
-from gfnadapt.space import enumerate_terminals
+from gfnadapt.space import enumerate_terminals, key_tuples
 
 from conftest import DEFAULT_CFG, StubScorer, fixed_passes, make_tiny_space, tb_fresh
 
@@ -687,7 +687,7 @@ class TestExactDistribution:
         n = 100_000
         keys = gf.sample_terminals(net, tiny_space, n, np.random.default_rng(12))
         index = {k: i for i, k in enumerate(enumerate_terminals(tiny_space))}
-        counts = np.bincount([index[k] for k in keys], minlength=len(probs))
+        counts = np.bincount([index[k] for k in key_tuples(keys)], minlength=len(probs))
         chi2 = float((((counts - n * probs) ** 2) / (n * probs)).sum())
         assert chi2 < 15.086  # chi-square critical value, df=5, alpha=0.01
 
@@ -745,18 +745,19 @@ def test_optimal_tabular_policy_matches_target(tiny_space):
 class TestSampleTerminals:
     def test_zero_draws(self, tiny_space):
         net = gf.new_policy(tiny_space, DEFAULT_CFG["train.hidden"], np.random.default_rng(0))
-        assert gf.sample_terminals(net, tiny_space, 0, np.random.default_rng(0)) == []
+        keys = gf.sample_terminals(net, tiny_space, 0, np.random.default_rng(0))
+        assert keys.shape == (0, tiny_space.slots) and keys.dtype == np.int64
 
     def test_reproducible(self, tiny_space):
         net = gf.new_policy(tiny_space, DEFAULT_CFG["train.hidden"], np.random.default_rng(0))
         a = gf.sample_terminals(net, tiny_space, 20, np.random.default_rng(5))
         b = gf.sample_terminals(net, tiny_space, 20, np.random.default_rng(5))
-        assert a == b
+        assert a.shape == (20, tiny_space.slots) and np.array_equal(a, b)
 
     def test_delta_policy(self, tiny_space):
         net = delta_net(tiny_space, (1, 0))
         keys = gf.sample_terminals(net, tiny_space, 10, np.random.default_rng(0))
-        assert keys == [(1, 0)] * 10
+        assert key_tuples(keys) == [(1, 0)] * 10
 
     @pytest.mark.parametrize(
         "n", [1, gf.SAMPLE_CHUNK - 1, gf.SAMPLE_CHUNK, 2 * gf.SAMPLE_CHUNK + 3]
@@ -770,8 +771,8 @@ class TestSampleTerminals:
         whole = gf._rollout(
             net, space, np.random.default_rng(25).random((space.slots, n)), explore_eps=0.0
         ).chosen
-        assert keys == [tuple(k) for k in whole.tolist()]
-        assert len(set(keys)) > min(n, 20) // 2
+        assert np.array_equal(keys, whole)
+        assert len(set(key_tuples(keys))) > min(n, 20) // 2
 
 
 def read_checkpoint(path):

@@ -1,8 +1,11 @@
 import csv
 import json
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gfnadapt.landscape import LandscapeTable
 from gfnadapt.metrics import (
@@ -14,6 +17,8 @@ from gfnadapt.metrics import (
     top20_stats,
     topk_recovery,
 )
+
+from conftest import make_tiny_space
 
 
 def small_table():
@@ -74,40 +79,58 @@ class TestBestSoFar:
         assert rebuilt == reference
 
 
+def keys_of(*keys):
+    """An (n, 2) int array of keys, (0, 2) when none is given."""
+    return np.array(keys, dtype=np.int64).reshape(len(keys), 2)
+
+
+def scored(pairs):
+    """The scored set (keys, losses) of (key, loss) pairs."""
+    keys, losses = zip(*pairs)
+    return np.array(keys), np.array(losses, dtype=float)
+
+
 class TestTopkRecovery:
     def test_full_and_empty(self):
         table = small_table()
-        all_keys = set(table.keys)
+        all_keys = keys_of(*table.keys)
         assert topk_recovery(all_keys, table, [1, 2, 4]) == [(1, 1), (2, 2), (4, 4)]
-        assert topk_recovery(set(), table, [1, 4]) == [(1, 0), (4, 0)]
+        assert topk_recovery(keys_of(), table, [1, 4]) == [(1, 0), (4, 0)]
 
     def test_partial(self):
         table = small_table()
-        # top-2 by probability are (0,0) then (0,1)
-        assert topk_recovery({(0, 0), (1, 1)}, table, [1, 2]) == [(1, 1), (2, 1)]
+        # top-2 by probability are (0,0) then (0,1); a repeated key counts once
+        found = keys_of((0, 0), (1, 1), (0, 0))
+        assert topk_recovery(found, table, [1, 2]) == [(1, 1), (2, 1)]
 
     def test_tie_break_canonical(self):
         table = small_table()
         # (1,0) and (1,1) have equal probability; rank 3 goes to (1,0)
-        assert topk_recovery({(1, 0)}, table, [3]) == [(3, 1)]
-        assert topk_recovery({(1, 1)}, table, [3]) == [(3, 0)]
+        assert topk_recovery(keys_of((1, 0)), table, [3]) == [(3, 1)]
+        assert topk_recovery(keys_of((1, 1)), table, [3]) == [(3, 0)]
 
     def test_monotone_in_k(self):
         table = small_table()
-        found = {(0, 1), (1, 0)}
+        found = keys_of((0, 1), (1, 0))
         counts = [c for _, c in topk_recovery(found, table, [1, 2, 3, 4])]
         assert counts == sorted(counts)
 
     def test_k_exceeds_support(self):
         with pytest.raises(ValueError, match="exceeds"):
-            topk_recovery(set(), small_table(), [5])
+            topk_recovery(keys_of(), small_table(), [5])
+
+
+def pair_distance(a, b):
+    """The Hamming distance of two keys: the mean pairwise distance of the
+    scored set {a, b}, whose one pair it is (0 when a == b, one key)."""
+    return top20_stats(np.array([a, b]), np.array([0.0, 1.0]))[1]
 
 
 class TestTop20Stats:
     def test_duplicates_keep_minimum(self):
         # 21 distinct keys; (0, 0) is among the 20 lowest only at its minimum
         others = [((1, i), 0.5 + 0.01 * i) for i in range(20)]
-        med, _, deficient = top20_stats([((0, 0), 0.8), ((0, 0), 0.3), *others])
+        med, _, deficient = top20_stats(*scored([((0, 0), 0.8), ((0, 0), 0.3), *others]))
         assert med == pytest.approx(0.585)  # median of {0.3, 0.50, ..., 0.68}
         assert not deficient
 
@@ -115,29 +138,65 @@ class TestTop20Stats:
         # 20 keys (i, 0) and one (0, 1): the top 20 are (0, 0)..(19, 0), each
         # pair one slot apart
         evaluated = [((i, 0), float(i)) for i in range(20)] + [((0, 1), 99.0)]
-        _, ham, _ = top20_stats(evaluated)
+        _, ham, _ = top20_stats(*scored(evaluated))
         assert ham == 1.0
+
+    def test_pair_distance_by_example(self):
+        assert pair_distance((1, 2, 3), (1, 2, 3)) == 0
+        assert pair_distance((1, 2, 3), (0, 2, 4)) == 2
+        with pytest.raises(ValueError):
+            top20_stats(np.array([(1, 2)]), np.array([0.0, 1.0]))
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_pair_distance_is_a_metric(self, data):
+        sp = make_tiny_space(cycles=2)
+        strat = st.tuples(*(st.integers(0, r - 1) for r in sp.slot_radices))
+        a, b, c = data.draw(strat), data.draw(strat), data.draw(strat)
+        assert pair_distance(a, b) == pair_distance(b, a)
+        assert (pair_distance(a, b) == 0) == (a == b)
+        assert pair_distance(a, c) <= pair_distance(a, b) + pair_distance(b, c)
+        assert pair_distance(a, b) <= sp.slots
 
     def test_deficiency_flag(self):
         evaluated = [((0, 0), 0.1), ((0, 1), 0.2)]
-        _, _, deficient = top20_stats(evaluated)
+        _, _, deficient = top20_stats(*scored(evaluated))
         assert deficient
 
     def test_single_key(self):
-        med, ham, deficient = top20_stats([((1, 2), 0.7)])
+        med, ham, deficient = top20_stats(*scored([((1, 2), 0.7)]))
         assert med == 0.7
         assert ham == 0.0
         assert deficient
 
     def test_selects_lowest_losses(self):
         evaluated = [((i, 0), float(i)) for i in range(30)]
-        med, _, deficient = top20_stats(evaluated)
+        med, _, deficient = top20_stats(*scored(evaluated))
         assert med == pytest.approx(9.5)  # median of 0..19
         assert not deficient
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            top20_stats([])
+            top20_stats(keys_of(), np.array([]))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_equals_the_per_key_reference(self, seed):
+        # repeated keys at several losses each, tied losses across keys, and
+        # more than 20 distinct keys: the (median, mean distance) of the 20
+        # distinct lowest (loss, key) pairs, each key at its lowest loss
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 3, (400, 4))
+        losses = rng.integers(0, 30, 400) / 8.0
+        by_key = {}
+        for key, loss in zip(map(tuple, keys.tolist()), losses.tolist()):
+            by_key[key] = min(loss, by_key.get(key, loss))
+        ranked = sorted(by_key.items(), key=lambda kv: (kv[1], kv[0]))[:20]
+        top = [key for key, _ in ranked]
+        dists = [sum(x != y for x, y in zip(a, b)) for i, a in enumerate(top) for b in top[i + 1:]]
+        med, ham, deficient = top20_stats(keys, losses)
+        assert med == statistics.median([loss for _, loss in ranked])
+        assert ham == float(np.mean(dists))
+        assert not deficient
 
 
 class TestCompareMethods:

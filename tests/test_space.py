@@ -13,7 +13,6 @@ from gfnadapt.space import (
     decode_batch,
     decode_state,
     enumerate_terminals,
-    hamming,
     key_bytes,
     neighbors,
 )
@@ -235,25 +234,6 @@ class TestNeighbors:
     def test_non_terminal_rejected(self, tiny_space):
         with pytest.raises(ValueError, match="terminal"):
             neighbors(tiny_space, (0,))
-
-
-class TestHamming:
-    def test_identity_and_examples(self):
-        assert hamming((1, 2, 3), (1, 2, 3)) == 0
-        assert hamming((1, 2, 3), (0, 2, 4)) == 2
-        with pytest.raises(ValueError):
-            hamming((1,), (1, 2))
-
-    @given(st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_metric_properties(self, data):
-        sp = make_tiny_space(cycles=2)
-        strat = keys_strategy(sp)
-        a, b, c = data.draw(strat), data.draw(strat), data.draw(strat)
-        assert hamming(a, b) == hamming(b, a)
-        assert (hamming(a, b) == 0) == (a == b)
-        assert hamming(a, c) <= hamming(a, b) + hamming(b, c)
-        assert hamming(a, b) <= sp.slots
 
 
 def test_key_bytes_roundtrip(space):
