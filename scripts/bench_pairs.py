@@ -11,9 +11,13 @@ workload or `all`, every workload of one perfbench run. Pair i uses seed
 pair, because the second run of a pair can read differently from the first.
 For every workload and every end-to-end metric in CHANGE's BENCHMARK.json it
 prints each pair's readings, each side's median and quartiles, the pairs
-CHANGE wins and the per-pair ratios CHANGE / PARENT, then one verdict line
-per workload and metric. Each verdict line gives the gain, the medians'
-difference in CHANGE's favour, also as a share of PARENT's median, so that
+CHANGE wins and the per-pair ratios CHANGE / PARENT. Then, for every stage
+time perfbench prints (its `<stage>_s: <seconds> s` lines: `train_s`,
+`sample_s`, `report_s`, `baseline_random_s`, `baseline_tpe_s`), one `stage`
+line with each side's median and the per-pair ratios, without a verdict, to
+show which stage moved. Last comes one verdict line per workload and
+metric. Each verdict line gives the gain, the medians' difference in
+CHANGE's favour, also as a share of PARENT's median, so that
 a claim met on a tiny effect shows as one. It reads two rules:
 
 - claim: CHANGE wins at least 9/10 of the pairs (ties count for neither) and
@@ -34,6 +38,7 @@ checkout's `.bench_out/`.
 
 import argparse
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,9 +46,51 @@ from pathlib import Path
 import numpy as np
 
 
+_STAGE = re.compile(r"  (\w+_s): (\S+) s")
+
+
+def readings_of(lines: list[str], workload: str) -> dict:
+    """The readings in the output lines of one perfbench run of `workload`
+    (one workload, or all), keyed by (workload, name): each end-to-end
+    metric of its last line, then each stage time of the `<stage>_s:
+    <seconds> s` lines that follow their workload's `workload <name>` line."""
+    # `--workload all` names its metrics "<workload>/<metric>"
+    readings = {
+        tuple(name.split("/", 1)) if workload == "all" else (workload, name): m["value"]
+        for name, m in json.loads(lines[-1])["metrics"].items()
+    }
+    current = workload
+    for line in lines:
+        if line.startswith("workload "):
+            current = line.split()[1]
+        elif match := _STAGE.fullmatch(line):
+            readings[current, match[1]] = float(match[2])
+    return readings
+
+
+def stage_lines(readings: dict, gated: list) -> list[str]:
+    """One line per stage time that every run of both sides read: each
+    side's median and the per-pair ratios CHANGE / PARENT, in the order of
+    the first parent run's output. `gated` are the (workload, metric) pairs
+    that get verdicts, which are not repeated here."""
+    runs = readings["parent"] + readings["change"]
+    lines = []
+    for key in readings["parent"][0]:
+        if key in gated or not all(key in run for run in runs):
+            continue
+        parent = np.array([r[key] for r in readings["parent"]])
+        change = np.array([r[key] for r in readings["change"]])
+        pm, cm = float(np.median(parent)), float(np.median(change))
+        ratios = " ".join(f"{x:.3f}" for x in change / parent)
+        lines.append(f"stage {key[0]}/{key[1]}: parent median {pm:.4g} s, change median "
+                     f"{cm:.4g} s, change/parent medians {cm / pm:.3f}; "
+                     f"per-pair ratios change/parent: {ratios}")
+    return lines
+
+
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The metrics of one untraced perfbench run in `root`, keyed by
-    (workload, metric)."""
+    """The readings of one untraced perfbench run in `root`, keyed by
+    (workload, name): see readings_of."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -53,15 +100,10 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"perfbench failed in {root} (exit {proc.returncode})")
-    result = json.loads(lines[-1])
-    if not result["correct"]:
+    if not json.loads(lines[-1])["correct"]:
         sys.stderr.write(proc.stdout)
         raise SystemExit(f"perfbench checks failed in {root}")
-    # `--workload all` names its metrics "<workload>/<metric>"
-    return {
-        tuple(name.split("/", 1)) if workload == "all" else (workload, name): m["value"]
-        for name, m in result["metrics"].items()
-    }
+    return readings_of(lines, workload)
 
 
 def quartiles(values) -> tuple[float, float, float]:
@@ -140,6 +182,8 @@ def main(argv=None) -> int:
         print(f"  change median {cm:.4g}  quartiles {c1:.4g} .. {c3:.4g}  (spread {c3 - c1:.4g})")
         print(f"  change/parent medians {cm / pm:.3f}; per-pair ratios change/parent: {ratios}")
         verdicts.append(f"verdict {w}/{name}: {verdict(parent, change, better, bound)}")
+    print()
+    print("\n".join(stage_lines(readings, series)))
     print()
     print("\n".join(verdicts))
     return 0

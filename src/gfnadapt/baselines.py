@@ -15,7 +15,7 @@ import operator
 import numpy as np
 
 from .rewards import TerminalScorer
-from .space import SpaceSpec, key_tuples, uniform_keys, validate_key
+from .space import SpaceSpec, key_text, key_tuples, uniform_keys, validate_key
 
 
 _TRACE_HEADER = ["iteration", "key", "loss", "best_so_far"]
@@ -36,7 +36,7 @@ def export_trace_csv(path, keys: np.ndarray, losses: np.ndarray, config_hash: st
             chunk = zip(keys[lo : lo + _CHUNK].tolist(), losses[lo : lo + _CHUNK].tolist())
             for i, (key, loss) in enumerate(chunk, start=lo + 1):
                 best = min(best, loss)
-                fh.write(f"{i},{'-'.join(map(str, key))},{loss!r},{best!r}\r\n")
+                fh.write(f"{i},{key_text(key)},{loss!r},{best!r}\r\n")
 
 
 def read_trace_csv(path, space: SpaceSpec, config_hash: str) -> tuple[np.ndarray, np.ndarray]:

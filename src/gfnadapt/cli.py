@@ -30,7 +30,7 @@ from .cache import MAX_ACTIONS, MAX_KEY_LEN
 from .config import ConfigError, ExperimentConfig, load_config
 from .rewards import QuantileTable, TerminalScorer
 from .simulator import SIM_PARAM_NAMES, builtin_space, generate_contexts, synthesize_observations
-from .space import decode_state, key_tuples, space_from_dict
+from .space import decode_state, key_text, key_tuples, space_from_dict
 
 
 class MissingArtifact(RuntimeError):
@@ -164,7 +164,7 @@ def cmd_enumerate(cfg: ExperimentConfig) -> None:
         grid = lsc.project_grid(table.target_prob, ws.space, basins)
         lsc.export_grid_json(out / "grid.json", grid, run_hash)
         masses = {
-            "-".join(map(str, table.keys[m])): mass
+            key_text(table.keys[m]): mass
             for m, mass in sorted(basins.basin_mass.items())
         }
         with open(out / "basins.json", "w") as fh:
@@ -289,7 +289,8 @@ def cmd_report(cfg: ExperimentConfig) -> None:
             mean_hamming_top20=ham,
             sample_deficient=deficient,
             best_so_far=series,
-            topk_recovery=metrics.topk_recovery(keys, table, ks) if table is not None else [],
+            topk_recovery=(metrics.topk_recovery(keys, table, ws.space, ks)
+                           if table is not None else []),
         )
         reports.append(rep)
 

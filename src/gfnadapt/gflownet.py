@@ -31,7 +31,7 @@ import numpy.typing as npt
 
 from .nn import Adam, Gradients, PolicyNet, log_softmax
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey, key_tuples
+from .space import SpaceSpec, StateKey, all_keys, key_tuples
 
 CHECKPOINT_VERSION = 4
 SAMPLE_CHUNK = 1024  # rows per rollout in sample_terminals
@@ -290,12 +290,10 @@ def train(
 
 
 def exact_terminal_distribution(net: PolicyNet, space: SpaceSpec) -> np.ndarray:
-    """Terminal probabilities in lexicographic enumeration order: exp of the
-    log P_F of a rollout that reads every terminal's actions from its key.
-    The caller decides whether the space is small enough to enumerate."""
-    radices = space.slot_radices
-    keys = np.indices(radices).reshape(len(radices), -1).T
-    return np.exp(log_pf(_rollout(net, space, keys=keys)))
+    """Terminal probabilities in space.all_keys order: exp of the log P_F of
+    a rollout that reads every terminal's actions from its key. The caller
+    decides whether the space is small enough to enumerate."""
+    return np.exp(log_pf(_rollout(net, space, keys=all_keys(space))))
 
 
 def sample_terminals(

@@ -1,8 +1,8 @@
 """Exact enumerable reward landscape: target distribution, basins, exports.
 
-Terminal states are indexed in lexicographic action order throughout, which
-makes the index a mixed-radix encoding of the action sequence and keeps the
-landscape, the exact policy distribution, and the grid projection aligned.
+Terminal states are indexed in space.all_keys order throughout: the index is
+the mixed-radix encoding of the action sequence, which keeps the landscape,
+the exact policy distribution, the basins and the grid projection aligned.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rewards import TerminalScorer
-from .space import SpaceSpec, StateKey, enumerate_terminals, place_values
+from .space import SpaceSpec, all_keys, key_text, key_tuples, place_values
 
 
 @dataclass(frozen=True)
 class LandscapeTable:
-    keys: list[StateKey]          # lexicographic order
+    keys: np.ndarray             # space.all_keys: row i is the terminal of index i
     aggregates: np.ndarray
     rewards: np.ndarray
     target_prob: np.ndarray
@@ -32,9 +32,9 @@ class BasinAssignment:
 
 
 def build_landscape(space: SpaceSpec, scorer: TerminalScorer) -> LandscapeTable:
-    """Every terminal scored, in lexicographic order (callers check run.enum_cap)."""
-    keys = list(enumerate_terminals(space))
-    aggregates, rewards = scorer.score(keys)
+    """Every terminal scored, in all_keys order (callers check run.enum_cap)."""
+    keys = all_keys(space)
+    aggregates, rewards = scorer.score(key_tuples(keys))
     return LandscapeTable(keys, aggregates, rewards, rewards / rewards.sum())
 
 
@@ -46,8 +46,9 @@ def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
     neighbors the canonically smallest key wins. Modes are their own fixed
     points.
 
-    Indices are mixed-radix place-value sums, so the smallest index is the
-    smallest key. Every terminal's best neighbor is found in one array pass
+    Indices are mixed-radix place-value sums (row i of the landscape's keys
+    is the key of index i), so the smallest index is the smallest key.
+    Every terminal's best neighbor is found in one array pass
     per (slot, action); the modes then follow by pointer jumping, which
     doubles the ascent steps covered on each pass.
     """
@@ -55,8 +56,9 @@ def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
     n = len(probs)
     index = np.arange(n)
     best = index.copy()
-    for r, pv in zip(space.slot_radices, place_values(space.slot_radices)):
-        base = index - index // pv % r * pv  # this slot's action set to 0
+    radices = space.slot_radices
+    for r, pv, actions in zip(radices, place_values(radices), landscape.keys.T):
+        base = index - actions * pv  # this slot's action set to 0
         for b in range(r):
             j = base + b * pv
             better = (probs[j] > probs) & (
@@ -127,17 +129,16 @@ def export_landscape_csv(
     """One row per terminal with its loss, reward, target probability and
     the key of its basin's mode. The rows are the bytes csv.writer writes for
     them (no field needs quoting), formatted and written one at a time."""
-    keys = landscape.keys
-    modes = {m: "-".join(map(str, keys[m])) for m in np.unique(basins.mode_of).tolist()}
-    rows = zip(keys, landscape.aggregates, landscape.rewards, landscape.target_prob,
-               basins.mode_of)
+    texts = list(map(key_text, landscape.keys.tolist()))
+    rows = zip(texts, landscape.aggregates, landscape.rewards, landscape.target_prob,
+               basins.mode_of.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
         writer.writerow(["key", "loss", "reward", "target_prob", "mode_key"])
-        fh.writelines(f"{'-'.join(map(str, key))},{float(loss)!r},{float(reward)!r},"
-                      f"{float(prob)!r},{modes[mode]}\r\n"
-                      for key, loss, reward, prob, mode in rows)
+        fh.writelines(f"{text},{float(loss)!r},{float(reward)!r},"
+                      f"{float(prob)!r},{texts[mode]}\r\n"
+                      for text, loss, reward, prob, mode in rows)
 
 
 def export_grid_json(path, grid: dict, config_hash: str) -> None:

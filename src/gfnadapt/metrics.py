@@ -11,7 +11,7 @@ import numpy as np
 
 from .landscape import LandscapeTable
 from .rewards import reward
-from .space import place_values
+from .space import SpaceSpec, place_values
 
 
 @dataclass
@@ -47,21 +47,21 @@ def best_so_far(
 
 
 def topk_recovery(
-    keys: np.ndarray, landscape: LandscapeTable, ks: Sequence[int]
+    keys: np.ndarray, landscape: LandscapeTable, space: SpaceSpec, ks: Sequence[int]
 ) -> list[tuple[int, int]]:
     """How many of the target's top-k states (by probability, ties broken by
     canonical key order) appear among `keys`, an (n, slots) int array of
-    terminals of the landscape's space."""
+    terminals of `space`, whose landscape this is."""
     n = len(landscape.keys)
     # a stable sort keeps equal probabilities in index order, which is key order
     order = np.argsort(-landscape.target_prob, kind="stable")
     for k in ks:
         if k > n:
             raise ValueError(f"k={k} exceeds terminal count {n}")
-    # the landscape holds every terminal in lexicographic order, so a key's
-    # row is its mixed-radix index, and the last key holds each slot's top action
+    # the landscape holds every terminal in all_keys order, so a key's row is
+    # its mixed-radix index
     found = np.zeros(n, dtype=bool)
-    found[keys @ place_values(np.add(landscape.keys[-1], 1))] = True
+    found[keys @ place_values(space.slot_radices)] = True
     return [(k, int(found[order[:k]].sum())) for k in ks]
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cache import RewardCache
 from .simulator import ContextDataset, simulate_batch
-from .space import SpaceSpec, StateKey, decode_batch, enumerate_terminals, key_tuples, uniform_keys
+from .space import SpaceSpec, StateKey, all_keys, decode_batch, key_tuples, uniform_keys
 
 EPS_RESIDUAL = 1e-6   # guard in the normalized-residual denominator
 EPS_QUANTILE = 1e-8   # guard in the quantile-normalization denominator
@@ -216,11 +216,11 @@ class TerminalScorer:
     def fit_on_enumeration(self) -> QuantileTable:
         """Fit quantiles on the raw losses of every terminal state, then
         commit those losses to the cache."""
-        keys = list(enumerate_terminals(self.space))
+        keys = all_keys(self.space)
         table = self.raw_losses(keys)
         cfg = self.config
         self._freeze(fit_quantiles(table, cfg["reward.lo_level"], cfg["reward.hi_level"]))
-        self.cache.put(keys, table)
+        self.cache.put(key_tuples(keys), table)
         return self.quantiles
 
     def fit_on_warmup(self, rng: np.random.Generator) -> QuantileTable:

@@ -94,7 +94,8 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
     The scalar reference: simulate_batch computes the same recurrence for
     many parameter sets at once and is what scoring runs. The day loop runs
     over Python floats, read from memoryviews of the forcing: the same IEEE
-    arithmetic as numpy's float64 scalars at a fraction of their cost."""
+    arithmetic as numpy's float64 scalars at a fraction of their cost. It
+    stops after the last observation day, as no later day changes one."""
     _check_params(params)
 
     lai_max = params["LAI_max"]
@@ -120,8 +121,9 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
 
     w_l, w_s, w_f = _W_LEAF0, _W_STEM0, _W_FRUIT0
     ts = 0.0
-    fruit = np.empty(context.days)
-    for d in range(context.days):
+    n_days = int(context.obs_times[-1])
+    fruit = np.empty(n_days)
+    for d in range(n_days):
         lai = min(lai_max, sla * n_plants * w_l)
         f_light = 1.0 - math.exp(-0.7 * lai)
         f_co2 = co2[d] / (co2[d] + co2_half)

@@ -9,9 +9,8 @@ graph is a tree), which later lets the backward policy be deterministic.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 import yaml
@@ -213,10 +212,14 @@ def decode_batch(space: SpaceSpec, keys: Sequence[StateKey]) -> np.ndarray:
     return theta
 
 
-def enumerate_terminals(space: SpaceSpec) -> Iterator[StateKey]:
-    """All terminal keys exactly once, in lexicographic action order."""
-    ranges = [range(r) for r in space.slot_radices]
-    return iter(itertools.product(*ranges))
+def all_keys(space: SpaceSpec) -> np.ndarray:
+    """Every terminal key exactly once, as an (N, slots) int array in
+    place-value order: row i is the key whose mixed-radix index
+    (place_values) is i, which is lexicographic action order. The landscape,
+    the policy's exact distribution, the basin map and the grid projection
+    all index terminals this way."""
+    radices = space.slot_radices
+    return np.indices(radices).reshape(len(radices), -1).T
 
 
 def uniform_keys(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -230,34 +233,27 @@ def uniform_keys(space: SpaceSpec, n: int, rng: np.random.Generator) -> np.ndarr
 
 def key_tuples(keys: np.ndarray) -> list[StateKey]:
     """The rows of an (n, slots) int array of keys as tuples, the hashable
-    form in which TerminalScorer.score looks keys up."""
+    form that TerminalScorer.score and RewardCache.put take."""
     return list(map(tuple, keys.tolist()))
+
+
+def key_text(key: Sequence[int]) -> str:
+    """A key as every artifact writes it, its actions joined by '-'
+    ("2-1-0-3-4"); baselines.read_trace_csv reads it back."""
+    return "-".join(map(str, key))
 
 
 def place_values(radices: Sequence[int]) -> list[int]:
     """Mixed-radix place value of each slot: the index of a terminal key in
-    enumerate_terminals order is sum(key[t] * pv[t]).
+    all_keys order is sum(key[t] * pv[t]).
 
-    project_grid's row-major reshape and exact_terminal_distribution's
-    enumerated keys rely on this same lexicographic order.
+    basin_map's neighbor indices, topk_recovery's rows and project_grid's
+    row-major reshape rely on this same lexicographic order.
     """
     pv = [1] * len(radices)
     for i in range(len(radices) - 2, -1, -1):
         pv[i] = pv[i + 1] * radices[i + 1]
     return pv
-
-
-def neighbors(space: SpaceSpec, key: StateKey) -> list[StateKey]:
-    """Terminal keys differing from `key` in exactly one slot."""
-    if len(key) != space.slots:
-        raise ValueError("neighbors requires a terminal key")
-    validate_key(space, key)
-    out = []
-    for t, a in enumerate(key):
-        for b in range(len(space.slot_group(t).actions)):
-            if b != a:
-                out.append(key[:t] + (b,) + key[t + 1 :])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from gfnadapt.simulator import (
     generate_contexts,
     synthesize_observations,
 )
-from gfnadapt.space import ActionSpec, GroupSpec, ParameterSpec, build_space, decode_state
+from gfnadapt.space import (
+    ActionSpec, GroupSpec, ParameterSpec, build_space, decode_state, validate_key,
+)
 
 # the resolved default config, {dotted name: value}; a test overrides a
 # setting with {**DEFAULT_CFG, "train.steps": 50}
@@ -46,6 +48,33 @@ def make_mini_sim_space():
 
     sp = builtin_space()
     return dataclasses.replace(sp, groups=sp.groups[:2])
+
+
+def make_two_cycle_space():
+    """The built-in space with groups 3 and 5 cut to their identity action,
+    over two cycles: 5625 terminals, an enumerable multi-cycle space."""
+    import dataclasses
+
+    sp = builtin_space()
+    groups = tuple(
+        dataclasses.replace(g, actions=g.actions[:1]) if g.order in (3, 5) else g
+        for g in sp.groups
+    )
+    return dataclasses.replace(sp, groups=groups, cycles=2)
+
+
+def neighbors(space, key):
+    """Terminal keys differing from `key` in exactly one slot: the reference
+    against which basin_map's array pass over (slot, action) is checked."""
+    if len(key) != space.slots:
+        raise ValueError("neighbors requires a terminal key")
+    validate_key(space, key)
+    out = []
+    for t, a in enumerate(key):
+        for b in range(space.slot_radices[t]):
+            if b != a:
+                out.append(key[:t] + (b,) + key[t + 1 :])
+    return out
 
 
 def fixed_passes(net, space, keys):

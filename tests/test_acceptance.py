@@ -22,9 +22,11 @@ from gfnadapt.simulator import (
     simulate,
     synthesize_observations,
 )
-from gfnadapt.space import decode_state, enumerate_terminals, key_tuples, neighbors, place_values
+from gfnadapt.space import all_keys, decode_state, key_tuples, place_values
 
-from conftest import DEFAULT_CFG, StubScorer, fixed_passes, make_tiny_space, tb_fresh
+from conftest import (
+    DEFAULT_CFG, StubScorer, fixed_passes, make_tiny_space, neighbors, tb_fresh,
+)
 
 
 def _ok(line):
@@ -34,7 +36,7 @@ def _ok(line):
 def test_builtin_space_structure(space):
     start = time.monotonic()
     assert [len(g.actions) for g in space.groups] == [3, 5, 5, 5, 7]
-    keys = list(enumerate_terminals(space))
+    keys = key_tuples(all_keys(space))
     assert len(keys) == 2625 == space.terminal_count()
     assert len(set(keys)) == 2625
     elapsed = time.monotonic() - start
@@ -163,7 +165,7 @@ def test_small_space_learning_fidelity(tiny_space):
         (0, 0): 1.0, (0, 1): 2.0, (0, 2): 0.5,
         (1, 0): 3.0, (1, 1): 1.5, (1, 2): 0.25,
     }
-    target = np.array([rewards[k] for k in enumerate_terminals(tiny_space)])
+    target = np.array([rewards[k] for k in key_tuples(all_keys(tiny_space))])
     target = target / target.sum()
     l1s = []
     for seed in (1, 2, 3):
@@ -184,12 +186,10 @@ def test_small_space_learning_fidelity(tiny_space):
 
 def test_full_space_learning_fidelity(space, fitted_scorer, full_landscape):
     start = time.monotonic()
+    keys = key_tuples(full_landscape.keys)
     top50 = {
-        full_landscape.keys[i]
-        for i in sorted(
-            range(2625),
-            key=lambda i: (-full_landscape.target_prob[i], full_landscape.keys[i]),
-        )[:50]
+        keys[i]
+        for i in sorted(range(2625), key=lambda i: (-full_landscape.target_prob[i], keys[i]))[:50]
     }
     l1s, recoveries = [], []
     for seed in (1, 2, 3):
@@ -220,7 +220,7 @@ def test_basin_analysis(tiny_space, space, full_landscape):
         tiny_space,
         StubScorer(
             {k: (10.0 if k == (1, 1) else 1.0 + 0.1 * sum(k))
-             for k in enumerate_terminals(tiny_space)}
+             for k in key_tuples(all_keys(tiny_space))}
         ),
     )
     uni_basins = basin_map(uni, tiny_space)
@@ -241,10 +241,11 @@ def test_basin_analysis(tiny_space, space, full_landscape):
 
     # full landscape: every mode locally maximal, masses partition the total
     basins = basin_map(full_landscape, space)
-    index = {k: i for i, k in enumerate(full_landscape.keys)}
+    keys = key_tuples(full_landscape.keys)
+    index = {k: i for i, k in enumerate(keys)}
     for m in basins.basin_mass:
         p = full_landscape.target_prob[m]
-        for nb in neighbors(space, full_landscape.keys[m]):
+        for nb in neighbors(space, keys[m]):
             assert full_landscape.target_prob[index[nb]] <= p
     assert abs(sum(basins.basin_mass.values()) - 1.0) < 1e-9
     _ok(
@@ -362,11 +363,10 @@ def test_truth_state_is_optimal_without_noise(space, tmp_path):
     assert np.all(np.abs(raw) <= 1e-12)
     table = build_landscape(space, scorer)
     idx = sum(a * pv for a, pv in zip(DEFAULT_TRUTH_KEY, place_values(space.slot_radices)))
-    assert table.keys[idx] == DEFAULT_TRUTH_KEY
+    keys = key_tuples(table.keys)
+    assert keys[idx] == DEFAULT_TRUTH_KEY
     assert table.aggregates[idx] == table.aggregates.min()
-    order = sorted(
-        range(2625), key=lambda i: (-table.target_prob[i], table.keys[i])
-    )
+    order = sorted(range(2625), key=lambda i: (-table.target_prob[i], keys[i]))
     assert order[0] == idx
     _ok(
         "truth retrievability: zero raw loss, minimum aggregate loss, "

@@ -23,8 +23,9 @@ from gfnadapt.space import (
     ActionSpec,
     GroupSpec,
     ParameterSpec,
+    all_keys,
     build_space,
-    enumerate_terminals,
+    key_text,
     key_tuples,
 )
 
@@ -71,7 +72,7 @@ class TestRandomSearch:
     def test_keys_valid_and_count(self, tiny_space):
         trace = pairs(random_search(tiny_space, AggScorer(separable_loss), 200, seed=1))
         assert len(trace) == 200
-        valid = set(enumerate_terminals(tiny_space))
+        valid = set(key_tuples(all_keys(tiny_space)))
         assert all(key in valid for key, _ in trace)
 
     def test_marginals_uniform(self, tiny_space):
@@ -256,7 +257,7 @@ class TestTPE:
     def test_degenerate_equal_losses(self, tiny_space):
         trace = pairs(tpe_search(tiny_space, AggScorer(lambda k: 0.5), 40, seed=1))
         assert len(trace) == 40
-        valid = set(enumerate_terminals(tiny_space))
+        valid = set(key_tuples(all_keys(tiny_space)))
         assert all(key in valid for key, _ in trace)
         assert all(loss == 0.5 for _, loss in trace)
 
@@ -468,6 +469,16 @@ class TestTraceBytes:
             assert [(k, repr(l)) for k, l in back] == [
                 (k, repr(float(l))) for k, l in trace if math.isfinite(l)
             ]
+
+    def test_key_text_round_trips_through_the_reader(self, tmp_path):
+        sp = wide_space()  # keys with two-digit actions
+        keys = all_keys(sp)
+        path = tmp_path / "trace.csv"
+        export_trace_csv(path, keys, np.zeros(len(keys)), "cafef00d")
+        fields = [line.split(",")[1] for line in path.read_text().splitlines()[2:]]
+        assert fields == [key_text(key) for key in key_tuples(keys)]
+        back, _ = read_trace_csv(path, sp, "cafef00d")
+        assert np.array_equal(back, keys)
 
     def test_bad_row_named_by_its_line(self, tiny_space, tmp_path):
         path = tmp_path / "trace.csv"

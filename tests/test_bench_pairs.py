@@ -112,3 +112,68 @@ class TestHigherIsBetter:
         assert verdict(self.PARENT, self.PARENT * factor, "higher", 0.2) == (
             "not met", 0, "regressed"
         )
+
+
+# the output of `perfbench/run.py --workload all --seed 1 --seconds 0.5`,
+# shortened to the lines the pair tool reads and their neighbours
+CANNED_ALL = """\
+workload train-warm  seed 1  trace 0
+  env numpy: 2.4.6
+  ok   landscape.csv has 2625 rows (2625)
+  fail_ratio: 0/15 = 0
+  setup_s: 0.0983 s (median of 3 set-ups)
+  wall_s: 2.2987 s (median of 1 cycles)
+  peak_rss_mb: 56.9 MB
+  train_s: 2.1086 s
+  sample_s: 0.0632 s
+  report_s: 0.1269 s
+  best_loss: -0.1226265636981753
+{"correct": true, "attempted": 15, "failed": 0, "metrics": {"setup_s": {"value": 0.0982549519976601, "unit": "s"}, "wall_s": {"value": 2.298720507998951, "unit": "s"}, "peak_rss_mb": {"value": 56.9140625, "unit": "MB"}}}
+workload search-2cycle  seed 1  trace 0
+  env numpy: 2.4.6
+  fail_ratio: 0/10 = 0
+  setup_s: 0.0172 s (median of 3 set-ups)
+  wall_s: 0.2247 s (median of 3 cycles)
+  peak_rss_mb: 44.1 MB
+  baseline_random_s: 0.0363 s
+  baseline_tpe_s: 0.1901 s
+  best_loss: -0.09858188171184928
+{"correct": true, "attempted": 10, "failed": 0, "metrics": {"setup_s": {"value": 0.017196162007167004, "unit": "s"}, "wall_s": {"value": 0.22468444400874432, "unit": "s"}, "peak_rss_mb": {"value": 44.14453125, "unit": "MB"}}}
+{"correct": true, "attempted": 25, "failed": 0, "metrics": {"train-warm/setup_s": {"value": 0.0982549519976601, "unit": "s"}, "train-warm/wall_s": {"value": 2.298720507998951, "unit": "s"}, "train-warm/peak_rss_mb": {"value": 56.9140625, "unit": "MB"}, "search-2cycle/setup_s": {"value": 0.017196162007167004, "unit": "s"}, "search-2cycle/wall_s": {"value": 0.22468444400874432, "unit": "s"}, "search-2cycle/peak_rss_mb": {"value": 44.14453125, "unit": "MB"}}}
+"""
+
+GATED = [(w, m) for w in ("train-warm", "search-2cycle")
+         for m in ("setup_s", "wall_s", "peak_rss_mb")]
+STAGES = [("train-warm", "train_s"), ("train-warm", "sample_s"), ("train-warm", "report_s"),
+          ("search-2cycle", "baseline_random_s"), ("search-2cycle", "baseline_tpe_s")]
+
+
+class TestStageTimes:
+    def test_readings_hold_the_gated_metrics_then_the_stage_times(self):
+        readings = bench_pairs.readings_of(CANNED_ALL.splitlines(), "all")
+        assert list(readings) == GATED + STAGES
+        assert readings["train-warm", "wall_s"] == 2.298720507998951
+        assert readings["train-warm", "train_s"] == 2.1086
+        assert readings["search-2cycle", "baseline_tpe_s"] == 0.1901
+
+    def test_one_workload_keys_its_stages_by_that_workload(self):
+        lines = CANNED_ALL.splitlines()[:12]  # train-warm's block, its own last line
+        readings = bench_pairs.readings_of(lines, "train-warm")
+        assert list(readings) == GATED[:3] + STAGES[:3]
+
+    def test_stage_lines_give_medians_and_per_pair_ratios_without_verdicts(self):
+        run = bench_pairs.readings_of(CANNED_ALL.splitlines(), "all")
+        slower = {key: value * 1.25 for key, value in run.items()}
+        readings = {"parent": [run, run, slower], "change": [slower, run, run]}
+        lines = bench_pairs.stage_lines(readings, GATED)
+        assert [line.split(":")[0] for line in lines] == [f"stage {w}/{s}" for w, s in STAGES]
+        assert lines[0] == ("stage train-warm/train_s: parent median 2.109 s, change median "
+                            "2.109 s, change/parent medians 1.000; per-pair ratios "
+                            "change/parent: 1.250 1.000 0.800")
+        assert not any("verdict" in line or "claim" in line for line in lines)
+
+    def test_a_stage_missing_from_a_run_is_left_out(self):
+        run = bench_pairs.readings_of(CANNED_ALL.splitlines(), "all")
+        renamed = {key: value for key, value in run.items() if key[1] != "report_s"}
+        lines = bench_pairs.stage_lines({"parent": [run], "change": [renamed]}, GATED)
+        assert len(lines) == 4 and not any("report_s" in line for line in lines)

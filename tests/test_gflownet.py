@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gfnadapt import gflownet as gf
 from gfnadapt import nn
 from gfnadapt.nn import Adam, Gradients, PolicyNet
-from gfnadapt.space import enumerate_terminals, key_tuples
+from gfnadapt.space import all_keys, key_tuples
 
 from conftest import DEFAULT_CFG, StubScorer, fixed_passes, make_tiny_space, tb_fresh
 
@@ -519,7 +519,7 @@ class TestFlatParameters:
         net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], rng, dtype=np.float64)
         for head in net.head_w:
             head += rng.normal(0, 0.05, head.shape)
-        terminals = np.array(list(enumerate_terminals(space)))
+        terminals = all_keys(space)
         keys = terminals[rng.choice(len(terminals), size=64, replace=False)]
         target = rng.random(64)
         target /= target.sum()
@@ -535,7 +535,7 @@ class TestFlatParameters:
         for head in net.head_w:
             head += rng.normal(0, 0.5, head.shape)
         net.log_z = -0.4
-        terminals = np.array(list(enumerate_terminals(space)))
+        terminals = all_keys(space)
         if batch == "all-identical":
             keys = np.repeat(terminals[[1234]], 16, axis=0)
         else:  # every prefix of slot 1 on is distinct: radix-3 slot 0, radix-5 slot 1
@@ -598,7 +598,7 @@ class TestFlatParameters:
 
 class TestTraining:
     def test_tiny_space_learns_target(self, tiny_space):
-        rewards = np.array([TINY_REWARDS[k] for k in enumerate_terminals(tiny_space)])
+        rewards = np.array([TINY_REWARDS[k] for k in key_tuples(all_keys(tiny_space))])
         target = rewards / rewards.sum()
         l1s = []
         for seed in (1, 2, 3):
@@ -686,7 +686,7 @@ class TestExactDistribution:
         probs = gf.exact_terminal_distribution(net, tiny_space)
         n = 100_000
         keys = gf.sample_terminals(net, tiny_space, n, np.random.default_rng(12))
-        index = {k: i for i, k in enumerate(enumerate_terminals(tiny_space))}
+        index = {k: i for i, k in enumerate(key_tuples(all_keys(tiny_space)))}
         counts = np.bincount([index[k] for k in key_tuples(keys)], minlength=len(probs))
         chi2 = float((((counts - n * probs) ** 2) / (n * probs)).sum())
         assert chi2 < 15.086  # chi-square critical value, df=5, alpha=0.01
@@ -732,11 +732,11 @@ class TabularOptimalPolicy:
 def test_optimal_tabular_policy_matches_target(tiny_space):
     policy = TabularOptimalPolicy(tiny_space, TINY_REWARDS)
     probs = gf.exact_terminal_distribution(policy, tiny_space)
-    rewards = np.array([TINY_REWARDS[k] for k in enumerate_terminals(tiny_space)])
+    rewards = np.array([TINY_REWARDS[k] for k in key_tuples(all_keys(tiny_space))])
     target = rewards / rewards.sum()
     assert np.allclose(probs, target, atol=1e-12)
     # trajectory balance holds exactly along every trajectory
-    for i, key in enumerate(enumerate_terminals(tiny_space)):
+    for i, key in enumerate(key_tuples(all_keys(tiny_space))):
         assert policy.log_z + np.log(probs[i]) == pytest.approx(
             np.log(TINY_REWARDS[key]), abs=1e-12
         )
@@ -844,7 +844,7 @@ class TestCheckpoint:
 def test_unique_trajectory_per_terminal(tiny_space):
     # tree property: the only trajectory to a terminal is its prefix chain,
     # so the parent of any non-empty key is its one-shorter prefix
-    for key in enumerate_terminals(tiny_space):
+    for key in key_tuples(all_keys(tiny_space)):
         for t in range(1, len(key) + 1):
             assert key[:t][:-1] == key[: t - 1]
 

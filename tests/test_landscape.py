@@ -14,9 +14,10 @@ from gfnadapt.landscape import (
     l1_distance,
     project_grid,
 )
-from gfnadapt.space import enumerate_terminals, neighbors, place_values
+from gfnadapt import gflownet as gf
+from gfnadapt.space import all_keys, key_tuples, place_values
 
-from conftest import StubScorer, make_tiny_space
+from conftest import StubScorer, make_tiny_space, neighbors
 
 
 def table_from_rewards(space, rewards):
@@ -25,7 +26,7 @@ def table_from_rewards(space, rewards):
 
 def basins_of(space, dist):
     """basin_map of the landscape whose target distribution is dist."""
-    return basin_map(table_from_rewards(space, dict(zip(enumerate_terminals(space), dist))), space)
+    return basin_map(table_from_rewards(space, dict(zip(key_tuples(all_keys(space)), dist))), space)
 
 
 def index_of(space, key):
@@ -35,7 +36,8 @@ def index_of(space, key):
 
 def brute_force_ascent(space, table):
     """Independent probability-ascent oracle used to cross-check basin_map."""
-    index = {k: i for i, k in enumerate(table.keys)}
+    keys = key_tuples(table.keys)
+    index = {k: i for i, k in enumerate(keys)}
     probs = table.target_prob
 
     def step(key):
@@ -45,8 +47,8 @@ def brute_force_ascent(space, table):
                 best = nb
         return best
 
-    mode_of = np.empty(len(table.keys), dtype=np.int64)
-    for i, key in enumerate(table.keys):
+    mode_of = np.empty(len(keys), dtype=np.int64)
+    for i, key in enumerate(keys):
         cur = key
         while True:
             nxt = step(cur)
@@ -71,17 +73,18 @@ class TestBuildLandscape:
         assert table.target_prob.tolist() == [0.25, 0.75]
 
     def test_uniform_rewards(self, tiny_space):
-        rewards = {k: 2.0 for k in enumerate_terminals(tiny_space)}
+        rewards = {k: 2.0 for k in key_tuples(all_keys(tiny_space))}
         table = table_from_rewards(tiny_space, rewards)
         assert np.allclose(table.target_prob, 1.0 / 6)
 
-    def test_probabilities_sum_to_one(self, full_landscape):
+    def test_probabilities_sum_to_one(self, full_landscape, space):
         assert full_landscape.target_prob.sum() == pytest.approx(1.0, abs=1e-12)
         assert np.all(full_landscape.target_prob > 0)
         assert len(full_landscape.keys) == 2625
+        assert np.array_equal(full_landscape.keys, all_keys(space))
 
     def test_index_of(self, tiny_space):
-        rewards = {k: 1.0 for k in enumerate_terminals(tiny_space)}
+        rewards = {k: 1.0 for k in key_tuples(all_keys(tiny_space))}
         table = table_from_rewards(tiny_space, rewards)
         for i, key in enumerate(table.keys):
             assert index_of(tiny_space, key) == i
@@ -92,7 +95,7 @@ class TestBasins:
         # one dominant peak at (1, 2); everything must drain into it
         rewards = {
             k: 10.0 if k == (1, 2) else 1.0 + 0.1 * sum(k)
-            for k in enumerate_terminals(tiny_space)
+            for k in key_tuples(all_keys(tiny_space))
         }
         table = table_from_rewards(tiny_space, rewards)
         basins = basin_map(table, tiny_space)
@@ -128,7 +131,7 @@ class TestBasins:
         assert np.array_equal(basins.mode_of, brute_force_ascent(space, full_landscape))
 
     def test_flat_landscape_ties_break_canonically(self, tiny_space):
-        rewards = {k: 1.0 for k in enumerate_terminals(tiny_space)}
+        rewards = {k: 1.0 for k in key_tuples(all_keys(tiny_space))}
         table = table_from_rewards(tiny_space, rewards)
         basins = basin_map(table, tiny_space)
         # no strict improvement anywhere, so every state is its own mode
@@ -136,7 +139,7 @@ class TestBasins:
 
     def test_random_landscapes_match_brute_force(self):
         sp = make_tiny_space(cycles=2)
-        keys = list(enumerate_terminals(sp))
+        keys = key_tuples(all_keys(sp))
         for seed in range(5):
             rng = np.random.default_rng(seed)
             rewards = {k: float(rng.uniform(0.1, 5.0)) for k in keys}
@@ -150,7 +153,7 @@ class TestBasins:
         # rewards from {1, 2, 3}: many states have several equally best
         # improving neighbors, so the smallest-key rule decides
         sp = make_tiny_space(cycles=cycles)
-        keys = list(enumerate_terminals(sp))
+        keys = key_tuples(all_keys(sp))
         for seed in range(20):
             rng = np.random.default_rng(seed)
             rewards = dict(zip(keys, rng.integers(1, 4, len(keys)).astype(float).tolist()))
@@ -163,6 +166,42 @@ class TestBasins:
             for i, m in enumerate(oracle.tolist()):
                 mass[m] = mass.get(m, 0.0) + float(table.target_prob[i])
             assert basins.basin_mass == mass
+
+
+class TestAlignment:
+    @pytest.mark.parametrize("cycles", [1, 2])
+    def test_rows_follow_all_keys(self, cycles):
+        # row i of every enumerated array belongs to all_keys' row i
+        sp = make_tiny_space(cycles=cycles)
+        keys = all_keys(sp)
+        tuples = key_tuples(keys)
+        rng = np.random.default_rng(cycles)
+        rewards = dict(zip(tuples, rng.uniform(0.1, 5.0, len(tuples)).tolist()))
+        table = table_from_rewards(sp, rewards)
+        assert np.array_equal(table.keys, keys)
+        assert table.rewards.tolist() == [rewards[key] for key in tuples]
+
+        basins = basin_map(table, sp)
+        assert np.array_equal(basins.mode_of, brute_force_ascent(sp, table))
+
+        grid = project_grid(table.target_prob, sp, basins)
+        split = len(grid["row_radices"])
+        row_pv = place_values(grid["row_radices"])
+        col_pv = place_values(grid["col_radices"])
+        for i, key in enumerate(tuples):
+            r = sum(a * pv for a, pv in zip(key[:split], row_pv))
+            c = sum(a * pv for a, pv in zip(key[split:], col_pv))
+            assert grid["mass"][r, c] == table.target_prob[i]
+            assert grid["dominant_basin"][r, c] == basins.mode_of[i]
+
+        net = gf.new_policy(sp, (16,), rng, dtype=np.float64)
+        for head in net.head_w:
+            head += rng.normal(0, 0.5, head.shape)
+        learned = gf.exact_terminal_distribution(net, sp)
+        assert learned.sum() == pytest.approx(1.0, abs=1e-12)
+        for i in range(len(keys)):
+            [alone] = np.exp(gf.log_pf(gf._rollout(net, sp, keys=keys[i : i + 1])))
+            assert learned[i] == pytest.approx(alone, rel=1e-12)
 
 
 class TestDistances:
@@ -202,7 +241,7 @@ class TestGrid:
                 assert grid["mass"][r, c] == dist[r * 3 + c]
 
     def test_projection_dominant_basin(self, tiny_space):
-        rewards = {k: 1.0 for k in enumerate_terminals(tiny_space)}
+        rewards = {k: 1.0 for k in key_tuples(all_keys(tiny_space))}
         table = table_from_rewards(tiny_space, rewards)
         basins = basin_map(table, tiny_space)
         grid = project_grid(table.target_prob, tiny_space, basins)
@@ -212,7 +251,7 @@ class TestGrid:
 
 class TestExports:
     def test_csv_roundtrip(self, tiny_space, tmp_path):
-        rewards = {k: 1.0 + sum(k) for k in enumerate_terminals(tiny_space)}
+        rewards = {k: 1.0 + sum(k) for k in key_tuples(all_keys(tiny_space))}
         table = table_from_rewards(tiny_space, rewards)
         basins = basin_map(table, tiny_space)
         path = tmp_path / "landscape.csv"
@@ -245,7 +284,7 @@ class TestExports:
     def test_csv_bytes_equal_csv_writer(self, tmp_path):
         # special floats, and keys whose modes lie elsewhere in the table
         sp = make_tiny_space(cycles=2)
-        keys = list(enumerate_terminals(sp))
+        keys = all_keys(sp)
         rng = np.random.default_rng(3)
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, -1.25e17, 0.1]
         aggregates = np.array([*special, *rng.normal(0, 1e3, len(keys) - len(special))])
@@ -258,10 +297,11 @@ class TestExports:
             writer = csv.writer(fh)
             writer.writerow(["# config_hash=abc123"])
             writer.writerow(["key", "loss", "reward", "target_prob", "mode_key"])
-            for i, key in enumerate(keys):
+            tuples = key_tuples(keys)
+            for i, key in enumerate(tuples):
                 writer.writerow(["-".join(map(str, key)), repr(float(aggregates[i])),
                                  repr(float(rewards[i])), repr(float(table.target_prob[i])),
-                                 "-".join(map(str, keys[int(basins.mode_of[i])]))])
+                                 "-".join(map(str, tuples[int(basins.mode_of[i])]))])
         assert path.read_bytes() == ref.read_bytes()
 
     def test_grid_json_bytes_equal_json_dump(self, tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfnadapt.landscape import LandscapeTable
+from gfnadapt.landscape import LandscapeTable, build_landscape
 from gfnadapt.metrics import (
     RetrievalReport,
     best_so_far,
@@ -17,15 +17,26 @@ from gfnadapt.metrics import (
     top20_stats,
     topk_recovery,
 )
+from gfnadapt.space import ActionSpec, GroupSpec, ParameterSpec, all_keys, build_space, key_tuples
 
-from conftest import make_tiny_space
+from conftest import StubScorer, make_tiny_space
+
+
+def square_space():
+    """Two groups of two actions: the four terminals (0,0), (0,1), (1,0), (1,1)."""
+    params = [ParameterSpec("a", 0.0, 1.0, 0.5, group=1), ParameterSpec("b", 0.0, 1.0, 0.5, group=2)]
+    groups = [GroupSpec(1, "g1", (ActionSpec("none", {}), ActionSpec("up", {"a": 1}))),
+              GroupSpec(2, "g2", (ActionSpec("none", {}), ActionSpec("up", {"b": 1})))]
+    return build_space(groups, params, 1, 0.3)
+
+
+SQUARE = square_space()
 
 
 def small_table():
-    keys = [(0, 0), (0, 1), (1, 0), (1, 1)]
     rewards = np.array([4.0, 2.0, 1.0, 1.0])
     return LandscapeTable(
-        keys=keys,
+        keys=all_keys(SQUARE),
         aggregates=-np.log(rewards),
         rewards=rewards,
         target_prob=rewards / rewards.sum(),
@@ -90,34 +101,61 @@ def scored(pairs):
     return np.array(keys), np.array(losses, dtype=float)
 
 
+def recovery_by_sets(keys, table, ks):
+    """topk_recovery's counts from Python sets: the top-k keys by (-target
+    probability, key), counted among the given keys."""
+    terminals = key_tuples(table.keys)
+    ranked = sorted(range(len(terminals)), key=lambda i: (-table.target_prob[i], terminals[i]))
+    found = set(key_tuples(keys))
+    return [(k, sum(terminals[i] in found for i in ranked[:k])) for k in ks]
+
+
 class TestTopkRecovery:
     def test_full_and_empty(self):
         table = small_table()
-        all_keys = keys_of(*table.keys)
-        assert topk_recovery(all_keys, table, [1, 2, 4]) == [(1, 1), (2, 2), (4, 4)]
-        assert topk_recovery(keys_of(), table, [1, 4]) == [(1, 0), (4, 0)]
+        terminals = keys_of(*key_tuples(table.keys))
+        assert topk_recovery(terminals, table, SQUARE, [1, 2, 4]) == [(1, 1), (2, 2), (4, 4)]
+        assert topk_recovery(keys_of(), table, SQUARE, [1, 4]) == [(1, 0), (4, 0)]
 
     def test_partial(self):
         table = small_table()
         # top-2 by probability are (0,0) then (0,1); a repeated key counts once
         found = keys_of((0, 0), (1, 1), (0, 0))
-        assert topk_recovery(found, table, [1, 2]) == [(1, 1), (2, 1)]
+        assert topk_recovery(found, table, SQUARE, [1, 2]) == [(1, 1), (2, 1)]
 
     def test_tie_break_canonical(self):
         table = small_table()
         # (1,0) and (1,1) have equal probability; rank 3 goes to (1,0)
-        assert topk_recovery(keys_of((1, 0)), table, [3]) == [(3, 1)]
-        assert topk_recovery(keys_of((1, 1)), table, [3]) == [(3, 0)]
+        assert topk_recovery(keys_of((1, 0)), table, SQUARE, [3]) == [(3, 1)]
+        assert topk_recovery(keys_of((1, 1)), table, SQUARE, [3]) == [(3, 0)]
 
     def test_monotone_in_k(self):
         table = small_table()
         found = keys_of((0, 1), (1, 0))
-        counts = [c for _, c in topk_recovery(found, table, [1, 2, 3, 4])]
+        counts = [c for _, c in topk_recovery(found, table, SQUARE, [1, 2, 3, 4])]
         assert counts == sorted(counts)
 
     def test_k_exceeds_support(self):
         with pytest.raises(ValueError, match="exceeds"):
-            topk_recovery(keys_of(), small_table(), [5])
+            topk_recovery(keys_of(), small_table(), SQUARE, [5])
+
+    def test_tiny_space_equals_sets(self, tiny_space):
+        rng = np.random.default_rng(31)
+        terminals = key_tuples(all_keys(tiny_space))
+        rewards = dict(zip(terminals, rng.integers(1, 4, len(terminals)).astype(float).tolist()))
+        table = build_landscape(tiny_space, StubScorer(rewards))
+        for n in (0, 1, 3, 6, 10):
+            keys = rng.integers(0, tiny_space.slot_radices, (n, tiny_space.slots))
+            ks = [1, 2, 4, 6]
+            assert topk_recovery(keys, table, tiny_space, ks) == recovery_by_sets(keys, table, ks)
+
+    def test_builtin_space_equals_sets(self, space, full_landscape):
+        rng = np.random.default_rng(32)
+        for n in (1, 50, 2000):
+            keys = rng.integers(0, space.slot_radices, (n, space.slots))
+            ks = [10, 20, 50, 2625]
+            assert (topk_recovery(keys, full_landscape, space, ks)
+                    == recovery_by_sets(keys, full_landscape, ks))
 
 
 def pair_distance(a, b):

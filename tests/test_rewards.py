@@ -25,7 +25,7 @@ from gfnadapt.simulator import (
     simulate,
     synthesize_observations,
 )
-from gfnadapt.space import decode_state, enumerate_terminals
+from gfnadapt.space import all_keys, decode_state, key_tuples
 
 from conftest import DEFAULT_CFG, record_passes
 
@@ -230,14 +230,14 @@ class TestTerminalScorer:
         assert np.array_equal(first, second)
 
     def test_enumeration_fit_fills_the_cache(self, scorer, mini_space):
-        keys = list(enumerate_terminals(mini_space))
+        keys = key_tuples(all_keys(mini_space))
         assert len(scorer.cache) == len(keys) == scorer.simulated
         scorer.score(keys)
         assert scorer.simulated == len(keys)  # every score was a cache hit
         assert scorer.cache_hits == scorer.requested == len(keys)
 
     def test_reward_positive_everywhere(self, scorer, mini_space):
-        _, rewards = scorer.score(list(enumerate_terminals(mini_space)))
+        _, rewards = scorer.score(key_tuples(all_keys(mini_space)))
         assert np.all(rewards > 0.0)
 
     def test_repeats_scored_once_and_counted(self, mini_space, obs, tmp_path):
@@ -279,7 +279,7 @@ class TestTerminalScorer:
             cache_path=tmp_path / "rewards.bin", quantiles=b,
         )
         lam, k = scorer.config["reward.lambda"], scorer.config["reward.k_tail"]
-        keys = list(enumerate_terminals(mini_space))
+        keys = key_tuples(all_keys(mini_space))
         new, _ = reopened.score(keys)
         old, _ = scorer.score(keys)
         for agg, old_agg, raw in zip(new, old, scorer.raw_losses(keys)):
@@ -337,7 +337,7 @@ def test_loaded_records_equal_their_own_row(space, obs_contexts, fitted_scorer):
     )
     assert len(reopened.cache) == 2625
     q, cfg = fitted_scorer.quantiles, fitted_scorer.config
-    keys = list(enumerate_terminals(space))
+    keys = key_tuples(all_keys(space))
     for key, raw in zip(keys, reopened.raw_losses(keys)):
         agg = aggregate(normalize(raw, q), cfg["reward.lambda"], cfg["reward.k_tail"])
         assert reopened.cache.get(key) == (agg, reward(agg, cfg["reward.beta"]))
@@ -363,7 +363,7 @@ def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer, monkeypatch
     # of five
     monkeypatch.setattr(simulator, "SIM_CELLS", 16)
     passes = record_passes(monkeypatch)
-    keys = list(enumerate_terminals(space))[:40]
+    keys = key_tuples(all_keys(space))[:40]
     batch = fitted_scorer.raw_losses(keys)
     assert len(passes) >= 3
     reversed_batch = fitted_scorer.raw_losses(keys[::-1])[::-1]

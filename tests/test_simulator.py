@@ -17,7 +17,7 @@ from gfnadapt.simulator import (
     synthesize_observations,
 )
 from gfnadapt.simulator import _inhibition
-from gfnadapt.space import decode_batch, decode_state, enumerate_terminals
+from gfnadapt.space import all_keys, decode_batch, decode_state, key_tuples
 
 from conftest import record_passes
 
@@ -142,7 +142,7 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
     # the enumerate is one pass whose day series hold 25, 5 and 15 distinct
     # rows, gathered per key; a single key reads its own rows
     passes = record_passes(monkeypatch)
-    params = columns(space, list(enumerate_terminals(space)))
+    params = columns(space, all_keys(space))
     sims = simulate_batch(params, obs_contexts)
     assert passes == [(2625, 25, 5, 15)]
     assert sims.shape == (2625, len(obs_contexts), 12)
@@ -333,7 +333,7 @@ def test_factor_rows_stay_with_their_keys(space, obs_contexts, monkeypatch, cell
 
 
 def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
-    keys = list(enumerate_terminals(space))[:50]
+    keys = key_tuples(all_keys(space))[:50]
     keys.append(keys[10])  # bit-identical to key 10 in every parameter row
     params = columns(space, keys)
     clean = simulate_batch(params, obs_contexts)
@@ -429,3 +429,25 @@ def test_simulate_pure(space, obs_contexts):
     a = simulate(params, obs_contexts[0])
     b = simulate(params, obs_contexts[0])
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("days", [180, 60, 45])
+def test_scalar_simulate_stops_after_the_last_observation(space, days, monkeypatch):
+    # the grid of generate_contexts ends before the season (168 of 180, 56 of
+    # 60, 42 of 45). Observed on its last day too, a context runs every day of
+    # the season, so its outputs before that day are a full season's
+    contexts = generate_contexts(7, days=days)
+    assert contexts[0].obs_times[-1] < days
+    rng = np.random.default_rng(days)
+    keys = [DEFAULT_TRUTH_KEY, *key_tuples(rng.integers(0, space.slot_radices, (20, space.slots)))]
+    calls = []
+    monkeypatch.setattr(simulator, "_inhibition", lambda *a: calls.append(1) or _inhibition(*a))
+    for key in keys:
+        params = decode_state(space, key)
+        for ctx in contexts:
+            full = replace(ctx, obs_times=np.r_[ctx.obs_times, days],
+                           obs_values=np.zeros(len(ctx.obs_times) + 1))
+            calls.clear()
+            short = simulate(params, ctx)
+            assert len(calls) == 2 * ctx.obs_times[-1]  # two per day run
+            assert short.tobytes() == simulate(params, full)[:-1].tobytes()

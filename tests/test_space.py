@@ -5,19 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gfnadapt.simulator import builtin_space
 from gfnadapt.space import (
     ActionSpec,
     GroupSpec,
     ParameterSpec,
+    all_keys,
     build_space,
     decode_batch,
     decode_state,
-    enumerate_terminals,
     key_bytes,
-    neighbors,
+    key_text,
+    key_tuples,
+    place_values,
 )
 
-from conftest import make_tiny_space
+from conftest import make_tiny_space, make_two_cycle_space, neighbors
 
 
 def random_key(space, rng_draw):
@@ -152,7 +155,7 @@ class TestDecodeBatch:
             assert dict(zip(names, row)) == decode_state(sp, key), key
 
     def test_all_builtin_terminals(self, space):
-        self.assert_rows_equal_decode_state(space, list(enumerate_terminals(space)))
+        self.assert_rows_equal_decode_state(space, key_tuples(all_keys(space)))
 
     def test_partial_keys_of_two_cycles(self, space):
         import dataclasses
@@ -207,18 +210,45 @@ class TestDecodeBatch:
             decode_batch(tiny_space, [(0, 0, 0)])
 
 
+ENUMERABLE_SPACES = {
+    "tiny": make_tiny_space,
+    "tiny-3-cycle": lambda: make_tiny_space(cycles=3),
+    "builtin": builtin_space,
+    "2-cycle": make_two_cycle_space,
+}
+
+
 class TestEnumeration:
     def test_builtin_enumeration(self, space):
-        keys = list(enumerate_terminals(space))
+        keys = key_tuples(all_keys(space))
         assert len(keys) == 2625 == space.terminal_count()
         assert len(set(keys)) == 2625
         assert keys == sorted(keys)  # lexicographic
 
     def test_small_product(self):
         sp = make_tiny_space()
-        assert list(enumerate_terminals(sp)) == list(
+        assert key_tuples(all_keys(sp)) == list(
             itertools.product(range(2), range(3))
         )
+
+    @pytest.mark.parametrize("name", ENUMERABLE_SPACES)
+    def test_rows_are_the_product_in_order(self, name):
+        sp = ENUMERABLE_SPACES[name]()
+        keys = all_keys(sp)
+        assert keys.shape == (sp.terminal_count(), sp.slots)
+        assert keys.dtype.kind == "i"
+        assert key_tuples(keys) == list(itertools.product(*map(range, sp.slot_radices)))
+
+    @pytest.mark.parametrize("name", ENUMERABLE_SPACES)
+    def test_place_value_index_of_row_i_is_i(self, name):
+        sp = ENUMERABLE_SPACES[name]()
+        keys = all_keys(sp)
+        assert np.array_equal(keys @ place_values(sp.slot_radices), np.arange(len(keys)))
+
+    def test_two_cycle_space_size(self):
+        sp = make_two_cycle_space()
+        assert sp.slot_radices == (3, 5, 1, 5, 1) * 2
+        assert sp.terminal_count() == 5625
 
 
 class TestNeighbors:
@@ -227,7 +257,7 @@ class TestNeighbors:
         assert len(neighbors(space, key)) == (3 - 1) + 3 * (5 - 1) + (7 - 1) == 20
 
     def test_symmetry(self, tiny_space):
-        for a in enumerate_terminals(tiny_space):
+        for a in key_tuples(all_keys(tiny_space)):
             for b in neighbors(tiny_space, a):
                 assert a in neighbors(tiny_space, b)
 
@@ -236,8 +266,15 @@ class TestNeighbors:
             neighbors(tiny_space, (0,))
 
 
+def test_key_text():
+    assert key_text((2, 1, 0, 3, 4)) == "2-1-0-3-4"
+    assert key_text([10, 0]) == "10-0"
+    # a row of an int array writes as its tuple does
+    assert key_text(all_keys(make_tiny_space())[5]) == key_text((1, 2)) == "1-2"
+
+
 def test_key_bytes_roundtrip(space):
     for key in [(0, 0, 0, 0, 0), (2, 4, 4, 4, 6), (1, 2, 3, 0, 5)]:
         assert tuple(key_bytes(key)) == key  # one byte per slot
-    encoded = {key_bytes(k) for k in enumerate_terminals(space)}
+    encoded = {key_bytes(k) for k in key_tuples(all_keys(space))}
     assert len(encoded) == 2625  # injective
