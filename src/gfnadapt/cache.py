@@ -83,9 +83,11 @@ class RewardCache:
         self._index = dict(zip(first, self._derived(records["raw"][list(first.values())])))
 
     def _crcs(self, records: np.ndarray) -> list[int]:
-        """CRC32 of each record's key and raw-loss bytes."""
-        body = records.view(np.uint8).reshape(len(records), self._record.itemsize)
-        return [zlib.crc32(row) for row in body[:, :-4]]
+        """CRC32 of each record's key and raw-loss bytes, each read as one
+        bytes object from one copy of the records' bytes."""
+        size = self._record.itemsize
+        body = np.ndarray(len(records), f"V{size - 4}", records.tobytes(), strides=(size,))
+        return list(map(zlib.crc32, body.tolist()))
 
     def _derived(self, raw: np.ndarray) -> list[tuple[float, float]]:
         agg, rew = self.derive(raw)
@@ -103,9 +105,9 @@ class RewardCache:
         derived in one pass and appended in one write. Returns each key's
         winning (maybe pre-existing) (aggregate, reward)."""
         with self._lock:
+            encoded = [key_bytes(key) for key in keys]
             fresh: dict[bytes, int] = {}  # key bytes -> row of its first occurrence
-            for i, key in enumerate(keys):
-                kb = key_bytes(key)
+            for i, kb in enumerate(encoded):
                 if kb not in self._index:
                     fresh.setdefault(kb, i)
             if fresh:
@@ -117,4 +119,4 @@ class RewardCache:
                     fh.write(records.tobytes())
                     fh.flush()
                 self._index.update(zip(fresh, self._derived(records["raw"])))
-            return [self._index[key_bytes(key)] for key in keys]
+            return [self._index[kb] for kb in encoded]

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import simulator
 from .cache import RewardCache
 from .simulator import ContextDataset, simulate_batch
 from .space import SpaceSpec, StateKey, all_keys, decode_batch, key_tuples, uniform_keys
@@ -194,22 +195,37 @@ class TerminalScorer:
         )
 
     def raw_losses(self, keys: Sequence[StateKey]) -> np.ndarray:
-        """(n, C) raw losses of n terminal keys, simulated in one batch; no
-        cache lookup. A row does not depend on the other keys of the batch."""
+        """(n, C) raw losses of n terminal keys; no cache lookup. The keys run
+        in passes of at most simulator.SIM_CELLS consecutive keys, each
+        decoded, simulated and reduced in turn: its residuals are written
+        into its trajectories and their means into its rows of the result.
+        So scoring holds one pass's trajectories besides the (n, C) result,
+        however many keys it is given. A row does not depend on the other
+        keys of the batch. A non-finite trajectory raises SimulatorError
+        naming the first context that has one in any pass."""
         slots = self.space.slots
         for key in keys:
             if len(key) != slots:
                 raise ValueError(f"key {key} is not terminal: it decides "
                                  f"{len(key)} of {slots} slots")
         names = [p.name for p in self.space.parameters]
-        theta = decode_batch(self.space, keys)
-        sims = simulate_batch(dict(zip(names, theta.T)), self.contexts)
-        finite = np.isfinite(sims).all(axis=(0, 2))
+        obs = np.array([ctx.obs_values for ctx in self.contexts])
+        scale = np.abs(obs) + EPS_RESIDUAL
+        raw = np.empty((len(keys), len(self.contexts)))
+        finite = np.ones(len(self.contexts), dtype=bool)
+        for lo in range(0, len(keys), simulator.SIM_CELLS):
+            hi = lo + simulator.SIM_CELLS
+            theta = decode_batch(self.space, keys[lo:hi])
+            sims = simulate_batch(dict(zip(names, theta.T)), self.contexts)
+            finite &= np.isfinite(sims).all(axis=(0, 2))
+            sims -= obs  # |sims - obs| / (|obs| + EPS_RESIDUAL), in place
+            np.abs(sims, out=sims)
+            sims /= scale
+            np.mean(sims, axis=2, out=raw[lo:hi])
+            del theta, sims  # freed before the next pass is simulated
         if not finite.all():
             ctx = self.contexts[int(np.argmin(finite))]
             raise SimulatorError(ctx.context_id, ValueError("non-finite trajectory value"))
-        obs = np.array([ctx.obs_values for ctx in self.contexts])
-        raw = np.mean(np.abs(sims - obs) / (np.abs(obs) + EPS_RESIDUAL), axis=2)
         self.simulated += len(keys)
         return raw
 

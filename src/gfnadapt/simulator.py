@@ -169,12 +169,13 @@ DAY_SERIES = {
 }
 
 # Rows at most of every plane an array pass allocates, each plane one
-# float64 per context, about 0.13 MiB at 6 contexts: a pass holds at most
-# SIM_CELLS consecutive keys, and a block of days at most SIM_CELLS cells,
-# its consecutive days times the distinct rows of the widest series or
-# factor in the pass, p_f's three stacked coefficients counting three times
-# and the inhibition's two planes twice. A 1000-key batch on the 2-cycle
-# space peaks near 1.6 MiB besides its outputs (tracemalloc).
+# float64 per context, about 0.13 MiB at 6 contexts: rewards.TerminalScorer.
+# raw_losses hands simulate_batch passes of at most SIM_CELLS consecutive
+# keys, and a block of days holds at most SIM_CELLS cells, its consecutive
+# days times the distinct rows of the widest series or factor in the pass,
+# p_f's three stacked coefficients counting three times and the
+# inhibition's two planes twice. A 1000-key batch on the 2-cycle space
+# peaks near 1.6 MiB besides its outputs (tracemalloc).
 SIM_CELLS = 16 * 180
 
 
@@ -185,8 +186,10 @@ def simulate_batch(
     parameter; returns an (N, contexts, observations) array. Every context
     must share one day grid: the same days and obs_times.
 
-    Keys run in array passes of at most SIM_CELLS consecutive keys. Within a
-    pass the day series that do not depend on crop state (DAY_SERIES) are
+    The keys run as one array pass, whatever their number: scoring
+    (rewards.TerminalScorer.raw_losses) hands it at most SIM_CELLS keys at a
+    time, so that every plane of a pass holds at most SIM_CELLS rows. Within
+    the pass the day series that do not depend on crop state (DAY_SERIES) are
     built from factors, each computed once per distinct row of the
     parameters it reads (DAY_SERIES_PARAMS), rows counting as one only when
     bit-identical: the light-and-CO2 factor (P_max, alpha_light, co2_half),
@@ -216,24 +219,17 @@ def simulate_batch(
             raise ValueError(f"context {c.context_id} has other {field} than context "
                              f"{grid.context_id}; contexts must share one day grid")
     cols = np.array([np.asarray(params[n], dtype=float) for n in SIM_PARAM_NAMES])
-    n = cols.shape[1]
-    out = np.empty((n, len(contexts), len(grid.obs_times)))
-    series_cols = [
-        cols[[SIM_PARAM_NAMES.index(p) for f in factors for p in DAY_SERIES_PARAMS[f]]]
-        for factors in DAY_SERIES.values()
-    ]
+    out = np.empty((cols.shape[1], len(contexts), len(grid.obs_times)))
+    series_rows = []
+    for factors in DAY_SERIES.values():
+        c = cols[[SIM_PARAM_NAMES.index(p) for f in factors for p in DAY_SERIES_PARAMS[f]]]
+        first, inv = _distinct_rows(c.T)
+        series_rows.append((c[:, first, None], inv))
     # t_day, t_24, light and co2 as one (4, days, 1, contexts) array, each
     # field to broadcast against _fruit_on_days's parameter columns
     forcing = np.stack([[c.t_day, c.t_24, c.light, c.co2] for c in contexts], axis=-1)[:, :, None]
-    for lo in range(0, n, SIM_CELLS):
-        hi = min(n, lo + SIM_CELLS)
-        series_rows = []
-        for c in series_cols:
-            first, inv = _distinct_rows(c[:, lo:hi].T)
-            series_rows.append((c[:, lo + first, None], inv))
-        with np.errstate(all="ignore"):  # overflow shows as a non-finite value
-            _fruit_on_days(cols[:3, lo:hi, None], series_rows, forcing, grid.obs_times - 1,
-                           out[lo:hi])
+    with np.errstate(all="ignore"):  # overflow shows as a non-finite value
+        _fruit_on_days(cols[:3, :, None], series_rows, forcing, grid.obs_times - 1, out)
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -18,14 +19,15 @@ from gfnadapt.rewards import (
     normalize,
     reward,
 )
-from gfnadapt import simulator
+from gfnadapt import rewards, simulator
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
     generate_contexts,
     simulate,
+    simulate_batch,
     synthesize_observations,
 )
-from gfnadapt.space import all_keys, decode_state, key_tuples
+from gfnadapt.space import all_keys, decode_batch, decode_state, key_tuples, uniform_keys
 
 from conftest import DEFAULT_CFG, record_passes
 
@@ -356,16 +358,20 @@ def test_batched_raw_losses_match_scalar_oracle(space, obs_contexts, fitted_scor
         assert raw == pytest.approx(scalar_raw_losses(space, obs_contexts, key), rel=1e-10)
 
 
-def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer, monkeypatch):
-    # SIM_CELLS caps a pass's keys and a block's day-series cells; at 16 the
-    # enumerate's first keys take three passes, whose p_f (8, 8 and 4
-    # distinct rows) runs in blocks of one day and a single key's in blocks
-    # of five
-    monkeypatch.setattr(simulator, "SIM_CELLS", 16)
+@pytest.mark.parametrize("cells", [1, 16, 45, None],
+                         ids=["SIM_CELLS-1", "SIM_CELLS-16", "SIM_CELLS-45", "SIM_CELLS-default"])
+def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer, monkeypatch, cells):
+    # raw_losses simulates passes of at most SIM_CELLS consecutive keys, and
+    # SIM_CELLS caps a block's day-series cells too: at 16 the enumerate's
+    # first keys take three passes, whose p_f (8, 8 and 4 distinct rows)
+    # runs in blocks of one day and a single key's in blocks of five
+    if cells is not None:
+        monkeypatch.setattr(simulator, "SIM_CELLS", cells)
+    cells = simulator.SIM_CELLS
     passes = record_passes(monkeypatch)
     keys = key_tuples(all_keys(space))[:40]
     batch = fitted_scorer.raw_losses(keys)
-    assert len(passes) >= 3
+    assert [p[0] for p in passes] == [min(cells, 40 - lo) for lo in range(0, 40, cells)]
     reversed_batch = fitted_scorer.raw_losses(keys[::-1])[::-1]
     # every key, so the first and last key of each pass and the last pass
     for key, row, reversed_row in zip(keys, batch, reversed_batch):
@@ -374,26 +380,75 @@ def test_raw_losses_do_not_depend_on_the_batch(space, fitted_scorer, monkeypatch
         assert np.array_equal(alone, reversed_row)
 
 
-def test_non_finite_trajectory_names_its_context(space, obs_contexts, tmp_path):
+def test_raw_losses_hold_one_pass_of_trajectories(space, obs_contexts, tmp_path, monkeypatch):
+    # 5000 random 2-cycle keys in passes of 500: scoring holds one pass's
+    # (500, C, T) trajectories and the (n, C) result, well below one
+    # (n, C, T) float64 array, where the whole batch's trajectories and
+    # their residual temporaries would take about four
+    monkeypatch.setattr(simulator, "SIM_CELLS", 500)
+    space2 = replace(space, cycles=2)
+    keys = uniform_keys(space2, 5000, np.random.default_rng(5))
+    scorer = TerminalScorer(space2, obs_contexts, DEFAULT_CFG, cache_path=tmp_path / "r.bin")
+    tracemalloc.start()
+    try:
+        raw = scorer.raw_losses(keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw.shape == (5000, len(obs_contexts))
+    trajectories = raw.size * len(obs_contexts[0].obs_times) * raw.itemsize
+    assert peak < trajectories, f"peak {peak} bytes, one (n, C, T) array {trajectories}"
+
+
+def test_non_finite_trajectory_names_its_context(space, obs_contexts, tmp_path, monkeypatch):
     # negative light and CO2 make assimilation infinite in context 3 only
     bad = replace(obs_contexts[2], light=np.full(obs_contexts[2].days, -1e6),
                   co2=np.full(obs_contexts[2].days, -1.0))
     contexts = [*obs_contexts[:2], bad, *obs_contexts[3:]]
     scorer = TerminalScorer(space, contexts, DEFAULT_CFG, cache_path=tmp_path / "r.bin")
-    with pytest.raises(SimulatorError, match="context 3"):
-        scorer.raw_losses([(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)])
+    for cells in (simulator.SIM_CELLS, 1):  # one pass, then one pass per key
+        monkeypatch.setattr(simulator, "SIM_CELLS", cells)
+        with pytest.raises(SimulatorError, match="context 3"):
+            scorer.raw_losses([(0, 0, 0, 0, 0), (1, 2, 3, 4, 5)])
+    assert scorer.simulated == 0
     with pytest.raises(OverflowError):  # the scalar oracle fails on it too
         simulate(decode_state(space, (1, 2, 3, 4, 5)), bad)
 
 
-def test_non_finite_trajectories_name_the_first_context(space, obs_contexts, tmp_path):
+def test_non_finite_trajectories_name_the_first_context(space, obs_contexts, tmp_path,
+                                                        monkeypatch):
     contexts = [
         replace(c, light=np.full(c.days, -1e6), co2=np.full(c.days, -1.0)) if j in (2, 4) else c
         for j, c in enumerate(obs_contexts)
     ]
     scorer = TerminalScorer(space, contexts, DEFAULT_CFG, cache_path=tmp_path / "r.bin")
+    for cells in (simulator.SIM_CELLS, 1):
+        monkeypatch.setattr(simulator, "SIM_CELLS", cells)
+        with pytest.raises(SimulatorError, match="context 3"):
+            scorer.raw_losses([(1, 2, 3, 4, 5)])
+
+
+@pytest.mark.parametrize("cells", [None, 1], ids=["SIM_CELLS-default", "SIM_CELLS-1"])
+def test_non_finite_context_is_the_first_of_any_pass(space, obs_contexts, tmp_path,
+                                                     monkeypatch, cells):
+    # the first key's trajectories are NaN in context 5 only and the
+    # second's in context 3 only: in one pass or in two, the batch's first
+    # non-finite context is 3
+    nan_in = {(0, 0, 0, 0, 0): 4, (1, 2, 3, 4, 5): 2}
+
+    def marked(params, contexts):
+        sims = simulate_batch(params, contexts)
+        rows = np.column_stack([params[p.name] for p in space.parameters])
+        for key, j in nan_in.items():
+            sims[(rows == decode_batch(space, [key])).all(axis=1), j] = np.nan
+        return sims
+
+    monkeypatch.setattr(rewards, "simulate_batch", marked)
+    if cells is not None:
+        monkeypatch.setattr(simulator, "SIM_CELLS", cells)
+    scorer = TerminalScorer(space, obs_contexts, DEFAULT_CFG, cache_path=tmp_path / "r.bin")
     with pytest.raises(SimulatorError, match="context 3"):
-        scorer.raw_losses([(1, 2, 3, 4, 5)])
+        scorer.raw_losses(list(nan_in))
 
 
 def test_truth_key_scores_zero_without_noise(space, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gfnadapt import simulator
+from gfnadapt.rewards import TerminalScorer
 from gfnadapt.simulator import (
     DAY_SERIES,
     DAY_SERIES_PARAMS,
@@ -19,7 +20,7 @@ from gfnadapt.simulator import (
 from gfnadapt.simulator import _inhibition
 from gfnadapt.space import all_keys, decode_batch, decode_state, key_tuples
 
-from conftest import record_passes
+from conftest import DEFAULT_CFG, record_passes
 
 # Baseline-parameter trajectory for context 1 (contexts_seed=7), frozen from
 # an independent straight-line reimplementation of the daily recurrence.
@@ -212,7 +213,8 @@ def one_key_batches(params, contexts):
         for cells in (1, 5, 7, 45)
     ],
 )
-def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, batch, cells):
+def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, tmp_path, monkeypatch, batch,
+                                           cells):
     space2 = replace(space, cycles=2)
     rng = np.random.default_rng(9)
     keys = [tuple(int(rng.integers(r)) for r in space2.slot_radices) for _ in range(60)]
@@ -238,11 +240,14 @@ def test_pass_splits_leave_bytes_unchanged(space, obs_contexts, monkeypatch, bat
     assert {days for name, days, *_ in blocks
             if name in ("_temp_sum", "_growth_coefficients")} == {168}
     assert whole.tobytes() == alone.tobytes()
+    # scoring splits a batch into passes of SIM_CELLS consecutive keys
+    scorer = TerminalScorer(space2, obs_contexts, DEFAULT_CFG, cache_path=tmp_path / "r.bin")
+    one_pass = scorer.raw_losses(keys)
     monkeypatch.setattr(simulator, "SIM_CELLS", cells)
     passes = record_passes(monkeypatch)
     blocks.clear()
-    split = simulate_batch(params, obs_contexts)
-    assert whole.tobytes() == split.tobytes()
+    split = scorer.raw_losses(keys)
+    assert one_pass.tobytes() == split.tobytes()
     # ceil(n / SIM_CELLS) passes of consecutive keys, SIM_CELLS in all but the
     # last, each series over the distinct rows of its factors' parameters
     pass_keys = [slice(lo, min(lo + cells, len(keys))) for lo in range(0, len(keys), cells)]
