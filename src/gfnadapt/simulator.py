@@ -147,27 +147,6 @@ def simulate(params: Mapping[str, float], context: ContextDataset) -> np.ndarray
     return fruit[context.obs_times - 1]
 
 
-# The parameters each factor of simulate's state-free day series reads, in
-# the order its function below unpacks them. The crop-state update reads the
-# other three, LAI_max, SLA and n_plants, key by key.
-DAY_SERIES_PARAMS = {
-    "light_co2": ("P_max", "alpha_light", "co2_half"),
-    "inhibition": ("T_opt", "T_width", "s_sharp"),
-    "maint_rate": ("c_maint", "Q10"),
-    "temp_sum": ("dev_rate",),
-    "fruit_share": ("TS_start", "TS_end", "rg_fruit"),
-}
-
-# The day series, each as the factors it is built from: assimilation at full
-# light cover is light_co2 times inhibition at t_day and at t_24, the
-# maintenance rate is its own factor, and p_f's growth coefficients are the
-# fruit share over the temperature sum.
-DAY_SERIES = {
-    "assim_max": ("light_co2", "inhibition"),
-    "maint_rate": ("maint_rate",),
-    "p_f": ("temp_sum", "fruit_share"),
-}
-
 # Rows at most of every plane an array pass allocates, each plane one
 # float64 per context, about 0.13 MiB at 6 contexts: rewards.TerminalScorer.
 # raw_losses hands simulate_batch passes of at most SIM_CELLS consecutive
@@ -175,7 +154,8 @@ DAY_SERIES = {
 # days times the distinct rows of the widest series or factor in the pass,
 # p_f's three stacked coefficients counting three times and the
 # inhibition's two planes twice. A 1000-key batch on the 2-cycle space
-# peaks near 1.6 MiB besides its outputs (tracemalloc).
+# peaks near 1.47 MiB with its 0.55 MiB of outputs, 0.92 MiB besides them
+# (tracemalloc).
 SIM_CELLS = 16 * 180
 
 
@@ -188,22 +168,26 @@ def simulate_batch(
 
     The keys run as one array pass, whatever their number: scoring
     (rewards.TerminalScorer.raw_losses) hands it at most SIM_CELLS keys at a
-    time, so that every plane of a pass holds at most SIM_CELLS rows. Within
-    the pass the day series that do not depend on crop state (DAY_SERIES) are
-    built from factors, each computed once per distinct row of the
-    parameters it reads (DAY_SERIES_PARAMS), rows counting as one only when
-    bit-identical: the light-and-CO2 factor (P_max, alpha_light, co2_half),
-    the inhibition at t_day and at t_24 (T_opt, T_width, s_sharp), the
-    maintenance rate (c_maint, Q10) and the temperature sum (dev_rate). Each
-    series is assembled once per distinct row of all its factors'
-    parameters, its factors' rows gathered: assimilation as
-    ((light · co2) · inhibition(t_day)) · inhibition(t_24), and p_f's growth
-    coefficients as the fruit share (TS_start, TS_end, rg_fruit) over the
-    temperature sum. Factors and series run in blocks of consecutive days of
-    at most SIM_CELLS cells; each key reads its series rows' values in the
-    day loop, and only the crop-state update runs per key: one multiply-add
-    of p_f's stacked coefficients into the stacked fruit, leaf and stem
-    state.
+    time, so that every plane of a pass holds at most SIM_CELLS rows. Three
+    day series do not depend on crop state: assimilation at full light
+    cover, the maintenance rate and p_f's growth coefficients. Each is
+    computed once per distinct row of its own parameters among the keys,
+    rows counting as one only when bit-identical, and each key reads its
+    series rows' values through _by_key. A series of two factors computes
+    each once per distinct row of the factor's own parameters among the
+    series rows and gathers them per series row (_rows_of): assimilation as
+    ((light · co2) · inhibition(t_day)) · inhibition(t_24), and p_f's
+    coefficients as the fruit share over the temperature sum, which carries
+    from block to block per row. Factors and series run in blocks of
+    consecutive days that keep the widest of them within SIM_CELLS cells,
+    p_f's three planes counting three times and the inhibition's two twice,
+    and a block's are released before the next block's are made. Only the
+    crop-state update runs per key, day by day, on one stacked (fruit, leaf,
+    stem) array grown by p_f's coefficients times the day's net
+    assimilation, the day's arithmetic written into two buffers allocated
+    once, its constants converted to float64 arrays once and its outputs
+    passed positionally: the day loop's cost is numpy's per-call overhead.
+    It stops after the last observation day.
 
     Rows agree with simulate up to rounding (the hoisted day series multiply
     in another order) and are bit-identical whatever the rest of the batch.
@@ -218,42 +202,96 @@ def simulate_batch(
             field = "days" if c.days != grid.days else "obs_times"
             raise ValueError(f"context {c.context_id} has other {field} than context "
                              f"{grid.context_id}; contexts must share one day grid")
-    cols = np.array([np.asarray(params[n], dtype=float) for n in SIM_PARAM_NAMES])
-    out = np.empty((cols.shape[1], len(contexts), len(grid.obs_times)))
-    series_rows = []
-    for factors in DAY_SERIES.values():
-        c = cols[[SIM_PARAM_NAMES.index(p) for f in factors for p in DAY_SERIES_PARAMS[f]]]
-        first, inv = _distinct_rows(c.T)
-        series_rows.append((c[:, first, None], inv))
+
+    def columns(*names):
+        return np.array([np.asarray(params[n], dtype=float) for n in names])
+
+    # each series over its distinct rows, then each factor of two over its
+    # own among the series rows
+    (light_p, inhib_p), assim_inv = _distinct(columns("P_max", "alpha_light", "co2_half"),
+                                              columns("T_opt", "T_width", "s_sharp"))
+    (maint_p,), maint_inv = _distinct(columns("c_maint", "Q10"))
+    (dev_p, share_p), coef_inv = _distinct(columns("dev_rate"),
+                                           columns("TS_start", "TS_end", "rg_fruit"))
+    assim_rows, coef_rows = light_p.shape[1], dev_p.shape[1]
+    (light_p,), light_of = _distinct(light_p)
+    (inhib_p,), inhib_of = _distinct(inhib_p)
+    (dev_p,), dev_of = _distinct(dev_p)
+    # a factor has at most its series' rows, but the inhibition has two planes
+    widest = max(assim_rows, 2 * inhib_p.shape[1], maint_p.shape[1], 3 * coef_rows)
+    block = max(1, SIM_CELLS // widest)
+    n_contexts = len(contexts)
+    # the factors' columns of more than one row repeated over the contexts,
+    # like the keys' below: a (days, rows, contexts) operand then meets its
+    # parameters in one inner loop per day, not one per row. One row meets a
+    # whole block in one inner loop as it is.
+    light_p, inhib_p, maint_p, dev_p, share_p = (
+        p[:, :, None] if p.shape[1] == 1 else np.repeat(p[:, :, None], n_contexts, axis=2)
+        for p in (light_p, inhib_p, maint_p, dev_p, share_p))
     # t_day, t_24, light and co2 as one (4, days, 1, contexts) array, each
-    # field to broadcast against _fruit_on_days's parameter columns
+    # field to broadcast against the parameter columns
     forcing = np.stack([[c.t_day, c.t_24, c.light, c.co2] for c in contexts], axis=-1)[:, :, None]
+    obs_days = (grid.obs_times - 1).tolist()
+    n_days = obs_days[-1] + 1
+    lai_max, sla, n_plants = columns("LAI_max", "SLA", "n_plants")[:, :, None]
+    # the keys' columns repeated over the contexts: a ufunc whose operands
+    # share one shape skips broadcasting's set-up, most of a small day's cost
+    lai_max = np.repeat(lai_max, n_contexts, axis=1)
+    sla_n = np.repeat(sla * n_plants, n_contexts, axis=1)
+    out = np.empty((len(lai_max), n_contexts, len(obs_days)))
+    w = np.empty((3, len(lai_max), n_contexts))
+    w[0], w[1], w[2] = _W_FRUIT0, _W_LEAF0, _W_STEM0
+    w_f, w_l, w_s = w
+    net, mass = np.empty((2, *w_f.shape))
+    zero, one, extinction = np.array(0.0), np.array(1.0), np.array(-0.7)
+    k, ts_last = 0, None
     with np.errstate(all="ignore"):  # overflow shows as a non-finite value
-        _fruit_on_days(cols[:3, :, None], series_rows, forcing, grid.obs_times - 1, out)
+        for lo in range(0, n_days, block):
+            t_day, t_24, light, co2 = forcing[:, lo : min(n_days, lo + block)]
+            assim = _assim_max(_light_co2(light_p, light, co2), light_of,
+                               _inhibition_planes(inhib_p, t_day, t_24), inhib_of)
+            maint = _maint_rate(maint_p, t_24)
+            ts, ts_last = _temp_sum(dev_p, t_24, ts_last)
+            coef = _growth_coefficients(share_p, _rows_of(ts, dev_of))
+            assim_of, maint_of, coef_of = (
+                _by_key(assim, assim_inv), _by_key(maint, maint_inv), _by_key(coef, coef_inv))
+            for i in range(len(t_24)):
+                assim_d, maint_d, coef_d = assim_of(i), maint_of(i), coef_of(i)
+                # fmin/fmax pass over NaN like Python's min/max do in simulate
+                np.multiply(sla_n, w_l, net)
+                np.fmin(lai_max, net, net)  # lai
+                np.multiply(extinction, net, net)
+                np.exp(net, net)
+                np.subtract(one, net, net)  # f_light
+                np.multiply(assim_d, net, net)
+                np.add(w_f, w_l, mass)  # w_f + w_l + w_s, in simulate's order
+                np.add(mass, w_s, mass)
+                np.multiply(mass, maint_d, mass)
+                np.subtract(net, mass, net)
+                np.fmax(zero, net, net)
+                np.multiply(coef_d, net, coef_d)
+                np.add(w, coef_d, w)
+                if lo + i == obs_days[k]:
+                    out[:, :, k] = w_f
+                    k += 1
+                del assim_d, maint_d, coef_d  # freed before the next day's are gathered
+            del assim, maint, ts, coef, assim_of, maint_of, coef_of  # freed before the next block
     return out
 
 
-def _distinct_rows(rows: np.ndarray):
-    """(first, inv) of an (n, m) float array: the index of the first of each
-    set of bit-identical rows, in np.unique's order, and the position in
-    first of each row's set, or None when no row repeats."""
-    n = len(rows)
-    if n == 1:  # one key, as TPE scores them: nothing to sort
-        return np.zeros(1, dtype=np.intp), None
-    rows = np.ascontiguousarray(rows)
-    void = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
-    _, first, codes = np.unique(void, return_index=True, return_inverse=True)
-    if len(first) == n:
-        return np.arange(n), None
-    return first, codes.reshape(-1)  # numpy 2.0 and 2.1 shape it like the input
-
-
-def _factor_rows(p):
-    """(p's distinct rows, the position among them of each of p's rows or
-    None) of (params, rows, 1) parameter columns, as _distinct_rows counts
-    them."""
-    first, of = _distinct_rows(p[:, :, 0].T)
-    return (p, None) if of is None else (p[:, first], of)
+def _distinct(*cols):
+    """Each of cols, (params, rows) parameter columns of the same rows, over
+    the distinct rows of all of them together, and the position among those
+    of each row, or None when no row repeats. Rows count as one only when
+    bit-identical, in np.unique's order."""
+    n = cols[0].shape[1]
+    if n > 1:  # one key, as TPE scores them: nothing to sort
+        rows = np.ascontiguousarray(np.concatenate(cols).T)
+        void = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
+        _, first, inv = np.unique(void, return_index=True, return_inverse=True)
+        if len(first) < n:  # numpy 2.0 and 2.1 shape inv like the input
+            return [c[:, first] for c in cols], inv.reshape(-1)
+    return cols, None
 
 
 def _rows_of(factor, of):
@@ -264,9 +302,8 @@ def _rows_of(factor, of):
 
 def _light_co2(p, light, co2):
     """simulate's light-and-CO2 factor of assimilation over a block of days,
-    a (days, rows, contexts) array from p, the light_co2 columns of
-    DAY_SERIES_PARAMS as (rows, contexts) arrays ((1, 1) for one row), and
-    the block's forcing:
+    a (days, rows, contexts) array from p, its parameter columns as (rows,
+    contexts) arrays ((1, 1) for one row), and the block's forcing:
     p_max * (1 - exp(-alpha * light / p_max)) * co2 / (co2 + co2_half),
     computed in place."""
     p_max, alpha, co2_half = p
@@ -302,10 +339,10 @@ def _inhibition_planes(p, t_day, t_24):
 
 def _assim_max(light_co2, light_of, inhibition, inhibition_of):
     """simulate's assimilation at full light cover over a block of days, a
-    (days, rows, contexts) array over the assim_max rows, assembled from its
-    factors' rows: ((light · co2) · inhibition(t_day)) · inhibition(t_24),
-    each factor's rows gathered per assim_max row by light_of and
-    inhibition_of (None: one factor row per series row)."""
+    (days, rows, contexts) array over the assimilation series' rows,
+    assembled from its factors' rows: ((light · co2) · inhibition(t_day)) ·
+    inhibition(t_24), each factor's rows gathered per series row by light_of
+    and inhibition_of (None: one factor row per series row)."""
     assim = _rows_of(light_co2, light_of)
     at_t_day, at_t_24 = _rows_of(inhibition, inhibition_of)
     assim *= at_t_day
@@ -315,7 +352,7 @@ def _assim_max(light_co2, light_of, inhibition, inhibition_of):
 
 def _maint_rate(p, t_24):
     """simulate's maintenance per unit mass over a block of days, like
-    _light_co2 from the maint_rate columns."""
+    _light_co2 from the maintenance columns."""
     c_maint, q10 = p
     rate = q10 ** ((t_24 - 25.0) / 10.0)
     rate *= c_maint
@@ -323,9 +360,9 @@ def _maint_rate(p, t_24):
 
 
 def _temp_sum(p, t_24, ts_before):
-    """(ts, last) over a block of days from the temp_sum column: ts, a
-    (days, rows, contexts) array, is simulate's temperature sum on each day,
-    and last its copy on the block's last day, which the next block
+    """(ts, last) over a block of days from the development-rate column: ts,
+    a (days, rows, contexts) array, is simulate's temperature sum on each
+    day, and last its copy on the block's last day, which the next block
     continues from as ts_before (None before the first block)."""
     (dev_rate,) = p
     ts = dev_rate * np.maximum(0.0, t_24 - 10.0)
@@ -336,7 +373,7 @@ def _temp_sum(p, t_24, ts_before):
 
 
 def _growth_coefficients(p, ts):
-    """The growth coefficients over a block of days from the fruit_share
+    """The growth coefficients over a block of days from the fruit-share
     columns and ts, the temperature sum on the same rows: a (days, 3, rows,
     contexts) array of the growth coefficients of fruit, leaf and stem,
     [p_f, 0.7 * (1 - p_f), 0.3 * (1 - p_f)] as simulate multiplies them,
@@ -362,93 +399,6 @@ def _by_key(series, inv):
     if inv is None:
         return series.__getitem__
     return lambda i: series[i].take(inv, axis=-2)
-
-
-def _fruit_on_days(state, series_rows, forcing, obs_days, out) -> None:
-    """Write the fruit mass after each of the 0-based obs_days of the
-    recurrence in simulate into out, a (keys, contexts, observations) array,
-    and stop after the last of them. state holds the keys' LAI_max, SLA and
-    n_plants as (keys, 1) columns; series_rows holds, per DAY_SERIES entry,
-    its factors' parameter columns over the series' distinct rows and each
-    key's row (None: one row per key); forcing is simulate_batch's stacked
-    forcing.
-
-    Block by block on one grid of consecutive days, four factors are
-    computed once per distinct row of their own parameters among the series
-    rows: the light-and-CO2 factor (P_max, alpha_light, co2_half), the
-    inhibition at t_day and at t_24 (T_opt, T_width, s_sharp), the
-    maintenance rate (c_maint, Q10) and the temperature sum (dev_rate),
-    which carries from block to block per dev_rate row. Each series' rows
-    are then assembled from its factors' rows: assimilation by gather and
-    multiply, and p_f's growth coefficients as the fruit share (TS_start,
-    TS_end, rg_fruit) over each row's gathered temperature sum. The blocks
-    keep the widest series or factor within SIM_CELLS cells, p_f's three
-    planes counting three times and the inhibition's two twice. Each key
-    reads its series rows through _by_key. Only the crop-state update runs
-    per key, day by day, on one stacked (fruit, leaf, stem) array grown by
-    p_f's coefficients times the day's net assimilation, the day's
-    arithmetic written into two buffers allocated once, its constants
-    converted to float64 arrays once and its outputs passed positionally:
-    the day loop's cost is numpy's per-call overhead. A block's factors and
-    series are released before the next block's are made."""
-    obs_days = obs_days.tolist()
-    n_days = obs_days[-1] + 1
-    (assim_p, assim_inv), (maint_p, maint_inv), (coef_p, coef_inv) = series_rows
-    # each series' columns split into its factors', in DAY_SERIES's order
-    (light_p, light_of), (inhib_p, inhib_of) = _factor_rows(assim_p[:3]), _factor_rows(assim_p[3:])
-    (dev_p, dev_of), share_p = _factor_rows(coef_p[:1]), coef_p[1:]
-    n_contexts = forcing.shape[-1]
-    # the factors' columns of more than one row repeated over the contexts,
-    # like the keys' below: a (days, rows, contexts) operand then meets its
-    # parameters in one inner loop per day, not one per row. One row meets a
-    # whole block in one inner loop as it is.
-    light_p, inhib_p, maint_p, dev_p, share_p = (
-        p if p.shape[1] == 1 else np.repeat(p, n_contexts, axis=2)
-        for p in (light_p, inhib_p, maint_p, dev_p, share_p))
-    # a factor has at most its series' rows, but the inhibition has two planes
-    widest = max(assim_p.shape[1], 2 * inhib_p.shape[1], maint_p.shape[1], 3 * coef_p.shape[1])
-    block = max(1, SIM_CELLS // widest)
-    lai_max, sla, n_plants = state
-    # the keys' columns repeated over the contexts: a ufunc whose operands
-    # share one shape skips broadcasting's set-up, most of a small day's cost
-    lai_max = np.repeat(lai_max, n_contexts, axis=1)
-    sla_n = np.repeat(sla * n_plants, n_contexts, axis=1)
-    w = np.empty((3, len(lai_max), n_contexts))
-    w[0], w[1], w[2] = _W_FRUIT0, _W_LEAF0, _W_STEM0
-    w_f, w_l, w_s = w
-    net, mass = np.empty((2, *w_f.shape))
-    zero, one, extinction = np.array(0.0), np.array(1.0), np.array(-0.7)
-    k, ts_last = 0, None
-    for lo in range(0, n_days, block):
-        t_day, t_24, light, co2 = forcing[:, lo : min(n_days, lo + block)]
-        assim = _assim_max(_light_co2(light_p, light, co2), light_of,
-                           _inhibition_planes(inhib_p, t_day, t_24), inhib_of)
-        maint = _maint_rate(maint_p, t_24)
-        ts, ts_last = _temp_sum(dev_p, t_24, ts_last)
-        coef = _growth_coefficients(share_p, _rows_of(ts, dev_of))
-        assim_of, maint_of, coef_of = (
-            _by_key(assim, assim_inv), _by_key(maint, maint_inv), _by_key(coef, coef_inv))
-        for i in range(len(t_24)):
-            assim_d, maint_d, coef_d = assim_of(i), maint_of(i), coef_of(i)
-            # fmin/fmax pass over NaN like Python's min/max do in simulate
-            np.multiply(sla_n, w_l, net)
-            np.fmin(lai_max, net, net)  # lai
-            np.multiply(extinction, net, net)
-            np.exp(net, net)
-            np.subtract(one, net, net)  # f_light
-            np.multiply(assim_d, net, net)
-            np.add(w_f, w_l, mass)  # w_f + w_l + w_s, in simulate's order
-            np.add(mass, w_s, mass)
-            np.multiply(mass, maint_d, mass)
-            np.subtract(net, mass, net)
-            np.fmax(zero, net, net)
-            np.multiply(coef_d, net, coef_d)
-            np.add(w, coef_d, w)
-            if lo + i == obs_days[k]:
-                out[:, :, k] = w_f
-                k += 1
-            del assim_d, maint_d, coef_d  # freed before the next day's are gathered
-        del assim, maint, ts, coef, assim_of, maint_of, coef_of  # freed before the next block
 
 
 # Regime table: (T24 mean, T24 seasonal amplitude, day/night split, light

@@ -101,18 +101,26 @@ def tb_fresh(net, passes, log_rewards):
 
 
 def record_passes(monkeypatch) -> list[tuple[int, ...]]:
-    """Patch simulate_batch's day loop to record each array pass as its key
-    count followed by each day series' distinct row count."""
+    """Wrap simulate_batch's distinct-rows helper to record each array pass
+    as its key count followed by each day series' distinct row count:
+    assimilation, maintenance and p_f. A pass calls the helper six times,
+    first for those three series over its keys, then for three factors
+    among the series rows."""
     from gfnadapt import simulator
 
-    passes = []
-    fruit_on_days = simulator._fruit_on_days
+    passes, calls = [], []
+    distinct = simulator._distinct
 
-    def recorded(state, series_rows, *args):
-        passes.append((state.shape[1], *(p.shape[1] for p, _ in series_rows)))
-        return fruit_on_days(state, series_rows, *args)
+    def recorded(*cols):
+        result = distinct(*cols)
+        calls.append((cols[0].shape[1], result[0][0].shape[1]))
+        if len(calls) % 6 == 3:
+            series = calls[-3:]
+            assert len({keys for keys, _ in series}) == 1, series
+            passes.append((series[0][0], *(rows for _, rows in series)))
+        return result
 
-    monkeypatch.setattr(simulator, "_fruit_on_days", recorded)
+    monkeypatch.setattr(simulator, "_distinct", recorded)
     return passes
 
 

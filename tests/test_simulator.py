@@ -7,8 +7,6 @@ import pytest
 from gfnadapt import simulator
 from gfnadapt.rewards import TerminalScorer
 from gfnadapt.simulator import (
-    DAY_SERIES,
-    DAY_SERIES_PARAMS,
     DEFAULT_TRUTH_KEY,
     SIM_PARAM_NAMES,
     ContextDataset,
@@ -153,6 +151,28 @@ def test_enumerate_rows_equal_single_key_batches(space, obs_contexts, monkeypatc
     ]
     assert sims.tobytes() == np.concatenate(alone).tobytes()
 
+
+# The parameters each factor of simulate's state-free day series reads, in
+# the order its block function unpacks them. The crop-state update reads
+# the other three, LAI_max, SLA and n_plants, key by key.
+DAY_SERIES_PARAMS = {
+    "light_co2": ("P_max", "alpha_light", "co2_half"),
+    "inhibition": ("T_opt", "T_width", "s_sharp"),
+    "maint_rate": ("c_maint", "Q10"),
+    "temp_sum": ("dev_rate",),
+    "fruit_share": ("TS_start", "TS_end", "rg_fruit"),
+}
+
+# The day series, each as the factors it is built from: assimilation at full
+# light cover is light_co2 times inhibition at t_day and at t_24, the
+# maintenance rate is its own factor, and p_f's growth coefficients are the
+# fruit share over the temperature sum. record_passes reports the series'
+# rows in this order.
+DAY_SERIES = {
+    "assim_max": ("light_co2", "inhibition"),
+    "maint_rate": ("maint_rate",),
+    "p_f": ("temp_sum", "fruit_share"),
+}
 
 # Each function that computes a block of a day-series factor or assembles a
 # series from its factors, with the DAY_SERIES_PARAMS entries whose distinct
@@ -350,11 +370,25 @@ def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
     assert clean[others].tobytes() == dirty[others].tobytes()
 
 
-def test_series_parameters_cover_each_parameter_once():
-    declared = [name for names in DAY_SERIES_PARAMS.values() for name in names]
-    assert sorted([*declared, "LAI_max", "SLA", "n_plants"]) == sorted(SIM_PARAM_NAMES)
-    factors = [factor for factors in DAY_SERIES.values() for factor in factors]
-    assert sorted(factors) == sorted(DAY_SERIES_PARAMS)
+@pytest.mark.parametrize("name", SIM_PARAM_NAMES)
+def test_each_parameter_moves_the_rows_that_read_it(space, obs_contexts, monkeypatch, name):
+    # two keys whose columns differ in one parameter only: two rows in
+    # exactly the block functions whose factor or series reads it by the
+    # tables above, one in every other; the crop-state parameters move no
+    # block function's rows, and every parameter moves the outputs
+    params = {n: np.array([v, v]) for n, v in decode_state(space, ()).items()}
+    params[name][1] *= 0.5
+    blocks = record_blocks(monkeypatch)
+    sims = simulate_batch(params, obs_contexts)
+    rows = {function: {rows for f, _, rows, _ in blocks if f == function}
+            for function in BLOCK_FUNCTIONS}
+    assert rows == {
+        function: {2} if any(name in DAY_SERIES_PARAMS[f] for f in factors) else {1}
+        for function, (factors, _) in BLOCK_FUNCTIONS.items()
+    }
+    assert sims[0].tobytes() != sims[1].tobytes()
+    if name in ("LAI_max", "SLA", "n_plants"):
+        assert rows == dict.fromkeys(BLOCK_FUNCTIONS, {1})
 
 
 def test_obs_times_biweekly():
