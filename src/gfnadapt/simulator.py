@@ -285,7 +285,7 @@ def _distinct(*cols):
     of each row, or None when no row repeats. Rows count as one only when
     bit-identical, in np.unique's order."""
     n = cols[0].shape[1]
-    if n > 1:  # one key, as TPE scores them: nothing to sort
+    if n > 1:  # one key, as TPE scores them, has nothing to sort
         rows = np.ascontiguousarray(np.concatenate(cols).T)
         void = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))
         _, first, inv = np.unique(void, return_index=True, return_inverse=True)
