@@ -357,6 +357,12 @@ def test_factor_rows_stay_with_their_keys(space, obs_contexts, monkeypatch, cell
     assert np.isfinite(sims).all()
 
 
+def test_empty_batch_returns_an_empty_array(obs_contexts):
+    sims = simulate_batch({name: np.empty(0) for name in SIM_PARAM_NAMES}, obs_contexts)
+    assert sims.shape == (0, len(obs_contexts), len(obs_contexts[0].obs_times))
+    assert sims.dtype == np.float64
+
+
 def test_nan_parameter_row_stays_in_its_row(space, obs_contexts):
     keys = key_tuples(all_keys(space))[:50]
     keys.append(keys[10])  # bit-identical to key 10 in every parameter row
