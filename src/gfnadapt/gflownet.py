@@ -256,25 +256,39 @@ def train(
     """Trajectory-balance training loop with an eps-mixed sampler, whose eps
     decays linearly to 0 over the first half of the steps. `cfg` maps the
     train.* settings by dotted name. The result's keys and losses are the
-    scored set of every trajectory sampled. numpy's floating-point warnings
-    are silenced: a diverging run stops at the first non-finite loss."""
+    scored set of every trajectory sampled, written in place into two arrays
+    sized for min(steps, budget) steps' rows. A budget-capped run that fills
+    them (a step can add no new key) doubles them, up to every step's rows,
+    and a budget stop returns only the filled rows. numpy's floating-point
+    warnings are silenced: a diverging run stops at the first non-finite
+    loss."""
     rng = np.random.default_rng(seed)
     net = new_policy(space, cfg["train.hidden"], rng)
     opt = Adam(lr=cfg["train.lr"], log_z_lr=cfg["train.log_z_lr"])
     grads = Gradients.zeros_like(net)
+    steps, batch, budget = cfg["train.steps"], cfg["train.batch"], cfg["train.budget"]
     seen: set[StateKey] = set()
     rows = []
-    scored = []  # each step's (keys, losses)
+    size = batch * (steps if budget is None else min(steps, budget))
+    scored_keys = np.empty((size, space.slots), dtype=np.int64)
+    scored_losses = np.empty(size)
+    filled = 0
     stopped = False
-    half = max(1, cfg["train.steps"] // 2)
+    half = max(1, steps // 2)
     with np.errstate(all="ignore"):
-        for step in range(1, cfg["train.steps"] + 1):
+        for step in range(1, steps + 1):
             eps = cfg["train.explore_eps"] * max(0.0, 1.0 - (step - 1) / half)
-            u = rng.random((space.slots, cfg["train.batch"]))
+            u = rng.random((space.slots, batch))
             passes = _rollout(net, space, u, eps, keep_caches=True)
             keys = key_tuples(passes.chosen)
             losses, rewards = scorer.score(keys)
-            scored.append((passes.chosen, losses))
+            if filled == len(scored_losses):
+                size = min(2 * filled, batch * steps)
+                scored_keys = _grown(scored_keys, size)
+                scored_losses = _grown(scored_losses, size)
+            scored_keys[filled : filled + batch] = passes.chosen
+            scored_losses[filled : filled + batch] = losses
+            filled += batch
             seen.update(keys)
             loss = tb_loss_and_grads(net, passes, np.log(rewards), grads)
             if not np.isfinite(loss):
@@ -283,10 +297,19 @@ def train(
             rows.append((step, loss, net.log_z, len(seen)))
             # the run's own distinct keys, so the stop does not depend on what
             # the cache already held
-            if cfg["train.budget"] is not None and len(seen) >= cfg["train.budget"]:
+            if budget is not None and len(seen) >= budget:
                 stopped = True
                 break
-    return TrainResult(net, rows, *map(np.concatenate, zip(*scored)), stopped_early=stopped)
+    if filled < len(scored_losses):
+        scored_keys, scored_losses = scored_keys[:filled].copy(), scored_losses[:filled].copy()
+    return TrainResult(net, rows, scored_keys, scored_losses, stopped_early=stopped)
+
+
+def _grown(a: np.ndarray, rows: int) -> np.ndarray:
+    """a's rows at the head of a new array of `rows` rows."""
+    out = np.empty((rows, *a.shape[1:]), dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
 
 def exact_terminal_distribution(net: PolicyNet, space: SpaceSpec) -> np.ndarray:
@@ -344,7 +367,8 @@ def save_checkpoint(path, net: PolicyNet, signature: dict) -> None:
     with open(path, "wb") as fh:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(net.flat.astype(_CHECKPOINT_DTYPES[net.dtype.name], copy=False).tobytes())
+        # the vector's own buffer, not a bytes copy of it
+        fh.write(net.flat.astype(_CHECKPOINT_DTYPES[net.dtype.name], copy=False).data)
 
 
 def _is_shapes(value) -> bool:

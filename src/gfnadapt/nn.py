@@ -106,9 +106,14 @@ class Gradients(FlatParams):
 
 class Adam:
     """Adaptive-moment optimizer over a net's flat parameter vector plus the
-    scalar log_z, with decays BETA1 and BETA2 and guard EPS; moments and
-    scratch space are allocated on the first step, in the net's dtype. Each
+    scalar log_z, with decays BETA1 and BETA2 and guard EPS; the moments and
+    one work row are allocated on the first step, in the net's dtype. Each
     step is a few elementwise passes over the whole vector.
+
+    A step consumes the gradient: grads.flat is scaled in place for m's term
+    and then holds the update, so it must be rewritten before the next step
+    (gflownet._backward overwrites it whole). Only grads.log_z is left as it
+    was given.
 
     A parameter whose gradient stays exactly zero (a dead ReLU unit) has its
     moments decay by beta each step until they, or the update's product
@@ -125,7 +130,7 @@ class Adam:
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
-        self.scratch: np.ndarray | None = None  # (2, n): numerator, denominator
+        self.work: np.ndarray | None = None  # v's term, then the update's denominator
         self.mz = self.vz = 0.0
 
     def step(self, net: PolicyNet, grads: Gradients) -> None:
@@ -133,33 +138,33 @@ class Adam:
         if self.m is None:
             self.m = np.zeros_like(p)
             self.v = np.zeros_like(p)
-            self.scratch = np.empty((2, p.size), dtype=p.dtype)
-        m, v = self.m, self.v
-        num, den = self.scratch
+            self.work = np.empty_like(p)
+        m, v, work = self.m, self.v, self.work
         self.t += 1
         bc1 = 1.0 - BETA1**self.t
         bc2 = 1.0 - BETA2**self.t
-        # elementwise: m = b1*m + (1-b1)*g; v = b2*v + ((1-b2)*g)*g;
-        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order
-        m *= BETA1
-        np.multiply(g, 1.0 - BETA1, out=num)
-        m += num
+        # elementwise: v = b2*v + ((1-b2)*g)*g; m = b1*m + (1-b1)*g;
+        # p -= (lr*(m/bc1)) / (sqrt(v/bc2) + eps), in this association order;
+        # g takes m's term and then the update's numerator
         v *= BETA2
-        np.multiply(g, 1.0 - BETA2, out=num)
-        num *= g
-        v += num
+        np.multiply(g, 1.0 - BETA2, out=work)
+        work *= g
+        v += work
+        m *= BETA1
+        g *= 1.0 - BETA1
+        m += g
         # once 1 - beta1**t rounds to 1 in the parameters' dtype, m / bc1 is
         # exactly m, so those steps skip the divide
         if p.dtype.type(bc1) != 1.0:
-            np.divide(m, bc1, out=num)
-            num *= self.lr
+            np.divide(m, bc1, out=g)
+            g *= self.lr
         else:
-            np.multiply(m, self.lr, out=num)
-        np.divide(v, bc2, out=den)
-        np.sqrt(den, out=den)
-        den += EPS
-        num /= den
-        p -= num
+            np.multiply(m, self.lr, out=g)
+        np.divide(v, bc2, out=work)
+        np.sqrt(work, out=work)
+        work += EPS
+        g /= work
+        p -= g
         if self.t % FLUSH_EVERY == 0:
             tiny = np.finfo(p.dtype).tiny
             floors = (
@@ -167,8 +172,8 @@ class Adam:
                 tiny / BETA2**FLUSH_EVERY,
             )
             for moment, floor in zip((m, v), floors):
-                np.abs(moment, out=num)
-                moment[num < floor] = 0.0
+                np.abs(moment, out=work)
+                moment[work < floor] = 0.0
         self.mz = BETA1 * self.mz + (1.0 - BETA1) * grads.log_z
         self.vz = BETA2 * self.vz + (1.0 - BETA2) * grads.log_z**2
         net.log_z = float(

@@ -219,8 +219,10 @@ def simulate_batch(
     (dev_p,), dev_of = _distinct(dev_p)
     # a factor has at most its series' rows, but the inhibition has two planes
     widest = max(assim_rows, 2 * inhib_p.shape[1], maint_p.shape[1], 3 * coef_rows)
-    block = max(1, SIM_CELLS // widest)
     n_contexts = len(contexts)
+    if not widest:  # no keys
+        return np.empty((0, n_contexts, len(grid.obs_times)))
+    block = max(1, SIM_CELLS // widest)
     # the factors' columns of more than one row repeated over the contexts,
     # like the keys' below: a (days, rows, contexts) operand then meets its
     # parameters in one inner loop per day, not one per row. One row meets a

@@ -1,6 +1,7 @@
 """scripts/check_strict_json.py, which CI runs over every study's JSON files:
 a NaN or infinite token anywhere fails it, naming the file."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,16 @@ def test_non_finite_token_fails_naming_its_file(tmp_path, token):
     result = check(tmp_path)
     assert result.returncode == 1
     assert result.stderr == f"{bad}: holds {token}, which strict JSON does not allow\n"
+
+
+def test_reader_returns_the_document_or_refuses_a_token(tmp_path):
+    # CI's BENCH-file check reads each file through read_strict
+    spec = importlib.util.spec_from_file_location("check_strict_json", _SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text('{"metrics": {"a": {"value": 1.5}}}')
+    bad.write_text('{"metrics": {"a": {"value": NaN}}}')
+    assert module.read_strict(good) == {"metrics": {"a": {"value": 1.5}}}
+    with pytest.raises(ValueError, match="^holds NaN, which strict JSON does not allow$"):
+        module.read_strict(bad)

@@ -3,6 +3,7 @@ import itertools
 import json
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -552,12 +553,13 @@ class TestFlatParameters:
     def assert_adam_matches_reference(net, ref_net, seed):
         opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
         rng = np.random.default_rng(seed)
-        grads = Gradients.zeros_like(net)
+        # Adam consumes its gradient, so each optimizer gets its own copy
+        grads, ref_grads = Gradients.zeros_like(net), Gradients.zeros_like(ref_net)
         for _ in range(5):
-            grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
-            grads.log_z = float(rng.normal())
+            grads.flat[:] = ref_grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
+            grads.log_z = ref_grads.log_z = float(rng.normal())
             opt.step(net, grads)
-            ref_opt.step(ref_net, grads)
+            ref_opt.step(ref_net, ref_grads)
             assert np.array_equal(net.flat, ref_net.flat)
             assert net.log_z == ref_net.log_z
 
@@ -576,12 +578,12 @@ class TestFlatParameters:
         opt, ref_opt = Adam(lr=0.01, log_z_lr=0.1), ReferenceAdam(lr=0.01, log_z_lr=0.1)
         opt.t = ref_opt.t = switch - 4
         rng = np.random.default_rng(32)
-        grads = Gradients.zeros_like(net)
+        grads, ref_grads = Gradients.zeros_like(net), Gradients.zeros_like(ref_net)
         for _ in range(8):
-            grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
-            grads.log_z = float(rng.normal())
+            grads.flat[:] = ref_grads.flat[:] = rng.normal(0, 1, grads.flat.shape)
+            grads.log_z = ref_grads.log_z = float(rng.normal())
             opt.step(net, grads)
-            ref_opt.step(ref_net, grads)
+            ref_opt.step(ref_net, ref_grads)
             assert np.array_equal(net.flat, ref_net.flat)
             assert net.log_z == ref_net.log_z
         assert opt.t == switch + 4
@@ -630,6 +632,48 @@ class TestTraining:
         )
         assert result.stopped_early
         assert len(result.log_rows) < 500
+
+    def test_scored_set_is_filled_in_place(self, space, fitted_scorer):
+        # the scored set is one (rows, slots) key array and one loss array,
+        # allocated once: no per-step arrays, no concatenated copy of them
+        cfg = {**DEFAULT_CFG, "train.hidden": [8], "train.steps": 400, "train.batch": 64}
+        tracemalloc.start()
+        try:
+            result = gf.train(space, fitted_scorer, cfg, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.keys.shape == (400 * 64, space.slots)
+        scored = result.keys.nbytes + result.losses.nbytes
+        assert peak < 1.5 * scored, f"peak {peak} bytes, scored set {scored}"
+
+    def test_budget_stop_returns_only_filled_rows(self, tiny_space):
+        # the arrays start at `budget` steps' rows, not `steps` steps'
+        result = gf.train(
+            tiny_space, tiny_stub(),
+            {**DEFAULT_CFG, "train.steps": 10**12, "train.budget": 6}, seed=0,
+        )
+        assert result.stopped_early
+        rows = len(result.log_rows) * DEFAULT_CFG["train.batch"]
+        assert result.keys.shape == (rows, tiny_space.slots)
+        assert result.losses.shape == (rows,)
+        assert set(key_tuples(result.keys)) == set(TINY_REWARDS)
+        assert np.array_equal(result.losses, tiny_stub().score(key_tuples(result.keys))[0])
+
+    def test_grown_scored_set_matches_the_unbudgeted_run(self, tiny_space, monkeypatch):
+        # six terminals never reach a budget of 50, so the arrays, sized for
+        # 50 steps, double twice, the second time only up to 200 steps' rows
+        cfg = {**DEFAULT_CFG, "train.steps": 200, "train.batch": 16}
+        free = gf.train(tiny_space, tiny_stub(), cfg, seed=3)
+        grown, sizes = gf._grown, []
+        monkeypatch.setattr(gf, "_grown", lambda a, rows: sizes.append(rows) or grown(a, rows))
+        capped = gf.train(tiny_space, tiny_stub(), {**cfg, "train.budget": 50}, seed=3)
+        assert sizes == [1600, 1600, 3200, 3200]
+        assert not capped.stopped_early
+        assert capped.keys.shape == free.keys.shape == (3200, tiny_space.slots)
+        assert capped.keys.tobytes() == free.keys.tobytes()
+        assert capped.losses.tobytes() == free.losses.tobytes()
+        assert capped.net.flat.tobytes() == free.net.flat.tobytes()
 
     def test_single_terminal_space_optimum(self):
         import itertools
@@ -900,6 +944,17 @@ class TestPrecision:
         probs = gf.exact_terminal_distribution(net, space)
         assert probs.dtype == np.float64
         assert abs(probs.sum() - 1.0) < 1e-9
+
+    def test_adam_holds_its_moments_and_one_work_row(self, space):
+        net = gf.new_policy(space, DEFAULT_CFG["train.hidden"], np.random.default_rng(3))
+        grads = Gradients.zeros_like(net)
+        grads.flat[:] = np.random.default_rng(4).normal(0, 1, grads.flat.shape)
+        opt = Adam(lr=1e-3, log_z_lr=0.1)
+        opt.step(net, grads)
+        arrays = {name: a for name, a in vars(opt).items() if isinstance(a, np.ndarray)}
+        assert sorted(arrays) == ["m", "v", "work"]
+        for a in arrays.values():
+            assert a.shape == net.flat.shape and a.dtype == net.dtype
 
     def test_adam_moments_never_go_subnormal(self):
         # gradients over 32 decades, zero after step 10: left alone, the
