@@ -179,3 +179,17 @@ def test_concurrent_puts_commit_once(tmp_path):
     assert len(cache) == 1
     reopened = open_cache(tmp_path / "c.bin")
     assert len(reopened) == 1
+
+
+@pytest.mark.parametrize("loss", [np.nan, np.inf])
+def test_record_with_a_non_finite_aggregate_refused_on_load(tmp_path, loss):
+    # the record's CRC holds, so only its derived aggregate can refuse it
+    path = tmp_path / "c.bin"
+    open_cache(path).put([(0, 1)], [np.full(3, 0.5)])
+    body = bytes((2, 1)) + struct.pack("<3d", 0.5, loss, 0.5)
+    with open(path, "ab") as fh:
+        fh.write(body + struct.pack("<I", zlib.crc32(body)))
+    with pytest.raises(ValueError, match=rf"c\.bin: record at byte {HEADER_SIZE + RECORD_SIZE} "
+                                         rf"derives the aggregate loss {loss!r}, which is not "
+                                         "finite; delete it to rebuild"):
+        open_cache(path)

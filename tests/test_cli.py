@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import zlib
 from importlib import resources
 from pathlib import Path
 
@@ -358,6 +359,23 @@ class TestExitCodes:
         path.write_bytes(bytes(blob))
         assert run(workspace, "train") == 2
         assert f"record at byte {8 + 2 * size} fails its CRC32" in capsys.readouterr().err
+
+    def test_cache_record_with_a_nan_loss_exits_2_naming_it(self, workspace, capsys):
+        # the record's CRC is rewritten to hold, so only its loss is wrong
+        assert run(workspace, "enumerate") == 0
+        path = load_config(workspace).cache_dir() / "rewards.bin"
+        blob = bytearray(path.read_bytes())
+        size = (len(blob) - 8) // 6  # header, then one record per terminal
+        at = 8 + 2 * size  # the third record: key bytes, raw losses, CRC32
+        blob[at + 2 : at + 10] = struct.pack("<d", float("nan"))
+        blob[at + size - 4 : at + size] = struct.pack("<I", zlib.crc32(blob[at : at + size - 4]))
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert run(workspace, "train") == 2
+        err = capsys.readouterr().err
+        assert f"{path}: record at byte {at} derives the aggregate loss nan" in err
+        assert err.rstrip().endswith("delete it to rebuild") and err.count("\n") == 1
+        assert not (out_root(workspace) / "train").exists()
 
     @pytest.mark.parametrize("value", ["[", "{a: 1", "!!python/object:os.system x", "'a"])
     def test_unparsable_override_exits_1(self, workspace, capsys, value):
