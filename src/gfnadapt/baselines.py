@@ -122,7 +122,7 @@ def random_search(
     if budget < 0:
         raise ValueError("budget must be >= 0")
     keys = uniform_keys(space, budget, np.random.default_rng(seed))
-    return keys, scorer.score(key_tuples(keys))[0]
+    return keys, scorer.score(key_tuples(keys))
 
 
 def tpe_search(
@@ -214,7 +214,7 @@ def tpe_search(
             keys[it] = candidates[ratios.prod(axis=1).argmax()]
         cells[it] = keys[it] * n_slots + slot_of
         totals[cells[it]] += 1
-        loss = losses[it] = scorer.score(key_tuples(keys[it : it + 1]))[0][0]
+        loss = losses[it] = scorer.score(key_tuples(keys[it : it + 1]))[0]
         pos = int(ordered[:it].searchsorted(loss, "right"))
         ordered[pos + 1 : it + 1] = ordered[pos:it]
         order[pos + 1 : it + 1] = order[pos:it]

@@ -2,9 +2,10 @@
 
 Append-only binary log of what the simulator produced: each record is the
 canonical key bytes, the per-context raw losses as little-endian float64, and
-a CRC32 of both. In memory the cache holds each key's aggregate loss and
-reward only, derived from the raw losses by the cache's `derive` function in
-one pass over all records on load and one pass per committed batch.
+a CRC32 of both. In memory the cache holds one float per key, its aggregate
+loss, derived from the raw losses by the cache's `derive` function in one
+pass over all records on load and one pass per committed batch. A record
+whose aggregate is not finite is refused, on load and before it is written.
 Duplicate keys resolve to the first-written record, which makes the file
 crash-safe and merge-friendly across runs.
 """
@@ -32,8 +33,8 @@ MAX_ACTIONS = 256  # actions per slot: a key holds each action in one byte
 class RewardCache:
     """Thread-safe first-write-wins raw-loss log keyed by canonical key bytes.
 
-    `derive` maps (n, C) raw losses to the (n,) aggregates and (n,) rewards
-    of the records."""
+    `derive` maps (n, C) raw losses to the (n,) aggregate losses of the
+    records."""
 
     def __init__(self, path, key_len: int, n_contexts: int, derive: Callable):
         self.path = Path(path)
@@ -42,7 +43,7 @@ class RewardCache:
         self.derive = derive
         self._record = np.dtype([("key", f"V{key_len}"), ("raw", "<f8", n_contexts),
                                  ("crc", "<u4")])
-        self._index: dict[bytes, tuple[float, float]] = {}  # aggregate, reward
+        self._index: dict[bytes, float] = {}  # key bytes -> aggregate loss
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
@@ -80,7 +81,10 @@ class RewardCache:
         first: dict[bytes, int] = {}  # key bytes -> index of its first record
         for i, kb in enumerate(records["key"].tolist()):
             first.setdefault(kb, i)
-        self._index = dict(zip(first, self._derived(records["raw"][list(first.values())])))
+        rows = list(first.values())
+        agg = self._derived(records["raw"][rows], lambda i: (
+            f"record at byte {_HEADER.size + rows[i] * size}", "delete it to rebuild"))
+        self._index = dict(zip(first, agg))
 
     def _crcs(self, records: np.ndarray) -> list[int]:
         """CRC32 of each record's key and raw-loss bytes, each read as one
@@ -89,21 +93,29 @@ class RewardCache:
         body = np.ndarray(len(records), f"V{size - 4}", records.tobytes(), strides=(size,))
         return list(map(zlib.crc32, body.tolist()))
 
-    def _derived(self, raw: np.ndarray) -> list[tuple[float, float]]:
-        agg, rew = self.derive(raw)
-        return list(zip(agg.tolist(), rew.tolist()))
+    def _derived(self, raw: np.ndarray, blame: Callable) -> list[float]:
+        """The aggregate losses of (n, C) raw losses, refused if any is not
+        finite: `blame(i)` names row i's record and what to do about it."""
+        agg = self.derive(raw)
+        bad = np.flatnonzero(~np.isfinite(agg))
+        if bad.size:
+            record, remedy = blame(bad[0])
+            raise ValueError(f"cache {self.path}: {record} derives the aggregate loss "
+                             f"{float(agg[bad[0]])!r}, which is not finite; {remedy}")
+        return agg.tolist()
 
     def __len__(self) -> int:
         return len(self._index)
 
-    def get(self, key: StateKey) -> tuple[float, float] | None:
-        """(aggregate, reward) of a held key; None if the cache lacks it."""
+    def get(self, key: StateKey) -> float | None:
+        """The aggregate loss of a held key; None if the cache lacks it."""
         return self._index.get(key_bytes(key))
 
-    def put(self, keys: Sequence[StateKey], raw: np.ndarray) -> list[tuple[float, float]]:
+    def put(self, keys: Sequence[StateKey], raw: np.ndarray) -> list[float]:
         """Commit the (n, C) raw losses of n keys: the keys not yet held are
-        derived in one pass and appended in one write. Returns each key's
-        winning (maybe pre-existing) (aggregate, reward)."""
+        derived in one pass and appended in one write, none of them if any
+        derives a non-finite aggregate. Returns each key's winning (maybe
+        pre-existing) aggregate loss."""
         with self._lock:
             encoded = [key_bytes(key) for key in keys]
             fresh: dict[bytes, int] = {}  # key bytes -> row of its first occurrence
@@ -111,12 +123,15 @@ class RewardCache:
                 if kb not in self._index:
                     fresh.setdefault(kb, i)
             if fresh:
+                rows = list(fresh.values())
                 records = np.zeros(len(fresh), self._record)
                 records["key"] = np.frombuffer(b"".join(fresh), records.dtype["key"])
-                records["raw"] = np.asarray(raw, dtype=float)[list(fresh.values())]
+                records["raw"] = np.asarray(raw, dtype=float)[rows]
                 records["crc"] = self._crcs(records)
+                agg = self._derived(records["raw"], lambda i: (
+                    f"key {tuple(map(int, keys[rows[i]]))}", "nothing was written"))
                 with open(self.path, "ab") as fh:
                     fh.write(records.tobytes())
                     fh.flush()
-                self._index.update(zip(fresh, self._derived(records["raw"])))
+                self._index.update(zip(fresh, agg))
             return [self._index[kb] for kb in encoded]

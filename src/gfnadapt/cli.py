@@ -214,7 +214,7 @@ def cmd_sample(cfg: ExperimentConfig) -> None:
         keys = gflownet.sample_terminals(
             net, ws.space, n, np.random.default_rng(seed + 10_000)
         )
-        losses, _ = scorer.score(key_tuples(keys))
+        losses = scorer.score(key_tuples(keys))
         baselines.export_trace_csv(out / "samples.csv", keys, losses, run_hash)
         return f"wrote {n} samples", {"n_samples": n}
 

@@ -30,7 +30,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .nn import Adam, Gradients, PolicyNet, log_softmax
-from .rewards import TerminalScorer
+from .rewards import TerminalScorer, log_reward
 from .space import SpaceSpec, StateKey, all_keys, key_tuples
 
 CHECKPOINT_VERSION = 4
@@ -255,13 +255,13 @@ def train(
 ) -> TrainResult:
     """Trajectory-balance training loop with an eps-mixed sampler, whose eps
     decays linearly to 0 over the first half of the steps. `cfg` maps the
-    train.* settings by dotted name. The result's keys and losses are the
-    scored set of every trajectory sampled, written in place into two arrays
-    sized for min(steps, budget) steps' rows. A budget-capped run that fills
-    them (a step can add no new key) doubles them, up to every step's rows,
-    and a budget stop returns only the filled rows. numpy's floating-point
-    warnings are silenced: a diverging run stops at the first non-finite
-    loss."""
+    train.* settings and reward.beta by dotted name. The result's keys and
+    losses are the scored set of every trajectory sampled, written in place
+    into two arrays sized for min(steps, budget) steps' rows. A budget-capped
+    run that fills them (a step can add no new key) doubles them, up to every
+    step's rows, and a budget stop returns only the filled rows. numpy's
+    floating-point warnings are silenced: a diverging run stops at the first
+    non-finite loss."""
     rng = np.random.default_rng(seed)
     net = new_policy(space, cfg["train.hidden"], rng)
     opt = Adam(lr=cfg["train.lr"], log_z_lr=cfg["train.log_z_lr"])
@@ -281,7 +281,7 @@ def train(
             u = rng.random((space.slots, batch))
             passes = _rollout(net, space, u, eps, keep_caches=True)
             keys = key_tuples(passes.chosen)
-            losses, rewards = scorer.score(keys)
+            losses = scorer.score(keys)
             if filled == len(scored_losses):
                 size = min(2 * filled, batch * steps)
                 scored_keys = _grown(scored_keys, size)
@@ -290,7 +290,7 @@ def train(
             scored_losses[filled : filled + batch] = losses
             filled += batch
             seen.update(keys)
-            loss = tb_loss_and_grads(net, passes, np.log(rewards), grads)
+            loss = tb_loss_and_grads(net, passes, log_reward(losses, cfg["reward.beta"]), grads)
             if not np.isfinite(loss):
                 raise RuntimeError(f"trajectory balance loss diverged at step {step}")
             opt.step(net, grads)

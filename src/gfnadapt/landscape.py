@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rewards import TerminalScorer
+from .rewards import TerminalScorer, reward
 from .space import SpaceSpec, all_keys, key_text, key_tuples, place_values
 
 
@@ -34,7 +34,8 @@ class BasinAssignment:
 def build_landscape(space: SpaceSpec, scorer: TerminalScorer) -> LandscapeTable:
     """Every terminal scored, in all_keys order (callers check run.enum_cap)."""
     keys = all_keys(space)
-    aggregates, rewards = scorer.score(key_tuples(keys))
+    aggregates = scorer.score(key_tuples(keys))
+    rewards = reward(aggregates, scorer.config["reward.beta"])
     return LandscapeTable(keys, aggregates, rewards, rewards / rewards.sum())
 
 

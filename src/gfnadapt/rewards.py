@@ -2,11 +2,12 @@
 
 The scoring path for a batch of terminal states is: decode -> simulate each
 context -> normalized-residual loss per context -> quantile normalization ->
-blend of mean and worst-K tail -> Boltzmann reward exp(-beta * loss), each
-step an array pass over the batch. The reward cache stores raw losses only;
-`derive` computes the aggregate and reward along the last axis, for one row
-or a whole cache file alike. `context_loss` is the one-trajectory form of the
-loss, kept as the reference the batched loss is tested against.
+blend of mean and worst-K tail, each step an array pass over the batch. The
+reward cache stores raw losses only; `derive` computes the aggregate along
+the last axis, for one row or a whole cache file alike. The Boltzmann reward
+R = exp(-beta * loss) travels as its log, `log_reward`, and `reward` is taken
+only where R is written out. `context_loss` is the one-trajectory form of
+the loss, kept as the reference the batched loss is tested against.
 """
 
 from __future__ import annotations
@@ -126,14 +127,19 @@ def aggregate(normalized: np.ndarray, lam: float, k: int) -> np.ndarray:
     return (1.0 - lam) * np.mean(ordered, axis=-1) + lam * tail
 
 
+def log_reward(aggregate_loss, beta: float) -> np.ndarray:
+    """log R = -beta * loss, the one place the reward's formula is written."""
+    return -beta * np.asarray(aggregate_loss, dtype=float)
+
+
 def reward(aggregate_loss, beta: float) -> np.ndarray:
-    """exp(-beta * loss), refused where it leaves the float64 range: an
+    """R = exp(log_reward), refused where it leaves the float64 range: an
     infinite reward cannot be normalised and a zero one has no log."""
     if beta <= 0:
         raise ValueError("beta must be > 0")
     loss = np.asarray(aggregate_loss, dtype=float)
     with np.errstate(over="ignore"):
-        r = np.exp(-beta * loss)
+        r = np.exp(log_reward(loss, beta))
     bad = ~((r > 0.0) & (r < np.inf))  # NaN included
     if bad.any():
         raise ValueError(
@@ -143,11 +149,10 @@ def reward(aggregate_loss, beta: float) -> np.ndarray:
     return r
 
 
-def derive(raw: np.ndarray, q: QuantileTable, config: Mapping):
-    """Aggregate loss and reward of (..., C) raw losses, under the reward.*
-    settings that `config` maps by dotted name."""
-    agg = aggregate(normalize(raw, q), config["reward.lambda"], config["reward.k_tail"])
-    return agg, reward(agg, config["reward.beta"])
+def derive(raw: np.ndarray, q: QuantileTable, config: Mapping) -> np.ndarray:
+    """Aggregate loss of (..., C) raw losses, under the reward.* settings
+    that `config` maps by dotted name."""
+    return aggregate(normalize(raw, q), config["reward.lambda"], config["reward.k_tail"])
 
 
 class SimulatorError(RuntimeError):
@@ -248,18 +253,17 @@ class TerminalScorer:
         self._freeze(fit_quantiles(table, cfg["reward.lo_level"], cfg["reward.hi_level"]))
         return self.quantiles
 
-    def score(self, keys: Sequence[StateKey]) -> tuple[np.ndarray, np.ndarray]:
-        """(aggregate, reward) float arrays aligned with the given terminal
+    def score(self, keys: Sequence[StateKey]) -> np.ndarray:
+        """(n,) float64 aggregate losses aligned with the given terminal
         keys. Repeats are looked up once; the keys the cache lacks are
         simulated in one raw_losses call and committed in one cache put."""
         if self.quantiles is None:
             raise RuntimeError("quantile table not fitted")
         found = {key: self.cache.get(key) for key in dict.fromkeys(keys)}
-        misses = [key for key, pair in found.items() if pair is None]
+        misses = [key for key, loss in found.items() if loss is None]
         if misses:
             found.update(zip(misses, self.cache.put(misses, self.raw_losses(misses))))
         missed = set(misses)
         self.requested += len(keys)
         self.cache_hits += sum(key not in missed for key in keys)
-        agg, rew = np.array([found[key] for key in keys], dtype=float).reshape(-1, 2).T.copy()
-        return agg, rew
+        return np.array([found[key] for key in keys], dtype=float)

@@ -125,14 +125,18 @@ def record_passes(monkeypatch) -> list[tuple[int, ...]]:
 
 
 class StubScorer:
-    """Fixed synthetic rewards per terminal key, no simulator behind it."""
+    """Fixed synthetic rewards per terminal key, no simulator behind it. It
+    returns the losses -log(R) / beta under DEFAULT_CFG's reward.beta, a
+    power of two, so their log-rewards -beta * loss are log R exactly."""
+
+    config = DEFAULT_CFG
 
     def __init__(self, rewards: dict):
         self.rewards = rewards
 
     def score(self, keys):
         rewards = np.array([self.rewards[key] for key in keys], dtype=float)
-        return -np.log(rewards), rewards
+        return -np.log(rewards) / self.config["reward.beta"]
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from gfnadapt import gflownet as gf
 from gfnadapt.cli import main as cli_main
 from gfnadapt.config import load_config
 from gfnadapt.landscape import basin_map, build_landscape, l1_distance
-from gfnadapt.rewards import TerminalScorer, aggregate, normalize
+from gfnadapt.rewards import TerminalScorer, aggregate, normalize, reward
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
     generate_contexts,
@@ -88,7 +88,8 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
     lam, k = cfg["reward.lambda"], cfg["reward.k_tail"]
     for _ in range(100):
         key = tuple(int(rng.integers(r)) for r in radices)
-        [loss], [rew] = fitted_scorer.score([key])
+        [loss] = fitted_scorer.score([key])
+        rew = reward(loss, cfg["reward.beta"])
         [got_raw] = fitted_scorer.raw_losses([key])
         params = decode_state(space, key)
         raw = np.array(

@@ -42,7 +42,7 @@ class AggScorer:
     def score(self, keys):
         self.calls.append(list(keys))
         losses = np.array([self.loss_fn(key) for key in keys], dtype=float)
-        return losses, np.exp(-4.0 * losses)
+        return losses
 
 
 def pairs(scored):
@@ -139,7 +139,7 @@ def reference_tpe(space, scorer, budget, seed, gamma=0.25, n_candidates=24, star
                 for k in candidates
             ]
             key = candidates[int(np.argmax(scores))]
-        evaluated.append((key, float(scorer.score([key])[0][0])))
+        evaluated.append((key, float(scorer.score([key])[0])))
     return evaluated
 
 

@@ -19,8 +19,7 @@ class Derive:
 
     def __call__(self, raw):
         self.shapes.append(raw.shape)
-        agg = raw.mean(axis=-1)
-        return agg, np.exp(-agg)
+        return raw.mean(axis=-1)
 
 
 def open_cache(path, key_len=2):
@@ -32,7 +31,7 @@ def test_roundtrip(tmp_path):
     cache = open_cache(path)
     cache.put([(1, 2)], [np.full(3, 0.5)])
     reopened = open_cache(path)
-    assert reopened.get((1, 2)) == (0.5, np.exp(-0.5))
+    assert reopened.get((1, 2)) == 0.5
     assert len(reopened) == 1
     assert reopened.get((2, 1)) is None
 
@@ -74,7 +73,7 @@ def test_first_write_wins(tmp_path):
     cache = open_cache(tmp_path / "c.bin")
     first = cache.put([(0, 0)], [np.full(3, 1.0)])[0]
     second = cache.put([(0, 0)], [np.full(3, 2.0)])[0]
-    assert second == first == (1.0, np.exp(-1.0))
+    assert second == first == 1.0
     assert cache.get((0, 0)) == first
     assert open_cache(tmp_path / "c.bin").get((0, 0)) == first
 
@@ -87,8 +86,8 @@ def test_duplicate_records_in_file_resolve_to_first(tmp_path):
     b.put([(1, 1)], [np.full(3, 3.0)])
     reopened = open_cache(tmp_path / "c.bin")
     assert len(reopened) == 2
-    assert reopened.get((0, 1))[0] == 1.0
-    assert reopened.get((1, 1))[0] == 3.0
+    assert reopened.get((0, 1)) == 1.0
+    assert reopened.get((1, 1)) == 3.0
 
 
 def test_header_mismatch_rejected(tmp_path):
@@ -147,7 +146,7 @@ def test_torn_tail_write_tolerated(tmp_path):
         fh.write(b"\x00\x01\x02")  # simulated crash mid-record
     reopened = open_cache(path)
     assert len(reopened) == 1
-    assert reopened.get((1, 1))[0] == 0.25
+    assert reopened.get((1, 1)) == 0.25
 
 
 def test_append_after_torn_tail_reloads_exactly(tmp_path):
@@ -160,7 +159,7 @@ def test_append_after_torn_tail_reloads_exactly(tmp_path):
     reloaded = open_cache(path)
     assert len(reloaded) == 2
     assert reloaded.get((1, 1)) == appended
-    assert reloaded.get((1, 2)) == (0.25, np.exp(-0.25))
+    assert reloaded.get((1, 2)) == 0.25
 
 
 def test_concurrent_puts_commit_once(tmp_path):
@@ -193,3 +192,16 @@ def test_record_with_a_non_finite_aggregate_refused_on_load(tmp_path, loss):
                                          rf"derives the aggregate loss {loss!r}, which is not "
                                          "finite; delete it to rebuild"):
         open_cache(path)
+
+
+def test_put_with_a_non_finite_aggregate_writes_nothing(tmp_path):
+    path = tmp_path / "c.bin"
+    cache = open_cache(path)
+    cache.put([(0, 1)], [np.full(3, 0.5)])
+    size = path.stat().st_size
+    with pytest.raises(ValueError, match=r"key \(2, 1\) derives the aggregate loss nan, .* "
+                                         "nothing was written"):
+        cache.put([(1, 1), (2, 1)], np.array([[0.5] * 3, [0.5, np.nan, 0.5]]))
+    assert path.stat().st_size == size
+    assert cache.get((1, 1)) is None and len(cache) == 1
+    assert open_cache(path).get((0, 1)) == 0.5

@@ -152,8 +152,8 @@ class TestExitCodes:
 
     # aggregate losses on the built-in space run from -0.12 to 2.75: at
     # beta=20000 rewards overflow to inf below loss 0 and underflow to 0
-    # above about 0.04; at beta=400 the worst keys' underflow to 0
-    @pytest.mark.parametrize("command, beta", [("enumerate", 20000), ("train", 400)])
+    # above about 0.04; enumerate writes R, so it refuses them
+    @pytest.mark.parametrize("command, beta", [("enumerate", 20000)])
     def test_reward_outside_float64_range_exits_2(
         self, tmp_path, capsys, monkeypatch, command, beta
     ):
@@ -165,6 +165,34 @@ class TestExitCodes:
         assert "reward.beta" in capsys.readouterr().err
         assert not [*(tmp_path / "runs").rglob("landscape.csv")]
         assert not [*(tmp_path / "runs").rglob("checkpoint.bin")]
+
+    # at beta=400 the worst keys' rewards underflow to 0, at 1000 most do;
+    # train reads only log R = -beta * loss, which stays finite
+    @pytest.mark.parametrize("beta", [400, 1000])
+    def test_train_whose_rewards_leave_the_float64_range_exits_0(self, tmp_path, monkeypatch,
+                                                                 beta):
+        monkeypatch.setenv("GFNADAPT_CACHE_DIR", str(tmp_path / "cache"))
+        overrides = [f"run.out_dir={tmp_path / 'runs'}", "run.seeds=[1]", "train.steps=10",
+                     f"reward.beta={beta}"]
+        assert main(["train", *(arg for o in overrides for arg in ("--set", o))]) == 0
+        cfg = load_config(None, overrides)
+        signature = gflownet.checkpoint_signature(builtin_space(), cfg.run_hash())
+        net = gflownet.load_checkpoint(cfg.out_root() / "train" / "1" / "checkpoint.bin",
+                                       signature)
+        assert np.isfinite(net.flat).all() and np.isfinite(net.log_z)
+
+    # no reward is read by a search, so one whose rewards leave the float64
+    # range (enumerate refuses them) scores the same trace as at beta=4
+    @pytest.mark.parametrize("method", ["random", "tpe"])
+    def test_baseline_whose_rewards_leave_the_float64_range_exits_0(self, workspace, method):
+        assert run(workspace, "enumerate", "reward.beta=20000") == 2
+        rows = {}
+        for beta in (4, 20000):
+            overrides = (f"run.method={method}", f"reward.beta={beta}")
+            assert run(workspace, "baseline", *overrides) == 0
+            trace = out_root(workspace, *overrides) / f"baseline-{method}" / "1" / "trace.csv"
+            rows[beta] = trace.read_text().splitlines()[1:]
+        assert len(rows[4]) == 31 and rows[20000] == rows[4]
 
     # at 1e308 the noise overflows to inf, and 0 * inf is NaN
     def test_overflowing_noise_exits_2_before_the_cache_opens(self, tmp_path, capsys,

@@ -658,7 +658,7 @@ class TestTraining:
         assert result.keys.shape == (rows, tiny_space.slots)
         assert result.losses.shape == (rows,)
         assert set(key_tuples(result.keys)) == set(TINY_REWARDS)
-        assert np.array_equal(result.losses, tiny_stub().score(key_tuples(result.keys))[0])
+        assert np.array_equal(result.losses, tiny_stub().score(key_tuples(result.keys)))
 
     def test_grown_scored_set_matches_the_unbudgeted_run(self, tiny_space, monkeypatch):
         # six terminals never reach a budget of 50, so the arrays, sized for

@@ -15,9 +15,10 @@ from gfnadapt.landscape import (
     project_grid,
 )
 from gfnadapt import gflownet as gf
+from gfnadapt.rewards import reward
 from gfnadapt.space import all_keys, key_tuples, place_values
 
-from conftest import StubScorer, make_tiny_space, neighbors
+from conftest import DEFAULT_CFG, StubScorer, make_tiny_space, neighbors
 
 
 def table_from_rewards(space, rewards):
@@ -69,7 +70,9 @@ class TestBuildLandscape:
             1,
             0.3,
         )
-        table = table_from_rewards(sp, {(0,): 1.0, (1,): 3.0})
+        # rewards whose log-rewards exponentiate back to them exactly, as
+        # exp(log 3.0) does not
+        table = table_from_rewards(sp, {(0,): 0.5, (1,): 1.5})
         assert table.target_prob.tolist() == [0.25, 0.75]
 
     def test_uniform_rewards(self, tiny_space):
@@ -179,7 +182,10 @@ class TestAlignment:
         rewards = dict(zip(tuples, rng.uniform(0.1, 5.0, len(tuples)).tolist()))
         table = table_from_rewards(sp, rewards)
         assert np.array_equal(table.keys, keys)
-        assert table.rewards.tolist() == [rewards[key] for key in tuples]
+        # the scorer hands out losses; each row's reward is exp(-beta * loss)
+        losses = [StubScorer(rewards).score([key])[0] for key in tuples]
+        assert table.aggregates.tolist() == losses
+        assert table.rewards.tolist() == reward(losses, DEFAULT_CFG["reward.beta"]).tolist()
 
         basins = basin_map(table, sp)
         assert np.array_equal(basins.mode_of, brute_force_ascent(sp, table))

@@ -239,7 +239,8 @@ class TestTerminalScorer:
         assert scorer.cache_hits == scorer.requested == len(keys)
 
     def test_reward_positive_everywhere(self, scorer, mini_space):
-        _, rewards = scorer.score(key_tuples(all_keys(mini_space)))
+        losses = scorer.score(key_tuples(all_keys(mini_space)))
+        rewards = reward(losses, scorer.config["reward.beta"])
         assert np.all(rewards > 0.0)
 
     def test_repeats_scored_once_and_counted(self, mini_space, obs, tmp_path):
@@ -248,29 +249,29 @@ class TestTerminalScorer:
             quantiles=QuantileTable(np.zeros(len(obs)), np.ones(len(obs)), 0.05, 0.95),
         )
         a, b, c = (0, 1), (1, 2), (2, 0)
-        first = np.array(scorer.score([a, b, a]))
-        assert np.array_equal(first[:, 0], first[:, 2])
+        first = scorer.score([a, b, a])
+        assert np.array_equal(first[0], first[2])
         assert (scorer.requested, scorer.cache_hits, scorer.simulated) == (3, 0, 2)
         assert len(scorer.cache) == 2
-        second = np.array(scorer.score([b, c, b]))
-        assert np.array_equal(second[:, 0], first[:, 1])
+        second = scorer.score([b, c, b])
+        assert np.array_equal(second[0], first[1])
         assert (scorer.requested, scorer.cache_hits, scorer.simulated) == (6, 2, 3)
 
     def test_record_consistency(self, scorer):
-        [agg], [rew] = scorer.score([(0, 2)])
+        [agg] = scorer.score([(0, 2)])
         [raw] = scorer.raw_losses([(0, 2)])
         cfg = scorer.config
         assert agg == aggregate(normalize(raw, scorer.quantiles), cfg["reward.lambda"],
                                 cfg["reward.k_tail"])
-        assert rew == reward(agg, cfg["reward.beta"])
+        assert scorer.cache.get((0, 2)) == agg
 
     def test_persistence_roundtrip(self, scorer, mini_space, obs, tmp_path):
-        [agg], [rew] = scorer.score([(1, 0)])
+        [agg] = scorer.score([(1, 0)])
         reopened = TerminalScorer(
             mini_space, obs, scorer.config,
             cache_path=tmp_path / "rewards.bin", quantiles=scorer.quantiles,
         )
-        assert reopened.cache.get((1, 0)) == (agg, rew)
+        assert reopened.cache.get((1, 0)) == agg
 
     def test_records_follow_the_current_quantile_table(self, scorer, mini_space, obs,
                                                         tmp_path):
@@ -282,8 +283,8 @@ class TestTerminalScorer:
         )
         lam, k = scorer.config["reward.lambda"], scorer.config["reward.k_tail"]
         keys = key_tuples(all_keys(mini_space))
-        new, _ = reopened.score(keys)
-        old, _ = scorer.score(keys)
+        new = reopened.score(keys)
+        old = scorer.score(keys)
         for agg, old_agg, raw in zip(new, old, scorer.raw_losses(keys)):
             assert agg == aggregate(normalize(raw, b), lam, k)
             assert agg != old_agg
@@ -342,7 +343,7 @@ def test_loaded_records_equal_their_own_row(space, obs_contexts, fitted_scorer):
     keys = key_tuples(all_keys(space))
     for key, raw in zip(keys, reopened.raw_losses(keys)):
         agg = aggregate(normalize(raw, q), cfg["reward.lambda"], cfg["reward.k_tail"])
-        assert reopened.cache.get(key) == (agg, reward(agg, cfg["reward.beta"]))
+        assert reopened.cache.get(key) == agg
 
 
 def scalar_raw_losses(space, contexts, key):
