@@ -120,6 +120,15 @@ def out_root(config_path, *overrides):
     return load_config(config_path, list(overrides)).out_root()
 
 
+def read_strict_json(path):
+    """The JSON document in the file at `path`; a NaN or Infinity token,
+    which strict JSON does not allow, fails the test."""
+    def refuse(token):
+        raise AssertionError(f"{path} holds {token}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def _edit_header(ckpt, field, value):
     """Set a checkpoint header's `field` to `value`, or drop it for None;
     the parameter block stays as it is."""
@@ -165,6 +174,46 @@ class TestExitCodes:
         assert "reward.beta" in capsys.readouterr().err
         assert not [*(tmp_path / "runs").rglob("landscape.csv")]
         assert not [*(tmp_path / "runs").rglob("checkpoint.bin")]
+
+    # at beta=20000 R = exp(-beta * loss) leaves the float64 range at both
+    # ends, but log R does not, and the target is normalised from it. The
+    # basins ascend on log R, whose order does not depend on beta
+    def test_reward_outside_float64_range_exits_0(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("GFNADAPT_CACHE_DIR", str(tmp_path / "cache"))
+        modes = {}
+        for beta in (4, 20000):
+            overrides = [f"run.out_dir={tmp_path / 'runs'}", "run.seeds=[1]",
+                         "baseline.budget=20", f"reward.beta={beta}"]
+            args = [arg for o in overrides for arg in ("--set", o)]
+            assert main(["enumerate", *args]) == 0
+            assert main(["baseline", *args, "--set", "run.method=random"]) == 0
+            assert main(["report", *args]) == 0
+            root = load_config(None, overrides).out_root()
+            for path in root.rglob("*.json"):
+                read_strict_json(path)
+            with open(root / "enumerate" / "landscape.csv") as fh:
+                probs = [float(row[3]) for row in list(csv.reader(fh))[2:]]
+            assert len(probs) == 2625 and sum(probs) == pytest.approx(1.0, abs=1e-9)
+            basins = read_strict_json(root / "enumerate" / "basins.json")
+            modes[beta] = list(basins["basin_mass"])
+        assert modes[20000] == modes[4]
+
+    # at beta=1e308, -beta * loss leaves the float64 range for every loss
+    # above about 1.8, and the built-in space's run up to 2.75. Run in a new
+    # process, where a numpy RuntimeWarning would reach stderr
+    def test_log_reward_outside_float64_range_exits_2_with_one_error_line(self, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(gflownet.__file__).parents[1]),
+               "GFNADAPT_CACHE_DIR": str(tmp_path / "cache")}
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "gfnadapt.cli", "enumerate",
+             "--set", f"run.out_dir={tmp_path / 'runs'}", "--set", "reward.beta=1e308"],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: reward.beta=1e+308 gives the aggregate loss ")
+        assert proc.stderr.endswith(" the log-reward -inf, outside the float64 range\n")
+        assert proc.stderr.count("\n") == 1
+        assert not [*(tmp_path / "runs").rglob("landscape.csv")]
 
     # at beta=400 the worst keys' rewards underflow to 0, at 1000 most do;
     # train reads only log R = -beta * loss, which stays finite

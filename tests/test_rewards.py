@@ -1,6 +1,7 @@
 import json
 import re
 import tracemalloc
+import warnings
 import weakref
 from dataclasses import replace
 
@@ -16,6 +17,7 @@ from gfnadapt.rewards import (
     aggregate,
     context_loss,
     fit_quantiles,
+    log_reward,
     normalize,
     reward,
 )
@@ -188,15 +190,21 @@ class TestReward:
         ]
         assert all(o == orders[0] for o in orders)
 
+    # log R = -beta * loss leaves the float64 range only where beta * |loss|
+    # does: R would overflow to inf or underflow to 0 there too. Nothing,
+    # not even numpy's overflow warning, comes before the refusal
     @pytest.mark.parametrize(
         "loss, beta",
-        [(-0.2, 20000.0), (2.75, 400.0), (np.nan, 4.0)],
+        [(-2.0, 1e308), (2.0, 1e308), (np.nan, 4.0)],
         ids=["overflow", "underflow", "nan"],
     )
     def test_refuses_a_reward_outside_the_float64_range(self, loss, beta):
         losses = np.array([[0.0, loss], [0.0, 0.0]])
-        with pytest.raises(ValueError, match=f"reward.beta={beta:g} .* loss {loss!r} "):
-            reward(losses, beta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"reward.beta={beta:g} gives the "
+                                                           f"aggregate loss {loss!r} ")):
+                log_reward(losses, beta)
 
     def test_keeps_the_smallest_normal_and_subnormal_rewards(self):
         # exp(-745) is the smallest positive float64 the exponential gives
