@@ -276,10 +276,7 @@ def cmd_report(cfg: ExperimentConfig) -> None:
         ks = sorted({min(k, len(table.keys)) for k in ks})
     reports = []
     for (method, seed), (keys, losses) in sorted(traces.items()):
-        try:
-            series = metrics.best_so_far(losses.tolist(), l_star, beta)
-        except ValueError as exc:
-            raise ValueError(f"{sources[method] / str(seed) / 'trace.csv'}: {exc}") from None
+        series = metrics.best_so_far(losses.tolist(), l_star, beta)
         med, ham, deficient = metrics.top20_stats(keys, losses)
         rep = metrics.RetrievalReport(
             method=method,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rewards import TerminalScorer, reward
+from .rewards import TerminalScorer, log_reward
 from .space import SpaceSpec, all_keys, key_text, key_tuples, place_values
 
 
@@ -21,7 +21,7 @@ from .space import SpaceSpec, all_keys, key_text, key_tuples, place_values
 class LandscapeTable:
     keys: np.ndarray             # space.all_keys: row i is the terminal of index i
     aggregates: np.ndarray
-    rewards: np.ndarray
+    log_rewards: np.ndarray
     target_prob: np.ndarray
 
 
@@ -32,20 +32,26 @@ class BasinAssignment:
 
 
 def build_landscape(space: SpaceSpec, scorer: TerminalScorer) -> LandscapeTable:
-    """Every terminal scored, in all_keys order (callers check run.enum_cap)."""
+    """Every terminal scored, in all_keys order (callers check run.enum_cap).
+    The target is exp(log R - max log R), normalised: no term overflows,
+    and a term that underflows to 0 holds no mass."""
     keys = all_keys(space)
     aggregates = scorer.score(key_tuples(keys))
-    rewards = reward(aggregates, scorer.config["reward.beta"])
-    return LandscapeTable(keys, aggregates, rewards, rewards / rewards.sum())
+    log_rewards = log_reward(aggregates, scorer.config["reward.beta"])
+    with np.errstate(over="ignore"):  # a shift that overflows to -inf weighs 0
+        weights = np.exp(log_rewards - log_rewards.max())
+    return LandscapeTable(keys, aggregates, log_rewards, weights / weights.sum())
 
 
 def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
-    """Assign each terminal to the local mode reached by probability ascent.
+    """Assign each terminal to the local mode reached by ascent on log R.
 
-    From each state, move to the neighbor with the greatest target
-    probability provided it strictly improves; among equally best improving
-    neighbors the canonically smallest key wins. Modes are their own fixed
-    points.
+    From each state, move to the neighbor with the greatest log-reward
+    provided it strictly improves; among equally best improving neighbors
+    the canonically smallest key wins. Modes are their own fixed points.
+    log R orders the terminals as the target probability does in exact
+    arithmetic, so the basins depend neither on beta nor on how the
+    normalisation rounds; a basin's mass sums the target probability.
 
     Indices are mixed-radix place-value sums (row i of the landscape's keys
     is the key of index i), so the smallest index is the smallest key.
@@ -53,8 +59,8 @@ def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
     per (slot, action); the modes then follow by pointer jumping, which
     doubles the ascent steps covered on each pass.
     """
-    probs = landscape.target_prob
-    n = len(probs)
+    log_r = landscape.log_rewards
+    n = len(log_r)
     index = np.arange(n)
     best = index.copy()
     radices = space.slot_radices
@@ -62,11 +68,11 @@ def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
         base = index - actions * pv  # this slot's action set to 0
         for b in range(r):
             j = base + b * pv
-            better = (probs[j] > probs) & (
-                (probs[j] > probs[best]) | ((probs[j] == probs[best]) & (j < best))
+            better = (log_r[j] > log_r) & (
+                (log_r[j] > log_r[best]) | ((log_r[j] == log_r[best]) & (j < best))
             )
             best[better] = j[better]
-    # every step strictly raises the probability, so ascents are at most n
+    # every step strictly raises log R, so ascents are at most n
     # long and n.bit_length() doublings cover them
     mode_of = best
     for _ in range(n.bit_length() + 1):
@@ -76,7 +82,7 @@ def basin_map(landscape: LandscapeTable, space: SpaceSpec) -> BasinAssignment:
         mode_of = jumped
     else:
         raise RuntimeError("ascent failed to terminate")
-    mass = np.bincount(mode_of, weights=probs, minlength=n)
+    mass = np.bincount(mode_of, weights=landscape.target_prob, minlength=n)
     modes = np.unique(mode_of)
     basin_mass = dict(zip(modes.tolist(), mass[modes].tolist()))
     return BasinAssignment(mode_of=mode_of, basin_mass=basin_mass)
@@ -127,19 +133,19 @@ def project_grid(dist: np.ndarray, space: SpaceSpec, basins: BasinAssignment) ->
 def export_landscape_csv(
     path, landscape: LandscapeTable, basins: BasinAssignment, config_hash: str
 ) -> None:
-    """One row per terminal with its loss, reward, target probability and
+    """One row per terminal with its loss, log-reward, target probability and
     the key of its basin's mode. The rows are the bytes csv.writer writes for
     them (no field needs quoting), formatted and written one at a time."""
     texts = list(map(key_text, landscape.keys.tolist()))
-    rows = zip(texts, landscape.aggregates, landscape.rewards, landscape.target_prob,
+    rows = zip(texts, landscape.aggregates, landscape.log_rewards, landscape.target_prob,
                basins.mode_of.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([f"# config_hash={config_hash}"])
-        writer.writerow(["key", "loss", "reward", "target_prob", "mode_key"])
-        fh.writelines(f"{text},{float(loss)!r},{float(reward)!r},"
+        writer.writerow(["key", "loss", "log_reward", "target_prob", "mode_key"])
+        fh.writelines(f"{text},{float(loss)!r},{float(log_r)!r},"
                       f"{float(prob)!r},{texts[mode]}\r\n"
-                      for text, loss, reward, prob, mode in rows)
+                      for text, loss, log_r, prob, mode in rows)
 
 
 def export_grid_json(path, grid: dict, config_hash: str) -> None:

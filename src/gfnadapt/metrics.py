@@ -10,7 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .landscape import LandscapeTable
-from .rewards import reward
+from .rewards import log_reward
 from .space import SpaceSpec, place_values
 
 
@@ -29,10 +29,9 @@ class RetrievalReport:
 def best_so_far(
     losses: Sequence[float], l_star: float, beta: float
 ) -> list[tuple[int, float, float]]:
-    """The (n, optimality gap, reward of the best state so far) series as its
-    change points: the rows where the best loss improves, plus the last n.
-    The series at any n is the last change point at or before it. A reward
-    outside the float64 range is refused, as rewards.reward refuses it."""
+    """The (n, optimality gap, log-reward of the best state so far) series as
+    its change points: the rows where the best loss improves, plus the last
+    n. The series at any n is the last change point at or before it."""
     if len(losses) == 0:
         raise ValueError("empty trace")
     out = []
@@ -40,7 +39,7 @@ def best_so_far(
     for n, loss in enumerate(losses, start=1):
         if loss < best or n == 1:
             best = min(best, loss)
-            out.append((n, best - l_star, float(reward(best, beta))))
+            out.append((n, best - l_star, float(log_reward(best, beta))))
     if out[-1][0] != len(losses):
         out.append((len(losses), *out[-1][1:]))
     return out

@@ -5,9 +5,10 @@ context -> normalized-residual loss per context -> quantile normalization ->
 blend of mean and worst-K tail, each step an array pass over the batch. The
 reward cache stores raw losses only; `derive` computes the aggregate along
 the last axis, for one row or a whole cache file alike. The Boltzmann reward
-R = exp(-beta * loss) travels as its log, `log_reward`, and `reward` is taken
-only where R is written out. `context_loss` is the one-trajectory form of
-the loss, kept as the reference the batched loss is tested against.
+R = exp(-beta * loss) is never formed: every consumer, from training to the
+landscape and the report, reads its log, `log_reward`. `context_loss` is the
+one-trajectory form of the loss, kept as the reference the batched loss is
+tested against.
 """
 
 from __future__ import annotations
@@ -128,25 +129,19 @@ def aggregate(normalized: np.ndarray, lam: float, k: int) -> np.ndarray:
 
 
 def log_reward(aggregate_loss, beta: float) -> np.ndarray:
-    """log R = -beta * loss, the one place the reward's formula is written."""
-    return -beta * np.asarray(aggregate_loss, dtype=float)
-
-
-def reward(aggregate_loss, beta: float) -> np.ndarray:
-    """R = exp(log_reward), refused where it leaves the float64 range: an
-    infinite reward cannot be normalised and a zero one has no log."""
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    """log R = -beta * loss, the one place the reward's formula is written and
+    its range checked: a log-reward that is not finite, which a finite loss
+    gets only when beta * |loss| leaves the float64 range, is refused."""
     loss = np.asarray(aggregate_loss, dtype=float)
     with np.errstate(over="ignore"):
-        r = np.exp(log_reward(loss, beta))
-    bad = ~((r > 0.0) & (r < np.inf))  # NaN included
+        log_r = -beta * loss
+    bad = ~np.isfinite(log_r)
     if bad.any():
         raise ValueError(
             f"reward.beta={beta:g} gives the aggregate loss {float(loss[bad].flat[0])!r} "
-            f"the reward {float(r[bad].flat[0])!r}, outside the float64 range"
+            f"the log-reward {float(log_r[bad].flat[0])!r}, outside the float64 range"
         )
-    return r
+    return log_r
 
 
 def derive(raw: np.ndarray, q: QuantileTable, config: Mapping) -> np.ndarray:

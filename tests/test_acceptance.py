@@ -15,7 +15,7 @@ from gfnadapt import gflownet as gf
 from gfnadapt.cli import main as cli_main
 from gfnadapt.config import load_config
 from gfnadapt.landscape import basin_map, build_landscape, l1_distance
-from gfnadapt.rewards import TerminalScorer, aggregate, normalize, reward
+from gfnadapt.rewards import TerminalScorer, aggregate, log_reward, normalize
 from gfnadapt.simulator import (
     DEFAULT_TRUTH_KEY,
     generate_contexts,
@@ -89,7 +89,7 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
     for _ in range(100):
         key = tuple(int(rng.integers(r)) for r in radices)
         [loss] = fitted_scorer.score([key])
-        rew = reward(loss, cfg["reward.beta"])
+        log_r = log_reward(loss, cfg["reward.beta"])
         [got_raw] = fitted_scorer.raw_losses([key])
         params = decode_state(space, key)
         raw = np.array(
@@ -111,7 +111,7 @@ def test_loss_records_match_independent_recomputation(space, obs_contexts, fitte
             assert np.exp(-beta * loss) == pytest.approx(
                 np.exp(-beta * agg), rel=1e-10
             )
-        assert rew == pytest.approx(np.exp(-cfg["reward.beta"] * agg), rel=1e-10)
+        assert log_r == pytest.approx(-cfg["reward.beta"] * agg, rel=1e-10)
         # tail blend is exactly invariant to the order of context losses
         perm = rng.permutation(norm)
         assert aggregate(perm, lam, k) == aggregate(norm, lam, k)

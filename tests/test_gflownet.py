@@ -347,10 +347,11 @@ class TestTBLoss:
             assert np.allclose(a, b, rtol=1e-10, atol=1e-15)
 
     def test_non_finite_rejected(self, tiny_space):
-        # a zero reward gives log R = -inf, which train reports as divergence
+        # a zero reward is an infinite loss, whose log R = -inf log_reward
+        # refuses, naming reward.beta; the reward cache refuses such a loss
         scorer = StubScorer({**TINY_REWARDS, (1, 2): 0.0})
         with np.errstate(divide="ignore", invalid="ignore"):
-            with pytest.raises(RuntimeError, match="diverged"):
+            with pytest.raises(ValueError, match=r"reward\.beta=.* the log-reward -inf"):
                 cfg = {**DEFAULT_CFG, "train.steps": 50, "train.hidden": [8]}
                 gf.train(tiny_space, scorer, cfg, seed=0)
 

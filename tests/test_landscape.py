@@ -15,7 +15,7 @@ from gfnadapt.landscape import (
     project_grid,
 )
 from gfnadapt import gflownet as gf
-from gfnadapt.rewards import reward
+from gfnadapt.rewards import log_reward
 from gfnadapt.space import all_keys, key_tuples, place_values
 
 from conftest import DEFAULT_CFG, StubScorer, make_tiny_space, neighbors
@@ -36,15 +36,15 @@ def index_of(space, key):
 
 
 def brute_force_ascent(space, table):
-    """Independent probability-ascent oracle used to cross-check basin_map."""
+    """Independent log-reward-ascent oracle used to cross-check basin_map."""
     keys = key_tuples(table.keys)
     index = {k: i for i, k in enumerate(keys)}
-    probs = table.target_prob
+    log_r = table.log_rewards
 
     def step(key):
         best = key
         for nb in sorted(neighbors(space, key)):
-            if probs[index[nb]] > probs[index[best]]:
+            if log_r[index[nb]] > log_r[index[best]]:
                 best = nb
         return best
 
@@ -70,9 +70,9 @@ class TestBuildLandscape:
             1,
             0.3,
         )
-        # rewards whose log-rewards exponentiate back to them exactly, as
-        # exp(log 3.0) does not
-        table = table_from_rewards(sp, {(0,): 0.5, (1,): 1.5})
+        # rewards whose shifted log-rewards exponentiate to 1/3 and 1, which
+        # normalise exactly, as those of 0.5 and 1.5 do not
+        table = table_from_rewards(sp, {(0,): 1.0, (1,): 3.0})
         assert table.target_prob.tolist() == [0.25, 0.75]
 
     def test_uniform_rewards(self, tiny_space):
@@ -182,10 +182,10 @@ class TestAlignment:
         rewards = dict(zip(tuples, rng.uniform(0.1, 5.0, len(tuples)).tolist()))
         table = table_from_rewards(sp, rewards)
         assert np.array_equal(table.keys, keys)
-        # the scorer hands out losses; each row's reward is exp(-beta * loss)
+        # the scorer hands out losses; each row's log-reward is -beta * loss
         losses = [StubScorer(rewards).score([key])[0] for key in tuples]
         assert table.aggregates.tolist() == losses
-        assert table.rewards.tolist() == reward(losses, DEFAULT_CFG["reward.beta"]).tolist()
+        assert table.log_rewards.tolist() == log_reward(losses, DEFAULT_CFG["reward.beta"]).tolist()
 
         basins = basin_map(table, sp)
         assert np.array_equal(basins.mode_of, brute_force_ascent(sp, table))
@@ -269,7 +269,7 @@ class TestExports:
         assert len(rows) == 6
         for i, row in enumerate(rows):
             assert row["key"] == "-".join(map(str, table.keys[i]))
-            assert float(row["reward"]) == table.rewards[i]
+            assert float(row["log_reward"]) == table.log_rewards[i]
             assert float(row["target_prob"]) == table.target_prob[i]
 
     def test_grid_json(self, tiny_space, tmp_path):
@@ -295,18 +295,19 @@ class TestExports:
         special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, -1.25e17, 0.1]
         aggregates = np.array([*special, *rng.normal(0, 1e3, len(keys) - len(special))])
         rewards = rng.random(len(keys))
-        table = LandscapeTable(keys, aggregates, rewards, rewards / rewards.sum())
+        table = LandscapeTable(keys, aggregates, np.log(rewards), rewards / rewards.sum())
         basins = BasinAssignment(rng.integers(0, len(keys), len(keys)), {})
         path, ref = tmp_path / "landscape.csv", tmp_path / "ref.csv"
         export_landscape_csv(path, table, basins, config_hash="abc123")
         with open(ref, "w", newline="") as fh:  # one csv.writer row per terminal
             writer = csv.writer(fh)
             writer.writerow(["# config_hash=abc123"])
-            writer.writerow(["key", "loss", "reward", "target_prob", "mode_key"])
+            writer.writerow(["key", "loss", "log_reward", "target_prob", "mode_key"])
             tuples = key_tuples(keys)
             for i, key in enumerate(tuples):
                 writer.writerow(["-".join(map(str, key)), repr(float(aggregates[i])),
-                                 repr(float(rewards[i])), repr(float(table.target_prob[i])),
+                                 repr(float(table.log_rewards[i])),
+                                 repr(float(table.target_prob[i])),
                                  "-".join(map(str, tuples[int(basins.mode_of[i])]))])
         assert path.read_bytes() == ref.read_bytes()
 

@@ -38,7 +38,7 @@ def small_table():
     return LandscapeTable(
         keys=all_keys(SQUARE),
         aggregates=-np.log(rewards),
-        rewards=rewards,
+        log_rewards=np.log(rewards),
         target_prob=rewards / rewards.sum(),
     )
 
@@ -59,8 +59,8 @@ class TestBestSoFar:
         rows = best_so_far([0.5, 0.4, 0.6], l_star=0.3, beta=4.0)
         assert [n for n, _, _ in rows] == [1, 2, 3]
         assert [g for _, g, _ in rows] == pytest.approx([0.2, 0.1, 0.1], abs=1e-12)
-        assert rows[0][2] == pytest.approx(np.exp(-2.0), rel=1e-12)
-        assert rows[2][2] == pytest.approx(np.exp(-1.6), rel=1e-12)
+        assert rows[0][2] == -4.0 * 0.5
+        assert rows[2][2] == -4.0 * 0.4
 
     def test_gap_non_increasing(self):
         rows = best_so_far([0.9, 0.2, 0.5, 0.1, 0.4], 0.0, 4.0)
@@ -79,14 +79,14 @@ class TestBestSoFar:
         reference, best = [], float("inf")
         for loss in losses:
             best = min(best, loss)
-            reference.append((best - l_star, float(np.exp(-beta * best))))
+            reference.append((best - l_star, -beta * best))
         rows = best_so_far(losses, l_star, beta)
         ns = [n for n, _, _ in rows]
         assert ns[0] == 1 and ns[-1] == len(losses)
         assert ns == sorted(set(ns)) and len(rows) < 20
         rebuilt = []
-        for (n, gap, rew), following in zip(rows, [*ns[1:], len(losses) + 1]):
-            rebuilt += [(gap, rew)] * (following - n)
+        for (n, gap, log_r), following in zip(rows, [*ns[1:], len(losses) + 1]):
+            rebuilt += [(gap, log_r)] * (following - n)
         assert rebuilt == reference
 
 

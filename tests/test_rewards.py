@@ -19,7 +19,6 @@ from gfnadapt.rewards import (
     fit_quantiles,
     log_reward,
     normalize,
-    reward,
 )
 from gfnadapt import rewards, simulator
 from gfnadapt.simulator import (
@@ -173,19 +172,19 @@ class TestAggregate:
 class TestReward:
     def test_zero_loss(self):
         for beta in (2.0, 4.0, 8.0):
-            assert reward(0.0, beta) == 1.0
+            assert log_reward(0.0, beta) == 0.0
 
     def test_hand_value(self):
-        assert reward(0.35, 4.0) == pytest.approx(np.exp(-1.4), rel=1e-12)
-        assert reward(0.35, 4.0) == pytest.approx(0.24660, abs=5e-6)
+        assert log_reward(0.35, 4.0) == -4.0 * 0.35
+        assert np.exp(log_reward(0.35, 4.0)) == pytest.approx(0.24660, abs=5e-6)
 
     def test_strictly_decreasing(self):
-        assert reward(0.1, 4.0) > reward(0.2, 4.0) > reward(0.9, 4.0) > 0.0
+        assert log_reward(0.1, 4.0) > log_reward(0.2, 4.0) > log_reward(0.9, 4.0) > -np.inf
 
     def test_ordering_invariant_in_beta(self):
         losses = np.array([0.8, 0.1, 0.4, 0.2])
         orders = [
-            np.argsort([reward(l, beta) for l in losses]).tolist()
+            np.argsort([log_reward(l, beta) for l in losses]).tolist()
             for beta in (0.5, 2.0, 4.0, 8.0)
         ]
         assert all(o == orders[0] for o in orders)
@@ -205,10 +204,6 @@ class TestReward:
             with pytest.raises(ValueError, match=re.escape(f"reward.beta={beta:g} gives the "
                                                            f"aggregate loss {loss!r} ")):
                 log_reward(losses, beta)
-
-    def test_keeps_the_smallest_normal_and_subnormal_rewards(self):
-        # exp(-745) is the smallest positive float64 the exponential gives
-        assert reward(np.array([708.0, 745.0]), 1.0).tolist() == [np.exp(-708.0), np.exp(-745.0)]
 
 
 class TestTerminalScorer:
@@ -248,8 +243,8 @@ class TestTerminalScorer:
 
     def test_reward_positive_everywhere(self, scorer, mini_space):
         losses = scorer.score(key_tuples(all_keys(mini_space)))
-        rewards = reward(losses, scorer.config["reward.beta"])
-        assert np.all(rewards > 0.0)
+        log_rewards = log_reward(losses, scorer.config["reward.beta"])
+        assert np.all(np.exp(log_rewards) > 0.0)
 
     def test_repeats_scored_once_and_counted(self, mini_space, obs, tmp_path):
         scorer = TerminalScorer(
