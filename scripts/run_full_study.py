@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
-"""Run the complete budget-matched comparison on the built-in space.
+"""Run the complete comparison on the built-in space.
 
-Enumerates the landscape, trains the sampler on 3 seeds, runs both baselines
-at the same evaluation budget, and writes the comparison report. All steps
+Enumerates the landscape, trains the sampler on 3 seeds, runs both baselines,
+and writes the comparison report. --budget sets both train.budget, which
+counts the distinct keys training requests, and baseline.budget, which
+counts the keys a search requests, repeats included; so the methods
+evaluate different numbers of distinct keys (ROADMAP item 2). All steps
 are idempotent; re-running resumes from whatever already finished.
 
     python3 scripts/run_full_study.py --out runs [--budget 2000] [--seeds 1,2,3]

@@ -161,8 +161,9 @@ class TestExitCodes:
 
     # aggregate losses on the built-in space run from -0.12 to 2.75: at
     # beta=20000 R = exp(-beta * loss) would overflow to inf below loss 0 and
-    # underflow to 0 above about 0.04, but log R stays finite, and the target is normalised from it. The
-    # basins ascend on log R, whose order does not depend on beta
+    # underflow to 0 above about 0.04, but log R stays finite, and the target
+    # is normalised from it. The basins ascend on log R, whose order does not
+    # depend on beta
     def test_reward_outside_float64_range_exits_0(self, tmp_path, monkeypatch):
         monkeypatch.setenv("GFNADAPT_CACHE_DIR", str(tmp_path / "cache"))
         modes = {}
@@ -184,7 +185,7 @@ class TestExitCodes:
         assert modes[20000] == modes[4]
 
     # at beta=1e308, -beta * loss leaves the float64 range for every loss
-    # above about 1.8, and the built-in space's run up to 2.75. Run in a new
+    # above about 1.8, and the built-in space's losses run up to 2.75. Run in a new
     # process, where a numpy RuntimeWarning would reach stderr
     def test_log_reward_outside_float64_range_exits_2_with_one_error_line(self, tmp_path):
         env = {**os.environ, "PYTHONPATH": str(Path(gflownet.__file__).parents[1]),
@@ -832,8 +833,8 @@ class TestPipeline:
         self, workspace
     ):
         # the row passes every trace check, and exp(-beta * loss) would
-        # overflow at the default reward.beta of 4; report.json once read
-        # Infinity there, and now holds log R = 4000.0
+        # overflow at the default reward.beta of 4; report.json holds its
+        # log R, 4000.0
         assert run(workspace, "train") == 0
         trace = out_root(workspace) / "train" / "1" / "trace.csv"
         lines = trace.read_text().splitlines()
